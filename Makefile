@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos bench bench-shards trace-smoke
+.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos bench bench-shards bench-smoke trace-smoke
 
 # ci is the tier-1 gate: everything here must pass before a change lands.
-ci: fmt vet lint build test trace-smoke fuzz race chaos
+ci: fmt vet lint build test bench-smoke trace-smoke fuzz race chaos
 
 # Linter fixtures under internal/lint/testdata deliberately contain
 # rule-violating code; they are exercised by the linter's own tests, not
@@ -74,6 +74,12 @@ chaos:
 trace-smoke:
 	$(GO) test -count=1 -run 'TestTrace' ./internal/engine
 	$(GO) test -count=1 -run 'TestTimelineAggregation' ./internal/observer
+
+# bench-smoke runs the repository benchmark's own tests. bench/ is a
+# separate Go module, so `go test ./...` from the root never reaches it;
+# this is the gate that keeps an engine change from breaking it unnoticed.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -80,7 +80,6 @@ func run() error {
 	acceptRate := flag.Float64("accept-rate", 0, "sustained per-source accept rate in connections/sec (0 = default 16)")
 	greylistAfter := flag.Int("greylist-after", 0, "consecutive rate refusals before a source is greylisted (0 = default 8)")
 	greylistFor := flag.Duration("greylist-for", 0, "how long a greylisted source's connections are closed silently (0 = default 2s)")
-	busyProbe := flag.Duration("busy-probe", 0, "post-hello window a dialer listens for a busy refusal (0 = default 5ms, negative disables)")
 	transport := flag.String("transport", "tcp", "data lane transport: tcp (reliable streams) or udp (datagrams for data; control stays on TCP)")
 	mtu := flag.Int("mtu", 0, "outgoing datagram size cap in bytes for -transport udp (0 = default 1400)")
 	debugAddr := flag.String("debug", "", "serve expvar/pprof debug endpoints on this address (e.g. 127.0.0.1:6060)")
@@ -158,7 +157,6 @@ func run() error {
 		AcceptRate:    *acceptRate,
 		GreylistAfter: *greylistAfter,
 		GreylistFor:   *greylistFor,
-		BusyProbe:     *busyProbe,
 	}
 	switch *transport {
 	case "tcp":

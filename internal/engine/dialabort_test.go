@@ -1,0 +1,122 @@
+package engine_test
+
+import (
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/message"
+	"repro/internal/vnet"
+)
+
+// muteAcceptor is a raw listener that accepts the transport connection
+// and then never reads or writes: the dialer's hello lands in the socket
+// buffer and no admission reply ever comes back.
+func muteAcceptor(t *testing.T, n *vnet.Network, id message.NodeID) <-chan net.Conn {
+	t.Helper()
+	ln, err := n.Listen(id.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, aerr := ln.Accept()
+		if aerr == nil {
+			accepted <- c
+		}
+	}()
+	return accepted
+}
+
+// dialIntoMute starts an engine whose one outgoing link is stuck waiting
+// for the mute acceptor's reply, under a HandshakeTimeout far longer than
+// the test, and returns once the dial is blocked there.
+func dialIntoMute(t *testing.T, n *vnet.Network) (*engine.Engine, net.Conn) {
+	t.Helper()
+	accepted := muteAcceptor(t, n, nid(2))
+	e := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
+		c.HandshakeTimeout = time.Minute
+		c.DialAttempts = 1
+	})
+	e.Do(func(api engine.API) {
+		api.SendNew(message.New(message.FirstDataType, nid(1), 1, 0, []byte("queued behind the dial")), nid(2))
+	})
+	select {
+	case c := <-accepted:
+		t.Cleanup(func() { c.Close() })
+		return e, c
+	case <-time.After(5 * time.Second):
+		t.Fatal("the engine never dialed the mute acceptor")
+		return nil, nil
+	}
+}
+
+// within fails the test unless fn returns inside d.
+func within(t *testing.T, d time.Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v", what, d)
+	}
+}
+
+// TestStopInterruptsDialAwaitingReply: Stop waits for every engine
+// goroutine, and a sender goroutine blocked on an admission reply that
+// will never come must not make it wait out HandshakeTimeout. Nothing the
+// engine started may outlive Stop.
+func TestStopInterruptsDialAwaitingReply(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	before := runtime.NumGoroutine()
+	e, _ := dialIntoMute(t, n)
+	within(t, 2*time.Second, "Stop with a dial awaiting its reply", e.Stop)
+	// The mute acceptor's own accept goroutine has exited by now (it
+	// accepts once), so the count must fall back to where it started.
+	waitFor(t, 2*time.Second, "engine goroutines to exit", func() bool {
+		return runtime.NumGoroutine() <= before
+	})
+	if lost := e.Counters().MsgsDropped; lost != 1 {
+		t.Errorf("MsgsDropped = %d, want the one message queued behind the aborted dial", lost)
+	}
+}
+
+// TestCloseLinkInterruptsDialAwaitingReply: closing a link that is still
+// dialing hangs up on the peer now — the acceptor observes the close long
+// before HandshakeTimeout — and leaves nothing behind for Stop to wait on.
+func TestCloseLinkInterruptsDialAwaitingReply(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	e, server := dialIntoMute(t, n)
+	within(t, 2*time.Second, "CloseLink with a dial awaiting its reply", func() {
+		closed := make(chan struct{})
+		e.Do(func(api engine.API) {
+			api.CloseLink(nid(2))
+			close(closed)
+		})
+		<-closed
+	})
+	// Only now does the acceptor touch the connection: the hello is there,
+	// and behind it the dialer's hang-up.
+	_ = server.SetReadDeadline(time.Now().Add(2 * time.Second))
+	hello, err := message.Read(server, nil, 256)
+	if err != nil {
+		t.Fatalf("reading the hello: %v", err)
+	}
+	hello.Release()
+	if m, err := message.Read(server, nil, 256); err == nil {
+		m.Release()
+		t.Fatal("dialer kept talking after CloseLink")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("dialer still holds the connection after CloseLink: the reply wait was not interrupted")
+	}
+	within(t, 2*time.Second, "Stop after CloseLink", e.Stop)
+}

@@ -51,7 +51,6 @@ const (
 	DefaultRetryMax         = 5 * time.Second
 	DefaultDepartureGrace   = 2 * time.Second
 	DefaultEventLog         = 1024
-	DefaultBusyProbe        = 5 * time.Millisecond
 )
 
 // Config parameterizes an Engine.
@@ -117,14 +116,15 @@ type Config struct {
 	// and back-pressure semantics are unchanged. 1 disables batching.
 	BatchSize int
 	// HandshakeTimeout bounds how long a new inbound connection may take
-	// to identify itself with a hello message.
+	// to identify itself with a hello message, and how long a dialer
+	// waits for the acceptor's Welcome or Busy reply to its own hello.
 	HandshakeTimeout time.Duration
 	// MaxHandshakes bounds concurrent in-flight inbound handshakes: an
-	// admission token is held from Accept until the link is registered,
-	// and connections past the bound are shed pre-handshake with a
-	// one-frame Busy reply. Zero selects admission.DefaultMaxHandshakes;
-	// negative disables admission control entirely (every connection is
-	// admitted, the pre-PR-8 behavior).
+	// admission token is held from Accept until the link is registered
+	// and the Welcome reply written, and connections past the bound are
+	// shed pre-handshake with a one-frame Busy reply. Zero selects
+	// admission.DefaultMaxHandshakes; negative disables admission control
+	// entirely (every connection is admitted, the pre-PR-8 behavior).
 	MaxHandshakes int
 	// AcceptRate and AcceptBurst bound per-source admissions (sustained
 	// per second / bucket depth); GreylistAfter consecutive rate refusals
@@ -135,12 +135,6 @@ type Config struct {
 	AcceptBurst   int
 	GreylistAfter int
 	GreylistFor   time.Duration
-	// BusyProbe is how long a dialer listens for a Busy refusal after
-	// sending its hello before treating the link as admitted. Sender
-	// links are one-directional past the hello, so nothing else ever
-	// arrives in that window. Zero selects DefaultBusyProbe; negative
-	// disables the probe (refusals then surface as write failures).
-	BusyProbe time.Duration
 	// DialTimeout bounds each outgoing connection attempt.
 	DialTimeout time.Duration
 	// DialAttempts is how many times a sender tries to reach a peer
@@ -247,9 +241,6 @@ func (c *Config) applyDefaults() {
 	if c.EventLog == 0 {
 		c.EventLog = DefaultEventLog
 	}
-	if c.BusyProbe == 0 {
-		c.BusyProbe = DefaultBusyProbe
-	}
 	if c.DatagramMTU == 0 {
 		c.DatagramMTU = message.DefaultDgramMTU
 	}
@@ -303,6 +294,10 @@ type Engine struct {
 	// frames, so a storm of refused connections cannot balloon into a
 	// goroutine flood; past the bound connections are shed silently.
 	busyWriters atomic.Int32
+	// hello and welcome are the node's two handshake frames, bare headers
+	// that differ per engine only in the sender identity: rendered once
+	// here so neither side of a link set-up builds a message for them.
+	hello, welcome []byte
 
 	mu        sync.Mutex
 	receivers map[message.NodeID]*receiver
@@ -427,6 +422,8 @@ func New(cfg Config) (*Engine, error) {
 		events:    make(chan func(), 4096),
 		done:      make(chan struct{}),
 	}
+	e.hello = message.New(protocol.TypeHello, cfg.ID, 0, 0, nil).AppendHeader(nil)
+	e.welcome = message.New(protocol.TypeWelcome, cfg.ID, 0, 0, nil).AppendHeader(nil)
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = newShard(e, i)
@@ -798,8 +795,7 @@ func (e *Engine) connectObserver() error {
 	// Bounded like the peer-link hello: a stalled observer socket must
 	// not wedge the (re)connect goroutine indefinitely.
 	_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.HandshakeTimeout))
-	hello := message.New(protocol.TypeHello, e.id, 0, 0, nil)
-	if _, err := hello.WriteTo(conn); err != nil {
+	if _, err := conn.Write(e.hello); err != nil {
 		_ = conn.Close()
 		return err
 	}
@@ -984,7 +980,9 @@ func (e *Engine) Stop() {
 				_ = s.conn.Close()
 			}
 		default:
-			// Still dialing; the dial result is checked against stopping.
+			// Still dialing: the closed ring ends the attempt loop, and a
+			// handshake waiting on the peer's reply is cut short here.
+			s.interruptDial()
 		}
 	}
 	if obs != nil {
@@ -1378,6 +1376,10 @@ func (e *Engine) CloseLink(peer message.NodeID) {
 	e.shards[0].invalidateSender(s)
 	delete(e.sentApps, peer)
 	s.ring.Close() // sender goroutine flushes remaining messages and exits
+	// A link that is still dialing has nothing to flush to: its attempt
+	// loop ends at the closed ring, and a handshake waiting on the peer's
+	// reply is cut short rather than sat out.
+	s.interruptDial()
 	s.linkLimit.Close()
 	e.shards[0].dropParkedFor(peer, false)
 	if owner := e.shardFor(peer); owner != e.shards[0] {

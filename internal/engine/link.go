@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -242,6 +243,15 @@ type sender struct {
 	stallSince   time.Time
 	stallStrikes int
 	stallShed    int64
+	// dialMu guards dialConn, the connection whose handshake is in flight:
+	// Stop and CloseLink close it from outside so a dialer blocked on the
+	// peer's admission reply returns at once instead of at
+	// Config.HandshakeTimeout.
+	dialMu   sync.Mutex
+	dialConn net.Conn
+	// reply receives the peer's admission reply frame — a bare Welcome
+	// header, or a Busy header and payload. Sender goroutine only.
+	reply [message.HeaderSize + protocol.BusySize]byte
 }
 
 func newSender(peer message.NodeID, bufMsgs int, linkRate int64, gauge, held *metrics.Gauge) *sender {
@@ -265,8 +275,8 @@ func newSender(peer message.NodeID, bufMsgs int, linkRate int64, gauge, held *me
 // try — before the link is declared down.
 func (e *Engine) runSender(s *sender) {
 	defer e.wg.Done()
-	// dialPeer writes the hello and listens for a Busy refusal, so a
-	// returned connection is already admitted by the peer's gate.
+	// dialPeer runs the whole handshake, so a returned connection is
+	// already admitted by the peer's gate and registered as its receiver.
 	conn, err := e.dialPeer(s)
 	if err != nil {
 		e.logf("dial %s: %v", s.peer, err)
@@ -446,131 +456,137 @@ func (e *Engine) runSender(s *sender) {
 // with a Busy frame; the carried hint floors the next backoff delay.
 var errPeerBusy = errors.New("engine: peer refused admission (busy)")
 
-// dialPeer attempts the outgoing connection to s.peer, retrying with
-// backoff until it succeeds, the attempt budget is exhausted, or the
-// engine stops. It owns the whole client side of the handshake: after a
-// connection is established it writes the hello, then listens briefly
-// (Config.BusyProbe) for a Busy refusal from the peer's admission gate.
-// A refusal consumes the attempt and floors the next backoff delay with
-// the acceptor's retry-after hint; silence means admitted — sender links
-// are one-directional past the hello, so nothing else ever arrives.
+// errBadReply marks a dial attempt answered with anything other than a
+// Welcome or Busy frame.
+var errBadReply = errors.New("engine: unexpected reply to hello")
+
+// errLinkClosed ends the dial of a link that Stop or CloseLink already
+// tore down.
+var errLinkClosed = errors.New("engine: link closed while dialing")
+
+// dialPeer opens the outgoing connection to s.peer, retrying with backoff
+// until an attempt is admitted, the attempt budget is exhausted, or the
+// link is closed under it (Stop, CloseLink). A Busy refusal consumes the
+// attempt and floors the next backoff delay with the acceptor's
+// retry-after hint.
 func (e *Engine) dialPeer(s *sender) (net.Conn, error) {
-	bo := e.newBackoff(int64(s.peer.IP)<<16 ^ int64(s.peer.Port))
-	var lastErr error
-	for attempt := 0; attempt < e.cfg.DialAttempts; attempt++ {
-		if attempt > 0 {
-			d := bo.next()
-			e.rec.Emit(trace.KindBackoff, s.peer, 0, int64(d))
-			select {
-			case <-e.done:
-				return nil, lastErr
-			case <-time.After(d):
-			}
-		}
-		conn, err := e.cfg.Transport.DialFrom(e.id.Addr(), s.peer.Addr(), e.cfg.DialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		// The hello write is bounded too: a blackholed peer with a full
-		// socket buffer must not stall this goroutine past the handshake
-		// budget (the unbounded-hello bug).
-		_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.HandshakeTimeout))
-		hello := message.New(protocol.TypeHello, e.id, 0, 0, nil)
-		if _, err := hello.WriteTo(conn); err != nil {
-			_ = conn.Close()
-			lastErr = err
-			continue
-		}
-		_ = conn.SetWriteDeadline(time.Time{})
-		admitted, hint, err := e.probeBusy(conn)
+	var bo *backoff // built on the first failure: most dials never retry
+	for attempt := 1; ; attempt++ {
+		conn, hint, err := e.dialOnce(s)
 		if err == nil {
-			return admitted, nil
+			return conn, nil
 		}
-		_ = conn.Close()
-		lastErr = err
-		if hint > 0 {
-			bo.floor(hint)
+		if attempt >= e.cfg.DialAttempts || s.ring.Closed() {
+			return nil, err
+		}
+		if bo == nil {
+			bo = e.newBackoff(int64(s.peer.IP)<<16 ^ int64(s.peer.Port))
+		}
+		bo.floor(hint)
+		d := bo.next()
+		e.rec.Emit(trace.KindBackoff, s.peer, 0, int64(d))
+		select {
+		case <-e.done:
+			return nil, err
+		case <-time.After(d):
 		}
 	}
-	return nil, lastErr
 }
 
-// probeBusy listens for a Busy refusal after the hello. It returns the
-// connection to keep using and (0, nil) when the window passes silently
-// (admitted), or the refusal's retry-after hint and errPeerBusy when the
-// peer shed the connection. The probe sniffs exactly one frame header:
-// anything that is not a Busy refusal — a partial header caught
-// mid-flight at the deadline, or a full header of real traffic from a
-// peer that admitted us and started talking straight away — is handed
-// back to the caller replayed in front of the stream, never consumed.
-// A closed connection is still an error: a greylisted source is shed
-// without a frame.
-func (e *Engine) probeBusy(conn net.Conn) (net.Conn, time.Duration, error) {
-	if e.cfg.BusyProbe < 0 {
-		return conn, 0, nil
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(e.cfg.BusyProbe))
-	defer func() { _ = conn.SetReadDeadline(time.Time{}) }()
-	hdr := make([]byte, message.HeaderSize)
-	n, err := io.ReadFull(conn, hdr)
+// dialOnce makes one attempt at the link: the transport connection, then
+// the handshake on it. The connection is published on the sender for the
+// handshake's duration, which lets Stop and CloseLink interrupt it. A
+// refusal's retry-after hint comes back with the error.
+func (e *Engine) dialOnce(s *sender) (net.Conn, time.Duration, error) {
+	conn, err := e.cfg.Transport.DialFrom(e.id.Addr(), s.peer.Addr(), e.cfg.DialTimeout)
 	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			// Silence: admitted. Bytes caught mid-header are the start of
-			// the peer's first real frame — a Busy refusal is the whole
-			// point of the window and arrives in one write — so replay
-			// them; consuming them would corrupt the stream.
-			return replayed(conn, hdr[:n]), 0, nil
+		return nil, 0, err
+	}
+	s.setDialConn(conn)
+	hint, err := e.greet(s, conn)
+	s.setDialConn(nil)
+	if err != nil {
+		_ = conn.Close()
+		return nil, hint, err
+	}
+	return conn, 0, nil
+}
+
+// greet is the client side of the handshake, one round trip: the hello
+// goes out and the acceptor's one reply frame comes back, both inside
+// Config.HandshakeTimeout — a blackholed peer with a full socket buffer
+// stalls the hello write no longer than a mute one stalls the reply.
+func (e *Engine) greet(s *sender, conn net.Conn) (time.Duration, error) {
+	if s.ring.Closed() {
+		// Closed before the connection was published: nobody will
+		// interrupt this handshake, so it must not start.
+		return 0, errLinkClosed
+	}
+	_ = conn.SetDeadline(time.Now().Add(e.cfg.HandshakeTimeout))
+	if _, err := conn.Write(e.hello); err != nil {
+		return 0, err
+	}
+	hint, err := awaitAdmission(conn, s.reply[:])
+	_ = conn.SetDeadline(time.Time{})
+	return hint, err
+}
+
+// awaitAdmission reads the acceptor's reply to the hello — exactly one
+// frame, so nothing the peer sends behind it is consumed — into buf,
+// which must hold a header plus a Busy payload. Welcome means admitted:
+// the peer has registered the link. Busy returns errPeerBusy with the
+// refusal's retry-after hint (zero when the payload does not decode).
+// A connection closed without a frame is an error like any other: a
+// greylisted source, or a refusal past the Busy-writer bound, is shed
+// silently.
+func awaitAdmission(conn net.Conn, buf []byte) (time.Duration, error) {
+	hdr := buf[:message.HeaderSize]
+	if _, err := io.ReadFull(conn, hdr); err != nil {
+		return 0, err
+	}
+	size, _ := message.PeekPayloadLen(hdr)
+	switch message.Type(binary.BigEndian.Uint32(hdr[0:4])) {
+	case protocol.TypeWelcome:
+		if size != 0 {
+			return 0, errBadReply
 		}
-		return conn, 0, err // hung up pre-handshake (greylist shed, crash)
+		return 0, nil
+	case protocol.TypeBusy:
+		payload := buf[message.HeaderSize:]
+		if size != len(payload) {
+			return 0, errPeerBusy
+		}
+		if _, err := io.ReadFull(conn, payload); err != nil {
+			return 0, errPeerBusy
+		}
+		bz, err := protocol.DecodeBusy(payload)
+		if err != nil {
+			return 0, errPeerBusy
+		}
+		return time.Duration(bz.RetryAfterNanos), errPeerBusy
+	default:
+		return 0, errBadReply
 	}
-	if typ := message.Type(binary.BigEndian.Uint32(hdr[0:4])); typ != protocol.TypeBusy {
-		// Real traffic inside the probe window: admitted, and the peer is
-		// already talking. Hand the header back unconsumed.
-		return replayed(conn, hdr), 0, nil
-	}
-	size, ok := message.PeekPayloadLen(hdr)
-	if !ok || size > 256 {
-		return conn, 0, errPeerBusy
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return conn, 0, errPeerBusy
-	}
-	bz, derr := protocol.DecodeBusy(payload)
-	if derr != nil {
-		return conn, 0, errPeerBusy
-	}
-	return conn, time.Duration(bz.RetryAfterNanos), errPeerBusy
 }
 
-// replayed wraps conn so that residue is read before anything else on
-// the stream; with no residue the conn passes through untouched.
-func replayed(conn net.Conn, residue []byte) net.Conn {
-	if len(residue) == 0 {
-		return conn
-	}
-	return &replayConn{Conn: conn, residue: residue}
+// setDialConn publishes (or, with nil, retracts) the connection whose
+// handshake the sender goroutine is running.
+func (s *sender) setDialConn(conn net.Conn) {
+	s.dialMu.Lock()
+	s.dialConn = conn
+	s.dialMu.Unlock()
 }
 
-// replayConn is a net.Conn with probe residue pushed back in front of
-// the stream. It deliberately does not forward the buffersWriter fast
-// path: a wrapped link is the rare case (the peer wrote within the probe
-// window), and per-message writes there keep this type trivially
-// correct.
-type replayConn struct {
-	net.Conn
-	residue []byte
-}
-
-func (c *replayConn) Read(p []byte) (int, error) {
-	if len(c.residue) > 0 {
-		n := copy(p, c.residue)
-		c.residue = c.residue[n:]
-		return n, nil
+// interruptDial closes the connection a handshake is in flight on, if
+// any. Callers close s.ring first: the dialer checks the ring after
+// publishing its connection, so one side always sees the other.
+func (s *sender) interruptDial() {
+	s.dialMu.Lock()
+	conn := s.dialConn
+	s.dialMu.Unlock()
+	if conn != nil {
+		_ = conn.Close()
 	}
-	return c.Conn.Read(p)
 }
 
 // buffersWriter is the vectored-write fast path vnet connections provide:
@@ -610,13 +626,14 @@ func AcceptClosed(err error) bool {
 }
 
 // maxBusyWriters bounds concurrent Busy-frame writer goroutines; refusals
-// past the bound are closed silently (the dialer's probe treats the hangup
-// as a failed attempt, so only the hint is lost).
+// past the bound are closed silently (the dialer treats the hangup as a
+// failed attempt, so only the hint is lost).
 const maxBusyWriters = 64
 
-// busyWriteTimeout bounds each Busy-frame write so a stalled refused peer
-// cannot pin its writer goroutine.
-const busyWriteTimeout = 100 * time.Millisecond
+// replyWriteTimeout bounds the write of an admission reply, Busy or
+// Welcome, so a stalled dialer can pin neither a Busy writer goroutine
+// nor a handshake token.
+const replyWriteTimeout = 100 * time.Millisecond
 
 // acceptLoop admits incoming connections on the publicized port. Each
 // accepted connection passes the admission gate before any handshake
@@ -699,7 +716,7 @@ func (e *Engine) sendBusy(conn net.Conn, silent bool, reason protocol.BusyReason
 		defer e.wg.Done()
 		defer e.busyWriters.Add(-1)
 		defer conn.Close()
-		_ = conn.SetWriteDeadline(time.Now().Add(busyWriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(replyWriteTimeout))
 		busy := message.New(protocol.TypeBusy, e.id, 0, 0,
 			protocol.Busy{Reason: reason, RetryAfterNanos: int64(hint)}.Encode())
 		_, _ = busy.WriteTo(conn)
@@ -717,10 +734,11 @@ func (e *Engine) failHandshake(conn net.Conn, dec admission.Decision) {
 }
 
 // handshake reads the mandatory hello message that carries the dialing
-// node's identity, then registers the connection as a receiver link.
+// node's identity, registers the connection as a receiver link, and
+// answers with the Welcome frame the dialer is waiting for.
 // Config.HandshakeTimeout bounds how long the connection may take to
 // identify itself. The caller's admission token is held for the whole
-// function — released only here, when the link is registered or the
+// function — released only here, when the reply is written or the
 // handshake has died — so MaxHandshakes bounds these goroutines exactly.
 func (e *Engine) handshake(conn net.Conn) {
 	defer e.wg.Done()
@@ -776,6 +794,16 @@ func (e *Engine) handshake(conn net.Conn) {
 		_ = old.conn.Close()
 		old.ring.Close()
 	}
+	// The explicit admission reply: the dialer treats nothing short of
+	// this frame as admitted, so the link costs one round trip at any
+	// RTT. A dialer that hung up or stalls the write gets its connection
+	// closed; the receiver goroutine then observes the failure and tears
+	// the link down through the normal path.
+	_ = conn.SetWriteDeadline(time.Now().Add(replyWriteTimeout))
+	if _, err := conn.Write(e.welcome); err != nil {
+		_ = conn.Close()
+	}
+	_ = conn.SetWriteDeadline(time.Time{})
 	e.armInactivity(r)
 	e.rec.Emit(trace.KindAccept, peer, 0, int64(admission.Admitted))
 	e.rec.Emit(trace.KindLinkUp, peer, 0, 1)

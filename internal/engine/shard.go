@@ -452,9 +452,12 @@ func (sh *shard) retryParked() {
 			continue
 		}
 		// The ring re-gauges the message on push, so the parked share is
-		// released either way.
+		// released either way. The length is read first: a successful push
+		// hands the message to the sender goroutine, which may have written
+		// and released it before this goroutine looks again.
+		wl := int64(p.m.WireLen())
 		if s.ring.TryPush(p.m) {
-			e.bufBytes.Add(-int64(p.m.WireLen()))
+			e.bufBytes.Add(-wl)
 			sh.parkedByDest[p.dest]--
 		} else {
 			stillFull[p.dest] = true

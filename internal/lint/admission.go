@@ -22,17 +22,18 @@ import (
 //
 // Accept-path functions are recognized by the documented naming
 // convention: any function whose name mentions accept or handshake, plus
-// the shedding helpers (serveConn, shedConn, sendBusy, probeBusy).
+// the shedding helpers (serveConn, shedConn, sendBusy) and the dialer's
+// wait for the admission reply (awaitAdmission).
 // Datagram receive paths (names mentioning dgramread) are held to the
 // same contract: the shared packet endpoint is the accept loop of the
 // datagram plane, and one full ring must never stop it draining.
 const checkNameAdmission = "admission"
 
 var admissionHelperNames = map[string]bool{
-	"serveConn": true,
-	"shedConn":  true,
-	"sendBusy":  true,
-	"probeBusy": true,
+	"serveConn":      true,
+	"shedConn":       true,
+	"sendBusy":       true,
+	"awaitAdmission": true,
 }
 
 func isAdmissionPath(name string) bool {

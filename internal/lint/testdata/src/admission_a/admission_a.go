@@ -1,8 +1,9 @@
 // Package observer (fixture admission_a) seeds accept-path violations:
 // a handshake that reads frames with a lock held, a shed helper that
-// writes its refusal inside a critical section, and a Busy sender that
-// blocks on a data ring — exactly the patterns that let one mute dialer
-// or one full lane freeze admission during a connection storm.
+// writes its refusal inside a critical section, a Busy sender that
+// blocks on a data ring, and a dialer that waits for its admission reply
+// under a lock — exactly the patterns that let one mute peer or one full
+// lane freeze admission during a connection storm.
 package observer
 
 import (
@@ -56,4 +57,13 @@ func (s *server) shedConn(conn net.Conn, frame []byte) {
 // path wedges behind it.
 func (s *server) sendBusy(m *message.Msg) {
 	_ = s.out.Push(m) // want "blocks on Ring.Push"
+}
+
+// awaitAdmission waits for the acceptor's reply with the lock held: a
+// mute acceptor pins it for the whole handshake timeout.
+func (s *server) awaitAdmission(conn net.Conn, hdr []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := conn.Read(hdr) // want "connection I/O with a lock held"
+	return err
 }

@@ -1,8 +1,9 @@
 // Package observer (fixture admission_b) is the clean counterpart: the
 // hello is read before any lock is taken, refusals go straight to the
-// conn from lock-free helpers, rings are only ever TryPushed on the
-// accept path, and blocking ring use outside accept-path functions is
-// out of the admission check's scope.
+// conn from lock-free helpers, the dialer reads its admission reply
+// before taking the lock, rings are only ever TryPushed on the accept
+// path, and blocking ring use outside accept-path functions is out of
+// the admission check's scope.
 package observer
 
 import (
@@ -55,6 +56,16 @@ func (s *server) sendBusy(m *message.Msg) {
 	if !s.out.TryPush(m) {
 		m.Release()
 	}
+}
+
+// awaitAdmission reads the acceptor's reply first and only then records
+// the outcome under the lock.
+func (s *server) awaitAdmission(conn net.Conn, hdr []byte) error {
+	_, err := conn.Read(hdr)
+	s.mu.Lock()
+	s.peers++
+	s.mu.Unlock()
+	return err
 }
 
 // writeLoop is a plain consumer, not an accept path: blocking on the

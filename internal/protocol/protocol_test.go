@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -234,8 +235,8 @@ func TestDecodersRejectTruncation(t *testing.T) {
 
 func TestTypeNameCoversReservedTypes(t *testing.T) {
 	named := []message.Type{
-		TypeHello, TypeBoot, TypeBootReply, TypeRequest, TypeReport, TypeTrace,
-		TypeDeploy, TypeTerminateApp, TypeTerminateNode, TypeSetBandwidth,
+		TypeHello, TypeWelcome, TypeBusy, TypeBoot, TypeBootReply, TypeRequest,
+		TypeReport, TypeTrace, TypeDeploy, TypeTerminateApp, TypeTerminateNode, TypeSetBandwidth,
 		TypeJoin, TypeLeave, TypeCustom, TypePing, TypePong, TypeProbe,
 		TypeProbeAck, TypeBrokenSource, TypeLinkUp, TypeLinkDown,
 		TypeUpThroughput, TypeDownThroughput, TypeTick, TypeNodeShutdown,
@@ -257,6 +258,27 @@ func TestTypeNameCoversReservedTypes(t *testing.T) {
 	}
 	if got := TypeName(999); got != "unknown" {
 		t.Errorf("TypeName(999) = %q", got)
+	}
+}
+
+// TestAdmissionReplyFrames pins the two frames a dialer may read in
+// answer to its hello: Welcome is a bare header, and a Busy payload is
+// exactly BusySize bytes — dialers size their reply buffer from both.
+func TestAdmissionReplyFrames(t *testing.T) {
+	id := message.MakeID("10.0.0.2", 7000)
+	var wire bytes.Buffer
+	if _, err := message.New(TypeWelcome, id, 0, 0, nil).WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Len() != message.HeaderSize {
+		t.Errorf("welcome frame is %d bytes, want a bare %d-byte header", wire.Len(), message.HeaderSize)
+	}
+	m, err := message.Read(&wire, nil, 0)
+	if err != nil || m.Type() != TypeWelcome || m.Sender() != id || m.Len() != 0 || !m.IsControl() {
+		t.Errorf("welcome round trip = %v, %v", m, err)
+	}
+	if n := len((Busy{Reason: BusyRate, RetryAfterNanos: 1}).Encode()); n != BusySize {
+		t.Errorf("busy payload is %d bytes, BusySize says %d", n, BusySize)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // sTerminate, BrokenSource, UpThroughput, trace.
 const (
 	// Link management between engines.
-	TypeHello message.Type = 1 // first message on a new connection: sender identity
+	TypeHello   message.Type = 1  // first message on a new connection: sender identity
+	TypeWelcome message.Type = 18 // acceptor -> dialer: admitted, the link is registered
 
 	// Observer bootstrap and monitoring.
 	TypeBoot      message.Type = 2 // node -> observer: bootstrap request
@@ -62,6 +63,8 @@ func TypeName(t message.Type) string {
 	switch t {
 	case TypeHello:
 		return "hello"
+	case TypeWelcome:
+		return "welcome"
 	case TypeBoot:
 		return "boot"
 	case TypeBootReply:
@@ -590,9 +593,13 @@ type Busy struct {
 	RetryAfterNanos int64
 }
 
+// BusySize is the fixed wire size of a Busy payload: U32 reason + I64
+// retry-after.
+const BusySize = 4 + 8
+
 // Encode serializes the refusal.
 func (bz Busy) Encode() []byte {
-	return NewWriter(12).U32(uint32(bz.Reason)).I64(bz.RetryAfterNanos).Bytes()
+	return NewWriter(BusySize).U32(uint32(bz.Reason)).I64(bz.RetryAfterNanos).Bytes()
 }
 
 // DecodeBusy parses a Busy payload, rejecting unknown reason codes so a
