@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos bench bench-shards bench-smoke trace-smoke
+.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos backpressure bench bench-smoke trace-smoke
 
 # ci is the tier-1 gate: everything here must pass before a change lands.
-ci: fmt vet lint build test bench-smoke trace-smoke fuzz race chaos
+ci: fmt vet lint build test backpressure bench-smoke trace-smoke fuzz race chaos
 
 # Linter fixtures under internal/lint/testdata deliberately contain
 # rule-violating code; they are exercised by the linter's own tests, not
@@ -15,11 +15,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs ioverlayvet, the repo's own invariant linter — ten checks on
+# lint runs ioverlayvet, the repo's own invariant linter — nine checks on
 # the whole-program call graph: algorithm purity, control-lane
 # discipline, lock discipline and lock ordering, hot-path hygiene,
-# shard-local ownership, observer-sync rules, admission non-blocking
-# rules, atomic-field consistency, and goroutine lifecycle accounting.
+# observer-sync rules, admission non-blocking rules, atomic-field
+# consistency, and goroutine lifecycle accounting.
 # Non-baselined findings (and stale baseline entries) are build breaks;
 # per-check timings go to stderr.
 lint:
@@ -67,6 +67,12 @@ race:
 chaos:
 	$(GO) test -race -tags ioverlay_debug -run Chaos ./internal/chaos/...
 
+# backpressure runs the paper's Fig 6/7 panels — the back-pressure
+# contract — at core counts the host does not select on its own: `test`
+# already runs them at the host's GOMAXPROCS.
+backpressure:
+	$(GO) test -count=1 -cpu 1,4 -run 'TestFig6BackPressureCorrectness|TestFig7LargeBuffersLocalize' ./internal/experiments
+
 # trace-smoke proves the flight-recorder pipeline end to end with fresh
 # runs (-count=1 defeats the test cache): events recorded on a live
 # engine, shipped inside status reports, and assembled by the observer
@@ -83,11 +89,3 @@ bench-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-shards sweeps the sharded switch across core counts (each -cpu
-# value sets GOMAXPROCS and thus the engine's lane count) and folds the
-# per-point results into BENCH_shards.json, the machine-readable perf
-# trajectory tracked across PRs.
-bench-shards:
-	IOVERLAY_BENCH_JSON=$(CURDIR)/BENCH_shards.json \
-		$(GO) test -run=^$$ -bench='^BenchmarkFig5Shards$$' -benchtime=2x -cpu 1,2,4,8 .

@@ -7,10 +7,7 @@
 package ioverlay_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,101 +51,6 @@ func BenchmarkFig5RawEngine(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFig5Shards measures the sharded switch against core count:
-// run with -cpu 1,2,4,8 so each variant sets GOMAXPROCS, and the engine
-// opens that many switch lanes (Shards defaults to GOMAXPROCS). The
-// 16-node chain is the paper's headline configuration; the 32-node run
-// doubles the switching work per core. With IOVERLAY_BENCH_JSON set to a
-// path, every variant folds its result into that JSON file so the perf
-// trajectory is machine-readable across runs (see `make bench-shards`).
-//
-// Run with an explicit iteration count (-benchtime=2x): the harness's
-// initial calibration call executes before the -cpu list is applied, so
-// with the default time-based budget a benchmark whose single iteration
-// exceeds it would report that mis-provisioned probe as the first
-// variant's result. Records are keyed by the GOMAXPROCS the iteration
-// actually ran under, so a stale probe entry is replaced as soon as the
-// properly provisioned variant runs.
-func BenchmarkFig5Shards(b *testing.B) {
-	procs := runtime.GOMAXPROCS(0)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig5(experiments.Fig5Config{
-			Sizes:  []int{16, 32},
-			Warmup: 200 * time.Millisecond,
-			Window: 500 * time.Millisecond,
-			Shards: procs,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.EndToEnd/(1024*1024), fmt.Sprintf("e2e-MBps/n=%d", r.Nodes))
-			if i == b.N-1 {
-				recordShardBench(b, procs, r)
-			}
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig5(rows))
-		}
-	}
-}
-
-// shardBenchRecord is one (gomaxprocs, chain-length) point of the shard
-// scaling sweep as written to BENCH_shards.json.
-type shardBenchRecord struct {
-	Bench      string  `json:"bench"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Shards     int     `json:"shards"`
-	Nodes      int     `json:"nodes"`
-	E2EMBps    float64 `json:"e2e_mbps"`
-	TotalMBps  float64 `json:"total_mbps"`
-	UnixNanos  int64   `json:"unix_nanos"`
-}
-
-// recordShardBench merges one measurement into the JSON file named by
-// IOVERLAY_BENCH_JSON (no-op when unset, so plain `go test -bench` stays
-// side-effect free). The file holds one record per (gomaxprocs, nodes)
-// key; a -cpu sweep therefore builds the whole scaling table in place.
-func recordShardBench(b *testing.B, procs int, r experiments.Fig5Row) {
-	path := os.Getenv("IOVERLAY_BENCH_JSON")
-	if path == "" {
-		return
-	}
-	var records []shardBenchRecord
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &records); err != nil {
-			b.Logf("discarding unparseable %s: %v", path, err)
-			records = nil
-		}
-	}
-	rec := shardBenchRecord{
-		Bench:      "Fig5Shards",
-		GoMaxProcs: procs,
-		Shards:     procs,
-		Nodes:      r.Nodes,
-		E2EMBps:    r.EndToEnd / (1024 * 1024),
-		TotalMBps:  r.Total / (1024 * 1024),
-		UnixNanos:  time.Now().UnixNano(),
-	}
-	replaced := false
-	for i := range records {
-		if records[i].GoMaxProcs == rec.GoMaxProcs && records[i].Nodes == rec.Nodes {
-			records[i] = rec
-			replaced = true
-		}
-	}
-	if !replaced {
-		records = append(records, rec)
-	}
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal %s: %v", path, err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write %s: %v", path, err)
 	}
 }
 

@@ -86,8 +86,6 @@ type soakCluster struct {
 	alive     []bool
 	reachable []bool  // shares a partition group with the source
 	baseline  []int64 // ReceivedBytes snapshot at the last Mark
-
-	shards int // switch lanes per engine (0 = engine default)
 }
 
 const (
@@ -102,12 +100,11 @@ func soakID(i int) message.NodeID {
 	return message.MakeID(fmt.Sprintf("10.0.%d.%d", i/250, i%250+1), 7000)
 }
 
-func newSoakCluster(t *testing.T, n, shards int) *soakCluster {
+func newSoakCluster(t *testing.T, n int) *soakCluster {
 	t.Helper()
 	sc := &soakCluster{
 		t:         t,
 		net:       vnet.New(vnet.WithSeed(42)),
-		shards:    shards,
 		ids:       make([]message.NodeID, n),
 		engs:      make([]*engine.Engine, n),
 		trs:       make([]*tree.Tree, n),
@@ -168,7 +165,6 @@ func (sc *soakCluster) startNode(i int) error {
 		// enough that healthy rounds never trip it.
 		MemoryBudget:   1 << 20,
 		StallThreshold: time.Second,
-		Shards:         sc.shards,
 	})
 	if err != nil {
 		return err
@@ -378,7 +374,7 @@ func TestChaosSoakSurvivesChurn(t *testing.T) {
 	}
 	goroutinesBefore := runtime.NumGoroutine()
 
-	sc := newSoakCluster(t, 16, 0)
+	sc := newSoakCluster(t, 16)
 	sc.session()
 
 	schedule := chaos.Generate(chaos.ScheduleConfig{
@@ -445,86 +441,6 @@ func TestChaosSoakSurvivesChurn(t *testing.T) {
 	}
 }
 
-// TestChaosSoakShardedSwitch repeats the hostile parts of the soak with
-// every engine running a four-lane sharded switch: a seeded churn
-// schedule, then interior kills while every receiver uplink is throttled
-// below the stream rate. With -tags ioverlay_debug the run additionally
-// proves the sharding contract — the goroutine-ID assertions around
-// Algorithm.Process fail the test if any lane but the algorithm shard
-// ever delivers a message to the algorithm, and the gauge assertions
-// catch budget drift between concurrently draining lanes.
-func TestChaosSoakShardedSwitch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test")
-	}
-	goroutinesBefore := runtime.NumGoroutine()
-
-	const nodes = 12
-	sc := newSoakCluster(t, nodes, 4)
-	sc.session()
-
-	schedule := chaos.Generate(chaos.ScheduleConfig{
-		Seed:    13,
-		Nodes:   nodes,
-		Rounds:  3,
-		MaxKill: 2,
-		Gap:     150 * time.Millisecond,
-	})
-	r := &chaos.Runner{
-		Ops:             sc.ops(),
-		RecoveryTimeout: 30 * time.Second,
-		Logf:            t.Logf,
-	}
-	rep := r.Run(schedule)
-	t.Logf("\n%s", rep.Render())
-	if rep.Unrecovered != 0 {
-		t.Errorf("%d events never recovered:\n%s", rep.Unrecovered, sc.describe())
-	}
-
-	// Kills under saturation: every lane's rings are full and the shards
-	// contend on the shared memory budget while the repair runs on the
-	// control lane.
-	receivers := make([]int, 0, nodes-1)
-	for i := 1; i < nodes; i++ {
-		receivers = append(receivers, i)
-	}
-	saturated := []chaos.Event{
-		{Kind: chaos.Saturate, Nodes: receivers, Rate: soakRate / 2},
-		{After: 500 * time.Millisecond, Kind: chaos.Kill, Nodes: []int{1, 2}},
-		{After: 150 * time.Millisecond, Kind: chaos.Restart, Nodes: []int{1, 2}},
-		{After: 150 * time.Millisecond, Kind: chaos.Saturate, Nodes: receivers, Rate: 0},
-	}
-	satRep := r.Run(saturated)
-	t.Logf("saturated round:\n%s", satRep.Render())
-	if satRep.Unrecovered != 0 {
-		t.Errorf("%d saturated events never recovered:\n%s",
-			satRep.Unrecovered, sc.describe())
-	}
-
-	sc.markBaselines()
-	deadline := time.Now().Add(10 * time.Second)
-	for !sc.steady() {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster degraded after churn:\n%s", sc.describe())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	sc.stop()
-	// Four shard goroutines per engine across kills and restarts: all of
-	// them must wind down with their engines.
-	deadline = time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > goroutinesBefore+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d before, %d after\n%s",
-				goroutinesBefore, runtime.NumGoroutine(),
-				buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 // TestChaosDialStorm points a connection storm at the stream's interior
 // while it is live: half-open connections from thousands of spoofed
 // sources hammer the source and two interior forwarders, with a kill and
@@ -538,7 +454,7 @@ func TestChaosDialStorm(t *testing.T) {
 		t.Skip("soak test")
 	}
 	const nodes = 10
-	sc := newSoakCluster(t, nodes, 0)
+	sc := newSoakCluster(t, nodes)
 	defer sc.stop()
 	sc.session()
 

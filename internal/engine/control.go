@@ -98,9 +98,9 @@ func (e *Engine) Snapshot() protocol.Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	rp := protocol.Report{Node: e.id}
-	queued := make([]uint32, len(e.shards))
+	var queued uint32
 	for peer, r := range e.receivers {
-		queued[r.sh.idx] += uint32(r.ring.Len())
+		queued += uint32(r.ring.Len())
 		rp.Upstreams = append(rp.Upstreams, protocol.LinkStatus{
 			Peer:       peer,
 			Rate:       r.meter.Rate(),
@@ -149,23 +149,18 @@ func (e *Engine) Snapshot() protocol.Report {
 		}
 	}
 	rp.CtrlDelayNs, rp.DataDelayNs = int64(ctrl), int64(data)
-	// Per-lane distributions live on the shards; the report ships them
-	// merged (the wire format is unchanged) plus one occupancy line per
-	// shard so the observer can see lane balance and handoff depth.
-	for i, sh := range e.shards {
-		rp.QueueCtrlHist.Merge(sh.ctrlDelayHist.Snapshot())
-		rp.QueueDataHist.Merge(sh.dataDelayHist.Snapshot())
-		rp.SwitchBatchHist.Merge(sh.switchBatchHist.Snapshot())
-		rp.SendBatchHist.Merge(sh.sendBatchHist.Snapshot())
-		rp.Shards = append(rp.Shards, protocol.ShardStatus{
-			Shard:        uint32(i),
-			Switched:     uint64(sh.switched.Load()),
-			Queued:       queued[i],
-			Parked:       uint32(sh.parkedLen.Load()),
-			HandoffDepth: uint32(sh.inboxDepth.Load()),
-			HandoffPeak:  uint32(sh.inboxDepth.Max()),
-		})
-	}
+	rp.QueueCtrlHist = e.ctrlDelayHist.Snapshot()
+	rp.QueueDataHist = e.dataDelayHist.Snapshot()
+	rp.SwitchBatchHist = e.switchBatchHist.Snapshot()
+	rp.SendBatchHist = e.sendBatchHist.Snapshot()
+	// The occupancy section is a list on the wire, read by the observer and
+	// the benchmark: the switch is its one entry, index 0, and hands nothing
+	// off, so the handoff fields stay zero.
+	rp.Shards = []protocol.ShardStatus{{
+		Switched: e.switched.Load(),
+		Queued:   queued,
+		Parked:   uint32(e.parkedLen.Load()),
+	}}
 	return rp
 }
 
@@ -280,12 +275,10 @@ func (e *Engine) periodic() {
 			protocol.Throughput{Peer: d.peer, Rate: d.rate}.Encode())
 	}
 	e.scanSlowPeers(senders)
-	// Liveness kick: re-arm every shard unconditionally so that a missed
+	// Liveness kick: re-arm the switch unconditionally so that a missed
 	// work signal (however it was lost) stalls progress for at most one
 	// status interval instead of forever.
-	for _, sh := range e.shards {
-		sh.signal()
-	}
+	e.signalWork()
 }
 
 // scanSlowPeers applies slow-peer protection on the engine goroutine: a
@@ -399,8 +392,7 @@ func (e *Engine) LinkRate(peer message.NodeID, down bool) float64 {
 }
 
 // SetReceiverWeight tunes the switch's weighted round-robin. Part of the
-// API interface; safe from any goroutine (the weight is atomic — the
-// owner shard's scheduler reads it while the algorithm shard tunes it).
+// API interface; safe from any goroutine (the weight is atomic).
 func (e *Engine) SetReceiverWeight(peer message.NodeID, weight int) {
 	if weight < 1 {
 		weight = 1

@@ -83,7 +83,7 @@ func (e *Engine) runSenderDgram(s *sender, conn net.Conn) {
 			return
 		}
 		s.inflight.Store(int32(n))
-		s.sh.sendBatchHist.Observe(int64(n))
+		e.sendBatchHist.Observe(int64(n))
 		var held int64
 		for i := 0; i < n; i++ {
 			held += int64(batch[i].WireLen())
@@ -154,10 +154,7 @@ func (e *Engine) runSenderDgram(s *sender, conn net.Conn) {
 			return
 		}
 		s.inflight.Store(0)
-		s.sh.signal()
-		if s.sh.idx != 0 {
-			e.signalWork()
-		}
+		e.signalWork()
 	}
 }
 
@@ -300,7 +297,7 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 
 	// Messages completed by the packets of one wakeup are grouped by
 	// their receiver link and handed over in one TryPushBatch, with one
-	// meter update and one shard wakeup per group — recvmmsg-shaped
+	// meter update and one switch wakeup per group — recvmmsg-shaped
 	// amortization of the per-packet bookkeeping. The group flushes on
 	// every source change and at the end of each wakeup's drain, so
 	// nothing lingers past the packets in hand.
@@ -320,7 +317,7 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 		if len(toPush) > 0 {
 			pushed := curR.ring.TryPushBatch(toPush)
 			if pushed > 0 {
-				curR.sh.signal()
+				e.signalWork()
 			}
 			// Ring full (or closed mid-teardown): loss, never
 			// back-pressure on the shared endpoint.

@@ -20,7 +20,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,13 +100,6 @@ type Config struct {
 	// SwitchBudget bounds data messages processed per switch pass so
 	// control messages stay responsive under heavy data load.
 	SwitchBudget int
-	// Shards splits the switch into that many per-core lanes: receiver
-	// and sender links are hashed to an owner shard, each shard runs its
-	// own stride scheduler, and cross-shard flows ride bounded lock-free
-	// MPSC handoff rings. Algorithm.Process stays serialized on the
-	// designated algorithm shard regardless. Zero selects GOMAXPROCS;
-	// 1 restores the single-goroutine switch.
-	Shards int
 	// BatchSize bounds how many message references move per ring operation
 	// across the data path: the receiver's decoded-message push, the
 	// switch's per-quantum drain, the sender's buffer drain, and unlimited
@@ -214,9 +206,6 @@ func (c *Config) applyDefaults() {
 	if c.SwitchBudget <= 0 {
 		c.SwitchBudget = DefaultSwitchBudget
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
@@ -311,12 +300,10 @@ type Engine struct {
 	bufBytes metrics.Gauge
 	shedding atomic.Bool
 	// heldBytes gauges the wire bytes popped off a ring but not yet
-	// disposed of: a batch riding a stride quantum, or a sender's write
-	// batch draining through a shaped link (which can take seconds). With
-	// one switch goroutine that window hid at most one batch from the
-	// budget; with N lanes plus per-sender write batches it hides many,
-	// enough to push the peak past the budget — so admission sums
-	// bufBytes and heldBytes.
+	// disposed of: the batch riding a stride quantum, or a sender's write
+	// batch draining through a shaped link (which can take seconds). One
+	// such batch per sender goroutine is enough to push the peak past the
+	// budget, so admission sums bufBytes and heldBytes.
 	heldBytes metrics.Gauge
 	// reserved gauges admission grants not yet landed on bufBytes: an
 	// admitter reserves its batch before pushing and releases after the
@@ -329,14 +316,23 @@ type Engine struct {
 	// Safe from any goroutine.
 	rec *trace.Recorder
 
-	// shards are the switch lanes; shards[0] is the algorithm shard (the
-	// engine goroutine). Per-lane scheduler state, parked backlogs, batch
-	// buffers and queue-delay histograms all live there — see shard.go.
-	shards []*shard
+	// work wakes the engine goroutine for a switch pass. Buffered one deep:
+	// a pending signal absorbs every later one until the pass runs.
+	work chan struct{}
+	// switched counts the messages the switch has moved; parkedLen mirrors
+	// len(parked) for readers off the engine goroutine.
+	switched  atomic.Uint64
+	parkedLen atomic.Int64
+	// Queue-delay and batch-size distributions, shipped with each status
+	// report. Observe lock-free; safe from any goroutine.
+	ctrlDelayHist   metrics.Histogram
+	dataDelayHist   metrics.Histogram
+	switchBatchHist metrics.Histogram
+	sendBatchHist   metrics.Histogram
 
-	// debugGID records the algorithm-shard goroutine's ID in
-	// ioverlay_debug builds so algorithm upcalls can assert
-	// single-threaded ownership; zero (never set) in release builds.
+	// debugGID records the engine goroutine's ID in ioverlay_debug builds
+	// so algorithm upcalls can assert single-threaded ownership; zero
+	// (never set) in release builds.
 	debugGID int64
 
 	localRing *queue.Ring // source-injected data, drained like a receiver
@@ -365,7 +361,7 @@ type Engine struct {
 	// never synchronize otherwise.
 	obsBusyHint atomic.Int64
 
-	// Engine-goroutine-only state (the algorithm shard's goroutine).
+	// Engine-goroutine-only state.
 	pingSent  map[uint32]time.Time
 	probeRecv map[probeKey]*probeAgg
 	nextToken uint32
@@ -373,6 +369,17 @@ type Engine struct {
 	// destination, for BrokenSource cascades.
 	sentApps     map[message.NodeID]map[uint32]struct{}
 	lastEventSeq uint64 // recorder cursor already shipped in a report
+	// The switch's scheduler state — see switch.go. parked is the backlog
+	// full sender rings refused, parkedByDest its per-destination count,
+	// switchBuf the quantum's batch buffer, localPass the local-source
+	// ring's stride virtual time, lastDest/lastSender the one-entry sender
+	// cache.
+	parked       []parkedMsg
+	parkedByDest map[message.NodeID]int
+	switchBuf    []*message.Msg
+	localPass    float64
+	lastDest     message.NodeID
+	lastSender   *sender
 
 	control chan ctrlMsg
 	events  chan func()
@@ -406,28 +413,27 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:       cfg,
-		id:        cfg.ID,
-		alg:       cfg.Algorithm,
-		pool:      message.NewPool(),
-		budget:    bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
-		receivers: make(map[message.NodeID]*receiver),
-		senders:   make(map[message.NodeID]*sender),
-		linkRates: make(map[message.NodeID]int64),
-		localRing: queue.New(cfg.RecvBuf),
-		localApps: make(map[uint32]*source),
-		pingSent:  make(map[uint32]time.Time),
-		sentApps:  make(map[message.NodeID]map[uint32]struct{}),
-		control:   make(chan ctrlMsg, 1024),
-		events:    make(chan func(), 4096),
-		done:      make(chan struct{}),
+		cfg:          cfg,
+		id:           cfg.ID,
+		alg:          cfg.Algorithm,
+		pool:         message.NewPool(),
+		budget:       bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
+		receivers:    make(map[message.NodeID]*receiver),
+		senders:      make(map[message.NodeID]*sender),
+		linkRates:    make(map[message.NodeID]int64),
+		work:         make(chan struct{}, 1),
+		localRing:    queue.New(cfg.RecvBuf),
+		localApps:    make(map[uint32]*source),
+		pingSent:     make(map[uint32]time.Time),
+		sentApps:     make(map[message.NodeID]map[uint32]struct{}),
+		parkedByDest: make(map[message.NodeID]int),
+		switchBuf:    make([]*message.Msg, cfg.BatchSize),
+		control:      make(chan ctrlMsg, 1024),
+		events:       make(chan func(), 4096),
+		done:         make(chan struct{}),
 	}
 	e.hello = message.New(protocol.TypeHello, cfg.ID, 0, 0, nil).AppendHeader(nil)
 	e.welcome = message.New(protocol.TypeWelcome, cfg.ID, 0, 0, nil).AppendHeader(nil)
-	e.shards = make([]*shard, cfg.Shards)
-	for i := range e.shards {
-		e.shards[i] = newShard(e, i)
-	}
 	e.localRing.SetGauge(&e.bufBytes)
 	e.localRing.SetHeldGauge(&e.heldBytes)
 	// The reconnect jitter seed mixes Config.Seed with the identity
@@ -483,14 +489,15 @@ const slowPeerStrikes = 3
 // admitBudget grants or refuses the admission of n more buffered bytes,
 // latching hysteresis at the watermarks: shedding engages when buffered
 // bytes would cross 3/4 of the budget and stays on until they fall to
-// 1/2. Safe from any goroutine — receiver, source and shard goroutines
-// all admit concurrently, so the grant itself is a compare-and-swap on
-// the reservation gauge: an admitter that wins the CAS owns n bytes of
-// headroom before its push lands on bufBytes (released afterward with
-// releaseBudget), which closes the check-then-push window where several
-// admitters could all read the same headroom and collectively overshoot
-// the budget. The shedding latch likewise transitions by CAS, so exactly
-// one admitter emits each watermark trace event.
+// 1/2. Safe from any goroutine — receiver, source and datagram-reader
+// goroutines all admit concurrently, so the grant itself is a
+// compare-and-swap on the reservation gauge: an admitter that wins the
+// CAS owns n bytes of headroom before its push lands on bufBytes
+// (released afterward with releaseBudget), which closes the
+// check-then-push window where several admitters could all read the same
+// headroom and collectively overshoot the budget. The shedding latch
+// likewise transitions by CAS, so exactly one admitter emits each
+// watermark trace event.
 func (e *Engine) admitBudget(n int64) bool {
 	b := e.cfg.MemoryBudget
 	if b <= 0 {
@@ -717,10 +724,6 @@ func (e *Engine) Start() error {
 		e.wg.Add(1)
 		go e.runDgramReader(e.pconn)
 	}
-	for _, sh := range e.shards[1:] {
-		e.wg.Add(1)
-		go sh.run()
-	}
 	e.started = true
 
 	if !e.cfg.Observer.IsZero() {
@@ -878,9 +881,10 @@ func (e *Engine) Depart() {
 	for _, s := range sources {
 		s.halt()
 	}
-	// Wait for the pipeline to drain: local injections, sender rings and
-	// in-flight writes all empty (or the grace period expires, so a
-	// congested or dead downstream cannot hold the departure hostage).
+	// Wait for the pipeline to drain: local injections, the parked backlog,
+	// sender rings and in-flight writes all empty (or the grace period
+	// expires, so a congested or dead downstream cannot hold the departure
+	// hostage).
 	// Two consecutive drained samples are required: a single one can
 	// catch a sender between popping its ring and marking the batch
 	// in flight.
@@ -898,7 +902,10 @@ func (e *Engine) Depart() {
 
 // drainedForDeparture reports whether no queued outgoing data remains.
 func (e *Engine) drainedForDeparture() bool {
-	if e.localRing.Len() > 0 {
+	// Parked messages are outbound data too: they reach their sender ring
+	// only on the next switch pass, so the rings alone can read empty while
+	// a pass waits behind a long Process or a control drain.
+	if e.localRing.Len() > 0 || e.parkedLen.Load() > 0 {
 		return false
 	}
 	e.mu.Lock()
@@ -913,11 +920,6 @@ func (e *Engine) drainedForDeparture() bool {
 	}
 	if e.obs != nil && e.obs.ring.Len() > 0 {
 		return false
-	}
-	for _, sh := range e.shards {
-		if sh.inboxDepth.Load() > 0 {
-			return false
-		}
 	}
 	return true
 }
@@ -991,11 +993,7 @@ func (e *Engine) Stop() {
 	}
 	e.budget.Close()
 	e.wg.Wait()
-	// Release anything still parked, pending or in a handoff ring. Every
-	// shard goroutine has exited, so the shard-local state is quiescent.
-	for _, sh := range e.shards {
-		sh.drainForStop()
-	}
+	e.releaseParked()
 	for _, s := range senders {
 		s.ring.Drain()
 	}
@@ -1014,22 +1012,19 @@ func (e *Engine) Stop() {
 		invariant.Assert(e.bufBytes.Load() == 0,
 			"buffered-bytes gauge %d after Stop drained everything", e.bufBytes.Load())
 		invariant.Assert(e.heldBytes.Load() == 0,
-			"switch-held gauge %d after every shard goroutine exited", e.heldBytes.Load())
+			"held-bytes gauge %d after the switch and every sender exited", e.heldBytes.Load())
 		invariant.Assert(e.reserved.Load() == 0,
 			"budget reservation gauge %d after every admitter exited", e.reserved.Load())
 	}
 }
 
-// run is the engine goroutine — the algorithm shard: the Go analogue of
-// the paper's engine thread, multiplexing control messages, internal
-// events, switch work and periodic measurement. Every Algorithm.Process
-// call happens here, whichever shard's scheduler popped the message.
+// run is the engine goroutine: the Go analogue of the paper's engine
+// thread, multiplexing control messages, internal events, switch work and
+// periodic measurement. Every Algorithm.Process call happens here.
 func (e *Engine) run() {
 	defer e.wg.Done()
-	sh := e.shards[0]
 	if invariant.Enabled {
 		e.debugGID = invariant.GoroutineID()
-		sh.debugGID = e.debugGID
 	}
 	ticker := time.NewTicker(e.cfg.StatusInterval)
 	defer ticker.Stop()
@@ -1039,13 +1034,13 @@ func (e *Engine) run() {
 			e.process(cm)
 		case fn := <-e.events:
 			fn()
-		case <-sh.work:
+		case <-e.work:
 			// Control before data: a work signal competes fairly with the
 			// control channel in this select, so under saturation a pure
 			// select would serve data half the time. Draining pending
 			// control first keeps failure notifications ahead of payload.
 			e.drainControl()
-			sh.runPass()
+			e.switchOnce()
 		case <-ticker.C:
 			e.periodic()
 		case <-e.done:
@@ -1079,8 +1074,14 @@ func (e *Engine) Do(fn func(api API)) {
 	e.postEvent(func() { fn(e) })
 }
 
-// signalWork nudges the algorithm shard to run the switch.
-func (e *Engine) signalWork() { e.shards[0].signal() }
+// signalWork nudges the engine goroutine to run a switch pass. Safe from
+// any goroutine.
+func (e *Engine) signalWork() {
+	select {
+	case e.work <- struct{}{}:
+	default:
+	}
+}
 
 // postEvent schedules fn on the engine goroutine; events are dropped only
 // during shutdown.
@@ -1118,10 +1119,6 @@ func (e *Engine) notifyAlg(typ message.Type, app uint32, payload []byte) {
 	}
 }
 
-// ----- the switch -----
-// The switch itself is sharded: scheduling, parked retries and handoff
-// draining live on the per-shard methods in shard.go.
-
 func (e *Engine) senderLocked(peer message.NodeID) *sender {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1138,9 +1135,9 @@ func (e *Engine) hasSender(peer message.NodeID) bool {
 // ----- sending -----
 
 // Send forwards m to dest, retaining a reference for the transfer. Part
-// of the API interface; must be called from the engine goroutine (the
-// algorithm shard). Destinations owned by another shard are handed off
-// through that shard's MPSC inbox — see shard.send.
+// of the API interface; must be called from the engine goroutine. Control
+// messages go to the destination ring's priority lane, so a failure
+// notification never waits behind parked data.
 func (e *Engine) Send(m *message.Msg, dest message.NodeID) {
 	if dest == e.id {
 		return // self-sends are meaningless in the overlay
@@ -1153,7 +1150,10 @@ func (e *Engine) Send(m *message.Msg, dest message.NodeID) {
 		e.sendToObserver(m)
 		return
 	}
-	e.shards[0].send(m, dest)
+	if m.IsData() {
+		e.noteSentApp(dest, m.App())
+	}
+	e.deliverOut(m, dest)
 }
 
 // SendNew sends an algorithm-constructed message to each destination and
@@ -1203,10 +1203,7 @@ func (e *Engine) ensureSender(peer message.NodeID) *sender {
 	}
 	rate := e.linkRates[peer]
 	s := newSender(peer, e.cfg.SendBuf, rate, &e.bufBytes, &e.heldBytes)
-	// Sender rings feed their owner shard's per-lane delay distributions;
-	// the report ships the shards' histograms merged, one per lane.
-	s.sh = e.shardFor(peer)
-	s.ring.SetDelayHists(&s.sh.ctrlDelayHist, &s.sh.dataDelayHist)
+	s.ring.SetDelayHists(&e.ctrlDelayHist, &e.dataDelayHist)
 	e.senders[peer] = s
 	e.wg.Add(1)
 	go e.runSender(s)
@@ -1278,7 +1275,7 @@ func (e *Engine) brokenSource(app uint32, upstream message.NodeID) {
 	payload := protocol.BrokenSource{App: app, Upstream: upstream}.Encode()
 	e.notifyAlg(protocol.TypeBrokenSource, app, payload)
 
-	// sentApps is algorithm-shard state, like this whole cascade path.
+	// sentApps is engine-goroutine state, like this whole cascade path.
 	var dests []message.NodeID
 	for peer, apps := range e.sentApps {
 		if _, ok := apps[app]; ok {
@@ -1303,19 +1300,12 @@ func (e *Engine) senderGone(s *sender) {
 	delete(e.senders, s.peer)
 	e.mu.Unlock()
 
-	e.shards[0].invalidateSender(s)
+	e.invalidateSender(s)
 	delete(e.sentApps, s.peer)
 	s.ring.Close()
 	e.dropQueued(s)
 	s.linkLimit.Close()
-	// Drop parked messages for the dead destination. The algorithm shard's
-	// backlog is cleaned here; the owner shard (whose cache and backlog
-	// cannot be touched from this goroutine) is signaled and drops its own
-	// parked share on the next retry round, when the sender lookup fails.
-	e.shards[0].dropParkedFor(s.peer, true)
-	if owner := e.shardFor(s.peer); owner != e.shards[0] {
-		owner.signal()
-	}
+	e.dropParkedFor(s.peer, true)
 	e.rec.Emit(trace.KindLinkDown, s.peer, 0, 0)
 	e.notifyAlg(protocol.TypeLinkDown, 0,
 		protocol.LinkEvent{Peer: s.peer, Upstream: false}.Encode())
@@ -1373,7 +1363,7 @@ func (e *Engine) CloseLink(peer message.NodeID) {
 	if s == nil {
 		return
 	}
-	e.shards[0].invalidateSender(s)
+	e.invalidateSender(s)
 	delete(e.sentApps, peer)
 	s.ring.Close() // sender goroutine flushes remaining messages and exits
 	// A link that is still dialing has nothing to flush to: its attempt
@@ -1381,8 +1371,5 @@ func (e *Engine) CloseLink(peer message.NodeID) {
 	// reply is cut short rather than sat out.
 	s.interruptDial()
 	s.linkLimit.Close()
-	e.shards[0].dropParkedFor(peer, false)
-	if owner := e.shardFor(peer); owner != e.shards[0] {
-		owner.signal()
-	}
+	e.dropParkedFor(peer, false)
 }

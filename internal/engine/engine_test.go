@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -340,6 +341,80 @@ func TestBackPressureThrottlesWholePath(t *testing.T) {
 	if srcRate > cap*2 {
 		t.Errorf("source output %.0f B/s despite %d B/s bottleneck: no back-pressure", srcRate, cap)
 	}
+}
+
+// TestBackPressureAcrossMerge is the Fig 6 contract on the smallest
+// topology that has its shape — two branches merging into one shaped
+// bottleneck, A->{B,C}, B->D, C->D, D->E with D's uplink capped — run at
+// several core counts, because the contract must not depend on how many
+// goroutines the host runs at once. Both halves are asserted: with both
+// branches up, the source-side edge AB settles at its share of the
+// bottleneck (half: D forwards B's and C's copies alike), and once B is
+// stopped the surviving branch keeps carrying traffic at the whole of it.
+func TestBackPressureAcrossMerge(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			runtime.GOMAXPROCS(procs)
+			backPressureAcrossMerge(t)
+		})
+	}
+}
+
+func backPressureAcrossMerge(t *testing.T) {
+	const (
+		app        = 1
+		bottleneck = 30 << 10
+		settle     = time.Second
+		window     = time.Second
+	)
+	// Shallow pipes, 5-slot rings and the parked bound are fig6.go's.
+	n := vnet.New(vnet.WithPipeCapacity(4 << 10))
+	defer n.Close()
+	a, b, c, d, e := nid(1), nid(2), nid(3), nid(4), nid(5)
+	small := func(cfg *engine.Config) {
+		cfg.RecvBuf, cfg.SendBuf = 5, 5
+		cfg.MaxParked = 4
+	}
+	node := func(id message.NodeID, routes []message.NodeID, mut ...func(*engine.Config)) *engine.Engine {
+		alg := &recorder{}
+		alg.DefaultRoutes = routes
+		return startNode(t, n, id, alg, append(mut, small)...)
+	}
+	node(e, nil)
+	node(d, []message.NodeID{e}, func(cfg *engine.Config) { cfg.UpBW = bottleneck })
+	cEng := node(c, []message.NodeID{d})
+	bEng := node(b, []message.NodeID{d})
+	aEng := node(a, []message.NodeID{b, c}, func(cfg *engine.Config) { cfg.TotalBW = 400 << 10 })
+	aEng.StartSource(app, 0, 1024)
+
+	// edgeRate samples a sender's per-link byte meter over the window.
+	edgeRate := func(from *engine.Engine, to message.NodeID) float64 {
+		read := func() int64 {
+			for _, l := range from.Snapshot().Downstream {
+				if l.Peer == to {
+					return l.BytesTotal
+				}
+			}
+			return 0
+		}
+		before := read()
+		time.Sleep(window)
+		return float64(read()-before) / window.Seconds()
+	}
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if got < want/2 || got > want*3/2 {
+			t.Errorf("%s = %.1f KBps, want %.1f (±50%%)", name, got/1024, want/1024)
+		}
+	}
+
+	time.Sleep(settle)
+	near("both branches up: AB", edgeRate(aEng, b), bottleneck/2)
+
+	bEng.Stop()
+	time.Sleep(settle)
+	near("B stopped: CD", edgeRate(cEng, d), bottleneck)
 }
 
 func TestPingMeasuresLatency(t *testing.T) {

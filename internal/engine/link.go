@@ -30,10 +30,9 @@ type receiver struct {
 	conn   net.Conn
 	ring   *queue.Ring
 	meter  *metrics.Meter
-	sh     *shard              // owner shard, fixed at handshake by peer hash
 	weight atomic.Int32        // weighted share; written via SetReceiverWeight
-	pass   float64             // stride-scheduling virtual time; owner shard only
-	apps   map[uint32]struct{} // data apps seen on this link; algorithm shard only
+	pass   float64             // stride-scheduling virtual time; engine goroutine only
+	apps   map[uint32]struct{} // data apps seen on this link; engine goroutine only
 	// inactivity is the monotonic staleness deadline: armed at
 	// InactivityTimeout past the last observed traffic, fired on the
 	// engine goroutine. Engine goroutine only after arming.
@@ -109,7 +108,7 @@ func (e *Engine) runReceiver(r *receiver) {
 		}
 		e.releaseBudget(reserved)
 		batch = batch[:0]
-		r.sh.signal()
+		e.signalWork()
 		return true
 	}
 	// deliver routes one decoded message; false means stand down.
@@ -231,7 +230,6 @@ type sender struct {
 	ring      *queue.Ring
 	meter     *metrics.Meter
 	linkLimit *bandwidth.Limiter // per-link emulated bandwidth
-	sh        *shard             // owner shard, fixed at creation by peer hash
 	// inflight counts messages popped from the ring but not yet fully
 	// written, so a graceful departure can tell an empty buffer from a
 	// drained link.
@@ -317,7 +315,7 @@ func (e *Engine) runSender(s *sender) {
 			return
 		}
 		s.inflight.Store(int32(n))
-		s.sh.sendBatchHist.Observe(int64(n))
+		e.sendBatchHist.Observe(int64(n))
 		// The pop transferred these bytes to the held gauge; they settle
 		// only when the batch is disposed of below, so the memory budget
 		// keeps seeing a shaped batch for the seconds it takes to drain.
@@ -442,13 +440,9 @@ func (e *Engine) runSender(s *sender) {
 			return
 		}
 		s.inflight.Store(0)
-		// One wakeup per drained batch: the owner shard retries parked
-		// messages destined to this (now less full) buffer promptly. The
-		// algorithm shard may hold control messages parked for it too.
-		s.sh.signal()
-		if s.sh.idx != 0 {
-			e.signalWork()
-		}
+		// One wakeup per drained batch: the switch retries parked messages
+		// destined to this (now less full) buffer promptly.
+		e.signalWork()
 	}
 }
 
@@ -779,7 +773,6 @@ func (e *Engine) handshake(conn net.Conn) {
 	}
 
 	r := newReceiver(peer, conn, e.cfg.RecvBuf, &e.bufBytes, &e.heldBytes)
-	r.sh = e.shardFor(peer)
 	e.mu.Lock()
 	if e.stopping {
 		e.mu.Unlock()

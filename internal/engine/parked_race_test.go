@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/vnet"
 )
 
 // TestRetryParkedReadsNothingAfterHandoff is the read-after-handoff
@@ -16,11 +17,11 @@ import (
 // buffered-bytes gauge drifting upward by the payload size each time the
 // sender won. The test plays both goroutines against a real sender ring.
 func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
-	e := newStashEngine(t, 1)
-	sh := e.shards[0]
+	n := vnet.New()
+	defer n.Close()
+	e := dialerEngine(t, n, func(*Config) {})
 	dest := message.MakeID("10.0.0.9", 7000)
 	s := newSender(dest, 2, 0, &e.bufBytes, &e.heldBytes)
-	s.sh = sh
 	e.senders[dest] = s
 
 	// The sender goroutine's part: pop, "write", release, settle.
@@ -40,8 +41,8 @@ func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
 
 	const rounds = 5000
 	for i := 0; i < rounds; i++ {
-		sh.park(e.pool.Get(message.FirstDataType, e.id, 1, uint32(i), 512), dest)
-		for sh.retryParked(); len(sh.parked) > 0; sh.retryParked() {
+		e.park(e.pool.Get(message.FirstDataType, e.id, 1, uint32(i), 512), dest)
+		for e.retryParked(); len(e.parked) > 0; e.retryParked() {
 			runtime.Gosched() // ring full: let the sender side drain
 		}
 	}
@@ -53,5 +54,26 @@ func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
 	}
 	if got := e.heldBytes.Load(); got != 0 {
 		t.Errorf("held-bytes gauge = %d, want 0", got)
+	}
+}
+
+// TestDepartWaitsForParkedData: a message parked behind a full sender ring
+// is outbound data the rings do not show, so an engine holding one is not
+// drained for departure.
+func TestDepartWaitsForParkedData(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	e := dialerEngine(t, n, func(*Config) {})
+	if !e.drainedForDeparture() {
+		t.Fatal("idle engine reads as not drained")
+	}
+	dest := message.MakeID("10.0.0.9", 7000)
+	e.park(e.pool.Get(message.FirstDataType, e.id, 1, 0, 512), dest)
+	if e.drainedForDeparture() {
+		t.Error("drainedForDeparture = true with one message parked")
+	}
+	e.dropParkedFor(dest, false)
+	if !e.drainedForDeparture() {
+		t.Error("drainedForDeparture = false after the parked message was released")
 	}
 }

@@ -1,0 +1,298 @@
+package engine
+
+import (
+	"sort"
+
+	"repro/internal/invariant"
+	"repro/internal/message"
+	"repro/internal/trace"
+)
+
+// The switch. One goroutine — the engine goroutine, the paper's engine
+// thread — pops data from the receiver rings and the local-source ring in
+// weighted fair order, hands each message to Algorithm.Process, and pushes
+// what the algorithm sends into the sender rings, parking what a full ring
+// refuses. Everything in this file runs on that goroutine; the scheduler
+// state it touches is the engine-goroutine-only group of Engine fields.
+
+// switchOnce retries parked messages, then switches data messages from the
+// receiver buffers. Service order is stride scheduling on the dynamically
+// tunable per-receiver weights: each quantum drains a bounded batch from
+// the smallest-virtual-time nonempty buffer and advances that buffer's
+// virtual time by batch/weight, which yields weighted fair sharing even
+// when back-pressure admits only a trickle while amortizing the ring lock
+// over the whole quantum.
+func (e *Engine) switchOnce() {
+	e.retryParked()
+	budget := e.cfg.SwitchBudget
+	rs := e.receiverSnapshot()
+	// Admit newcomers at the current minimum virtual time so they
+	// neither monopolize nor starve.
+	minPass := e.localPass
+	for _, r := range rs {
+		if r.pass >= 0 && r.pass < minPass {
+			minPass = r.pass
+		}
+	}
+	for _, r := range rs {
+		if r.pass < 0 {
+			r.pass = minPass
+		}
+	}
+	for budget > 0 && len(e.parked) < e.cfg.MaxParked {
+		var best *receiver
+		bestLocal := false
+		bestPass := 0.0
+		if e.localRing.Len() > 0 {
+			bestLocal = true
+			bestPass = e.localPass
+		}
+		for _, r := range rs {
+			if r.ring.Len() == 0 {
+				continue
+			}
+			if (!bestLocal && best == nil) || r.pass < bestPass {
+				best, bestLocal, bestPass = r, false, r.pass
+			}
+		}
+		if best == nil && !bestLocal {
+			return // nothing to switch
+		}
+		// One quantum: a single batched pop bounded by the remaining
+		// budget and the parked-backlog headroom, so the switch admits no
+		// more work per pass than the unbatched loop did.
+		quantum := len(e.switchBuf)
+		if quantum > budget {
+			quantum = budget
+		}
+		if headroom := e.cfg.MaxParked - len(e.parked); quantum > headroom {
+			quantum = headroom
+		}
+		var n int
+		var from message.NodeID
+		if bestLocal {
+			n = e.localRing.TryPopBatch(e.switchBuf[:quantum])
+			e.localPass += float64(n)
+		} else {
+			n = best.ring.TryPopBatch(e.switchBuf[:quantum])
+			from = best.peer
+			w := int(best.weight.Load())
+			if w < 1 {
+				w = 1
+			}
+			best.pass += float64(n) / float64(w)
+		}
+		if n == 0 {
+			continue
+		}
+		budget -= n
+		e.switched.Add(uint64(n))
+		e.switchBatchHist.Observe(int64(n))
+		e.rec.Emit(trace.KindSwitch, from, 0, int64(n))
+		// The pop transferred the batch's bytes from the ring gauge to
+		// heldBytes, and they settle only after disposal below — the memory
+		// budget keeps seeing the quantum in flight.
+		var held int64
+		for i := 0; i < n; i++ {
+			held += int64(e.switchBuf[i].WireLen())
+		}
+		for i := 0; i < n; i++ {
+			m := e.switchBuf[i]
+			e.switchBuf[i] = nil
+			if best != nil {
+				best.apps[m.App()] = struct{}{}
+			}
+			e.processData(m)
+		}
+		e.heldBytes.Add(-held)
+	}
+	// Re-arm only when the budget stopped us with work still queued AND
+	// the parked backlog leaves the next pass headroom to make progress.
+	// When back-pressure (the parked limit) binds, self-signaling would
+	// hot-spin the engine goroutine: the sender goroutines signal work as
+	// their rings drain, which is the event that can make progress.
+	if budget > 0 || len(e.parked) >= e.cfg.MaxParked {
+		return
+	}
+	if e.localRing.Len() > 0 {
+		e.signalWork()
+		return
+	}
+	for _, r := range rs {
+		if r.ring.Len() > 0 {
+			e.signalWork()
+			return
+		}
+	}
+}
+
+// park shelves a message that could not be delivered right now, labeled
+// with its destination for the next retry round.
+func (e *Engine) park(m *message.Msg, dest message.NodeID) {
+	e.parked = append(e.parked, parkedMsg{m: m, dest: dest})
+	e.parkedByDest[dest]++
+	e.parkedLen.Store(int64(len(e.parked)))
+	e.bufBytes.Add(int64(m.WireLen()))
+}
+
+// retryParked re-attempts delivery of messages labeled with remaining
+// senders, preserving per-destination FIFO order.
+func (e *Engine) retryParked() {
+	if len(e.parked) == 0 {
+		return
+	}
+	stillFull := make(map[message.NodeID]bool)
+	kept := e.parked[:0]
+	for _, p := range e.parked {
+		if stillFull[p.dest] {
+			kept = append(kept, p)
+			continue
+		}
+		s := e.senderLocked(p.dest)
+		if s == nil {
+			e.counters.AddDropped(int64(p.m.WireLen()))
+			e.bufBytes.Add(-int64(p.m.WireLen()))
+			p.m.Release()
+			e.parkedByDest[p.dest]--
+			continue
+		}
+		// The ring re-gauges the message on push, so the parked share is
+		// released either way. The length is read first: a successful push
+		// hands the message to the sender goroutine, which may have written
+		// and released it before this goroutine looks again.
+		wl := int64(p.m.WireLen())
+		if s.ring.TryPush(p.m) {
+			e.bufBytes.Add(-wl)
+			e.parkedByDest[p.dest]--
+		} else {
+			stillFull[p.dest] = true
+			kept = append(kept, p)
+		}
+	}
+	e.setParked(kept)
+}
+
+// setParked installs kept — a prefix-packed reslice of e.parked — as the
+// backlog, clearing the vacated tail so released messages are not pinned.
+func (e *Engine) setParked(kept []parkedMsg) {
+	for i := len(kept); i < len(e.parked); i++ {
+		e.parked[i] = parkedMsg{}
+	}
+	e.parked = kept
+	e.parkedLen.Store(int64(len(kept)))
+}
+
+// deliverOut pushes m into the sender toward dest (creating the link on
+// first use) or parks it.
+func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
+	s := e.lastSender
+	if s == nil || e.lastDest != dest {
+		s = e.ensureSender(dest)
+		if s == nil {
+			e.counters.AddDropped(int64(m.WireLen()))
+			m.Release()
+			return
+		}
+		e.lastDest, e.lastSender = dest, s
+	}
+	if m.IsControl() {
+		// Control never waits behind parked data: the ring's priority lane
+		// preserves control-vs-control order on its own, and relaxing
+		// cross-class order is exactly the service-class contract. Parking
+		// happens only when the control lane itself is full.
+		if !s.ring.TryPush(m) {
+			if cur := e.senderLocked(dest); cur != s {
+				// The cached link died and was (maybe) replaced under us.
+				e.lastDest, e.lastSender = message.NodeID{}, nil
+				if cur != nil && cur.ring.TryPush(m) {
+					return
+				}
+			}
+			e.park(m, dest)
+		}
+		return
+	}
+	// Preserve per-destination order: anything already parked for dest
+	// must go first.
+	if e.parkedByDest[dest] > 0 || !s.ring.TryPush(m) {
+		if cur := e.senderLocked(dest); cur != s {
+			e.lastDest, e.lastSender = message.NodeID{}, nil
+		}
+		e.park(m, dest)
+	}
+}
+
+// invalidateSender clears the one-entry send cache when a link dies.
+func (e *Engine) invalidateSender(s *sender) {
+	if e.lastSender == s {
+		e.lastDest, e.lastSender = message.NodeID{}, nil
+	}
+}
+
+// dropParkedFor drops (or, for a graceful close, silently releases) every
+// parked message toward dest.
+func (e *Engine) dropParkedFor(dest message.NodeID, countLost bool) {
+	if len(e.parked) == 0 {
+		return
+	}
+	kept := e.parked[:0]
+	for _, p := range e.parked {
+		if p.dest == dest {
+			if countLost {
+				e.counters.AddDropped(int64(p.m.WireLen()))
+			}
+			e.bufBytes.Add(-int64(p.m.WireLen()))
+			p.m.Release()
+			e.parkedByDest[p.dest]--
+			continue
+		}
+		kept = append(kept, p)
+	}
+	e.setParked(kept)
+}
+
+// receiverSnapshot lists the receivers in stable order.
+func (e *Engine) receiverSnapshot() []*receiver {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rs := make([]*receiver, 0, len(e.receivers))
+	for _, r := range e.receivers {
+		rs = append(rs, r)
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].peer.Less(rs[j].peer) })
+	return rs
+}
+
+// releaseParked releases the parked backlog. Called from Stop after the
+// engine goroutine has exited.
+func (e *Engine) releaseParked() {
+	for _, p := range e.parked {
+		e.bufBytes.Add(-int64(p.m.WireLen()))
+		p.m.Release()
+	}
+	e.setParked(e.parked[:0])
+}
+
+// processData hands one data message to Algorithm.Process, releasing it on
+// Done. In debug builds the goroutine identity is asserted so a call from
+// anywhere but the engine goroutine fails loudly.
+func (e *Engine) processData(m *message.Msg) {
+	if invariant.Enabled {
+		invariant.Assert(e.debugGID == 0 || invariant.GoroutineID() == e.debugGID,
+			"data Process off the engine goroutine: Process ownership violated")
+	}
+	if e.alg.Process(m) == Done {
+		m.Release()
+	}
+}
+
+// noteSentApp records that app data has been forwarded toward dest, so a
+// broken upstream can cascade BrokenSource to the right downstreams.
+func (e *Engine) noteSentApp(dest message.NodeID, app uint32) {
+	apps, ok := e.sentApps[dest]
+	if !ok {
+		apps = make(map[uint32]struct{})
+		e.sentApps[dest] = apps
+	}
+	apps[app] = struct{}{}
+}

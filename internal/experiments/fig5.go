@@ -26,9 +26,6 @@ type Fig5Config struct {
 	// SwitchBudget overrides engine.Config.SwitchBudget (0 = default),
 	// letting benches sweep the control-responsiveness bound.
 	SwitchBudget int
-	// Shards overrides engine.Config.Shards (0 = GOMAXPROCS), letting
-	// benches sweep switch-lane counts against core counts.
-	Shards int
 }
 
 func (c *Fig5Config) applyDefaults() {
@@ -87,7 +84,6 @@ func fig5One(n int, cfg Fig5Config) (Fig5Row, error) {
 			conf.StatusInterval = time.Second
 			conf.BatchSize = cfg.BatchSize
 			conf.SwitchBudget = cfg.SwitchBudget
-			conf.Shards = cfg.Shards
 		}); err != nil {
 			return Fig5Row{}, err
 		}

@@ -36,7 +36,7 @@ func CheckNames() []string {
 	return names
 }
 
-// allChecks is the registry: the ten invariants, each a closure over the
+// allChecks is the registry: the nine invariants, each a closure over the
 // shared call graph.
 var allChecks = []struct {
 	name string
@@ -56,11 +56,6 @@ var allChecks = []struct {
 	{checkNameHotPath, func(g *Graph, pkgs []*Package, report reportFunc) {
 		for _, p := range pkgs {
 			checkHotPath(g, p, report)
-		}
-	}},
-	{checkNameShardLocal, func(g *Graph, pkgs []*Package, report reportFunc) {
-		for _, p := range pkgs {
-			checkShardLocal(p, report)
 		}
 	}},
 	{checkNameObsSync, func(g *Graph, pkgs []*Package, report reportFunc) {

@@ -186,13 +186,13 @@ func TestCmdPackagesAnalyzed(t *testing.T) {
 }
 
 // TestRunTimedCoversEveryCheck pins the registry plumbing: one timing
-// entry per check, in execution order, ten checks total.
+// entry per check, in execution order, nine checks total.
 func TestRunTimedCoversEveryCheck(t *testing.T) {
 	loader, pkgs := loadWholeModule(t)
 	_, timings := RunTimed(loader, pkgs)
 	names := CheckNames()
-	if len(names) != 10 {
-		t.Fatalf("expected 10 registered checks, got %d: %v", len(names), names)
+	if len(names) != 9 {
+		t.Fatalf("expected 9 registered checks, got %d: %v", len(names), names)
 	}
 	if len(timings) != len(names) {
 		t.Fatalf("got %d timings for %d checks", len(timings), len(names))

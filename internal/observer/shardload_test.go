@@ -5,15 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/message"
 	"repro/internal/vnet"
 )
 
-// TestShardLoadAggregation runs a four-shard node under real traffic and
-// checks the observer folds the per-shard occupancy sections of its
-// status reports into the cluster view: one ShardLoad per lane, work
-// recorded, and the rendered histogram block carrying the shard lines.
+// TestShardLoadAggregation runs two nodes under real traffic and checks
+// the observer folds the switch occupancy section of their status reports
+// into the cluster view: every engine reports exactly one entry, so the
+// view is one ShardLoad summed over both nodes, with work recorded and
+// nothing handed off, and the rendered histogram block carries its line.
 func TestShardLoadAggregation(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
@@ -24,42 +24,23 @@ func TestShardLoadAggregation(t *testing.T) {
 
 	src := &tracker{}
 	src.DefaultRoutes = []message.NodeID{nid(2)}
-	e, err := engine.New(engine.Config{
-		ID:             nid(1),
-		Transport:      engine.VNet{Net: n},
-		Algorithm:      src,
-		Observer:       obsID,
-		StatusInterval: 100 * time.Millisecond,
-		Shards:         4,
-	})
-	if err != nil {
-		t.Fatalf("engine.New: %v", err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatalf("engine.Start: %v", err)
-	}
-	t.Cleanup(e.Stop)
-	e.StartSource(5, 0, 2048)
+	startNode(t, n, nid(1), obsID, src).StartSource(5, 0, 2048)
 
-	waitFor(t, 5*time.Second, "per-shard loads in the cluster view", func() bool {
+	waitFor(t, 5*time.Second, "both nodes' switch loads in the cluster view", func() bool {
 		loads := o.ShardLoads()
-		if len(loads) != 4 {
-			return false
-		}
-		var switched uint64
-		for _, l := range loads {
-			if l.Shard >= 4 || l.Nodes < 1 {
-				return false
-			}
-			switched += l.Switched
-		}
-		return switched > 0
+		return len(loads) == 1 && loads[0].Nodes == 2 && loads[0].Switched > 0
 	})
+	if l := o.ShardLoads()[0]; l.Shard != 0 || l.HandoffDepth != 0 || l.HandoffPeak != 0 {
+		t.Errorf("cluster switch load = %+v, want shard 0 with no handoff", l)
+	}
 
 	rendered := o.RenderHists()
-	for _, want := range []string{"shard 0:", "shard 3:", "switched="} {
+	for _, want := range []string{"shard 0: nodes=2", "switched="} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("RenderHists missing %q:\n%s", want, rendered)
 		}
+	}
+	if strings.Contains(rendered, "shard 1:") {
+		t.Errorf("RenderHists lists a second switch lane:\n%s", rendered)
 	}
 }

@@ -154,10 +154,10 @@ func (o *Observer) ClusterHists() (ctrl, data metrics.HistogramSnapshot) {
 	return ctrl, data
 }
 
-// ShardLoad aggregates one switch-lane index's occupancy counters across
-// every reporting node: how much each lane of the sharded switch is
-// working (switched), how much it is holding (queued inbox items, parked
-// messages), and how deep its cross-shard handoff ring runs.
+// ShardLoad aggregates the switch occupancy counters of every reporting
+// node, per entry index of the report's section: how much the switches
+// are working (switched) and holding (queued in receiver rings, parked).
+// Engines report one entry, index 0, with the handoff fields zero.
 type ShardLoad struct {
 	Shard        uint32
 	Switched     uint64
@@ -168,10 +168,9 @@ type ShardLoad struct {
 	Nodes        int    // nodes reporting this shard index
 }
 
-// ShardLoads merges the latest per-shard occupancy sections across every
-// reporting node, keyed by shard index — the cluster view of how evenly
-// the switch lanes share the load. Nodes running unsharded (or predating
-// the shard section) simply contribute nothing.
+// ShardLoads merges the latest switch occupancy sections across every
+// reporting node, keyed by entry index. Nodes predating the section
+// simply contribute nothing.
 func (o *Observer) ShardLoads() []ShardLoad {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -206,7 +205,7 @@ func (o *Observer) ShardLoads() []ShardLoad {
 
 // RenderHists formats the cluster-wide queue-delay distributions with
 // their 50th/99th percentile upper bounds in nanoseconds, followed by
-// the per-shard switch-lane occupancy when any node reports one.
+// the switch occupancy when any node reports one.
 func (o *Observer) RenderHists() string {
 	ctrl, data := o.ClusterHists()
 	var b strings.Builder

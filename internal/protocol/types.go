@@ -258,11 +258,12 @@ type LinkStatus struct {
 	BytesTotal int64
 }
 
-// ShardStatus describes one engine switch shard in a status report:
-// how many messages its stride scheduler has switched, how many are
-// queued in the receiver rings it owns, how many are parked awaiting a
-// sender slot, and the current/peak depth of its cross-shard handoff
-// ring.
+// ShardStatus describes an engine's switch in a status report: how many
+// messages its stride scheduler has switched, how many are queued in the
+// receiver rings, and how many are parked awaiting a sender slot. The
+// wire section is a list with handoff-depth fields because the switch
+// was once split into lanes; engines now send one entry, index 0, with
+// both handoff fields zero, and the decoder still accepts any count.
 type ShardStatus struct {
 	Shard        uint32
 	Switched     uint64
@@ -308,7 +309,7 @@ type Report struct {
 	// the previous report: the observer appends them to its per-node
 	// series to build cross-node timelines.
 	Events []trace.Event
-	// Shards holds per-shard switch occupancy and handoff-ring depth.
+	// Shards holds the switch occupancy section — one entry per engine.
 	// The section is a trailing extension: reports from older nodes
 	// simply omit it, and the decoder tolerates its absence.
 	Shards []ShardStatus

@@ -2,12 +2,10 @@ package queue
 
 import "sync/atomic"
 
-// MPSC is a bounded lock-free multi-producer single-consumer ring — the
-// cross-shard handoff queue of the sharded engine switch. Any number of
-// shard goroutines may TryPush concurrently; exactly one goroutine (the
-// owning shard) may TryPop. A message that crosses shards crosses exactly
-// one of these rings, with no lock on either side, so the handoff can
-// never serialize two shards against each other.
+// MPSC is a bounded lock-free multi-producer single-consumer ring. Any
+// number of goroutines may TryPush concurrently; exactly one may TryPop.
+// Nothing in the engine uses it: the repository benchmark's
+// queue.mpsc_ns row compiles against it, and it goes when that row does.
 //
 // The implementation is the classic bounded-ring design with a per-slot
 // sequence number: a producer claims a slot by CAS on the tail cursor,
@@ -15,8 +13,7 @@ import "sync/atomic"
 // (release ordering); the consumer observes the sequence (acquire), reads
 // the value, and recycles the slot one lap ahead. Per-producer FIFO order
 // is preserved — claims are ordered by the tail CAS and the consumer reads
-// slots in claim order — which is what keeps per-source and
-// per-destination ordering guarantees intact across a shard handoff.
+// slots in claim order.
 type MPSC[T any] struct {
 	mask  uint64
 	slots []mpscSlot[T]

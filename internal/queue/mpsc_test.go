@@ -50,8 +50,7 @@ func TestMPSCWrapAround(t *testing.T) {
 
 // TestMPSCConcurrentProducersPreservePerProducerFIFO drives several
 // producers against one consumer and checks every item arrives exactly
-// once and in per-producer order — the property the cross-shard handoff
-// depends on.
+// once and in per-producer order.
 func TestMPSCConcurrentProducersPreservePerProducerFIFO(t *testing.T) {
 	const producers = 4
 	const perProducer = 5000
