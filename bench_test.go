@@ -16,8 +16,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/gf256"
-	"repro/internal/message"
-	"repro/internal/queue"
 	"repro/internal/tree"
 )
 
@@ -313,119 +311,6 @@ func BenchmarkEngineFootprint(b *testing.B) {
 }
 
 // ----- micro-benchmarks of the substrates -----
-
-func BenchmarkMessageEncodeDecode(b *testing.B) {
-	m := message.New(message.FirstDataType, message.MakeID("10.0.0.1", 1), 1, 2,
-		make([]byte, 5<<10))
-	buf := make([]byte, 0, m.WireLen())
-	buf = m.AppendHeader(buf)
-	buf = append(buf, m.Payload()...)
-	b.ResetTimer()
-	b.SetBytes(int64(len(buf)))
-	for i := 0; i < b.N; i++ {
-		got, _, err := message.Decode(buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got.Len() != 5<<10 {
-			b.Fatal("bad decode")
-		}
-	}
-}
-
-func BenchmarkQueuePushPop(b *testing.B) {
-	r := queue.New(1024)
-	m := message.New(message.FirstDataType, message.ZeroID, 0, 0, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !r.TryPush(m) {
-			b.Fatal("push failed")
-		}
-		if _, ok := r.TryPop(); !ok {
-			b.Fatal("pop failed")
-		}
-	}
-}
-
-// BenchmarkRingBatchVsSingle measures what the whole data path is built
-// on: moving message references through a Ring one at a time versus in
-// batches of 32 under a single lock acquisition. "handoff" variants add a
-// second goroutine so the condvar wakeup cost (the dominant term on the
-// real data path) is included.
-func BenchmarkRingBatchVsSingle(b *testing.B) {
-	m := message.New(message.FirstDataType, message.ZeroID, 0, 0, nil)
-	const batchN = 32
-
-	b.Run("single", func(b *testing.B) {
-		r := queue.New(1024)
-		for i := 0; i < b.N; i++ {
-			if !r.TryPush(m) {
-				b.Fatal("push failed")
-			}
-			if _, ok := r.TryPop(); !ok {
-				b.Fatal("pop failed")
-			}
-		}
-	})
-	b.Run("batch32", func(b *testing.B) {
-		r := queue.New(1024)
-		ms := make([]*message.Msg, batchN)
-		for i := range ms {
-			ms[i] = m
-		}
-		dst := make([]*message.Msg, batchN)
-		b.ResetTimer()
-		for i := 0; i < b.N; i += batchN {
-			if n := r.TryPushBatch(ms); n != batchN {
-				b.Fatal("push failed")
-			}
-			if n := r.TryPopBatch(dst); n != batchN {
-				b.Fatal("pop failed")
-			}
-		}
-	})
-	b.Run("handoff-single", func(b *testing.B) {
-		r := queue.New(64)
-		go func() {
-			for {
-				if _, err := r.Pop(); err != nil {
-					return
-				}
-			}
-		}()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := r.Push(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		r.Close()
-	})
-	b.Run("handoff-batch32", func(b *testing.B) {
-		r := queue.New(64)
-		go func() {
-			dst := make([]*message.Msg, batchN)
-			for {
-				if _, err := r.PopBatch(dst); err != nil {
-					return
-				}
-			}
-		}()
-		ms := make([]*message.Msg, batchN)
-		for i := range ms {
-			ms[i] = m
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i += batchN {
-			if _, err := r.PushBatch(ms); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		r.Close()
-	})
-}
 
 func BenchmarkGF256Axpy(b *testing.B) {
 	dst := make([]byte, 4096)

@@ -136,8 +136,8 @@ func (e *Engine) Snapshot() protocol.Report {
 	snap := e.counters.Snapshot()
 	rp.MsgsIn, rp.MsgsOut, rp.Dropped = snap.MsgsIn, snap.MsgsOut, snap.MsgsDropped
 	rp.Shed = snap.MsgsShed
-	rp.BufferedBytes = e.bufBytes.Load()
-	rp.MaxBufferedBytes = e.bufBytes.Max()
+	rp.BufferedBytes = e.buffered.Load()
+	rp.MaxBufferedBytes = e.buffered.Max()
 	var ctrl, data time.Duration
 	for _, s := range e.senders {
 		c, d := s.ring.Delays()

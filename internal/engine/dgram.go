@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"time"
 
@@ -46,133 +47,29 @@ type packetBatchReader interface {
 // handing them to the switch.
 const dgramReadBatch = 64
 
-// runSenderDgram is the sender drain loop in datagram mode. conn is the
-// established (admitted) stream connection: control messages are written
-// to it directly; data messages leave as datagrams through the engine's
-// shared packet endpoint. A datagram send error loses that message but
-// not the link — UDP send failures are transient — while a control write
-// error tears the link down exactly like the stream path.
-func (e *Engine) runSenderDgram(s *sender, conn net.Conn) {
-	dest, err := e.cfg.Transport.(PacketTransport).PacketAddr(s.peer.Addr())
-	if err != nil {
-		e.logf("datagram resolve %s: %v", s.peer, err)
-		_ = conn.Close()
-		e.dropQueued(s)
-		e.postEvent(func() { e.senderGone(s) })
-		return
-	}
-	shaper := e.budget.UpShaper(s.linkLimit)
-	maxBatch := e.cfg.BatchSize
-	if c := s.ring.Cap(); maxBatch > c {
-		maxBatch = c
-	}
-	batch := make([]*message.Msg, maxBatch)
-	db := &dgramBatch{
-		e: e, s: s, dest: dest, shaper: shaper,
-		scratch: make([]byte, 0, e.cfg.DatagramMTU),
-	}
-	if bw, ok := e.pconn.(packetBatchWriter); ok {
-		db.bw = bw
-		db.arena = make([]byte, 0, dgramArenaCap)
-	}
-	for {
-		n, err := s.ring.PopBatch(batch)
-		if err != nil {
-			// Ring closed: graceful teardown.
-			_ = conn.Close()
-			return
-		}
-		s.inflight.Store(int32(n))
-		e.sendBatchHist.Observe(int64(n))
-		var held int64
-		for i := 0; i < n; i++ {
-			held += int64(batch[i].WireLen())
-		}
-		var werr error
-		fail := n
-		for i := 0; i < n && werr == nil; i++ {
-			m := batch[i]
-			if m.IsControl() {
-				// A stream write can block on back-pressure; queued
-				// datagrams go out first rather than waiting it out.
-				db.flush()
-				wn, e2 := m.WriteTo(conn)
-				if e2 != nil {
-					werr, fail = e2, i
-					break
-				}
-				s.meter.Add(wn)
-				e.counters.AddOut(wn)
-				continue
-			}
-			// Data loss and volume are accounted inside the batcher; a
-			// failed datagram costs the message, never the link.
-			db.addMsg(m)
-			// Control before data holds inside an in-flight batch here
-			// too: shaped datagram pacing can take seconds, and a failure
-			// notification pushed meanwhile must not wait it out.
-			for {
-				cm, ok := s.ring.TryPopCtrl()
-				if !ok {
-					break
-				}
-				db.flush()
-				cwl := int64(cm.WireLen())
-				e.rec.Emit(trace.KindCtrlBypass, s.peer, cm.App(), cwl)
-				cn, e3 := cm.WriteTo(conn)
-				if e3 != nil {
-					werr, fail = e3, i+1
-					e.counters.AddDropped(cwl)
-				} else {
-					s.meter.Add(cn)
-					e.counters.AddOut(cn)
-				}
-				cm.Release()
-				e.heldBytes.Add(-cwl)
-				if werr != nil {
-					break
-				}
-			}
-		}
-		db.flush()
-		if werr != nil {
-			// The failed control write and everything still queued behind
-			// it never reached any wire.
-			for j := fail; j < n; j++ {
-				e.counters.AddDropped(int64(batch[j].WireLen()))
-			}
-		}
-		for i := 0; i < n; i++ {
-			batch[i].Release()
-			batch[i] = nil
-		}
-		e.heldBytes.Add(-held)
-		if werr != nil {
-			_ = conn.Close()
-			e.dropQueued(s)
-			e.postEvent(func() { e.senderGone(s) })
-			return
-		}
-		s.inflight.Store(0)
-		e.signalWork()
-	}
-}
-
 // dgramArenaCap bounds the bytes a sender queues between batch flushes.
 const dgramArenaCap = 64 << 10
 
-// dgramBatch frames data messages into datagrams toward one peer. When
-// the endpoint offers the sendmmsg-shaped batch path and the link is
+// dgramFraming is the link's wire format in datagram mode. Data messages
+// are framed into datagrams toward the peer through the engine's shared
+// packet endpoint; control messages are written directly to conn, the
+// established (admitted) stream connection. A datagram send error loses
+// that message but not the link — UDP send failures are transient — while
+// a control write error tears the link down exactly like the stream
+// framing.
+//
+// When the endpoint offers the sendmmsg-shaped batch path and the link is
 // unshaped, consecutive messages accumulate into one arena and leave in
 // a single WriteToBatch — one routing decision and one handoff for the
 // lot — with metering folded to one update per flush. A shaped link (or
 // an endpoint without the batch path) sends packet by packet so pacing
 // keeps its per-packet granularity. Oversize messages (past the
 // fragment budget at the configured MTU) are refused with a counted
-// error; a packet write failure drops the message, never the link.
-type dgramBatch struct {
+// error.
+type dgramFraming struct {
 	e      *Engine
 	s      *sender
+	conn   net.Conn
 	dest   net.Addr
 	bw     packetBatchWriter // nil: endpoint has no batch path
 	shaper *bandwidth.Shaper
@@ -183,12 +80,56 @@ type dgramBatch struct {
 	msgs    int64    // messages queued
 	scratch []byte   // per-packet path frame buffer
 	render  []byte   // wire image scratch for messages without one
+	taken   int64    // wire bytes of the batch's puts, see landed
 }
+
+func (e *Engine) newDgramFraming(s *sender, conn net.Conn) (framing, error) {
+	dest, err := e.cfg.Transport.(PacketTransport).PacketAddr(s.peer.Addr())
+	if err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("datagram resolve: %w", err)
+	}
+	d := &dgramFraming{
+		e: e, s: s, conn: conn, dest: dest,
+		shaper:  e.budget.UpShaper(s.linkLimit),
+		scratch: make([]byte, 0, e.cfg.DatagramMTU),
+	}
+	if bw, ok := e.pconn.(packetBatchWriter); ok {
+		d.bw = bw
+		d.arena = make([]byte, 0, dgramArenaCap)
+	}
+	return d, nil
+}
+
+func (d *dgramFraming) begin() { d.taken = 0 }
+
+func (d *dgramFraming) put(m *message.Msg) (bool, error) {
+	if m.IsControl() {
+		// A stream write can block on back-pressure; queued datagrams go
+		// out first rather than waiting it out.
+		_ = d.flush()
+		n, err := m.WriteTo(d.conn)
+		if err != nil {
+			return true, err
+		}
+		d.s.meter.Add(n)
+		d.e.counters.AddOut(1, n)
+		d.taken += n
+		return true, nil
+	}
+	d.taken += int64(m.WireLen())
+	return d.addMsg(m), nil
+}
+
+// landed counts every data message put, sent or not: what becomes of a
+// datagram is accounted in here, where a failed one costs the message and
+// never the link.
+func (d *dgramFraming) landed() int64 { return d.taken }
 
 // wireOf returns m's contiguous wire image, rendering one into the
 // reusable scratch for the rare message that lacks it (derived or
 // externally built). The result is valid until the next call.
-func (d *dgramBatch) wireOf(m *message.Msg) []byte {
+func (d *dgramFraming) wireOf(m *message.Msg) []byte {
 	if w := m.Wire(); w != nil {
 		return w
 	}
@@ -197,23 +138,24 @@ func (d *dgramBatch) wireOf(m *message.Msg) []byte {
 	return d.render
 }
 
-// addMsg queues (or sends) one data message.
-func (d *dgramBatch) addMsg(m *message.Msg) {
+// addMsg queues (or sends) one data message, reporting whether it went
+// out packet by packet rather than into the arena.
+func (d *dgramFraming) addMsg(m *message.Msg) bool {
 	wire := d.wireOf(m)
 	mtu := d.e.cfg.DatagramMTU
 	cnt, err := message.DgramFragments(len(wire), mtu)
 	if err != nil {
 		d.e.counters.AddDgramRefused(int64(len(wire)))
 		d.e.rec.Emit(trace.KindShed, d.s.peer, m.App(), int64(len(wire)))
-		return
+		return false
 	}
 	need := len(wire) + cnt*message.DgramHeaderSize
 	if d.bw == nil || d.shaper.Active() || need > cap(d.arena) {
 		d.writeNow(wire, cnt, mtu)
-		return
+		return true
 	}
 	if need > cap(d.arena)-len(d.arena) {
-		d.flush()
+		_ = d.flush()
 	}
 	chunk := mtu - message.DgramHeaderSize
 	id := d.e.dgramSeq.Add(1)
@@ -230,30 +172,33 @@ func (d *dgramBatch) addMsg(m *message.Msg) {
 	}
 	d.wire += int64(len(wire))
 	d.msgs++
+	return false
 }
 
-// flush sends every queued frame in one batch write. A write error
-// drops the queued messages (datagram loss, not link death).
-func (d *dgramBatch) flush() {
+// flush writes every queued frame in one batch write. A write error
+// drops the queued messages — datagram loss, not link death — so the
+// link's error is always nil.
+func (d *dgramFraming) flush() error {
 	if len(d.frames) == 0 {
-		return
+		return nil
 	}
 	d.shaper.Wait(len(d.arena))
 	if _, err := d.bw.WriteToBatch(d.frames, d.dest); err != nil {
 		d.e.counters.AddDroppedBatch(d.msgs, d.wire)
 	} else {
 		d.s.meter.Add(d.wire)
-		d.e.counters.AddOutBatch(d.msgs, d.wire)
+		d.e.counters.AddOut(d.msgs, d.wire)
 	}
 	d.frames = d.frames[:0]
 	d.arena = d.arena[:0]
 	d.wire = 0
 	d.msgs = 0
+	return nil
 }
 
 // writeNow frames and sends one message packet by packet, pacing each
 // datagram through the link shaper.
-func (d *dgramBatch) writeNow(wire []byte, cnt, mtu int) {
+func (d *dgramFraming) writeNow(wire []byte, cnt, mtu int) {
 	chunk := mtu - message.DgramHeaderSize
 	id := d.e.dgramSeq.Add(1)
 	for i := 0; i < cnt; i++ {
@@ -271,7 +216,7 @@ func (d *dgramBatch) writeNow(wire []byte, cnt, mtu int) {
 		}
 	}
 	d.s.meter.Add(int64(len(wire)))
-	d.e.counters.AddOut(int64(len(wire)))
+	d.e.counters.AddOut(1, int64(len(wire)))
 }
 
 // runDgramReader drains the node's packet endpoint: validate the frame,
@@ -285,10 +230,6 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 	defer e.wg.Done()
 	buf := make([]byte, 64<<10)
 	ra := message.NewReassembler(0)
-	maxPayload := e.cfg.MaxPayload
-	if maxPayload <= 0 {
-		maxPayload = message.DefaultMaxPayload
-	}
 	tr, _ := pc.(packetBatchReader)
 	var dgrams []vnet.Dgram
 	if tr != nil {
@@ -312,21 +253,18 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 		// Metering the arrival refreshes the link's inactivity detector:
 		// datagram traffic keeps the (quiet) stream link alive.
 		curR.meter.Add(groupBytes)
-		e.counters.AddInBatch(int64(len(msgs)), groupBytes)
-		toPush, reserved := e.shedBatchForBudget(curR.ring, curR.peer, msgs, groupBytes)
-		if len(toPush) > 0 {
-			pushed := curR.ring.TryPushBatch(toPush)
-			if pushed > 0 {
-				e.signalWork()
-			}
-			// Ring full (or closed mid-teardown): loss, never
-			// back-pressure on the shared endpoint.
-			for _, m := range toPush[pushed:] {
-				e.counters.AddDropped(int64(m.WireLen()))
-				m.Release()
-			}
+		e.counters.AddIn(int64(len(msgs)), groupBytes)
+		toPush := e.admit(curR.ring, curR.peer, msgs, groupBytes)
+		pushed := curR.ring.TryPushBatch(toPush)
+		if pushed > 0 {
+			e.signalWork()
 		}
-		e.releaseBudget(reserved)
+		// Ring full (or closed mid-teardown): loss, never back-pressure
+		// on the shared endpoint.
+		for _, m := range toPush[pushed:] {
+			e.counters.AddDropped(int64(m.WireLen()))
+			e.disown(m)
+		}
 		msgs = msgs[:0]
 		groupBytes = 0
 	}
@@ -369,7 +307,7 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 			}
 			return false
 		}
-		if size, _ := message.PeekPayloadLen(wire); size > maxPayload {
+		if size, _ := message.PeekPayloadLen(wire); size > message.DefaultMaxPayload {
 			e.counters.AddDgramBad()
 			return false
 		}

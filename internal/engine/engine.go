@@ -38,7 +38,6 @@ import (
 const (
 	DefaultRecvBuf          = 64
 	DefaultSendBuf          = 64
-	DefaultMaxPayload       = 1 << 20
 	DefaultStatusInterval   = 500 * time.Millisecond
 	DefaultMaxParked        = 256
 	DefaultSwitchBudget     = 512
@@ -81,8 +80,6 @@ type Config struct {
 	// experiments, 10000 for the large-buffer ones).
 	RecvBuf int
 	SendBuf int
-	// MaxPayload bounds accepted message payloads.
-	MaxPayload int
 	// TotalBW, UpBW, DownBW set the emulated per-node bandwidth in bytes
 	// per second (0 = unlimited), adjustable later via SetBandwidth.
 	TotalBW, UpBW, DownBW int64
@@ -194,9 +191,6 @@ func (c *Config) applyDefaults() {
 	if c.SendBuf <= 0 {
 		c.SendBuf = DefaultSendBuf
 	}
-	if c.MaxPayload <= 0 {
-		c.MaxPayload = DefaultMaxPayload
-	}
 	if c.StatusInterval <= 0 {
 		c.StatusInterval = DefaultStatusInterval
 	}
@@ -295,21 +289,13 @@ type Engine struct {
 	stopping  bool
 	departing bool // Depart in progress: no observer reconnects
 
-	// bufBytes gauges the wire bytes buffered across every ring and the
-	// parked backlog; shedding latches the memory-budget hysteresis.
-	bufBytes metrics.Gauge
+	// buffered gauges the wire bytes of every message reference this node
+	// holds: in a ring, parked, or popped and not yet disposed of. A
+	// reference is charged once where it enters — ingress admission, or
+	// deliverOut for what the algorithm sends — and credited once where it
+	// is disposed of. shedding latches the memory budget's hysteresis.
+	buffered metrics.Gauge
 	shedding atomic.Bool
-	// heldBytes gauges the wire bytes popped off a ring but not yet
-	// disposed of: the batch riding a stride quantum, or a sender's write
-	// batch draining through a shaped link (which can take seconds). One
-	// such batch per sender goroutine is enough to push the peak past the
-	// budget, so admission sums bufBytes and heldBytes.
-	heldBytes metrics.Gauge
-	// reserved gauges admission grants not yet landed on bufBytes: an
-	// admitter reserves its batch before pushing and releases after the
-	// ring gauge has absorbed it, so concurrent admitters cannot all
-	// squeeze through the same headroom reading.
-	reserved metrics.Gauge
 
 	// rec is the flight recorder: nil when Config.EventLog is negative,
 	// in which case trace.Emit's nil receiver makes every emit a no-op.
@@ -434,8 +420,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.hello = message.New(protocol.TypeHello, cfg.ID, 0, 0, nil).AppendHeader(nil)
 	e.welcome = message.New(protocol.TypeWelcome, cfg.ID, 0, 0, nil).AppendHeader(nil)
-	e.localRing.SetGauge(&e.bufBytes)
-	e.localRing.SetHeldGauge(&e.heldBytes)
 	// The reconnect jitter seed mixes Config.Seed with the identity
 	// through a private RNG draw, so two nodes sharing a Seed still
 	// jitter apart while a fixed (Seed, ID) pair replays exactly.
@@ -486,33 +470,27 @@ func (e *Engine) Note(kind trace.Kind, peer message.NodeID, app uint32, value in
 // before the peer is reported to the algorithm as a SlowPeer.
 const slowPeerStrikes = 3
 
-// admitBudget grants or refuses the admission of n more buffered bytes,
+// admitBudget charges n more buffered bytes to the gauge, or refuses them,
 // latching hysteresis at the watermarks: shedding engages when buffered
 // bytes would cross 3/4 of the budget and stays on until they fall to
 // 1/2. Safe from any goroutine — receiver, source and datagram-reader
-// goroutines all admit concurrently, so the grant itself is a
-// compare-and-swap on the reservation gauge: an admitter that wins the
-// CAS owns n bytes of headroom before its push lands on bufBytes
-// (released afterward with releaseBudget), which closes the
-// check-then-push window where several admitters could all read the same
-// headroom and collectively overshoot the budget. The shedding latch
-// likewise transitions by CAS, so exactly one admitter emits each
-// watermark trace event.
+// goroutines all admit concurrently, so the grant is a compare-and-swap on
+// the gauge itself: the admitter that wins it has charged its batch, and
+// no two admitters can squeeze through the same headroom reading. The
+// shedding latch likewise transitions by CAS, so exactly one admitter
+// emits each watermark trace event. Without a budget every batch is
+// charged, as BufferedBytes is reported either way.
 func (e *Engine) admitBudget(n int64) bool {
 	b := e.cfg.MemoryBudget
 	if b <= 0 {
+		e.buffered.Add(n)
 		return true
 	}
 	if invariant.Enabled {
-		invariant.Assert(e.bufBytes.Load() >= 0, "buffered-bytes gauge negative: %d", e.bufBytes.Load())
 		invariant.Assert(b-b/4 >= b/2, "shed watermarks inverted: high %d < low %d", b-b/4, b/2)
 	}
 	for {
-		r := e.reserved.Load()
-		// In-flight switch batches and outstanding reservations count
-		// against the budget too: their bytes are buffered even though no
-		// ring gauges them right now.
-		v := e.bufBytes.Load() + e.heldBytes.Load() + r
+		v := e.buffered.Load()
 		if e.shedding.Load() {
 			if v > b/2 {
 				return false
@@ -528,18 +506,26 @@ func (e *Engine) admitBudget(n int64) bool {
 			}
 			return false
 		}
-		if e.reserved.CompareAndSwap(r, r+n) {
+		if e.buffered.CompareAndSwap(v, v+n) {
 			return true
 		}
 	}
 }
 
-// releaseBudget returns a reservation taken by admitBudget once the
-// admitted batch has landed on the ring gauge.
-func (e *Engine) releaseBudget(n int64) {
-	if n > 0 && e.cfg.MemoryBudget > 0 {
-		e.reserved.Add(-n)
+// credit takes n bytes of disposed-of message references off the gauge.
+func (e *Engine) credit(n int64) {
+	v := e.buffered.Add(-n)
+	if invariant.Enabled {
+		invariant.Assert(v >= 0, "buffered-bytes gauge negative (%d) after a credit of %d", v, n)
 	}
+}
+
+// disown releases a message reference the node was charged for and will
+// not pass on, crediting the gauge with its wire bytes.
+func (e *Engine) disown(m *message.Msg) {
+	wl := int64(m.WireLen())
+	m.Release()
+	e.credit(wl)
 }
 
 // shedFrom drops up to maxMsgs of the oldest data messages from the ring
@@ -554,59 +540,46 @@ func (e *Engine) shedFrom(r *queue.Ring, peer message.NodeID, maxMsgs int, minBy
 		e.counters.AddShed(wl)
 		m.Release()
 	}
+	e.credit(freed)
 	if freed > 0 {
 		e.rec.Emit(trace.KindShed, peer, 0, freed)
 	}
 	return freed
 }
 
-// reserveUpTo grants as much of an n-byte trade reservation as fits
-// under the hard budget ceiling, returning the granted bytes. Safe from
-// any goroutine: the CAS on the reservation gauge serializes concurrent
-// traders, so two of them can never both claim the last stretch of
-// headroom.
-func (e *Engine) reserveUpTo(n int64) int64 {
-	b := e.cfg.MemoryBudget
+// chargeUpTo charges as much of an n-byte trade as fits under the hard
+// budget ceiling, returning the charged bytes. Safe from any goroutine:
+// the CAS on the gauge serializes concurrent traders, so two of them can
+// never both claim the last stretch of headroom.
+func (e *Engine) chargeUpTo(n int64) int64 {
 	for {
-		r := e.reserved.Load()
-		head := b - e.bufBytes.Load() - e.heldBytes.Load() - r
-		if head <= 0 {
+		v := e.buffered.Load()
+		g := min(n, e.cfg.MemoryBudget-v)
+		if g <= 0 {
 			return 0
 		}
-		g := n
-		if g > head {
-			g = head
-		}
-		if e.reserved.CompareAndSwap(r, r+g) {
+		if e.buffered.CompareAndSwap(v, v+g) {
 			return g
 		}
 	}
 }
 
-// shedBatchForBudget applies drop-head admission control to a batch of
-// data messages about to enter ring: old buffered data is shed to make
-// room, and any remainder that could not be traded (the ring held too
-// little data, or the budget has no headroom left) is shed from the
-// batch's own tail so buffered bytes cannot grow past the budget. The
+// admit applies drop-head admission control to a batch of data messages
+// about to enter ring and returns the admitted, prefix-packed part of it,
+// charged to the gauge: the caller owes a credit only for what its push
+// leaves over. A batch the budget refuses trades places with old buffered
+// data: the ring's oldest messages are shed to make room, and any
+// remainder that could not be traded (the ring held too little data, or
+// the budget has no headroom left) is shed from the batch's own tail. The
 // trade is bounded twice — by the bytes just freed from the ring (net
-// non-increase, the drop-head exchange) AND by a hard-ceiling
-// reservation (several rings trading concurrently must not stack their
-// freed allowances past the budget). It returns the admitted
-// prefix-packed batch and the reservation the caller must hand back
-// through releaseBudget after pushing.
-func (e *Engine) shedBatchForBudget(ring *queue.Ring, peer message.NodeID, batch []*message.Msg, bytes int64) ([]*message.Msg, int64) {
+// non-increase, the drop-head exchange) AND by the hard budget ceiling
+// (several rings trading concurrently must not stack their freed
+// allowances past it).
+func (e *Engine) admit(ring *queue.Ring, peer message.NodeID, batch []*message.Msg, bytes int64) []*message.Msg {
 	if e.admitBudget(bytes) {
-		return batch, bytes
+		return batch
 	}
-	freed := e.shedFrom(ring, peer, ring.Cap(), bytes)
-	want := bytes
-	if want > freed {
-		want = freed
-	}
-	var allowed int64
-	if want > 0 {
-		allowed = e.reserveUpTo(want)
-	}
+	allowed := e.chargeUpTo(min(bytes, e.shedFrom(ring, peer, ring.Cap(), bytes)))
 	kept := 0
 	var keptBytes int64
 	var tailShed int64
@@ -622,22 +595,21 @@ func (e *Engine) shedBatchForBudget(ring *queue.Ring, peer message.NodeID, batch
 		kept++
 		keptBytes += wl
 	}
-	if allowed > keptBytes {
-		e.reserved.Add(keptBytes - allowed) // return the unusable fraction
-	}
+	e.credit(allowed - keptBytes) // the fraction no whole message fits
 	if tailShed > 0 {
 		e.rec.Emit(trace.KindShed, peer, 0, tailShed)
 	}
-	return batch[:kept], keptBytes
+	return batch[:kept]
 }
 
-// BufferedBytes reports the wire bytes currently buffered across the
-// node's rings and parked backlog. Safe from any goroutine.
-func (e *Engine) BufferedBytes() int64 { return e.bufBytes.Load() }
+// BufferedBytes reports the wire bytes of every message reference the node
+// holds: buffered, parked, or being switched or written. Safe from any
+// goroutine.
+func (e *Engine) BufferedBytes() int64 { return e.buffered.Load() }
 
 // MaxBufferedBytes reports the high-water mark of BufferedBytes. Safe from
 // any goroutine.
-func (e *Engine) MaxBufferedBytes() int64 { return e.bufBytes.Max() }
+func (e *Engine) MaxBufferedBytes() int64 { return e.buffered.Max() }
 
 // QueueDelays reports the worst smoothed per-class queueing delay across
 // the node's sender rings — how long control and data messages sat queued
@@ -964,11 +936,11 @@ func (e *Engine) Stop() {
 		s.halt()
 	}
 	e.localRing.Close()
-	e.localRing.Drain()
+	e.credit(e.localRing.Drain())
 	for _, r := range receivers {
 		_ = r.conn.Close()
 		r.ring.Close()
-		r.ring.Drain()
+		e.credit(r.ring.Drain())
 	}
 	for _, s := range senders {
 		s.ring.Close() // sender goroutine flushes and closes the conn
@@ -995,7 +967,7 @@ func (e *Engine) Stop() {
 	e.wg.Wait()
 	e.releaseParked()
 	for _, s := range senders {
-		s.ring.Drain()
+		e.credit(s.ring.Drain())
 	}
 	e.mu.Lock()
 	pending := e.obsPending
@@ -1006,15 +978,11 @@ func (e *Engine) Stop() {
 		m.Release()
 	}
 	if invariant.Enabled {
-		// Every gauge-tracked ring is drained and the parked backlog
-		// released: the memory budget must reconcile to exactly zero
-		// buffered bytes, or some path lost track of a message.
-		invariant.Assert(e.bufBytes.Load() == 0,
-			"buffered-bytes gauge %d after Stop drained everything", e.bufBytes.Load())
-		invariant.Assert(e.heldBytes.Load() == 0,
-			"held-bytes gauge %d after the switch and every sender exited", e.heldBytes.Load())
-		invariant.Assert(e.reserved.Load() == 0,
-			"budget reservation gauge %d after every admitter exited", e.reserved.Load())
+		// Every ring is drained, the parked backlog released and every
+		// goroutine that could hold a popped batch gone: the gauge must
+		// read exactly zero, or some path lost track of a reference.
+		invariant.Assert(e.buffered.Load() == 0,
+			"buffered-bytes gauge %d after Stop disposed of everything", e.buffered.Load())
 	}
 }
 
@@ -1202,7 +1170,7 @@ func (e *Engine) ensureSender(peer message.NodeID) *sender {
 		return s
 	}
 	rate := e.linkRates[peer]
-	s := newSender(peer, e.cfg.SendBuf, rate, &e.bufBytes, &e.heldBytes)
+	s := newSender(peer, e.cfg.SendBuf, rate)
 	s.ring.SetDelayHists(&e.ctrlDelayHist, &e.dataDelayHist)
 	e.senders[peer] = s
 	e.wg.Add(1)
@@ -1229,16 +1197,7 @@ func (e *Engine) receiverGone(r *receiver) {
 	}
 	_ = r.conn.Close()
 	r.ring.Close()
-	for {
-		m, ok := r.ring.TryPop()
-		if !ok {
-			break
-		}
-		wl := int64(m.WireLen())
-		e.counters.AddDropped(wl)
-		m.Release()
-		e.heldBytes.Add(-wl) // settle the pop's held-gauge transfer
-	}
+	e.dropQueued(r.ring)
 	e.rec.Emit(trace.KindLinkDown, r.peer, 0, 1)
 	e.notifyAlg(protocol.TypeLinkDown, 0,
 		protocol.LinkEvent{Peer: r.peer, Upstream: true}.Encode())
@@ -1303,7 +1262,7 @@ func (e *Engine) senderGone(s *sender) {
 	e.invalidateSender(s)
 	delete(e.sentApps, s.peer)
 	s.ring.Close()
-	e.dropQueued(s)
+	e.dropQueued(s.ring)
 	s.linkLimit.Close()
 	e.dropParkedFor(s.peer, true)
 	e.rec.Emit(trace.KindLinkDown, s.peer, 0, 0)

@@ -193,7 +193,7 @@ func dialerEngine(t *testing.T, n *vnet.Network, mut func(*Config)) *Engine {
 
 // dialAcceptor runs dialPeer toward acceptorID on an unstarted engine.
 func dialAcceptor(e *Engine) (net.Conn, error) {
-	s := newSender(acceptorID, 4, 0, &e.bufBytes, &e.heldBytes)
+	s := newSender(acceptorID, 4, 0)
 	return e.dialPeer(s)
 }
 

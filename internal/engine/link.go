@@ -39,7 +39,7 @@ type receiver struct {
 	inactivity *time.Timer
 }
 
-func newReceiver(peer message.NodeID, conn net.Conn, bufMsgs int, gauge, held *metrics.Gauge) *receiver {
+func newReceiver(peer message.NodeID, conn net.Conn, bufMsgs int) *receiver {
 	r := &receiver{
 		peer:  peer,
 		conn:  conn,
@@ -49,8 +49,6 @@ func newReceiver(peer message.NodeID, conn net.Conn, bufMsgs int, gauge, held *m
 		apps:  make(map[uint32]struct{}),
 	}
 	r.weight.Store(1)
-	r.ring.SetGauge(gauge)
-	r.ring.SetHeldGauge(held)
 	return r
 }
 
@@ -72,10 +70,6 @@ func (e *Engine) runReceiver(r *receiver) {
 	if c := r.ring.Cap(); maxBatch > c {
 		maxBatch = c
 	}
-	maxPayload := e.cfg.MaxPayload
-	if maxPayload <= 0 {
-		maxPayload = message.DefaultMaxPayload
-	}
 	batch := make([]*message.Msg, 0, maxBatch)
 	var bytes int64
 
@@ -88,26 +82,19 @@ func (e *Engine) runReceiver(r *receiver) {
 		// Meter once per batch: timestamped meters and atomic counters
 		// are per-message costs worth amortizing at these message rates.
 		r.meter.Add(bytes)
-		e.counters.AddIn(bytes)
+		e.counters.AddIn(int64(len(batch)), bytes)
 		// Memory budget: above the high watermark the batch trades places
 		// with the oldest buffered data instead of growing the buffers
 		// (drop-head), so this push blocks neither the upstream connection
 		// nor the budget.
-		toPush, reserved := e.shedBatchForBudget(r.ring, r.peer, batch, bytes)
-		bytes = 0
-		if len(toPush) > 0 {
-			n, err := r.ring.PushBatch(toPush)
-			if err != nil {
-				for _, rest := range toPush[n:] {
-					rest.Release()
-				}
-				e.releaseBudget(reserved)
-				batch = batch[:0]
-				return false
+		toPush := e.admit(r.ring, r.peer, batch, bytes)
+		batch, bytes = batch[:0], 0
+		if n, err := r.ring.PushBatch(toPush); err != nil {
+			for _, m := range toPush[n:] {
+				e.disown(m)
 			}
+			return false
 		}
-		e.releaseBudget(reserved)
-		batch = batch[:0]
 		e.signalWork()
 		return true
 	}
@@ -129,7 +116,7 @@ func (e *Engine) runReceiver(r *receiver) {
 		}
 		wl := int64(m.WireLen())
 		r.meter.Add(wl)
-		e.counters.AddIn(wl)
+		e.counters.AddIn(1, wl)
 		e.deliverControl(m, r.peer)
 		return true
 	}
@@ -159,7 +146,7 @@ func (e *Engine) runReceiver(r *receiver) {
 			if !ok {
 				break // header not fully arrived: carry the tail
 			}
-			if size > maxPayload {
+			if size > message.DefaultMaxPayload {
 				flush()
 				fail()
 				return
@@ -252,17 +239,34 @@ type sender struct {
 	reply [message.HeaderSize + protocol.BusySize]byte
 }
 
-func newSender(peer message.NodeID, bufMsgs int, linkRate int64, gauge, held *metrics.Gauge) *sender {
-	s := &sender{
+func newSender(peer message.NodeID, bufMsgs int, linkRate int64) *sender {
+	return &sender{
 		peer:      peer,
 		connReady: make(chan struct{}),
 		ring:      queue.New(bufMsgs),
 		meter:     metrics.NewMeter(0),
 		linkLimit: bandwidth.NewLimiter(linkRate),
 	}
-	s.ring.SetGauge(gauge)
-	s.ring.SetHeldGauge(held)
-	return s
+}
+
+// framing is the wire format of one link, chosen once when the link comes
+// up: the sender loop hands it messages and never learns whether they
+// leave as a byte stream or as datagrams. A framing meters what it writes,
+// at the granularity its format can afford.
+type framing interface {
+	// begin opens a drained batch; what SetBandwidth may have retuned
+	// since the last one is re-read here, or per message.
+	begin()
+	// put frames m. through reports that m went to the wire inside the
+	// call instead of being queued for flush: only such a write can have
+	// been paced or blocked, so only then can control have arrived behind
+	// it. An error is fatal to the link.
+	put(m *message.Msg) (through bool, err error)
+	// flush writes out whatever put queued.
+	flush() error
+	// landed reports the wire bytes of this batch's puts that a write
+	// error on the link can no longer lose.
+	landed() int64
 }
 
 // runSender is the sender thread body. It dials lazily: messages queued
@@ -276,10 +280,14 @@ func (e *Engine) runSender(s *sender) {
 	// dialPeer runs the whole handshake, so a returned connection is
 	// already admitted by the peer's gate and registered as its receiver.
 	conn, err := e.dialPeer(s)
+	var f framing
+	if err == nil {
+		f, err = e.newFraming(s, conn)
+	}
 	if err != nil {
-		e.logf("dial %s: %v", s.peer, err)
+		e.logf("link to %s: %v", s.peer, err)
 		close(s.connReady)
-		e.dropQueued(s)
+		e.dropQueued(s.ring)
 		e.postEvent(func() { e.senderGone(s) })
 		return
 	}
@@ -287,140 +295,67 @@ func (e *Engine) runSender(s *sender) {
 	close(s.connReady)
 	e.rec.Emit(trace.KindLinkUp, s.peer, 0, 0)
 
-	if e.cfg.DatagramData {
-		// Data rides the packet endpoint; the admitted stream connection
-		// stays up as the control lane.
-		e.runSenderDgram(s, conn)
-		return
-	}
-
-	bufw := bufio.NewWriterSize(conn, 32<<10)
-	shaped := bandwidth.NewWriter(bufw, e.budget.UpShaper(s.linkLimit))
 	maxBatch := e.cfg.BatchSize
 	if c := s.ring.Cap(); maxBatch > c {
 		maxBatch = c
 	}
 	batch := make([]*message.Msg, maxBatch)
-	bw, canVec := conn.(buffersWriter)
-	var vec [][]byte
-	if canVec {
-		vec = make([][]byte, 0, maxBatch)
-	}
+	var over []*message.Msg // control that overtook the batch in hand
 	for {
 		n, err := s.ring.PopBatch(batch)
 		if err != nil {
 			// Ring closed: graceful teardown; flush what was written.
-			_ = bufw.Flush()
+			_ = f.flush()
 			_ = conn.Close()
 			return
 		}
 		s.inflight.Store(int32(n))
 		e.sendBatchHist.Observe(int64(n))
-		// The pop transferred these bytes to the held gauge; they settle
-		// only when the batch is disposed of below, so the memory budget
-		// keeps seeing a shaped batch for the seconds it takes to drain.
+		// The batch stays charged until it is disposed of below: the
+		// memory budget keeps seeing a shaped batch for the seconds it
+		// takes to drain, and a framing may queue wire images until flush.
 		var held int64
 		for i := 0; i < n; i++ {
 			held += int64(batch[i].WireLen())
 		}
-		// Flush per message only on shaped links: when bandwidth emulation
-		// paces this sender, holding messages in the write buffer would
-		// turn a smooth emulated rate into large bursts downstream.
-		// Unshaped vectored connections flush the whole batch straight
-		// from the messages' contiguous wire images in a single pipe
-		// operation — no intermediate buffer, no copy; other unshaped
-		// links buffer and flush once per drained batch.
-		shapedLink := e.senderShaped(s)
-		var sent int64
-		var werr error
-		if canVec && !shapedLink {
-			if bufw.Buffered() > 0 { // shaped leftovers precede this batch
-				werr = bufw.Flush()
-			}
-			vec = vec[:0]
-			for i := 0; i < n && werr == nil; i++ {
-				if w := batch[i].Wire(); w != nil {
-					vec = append(vec, w)
-					continue
+		f.begin()
+		var overtook int64
+		for i := 0; i < n && err == nil; i++ {
+			var through bool
+			through, err = f.put(batch[i])
+			// Control before data holds inside an in-flight batch too: a
+			// paced batch can take seconds to drain, and a failure
+			// notification pushed meanwhile must not wait it out.
+			for through && err == nil {
+				cm, ok := s.ring.TryPopCtrl()
+				if !ok {
+					break
 				}
-				// Rare: no contiguous image (derived or externally built
-				// message). Preserve order: drain the gathered run first.
-				if len(vec) > 0 {
-					wn, e2 := bw.WriteBuffers(vec)
-					sent += wn
-					vec, werr = vec[:0], e2
+				over = append(over, cm)
+				cwl := int64(cm.WireLen())
+				held += cwl
+				e.rec.Emit(trace.KindCtrlBypass, s.peer, cm.App(), cwl)
+				if _, err = f.put(cm); err != nil {
+					e.counters.AddDropped(cwl)
+				} else {
+					overtook += cwl
 				}
-				if werr == nil {
-					wn, e2 := batch[i].WriteTo(conn)
-					sent += wn
-					werr = e2
-				}
-			}
-			if werr == nil && len(vec) > 0 {
-				wn, e2 := bw.WriteBuffers(vec)
-				sent += wn
-				vec, werr = vec[:0], e2
-			}
-			// Meter once per drained batch: at unshaped speeds per-message
-			// metering is pure overhead and the lump is far smaller than any
-			// measurement window.
-			s.meter.Add(sent)
-			e.counters.AddOut(sent)
-		} else {
-			for i := 0; i < n && werr == nil; i++ {
-				wn, e2 := batch[i].WriteTo(shaped)
-				werr = e2
-				if werr == nil && shapedLink {
-					werr = bufw.Flush()
-				}
-				// Meter per message here: a shaped batch can take longer to
-				// drain than a measurement window, and lump-metering it at
-				// the end would alias windowed rate samples.
-				s.meter.Add(wn)
-				e.counters.AddOut(wn)
-				sent += wn
-				// Control before data holds inside an in-flight batch too:
-				// a shaped batch can take seconds to drain, and a failure
-				// notification pushed meanwhile must not wait it out. Any
-				// control buffered right now overtakes the batch's
-				// remaining data messages.
-				for werr == nil {
-					cm, ok := s.ring.TryPopCtrl()
-					if !ok {
-						break
-					}
-					cwl := int64(cm.WireLen())
-					e.rec.Emit(trace.KindCtrlBypass, s.peer, cm.App(), cwl)
-					cn, e3 := cm.WriteTo(shaped)
-					werr = e3
-					if werr == nil && shapedLink {
-						werr = bufw.Flush()
-					}
-					s.meter.Add(cn)
-					e.counters.AddOut(cn)
-					sent += cn
-					cm.Release()
-					e.heldBytes.Add(-cwl)
-				}
-			}
-			if werr == nil && !shapedLink && s.ring.Len() == 0 {
-				werr = bufw.Flush()
 			}
 		}
-		if werr != nil {
+		if err == nil {
+			err = f.flush()
+		}
+		if err != nil {
 			// Loss accounting covers the message in flight at failure
 			// time: a partially written frame never becomes deliverable,
 			// so every message whose wire image did not fully land counts
 			// as dropped in full — one counter hit per lost message, not
-			// one lump for the unsent byte remainder. Bytes stranded in
-			// the write buffer never reached the wire either.
-			if sent -= int64(bufw.Buffered()); sent < 0 {
-				sent = 0
-			}
+			// one lump for the unsent byte remainder.
+			landed := f.landed() - overtook
 			var off int64
 			for i := 0; i < n; i++ {
 				wl := int64(batch[i].WireLen())
-				if off+wl > sent {
+				if off+wl > landed {
 					e.counters.AddDropped(wl)
 				}
 				off += wl
@@ -430,12 +365,17 @@ func (e *Engine) runSender(s *sender) {
 			batch[i].Release()
 			batch[i] = nil
 		}
-		e.heldBytes.Add(-held)
-		if werr != nil {
+		for i, cm := range over {
+			cm.Release()
+			over[i] = nil
+		}
+		over = over[:0]
+		e.credit(held)
+		if err != nil {
 			// Close promptly so the peer's receiver observes the failure
 			// now rather than at its inactivity timeout.
 			_ = conn.Close()
-			e.dropQueued(s)
+			e.dropQueued(s.ring)
 			e.postEvent(func() { e.senderGone(s) })
 			return
 		}
@@ -444,6 +384,117 @@ func (e *Engine) runSender(s *sender) {
 		// destined to this (now less full) buffer promptly.
 		e.signalWork()
 	}
+}
+
+// newFraming picks the link's wire format — the one place the sender path
+// reads Config.DatagramData. On error the connection is closed.
+func (e *Engine) newFraming(s *sender, conn net.Conn) (framing, error) {
+	if e.cfg.DatagramData {
+		// Data rides the packet endpoint; the admitted stream connection
+		// stays up as the control lane.
+		return e.newDgramFraming(s, conn)
+	}
+	f := &streamFraming{
+		e: e, s: s, conn: conn, bufw: bufio.NewWriterSize(conn, 32<<10),
+		shaper: e.budget.UpShaper(s.linkLimit),
+	}
+	f.shaped = bandwidth.NewWriter(f.bufw, f.shaper)
+	f.bw, _ = conn.(buffersWriter)
+	return f, nil
+}
+
+// streamFraming writes messages back to back on the link's connection,
+// by one of two roads picked per batch (SetBandwidth retunes links at
+// runtime). Unshaped vectored connections gather the batch and flush it
+// straight from the messages' contiguous wire images in a single pipe
+// operation — no intermediate buffer, no copy. Everything else goes
+// through the write buffer and the shapers: flushed per message on shaped
+// links, where holding messages back would turn a smooth emulated rate
+// into bursts downstream, and once the ring runs dry on unshaped ones.
+type streamFraming struct {
+	e      *Engine
+	s      *sender
+	conn   net.Conn
+	bufw   *bufio.Writer
+	shaper *bandwidth.Shaper // the link's cap and the node's uplink and total caps
+	shaped io.Writer         // bufw behind shaper
+	bw     buffersWriter     // nil: the connection has no vectored write
+	vec    [][]byte          // wire images gathered for the batch's one write
+	paced  bool              // this batch: some emulated cap paces the link
+	sent   int64             // bytes this batch handed to the connection or bufw
+}
+
+func (f *streamFraming) begin() {
+	f.paced, f.sent = f.shaper.Active(), 0
+}
+
+func (f *streamFraming) put(m *message.Msg) (bool, error) {
+	if f.bw != nil && !f.paced {
+		if w := m.Wire(); w != nil {
+			f.vec = append(f.vec, w)
+			return false, nil
+		}
+		// Rare: no contiguous image (derived or externally built
+		// message). Preserve order: drain the gathered run first.
+		if err := f.writeVec(); err != nil {
+			return true, err
+		}
+		n, err := m.WriteTo(f.conn)
+		f.wrote(1, n)
+		return true, err
+	}
+	n, err := m.WriteTo(f.shaped)
+	if err == nil && f.paced {
+		err = f.bufw.Flush()
+	}
+	// Metered per message here: a shaped batch can take longer to drain
+	// than a measurement window, and lump-metering it at the end would
+	// alias windowed rate samples.
+	f.wrote(1, n)
+	return true, err
+}
+
+// writeVec lands the gathered images in one vectored write, metered as
+// one lump: at unshaped speeds per-message metering is pure overhead and
+// the lump is far smaller than any measurement window.
+func (f *streamFraming) writeVec() error {
+	if len(f.vec) == 0 {
+		return nil
+	}
+	n, err := f.bw.WriteBuffers(f.vec)
+	msgs := len(f.vec)
+	if err != nil {
+		// Count only the images that landed whole.
+		msgs = 0
+		for left := n; msgs < len(f.vec) && left >= int64(len(f.vec[msgs])); msgs++ {
+			left -= int64(len(f.vec[msgs]))
+		}
+	}
+	f.wrote(int64(msgs), n)
+	f.vec = f.vec[:0]
+	return err
+}
+
+func (f *streamFraming) wrote(msgs, n int64) {
+	f.s.meter.Add(n)
+	f.e.counters.AddOut(msgs, n)
+	f.sent += n
+}
+
+func (f *streamFraming) flush() error {
+	if err := f.writeVec(); err != nil {
+		return err
+	}
+	if f.bufw.Buffered() > 0 && f.s.ring.Len() == 0 {
+		return f.bufw.Flush()
+	}
+	return nil
+}
+
+// landed discounts the bytes stranded in the write buffer: they never
+// reached the wire either.
+func (f *streamFraming) landed() int64 {
+	return f.sent - int64(f.bufw.Buffered())
 }
 
 // errPeerBusy marks a dial attempt refused by the peer's admission gate
@@ -590,24 +641,16 @@ type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
 }
 
-// senderShaped reports whether any emulated bandwidth cap paces this
-// sender's writes.
-func (e *Engine) senderShaped(s *sender) bool {
-	return s.linkLimit.Rate() > 0 || e.budget.Up.Rate() > 0 || e.budget.Total.Rate() > 0
-}
-
 // dropQueued counts and releases everything still queued on a failed
-// sender — the paper's "bytes (or messages) lost due to failures".
-func (e *Engine) dropQueued(s *sender) {
+// link — the paper's "bytes (or messages) lost due to failures".
+func (e *Engine) dropQueued(r *queue.Ring) {
 	for {
-		m, ok := s.ring.TryPop()
+		m, ok := r.TryPop()
 		if !ok {
 			return
 		}
-		wl := int64(m.WireLen())
-		e.counters.AddDropped(wl)
-		m.Release()
-		e.heldBytes.Add(-wl)
+		e.counters.AddDropped(int64(m.WireLen()))
+		e.disown(m)
 	}
 }
 
@@ -772,7 +815,7 @@ func (e *Engine) handshake(conn net.Conn) {
 		return
 	}
 
-	r := newReceiver(peer, conn, e.cfg.RecvBuf, &e.bufBytes, &e.heldBytes)
+	r := newReceiver(peer, conn, e.cfg.RecvBuf)
 	e.mu.Lock()
 	if e.stopping {
 		e.mu.Unlock()
@@ -783,9 +826,11 @@ func (e *Engine) handshake(conn net.Conn) {
 	e.receivers[peer] = r
 	e.mu.Unlock()
 	if old != nil {
-		// A reconnect replaces the stale link.
+		// A reconnect replaces the stale link, and what that still had
+		// buffered is lost with it: the switch no longer sees the ring.
 		_ = old.conn.Close()
 		old.ring.Close()
+		e.dropQueued(old.ring)
 	}
 	// The explicit admission reply: the dialer treats nothing short of
 	// this frame as admitted, so the link costs one round trip at any
@@ -847,7 +892,7 @@ func (e *Engine) runObserverReader(o *observerLink) {
 	defer e.wg.Done()
 	br := bufio.NewReaderSize(o.conn, 8<<10)
 	for {
-		m, err := message.Read(br, nil, e.cfg.MaxPayload)
+		m, err := message.Read(br, nil, message.DefaultMaxPayload)
 		if err != nil {
 			e.postEvent(func() { e.observerGone(o) })
 			return

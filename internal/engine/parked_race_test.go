@@ -15,16 +15,18 @@ import (
 // retryParked used to read the message's wire length after the push: a
 // data race under -race, and without it a short read that left the
 // buffered-bytes gauge drifting upward by the payload size each time the
-// sender won. The test plays both goroutines against a real sender ring.
+// sender won. The test plays both goroutines against a real sender ring;
+// retryParked, between deliverOut's charge and the sender's credit, must
+// neither touch the message after the push nor move the gauge.
 func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
 	e := dialerEngine(t, n, func(*Config) {})
 	dest := message.MakeID("10.0.0.9", 7000)
-	s := newSender(dest, 2, 0, &e.bufBytes, &e.heldBytes)
+	s := newSender(dest, 2, 0)
 	e.senders[dest] = s
 
-	// The sender goroutine's part: pop, "write", release, settle.
+	// The sender goroutine's part: pop, "write", release, credit.
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
@@ -33,15 +35,15 @@ func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
 			if err != nil {
 				return
 			}
-			wl := int64(m.WireLen())
-			m.Release()
-			e.heldBytes.Add(-wl)
+			e.disown(m)
 		}
 	}()
 
 	const rounds = 5000
 	for i := 0; i < rounds; i++ {
-		e.park(e.pool.Get(message.FirstDataType, e.id, 1, uint32(i), 512), dest)
+		m := e.pool.Get(message.FirstDataType, e.id, 1, uint32(i), 512)
+		e.buffered.Add(int64(m.WireLen()))
+		e.park(m, dest)
 		for e.retryParked(); len(e.parked) > 0; e.retryParked() {
 			runtime.Gosched() // ring full: let the sender side drain
 		}
@@ -49,11 +51,8 @@ func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
 	s.ring.Close()
 	<-drained
 
-	if got := e.bufBytes.Load(); got != 0 {
+	if got := e.BufferedBytes(); got != 0 {
 		t.Errorf("buffered-bytes gauge = %d after everything parked was sent and released, want 0", got)
-	}
-	if got := e.heldBytes.Load(); got != 0 {
-		t.Errorf("held-bytes gauge = %d, want 0", got)
 	}
 }
 
@@ -68,7 +67,9 @@ func TestDepartWaitsForParkedData(t *testing.T) {
 		t.Fatal("idle engine reads as not drained")
 	}
 	dest := message.MakeID("10.0.0.9", 7000)
-	e.park(e.pool.Get(message.FirstDataType, e.id, 1, 0, 512), dest)
+	m := e.pool.Get(message.FirstDataType, e.id, 1, 0, 512)
+	e.buffered.Add(int64(m.WireLen()))
+	e.park(m, dest)
 	if e.drainedForDeparture() {
 		t.Error("drainedForDeparture = true with one message parked")
 	}

@@ -99,17 +99,13 @@ func (e *Engine) runSource(s *source, msgSize int) {
 		// Memory budget: locally generated data obeys the same drop-head
 		// admission as network arrivals, so a saturated node stops
 		// amplifying its own overload.
-		toPush, reserved := e.shedBatchForBudget(e.localRing, e.id, batch, bytes)
-		if len(toPush) > 0 {
-			if n, err := e.localRing.PushBatch(toPush); err != nil {
-				for _, m := range toPush[n:] {
-					m.Release()
-				}
-				e.releaseBudget(reserved)
-				return
+		toPush := e.admit(e.localRing, e.id, batch, bytes)
+		if n, err := e.localRing.PushBatch(toPush); err != nil {
+			for _, m := range toPush[n:] {
+				e.disown(m)
 			}
+			return
 		}
-		e.releaseBudget(reserved)
 		e.signalWork()
 	}
 }

@@ -89,22 +89,20 @@ func (e *Engine) switchOnce() {
 		e.switched.Add(uint64(n))
 		e.switchBatchHist.Observe(int64(n))
 		e.rec.Emit(trace.KindSwitch, from, 0, int64(n))
-		// The pop transferred the batch's bytes from the ring gauge to
-		// heldBytes, and they settle only after disposal below — the memory
-		// budget keeps seeing the quantum in flight.
-		var held int64
-		for i := 0; i < n; i++ {
-			held += int64(e.switchBuf[i].WireLen())
-		}
 		for i := 0; i < n; i++ {
 			m := e.switchBuf[i]
 			e.switchBuf[i] = nil
 			if best != nil {
 				best.apps[m.App()] = struct{}{}
 			}
+			// The inbound reference is credited as soon as Process is done
+			// with it: whatever the algorithm forwarded was charged on its
+			// own by deliverOut, so no byte is counted twice for longer than
+			// one upcall. The length is read first — Process may release m.
+			wl := int64(m.WireLen())
 			e.processData(m)
+			e.credit(wl)
 		}
-		e.heldBytes.Add(-held)
 	}
 	// Re-arm only when the budget stopped us with work still queued AND
 	// the parked backlog leaves the next pass headroom to make progress.
@@ -132,7 +130,6 @@ func (e *Engine) park(m *message.Msg, dest message.NodeID) {
 	e.parked = append(e.parked, parkedMsg{m: m, dest: dest})
 	e.parkedByDest[dest]++
 	e.parkedLen.Store(int64(len(e.parked)))
-	e.bufBytes.Add(int64(m.WireLen()))
 }
 
 // retryParked re-attempts delivery of messages labeled with remaining
@@ -151,18 +148,15 @@ func (e *Engine) retryParked() {
 		s := e.senderLocked(p.dest)
 		if s == nil {
 			e.counters.AddDropped(int64(p.m.WireLen()))
-			e.bufBytes.Add(-int64(p.m.WireLen()))
-			p.m.Release()
+			e.disown(p.m)
 			e.parkedByDest[p.dest]--
 			continue
 		}
-		// The ring re-gauges the message on push, so the parked share is
-		// released either way. The length is read first: a successful push
-		// hands the message to the sender goroutine, which may have written
-		// and released it before this goroutine looks again.
-		wl := int64(p.m.WireLen())
+		// A parked message keeps the charge deliverOut gave it, so the move
+		// into the ring leaves the gauge alone — and nothing here may read
+		// the message after a successful push: that hands it to the sender
+		// goroutine, which may have written and released it already.
 		if s.ring.TryPush(p.m) {
-			e.bufBytes.Add(-wl)
 			e.parkedByDest[p.dest]--
 		} else {
 			stillFull[p.dest] = true
@@ -195,6 +189,10 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 		}
 		e.lastDest, e.lastSender = dest, s
 	}
+	// The reference is charged before any push: a sender that writes and
+	// credits at once can then never drive the gauge negative, and a
+	// message that parks instead simply keeps its charge.
+	e.buffered.Add(int64(m.WireLen()))
 	if m.IsControl() {
 		// Control never waits behind parked data: the ring's priority lane
 		// preserves control-vs-control order on its own, and relaxing
@@ -241,8 +239,7 @@ func (e *Engine) dropParkedFor(dest message.NodeID, countLost bool) {
 			if countLost {
 				e.counters.AddDropped(int64(p.m.WireLen()))
 			}
-			e.bufBytes.Add(-int64(p.m.WireLen()))
-			p.m.Release()
+			e.disown(p.m)
 			e.parkedByDest[p.dest]--
 			continue
 		}
@@ -267,8 +264,7 @@ func (e *Engine) receiverSnapshot() []*receiver {
 // engine goroutine has exited.
 func (e *Engine) releaseParked() {
 	for _, p := range e.parked {
-		e.bufBytes.Add(-int64(p.m.WireLen()))
-		p.m.Release()
+		e.disown(p.m)
 	}
 	e.setParked(e.parked[:0])
 }

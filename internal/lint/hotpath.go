@@ -6,10 +6,10 @@ import (
 )
 
 // checkHotPath keeps allocation- and syscall-heavy constructs out of the
-// per-message paths. The hot set is the engine's switch loop, the sender
-// and receiver loops (their for-loop bodies — setup and teardown outside
-// the loop are cold), and the whole of Send/retryParked, which run once
-// per switched message:
+// per-message paths. The hot set is the engine's switch loop, the sender,
+// receiver and datagram-reader loops (their for-loop bodies — setup and
+// teardown outside the loop are cold), and the whole of Send/retryParked,
+// which run once per switched message:
 //
 //   - fmt.* formats allocate and reflect per call;
 //   - time.Now is a syscall-class call — the loops batch timestamps and
@@ -18,17 +18,23 @@ import (
 //     pointer into an interface, allocating per message.
 //
 // The rules apply interprocedurally within the engine package: a hot
-// region may not launder a fmt call through a helper. The walk stays
-// inside the package — the ring and transport layers the loops call into
-// are measured by their own benchmarks, and descending into them would
-// indict every error path they keep off the fast path.
+// region may not launder a fmt call through a helper, nor through a
+// package-local interface, which is as hot as every implementation of it.
+// The walk stays inside the package — the ring and transport layers the
+// loops call into are measured by their own benchmarks, and descending
+// into them would indict every error path they keep off the fast path.
+//
+// The hot set is matched by name, so a name that matches nothing in the
+// real engine package is reported: a rename or a fork must not silently
+// drop a function's coverage.
 const checkNameHotPath = "hotpath"
 
-// hotWholeBody functions are hot from the first statement.
-var hotWholeBody = map[string]bool{"Send": true, "retryParked": true}
-
-// hotLoopsOnly functions are hot inside their for loops only.
-var hotLoopsOnly = map[string]bool{"switchOnce": true, "runSender": true, "runReceiver": true}
+// hotSet names the hot functions; true marks one hot from its first
+// statement, false one that is hot inside its for loops only.
+var hotSet = map[string]bool{
+	"Send": true, "retryParked": true,
+	"switchOnce": false, "runSender": false, "runReceiver": false, "runDgramReader": false,
+}
 
 const effHotAlloc = EffFmt | EffTimeNow | EffLogf
 
@@ -36,6 +42,7 @@ func checkHotPath(g *Graph, p *Package, report reportFunc) {
 	if p.Name != "engine" {
 		return
 	}
+	resolved := make(map[string]bool)
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -43,18 +50,26 @@ func checkHotPath(g *Graph, p *Package, report reportFunc) {
 				continue
 			}
 			name := fd.Name.Name
-			var regions []*ast.BlockStmt
-			switch {
-			case hotWholeBody[name]:
-				regions = []*ast.BlockStmt{fd.Body}
-			case hotLoopsOnly[name]:
-				regions = forLoopBodies(fd.Body)
-			default:
+			wholeBody, hot := hotSet[name]
+			if !hot {
 				continue
+			}
+			resolved[name] = true
+			regions := forLoopBodies(fd.Body)
+			if wholeBody {
+				regions = []*ast.BlockStmt{fd.Body}
 			}
 			for _, region := range regions {
 				scanHotRegion(g, p, name, region, report)
 			}
+		}
+	}
+	// Fixture packages seed one or two hot functions each; the real engine
+	// must declare them all.
+	for name := range hotSet {
+		if !resolved[name] && strings.HasSuffix(p.Path, "/internal/engine") {
+			report(p.Files[0].Package, checkNameHotPath,
+				"hot-set function %s matches nothing in package engine: renamed or forked? update the hot set", name)
 		}
 	}
 }
@@ -87,7 +102,16 @@ func scanHotRegion(g *Graph, p *Package, fn string, region *ast.BlockStmt, repor
 		// flag it if anything it reaches inside the package formats,
 		// reads the clock, or logs. Detection and witness use the same
 		// same-package walk, so every finding has a concrete path.
-		if callee := methodCallee(g.l, p.Info, call); callee != nil && callee.Pkg == p && !isLogf {
+		var callees []*Fn
+		if callee := methodCallee(g.l, p.Info, call); callee != nil {
+			callees = []*Fn{callee}
+		} else if !isLogf {
+			callees = g.ifaceImplementers(p.Info, call)
+		}
+		for _, callee := range callees {
+			if callee.Pkg != p || isLogf {
+				continue
+			}
 			if path := g.WitnessPath(callee, isHot, samePkg); path != nil {
 				eff := g.Effects(path[len(path)-1]) & effHotAlloc
 				report(call.Pos(), checkNameHotPath,

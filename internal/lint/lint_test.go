@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -109,6 +111,33 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHotSetMustResolve: the hot set is matched by name, so a name that
+// matches no function in the engine package has to surface. Fixture
+// hotpath_a declares only switchOnce; presented under the engine's path,
+// every other hot-set name must be reported.
+func TestHotSetMustResolve(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := loader.Load(filepath.Join("testdata", "src", "hotpath_a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	asEngine := *p
+	asEngine.Path = "repro/internal/engine"
+	var got []string
+	checkHotPath(BuildGraph(loader), &asEngine, func(_ token.Pos, _, format string, args ...any) {
+		if strings.Contains(format, "matches nothing") {
+			got = append(got, fmt.Sprint(args[0]))
+		}
+	})
+	sort.Strings(got)
+	if want := "Send retryParked runDgramReader runReceiver runSender"; strings.Join(got, " ") != want {
+		t.Errorf("unresolved hot-set names = %q, want %q", got, want)
 	}
 }
 

@@ -168,21 +168,31 @@ type Gauge struct {
 func (g *Gauge) Add(n int64) int64 {
 	v := g.v.Add(n)
 	if n > 0 {
-		for {
-			m := g.max.Load()
-			if v <= m || g.max.CompareAndSwap(m, v) {
-				break
-			}
-		}
+		g.raise(v)
 	}
 	return v
 }
 
 // CompareAndSwap installs new only if the gauge still holds old,
-// reporting whether the swap happened. It does not move the high-water
-// mark: use it for reservation counters whose peak is not meaningful.
+// reporting whether the swap happened; a successful raise folds into the
+// high-water mark like Add.
 func (g *Gauge) CompareAndSwap(old, new int64) bool {
-	return g.v.CompareAndSwap(old, new)
+	if !g.v.CompareAndSwap(old, new) {
+		return false
+	}
+	if new > old {
+		g.raise(new)
+	}
+	return true
+}
+
+func (g *Gauge) raise(v int64) {
+	for {
+		m := g.max.Load()
+		if v <= m || g.max.CompareAndSwap(m, v) {
+			return
+		}
+	}
 }
 
 // Load reports the current value.
@@ -247,34 +257,19 @@ type CountersSnapshot struct {
 	DgramRefused int64
 }
 
-// AddIn records a received message of n bytes.
-func (c *Counters) AddIn(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.msgsIn++
-	c.bytesIn += n
-}
-
-// AddOut records a sent message of n bytes.
-func (c *Counters) AddOut(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.msgsOut++
-	c.bytesOut += n
-}
-
-// AddInBatch records msgs received messages totalling n bytes in one
-// update — the batched receive paths fold a whole burst into a single
-// counter acquisition.
-func (c *Counters) AddInBatch(msgs, n int64) {
+// AddIn records msgs received messages totalling n bytes in one update —
+// the batched receive paths fold a whole burst into a single counter
+// acquisition. The message count is explicit on purpose: a bytes-only
+// form once let a batch be counted as one message.
+func (c *Counters) AddIn(msgs, n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.msgsIn += msgs
 	c.bytesIn += n
 }
 
-// AddOutBatch records msgs sent messages totalling n bytes in one update.
-func (c *Counters) AddOutBatch(msgs, n int64) {
+// AddOut records msgs sent messages totalling n bytes in one update.
+func (c *Counters) AddOut(msgs, n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.msgsOut += msgs

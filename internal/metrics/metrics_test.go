@@ -104,9 +104,9 @@ func TestMeterConcurrentAddAndRate(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	var c Counters
-	c.AddIn(100)
-	c.AddIn(50)
-	c.AddOut(70)
+	c.AddIn(1, 100)
+	c.AddIn(1, 50)
+	c.AddOut(1, 70)
 	c.AddDropped(30)
 	s := c.Snapshot()
 	if s.MsgsIn != 2 || s.BytesIn != 150 {
@@ -128,8 +128,8 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				c.AddIn(1)
-				c.AddOut(1)
+				c.AddIn(1, 1)
+				c.AddOut(1, 1)
 				c.AddDropped(1)
 			}
 		}()
@@ -169,5 +169,18 @@ func TestNewMeterZeroWindowUsesDefault(t *testing.T) {
 	m := NewMeter(0)
 	if m.bucketSize != DefaultWindow/defaultBuckets {
 		t.Errorf("bucketSize = %v, want %v", m.bucketSize, DefaultWindow/defaultBuckets)
+	}
+}
+
+// TestGaugeHighWaterMark: the engine's budget admission charges by CAS
+// and reports Max as its peak, so a CAS raise counts like an Add.
+func TestGaugeHighWaterMark(t *testing.T) {
+	var g Gauge
+	g.Add(40)
+	if !g.CompareAndSwap(40, 250) || g.CompareAndSwap(40, 900) {
+		t.Fatal("CompareAndSwap: want success against the held 40, then failure against the stale 40")
+	}
+	if g.Add(-250); g.Load() != 0 || g.Max() != 250 {
+		t.Errorf("gauge = %d, max = %d; want 0 and 250", g.Load(), g.Max())
 	}
 }

@@ -287,7 +287,8 @@ type Report struct {
 	// Shed counts data messages deliberately dropped by overload
 	// protection (included in Dropped as well).
 	Shed int64
-	// BufferedBytes is the engine's current buffered-bytes gauge;
+	// BufferedBytes is the wire bytes of every message reference the node
+	// holds — in a ring, parked, in the switch or in a sender's write batch;
 	// MaxBufferedBytes its lifetime high-water mark against the budget.
 	BufferedBytes    int64
 	MaxBufferedBytes int64

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/message"
-	"repro/internal/metrics"
 )
 
 // mkCtrl builds a control-class message (reserved type range).
@@ -172,34 +171,6 @@ func TestShedUnblocksDataProducer(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("ShedOldestData did not wake the blocked data producer")
-	}
-}
-
-func TestGaugeTracksBufferedBytes(t *testing.T) {
-	r := New(8)
-	var g metrics.Gauge
-	r.SetGauge(&g)
-	m1, m2, c1 := mkData(0, 64), mkData(1, 256), mkCtrl(2)
-	want := int64(m1.WireLen() + m2.WireLen() + c1.WireLen())
-	r.TryPush(m1)
-	r.TryPush(m2)
-	r.TryPush(c1)
-	if got := g.Load(); got != want {
-		t.Fatalf("gauge after pushes = %d, want %d", got, want)
-	}
-	if g.Max() != want {
-		t.Fatalf("gauge max = %d, want %d", g.Max(), want)
-	}
-	if _, err := r.Pop(); err != nil { // pops the control message
-		t.Fatal(err)
-	}
-	want -= int64(c1.WireLen())
-	if got := g.Load(); got != want {
-		t.Fatalf("gauge after control pop = %d, want %d", got, want)
-	}
-	r.Drain()
-	if got := g.Load(); got != 0 {
-		t.Fatalf("gauge after Drain = %d, want 0", got)
 	}
 }
 

@@ -50,6 +50,10 @@ func (l *lane) push(m *message.Msg, now time.Time) {
 	l.buf[i] = m
 	l.times[i] = now
 	l.length++
+	if invariant.Enabled {
+		invariant.Assert(l.length <= len(l.buf),
+			"lane length %d past capacity %d after push", l.length, len(l.buf))
+	}
 }
 
 func (l *lane) pop(now time.Time) *message.Msg {
@@ -64,6 +68,9 @@ func (l *lane) pop(now time.Time) *message.Msg {
 	l.hist.Observe(int64(d))
 	l.head = (l.head + 1) % len(l.buf)
 	l.length--
+	if invariant.Enabled {
+		invariant.Assert(l.length >= 0, "lane length %d negative after pop", l.length)
+	}
 	return m
 }
 
@@ -80,21 +87,6 @@ type Ring struct {
 	data   lane
 	ctrl   lane
 	closed bool
-
-	// gauge, when set, tracks the wire bytes buffered across every ring
-	// sharing it — the engine's memory-budget accounting. Updated inside
-	// push/pop so no admission or drain path can escape it.
-	gauge *metrics.Gauge
-	// held, when set alongside gauge, receives every popped message's
-	// wire bytes BEFORE the buffered gauge gives them up, and the pop's
-	// consumer settles it once the message is disposed of. Without the
-	// transfer, the instant between a pop's gauge decrement and the
-	// consumer's own accounting is a dip in which a concurrent budget
-	// admission sees phantom headroom; credit-before-debit means racing
-	// reads can transiently overcount buffered bytes but never undercount.
-	// Drain and ShedOldestData dispose of what they pop and settle the
-	// held gauge themselves.
-	held *metrics.Gauge
 }
 
 // New returns a ring holding at most capacity messages per lane. Capacity
@@ -111,26 +103,6 @@ func New(capacity int) *Ring {
 	r.ctrlNotFull = sync.NewCond(&r.mu)
 	r.notEmpty = sync.NewCond(&r.mu)
 	return r
-}
-
-// SetGauge attaches the shared buffered-bytes gauge. Must be called before
-// the ring is used; all subsequent pushes and pops move the gauge by the
-// message wire length.
-func (r *Ring) SetGauge(g *metrics.Gauge) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gauge = g
-}
-
-// SetHeldGauge attaches the in-flight transfer gauge: every pop credits
-// it with the message's wire bytes before debiting the buffered gauge,
-// and the consumer of the popped message must settle it after disposal.
-// Must be called before the ring is used; a held gauge without a
-// buffered gauge is ignored.
-func (r *Ring) SetHeldGauge(g *metrics.Gauge) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.held = g
 }
 
 // SetDelayHists attaches per-lane queueing-delay histograms, shared
@@ -213,7 +185,7 @@ func (r *Ring) Push(m *message.Msg) error {
 	if r.closed {
 		return ErrClosed
 	}
-	r.pushLocked(l, m, time.Now())
+	l.push(m, time.Now())
 	r.notEmpty.Signal()
 	return nil
 }
@@ -227,7 +199,7 @@ func (r *Ring) TryPush(m *message.Msg) bool {
 	if r.closed || l.full() {
 		return false
 	}
-	r.pushLocked(l, m, time.Now())
+	l.push(m, time.Now())
 	r.notEmpty.Signal()
 	return true
 }
@@ -237,39 +209,6 @@ func (r *Ring) notFullCond(l *lane) *sync.Cond {
 		return r.ctrlNotFull
 	}
 	return r.dataNotFull
-}
-
-func (r *Ring) pushLocked(l *lane, m *message.Msg, now time.Time) {
-	l.push(m, now)
-	if r.gauge != nil {
-		r.gauge.Add(int64(m.WireLen()))
-	}
-	if invariant.Enabled {
-		invariant.Assert(l.length >= 0 && l.length <= len(l.buf),
-			"lane length %d out of bounds [0,%d] after push", l.length, len(l.buf))
-	}
-}
-
-// popLocked removes the oldest message of l, updating the gauge; the
-// caller issues consumer/producer wakeups.
-func (r *Ring) popLocked(l *lane, now time.Time) *message.Msg {
-	m := l.pop(now)
-	if r.gauge != nil {
-		if r.held != nil {
-			r.held.Add(int64(m.WireLen()))
-		}
-		r.gauge.Add(-int64(m.WireLen()))
-		if invariant.Enabled {
-			invariant.Assert(r.gauge.Load() >= 0,
-				"buffered-bytes gauge negative (%d) after pop of %d wire bytes",
-				r.gauge.Load(), m.WireLen())
-		}
-	}
-	if invariant.Enabled {
-		invariant.Assert(l.length >= 0,
-			"lane length %d negative after pop", l.length)
-	}
-	return m
 }
 
 // PushBatch appends every message of ms in order, each to its class lane,
@@ -301,7 +240,7 @@ func (r *Ring) PushBatch(ms []*message.Msg) (int, error) {
 			if l.full() {
 				break
 			}
-			r.pushLocked(l, ms[pushed], now)
+			l.push(ms[pushed], now)
 			pushed++
 			moved++
 		}
@@ -347,7 +286,7 @@ func (r *Ring) TryPushBatch(ms []*message.Msg) int {
 		if l.full() {
 			break
 		}
-		r.pushLocked(l, ms[pushed], now)
+		l.push(ms[pushed], now)
 		pushed++
 	}
 	r.wakeConsumers(pushed)
@@ -368,11 +307,11 @@ func (r *Ring) Pop() (*message.Msg, error) {
 	}
 	now := time.Now()
 	if r.ctrl.length > 0 {
-		m := r.popLocked(&r.ctrl, now)
+		m := r.ctrl.pop(now)
 		r.ctrlNotFull.Signal()
 		return m, nil
 	}
-	m := r.popLocked(&r.data, now)
+	m := r.data.pop(now)
 	r.dataNotFull.Signal()
 	return m, nil
 }
@@ -384,12 +323,12 @@ func (r *Ring) TryPop() (m *message.Msg, ok bool) {
 	defer r.mu.Unlock()
 	now := time.Now()
 	if r.ctrl.length > 0 {
-		m := r.popLocked(&r.ctrl, now)
+		m := r.ctrl.pop(now)
 		r.ctrlNotFull.Signal()
 		return m, true
 	}
 	if r.data.length > 0 {
-		m := r.popLocked(&r.data, now)
+		m := r.data.pop(now)
 		r.dataNotFull.Signal()
 		return m, true
 	}
@@ -407,7 +346,7 @@ func (r *Ring) TryPopCtrl() (m *message.Msg, ok bool) {
 	if r.ctrl.length == 0 {
 		return nil, false
 	}
-	m = r.popLocked(&r.ctrl, time.Now())
+	m = r.ctrl.pop(time.Now())
 	r.ctrlNotFull.Signal()
 	return m, true
 }
@@ -451,13 +390,13 @@ func (r *Ring) popBatchLocked(dst []*message.Msg) int {
 	n := 0
 	fromCtrl := 0
 	for r.ctrl.length > 0 && n < len(dst) {
-		dst[n] = r.popLocked(&r.ctrl, now)
+		dst[n] = r.ctrl.pop(now)
 		n++
 		fromCtrl++
 	}
 	fromData := 0
 	for r.data.length > 0 && n < len(dst) {
-		dst[n] = r.popLocked(&r.data, now)
+		dst[n] = r.data.pop(now)
 		n++
 		fromData++
 	}
@@ -491,15 +430,12 @@ func (r *Ring) ShedOldestData(maxMsgs int, minBytes int64) []*message.Msg {
 	var shed []*message.Msg
 	var bytes int64
 	for r.data.length > 0 && len(shed) < maxMsgs {
-		m := r.popLocked(&r.data, now)
+		m := r.data.pop(now)
 		shed = append(shed, m)
 		bytes += int64(m.WireLen())
 		if minBytes > 0 && bytes >= minBytes {
 			break
 		}
-	}
-	if r.held != nil && bytes > 0 {
-		r.held.Add(-bytes) // shed bytes leave the node: settle here
 	}
 	r.wakeProducers(r.dataNotFull, len(shed))
 	return shed
@@ -529,31 +465,24 @@ func (r *Ring) Closed() bool {
 
 // Drain removes and releases every buffered message in both lanes; the
 // engine uses it when tearing down a link so that no payload buffers leak.
-// It returns the number of messages released.
-func (r *Ring) Drain() int {
+// It returns the wire bytes of what it released.
+func (r *Ring) Drain() (bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := time.Now()
-	n := 0
-	var bytes int64
 	for r.ctrl.length > 0 {
-		m := r.popLocked(&r.ctrl, now)
+		m := r.ctrl.pop(now)
 		bytes += int64(m.WireLen())
 		m.Release()
-		n++
 	}
 	for r.data.length > 0 {
-		m := r.popLocked(&r.data, now)
+		m := r.data.pop(now)
 		bytes += int64(m.WireLen())
 		m.Release()
-		n++
 	}
-	if r.held != nil && bytes > 0 {
-		r.held.Add(-bytes) // drained messages are gone: settle here
-	}
-	if n > 0 {
+	if bytes > 0 {
 		r.ctrlNotFull.Broadcast()
 		r.dataNotFull.Broadcast()
 	}
-	return n
+	return bytes
 }

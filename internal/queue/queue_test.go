@@ -208,11 +208,13 @@ func TestCloseIdempotent(t *testing.T) {
 func TestDrainReleasesMessages(t *testing.T) {
 	r := New(4)
 	msgs := []*message.Msg{mkMsg(0), mkMsg(1), mkMsg(2)}
+	var wire int64
 	for _, m := range msgs {
 		r.TryPush(m)
+		wire += int64(m.WireLen())
 	}
-	if n := r.Drain(); n != 3 {
-		t.Fatalf("Drain() = %d, want 3", n)
+	if bytes := r.Drain(); bytes != wire {
+		t.Fatalf("Drain() = %d bytes, want the %d of the 3 buffered messages", bytes, wire)
 	}
 	for i, m := range msgs {
 		if m.Refs() != 0 {
@@ -475,9 +477,10 @@ func TestCloseMidPushBatch(t *testing.T) {
 		t.Fatal("Close did not wake blocked PushBatch")
 	}
 	// 3 accepted, 1 popped above: 2 remain buffered.
-	if drained := r.Drain(); drained != 2 {
-		t.Fatalf("Drain released %d accepted messages, want 2", drained)
+	if left := r.Len(); left != 2 {
+		t.Fatalf("%d accepted messages left to drain, want 2", left)
 	}
+	r.Drain()
 }
 
 // TestConcurrentBatchProducersConsumers stresses mixed-size batch pushes
