@@ -15,11 +15,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs ioverlayvet, the repo's own invariant linter — nine checks on
+# lint runs ioverlayvet, the repo's own invariant linter — eight checks on
 # the whole-program call graph: algorithm purity, control-lane
 # discipline, lock discipline and lock ordering, hot-path hygiene,
-# observer-sync rules, admission non-blocking rules, atomic-field
-# consistency, and goroutine lifecycle accounting.
+# admission non-blocking rules, atomic-field consistency, and goroutine
+# lifecycle accounting.
 # Non-baselined findings (and stale baseline entries) are build breaks;
 # per-check timings go to stderr.
 lint:
@@ -47,14 +47,17 @@ fuzz:
 	@for f in FuzzDecode FuzzRead FuzzReadContinued FuzzWireRoundTrip FuzzDgramDecode; do \
 		$(GO) test ./internal/message -run='^$$' -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) || exit 1; done
 
-# The concurrency-heavy data-path packages additionally run under the race
+# The concurrency-heavy packages additionally run under the race
 # detector: the batched ring handoffs, engine switch, and virtual-network
-# pipes are where a lost wakeup or torn batch would hide. The
+# pipes are where a lost wakeup or torn batch would hide, and the front
+# door and control links (admission, observer, proxy) are where a teardown
+# race would. The
 # ioverlay_debug tag arms the internal/invariant runtime assertions
 # (engine-goroutine ownership, gauge non-negativity, watermark ordering)
 # so a violated invariant fails the run instead of corrupting it.
 race:
-	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet
+	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
+		./internal/admission ./internal/observer ./internal/proxy
 
 # The fault-injection soaks: a seeded chaos schedule (kills, restarts,
 # partitions, flaky links) against a live 16-node multicast session,

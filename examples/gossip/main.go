@@ -106,7 +106,7 @@ func spread(n int, p float64) (covered int, msgs int64, err error) {
 			ID:        ids[i],
 			Transport: ioverlay.VirtualTransport(net),
 			Algorithm: algs[i],
-			Observer:  obs.ID(),
+			Observers: []ioverlay.NodeID{obs.ID()},
 		})
 		if err != nil {
 			return 0, 0, err

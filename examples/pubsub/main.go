@@ -51,7 +51,7 @@ func run() error {
 			ID:        ids[i],
 			Transport: ioverlay.VirtualTransport(net),
 			Algorithm: routers[i],
-			Observer:  obs.ID(),
+			Observers: []ioverlay.NodeID{obs.ID()},
 		})
 		if err != nil {
 			return err

@@ -72,7 +72,7 @@ func run() error {
 			ID:        ids[i],
 			Transport: ioverlay.VirtualTransport(net),
 			Algorithm: alg,
-			Observer:  obs.ID(),
+			Observers: []ioverlay.NodeID{obs.ID()},
 			UpBW:      400 << 10, // emulate a 400 KBps uplink per node
 		})
 		if err != nil {

@@ -81,7 +81,7 @@ func run() error {
 			ID:        id,
 			Transport: ioverlay.VirtualTransport(net),
 			Algorithm: alg,
-			Observer:  obs.ID(),
+			Observers: []ioverlay.NodeID{obs.ID()},
 			UpBW:      up,
 			DownBW:    1 << 20, // 1 MBps downlink: asymmetric like DSL
 		})

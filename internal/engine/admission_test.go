@@ -95,53 +95,12 @@ func acceptEvents(e *engine.Engine, dec admission.Decision) []trace.Event {
 	return out
 }
 
-// TestAcceptLoopRetriesTransientErrors is the satellite-1 regression: a
-// transient Accept failure (EMFILE, ECONNABORTED) must be retried with
-// backoff, not treated as a dead listener. Before the fix the accept loop
-// returned on any error, so the injected failures below silently took the
-// node off the network and the joining peer could never deliver.
-func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
-	n := vnet.New()
-	defer n.Close()
-	const app = 1
-	sink := &recorder{}
-	a := startNode(t, n, nid(1), sink, func(c *engine.Config) {
-		c.RetryBase = time.Millisecond
-		c.RetryMax = 5 * time.Millisecond
-	})
-
-	const injected = 4
-	if !n.InjectAcceptErrors(nid(1).Addr(), injected) {
-		t.Fatal("InjectAcceptErrors: no such listener")
-	}
-	// The accept loop is already parked inside Accept, so the injected
-	// errors surface on the *next* Accept calls; one throwaway connection
-	// unparks it.
-	kick := rawDial(t, n, "10.0.9.99:1", nid(1))
-	kick.Close()
-
-	waitFor(t, 5*time.Second, "all injected accept errors to be retried", func() bool {
-		return n.AcceptErrorsDelivered(nid(1).Addr()) == injected &&
-			a.Counters().AcceptRetries >= injected
-	})
-
-	// The listener must still be alive: a real peer joins and delivers.
-	b := &recorder{}
-	b.DefaultRoutes = []message.NodeID{nid(1)}
-	eb := startNode(t, n, nid(2), b)
-	eb.StartSource(app, 0, 1024)
-	waitFor(t, 10*time.Second, "traffic through the recovered listener", func() bool {
-		return sink.ReceivedBytes(app) > 32*1024
-	})
-	if got := len(acceptEvents(a, admission.AcceptRetry)); got < injected {
-		t.Errorf("flight recorder holds %d accept-retry events, want >= %d", got, injected)
-	}
-}
-
-// TestAdmissionGateCapsHandshakes half-opens connections up to
-// MaxHandshakes and checks the next dialer is refused pre-handshake with
-// a Busy frame and a positive retry-after hint, that the token is
-// released when a handshake dies, and that the cap was never exceeded.
+// TestAdmissionGateCapsHandshakes checks the engine's half of the cap:
+// Config.MaxHandshakes reaches the gate, a dialer past it is refused with
+// a Busy frame, and once a token frees up a hello is answered with
+// Welcome. What the door itself promises about the cap — the hint, the
+// accounting of dead handshakes — is TestFrontDoorConformance's, which
+// runs it against this listener at the default gate.
 func TestAdmissionGateCapsHandshakes(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
@@ -159,16 +118,10 @@ func TestAdmissionGateCapsHandshakes(t *testing.T) {
 	})
 
 	refused := rawDial(t, n, "10.0.9.3:1", nid(1))
-	bz := readBusy(t, refused, 2*time.Second)
-	if bz.Reason != protocol.BusyHandshakes {
+	if bz := readBusy(t, refused, 2*time.Second); bz.Reason != protocol.BusyHandshakes {
 		t.Errorf("busy reason = %d, want BusyHandshakes", bz.Reason)
 	}
-	if bz.RetryAfterNanos <= 0 {
-		t.Errorf("retry-after hint = %d, want > 0", bz.RetryAfterNanos)
-	}
 
-	// Killing the half-open connections fails their handshakes, which
-	// must release the tokens and be visible as instrumented failures.
 	half1.Close()
 	half2.Close()
 	waitFor(t, 5*time.Second, "tokens released after handshake deaths", func() bool {
@@ -178,19 +131,8 @@ func TestAdmissionGateCapsHandshakes(t *testing.T) {
 	writeHello(t, fresh, message.MakeID("10.0.9.4", 1))
 	expectWelcome(t, fresh, 2*time.Second)
 
-	st := a.Admission()
-	if st.InFlightPeak > 2 {
+	if st := a.Admission(); st.InFlightPeak > 2 {
 		t.Errorf("in-flight peak = %d, exceeded MaxHandshakes=2", st.InFlightPeak)
-	}
-	if st.ShedBusy == 0 {
-		t.Error("no busy shed recorded")
-	}
-	snap := a.Counters()
-	if snap.ConnsShed == 0 {
-		t.Error("shed connection not counted")
-	}
-	if snap.HandshakesFailed < 2 {
-		t.Errorf("HandshakesFailed = %d, want >= 2", snap.HandshakesFailed)
 	}
 }
 

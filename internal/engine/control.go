@@ -419,7 +419,7 @@ func (e *Engine) Trace(format string, args ...any) {
 		return
 	}
 	m := message.New(protocol.TypeTrace, e.id, 0, 0, []byte(body))
-	if !o.ring.TryPush(m) {
+	if !o.Send(m) {
 		m.Release()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/bandwidth"
 	"repro/internal/message"
 	"repro/internal/trace"
@@ -289,7 +290,7 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 			r := e.receivers[h.Src]
 			e.mu.Unlock()
 			if r == nil {
-				e.gate.AdmitDatagram(sourceHost(from))
+				e.door.Gate.AdmitDatagram(admission.SourceHost(from))
 				e.counters.AddDgramNoLink()
 				return false
 			}

@@ -36,19 +36,17 @@ import (
 
 // Defaults applied by New when Config leaves fields zero.
 const (
-	DefaultRecvBuf          = 64
-	DefaultSendBuf          = 64
-	DefaultStatusInterval   = 500 * time.Millisecond
-	DefaultMaxParked        = 256
-	DefaultSwitchBudget     = 512
-	DefaultBatchSize        = 32
-	DefaultHandshakeTimeout = 10 * time.Second
-	DefaultDialTimeout      = 10 * time.Second
-	DefaultDialAttempts     = 3
-	DefaultRetryBase        = 100 * time.Millisecond
-	DefaultRetryMax         = 5 * time.Second
-	DefaultDepartureGrace   = 2 * time.Second
-	DefaultEventLog         = 1024
+	DefaultRecvBuf        = 64
+	DefaultSendBuf        = 64
+	DefaultStatusInterval = 500 * time.Millisecond
+	DefaultMaxParked      = 256
+	DefaultBatchSize      = 32
+	DefaultDialTimeout    = 10 * time.Second
+	DefaultDialAttempts   = 3
+	DefaultRetryBase      = 100 * time.Millisecond
+	DefaultRetryMax       = 5 * time.Second
+	DefaultDepartureGrace = 2 * time.Second
+	DefaultEventLog       = 1024
 )
 
 // Config parameterizes an Engine.
@@ -60,15 +58,11 @@ type Config struct {
 	Transport Transport
 	// Algorithm is the application-specific protocol; required.
 	Algorithm Algorithm
-	// Observer, when nonzero, is dialed at start-up for bootstrap and
-	// monitoring.
-	Observer message.NodeID
-	// Observers, when set, is the observer failover list: the engine
-	// registers with the first entry and rotates to the next (wrapping)
-	// whenever the current link dies, re-registering idempotently under
-	// the same NodeID. Leaving it empty with Observer set is the classic
-	// single-observer deployment; setting it makes Observer default to
-	// its first entry.
+	// Observers, when set, lists the observers (or proxies) to register
+	// with for bootstrap and monitoring: the engine dials the first entry
+	// at start-up and rotates to the next (wrapping) whenever the current
+	// link dies, re-registering idempotently under the same NodeID. One
+	// entry is the classic single-observer deployment.
 	Observers []message.NodeID
 	// Seed, when nonzero, fixes the engine's internal randomness — the
 	// observer-reconnect jitter — so chaos schedules replay
@@ -94,9 +88,6 @@ type Config struct {
 	// MaxParked bounds the engine's parked-message backlog before the
 	// switch stops draining receivers (back-pressure).
 	MaxParked int
-	// SwitchBudget bounds data messages processed per switch pass so
-	// control messages stay responsive under heavy data load.
-	SwitchBudget int
 	// BatchSize bounds how many message references move per ring operation
 	// across the data path: the receiver's decoded-message push, the
 	// switch's per-quantum drain, the sender's buffer drain, and unlimited
@@ -107,6 +98,7 @@ type Config struct {
 	// HandshakeTimeout bounds how long a new inbound connection may take
 	// to identify itself with a hello message, and how long a dialer
 	// waits for the acceptor's Welcome or Busy reply to its own hello.
+	// Zero selects admission.DefaultHelloTimeout.
 	HandshakeTimeout time.Duration
 	// MaxHandshakes bounds concurrent in-flight inbound handshakes: an
 	// admission token is held from Accept until the link is registered
@@ -197,14 +189,11 @@ func (c *Config) applyDefaults() {
 	if c.MaxParked <= 0 {
 		c.MaxParked = DefaultMaxParked
 	}
-	if c.SwitchBudget <= 0 {
-		c.SwitchBudget = DefaultSwitchBudget
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
 	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = DefaultHandshakeTimeout
+		c.HandshakeTimeout = admission.DefaultHelloTimeout
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = DefaultDialTimeout
@@ -226,15 +215,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.DatagramMTU == 0 {
 		c.DatagramMTU = message.DefaultDgramMTU
-	}
-	// Normalize the two observer fields into one another so every code
-	// path can use Observers as the failover list and Observer as its
-	// head.
-	if len(c.Observers) == 0 && !c.Observer.IsZero() {
-		c.Observers = []message.NodeID{c.Observer}
-	}
-	if c.Observer.IsZero() && len(c.Observers) > 0 {
-		c.Observer = c.Observers[0]
 	}
 }
 
@@ -261,7 +241,11 @@ type Engine struct {
 	budget   *bandwidth.NodeBudget
 	counters metrics.Counters
 
-	listener net.Listener
+	// door is the front door of the publicized port: accept, admission
+	// gate, hello read. Its Gate is the connection-storm admission
+	// controller, also consulted for stray datagrams; nil (admit
+	// everything) when Config.MaxHandshakes is negative.
+	door *admission.Door
 	// pconn is the bound datagram endpoint when Config.DatagramData is
 	// set; senders share it for writes (packet writes are concurrency
 	// safe) and one reader goroutine drains it. dgramSeq numbers outgoing
@@ -269,14 +253,6 @@ type Engine struct {
 	pconn    net.PacketConn
 	dgramSeq atomic.Uint32
 
-	// gate is the connection-storm admission controller consulted between
-	// Accept and handshake; nil (admit everything) when Config.
-	// MaxHandshakes is negative. Safe from any goroutine.
-	gate *admission.Gate
-	// busyWriters bounds the short-lived goroutines writing Busy refusal
-	// frames, so a storm of refused connections cannot balloon into a
-	// goroutine flood; past the bound connections are shed silently.
-	busyWriters atomic.Int32
 	// hello and welcome are the node's two handshake frames, bare headers
 	// that differ per engine only in the sender identity: rendered once
 	// here so neither side of a link set-up builds a message for them.
@@ -326,8 +302,8 @@ type Engine struct {
 	obs       *observerLink
 
 	// Observer failover state, guarded by mu. obsIdx indexes the
-	// cfg.Observers entry currently targeted; obsLast is the observer the
-	// engine last registered with (zero before the first registration);
+	// cfg.Observers entry currently targeted; obsLast is the observer that
+	// last confirmed a registration (zero before the first);
 	// obsRetrying guards the singleton reconnect loop; obsPending stashes
 	// observer-bound messages that were queued or sent while no link was
 	// up, flushed in order after the next successful registration.
@@ -337,9 +313,10 @@ type Engine struct {
 	obsPending  []*message.Msg
 	// obsBackoff paces observer reconnects. It persists across link
 	// losses — rotation through the failover list shares one progression,
-	// so an unreachable tier is not hammered at base rate per entry — and
-	// is reset after every successful registration. Only the singleton
-	// reconnect loop (or Start, before any loop exists) touches it.
+	// so an unreachable or refusing tier is not hammered at base rate per
+	// entry — and restarts only with a registration the observer did not
+	// refuse. Touched by the singleton reconnect loop (or Start, before
+	// any loop exists) and, between loops, by observerGone.
 	obsBackoff *backoff
 	// obsBusyHint carries a Busy refusal's retry-after hint (nanoseconds)
 	// from the observer reader goroutine to the reconnect loop, which
@@ -428,8 +405,12 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.EventLog > 0 {
 		e.rec = trace.New(cfg.EventLog)
 	}
+	e.door = &admission.Door{
+		ID: e.id, HelloTimeout: cfg.HandshakeTimeout,
+		Counters: &e.counters, Rec: e.rec, Done: e.done, WG: &e.wg,
+	}
 	if cfg.MaxHandshakes >= 0 {
-		e.gate = admission.New(admission.Config{
+		e.door.Gate = admission.New(admission.Config{
 			MaxHandshakes: cfg.MaxHandshakes,
 			SourceRate:    cfg.AcceptRate,
 			SourceBurst:   cfg.AcceptBurst,
@@ -451,7 +432,7 @@ func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 // Admission snapshots the admission gate's counters — admitted and shed
 // connections, in-flight handshake tokens and their peak. Zero when
 // admission control is disabled. Safe from any goroutine.
-func (e *Engine) Admission() admission.Stats { return e.gate.Stats() }
+func (e *Engine) Admission() admission.Stats { return e.door.Gate.Stats() }
 
 // Events snapshots the flight recorder's currently retained events in
 // sequence order. Safe from any goroutine.
@@ -642,10 +623,10 @@ func (e *Engine) Observer() message.NodeID {
 }
 
 // observerTargetLocked returns the failover-list entry currently
-// targeted. Caller holds e.mu.
+// targeted, zero without one. Caller holds e.mu.
 func (e *Engine) observerTargetLocked() message.NodeID {
 	if len(e.cfg.Observers) == 0 {
-		return e.cfg.Observer
+		return message.NodeID{}
 	}
 	return e.cfg.Observers[e.obsIdx]
 }
@@ -678,7 +659,6 @@ func (e *Engine) Start() error {
 	if err != nil {
 		return fmt.Errorf("engine: listen %s: %w", e.id.Addr(), err)
 	}
-	e.listener = l
 	if e.cfg.DatagramData {
 		pc, err := e.cfg.Transport.(PacketTransport).ListenPacket(e.id.Addr())
 		if err != nil {
@@ -690,7 +670,7 @@ func (e *Engine) Start() error {
 	e.alg.Attach(e)
 
 	e.wg.Add(2)
-	go e.acceptLoop(l)
+	go e.door.AcceptLoop(l, e.handshake)
 	go e.run()
 	if e.pconn != nil {
 		e.wg.Add(1)
@@ -698,7 +678,7 @@ func (e *Engine) Start() error {
 	}
 	e.started = true
 
-	if !e.cfg.Observer.IsZero() {
+	if len(e.cfg.Observers) > 0 {
 		if err := e.connectObserver(); err != nil {
 			e.logf("observer connect: %v", err)
 			e.scheduleObserverReconnect()
@@ -731,7 +711,15 @@ func (e *Engine) scheduleObserverReconnect() {
 		defer func() {
 			e.mu.Lock()
 			e.obsRetrying = false
+			lost := e.obs == nil && !e.stopping && !e.departing
 			e.mu.Unlock()
+			if lost {
+				// The link this loop brought up died before the loop had
+				// stepped aside (a prompt Busy refusal does that), so
+				// observerGone found it still registered and started no
+				// successor: start it here.
+				e.scheduleObserverReconnect()
+			}
 		}()
 		for {
 			// An observer that refused us with a Busy frame told us when to
@@ -761,57 +749,41 @@ func (e *Engine) connectObserver() error {
 		return nil
 	}
 	target := e.observerTargetLocked()
-	idx := e.obsIdx
 	e.mu.Unlock()
-	conn, err := e.cfg.Transport.DialFrom(e.id.Addr(), target.Addr(), e.cfg.DialTimeout)
+	conn, err := DialHello(e.cfg.Transport, e.id, target, 0, e.cfg.DialTimeout, e.cfg.HandshakeTimeout)
 	if err != nil {
 		return err
 	}
-	// Bounded like the peer-link hello: a stalled observer socket must
-	// not wedge the (re)connect goroutine indefinitely.
-	_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.HandshakeTimeout))
-	if _, err := conn.Write(e.hello); err != nil {
-		_ = conn.Close()
-		return err
-	}
-	_ = conn.SetWriteDeadline(time.Time{})
-	o := &observerLink{ring: queue.New(256), conn: conn, peer: target}
 	e.mu.Lock()
 	if e.obs != nil || e.stopping || e.departing {
 		// Shutdown (or a competing connect) won the race while this dial
-		// was in flight. Installing the link now would strand its writer
-		// goroutine on a ring nobody will ever close.
+		// was in flight.
 		e.mu.Unlock()
 		_ = conn.Close()
 		return nil
 	}
+	o := &observerLink{Link: NewLink(conn, obsLinkCap, &e.wg), peer: target, resume: e.obsBackoff.attempt}
 	e.obs = o
-	prev := e.obsLast
-	e.obsLast = target
 	pending := e.obsPending
 	e.obsPending = nil
 	e.mu.Unlock()
-	// A successful registration restarts the backoff progression: a
-	// flapping observer must not leave healthy nodes stuck at max
-	// backoff for the next flap.
+	// A link that came up restarts the backoff progression — a flapping
+	// observer must not leave healthy nodes stuck at max backoff for the
+	// next flap — but provisionally: the observer's gate may yet answer
+	// the hello with Busy, and observerGone then puts it back.
 	e.obsBackoff.reset()
-	if !prev.IsZero() && prev != target {
-		e.counters.AddFailover()
-		e.rec.Emit(trace.KindObsFailover, target, 0, int64(idx))
-	}
-	e.wg.Add(2)
-	go e.runObserverWriter(o)
+	e.wg.Add(1)
 	go e.runObserverReader(o)
 
 	// Boot first — it (re-)registers the node — then the stash of
 	// reports and traces that were in flight when the previous link
 	// died, in their original order.
 	boot := message.New(protocol.TypeBoot, e.id, 0, 0, nil)
-	if !o.ring.TryPush(boot) {
+	if !o.Send(boot) {
 		boot.Release()
 	}
 	for i, m := range pending {
-		if !o.ring.TryPush(m) {
+		if !o.Send(m) {
 			for _, mm := range pending[i:] {
 				e.counters.AddDropped(int64(mm.WireLen()))
 				mm.Release()
@@ -820,6 +792,21 @@ func (e *Engine) connectObserver() error {
 		}
 	}
 	return nil
+}
+
+// observerConfirmed runs on the observer link's reader goroutine when the
+// observer first answers a registration with something other than Busy:
+// only now is a move to another failover-list entry a failover.
+func (e *Engine) observerConfirmed(o *observerLink) {
+	e.mu.Lock()
+	prev := e.obsLast
+	e.obsLast = o.peer
+	idx := e.obsIdx
+	e.mu.Unlock()
+	if !prev.IsZero() && prev != o.peer {
+		e.counters.AddFailover()
+		e.rec.Emit(trace.KindObsFailover, o.peer, 0, int64(idx))
+	}
 }
 
 // Depart leaves the overlay gracefully — the paper's deregistration,
@@ -846,7 +833,7 @@ func (e *Engine) Depart() {
 
 	if obs != nil {
 		dep := message.New(protocol.TypeDepart, e.id, 0, 0, nil)
-		if !obs.ring.TryPush(dep) {
+		if !obs.Send(dep) {
 			dep.Release()
 		}
 	}
@@ -890,7 +877,7 @@ func (e *Engine) drainedForDeparture() bool {
 			return false
 		}
 	}
-	if e.obs != nil && e.obs.ring.Len() > 0 {
+	if e.obs != nil && e.obs.Queued() > 0 {
 		return false
 	}
 	return true
@@ -928,7 +915,7 @@ func (e *Engine) Stop() {
 	e.mu.Unlock()
 
 	close(e.done)
-	_ = e.listener.Close()
+	e.door.Close()
 	if e.pconn != nil {
 		_ = e.pconn.Close()
 	}
@@ -960,8 +947,7 @@ func (e *Engine) Stop() {
 		}
 	}
 	if obs != nil {
-		obs.ring.Close()
-		_ = obs.conn.Close()
+		obs.Close()
 	}
 	e.budget.Close()
 	e.wg.Wait()
@@ -1137,9 +1123,13 @@ func (e *Engine) SendNew(m *message.Msg, dests ...message.NodeID) {
 // API interface.
 func (e *Engine) Finish(m *message.Msg) { m.Release() }
 
-// maxObsPending bounds the stash of observer-bound messages retained
-// across an observer failover; overflow falls back to the drop counter.
-const maxObsPending = 256
+// obsLinkCap bounds the observer link's outbound ring, and maxObsPending
+// the stash of observer-bound messages retained across an observer
+// failover; overflow of either falls back to the drop counter.
+const (
+	obsLinkCap    = 256
+	maxObsPending = 256
+)
 
 func (e *Engine) sendToObserver(m *message.Msg) {
 	e.mu.Lock()
@@ -1153,7 +1143,7 @@ func (e *Engine) sendToObserver(m *message.Msg) {
 		return
 	}
 	e.mu.Unlock()
-	if o == nil || !o.ring.TryPush(m) {
+	if o == nil || !o.Send(m) {
 		e.counters.AddDropped(int64(m.WireLen()))
 		m.Release()
 	}
@@ -1280,22 +1270,21 @@ func (e *Engine) observerGone(o *observerLink) {
 		return
 	}
 	e.obs = nil
+	if !o.confirmed {
+		// Refused — a Busy frame, or a silent shed — rather than lost: the
+		// next attempt continues the progression the provisional reset
+		// interrupted, so a refusing tier sees exponentially rarer dials.
+		// No reconnect loop runs while a link is up, and the next one
+		// starts behind this lock.
+		e.obsBackoff.attempt = o.resume
+	}
 	stopping := e.stopping
 	e.mu.Unlock()
-	o.ring.Close()
-	_ = o.conn.Close()
+	o.Close()
 	// Salvage whatever the dead link never wrote — reports, traces — so
 	// the messages survive the failover instead of draining to nowhere.
-	var salvaged []*message.Msg
-	for {
-		m, ok := o.ring.TryPop()
-		if !ok {
-			break
-		}
-		salvaged = append(salvaged, m)
-	}
 	e.mu.Lock()
-	for _, m := range salvaged {
+	for _, m := range o.Unsent() {
 		if stopping || e.stopping || len(e.obsPending) >= maxObsPending {
 			e.counters.AddDropped(int64(m.WireLen()))
 			m.Release()

@@ -139,16 +139,14 @@ func TestDataFlowsSourceToSink(t *testing.T) {
 }
 
 // TestBatchingDisabledStillDelivers runs a chain with BatchSize 1 (no
-// batching anywhere on the data path) and a minimal switch budget,
-// checking that the batched code paths degrade exactly to the
-// one-message-at-a-time design.
+// batching anywhere on the data path), checking that the batched code
+// paths degrade exactly to the one-message-at-a-time design.
 func TestBatchingDisabledStillDelivers(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
 	const app = 7
 	tune := func(c *engine.Config) {
 		c.BatchSize = 1
-		c.SwitchBudget = 1
 	}
 
 	sink := &recorder{}

@@ -3,6 +3,7 @@ package engine
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,4 +236,82 @@ func TestPendingReportsFlushAfterFailover(t *testing.T) {
 		e.mu.Unlock()
 		return settled && e.obsBackoff.attempt == 0
 	})
+}
+
+// startBusyObserver is a raw listener standing in for an observer whose
+// admission gate is saturated: it reads each hello, answers with a Busy
+// frame carrying a 1 ms retry-after hint, and hangs up. dials counts the
+// connections it refused.
+func startBusyObserver(t *testing.T, n *vnet.Network, id message.NodeID, dials *atomic.Int64) {
+	t.Helper()
+	ln, err := VNet{Net: n}.Listen(id.Addr())
+	if err != nil {
+		t.Fatalf("busy observer listen(%s): %v", id, err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			go func() {
+				defer c.Close()
+				hello, err := message.Read(c, nil, 256)
+				if err != nil {
+					return
+				}
+				hello.Release()
+				busy := message.New(protocol.TypeBusy, id, 0, 0, protocol.Busy{
+					Reason: protocol.BusyHandshakes, RetryAfterNanos: int64(time.Millisecond),
+				}.Encode())
+				_, _ = busy.WriteTo(c)
+				busy.Release()
+			}()
+		}
+	}()
+}
+
+// TestRefusedRegistrationKeepsBackingOff: an observer tier that answers
+// every hello with Busy must see the node's redials thin out along the
+// exponential schedule, and a registration that was refused is not a
+// failover. Before the fix the progression restarted as soon as the hello
+// was written, so every refused attempt came back RetryBase later — about
+// 60 dials in this window where the schedule allows 7 — and each rotation
+// to the other refusing observer was counted as a failover.
+func TestRefusedRegistrationKeepsBackingOff(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	idA := message.MakeID("10.255.0.1", 9000)
+	idB := message.MakeID("10.255.0.2", 9000)
+	var dials atomic.Int64
+	startBusyObserver(t, n, idA, &dials)
+	startBusyObserver(t, n, idB, &dials)
+
+	e, err := New(Config{
+		ID:        message.MakeID("10.0.0.1", 7000),
+		Transport: VNet{Net: n},
+		Algorithm: nopAlg{},
+		Observers: []message.NodeID{idA, idB},
+		RetryBase: 20 * time.Millisecond,
+		RetryMax:  5 * time.Second,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer e.Stop()
+
+	time.Sleep(1300 * time.Millisecond)
+	t.Logf("%d dials in 1.3 s", dials.Load())
+	if got := dials.Load(); got < 2 || got > 10 {
+		t.Errorf("refusing observers were dialed %d times in 1.3 s, want 2..10 (20 ms doubling)", got)
+	}
+	if got := e.Counters().Failovers; got != 0 {
+		t.Errorf("Failovers = %d after nothing but refusals, want 0", got)
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/queue"
 	"repro/internal/trace"
-	"repro/internal/vnet"
 )
 
 // receiver owns one incoming persistent connection: a dedicated goroutine
@@ -654,152 +653,12 @@ func (e *Engine) dropQueued(r *queue.Ring) {
 	}
 }
 
-// AcceptClosed reports whether an Accept error means the listener itself
-// is gone (closed by Stop, or torn down with the network) rather than a
-// transient per-accept failure like EMFILE or ECONNABORTED.
-func AcceptClosed(err error) bool {
-	return errors.Is(err, net.ErrClosed) || errors.Is(err, vnet.ErrListenerClosed) ||
-		errors.Is(err, vnet.ErrNetworkDown)
-}
-
-// maxBusyWriters bounds concurrent Busy-frame writer goroutines; refusals
-// past the bound are closed silently (the dialer treats the hangup as a
-// failed attempt, so only the hint is lost).
-const maxBusyWriters = 64
-
-// replyWriteTimeout bounds the write of an admission reply, Busy or
-// Welcome, so a stalled dialer can pin neither a Busy writer goroutine
-// nor a handshake token.
-const replyWriteTimeout = 100 * time.Millisecond
-
-// acceptLoop admits incoming connections on the publicized port. Each
-// accepted connection passes the admission gate before any handshake
-// goroutine is spawned, and transient Accept errors are survived with
-// capped backoff — only a closed listener (or engine shutdown) ends the
-// loop. Nothing here blocks on rings or holds the engine lock across
-// conn I/O: a refused connection costs at most one token-bucket update
-// and one asynchronous Busy frame.
-func (e *Engine) acceptLoop(l net.Listener) {
-	defer e.wg.Done()
-	bo := e.newBackoff(0x61636370) // "accp": distinct jitter sequence
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if AcceptClosed(err) {
-				return
-			}
-			// Transient (EMFILE, ECONNABORTED): back off and retry
-			// instead of silently dropping off the network forever.
-			e.counters.AddAcceptRetry()
-			e.rec.Emit(trace.KindAccept, message.NodeID{}, 0, int64(admission.AcceptRetry))
-			d := bo.next()
-			e.rec.Emit(trace.KindBackoff, message.NodeID{}, 0, int64(d))
-			select {
-			case <-e.done:
-				return
-			case <-time.After(d):
-			}
-			continue
-		}
-		bo.reset()
-		dec, hint := e.gate.Admit(sourceHost(conn.RemoteAddr()))
-		if dec != admission.Admitted {
-			e.shedConn(conn, dec, hint)
-			continue
-		}
-		e.counters.AddConnIn()
-		e.wg.Add(1)
-		go e.handshake(conn)
-	}
-}
-
-// sourceHost extracts the admission-gate source key from a remote
-// address: the host alone, so every connection from one node shares a
-// rate bucket whatever ephemeral port it dialed from.
-func sourceHost(a net.Addr) string {
-	s := a.String()
-	if host, _, err := net.SplitHostPort(s); err == nil {
-		return host
-	}
-	return s
-}
-
-// shedConn disposes of a refused connection: greylisted sources are
-// closed outright, everything else gets a one-frame Busy reply carrying
-// the retry-after hint — written from a bounded, wg-tracked goroutine
-// with a write deadline so a storm of refusals can neither block the
-// accept loop nor balloon into a goroutine flood.
-func (e *Engine) shedConn(conn net.Conn, dec admission.Decision, hint time.Duration) {
-	e.counters.AddConnShed()
-	e.rec.Emit(trace.KindAccept, message.NodeID{}, 0, int64(dec))
-	reason := protocol.BusyHandshakes
-	if dec == admission.ShedRate {
-		reason = protocol.BusyRate
-	}
-	e.sendBusy(conn, dec == admission.ShedGreylist, reason, hint)
-}
-
-// sendBusy writes the Busy refusal frame asynchronously and closes conn;
-// silent skips the frame (greylisted sources earn no reply, and neither
-// do refusals past the writer bound).
-func (e *Engine) sendBusy(conn net.Conn, silent bool, reason protocol.BusyReason, hint time.Duration) {
-	if silent || e.busyWriters.Load() >= maxBusyWriters {
-		_ = conn.Close()
-		return
-	}
-	e.busyWriters.Add(1)
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		defer e.busyWriters.Add(-1)
-		defer conn.Close()
-		_ = conn.SetWriteDeadline(time.Now().Add(replyWriteTimeout))
-		busy := message.New(protocol.TypeBusy, e.id, 0, 0,
-			protocol.Busy{Reason: reason, RetryAfterNanos: int64(hint)}.Encode())
-		_, _ = busy.WriteTo(conn)
-		busy.Release()
-	}()
-}
-
-// failHandshake accounts for an admitted connection whose handshake died
-// — a bad first frame or a hello that never arrived — so the loss is
-// visible in counters and on the timeline instead of a silent close.
-func (e *Engine) failHandshake(conn net.Conn, dec admission.Decision) {
-	e.counters.AddHandshakeFailed()
-	e.rec.Emit(trace.KindAccept, message.NodeID{}, 0, int64(dec))
-	_ = conn.Close()
-}
-
-// handshake reads the mandatory hello message that carries the dialing
-// node's identity, registers the connection as a receiver link, and
-// answers with the Welcome frame the dialer is waiting for.
-// Config.HandshakeTimeout bounds how long the connection may take to
-// identify itself. The caller's admission token is held for the whole
-// function — released only here, when the reply is written or the
-// handshake has died — so MaxHandshakes bounds these goroutines exactly.
-func (e *Engine) handshake(conn net.Conn) {
-	defer e.wg.Done()
-	defer e.gate.Release()
-	_ = conn.SetReadDeadline(time.Now().Add(e.cfg.HandshakeTimeout))
-	m, err := message.Read(conn, nil, 256)
-	if err != nil {
-		dec := admission.BadHello
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			dec = admission.Timeout
-		}
-		e.failHandshake(conn, dec)
-		return
-	}
-	if m.Type() != protocol.TypeHello {
-		m.Release()
-		e.failHandshake(conn, admission.BadHello)
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	peer := m.Sender()
-	m.Release()
-
+// handshake takes over a connection the door admitted and identified:
+// it registers the connection as peer's receiver link and answers with
+// the Welcome frame the dialer is waiting for. The door holds the
+// admission token until this function returns — the reply written, or the
+// link refused — so MaxHandshakes bounds these goroutines exactly.
+func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func()) {
 	// Watermark-coupled degradation: past the memory-budget watermark the
 	// node is already shedding buffered data, so new data-plane links from
 	// strangers are refused too — they would only widen the firehose.
@@ -811,7 +670,7 @@ func (e *Engine) handshake(conn net.Conn) {
 	if e.shedding.Load() && !e.isObserverID(peer) && !e.hasSender(peer) {
 		e.counters.AddConnShed()
 		e.rec.Emit(trace.KindAccept, peer, 0, int64(admission.ShedWatermark))
-		e.sendBusy(conn, false, protocol.BusyWatermark, e.gate.RetryAfter())
+		e.door.Refuse(conn, protocol.BusyWatermark, e.door.Gate.RetryAfter())
 		return
 	}
 
@@ -837,7 +696,7 @@ func (e *Engine) handshake(conn net.Conn) {
 	// RTT. A dialer that hung up or stalls the write gets its connection
 	// closed; the receiver goroutine then observes the failure and tears
 	// the link down through the normal path.
-	_ = conn.SetWriteDeadline(time.Now().Add(replyWriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(admission.ReplyWriteTimeout))
 	if _, err := conn.Write(e.welcome); err != nil {
 		_ = conn.Close()
 	}
@@ -853,46 +712,26 @@ func (e *Engine) handshake(conn net.Conn) {
 	})
 }
 
-// observerLink is the node's persistent connection to the observer (or its
-// proxy): status reports and traces flow out, bootstrap replies and
-// control commands flow in, all on one connection so the observer never
-// has to dial through a firewall.
+// observerLink is the node's control link to the observer (or its proxy):
+// status reports and traces flow out, bootstrap replies and control
+// commands flow in.
 type observerLink struct {
-	ring *queue.Ring
-	conn net.Conn
+	*Link
 	peer message.NodeID // the observer this link registered with
-}
-
-// runObserverWriter drains the observer ring to the wire.
-func (e *Engine) runObserverWriter(o *observerLink) {
-	defer e.wg.Done()
-	bufw := bufio.NewWriterSize(o.conn, 32<<10)
-	for {
-		m, err := o.ring.Pop()
-		if err != nil {
-			_ = bufw.Flush()
-			_ = o.conn.Close()
-			return
-		}
-		_, werr := m.WriteTo(bufw)
-		m.Release()
-		if werr != nil {
-			return
-		}
-		if o.ring.Len() == 0 {
-			if err := bufw.Flush(); err != nil {
-				return
-			}
-		}
-	}
+	// A registration is provisional until the observer answers it with
+	// something other than Busy: resume is the reconnect progression
+	// before the provisional reset, put back if the link dies unconfirmed.
+	// confirmed is written by the reader goroutine and read by
+	// observerGone, which the reader's exit event orders after it.
+	resume    int
+	confirmed bool
 }
 
 // runObserverReader feeds observer commands into the engine loop.
 func (e *Engine) runObserverReader(o *observerLink) {
 	defer e.wg.Done()
-	br := bufio.NewReaderSize(o.conn, 8<<10)
 	for {
-		m, err := message.Read(br, nil, message.DefaultMaxPayload)
+		m, err := o.Read()
 		if err != nil {
 			e.postEvent(func() { e.observerGone(o) })
 			return
@@ -907,8 +746,12 @@ func (e *Engine) runObserverReader(o *observerLink) {
 			m.Release()
 			continue
 		}
+		if !o.confirmed {
+			o.confirmed = true
+			e.observerConfirmed(o)
+		}
 		// Attribute to the observer this link registered with — after a
-		// failover that is no longer cfg.Observer.
+		// failover that is no longer the head of the list.
 		e.deliverControl(m, o.peer)
 	}
 }

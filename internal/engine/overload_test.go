@@ -23,7 +23,7 @@ func TestDepartWhileObserverDownStopsReconnects(t *testing.T) {
 
 	alg := &recorder{}
 	e := startNode(t, n, nid(1), alg, func(c *engine.Config) {
-		c.Observer = obsID
+		c.Observers = []message.NodeID{obsID}
 		c.DialTimeout = 50 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
 		c.RetryMax = 20 * time.Millisecond

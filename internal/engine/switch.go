@@ -15,6 +15,10 @@ import (
 // refuses. Everything in this file runs on that goroutine; the scheduler
 // state it touches is the engine-goroutine-only group of Engine fields.
 
+// switchBudget bounds the data messages one switch pass processes, so
+// control messages stay responsive under heavy data load.
+const switchBudget = 512
+
 // switchOnce retries parked messages, then switches data messages from the
 // receiver buffers. Service order is stride scheduling on the dynamically
 // tunable per-receiver weights: each quantum drains a bounded batch from
@@ -24,7 +28,7 @@ import (
 // over the whole quantum.
 func (e *Engine) switchOnce() {
 	e.retryParked()
-	budget := e.cfg.SwitchBudget
+	budget := switchBudget
 	rs := e.receiverSnapshot()
 	// Admit newcomers at the current minimum virtual time so they
 	// neither monopolize nor starve.

@@ -89,7 +89,7 @@ func (c *Cluster) AddNode(id message.NodeID, alg engine.Algorithm, mut ...func(*
 		StatusInterval: 100 * time.Millisecond,
 	}
 	if c.Obs != nil {
-		cfg.Observer = ObserverID
+		cfg.Observers = []message.NodeID{ObserverID}
 	}
 	for _, m := range mut {
 		m(&cfg)

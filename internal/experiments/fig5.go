@@ -23,9 +23,6 @@ type Fig5Config struct {
 	// BatchSize overrides engine.Config.BatchSize (0 = engine default;
 	// 1 disables batching — benches use that for before/after curves).
 	BatchSize int
-	// SwitchBudget overrides engine.Config.SwitchBudget (0 = default),
-	// letting benches sweep the control-responsiveness bound.
-	SwitchBudget int
 }
 
 func (c *Fig5Config) applyDefaults() {
@@ -83,7 +80,6 @@ func fig5One(n int, cfg Fig5Config) (Fig5Row, error) {
 			conf.RecvBuf, conf.SendBuf = 64, 64
 			conf.StatusInterval = time.Second
 			conf.BatchSize = cfg.BatchSize
-			conf.SwitchBudget = cfg.SwitchBudget
 		}); err != nil {
 			return Fig5Row{}, err
 		}

@@ -9,7 +9,9 @@ import (
 // layer: accept-path code — listener loops, pre-handshake shedding, and
 // the handshake itself — runs while the node may be under a dial flood,
 // so every admission decision must stay O(1) and non-blocking. Two
-// rules, applied to the engine and observer packages (and fixtures):
+// rules, applied to the admission package (the door every listener
+// stands behind) and to its owners — engine, observer, proxy (and
+// fixtures):
 //
 //   - no accept-path function may block on a ring: a Busy refusal or a
 //     hello read must never wait behind a data-full lane;
@@ -22,19 +24,21 @@ import (
 //
 // Accept-path functions are recognized by the documented naming
 // convention: any function whose name mentions accept or handshake, plus
-// the shedding helpers (serveConn, shedConn, sendBusy) and the dialer's
-// wait for the admission reply (awaitAdmission).
+// the door's refusal writer (Refuse), the owners' hand-off handlers
+// (serveConn) and the dialer's wait for the admission reply
+// (awaitAdmission).
 // Datagram receive paths (names mentioning dgramread) are held to the
 // same contract: the shared packet endpoint is the accept loop of the
 // datagram plane, and one full ring must never stop it draining.
 const checkNameAdmission = "admission"
 
 var admissionHelperNames = map[string]bool{
+	"Refuse":         true,
 	"serveConn":      true,
-	"shedConn":       true,
-	"sendBusy":       true,
 	"awaitAdmission": true,
 }
+
+var admissionPkgs = map[string]bool{"admission": true, "engine": true, "observer": true, "proxy": true}
 
 func isAdmissionPath(name string) bool {
 	lower := strings.ToLower(name)
@@ -52,7 +56,7 @@ var admissionBlockingRing = map[string]bool{
 }
 
 func checkAdmission(g *Graph, p *Package, report reportFunc) {
-	if p.Name != "engine" && p.Name != "observer" {
+	if !admissionPkgs[p.Name] {
 		return
 	}
 	connIO := g.Transitive(EffConnIO)

@@ -5,8 +5,8 @@ import (
 	"go/token"
 )
 
-// checkGoLifecycle enforces goroutine accountability in the three
-// packages that own long-lived concurrency — engine, observer, and
+// checkGoLifecycle enforces goroutine accountability in the packages
+// that own long-lived concurrency — engine, observer, proxy, and
 // admission: every go statement must be tied to the owner's lifecycle,
 // so Stop can prove the goroutine is gone rather than hope. A spawn is
 // accepted if either
@@ -26,7 +26,7 @@ const checkNameGoLifecycle = "golifecycle"
 
 // lifecyclePkgs are the packages that may own long-lived goroutines and
 // therefore must account for every one of them.
-var lifecyclePkgs = map[string]bool{"engine": true, "observer": true, "admission": true}
+var lifecyclePkgs = map[string]bool{"engine": true, "observer": true, "proxy": true, "admission": true}
 
 func checkGoLifecycle(g *Graph, pkgs []*Package, report reportFunc) {
 	tied := g.Transitive(effLifecycleTied)

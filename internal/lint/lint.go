@@ -36,8 +36,8 @@ func CheckNames() []string {
 	return names
 }
 
-// allChecks is the registry: the nine invariants, each a closure over the
-// shared call graph.
+// allChecks is the registry: the eight invariants, each a closure over
+// the shared call graph.
 var allChecks = []struct {
 	name string
 	run  func(g *Graph, pkgs []*Package, report reportFunc)
@@ -56,11 +56,6 @@ var allChecks = []struct {
 	{checkNameHotPath, func(g *Graph, pkgs []*Package, report reportFunc) {
 		for _, p := range pkgs {
 			checkHotPath(g, p, report)
-		}
-	}},
-	{checkNameObsSync, func(g *Graph, pkgs []*Package, report reportFunc) {
-		for _, p := range pkgs {
-			checkObsSync(p, report)
 		}
 	}},
 	{checkNameAdmission, func(g *Graph, pkgs []*Package, report reportFunc) {

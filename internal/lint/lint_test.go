@@ -63,8 +63,8 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 			}
 		}
 	}
-	if len(pkgs) < 24 {
-		t.Fatalf("expected at least 24 fixture packages (every check covered), found %d", len(pkgs))
+	if len(pkgs) < 23 {
+		t.Fatalf("expected at least 23 fixture packages (every check covered), found %d", len(pkgs))
 	}
 	if total == 0 {
 		t.Fatal("no want markers found in fixtures")
@@ -215,13 +215,13 @@ func TestCmdPackagesAnalyzed(t *testing.T) {
 }
 
 // TestRunTimedCoversEveryCheck pins the registry plumbing: one timing
-// entry per check, in execution order, nine checks total.
+// entry per check, in execution order, eight checks total.
 func TestRunTimedCoversEveryCheck(t *testing.T) {
 	loader, pkgs := loadWholeModule(t)
 	_, timings := RunTimed(loader, pkgs)
 	names := CheckNames()
-	if len(names) != 9 {
-		t.Fatalf("expected 9 registered checks, got %d: %v", len(names), names)
+	if len(names) != 8 {
+		t.Fatalf("expected 8 registered checks, got %d: %v", len(names), names)
 	}
 	if len(timings) != len(names) {
 		t.Fatalf("got %d timings for %d checks", len(timings), len(names))

@@ -44,18 +44,18 @@ func (s *server) handshake(conn net.Conn) {
 	m.Release()
 }
 
-// shedConn writes the refusal frame inside the critical section.
-func (s *server) shedConn(conn net.Conn, frame []byte) {
+// serveConn writes the refusal frame inside the critical section.
+func (s *server) serveConn(conn net.Conn, frame []byte) {
 	s.mu.Lock()
 	_, _ = conn.Write(frame) // want "connection I/O with a lock held"
 	s.mu.Unlock()
 	conn.Close()
 }
 
-// sendBusy queues the refusal through a blocking ring push: under the
+// Refuse queues the refusal through a blocking ring push: under the
 // very overload that triggers refusals, the ring is full and the accept
 // path wedges behind it.
-func (s *server) sendBusy(m *message.Msg) {
+func (s *server) Refuse(m *message.Msg) {
 	_ = s.out.Push(m) // want "blocks on Ring.Push"
 }
 

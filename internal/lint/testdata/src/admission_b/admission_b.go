@@ -44,15 +44,15 @@ func (s *server) handshake(conn net.Conn) {
 	m.Release()
 }
 
-// shedConn refuses without holding anything.
-func (s *server) shedConn(conn net.Conn, frame []byte) {
+// serveConn refuses without holding anything.
+func (s *server) serveConn(conn net.Conn, frame []byte) {
 	_, _ = conn.Write(frame)
 	conn.Close()
 }
 
-// sendBusy drops the refusal when the ring is full rather than waiting:
+// Refuse drops the refusal when the ring is full rather than waiting:
 // a lost Busy frame just means the dialer times out and backs off.
-func (s *server) sendBusy(m *message.Msg) {
+func (s *server) Refuse(m *message.Msg) {
 	if !s.out.TryPush(m) {
 		m.Release()
 	}

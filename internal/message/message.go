@@ -10,7 +10,6 @@
 package message
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -99,7 +98,7 @@ type Msg struct {
 	// rendered header bytes followed by the payload (payload aliases
 	// raw[HeaderSize:]). It lets WriteTo emit the whole message with one
 	// Write and no copy. The header bytes are (re)rendered only while the
-	// message is held privately — at construction and by SetSeq/WithSender
+	// message is held privately — at construction and by SetSeq —
 	// before the message is handed to sender goroutines, which only read
 	// raw. Derived messages never have raw: their headers differ from the
 	// buffer owner's.
@@ -282,17 +281,6 @@ func (m *Msg) Derive(typ Type, sender NodeID, app, seq uint32) *Msg {
 	return d
 }
 
-// WithSender returns a shallow header rewrite used when the engine stamps
-// the local node as the original sender of a newly constructed message.
-func (m *Msg) WithSender(id NodeID) *Msg {
-	m.sender = id
-	if m.raw != nil {
-		binary.BigEndian.PutUint32(m.raw[4:8], id.IP)
-		binary.BigEndian.PutUint32(m.raw[8:12], id.Port)
-	}
-	return m
-}
-
 // String renders a compact human-readable description for logs and traces.
 func (m *Msg) String() string {
 	return fmt.Sprintf("msg{type=%d sender=%s app=%d seq=%d len=%d}",
@@ -345,8 +333,8 @@ func (m *Msg) Wire() []byte {
 }
 
 // renderHeader writes the current header fields into the raw wire buffer.
-// Only called while the message is held privately (construction, SetSeq,
-// WithSender); sender goroutines afterwards only read the buffer.
+// Only called while the message is held privately (construction, SetSeq);
+// sender goroutines afterwards only read the buffer.
 func (m *Msg) renderHeader() {
 	binary.BigEndian.PutUint32(m.raw[0:4], uint32(m.typ))
 	binary.BigEndian.PutUint32(m.raw[4:8], m.sender.IP)
@@ -402,22 +390,6 @@ func Read(r io.Reader, pool *Pool, maxPayload int) (*Msg, error) {
 	m.pool = pool
 	m.raw = raw
 	return m, nil
-}
-
-// PeekWireLen inspects the next message's header in br without consuming
-// any bytes and reports its total wire length (header plus payload). It
-// never blocks: ok is false when fewer than HeaderSize bytes are already
-// buffered. Receivers use it to decode batches of fully arrived messages
-// without risking a blocking read mid-batch.
-func PeekWireLen(br *bufio.Reader) (n int, ok bool) {
-	if br.Buffered() < HeaderSize {
-		return 0, false
-	}
-	h, err := br.Peek(HeaderSize)
-	if err != nil {
-		return 0, false
-	}
-	return HeaderSize + int(binary.BigEndian.Uint32(h[20:24])), true
 }
 
 // PeekPayloadLen reports the payload size encoded in the wire header at

@@ -1,68 +1,20 @@
 package observer_test
 
 import (
-	"net"
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/message"
-	"repro/internal/multicast"
 	"repro/internal/observer"
 	"repro/internal/protocol"
-	"repro/internal/trace"
 	"repro/internal/vnet"
 )
 
-// obsAcceptEvents filters the observer's flight recorder down to the
-// admission decisions of the given code.
-func obsAcceptEvents(o *observer.Observer, dec admission.Decision) int {
-	count := 0
-	for _, ev := range o.Events() {
-		if ev.Kind == trace.KindAccept && ev.Value == int64(dec) {
-			count++
-		}
-	}
-	return count
-}
-
-// TestObserverAcceptLoopRetriesTransientErrors mirrors the engine-side
-// satellite-1 regression on the observer: injected transient Accept
-// failures must be survived with backoff, and a node registering
-// afterwards must still get through. Before the fix the observer's accept
-// loop returned on any error, permanently deafening the whole tier.
-func TestObserverAcceptLoopRetriesTransientErrors(t *testing.T) {
-	n := vnet.New()
-	defer n.Close()
-	o := startObserver(t, n)
-
-	const injected = 3
-	if !n.InjectAcceptErrors(obsID.Addr(), injected) {
-		t.Fatal("InjectAcceptErrors: no such listener")
-	}
-	// The accept loop is already parked inside Accept; a throwaway
-	// connection unparks it so the injected errors surface.
-	kick, err := n.DialFrom("10.0.9.99:1", obsID.Addr())
-	if err != nil {
-		t.Fatalf("kick dial: %v", err)
-	}
-	kick.Close()
-
-	waitFor(t, 5*time.Second, "injected accept errors retried", func() bool {
-		return n.AcceptErrorsDelivered(obsID.Addr()) == injected &&
-			o.Counters().AcceptRetries >= injected
-	})
-
-	startNode(t, n, nid(1), obsID, &multicast.Forwarder{})
-	waitFor(t, 5*time.Second, "node registered after the error burst", func() bool {
-		return len(o.Alive()) == 1
-	})
-}
-
 // TestObserverShedsStormButServesRegisteredNodes saturates the observer's
-// handshake tokens with half-open connections and checks the refusal is a
-// Busy frame, registered nodes keep being served, and tokens free up once
-// the stalled handshakes die.
+// handshake tokens (Config.MaxHandshakes reaches the gate) with half-open
+// connections and checks the part that is the observer's own: a node that
+// registered before the storm keeps being served through it. The refusal
+// frame and the accounting are TestFrontDoorConformance's.
 func TestObserverShedsStormButServesRegisteredNodes(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
@@ -77,63 +29,32 @@ func TestObserverShedsStormButServesRegisteredNodes(t *testing.T) {
 		return len(o.Alive()) == 1
 	})
 
-	var halves []net.Conn
 	for i := 0; i < 2; i++ {
 		conn, err := n.DialFrom("10.0.9.1:1", obsID.Addr())
 		if err != nil {
 			t.Fatalf("half-open dial %d: %v", i, err)
 		}
 		defer conn.Close()
-		halves = append(halves, conn)
 	}
 	waitFor(t, 5*time.Second, "handshake tokens saturated", func() bool {
 		return o.Admission().InFlight == 2
 	})
-
 	refused, err := n.DialFrom("10.0.9.2:1", obsID.Addr())
 	if err != nil {
 		t.Fatalf("storm dial: %v", err)
 	}
 	defer refused.Close()
-	_ = refused.SetReadDeadline(time.Now().Add(2 * time.Second))
-	m, err := message.Read(refused, nil, 256)
-	if err != nil {
-		t.Fatalf("reading refusal: %v", err)
-	}
-	if m.Type() != protocol.TypeBusy {
-		t.Fatalf("refusal frame = %s, want busy", protocol.TypeName(m.Type()))
-	}
-	bz, err := protocol.DecodeBusy(m.Payload())
-	m.Release()
-	if err != nil {
-		t.Fatalf("decode Busy: %v", err)
-	}
-	if bz.Reason != protocol.BusyHandshakes || bz.RetryAfterNanos <= 0 {
-		t.Fatalf("busy = %+v, want BusyHandshakes with positive hint", bz)
-	}
+	waitFor(t, 5*time.Second, "the storm dial to be shed", func() bool {
+		return o.Admission().ShedBusy >= 1
+	})
 
-	// The registered node's status flow is untouched by the storm.
+	// The registered node's status flow is untouched by the storm: a
+	// report requested after the tokens ran out still arrives.
+	before := alg.count(protocol.TypeRequest)
 	waitFor(t, 5*time.Second, "status requests keep flowing", func() bool {
 		_, ok := o.Status(nid(1))
-		return ok
+		return ok && alg.count(protocol.TypeRequest) > before
 	})
-
-	// The dead half-opens release their tokens and are instrumented.
-	for _, c := range halves {
-		c.Close()
-	}
-	waitFor(t, 5*time.Second, "tokens released", func() bool {
-		return o.Admission().InFlight == 0
-	})
-	if o.Counters().HandshakesFailed < 2 {
-		t.Errorf("HandshakesFailed = %d, want >= 2", o.Counters().HandshakesFailed)
-	}
-	if obsAcceptEvents(o, admission.BadHello) == 0 {
-		t.Error("no bad-hello events on the observer recorder")
-	}
-	if o.Admission().ShedBusy == 0 {
-		t.Error("no busy shed recorded")
-	}
 }
 
 // TestObserverFederationPeersBypassTheGate cuts the gate to zero

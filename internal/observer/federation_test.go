@@ -10,7 +10,6 @@ import (
 	"repro/internal/message"
 	"repro/internal/multicast"
 	"repro/internal/protocol"
-	"repro/internal/queue"
 	"repro/internal/vnet"
 )
 
@@ -35,7 +34,7 @@ func newBareFedObserver(t *testing.T, id message.NodeID, peers ...message.NodeID
 // returns the far end, so tests can observe the conn being closed.
 func pipeRoute() (*route, net.Conn) {
 	near, far := net.Pipe()
-	return &route{ring: queue.New(8), conn: near}, far
+	return &route{link: engine.NewLink(near, 8, new(sync.WaitGroup))}, far
 }
 
 func assertConnClosed(t *testing.T, far net.Conn, what string) {
@@ -72,7 +71,7 @@ func TestRegisterClosesSupersededRoute(t *testing.T) {
 
 	// Refreshing over the same route must not close it or bump the seq.
 	o.register(id, r1)
-	if r1.ring.Closed() {
+	if r1.link.Closed() {
 		t.Fatal("re-register over the same route closed its ring")
 	}
 	if got := o.nodes[id].seq; got != 1 {
@@ -81,7 +80,7 @@ func TestRegisterClosesSupersededRoute(t *testing.T) {
 
 	r2, _ := pipeRoute()
 	o.register(id, r2)
-	if !r1.ring.Closed() {
+	if !r1.link.Closed() {
 		t.Fatal("superseded route's ring left open")
 	}
 	assertConnClosed(t, far1, "superseded route")
@@ -99,13 +98,14 @@ func TestRegisterClosesSupersededRoute(t *testing.T) {
 func TestRegisterKeepsSupersededProxyTrunk(t *testing.T) {
 	o := newBareObserver(t)
 	relayed, other := inid(1), inid(2)
-	trunk := &route{ring: queue.New(8), proxy: true}
+	trunk, _ := pipeRoute()
+	trunk.proxy = true
 	o.register(relayed, trunk)
 	o.register(other, trunk)
 
 	direct, _ := pipeRoute()
 	o.register(relayed, direct)
-	if trunk.ring.Closed() {
+	if trunk.link.Closed() {
 		t.Fatal("shared proxy trunk closed when one relayed node re-registered directly")
 	}
 	if o.nodes[other].out != trunk {

@@ -10,14 +10,12 @@
 package observer
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -25,7 +23,6 @@ import (
 	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
-	"repro/internal/queue"
 	"repro/internal/trace"
 )
 
@@ -97,13 +94,17 @@ type Config struct {
 }
 
 // route is an outbound path for commands to one node, or — for a
-// federation trunk — to a peer observer.
+// federation trunk — to a peer observer. Everything that goes out goes
+// through link.Send, which never blocks: a command or sync round a full
+// link refuses is dropped, and the next one repairs the view.
 type route struct {
-	ring      *queue.Ring
-	conn      net.Conn
+	link      *engine.Link
 	proxy     bool // wrap commands in a Relay envelope
 	peerTrunk bool // a federation trunk to another observer
 }
+
+// linkCap bounds every control link's outbound ring, in messages.
+const linkCap = 256
 
 // maxNodeEvents bounds the flight-recorder events retained per node; the
 // oldest half is discarded when the series overflows.
@@ -137,19 +138,15 @@ type nodeState struct {
 // Config.Peers set, one member of a federated observer tier.
 type Observer struct {
 	cfg      Config
-	listener net.Listener
+	door     *admission.Door // the registration port's front door
 	rng      *rand.Rand
 	rec      *trace.Recorder // the observer's own flight recorder
-	gate     *admission.Gate // inbound admission control; nil when disabled
 	counters metrics.Counters
-	// busyWriters bounds the concurrent Busy-refusal writer goroutines,
-	// as in the engine: past the bound refusals are closed silently.
-	busyWriters atomic.Int32
 
 	mu      sync.Mutex
 	nodes   map[message.NodeID]*nodeState
 	peers   map[message.NodeID]*route // live federation trunks, by peer
-	conns   map[net.Conn]struct{}     // every live conn, so Stop can unblock readers
+	links   map[*engine.Link]struct{} // every live link, so Stop can retire them
 	closing bool
 	traces  []TraceRecord
 	fed     FederationStats
@@ -192,11 +189,17 @@ func New(cfg Config) (*Observer, error) {
 		rec:   trace.New(1024),
 		nodes: make(map[message.NodeID]*nodeState),
 		peers: make(map[message.NodeID]*route),
-		conns: make(map[net.Conn]struct{}),
+		links: make(map[*engine.Link]struct{}),
 		done:  make(chan struct{}),
 	}
+	// Federation peers bypass the gate: a connection storm of joining
+	// nodes must not cut the observer tier apart.
+	o.door = &admission.Door{
+		Bypass: o.isPeerHost, ID: cfg.ID,
+		Counters: &o.counters, Rec: o.rec, Done: o.done, WG: &o.wg,
+	}
 	if cfg.MaxHandshakes >= 0 {
-		o.gate = admission.New(admission.Config{
+		o.door.Gate = admission.New(admission.Config{
 			MaxHandshakes: cfg.MaxHandshakes,
 			SourceRate:    cfg.AcceptRate,
 			SourceBurst:   cfg.AcceptBurst,
@@ -208,7 +211,7 @@ func New(cfg Config) (*Observer, error) {
 }
 
 // Admission reports the admission gate's counters.
-func (o *Observer) Admission() admission.Stats { return o.gate.Stats() }
+func (o *Observer) Admission() admission.Stats { return o.door.Gate.Stats() }
 
 // Counters reports the observer's connection-handling counters.
 func (o *Observer) Counters() metrics.CountersSnapshot { return o.counters.Snapshot() }
@@ -222,9 +225,8 @@ func (o *Observer) Start() error {
 	if err != nil {
 		return fmt.Errorf("observer: listen: %w", err)
 	}
-	o.listener = l
 	o.wg.Add(1)
-	go o.acceptLoop()
+	go o.door.AcceptLoop(l, o.serveConn)
 	if o.cfg.RequestInterval > 0 {
 		o.wg.Add(1)
 		go o.requestLoop()
@@ -244,48 +246,46 @@ func (o *Observer) Start() error {
 func (o *Observer) Stop() {
 	o.once.Do(func() {
 		close(o.done)
-		if o.listener != nil {
-			_ = o.listener.Close()
-		}
+		o.door.Close()
 		o.mu.Lock()
 		o.closing = true
-		for _, n := range o.nodes {
-			if n.out != nil {
-				n.out.ring.Close()
-			}
-		}
-		for _, p := range o.peers {
-			p.ring.Close()
-		}
-		// Closing the conns (not just the rings) unblocks every reader
-		// goroutine whose far side is still alive — with federation the
-		// remote observer outlives us, so waiting for it to hang up would
+		// Closing a link closes its conn, which unblocks the reader even
+		// when the far side is still alive — with federation the remote
+		// observer outlives us, so waiting for it to hang up would
 		// deadlock Stop.
-		for c := range o.conns {
-			_ = c.Close()
+		for l := range o.links {
+			l.Close()
 		}
 		o.mu.Unlock()
 		o.wg.Wait()
 	})
 }
 
-// trackConn registers a live connection for Stop-time teardown; it
-// reports false (and closes the conn) when the observer is already
-// stopping.
-func (o *Observer) trackConn(conn net.Conn) bool {
+// newRoute wraps an identified connection in a link and registers it for
+// Stop-time teardown; it reports nil (with the connection closed) when the
+// observer is already stopping. The caller untracks the route when its
+// read loop ends.
+func (o *Observer) newRoute(conn net.Conn, kind uint32) *route {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closing {
-		conn.Close()
-		return false
+		_ = conn.Close()
+		return nil
 	}
-	o.conns[conn] = struct{}{}
-	return true
+	out := &route{
+		link:      engine.NewLink(conn, linkCap, &o.wg),
+		proxy:     kind == protocol.HelloProxy,
+		peerTrunk: kind == protocol.HelloObserver,
+	}
+	o.links[out.link] = struct{}{}
+	return out
 }
 
-func (o *Observer) untrackConn(conn net.Conn) {
+// untrack retires a route whose read loop ended.
+func (o *Observer) untrack(out *route) {
+	out.link.Close()
 	o.mu.Lock()
-	delete(o.conns, conn)
+	delete(o.links, out.link)
 	o.mu.Unlock()
 }
 
@@ -293,74 +293,6 @@ func (o *Observer) logf(format string, args ...any) {
 	if o.cfg.Logf != nil {
 		o.cfg.Logf(format, args...)
 	}
-}
-
-// Accept-retry backoff for transient listener errors (EMFILE,
-// ECONNABORTED): capped doubling, like the peer-trunk redial pacer.
-const (
-	acceptRetryBase = 5 * time.Millisecond
-	acceptRetryMax  = 500 * time.Millisecond
-)
-
-// maxBusyWriters and busyWriteTimeout bound the Busy-refusal writers,
-// mirroring the engine's accept path.
-const (
-	maxBusyWriters   = 64
-	busyWriteTimeout = 100 * time.Millisecond
-)
-
-// acceptLoop admits inbound connections: node registrations, proxy
-// trunks, and federation trunks. Every connection passes the admission
-// gate before a hello reader is spawned — except those arriving from a
-// configured federation peer, which are always admitted: a connection
-// storm of joining nodes must not cut the observer tier apart. Transient
-// Accept errors back off and retry; only a closed listener ends the loop.
-func (o *Observer) acceptLoop() {
-	defer o.wg.Done()
-	delay := acceptRetryBase
-	for {
-		conn, err := o.listener.Accept()
-		if err != nil {
-			if engine.AcceptClosed(err) {
-				return
-			}
-			o.counters.AddAcceptRetry()
-			o.rec.Emit(trace.KindAccept, message.NodeID{}, 0, int64(admission.AcceptRetry))
-			select {
-			case <-o.done:
-				return
-			case <-time.After(delay):
-			}
-			if delay *= 2; delay > acceptRetryMax {
-				delay = acceptRetryMax
-			}
-			continue
-		}
-		delay = acceptRetryBase
-		host := sourceHost(conn.RemoteAddr())
-		if !o.isPeerHost(host) {
-			if dec, hint := o.gate.Admit(host); dec != admission.Admitted {
-				o.shedConn(conn, dec, hint)
-				continue
-			}
-		} else {
-			o.gate.Bypass()
-		}
-		o.counters.AddConnIn()
-		o.wg.Add(1)
-		go o.serveConn(conn)
-	}
-}
-
-// sourceHost extracts the admission-gate source key from a remote
-// address: the host alone, so every connection from one node shares a
-// rate bucket whatever ephemeral port it dialed from.
-func sourceHost(a net.Addr) string {
-	s := a.String()
-	if host, _, err := net.SplitHostPort(s); err == nil {
-		return host
-	}
-	return s
 }
 
 // isPeerHost reports whether host names a configured federation peer.
@@ -373,102 +305,29 @@ func (o *Observer) isPeerHost(host string) bool {
 	return false
 }
 
-// shedConn disposes of a refused connection: greylisted sources are
-// closed outright, everything else gets a one-frame Busy reply with the
-// retry-after hint, written asynchronously so a refusal storm never
-// blocks the accept loop.
-func (o *Observer) shedConn(conn net.Conn, dec admission.Decision, hint time.Duration) {
-	o.counters.AddConnShed()
-	o.rec.Emit(trace.KindAccept, message.NodeID{}, 0, int64(dec))
-	if dec == admission.ShedGreylist || o.busyWriters.Load() >= maxBusyWriters {
-		_ = conn.Close()
-		return
-	}
-	reason := protocol.BusyHandshakes
-	if dec == admission.ShedRate {
-		reason = protocol.BusyRate
-	}
-	o.busyWriters.Add(1)
-	o.wg.Add(1)
-	go func() {
-		defer o.wg.Done()
-		defer o.busyWriters.Add(-1)
-		defer conn.Close()
-		_ = conn.SetWriteDeadline(time.Now().Add(busyWriteTimeout))
-		busy := message.New(protocol.TypeBusy, o.cfg.ID, 0, 0,
-			protocol.Busy{Reason: reason, RetryAfterNanos: int64(hint)}.Encode())
-		_, _ = busy.WriteTo(conn)
-		busy.Release()
-	}()
-}
-
-// helloDeadline bounds how long an accepted connection may take to
-// identify itself; its admission token is held for exactly that window.
-const helloDeadline = 10 * time.Second
-
-// serveConn handles one inbound connection: a node's observer link, a
-// proxy's trunk, or a peer observer's federation trunk. The first message
-// must be a hello; its App field discriminates the connection kind. The
-// caller's admission token is held from Accept until the hello resolves
-// (the link is registered or the handshake dies), so MaxHandshakes bounds
-// these readers exactly; a handshake that dies is counted and lands on
-// the flight recorder instead of vanishing in a silent close.
-func (o *Observer) serveConn(conn net.Conn) {
-	defer o.wg.Done()
-	defer conn.Close()
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			o.gate.Release()
-		}
-	}
-	defer release()
-	if !o.trackConn(conn) {
-		return
-	}
-	defer o.untrackConn(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(helloDeadline))
-	hello, err := message.Read(conn, nil, 256)
-	if err != nil {
-		dec := admission.BadHello
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			dec = admission.Timeout
-		}
-		o.counters.AddHandshakeFailed()
-		o.rec.Emit(trace.KindAccept, message.NodeID{}, 0, int64(dec))
-		return
-	}
-	if hello.Type() != protocol.TypeHello {
-		hello.Release()
-		o.counters.AddHandshakeFailed()
-		o.rec.Emit(trace.KindAccept, message.NodeID{}, 0, int64(admission.BadHello))
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	app := hello.App()
-	peer := hello.Sender()
-	hello.Release()
+// serveConn takes over a connection the door admitted and identified: a
+// node's observer link, a proxy's trunk, or a peer observer's federation
+// trunk — the hello's App field says which. The admission token is
+// released as soon as the link is registered: it covers the handshake,
+// not the link's lifetime.
+func (o *Observer) serveConn(conn net.Conn, peer message.NodeID, app uint32, release func()) {
 	o.rec.Emit(trace.KindAccept, peer, app, int64(admission.Admitted))
-
-	if app == protocol.HelloObserver {
-		release() // trunk registered; the token covered only the hello
-		o.runPeerTrunk(conn, peer)
+	out := o.newRoute(conn, app)
+	if out == nil {
 		return
 	}
-	isProxy := app == protocol.HelloProxy
-	out := &route{ring: queue.New(256), conn: conn, proxy: isProxy}
-	o.wg.Add(1)
-	go o.writeLoop(conn, out.ring)
-	defer out.ring.Close()
-
-	if !isProxy {
-		o.register(peer, out)
+	defer o.untrack(out)
+	if out.peerTrunk {
+		release()
+		o.runPeerTrunk(out, peer)
+		return
 	}
-	release() // registered (or a proxy trunk, registered per relayed node)
+	if !out.proxy {
+		o.register(peer, out) // a proxy trunk is registered per relayed node
+	}
+	release()
 	for {
-		m, err := message.Read(conn, nil, message.DefaultMaxPayload)
+		m, err := out.link.Read()
 		if err != nil {
 			// Everything reached over this connection is now unreachable:
 			// the direct peer, and — on a proxy trunk — every node whose
@@ -479,22 +338,6 @@ func (o *Observer) serveConn(conn net.Conn) {
 			return
 		}
 		o.handle(m, out)
-	}
-}
-
-func (o *Observer) writeLoop(conn net.Conn, ring *queue.Ring) {
-	defer o.wg.Done()
-	for {
-		m, err := ring.Pop()
-		if err != nil {
-			return
-		}
-		_, werr := m.WriteTo(conn)
-		m.Release()
-		if werr != nil {
-			ring.Close()
-			return
-		}
 	}
 }
 
@@ -573,13 +416,10 @@ func (o *Observer) register(id message.NodeID, out *route) {
 		if old := n.out; old != nil && old != out && !old.proxy && !old.peerTrunk {
 			// The node re-registered over a fresh direct connection (an
 			// engine failover retries idempotently); the superseded
-			// conn/ring pair would otherwise leak until process exit.
-			// Proxy trunks are shared by their relayed nodes and must
-			// survive one node's re-register.
-			old.ring.Close()
-			if old.conn != nil {
-				old.conn.Close()
-			}
+			// link would otherwise leak until process exit. Proxy trunks
+			// are shared by their relayed nodes and must survive one
+			// node's re-register.
+			old.link.Close()
 		}
 	}
 	n.out = out
@@ -652,7 +492,7 @@ func (o *Observer) sendRoute(out *route, dest message.NodeID, m *message.Msg) {
 		m = message.New(protocol.TypeRelay, o.cfg.ID, 0, 0,
 			protocol.Relay{Dest: dest, Inner: buf}.Encode())
 	}
-	if !out.ring.TryPush(m) {
+	if !out.link.Send(m) {
 		m.Release()
 	}
 }

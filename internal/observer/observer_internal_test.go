@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/message"
-	"repro/internal/queue"
 	"repro/internal/trace"
 	"repro/internal/vnet"
 )
@@ -38,7 +37,7 @@ func inid(i int) message.NodeID {
 // first node. The reply order must vary across draws.
 func TestBootstrapSetShufflesSmallOverlays(t *testing.T) {
 	o := newBareObserver(t)
-	rt := &route{ring: queue.New(1)}
+	rt := &route{}
 	const nodes = 4 // well under DefaultBootstrapCount (8): no truncation
 	for i := 1; i <= nodes; i++ {
 		id := inid(i)
@@ -65,8 +64,8 @@ func TestBootstrapSetShufflesSmallOverlays(t *testing.T) {
 // routes are untouched.
 func TestMarkRouteGoneClearsRelayedNodes(t *testing.T) {
 	o := newBareObserver(t)
-	trunk := &route{ring: queue.New(1), proxy: true}
-	direct := &route{ring: queue.New(1)}
+	trunk := &route{proxy: true}
+	direct := &route{}
 	relayed1, relayed2, other := inid(1), inid(2), inid(3)
 	o.nodes[relayed1] = &nodeState{id: relayed1, out: trunk}
 	o.nodes[relayed2] = &nodeState{id: relayed2, out: trunk}

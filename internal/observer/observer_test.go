@@ -84,7 +84,7 @@ func startNode(t *testing.T, n *vnet.Network, id, obs message.NodeID, alg engine
 		ID:             id,
 		Transport:      engine.VNet{Net: n},
 		Algorithm:      alg,
-		Observer:       obs,
+		Observers:      []message.NodeID{obs},
 		StatusInterval: 100 * time.Millisecond,
 	})
 	if err != nil {

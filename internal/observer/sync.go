@@ -2,14 +2,13 @@ package observer
 
 import (
 	"bytes"
-	"net"
 	"sort"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/message"
 	"repro/internal/protocol"
-	"repro/internal/queue"
 	"repro/internal/trace"
 )
 
@@ -20,16 +19,15 @@ import (
 // member while bootstrap sets, commands, and monitoring keep working
 // from every observer.
 //
-// Convention: functions named *sync* run on (or are called from) paths a
-// node-facing connection may be waiting behind, so they must never block
-// on a ring — TryPush only, drops are repaired by the next round. The
-// ioverlayvet obssync check enforces this.
+// Sync code runs on (or is called from) paths a node-facing connection may
+// be waiting behind, so it must never block on a trunk: Link.Send is the
+// only way onto one and cannot, and a dropped round is repaired by the
+// next.
 
-// Peer trunk dial backoff bounds.
+// Peer trunk redial delay bounds (capped doubling).
 const (
 	peerDialBase = 50 * time.Millisecond
 	peerDialMax  = 2 * time.Second
-	peerRingCap  = 256
 )
 
 // FederationStats counts federation activity, for tests and experiment
@@ -117,30 +115,24 @@ func (o *Observer) peerDialLoop(peer message.NodeID) {
 			return
 		default:
 		}
-		conn, err := o.cfg.Transport.DialFrom(o.cfg.ID.Addr(), peer.Addr(), engine.DefaultDialTimeout)
+		conn, err := engine.DialHello(o.cfg.Transport, o.cfg.ID, peer, protocol.HelloObserver,
+			engine.DefaultDialTimeout, admission.DefaultHelloTimeout)
 		if err != nil {
 			select {
 			case <-o.done:
 				return
 			case <-time.After(delay):
 			}
-			if delay *= 2; delay > peerDialMax {
-				delay = peerDialMax
-			}
+			delay = min(2*delay, peerDialMax)
 			continue
 		}
 		delay = peerDialBase
-		if !o.trackConn(conn) {
+		out := o.newRoute(conn, protocol.HelloObserver)
+		if out == nil {
 			return
 		}
-		hello := message.New(protocol.TypeHello, o.cfg.ID, protocol.HelloObserver, 0, nil)
-		_, werr := hello.WriteTo(conn)
-		hello.Release()
-		if werr == nil {
-			o.runPeerTrunk(conn, peer)
-		}
-		conn.Close()
-		o.untrackConn(conn)
+		o.runPeerTrunk(out, peer)
+		o.untrack(out)
 	}
 }
 
@@ -148,15 +140,11 @@ func (o *Observer) peerDialLoop(peer message.NodeID) {
 // dialed or the accepted side): registers it for outbound pushes, seeds
 // the peer with an immediate full sync, and absorbs inbound federation
 // traffic until the conn dies.
-func (o *Observer) runPeerTrunk(conn net.Conn, peer message.NodeID) {
-	out := &route{ring: queue.New(peerRingCap), conn: conn, peerTrunk: true}
-	o.wg.Add(1)
-	go o.writeLoop(conn, out.ring)
-	defer out.ring.Close()
+func (o *Observer) runPeerTrunk(out *route, peer message.NodeID) {
 	o.registerPeer(peer, out)
 	o.syncTo(out) // converge a (re)connecting peer immediately
 	for {
-		m, err := message.Read(conn, nil, message.DefaultMaxPayload)
+		m, err := out.link.Read()
 		if err != nil {
 			o.markPeerGone(peer, out)
 			return
@@ -270,7 +258,7 @@ func (o *Observer) fanoutReport(m *message.Msg) {
 	o.mu.Unlock()
 	for _, tr := range trunks {
 		m.Retain()
-		if !tr.ring.TryPush(m) {
+		if !tr.link.Send(m) {
 			m.Release()
 		}
 	}
@@ -306,7 +294,7 @@ func (o *Observer) syncTo(out *route) {
 		return
 	}
 	m := message.New(protocol.TypeObsSync, o.cfg.ID, 0, 0, s.Encode())
-	if out.ring.TryPush(m) {
+	if out.link.Send(m) {
 		o.mu.Lock()
 		o.fed.SyncsSent++
 		o.mu.Unlock()

@@ -11,12 +11,13 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
+	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/message"
+	"repro/internal/metrics"
 	"repro/internal/protocol"
-	"repro/internal/queue"
+	"repro/internal/trace"
 )
 
 // Config parameterizes a Proxy.
@@ -31,16 +32,22 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// Ring capacities, in messages: the trunk aggregates every node's updates.
+const (
+	trunkCap = 1024
+	nodeCap  = 256
+)
+
 // Proxy is the N-to-1 relay.
 type Proxy struct {
 	cfg      Config
-	listener net.Listener
-	trunk    net.Conn
-	trunkOut *queue.Ring
+	door     *admission.Door // the node-facing port's front door
+	counters metrics.Counters
+	rec      *trace.Recorder
+	trunk    *engine.Link
 
 	mu       sync.Mutex
-	nodes    map[message.NodeID]*queue.Ring // per-node outbound rings
-	conns    map[net.Conn]struct{}          // every accepted node connection
+	nodes    map[message.NodeID]*engine.Link // live node links, by node
 	stopping bool
 
 	done chan struct{}
@@ -56,64 +63,64 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.ID.IsZero() || cfg.Observer.IsZero() {
 		return nil, fmt.Errorf("proxy: Config.ID and Config.Observer are required")
 	}
-	return &Proxy{
-		cfg:      cfg,
-		trunkOut: queue.New(1024),
-		nodes:    make(map[message.NodeID]*queue.Ring),
-		conns:    make(map[net.Conn]struct{}),
-		done:     make(chan struct{}),
-	}, nil
+	p := &Proxy{
+		cfg:   cfg,
+		rec:   trace.New(1024),
+		nodes: make(map[message.NodeID]*engine.Link),
+		done:  make(chan struct{}),
+	}
+	// The node-facing port is gated like an observer's, at the defaults.
+	p.door = &admission.Door{
+		Gate: admission.New(admission.Config{}), ID: cfg.ID,
+		Counters: &p.counters, Rec: p.rec, Done: p.done, WG: &p.wg,
+	}
+	return p, nil
 }
+
+// Admission reports the node-facing gate's counters.
+func (p *Proxy) Admission() admission.Stats { return p.door.Gate.Stats() }
+
+// Counters reports the proxy's connection-handling counters.
+func (p *Proxy) Counters() metrics.CountersSnapshot { return p.counters.Snapshot() }
+
+// Events returns the proxy's flight-recorder series: its admission
+// decisions.
+func (p *Proxy) Events() []trace.Event { return p.rec.Snapshot() }
 
 // Start connects the trunk to the observer and begins accepting node
 // connections.
 func (p *Proxy) Start() error {
-	trunk, err := p.cfg.Transport.DialFrom(p.cfg.ID.Addr(), p.cfg.Observer.Addr(), engine.DefaultDialTimeout)
+	conn, err := engine.DialHello(p.cfg.Transport, p.cfg.ID, p.cfg.Observer, protocol.HelloProxy,
+		engine.DefaultDialTimeout, admission.DefaultHelloTimeout)
 	if err != nil {
-		return fmt.Errorf("proxy: dial observer: %w", err)
+		return fmt.Errorf("proxy: trunk to observer: %w", err)
 	}
-	hello := message.New(protocol.TypeHello, p.cfg.ID, protocol.HelloProxy, 0, nil)
-	if _, err := hello.WriteTo(trunk); err != nil {
-		_ = trunk.Close()
-		return fmt.Errorf("proxy: trunk hello: %w", err)
-	}
-	p.trunk = trunk
-
 	l, err := p.cfg.Transport.Listen(p.cfg.ID.Addr())
 	if err != nil {
-		_ = trunk.Close()
+		_ = conn.Close()
 		return fmt.Errorf("proxy: listen: %w", err)
 	}
-	p.listener = l
-
-	p.wg.Add(3)
-	go p.acceptLoop()
-	go p.trunkWriter()
+	p.trunk = engine.NewLink(conn, trunkCap, &p.wg)
+	p.wg.Add(2)
+	go p.door.AcceptLoop(l, p.serveConn)
 	go p.trunkReader()
 	return nil
 }
 
-// Stop shuts the proxy down, closing the node connections as well as the
-// trunk so every relayed node observes the failure immediately and starts
+// Stop shuts the proxy down, closing the node links as well as the trunk
+// so every relayed node observes the failure immediately and starts
 // reconnecting instead of feeding reports into a dead relay.
 func (p *Proxy) Stop() {
 	p.once.Do(func() {
 		close(p.done)
-		if p.listener != nil {
-			_ = p.listener.Close()
-		}
+		p.door.Close()
 		if p.trunk != nil {
-			_ = p.trunk.Close()
+			p.trunk.Close()
 		}
-		p.trunkOut.Close()
-		p.trunkOut.Drain()
 		p.mu.Lock()
 		p.stopping = true
-		for _, ring := range p.nodes {
-			ring.Close()
-		}
-		for conn := range p.conns {
-			_ = conn.Close()
+		for _, link := range p.nodes {
+			link.Close()
 		}
 		p.mu.Unlock()
 		p.wg.Wait()
@@ -126,106 +133,38 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
-func (p *Proxy) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.listener.Accept()
-		if err != nil {
-			return
-		}
-		// Track the connection so Stop can close it; a connection that
-		// races a concurrent Stop is closed on the spot.
-		p.mu.Lock()
-		if p.stopping {
-			p.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		p.conns[conn] = struct{}{}
+// serveConn takes over a node connection the door admitted and
+// identified: it relays the node's updates onto the trunk and registers
+// the link for commands flowing back. A node that reconnects replaces its
+// earlier link, which is closed.
+func (p *Proxy) serveConn(conn net.Conn, node message.NodeID, _ uint32, release func()) {
+	p.mu.Lock()
+	if p.stopping {
 		p.mu.Unlock()
-		p.wg.Add(1)
-		go p.serveNode(conn)
-	}
-}
-
-// serveNode relays one node's updates onto the trunk and registers a ring
-// for commands flowing back.
-func (p *Proxy) serveNode(conn net.Conn) {
-	defer p.wg.Done()
-	defer func() {
 		_ = conn.Close()
-		p.mu.Lock()
-		delete(p.conns, conn)
-		p.mu.Unlock()
-	}()
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	hello, err := message.Read(conn, nil, 256)
-	if err != nil || hello.Type() != protocol.TypeHello {
 		return
 	}
-	_ = conn.SetReadDeadline(time.Time{})
-	node := hello.Sender()
-	hello.Release()
-
-	ring := queue.New(256)
-	p.mu.Lock()
-	if old, ok := p.nodes[node]; ok {
+	link := engine.NewLink(conn, nodeCap, &p.wg)
+	old := p.nodes[node]
+	p.nodes[node] = link
+	p.mu.Unlock()
+	if old != nil {
 		old.Close()
 	}
-	p.nodes[node] = ring
-	p.mu.Unlock()
-	p.wg.Add(1)
-	go p.nodeWriter(conn, ring)
-
+	release()
 	for {
-		m, err := message.Read(conn, nil, message.DefaultMaxPayload)
+		m, err := link.Read()
 		if err != nil {
 			p.mu.Lock()
-			if p.nodes[node] == ring {
+			if p.nodes[node] == link {
 				delete(p.nodes, node)
 			}
 			p.mu.Unlock()
-			ring.Close()
+			link.Close()
 			return
 		}
-		if !p.trunkOut.TryPush(m) {
+		if !p.trunk.Send(m) {
 			m.Release() // trunk congested: shed updates, never block nodes
-		}
-	}
-}
-
-func (p *Proxy) nodeWriter(conn net.Conn, ring *queue.Ring) {
-	defer p.wg.Done()
-	// Closing the connection on exit kicks the paired reader out of its
-	// blocking Read, so a ring closed by replacement (or Stop) tears the
-	// whole link down rather than leaving a half-dead connection.
-	defer conn.Close()
-	for {
-		m, err := ring.Pop()
-		if err != nil {
-			return
-		}
-		_, werr := m.WriteTo(conn)
-		m.Release()
-		if werr != nil {
-			ring.Close()
-			return
-		}
-	}
-}
-
-// trunkWriter drains relayed updates to the observer.
-func (p *Proxy) trunkWriter() {
-	defer p.wg.Done()
-	for {
-		m, err := p.trunkOut.Pop()
-		if err != nil {
-			return
-		}
-		_, werr := m.WriteTo(p.trunk)
-		m.Release()
-		if werr != nil {
-			return
 		}
 	}
 }
@@ -235,7 +174,7 @@ func (p *Proxy) trunkWriter() {
 func (p *Proxy) trunkReader() {
 	defer p.wg.Done()
 	for {
-		m, err := message.Read(p.trunk, nil, message.DefaultMaxPayload)
+		m, err := p.trunk.Read()
 		if err != nil {
 			return
 		}
@@ -260,9 +199,9 @@ func (p *Proxy) trunkReader() {
 		m.Release()
 
 		p.mu.Lock()
-		ring := p.nodes[rl.Dest]
+		link := p.nodes[rl.Dest]
 		p.mu.Unlock()
-		if ring == nil || !ring.TryPush(cmd) {
+		if link == nil || !link.Send(cmd) {
 			cmd.Release()
 		}
 	}

@@ -392,19 +392,6 @@ func (p *PacketConn) TryReadDgrams(dst []Dgram) int {
 	return n
 }
 
-// TryReadFrom pops one queued packet with a copy out to the caller's
-// buffer, for readers that keep the packet past their next read.
-func (p *PacketConn) TryReadFrom(b []byte) (int, net.Addr, bool) {
-	var one [1]Dgram
-	if p.TryReadDgrams(one[:]) == 0 {
-		return 0, nil, false
-	}
-	d := one[0]
-	n := copy(b, d.Data)
-	d.Release()
-	return n, d.From, true
-}
-
 // consume copies one packet out to the caller and retires it: the
 // inbox reservation is returned and the packet's buffer reference
 // dropped (the copy makes the caller's view independent of the pool).

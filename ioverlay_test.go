@@ -51,7 +51,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		ID:        sinkID,
 		Transport: ioverlay.VirtualTransport(net),
 		Algorithm: sink,
-		Observer:  obs.ID(),
+		Observers: []ioverlay.NodeID{obs.ID()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		ID:        srcID,
 		Transport: ioverlay.VirtualTransport(net),
 		Algorithm: src,
-		Observer:  obs.ID(),
+		Observers: []ioverlay.NodeID{obs.ID()},
 		UpBW:      200 << 10,
 	})
 	if err != nil {
