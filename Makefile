@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos backpressure bench bench-smoke trace-smoke
+.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos churn-soak backpressure bench bench-smoke trace-smoke
 
 # ci is the tier-1 gate: everything here must pass before a change lands.
 ci: fmt vet lint build test backpressure bench-smoke trace-smoke fuzz race chaos
@@ -69,6 +69,19 @@ race:
 # them. Runs with assertions armed.
 chaos:
 	$(GO) test -race -tags ioverlay_debug -run Chaos ./internal/chaos/...
+
+# churn-soak is the command behind the churn numbers in EXPERIMENTS.md:
+# fifteen paper-scale churn sweeps (bursts of 1..8 interior kills each,
+# 120 bursts in all), counting the bursts that never healed and summing
+# the fed-twice column. A TIMEOUT row is followed by the stuck nodes and
+# fails the target. It takes minutes, so it is opt-in and not part of ci.
+churn-soak:
+	@for i in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15; do \
+		$(GO) run ./cmd/ibench -exp churn -full || exit 1; \
+	done | awk '{ print } \
+		$$NF == "recovered" || $$NF == "TIMEOUT" { bursts++; fed += $$6 } \
+		$$NF == "TIMEOUT" { timeouts++ } \
+		END { printf "churn-soak: %d bursts, %d TIMEOUT, fed-twice sum %d\n", bursts, timeouts, fed; exit timeouts > 0 }'
 
 # backpressure runs the paper's Fig 6/7 panels — the back-pressure
 # contract — at core counts the host does not select on its own: `test`

@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/message"
 	"repro/internal/observer"
-	"repro/internal/protocol"
-	"repro/internal/tree"
 	"repro/internal/vnet"
 )
 
@@ -65,302 +63,97 @@ func TestChaosGenerateProtectsSource(t *testing.T) {
 	}
 }
 
-// soakCluster is a live multicast session the chaos runner torments: one
-// source (node 0) streaming to N-1 receivers over self-organizing
-// dissemination trees, with the observer as an out-of-band control plane
-// (unlisted in partitions, so faults never take the testbed itself down).
-type soakCluster struct {
-	t    *testing.T
-	net  *vnet.Network
-	obs  *observer.Observer
-	ids  []message.NodeID
-	engs []*engine.Engine // current engine per index; stale after a kill
-	trs  []*tree.Tree     // current algorithm per index
-	all  []*engine.Engine // every engine ever started, for loss totals
+const soakRate = 256 << 10
 
-	// obsIDs, when it lists more than one address, switches every node to
-	// a federated observer tier: engines get the whole list (failover
-	// order) and a per-node seed for reproducible reconnect jitter.
-	obsIDs []message.NodeID
-
-	alive     []bool
-	reachable []bool  // shares a partition group with the source
-	baseline  []int64 // ReceivedBytes snapshot at the last Mark
-}
-
-const (
-	soakApp     = 1
-	soakRate    = 256 << 10
-	soakMsgSize = 1024
-)
-
-var soakObserverID = message.MakeID("10.255.0.1", 9000)
-
-func soakID(i int) message.NodeID {
-	return message.MakeID(fmt.Sprintf("10.0.%d.%d", i/250, i%250+1), 7000)
-}
-
-func newSoakCluster(t *testing.T, n int) *soakCluster {
+// newSoak boots the live multicast session the chaos runner torments: one
+// source (node 0) streaming to n-1 receivers over a self-organizing
+// dissemination tree, with the observer tier as an out-of-band control
+// plane (unlisted in partitions, so faults never take the testbed itself
+// down). More than one observer address makes the tier federated: every
+// engine carries the whole list in failover order.
+func newSoak(t *testing.T, n int, observers ...message.NodeID) *experiments.Session {
 	t.Helper()
-	sc := &soakCluster{
-		t:         t,
-		net:       vnet.New(vnet.WithSeed(42)),
-		ids:       make([]message.NodeID, n),
-		engs:      make([]*engine.Engine, n),
-		trs:       make([]*tree.Tree, n),
-		alive:     make([]bool, n),
-		reachable: make([]bool, n),
-		baseline:  make([]int64, n),
-	}
-	for i := range sc.ids {
-		sc.ids[i] = soakID(i)
-		sc.reachable[i] = true
-	}
-	obs, err := observer.New(observer.Config{
-		ID:              soakObserverID,
-		Transport:       engine.VNet{Net: sc.net},
-		RequestInterval: 200 * time.Millisecond,
-		BootstrapCount:  n,
-		Seed:            1,
+	s, err := experiments.NewSession(experiments.SessionConfig{
+		N: n, Rate: soakRate, MsgSize: 1024,
+		NetOpts:   []vnet.Option{vnet.WithSeed(42)},
+		Observers: observers,
+		Node: func(i int, conf *engine.Config) {
+			conf.Seed = int64(i + 1) // reproducible reconnect jitter
+			// Overload protections, exercised by the saturated round: a
+			// backstop buffered-bytes budget and slow-peer shedding slow
+			// enough that healthy rounds never trip it.
+			conf.MemoryBudget = 1 << 20
+			conf.StallThreshold = time.Second
+		},
 	})
 	if err != nil {
-		t.Fatalf("observer: %v", err)
+		t.Fatalf("soak session: %v", err)
 	}
-	if err := obs.Start(); err != nil {
-		t.Fatalf("observer start: %v", err)
-	}
-	sc.obs = obs
-	// Receivers first, source last, so the source's bootstrap reply spans
-	// the membership and the deploy announce reaches everyone.
-	for i := n - 1; i >= 0; i-- {
-		if err := sc.startNode(i); err != nil {
-			t.Fatalf("boot node %d: %v", i, err)
+	return s
+}
+
+// soakOps adds the faults only the soaks inject to the session's own. A
+// restarted node re-admits through whichever observer via returns.
+func soakOps(s *experiments.Session, via func() *observer.Observer) chaos.Ops {
+	ops := s.Ops()
+	ops.Restart = func(n int) error {
+		if err := s.StartNode(n); err != nil {
+			return err
 		}
-	}
-	return sc
-}
-
-func (sc *soakCluster) startNode(i int) error {
-	alg := &tree.Tree{
-		Variant:    tree.Random,
-		App:        soakApp,
-		LastMile:   1 << 20,
-		AutoRejoin: true,
-	}
-	observers := []message.NodeID{soakObserverID}
-	if len(sc.obsIDs) > 0 {
-		observers = sc.obsIDs
-	}
-	e, err := engine.New(engine.Config{
-		ID:                sc.ids[i],
-		Transport:         engine.VNet{Net: sc.net},
-		Algorithm:         alg,
-		Observers:         observers,
-		Seed:              int64(i + 1),
-		StatusInterval:    50 * time.Millisecond,
-		InactivityTimeout: 600 * time.Millisecond,
-		RetryBase:         50 * time.Millisecond,
-		// Overload protections, exercised by the saturated round: a
-		// backstop buffered-bytes budget and slow-peer shedding slow
-		// enough that healthy rounds never trip it.
-		MemoryBudget:   1 << 20,
-		StallThreshold: time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	if err := e.Start(); err != nil {
-		return err
-	}
-	sc.engs[i], sc.trs[i] = e, alg
-	sc.all = append(sc.all, e)
-	sc.alive[i] = true
-	return nil
-}
-
-func (sc *soakCluster) stop() {
-	for i, e := range sc.engs {
-		if sc.alive[i] && e != nil {
-			e.Stop()
-		}
-	}
-	sc.obs.Stop()
-	sc.net.Close()
-}
-
-// session boots the dissemination: deploy the source, join everyone, and
-// wait until every receiver is in the tree and receiving.
-func (sc *soakCluster) session() {
-	sc.t.Helper()
-	n := len(sc.ids)
-	if !sc.obs.WaitForNodes(n, 10*time.Second) {
-		sc.t.Fatalf("bootstrap incomplete: %d alive", len(sc.obs.Alive()))
-	}
-	time.Sleep(200 * time.Millisecond) // boot replies propagate
-	sc.obs.Deploy(sc.ids[0], soakApp, soakRate, soakMsgSize)
-	time.Sleep(300 * time.Millisecond) // announce flood
-	// Join through contact (i-1)/2 so the tree has depth: the Random
-	// variant accepts wherever the query lands, and zero contacts would
-	// collapse the session into a star whose kills only ever hit leaves.
-	for i := 1; i < n; i++ {
-		sc.obs.Join(sc.ids[i], soakApp, sc.ids[(i-1)/2])
+		// The fresh engine re-registers with the observer; issue the
+		// join once its control route is back.
 		deadline := time.Now().Add(10 * time.Second)
-		for !sc.trs[i].InSession() {
+		for {
+			if o := via(); o != nil && o.Join(s.IDs[n], experiments.SessionApp, message.NodeID{}) {
+				return nil
+			}
 			if time.Now().After(deadline) {
-				sc.t.Fatalf("node %d never joined", i)
+				return fmt.Errorf("node %d never re-registered", n)
 			}
-			time.Sleep(10 * time.Millisecond)
+			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	sc.markBaselines()
-	deadline := time.Now().Add(15 * time.Second)
-	for !sc.steady() {
+	ops.Partition = func(groups [][]int) {
+		addrGroups := make([][]string, len(groups))
+		for gi, g := range groups {
+			srcSide := false
+			for _, n := range g {
+				addrGroups[gi] = append(addrGroups[gi], s.IDs[n].Addr())
+				if n == 0 {
+					srcSide = true
+				}
+			}
+			for _, n := range g {
+				s.Reachable[n] = srcSide
+			}
+		}
+		s.Net.Partition(addrGroups...)
+	}
+	ops.Heal = func() {
+		s.Net.Heal()
+		for i := range s.Reachable {
+			s.Reachable[i] = true
+		}
+	}
+	ops.Flaky = func(a, b int, dropProb float64, stall time.Duration) {
+		s.Net.Flaky(s.IDs[a].Addr(), s.IDs[b].Addr(), dropProb, stall)
+	}
+	return ops
+}
+
+// awaitNoLeak fails the test unless every engine, observer and vnet
+// goroutine winds down after the session has stopped.
+func awaitNoLeak(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadline) {
-			sc.t.Fatalf("initial session never converged:\n%s", sc.describe())
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d before, %d after\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// steady is the invariant the chaos runner polls: every node that is both
-// alive and on the source's side of any partition is in the tree and has
-// received bytes since the last fault was applied.
-func (sc *soakCluster) steady() bool {
-	for i := 1; i < len(sc.ids); i++ {
-		if !sc.alive[i] || !sc.reachable[i] {
-			continue
-		}
-		if !sc.trs[i].InSession() {
-			return false
-		}
-		if sc.trs[i].ReceivedBytes() <= sc.baseline[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (sc *soakCluster) markBaselines() {
-	for i := 1; i < len(sc.ids); i++ {
-		if sc.alive[i] {
-			sc.baseline[i] = sc.trs[i].ReceivedBytes()
-		}
-	}
-}
-
-func (sc *soakCluster) describe() string {
-	out := ""
-	for i := 1; i < len(sc.ids); i++ {
-		out += fmt.Sprintf("  node %2d alive=%v reachable=%v inSession=%v recv=%d base=%d\n",
-			i, sc.alive[i], sc.reachable[i], sc.trs[i].InSession(),
-			sc.trs[i].ReceivedBytes(), sc.baseline[i])
-	}
-	return out
-}
-
-// ops adapts the cluster to the runner's closure interface.
-func (sc *soakCluster) ops() chaos.Ops {
-	return chaos.Ops{
-		Kill: func(n int) {
-			sc.alive[n] = false
-			sc.net.CrashNode(sc.ids[n].Addr())
-			sc.engs[n].Stop()
-		},
-		Restart: func(n int) error {
-			if err := sc.startNode(n); err != nil {
-				return err
-			}
-			// The fresh engine re-registers with the observer; issue the
-			// join once its control route is back.
-			deadline := time.Now().Add(10 * time.Second)
-			for !sc.obs.Join(sc.ids[n], soakApp, message.NodeID{}) {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("node %d never re-registered", n)
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			return nil
-		},
-		Partition: func(groups [][]int) {
-			addrGroups := make([][]string, len(groups))
-			for gi, g := range groups {
-				srcSide := false
-				for _, n := range g {
-					addrGroups[gi] = append(addrGroups[gi], sc.ids[n].Addr())
-					if n == 0 {
-						srcSide = true
-					}
-				}
-				for _, n := range g {
-					sc.reachable[n] = srcSide
-				}
-			}
-			sc.net.Partition(addrGroups...)
-		},
-		Heal: func() {
-			sc.net.Heal()
-			for i := range sc.reachable {
-				sc.reachable[i] = true
-			}
-		},
-		Flaky: func(a, b int, dropProb float64, stall time.Duration) {
-			sc.net.Flaky(sc.ids[a].Addr(), sc.ids[b].Addr(), dropProb, stall)
-		},
-		Saturate: func(n int, rate int64) {
-			if !sc.alive[n] {
-				return
-			}
-			sc.engs[n].SetBandwidthLocal(protocol.SetBandwidth{
-				Class: protocol.BandwidthUp, Rate: rate,
-			})
-		},
-		DialStorm: sc.dialStorm,
-		Mark:      func(chaos.Event) { sc.markBaselines() },
-		Recovered: sc.steady,
-		Dropped: func() int64 {
-			var total int64
-			for _, e := range sc.all {
-				total += e.Counters().BytesDropped
-			}
-			return total
-		},
-	}
-}
-
-// dialStorm floods each target's listener with half-open connections —
-// rate dials/sec per target for d — from a mix of unique spoofed hosts
-// (exercising the handshake-token cap) and one repeat-offender host
-// (exercising per-source rate limiting and the greylist). No connection
-// ever sends a hello: each lingers a while pinning its handshake token,
-// then hangs up without a goodbye.
-func (sc *soakCluster) dialStorm(nodes []int, rate int64, d time.Duration) {
-	const linger = 300 * time.Millisecond
-	interval := time.Second / time.Duration(rate)
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	var wg sync.WaitGroup
-	seq := 0
-	for start := time.Now(); time.Since(start) < d; time.Sleep(interval) {
-		for _, idx := range nodes {
-			seq++
-			src := fmt.Sprintf("10.99.%d.%d:%d", seq/250%250, seq%250+1, 40000+seq%20000)
-			if seq%4 == 0 { // repeat offender: same host, fresh port
-				src = fmt.Sprintf("10.99.250.250:%d", 40000+seq)
-			}
-			wg.Add(1)
-			go func(src, dst string) {
-				defer wg.Done()
-				conn, err := sc.net.DialFrom(src, dst)
-				if err != nil {
-					return // backlog overflow: the storm sheds itself
-				}
-				time.Sleep(linger)
-				conn.Close()
-			}(src, sc.ids[idx].Addr())
-		}
-	}
-	wg.Wait()
 }
 
 // TestChaosSoakSurvivesChurn is the acceptance soak: a seeded schedule of
@@ -374,8 +167,7 @@ func TestChaosSoakSurvivesChurn(t *testing.T) {
 	}
 	goroutinesBefore := runtime.NumGoroutine()
 
-	sc := newSoakCluster(t, 16)
-	sc.session()
+	s := newSoak(t, 16)
 
 	schedule := chaos.Generate(chaos.ScheduleConfig{
 		Seed:    7,
@@ -385,14 +177,14 @@ func TestChaosSoakSurvivesChurn(t *testing.T) {
 		Gap:     150 * time.Millisecond,
 	})
 	r := &chaos.Runner{
-		Ops:             sc.ops(),
+		Ops:             soakOps(s, func() *observer.Observer { return s.Obs }),
 		RecoveryTimeout: 30 * time.Second,
 		Logf:            t.Logf,
 	}
 	rep := r.Run(schedule)
 	t.Logf("\n%s", rep.Render())
 	if rep.Unrecovered != 0 {
-		t.Errorf("%d events never recovered:\n%s", rep.Unrecovered, sc.describe())
+		t.Errorf("%d events never recovered:\n%s", rep.Unrecovered, s.Stuck())
 	}
 
 	// One saturated round: throttle every receiver's uplink to half the
@@ -414,31 +206,17 @@ func TestChaosSoakSurvivesChurn(t *testing.T) {
 	t.Logf("saturated round:\n%s", satRep.Render())
 	if satRep.Unrecovered != 0 {
 		t.Errorf("%d saturated events never recovered:\n%s",
-			satRep.Unrecovered, sc.describe())
+			satRep.Unrecovered, s.Stuck())
 	}
 
 	// The schedule undoes every fault, so the full session must be intact.
-	sc.markBaselines()
-	deadline := time.Now().Add(10 * time.Second)
-	for !sc.steady() {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster degraded after churn:\n%s", sc.describe())
-		}
-		time.Sleep(20 * time.Millisecond)
+	s.Mark()
+	if err := s.AwaitSteady(10 * time.Second); err != nil {
+		t.Fatalf("cluster degraded after churn: %v", err)
 	}
 
-	sc.stop()
-	// Every engine, observer and vnet goroutine must wind down.
-	deadline = time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > goroutinesBefore+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d before, %d after\n%s",
-				goroutinesBefore, runtime.NumGoroutine(),
-				buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	s.Stop()
+	awaitNoLeak(t, goroutinesBefore)
 }
 
 // TestChaosDialStorm points a connection storm at the stream's interior
@@ -454,9 +232,8 @@ func TestChaosDialStorm(t *testing.T) {
 		t.Skip("soak test")
 	}
 	const nodes = 10
-	sc := newSoakCluster(t, nodes)
-	defer sc.stop()
-	sc.session()
+	s := newSoak(t, nodes)
+	defer s.Stop()
 
 	schedule := []chaos.Event{
 		{After: 100 * time.Millisecond, Kind: chaos.DialStorm,
@@ -467,21 +244,21 @@ func TestChaosDialStorm(t *testing.T) {
 		{After: 100 * time.Millisecond, Kind: chaos.Restart, Nodes: []int{3}},
 	}
 	r := &chaos.Runner{
-		Ops:             sc.ops(),
+		Ops:             soakOps(s, func() *observer.Observer { return s.Obs }),
 		RecoveryTimeout: 30 * time.Second,
 		Logf:            t.Logf,
 	}
 	rep := r.Run(schedule)
 	t.Logf("\n%s", rep.Render())
 	if rep.Unrecovered != 0 {
-		t.Errorf("%d events never recovered:\n%s", rep.Unrecovered, sc.describe())
+		t.Errorf("%d events never recovered:\n%s", rep.Unrecovered, s.Stuck())
 	}
 
 	// The gate engaged rather than absorbed: in-flight handshakes never
 	// exceeded the cap on any stormed node, and refusals were issued.
 	var shed int64
 	for _, i := range []int{0, 1, 2} {
-		st := sc.engs[i].Admission()
+		st := s.Engine(i).Admission()
 		if st.InFlightPeak > admission.DefaultMaxHandshakes {
 			t.Errorf("node %d: in-flight handshake peak %d exceeds cap %d",
 				i, st.InFlightPeak, admission.DefaultMaxHandshakes)
@@ -493,12 +270,8 @@ func TestChaosDialStorm(t *testing.T) {
 	}
 
 	// With the storm over and every fault undone, the session is intact.
-	sc.markBaselines()
-	deadline := time.Now().Add(10 * time.Second)
-	for !sc.steady() {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster degraded after the storm:\n%s", sc.describe())
-		}
-		time.Sleep(20 * time.Millisecond)
+	s.Mark()
+	if err := s.AwaitSteady(10 * time.Second); err != nil {
+		t.Fatalf("cluster degraded after the storm: %v", err)
 	}
 }

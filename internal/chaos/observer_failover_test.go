@@ -8,126 +8,25 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/message"
 	"repro/internal/observer"
 	"repro/internal/tree"
-	"repro/internal/vnet"
 )
-
-// fedTier is the federated observer control plane the failover soak
-// torments: a full mesh of observers, killed one by one while the overlay
-// churns underneath.
-type fedTier struct {
-	ids   []message.NodeID
-	obss  []*observer.Observer
-	alive []bool
-}
-
-func fedObsID(k int) message.NodeID {
-	return message.MakeID(fmt.Sprintf("10.255.0.%d", k+1), 9000)
-}
-
-// survivor returns the first live observer — the one the invariant and
-// post-round probes interrogate.
-func (ft *fedTier) survivor() (*observer.Observer, message.NodeID) {
-	for k, o := range ft.obss {
-		if ft.alive[k] {
-			return o, ft.ids[k]
-		}
-	}
-	return nil, message.NodeID{}
-}
-
-func (ft *fedTier) isLive(id message.NodeID) bool {
-	for k, oid := range ft.ids {
-		if oid == id && ft.alive[k] {
-			return true
-		}
-	}
-	return false
-}
-
-// newFedSoakCluster boots nObs full-mesh federated observers and an
-// n-node soak cluster whose engines carry the whole observer list in
-// failover order. Every node initially registers with observer 0.
-func newFedSoakCluster(t *testing.T, n, nObs int) (*soakCluster, *fedTier) {
-	t.Helper()
-	sc := &soakCluster{
-		t:         t,
-		net:       vnet.New(vnet.WithSeed(42)),
-		ids:       make([]message.NodeID, n),
-		engs:      make([]*engine.Engine, n),
-		trs:       make([]*tree.Tree, n),
-		alive:     make([]bool, n),
-		reachable: make([]bool, n),
-		baseline:  make([]int64, n),
-	}
-	for i := range sc.ids {
-		sc.ids[i] = soakID(i)
-		sc.reachable[i] = true
-	}
-	ft := &fedTier{
-		ids:   make([]message.NodeID, nObs),
-		obss:  make([]*observer.Observer, nObs),
-		alive: make([]bool, nObs),
-	}
-	for k := 0; k < nObs; k++ {
-		ft.ids[k] = fedObsID(k)
-	}
-	for k := 0; k < nObs; k++ {
-		peers := make([]message.NodeID, 0, nObs-1)
-		for j, id := range ft.ids {
-			if j != k {
-				peers = append(peers, id)
-			}
-		}
-		o, err := observer.New(observer.Config{
-			ID:              ft.ids[k],
-			Transport:       engine.VNet{Net: sc.net},
-			RequestInterval: 200 * time.Millisecond,
-			SyncInterval:    100 * time.Millisecond,
-			BootstrapCount:  n,
-			Seed:            int64(k + 1),
-			Peers:           peers,
-		})
-		if err != nil {
-			t.Fatalf("observer %d: %v", k, err)
-		}
-		if err := o.Start(); err != nil {
-			t.Fatalf("observer %d start: %v", k, err)
-		}
-		ft.obss[k], ft.alive[k] = o, true
-	}
-	sc.obs = ft.obss[0]
-	sc.obsIDs = ft.ids
-	for i := n - 1; i >= 0; i-- {
-		if err := sc.startNode(i); err != nil {
-			t.Fatalf("boot node %d: %v", i, err)
-		}
-	}
-	return sc, ft
-}
 
 // controlSteady is the control-plane half of the federated invariant:
 // every live node targets a live observer, and the survivor's merged view
 // covers the whole live membership (so bootstrap requests keep working).
-func controlSteady(sc *soakCluster, ft *fedTier) bool {
-	o, _ := ft.survivor()
-	if o == nil {
+func controlSteady(s *experiments.Session, survivor *observer.Observer, dead map[message.NodeID]bool) bool {
+	if survivor == nil {
 		return false
 	}
 	covered := make(map[message.NodeID]bool)
-	for _, id := range o.Alive() {
+	for _, id := range survivor.Alive() {
 		covered[id] = true
 	}
-	for i, up := range sc.alive {
-		if !up {
-			continue
-		}
-		if !covered[sc.ids[i]] {
-			return false
-		}
-		if !ft.isLive(sc.engs[i].Observer()) {
+	for i, up := range s.Alive {
+		if up && (!covered[s.IDs[i]] || dead[s.Engine(i).Observer()]) {
 			return false
 		}
 	}
@@ -150,32 +49,32 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 	}
 	goroutinesBefore := runtime.NumGoroutine()
 
+	// A full mesh of three federated observers, killed one by one while
+	// the overlay churns underneath; every node starts out registered with
+	// the first.
 	const nodes = 16
-	sc, ft := newFedSoakCluster(t, nodes, 3)
-	sc.session()
-
-	ops := sc.ops()
-	ops.KillObserver = func(k int) {
-		ft.alive[k] = false
-		sc.net.CrashNode(ft.ids[k].Addr())
-		ft.obss[k].Stop()
+	tier := make([]message.NodeID, 3)
+	for k := range tier {
+		tier[k] = message.MakeID(fmt.Sprintf("10.255.0.%d", k+1), 9000)
 	}
-	// Restarted nodes must re-admit through whichever observer is still
-	// standing: the stock closure pins observer 0, which this soak kills.
-	ops.Restart = func(n int) error {
-		if err := sc.startNode(n); err != nil {
-			return err
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if o, _ := ft.survivor(); o != nil && o.Join(sc.ids[n], soakApp, message.NodeID{}) {
-				return nil
+	s := newSoak(t, nodes, tier...)
+	dead := make(map[message.NodeID]bool) // observers killed so far
+	// survivor is the first live observer — the one the invariant and the
+	// post-round probes interrogate, and the one restarted nodes re-admit
+	// through (observer 0, the session's own, is the first to die).
+	survivor := func() *observer.Observer {
+		for _, o := range s.Observers {
+			if !dead[o.ID()] {
+				return o
 			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("node %d never re-registered", n)
-			}
-			time.Sleep(20 * time.Millisecond)
 		}
+		return nil
+	}
+	ops := soakOps(s, survivor)
+	ops.KillObserver = func(k int) {
+		dead[tier[k]] = true
+		s.Net.CrashNode(tier[k].Addr())
+		s.Observers[k].Stop()
 	}
 	// For kill-observer events, recovery means actual re-registration,
 	// not just rotation: every engine that was connected when the
@@ -188,15 +87,15 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 		failSnap = nil
 		if ev.Kind == chaos.KillObserver {
 			failSnap = make(map[*engine.Engine]int64)
-			for i, up := range sc.alive {
+			for i, up := range s.Alive {
 				if up {
-					failSnap[sc.engs[i]] = sc.engs[i].Counters().Failovers
+					failSnap[s.Engine(i)] = s.Engine(i).Counters().Failovers
 				}
 			}
 		}
 	}
 	ops.Recovered = func() bool {
-		if !sc.steady() || !controlSteady(sc, ft) {
+		if !s.Steady() || !controlSteady(s, survivor(), dead) {
 			return false
 		}
 		for e, n := range failSnap {
@@ -222,7 +121,7 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 	baseRep := r.Run(baseline)
 	t.Logf("node-kill baseline:\n%s", baseRep.Render())
 	if baseRep.Unrecovered != 0 {
-		t.Fatalf("%d baseline events never recovered:\n%s", baseRep.Unrecovered, sc.describe())
+		t.Fatalf("%d baseline events never recovered:\n%s", baseRep.Unrecovered, s.Stuck())
 	}
 
 	// The failover round: kill observer 0 (home of all 16 registrations),
@@ -239,7 +138,7 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 	obsRep := r.Run(failover)
 	t.Logf("observer-failover round:\n%s", obsRep.Render())
 	if obsRep.Unrecovered != 0 {
-		t.Fatalf("%d failover events never recovered:\n%s", obsRep.Unrecovered, sc.describe())
+		t.Fatalf("%d failover events never recovered:\n%s", obsRep.Unrecovered, s.Stuck())
 	}
 
 	// Observer-kill recovery must stay flat versus the node-kill
@@ -264,13 +163,13 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 
 	// Every node must have landed on the last survivor, which serves the
 	// full membership from its merged (now fully direct) view.
-	surv, survID := ft.survivor()
+	surv := survivor()
 	if surv == nil {
 		t.Fatal("no surviving observer")
 	}
-	for i := range sc.ids {
-		if got := sc.engs[i].Observer(); got != survID {
-			t.Errorf("node %d targets %s, want survivor %s", i, got, survID)
+	for i := range s.IDs {
+		if got := s.Engine(i).Observer(); got != surv.ID() {
+			t.Errorf("node %d targets %s, want survivor %s", i, got, surv.ID())
 		}
 	}
 	if got := len(surv.Alive()); got != nodes {
@@ -280,13 +179,13 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 	// A brand-new node given the full (mostly dead) observer list must
 	// still bootstrap: rotate to the survivor, register, and join the
 	// session through it.
-	probeAlg := &tree.Tree{Variant: tree.Random, App: soakApp, LastMile: 1 << 20, AutoRejoin: true}
-	probeID := soakID(nodes)
+	probeAlg := &tree.Tree{Variant: tree.Random, App: experiments.SessionApp, LastMile: 1 << 20, AutoRejoin: true}
+	probeID := message.MakeID("10.0.99.1", 7000)
 	probe, err := engine.New(engine.Config{
 		ID:             probeID,
-		Transport:      engine.VNet{Net: sc.net},
+		Transport:      engine.VNet{Net: s.Net},
 		Algorithm:      probeAlg,
-		Observers:      ft.ids,
+		Observers:      tier,
 		Seed:           99,
 		StatusInterval: 50 * time.Millisecond,
 		RetryBase:      50 * time.Millisecond,
@@ -298,7 +197,7 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 		t.Fatalf("probe start: %v", err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	for !surv.Join(probeID, soakApp, message.NodeID{}) {
+	for !surv.Join(probeID, experiments.SessionApp, message.NodeID{}) {
 		if time.Now().After(deadline) {
 			t.Fatal("probe node never registered with the survivor")
 		}
@@ -313,23 +212,6 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 	}
 	probe.Stop()
 
-	// Teardown: surviving observers stop before the cluster so their
-	// peer-trunk redial loops do not race the vnet shutdown.
-	for k, o := range ft.obss {
-		if ft.alive[k] {
-			ft.alive[k] = false
-			o.Stop()
-		}
-	}
-	sc.stop()
-	deadline = time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > goroutinesBefore+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d before, %d after\n%s",
-				goroutinesBefore, runtime.NumGoroutine(),
-				buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	s.Stop()
+	awaitNoLeak(t, goroutinesBefore)
 }

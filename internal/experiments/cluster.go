@@ -27,10 +27,13 @@ var ObserverID = message.MakeID("10.255.0.1", 9000)
 // Cluster is a virtual deployment: one vnet, an optional observer, and a
 // set of engines.
 type Cluster struct {
-	Net     *vnet.Network
-	Obs     *observer.Observer
-	Engines map[message.NodeID]*engine.Engine
-	order   []message.NodeID
+	Net *vnet.Network
+	Obs *observer.Observer
+	// Observers is every observer started on the cluster, Obs first; only
+	// a federated tier has more than one.
+	Observers []*observer.Observer
+	Engines   map[message.NodeID]*engine.Engine
+	started   []*engine.Engine // every engine ever started, in boot order
 }
 
 // LatencyFromTestbed builds a vnet latency function from a synthetic
@@ -60,24 +63,31 @@ func NewCluster(withObserver bool, opts ...vnet.Option) (*Cluster, error) {
 		Engines: make(map[message.NodeID]*engine.Engine),
 	}
 	if withObserver {
-		obs, err := observer.New(observer.Config{
-			ID:              ObserverID,
-			Transport:       engine.VNet{Net: c.Net},
-			RequestInterval: 200 * time.Millisecond,
-			BootstrapCount:  16,
-			Seed:            1,
-		})
-		if err != nil {
+		if err := c.startObserver(observer.Config{ID: ObserverID, BootstrapCount: 16, Seed: 1}); err != nil {
 			c.Net.Close()
 			return nil, err
 		}
-		if err := obs.Start(); err != nil {
-			c.Net.Close()
-			return nil, err
-		}
-		c.Obs = obs
 	}
 	return c, nil
+}
+
+// startObserver starts an observer on the cluster's network at the
+// harness request pace; the first one started becomes Obs.
+func (c *Cluster) startObserver(cfg observer.Config) error {
+	cfg.Transport = engine.VNet{Net: c.Net}
+	cfg.RequestInterval = 200 * time.Millisecond
+	obs, err := observer.New(cfg)
+	if err != nil {
+		return err
+	}
+	if err := obs.Start(); err != nil {
+		return err
+	}
+	if c.Obs == nil {
+		c.Obs = obs
+	}
+	c.Observers = append(c.Observers, obs)
+	return nil
 }
 
 // AddNode boots an engine in the cluster.
@@ -102,19 +112,17 @@ func (c *Cluster) AddNode(id message.NodeID, alg engine.Algorithm, mut ...func(*
 		return nil, fmt.Errorf("cluster: start %s: %w", id, err)
 	}
 	c.Engines[id] = e
-	c.order = append(c.order, id)
+	c.started = append(c.started, e)
 	return e, nil
 }
 
 // Stop tears the whole cluster down.
 func (c *Cluster) Stop() {
-	for i := len(c.order) - 1; i >= 0; i-- {
-		if e, ok := c.Engines[c.order[i]]; ok {
-			e.Stop()
-		}
+	for i := len(c.started) - 1; i >= 0; i-- {
+		c.started[i].Stop()
 	}
-	if c.Obs != nil {
-		c.Obs.Stop()
+	for _, o := range c.Observers {
+		o.Stop()
 	}
 	c.Net.Close()
 }

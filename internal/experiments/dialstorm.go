@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/chaos"
 	"repro/internal/engine"
-	"repro/internal/tree"
 )
 
 // DialStormConfig parameterizes the connection-storm experiment: a live
@@ -71,7 +67,7 @@ func (c *DialStormConfig) applyDefaults() {
 		c.Targets = 3
 	}
 	if c.Linger <= 0 {
-		c.Linger = 300 * time.Millisecond
+		c.Linger = stormLinger
 	}
 	if c.MeasureWindow <= 0 {
 		c.MeasureWindow = time.Second
@@ -107,102 +103,33 @@ type DialStormResult struct {
 	// Recovered/Recovery report the post-storm steady-state probe.
 	Recovered bool
 	Recovery  time.Duration
+
+	stuck string // on a timeout, the nodes in the way and why
 }
 
 // DialStorm runs the connection-storm experiment.
 func DialStorm(cfg DialStormConfig) (*DialStormResult, error) {
 	cfg.applyDefaults()
-	c, err := NewCluster(true)
+	s, err := NewSession(SessionConfig{
+		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
+		Node: func(_ int, conf *engine.Config) {
+			conf.MemoryBudget = 1 << 20
+			conf.MaxHandshakes = cfg.MaxHandshakes
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer c.Stop()
-
-	algs := make([]*tree.Tree, cfg.N)
-	baseline := make([]int64, cfg.N)
-	for i := cfg.N - 1; i >= 0; i-- {
-		algs[i] = &tree.Tree{
-			Variant:    tree.Random,
-			App:        treeApp,
-			LastMile:   1 << 20,
-			AutoRejoin: true,
-		}
-		_, err := c.AddNode(nodeID(i), algs[i], func(conf *engine.Config) {
-			conf.StatusInterval = 50 * time.Millisecond
-			conf.InactivityTimeout = 600 * time.Millisecond
-			conf.RetryBase = 50 * time.Millisecond
-			conf.MemoryBudget = 1 << 20
-			conf.MaxHandshakes = cfg.MaxHandshakes
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !c.Obs.WaitForNodes(cfg.N, 10*time.Second) {
-		return nil, fmt.Errorf("bootstrap incomplete (%d alive)", len(c.Obs.Alive()))
-	}
-	time.Sleep(200 * time.Millisecond)
-	c.Obs.Deploy(nodeID(0), treeApp, cfg.Rate, uint32(cfg.MsgSize))
-	time.Sleep(300 * time.Millisecond) // announce flood
-	for i := 1; i < cfg.N; i++ {
-		c.Obs.Join(nodeID(i), treeApp, nodeID((i-1)/2))
-		if err := waitJoin(algs[i], 10*time.Second); err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		}
-	}
-
-	recvTotal := func() int64 {
-		var total int64
-		for i := 1; i < cfg.N; i++ {
-			total += algs[i].ReceivedBytes()
-		}
-		return total
-	}
-	steady := func() bool {
-		for i := 1; i < cfg.N; i++ {
-			if !algs[i].InSession() || algs[i].ReceivedBytes() <= baseline[i] {
-				return false
-			}
-		}
-		return true
-	}
-	mark := func() {
-		for i := 1; i < cfg.N; i++ {
-			baseline[i] = algs[i].ReceivedBytes()
-		}
-	}
-	mark()
-	deadline := time.Now().Add(15 * time.Second)
-	for !steady() {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("session never reached steady state")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	defer s.Stop()
 
 	res := &DialStormResult{Cap: int64(cfg.MaxHandshakes)}
-	res.PreRate = rateOver(cfg.MeasureWindow, recvTotal)
+	res.PreRate = rateOver(cfg.MeasureWindow, s.ReceivedTotal)
 
 	// Storm the source plus the interior nodes with the widest fan-out:
 	// those listeners carry the most established links, so starving them
 	// would hurt the stream the most.
-	type interior struct{ idx, children int }
-	var ints []interior
-	for i := 1; i < cfg.N; i++ {
-		if n := len(algs[i].Children()); n > 0 {
-			ints = append(ints, interior{i, n})
-		}
-	}
-	sort.Slice(ints, func(a, b int) bool {
-		if ints[a].children != ints[b].children {
-			return ints[a].children > ints[b].children
-		}
-		return ints[a].idx < ints[b].idx
-	})
-	res.Targets = []int{0}
-	for i := 0; i < len(ints) && len(res.Targets) < cfg.Targets; i++ {
-		res.Targets = append(res.Targets, ints[i].idx)
-	}
+	widest := s.Interior()
+	res.Targets = append([]int{0}, widest[:min(cfg.Targets-1, len(widest))]...)
 
 	// Sample the stormed engines' control-lane delay while the storm runs:
 	// the acceptance criterion is that admission work never queues repair
@@ -219,70 +146,26 @@ func DialStorm(cfg DialStormConfig) (*DialStormResult, error) {
 			case <-time.After(10 * time.Millisecond):
 			}
 			for _, idx := range res.Targets {
-				if ctrl, _ := c.Engines[nodeID(idx)].QueueDelays(); ctrl > res.CtrlDelay {
+				if ctrl, _ := s.Engine(idx).QueueDelays(); ctrl > res.CtrlDelay {
 					res.CtrlDelay = ctrl
 				}
 			}
 		}
 	}()
 
-	var dials atomic.Int64
-	storm := func(nodes []int, rate int64, d time.Duration) {
-		interval := time.Second / time.Duration(rate)
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		r0 := recvTotal()
-		seq := 0
-		for time.Since(t0) < d {
-			for _, idx := range nodes {
-				seq++
-				src := fmt.Sprintf("10.99.%d.%d:%d", seq/250%250, seq%250+1, 40000+seq%20000)
-				if seq%4 == 0 { // repeat offender for the rate limiter
-					src = fmt.Sprintf("10.99.250.250:%d", 40000+seq)
-				}
-				dials.Add(1)
-				wg.Add(1)
-				go func(src, dst string) {
-					defer wg.Done()
-					conn, err := c.Net.DialFrom(src, dst)
-					if err != nil {
-						return
-					}
-					time.Sleep(cfg.Linger)
-					conn.Close()
-				}(src, nodeID(idx).Addr())
-			}
-			time.Sleep(interval)
-		}
-		// The during-storm delivery rate is measured over the storm's own
-		// wall time, before the stragglers' lingers drain.
-		res.StormTput = float64(recvTotal()-r0) / time.Since(t0).Seconds()
-		wg.Wait()
-	}
-
-	ops := chaos.Ops{
-		DialStorm: storm,
-		Mark:      func(chaos.Event) { mark() },
-		Recovered: steady,
-	}
-	r := &chaos.Runner{Ops: ops, RecoveryTimeout: cfg.RecoveryTimeout}
-	rep := r.Run([]chaos.Event{{
-		Kind:     chaos.DialStorm,
-		Nodes:    res.Targets,
-		Rate:     cfg.StormRate,
-		Duration: cfg.StormFor,
-	}})
+	res.Dials, res.StormTput = s.DialStorm(res.Targets, cfg.StormRate, cfg.StormFor, cfg.Linger)
+	s.Mark()
+	start := time.Now()
+	res.Recovered = s.AwaitSteady(cfg.RecoveryTimeout) == nil
+	res.Recovery = time.Since(start)
 	close(stopSampling)
 	samplerDone.Wait()
+	if !res.Recovered {
+		res.stuck = s.Stuck()
+	}
 
-	res.Dials = dials.Load()
-	res.Recovered = rep.Results[0].Recovered
-	res.Recovery = rep.Results[0].Recovery
 	for _, idx := range res.Targets {
-		e := c.Engines[nodeID(idx)]
+		e := s.Engine(idx)
 		st := e.Admission()
 		if st.InFlightPeak > res.InFlightPeak {
 			res.InFlightPeak = st.InFlightPeak
@@ -311,12 +194,9 @@ func RenderDialStorm(res *DialStormResult) string {
 		res.Admitted, res.ShedBusy, res.ShedRate, res.ShedGreylist)
 	fmt.Fprintf(&b, "  aftermath  failed handshakes %d  accept retries %d\n",
 		res.HandshakesFailed, res.AcceptRetries)
-	state := "recovered"
-	if !res.Recovered {
-		state = "TIMEOUT"
-	}
 	fmt.Fprintf(&b, "  post-storm steady state: %s in %s\n",
-		state, res.Recovery.Round(time.Millisecond))
+		healState(res.Recovered), res.Recovery.Round(time.Millisecond))
+	b.WriteString(res.stuck)
 	return b.String()
 }
 

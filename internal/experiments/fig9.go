@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/engine"
-	"repro/internal/message"
-	"repro/internal/tree"
 )
 
 // Fig9ChurnConfig parameterizes the mid-stream failure experiment: a
@@ -71,6 +67,12 @@ type Fig9ChurnPoint struct {
 	Recovered bool
 	// BytesLost counts bytes dropped across the cluster by the burst.
 	BytesLost int64
+	// FedTwice is how many survivors more than one live node listed as a
+	// child once the burst had healed — each receives every byte once per
+	// lister. Reported, not asserted: Recovered does not depend on it.
+	FedTwice int
+
+	stuck string // on a timeout, the nodes in the way and why
 }
 
 // Fig9Churn runs the failure-burst sweep: for each k in 1..MaxConcurrent a
@@ -89,173 +91,30 @@ func Fig9Churn(cfg Fig9ChurnConfig) ([]Fig9ChurnPoint, error) {
 }
 
 func fig9ChurnOne(k int, cfg Fig9ChurnConfig) (*Fig9ChurnPoint, error) {
-	c, err := NewCluster(true)
+	s, err := NewSession(SessionConfig{
+		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
+		Node: func(_ int, conf *engine.Config) {
+			conf.InactivityTimeout = cfg.InactivityTimeout
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer c.Stop()
-
-	algs := make([]*tree.Tree, cfg.N)
-	alive := make([]bool, cfg.N)
-	baseline := make([]int64, cfg.N)
-	// Receivers first, source last, so the deploy announce spans the
-	// membership.
-	for i := cfg.N - 1; i >= 0; i-- {
-		algs[i] = &tree.Tree{
-			Variant:    tree.Random,
-			App:        treeApp,
-			LastMile:   1 << 20,
-			AutoRejoin: true,
-		}
-		_, err := c.AddNode(nodeID(i), algs[i], func(conf *engine.Config) {
-			conf.StatusInterval = 50 * time.Millisecond
-			conf.InactivityTimeout = cfg.InactivityTimeout
-			conf.RetryBase = 50 * time.Millisecond
-		})
-		if err != nil {
-			return nil, err
-		}
-		alive[i] = true
-	}
-	if !c.Obs.WaitForNodes(cfg.N, 10*time.Second) {
-		return nil, fmt.Errorf("bootstrap incomplete (%d alive)", len(c.Obs.Alive()))
-	}
-	time.Sleep(200 * time.Millisecond)
-	c.Obs.Deploy(nodeID(0), treeApp, cfg.Rate, uint32(cfg.MsgSize))
-	time.Sleep(300 * time.Millisecond) // announce flood
-	// Join each node through contact (i-1)/2 rather than letting every
-	// query land on the source: the Random variant accepts wherever the
-	// query arrives, so explicit contacts shape a deep tree with real
-	// interior nodes — without them the session degenerates into a star
-	// and a "failure burst" only ever kills leaves.
-	for i := 1; i < cfg.N; i++ {
-		c.Obs.Join(nodeID(i), treeApp, nodeID((i-1)/2))
-		if err := waitJoin(algs[i], 10*time.Second); err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		}
-	}
-
-	steady := func() bool {
-		for i := 1; i < cfg.N; i++ {
-			if !alive[i] {
-				continue
-			}
-			if !algs[i].InSession() || algs[i].ReceivedBytes() <= baseline[i] {
-				return false
-			}
-		}
-		return true
-	}
-	mark := func() {
-		for i := 1; i < cfg.N; i++ {
-			baseline[i] = algs[i].ReceivedBytes()
-		}
-	}
-	mark()
-	deadline := time.Now().Add(15 * time.Second)
-	for !steady() {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("session never reached steady state")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Interior nodes, most children first, are the victims: killing a
-	// leaf exercises nothing, killing a fan-out node orphans a subtree.
-	type interior struct{ idx, children int }
-	var ints []interior
-	for i := 1; i < cfg.N; i++ {
-		if n := len(algs[i].Children()); n > 0 {
-			ints = append(ints, interior{i, n})
-		}
-	}
-	sort.Slice(ints, func(a, b int) bool {
-		if ints[a].children != ints[b].children {
-			return ints[a].children > ints[b].children
-		}
-		return ints[a].idx < ints[b].idx
-	})
-	if k > len(ints) {
-		k = len(ints)
-	}
-	victims := make([]int, k)
-	for i := 0; i < k; i++ {
-		victims[i] = ints[i].idx
-	}
-	point := &Fig9ChurnPoint{Failures: k, Interior: len(ints)}
-	point.Orphaned = countOrphaned(algs, victims, cfg.N)
-
-	ops := chaos.Ops{
-		Kill: func(n int) {
-			alive[n] = false
-			c.Net.CrashNode(nodeID(n).Addr())
-			c.Engines[nodeID(n)].Stop()
-		},
-		Mark:      func(chaos.Event) { mark() },
-		Recovered: steady,
-		Dropped: func() int64 {
-			var total int64
-			for _, e := range c.Engines {
-				total += e.Counters().BytesDropped
-			}
-			return total
-		},
-	}
-	r := &chaos.Runner{Ops: ops, RecoveryTimeout: cfg.RecoveryTimeout}
-	rep := r.Run([]chaos.Event{{Kind: chaos.Kill, Nodes: victims}})
-	res := rep.Results[0]
-	point.Recovery = res.Recovery
-	point.Recovered = res.Recovered
-	point.BytesLost = res.DroppedDelta
-	return point, nil
-}
-
-// countOrphaned walks each survivor's parent chain and reports how many
-// pass through a victim (and so must re-attach for delivery to resume).
-func countOrphaned(algs []*tree.Tree, victims []int, n int) int {
-	dead := make(map[message.NodeID]bool, len(victims))
-	for _, v := range victims {
-		dead[nodeID(v)] = true
-	}
-	parentOf := make(map[message.NodeID]message.NodeID, n)
-	for i := 1; i < n; i++ {
-		if p, ok := algs[i].Parent(); ok {
-			parentOf[nodeID(i)] = p
-		}
-	}
-	orphaned := 0
-	for i := 1; i < n; i++ {
-		if dead[nodeID(i)] {
-			continue
-		}
-		for id, hops := nodeID(i), 0; hops < n; hops++ {
-			p, ok := parentOf[id]
-			if !ok {
-				break
-			}
-			if dead[p] {
-				orphaned++
-				break
-			}
-			id = p
-		}
-	}
-	return orphaned
+	defer s.Stop()
+	p := s.KillInterior(k, cfg.RecoveryTimeout)
+	return &p, nil
 }
 
 // RenderFig9Churn formats the sweep.
 func RenderFig9Churn(points []Fig9ChurnPoint) string {
 	var b strings.Builder
 	b.WriteString("Churn: mid-stream interior-node failure bursts — recovery latency and loss\n")
-	b.WriteString("  kills  interior  orphaned   recovery   lost(bytes)  state\n")
+	b.WriteString("  kills  interior  orphaned   recovery   lost(bytes)  fed-twice  state\n")
 	for _, p := range points {
-		state := "recovered"
-		if !p.Recovered {
-			state = "TIMEOUT"
-		}
-		fmt.Fprintf(&b, "  %5d  %8d  %8d  %9s  %11d  %s\n",
+		fmt.Fprintf(&b, "  %5d  %8d  %8d  %9s  %11d  %9d  %s\n",
 			p.Failures, p.Interior, p.Orphaned,
-			p.Recovery.Round(time.Millisecond), p.BytesLost, state)
+			p.Recovery.Round(time.Millisecond), p.BytesLost, p.FedTwice, healState(p.Recovered))
+		b.WriteString(p.stuck)
 	}
 	return b.String()
 }

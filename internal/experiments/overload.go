@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/engine"
-	"repro/internal/protocol"
-	"repro/internal/tree"
 )
 
 // OverloadConfig parameterizes the control-plane-isolation experiment: the
@@ -95,6 +91,8 @@ type OverloadPoint struct {
 	MaxBuffered int64
 	// BytesShed is the total data shed by budget/slow-peer protection.
 	BytesShed int64
+
+	stuck string // on a timeout, the nodes in the way and why
 }
 
 // OverloadResult pairs the two rounds.
@@ -122,95 +120,30 @@ func Overload(cfg OverloadConfig) (*OverloadResult, error) {
 }
 
 func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
-	c, err := NewCluster(true)
+	s, err := NewSession(SessionConfig{
+		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
+		Node: func(_ int, conf *engine.Config) {
+			conf.InactivityTimeout = cfg.InactivityTimeout
+			conf.MemoryBudget = cfg.MemoryBudget
+			conf.StallThreshold = cfg.StallThreshold
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer c.Stop()
+	defer s.Stop()
 
-	algs := make([]*tree.Tree, cfg.N)
-	alive := make([]bool, cfg.N)
-	baseline := make([]int64, cfg.N)
-	for i := cfg.N - 1; i >= 0; i-- {
-		algs[i] = &tree.Tree{
-			Variant:    tree.Random,
-			App:        treeApp,
-			LastMile:   1 << 20,
-			AutoRejoin: true,
-		}
-		_, err := c.AddNode(nodeID(i), algs[i], func(conf *engine.Config) {
-			conf.StatusInterval = 50 * time.Millisecond
-			conf.InactivityTimeout = cfg.InactivityTimeout
-			conf.RetryBase = 50 * time.Millisecond
-			conf.MemoryBudget = cfg.MemoryBudget
-			conf.StallThreshold = cfg.StallThreshold
-		})
-		if err != nil {
-			return nil, err
-		}
-		alive[i] = true
-	}
-	if !c.Obs.WaitForNodes(cfg.N, 10*time.Second) {
-		return nil, fmt.Errorf("bootstrap incomplete (%d alive)", len(c.Obs.Alive()))
-	}
-	time.Sleep(200 * time.Millisecond)
-	c.Obs.Deploy(nodeID(0), treeApp, cfg.Rate, uint32(cfg.MsgSize))
-	time.Sleep(300 * time.Millisecond) // announce flood
-	// Contact-shaped joins build a deep tree with real interior nodes
-	// (see fig9.go): those are both the saturation bottlenecks and the
-	// kill victims.
-	for i := 1; i < cfg.N; i++ {
-		c.Obs.Join(nodeID(i), treeApp, nodeID((i-1)/2))
-		if err := waitJoin(algs[i], 10*time.Second); err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		}
-	}
-
-	steady := func() bool {
-		for i := 1; i < cfg.N; i++ {
-			if !alive[i] {
-				continue
-			}
-			if !algs[i].InSession() || algs[i].ReceivedBytes() <= baseline[i] {
-				return false
-			}
-		}
-		return true
-	}
-	mark := func() {
-		for i := 1; i < cfg.N; i++ {
-			baseline[i] = algs[i].ReceivedBytes()
-		}
-	}
-	mark()
-	deadline := time.Now().Add(15 * time.Second)
-	for !steady() {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("session never reached steady state")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	shedBytes := func() int64 {
-		var total int64
-		for _, e := range c.Engines {
-			total += e.Counters().BytesShed
-		}
-		return total
-	}
 	if saturate {
 		// Throttle every receiver's uplink below the stream rate; the
 		// source keeps pumping at full rate, so interior forwarding
 		// queues fill and stay full.
 		for i := 1; i < cfg.N; i++ {
-			c.Engines[nodeID(i)].SetBandwidthLocal(protocol.SetBandwidth{
-				Class: protocol.BandwidthUp, Rate: cfg.SaturateBW,
-			})
+			s.Saturate(i, cfg.SaturateBW)
 		}
 		// Let the overload bite before measuring: the first slow-peer
 		// shed proves the queues have been full past StallThreshold.
 		overloadBy := time.Now().Add(10 * time.Second)
-		for shedBytes() == 0 {
+		for s.Shed() == 0 {
 			if time.Now().After(overloadBy) {
 				return nil, fmt.Errorf("saturation never engaged shedding")
 			}
@@ -218,8 +151,8 @@ func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
 		}
 	}
 
-	point := &OverloadPoint{Saturated: saturate, Failures: cfg.Kills}
-	for _, e := range c.Engines {
+	point := &OverloadPoint{Saturated: saturate}
+	for _, e := range s.Engines {
 		ctrl, data := e.QueueDelays()
 		if ctrl > point.CtrlDelay {
 			point.CtrlDelay = ctrl
@@ -229,56 +162,12 @@ func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
 		}
 	}
 
-	// Interior nodes, most children first, are the victims (as in fig9).
-	type interior struct{ idx, children int }
-	var ints []interior
-	for i := 1; i < cfg.N; i++ {
-		if n := len(algs[i].Children()); n > 0 {
-			ints = append(ints, interior{i, n})
-		}
-	}
-	sort.Slice(ints, func(a, b int) bool {
-		if ints[a].children != ints[b].children {
-			return ints[a].children > ints[b].children
-		}
-		return ints[a].idx < ints[b].idx
-	})
-	k := cfg.Kills
-	if k > len(ints) {
-		k = len(ints)
-	}
-	victims := make([]int, k)
-	for i := 0; i < k; i++ {
-		victims[i] = ints[i].idx
-	}
-	point.Failures = k
-	point.Interior = len(ints)
-	point.Orphaned = countOrphaned(algs, victims, cfg.N)
-
-	ops := chaos.Ops{
-		Kill: func(n int) {
-			alive[n] = false
-			c.Net.CrashNode(nodeID(n).Addr())
-			c.Engines[nodeID(n)].Stop()
-		},
-		Mark:      func(chaos.Event) { mark() },
-		Recovered: steady,
-		Dropped: func() int64 {
-			var total int64
-			for _, e := range c.Engines {
-				total += e.Counters().BytesDropped
-			}
-			return total
-		},
-	}
-	r := &chaos.Runner{Ops: ops, RecoveryTimeout: cfg.RecoveryTimeout}
-	rep := r.Run([]chaos.Event{{Kind: chaos.Kill, Nodes: victims}})
-	res := rep.Results[0]
-	point.Recovery = res.Recovery
-	point.Recovered = res.Recovered
-	point.BytesLost = res.DroppedDelta
-	point.BytesShed = shedBytes()
-	for _, e := range c.Engines {
+	burst := s.KillInterior(cfg.Kills, cfg.RecoveryTimeout)
+	point.Failures, point.Interior, point.Orphaned = burst.Failures, burst.Interior, burst.Orphaned
+	point.Recovery, point.Recovered, point.BytesLost = burst.Recovery, burst.Recovered, burst.BytesLost
+	point.stuck = burst.stuck
+	point.BytesShed = s.Shed()
+	for _, e := range s.Engines {
 		if m := e.MaxBufferedBytes(); m > point.MaxBuffered {
 			point.MaxBuffered = m
 		}
@@ -292,14 +181,11 @@ func RenderOverload(res *OverloadResult) string {
 	b.WriteString("Overload: interior-kill recovery, unloaded vs saturated data plane\n")
 	b.WriteString("  round      kills  orphaned   recovery  ctrl-delay  data-delay   maxbuf  shed(bytes)  lost(bytes)  state\n")
 	row := func(name string, p OverloadPoint) {
-		state := "recovered"
-		if !p.Recovered {
-			state = "TIMEOUT"
-		}
 		fmt.Fprintf(&b, "  %-9s  %5d  %8d  %9s  %10s  %10s  %7d  %11d  %11d  %s\n",
 			name, p.Failures, p.Orphaned, p.Recovery.Round(time.Millisecond),
 			p.CtrlDelay.Round(time.Millisecond), p.DataDelay.Round(time.Millisecond),
-			p.MaxBuffered, p.BytesShed, p.BytesLost, state)
+			p.MaxBuffered, p.BytesShed, p.BytesLost, healState(p.Recovered))
+		b.WriteString(p.stuck)
 	}
 	row("unloaded", res.Unloaded)
 	row("saturated", res.Loaded)

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/observer"
 	"repro/internal/trace"
-	"repro/internal/tree"
 )
 
 // This harness is the end-to-end demonstration of the flight-recorder
@@ -75,6 +73,8 @@ type TimelineResult struct {
 	Tail string
 	// Hists is the rendered cluster-wide queue-delay distribution.
 	Hists string
+
+	stuck string // on a timeout, the nodes in the way and why
 }
 
 // Timeline builds an N-node tree session, crashes Kills interior nodes
@@ -82,112 +82,18 @@ type TimelineResult struct {
 // flight-recorder timeline of the whole episode.
 func Timeline(cfg TimelineConfig) (*TimelineResult, error) {
 	cfg.applyDefaults()
-	c, err := NewCluster(true)
+	s, err := NewSession(SessionConfig{N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize})
 	if err != nil {
 		return nil, err
 	}
-	defer c.Stop()
+	defer s.Stop()
 
-	algs := make([]*tree.Tree, cfg.N)
-	alive := make([]bool, cfg.N)
-	for i := cfg.N - 1; i >= 0; i-- {
-		algs[i] = &tree.Tree{
-			Variant:    tree.Random,
-			App:        treeApp,
-			LastMile:   1 << 20,
-			AutoRejoin: true,
-		}
-		_, err := c.AddNode(nodeID(i), algs[i], func(conf *engine.Config) {
-			conf.StatusInterval = 50 * time.Millisecond
-			conf.InactivityTimeout = 600 * time.Millisecond
-			conf.RetryBase = 50 * time.Millisecond
-		})
-		if err != nil {
-			return nil, err
-		}
-		alive[i] = true
-	}
-	if !c.Obs.WaitForNodes(cfg.N, 10*time.Second) {
-		return nil, fmt.Errorf("bootstrap incomplete (%d alive)", len(c.Obs.Alive()))
-	}
-	time.Sleep(200 * time.Millisecond)
-	c.Obs.Deploy(nodeID(0), treeApp, cfg.Rate, uint32(cfg.MsgSize))
-	time.Sleep(300 * time.Millisecond)
-	// Shape a deep tree via explicit contacts (see fig9.go): interior
-	// nodes are what make the churn interesting.
-	for i := 1; i < cfg.N; i++ {
-		c.Obs.Join(nodeID(i), treeApp, nodeID((i-1)/2))
-		if err := waitJoin(algs[i], 10*time.Second); err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		}
-	}
-
-	baseline := make([]int64, cfg.N)
-	steady := func() bool {
-		for i := 1; i < cfg.N; i++ {
-			if !alive[i] {
-				continue
-			}
-			if !algs[i].InSession() || algs[i].ReceivedBytes() <= baseline[i] {
-				return false
-			}
-		}
-		return true
-	}
-	mark := func() {
-		for i := 1; i < cfg.N; i++ {
-			baseline[i] = algs[i].ReceivedBytes()
-		}
-	}
-	mark()
-	deadline := time.Now().Add(15 * time.Second)
-	for !steady() {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("session never reached steady state")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Crash the fan-out-heaviest interior nodes.
-	type interior struct{ idx, children int }
-	var ints []interior
-	for i := 1; i < cfg.N; i++ {
-		if n := len(algs[i].Children()); n > 0 {
-			ints = append(ints, interior{i, n})
-		}
-	}
-	sort.Slice(ints, func(a, b int) bool {
-		if ints[a].children != ints[b].children {
-			return ints[a].children > ints[b].children
-		}
-		return ints[a].idx < ints[b].idx
-	})
-	kills := cfg.Kills
-	if kills > len(ints) {
-		kills = len(ints)
-	}
-	for i := 0; i < kills; i++ {
-		v := ints[i].idx
-		alive[v] = false
-		c.Net.CrashNode(nodeID(v).Addr())
-		c.Engines[nodeID(v)].Stop()
-	}
-
-	mark()
-	start := time.Now()
-	res := &TimelineResult{Recovered: true}
-	for !steady() {
-		if time.Since(start) > cfg.RecoveryTimeout {
-			res.Recovered = false
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	res.Recovery = time.Since(start)
+	burst := s.KillInterior(cfg.Kills, cfg.RecoveryTimeout)
+	res := &TimelineResult{Recovered: burst.Recovered, Recovery: burst.Recovery, stuck: burst.stuck}
 	// Let the next status round ship the repair's event tails.
 	time.Sleep(300 * time.Millisecond)
 
-	tl := c.Obs.Timeline()
+	tl := s.Obs.Timeline()
 	res.Events = len(tl)
 	res.ByKind = make(map[string]int)
 	seen := make(map[string]bool)
@@ -197,7 +103,7 @@ func Timeline(cfg TimelineConfig) (*TimelineResult, error) {
 	}
 	res.Nodes = len(seen)
 	res.Tail = renderTimelineTail(tl, cfg.Tail)
-	res.Hists = c.Obs.RenderHists()
+	res.Hists = s.Obs.RenderHists()
 	return res, nil
 }
 
@@ -237,6 +143,7 @@ func RenderTimelineResult(r *TimelineResult) string {
 	fmt.Fprintf(&b, "Timeline: flight-recorder view of a %d-event churn run\n", r.Events)
 	fmt.Fprintf(&b, "nodes reporting: %d   recovered: %v in %s\n",
 		r.Nodes, r.Recovered, r.Recovery.Round(time.Millisecond))
+	b.WriteString(r.stuck)
 	kinds := make([]string, 0, len(r.ByKind))
 	for k := range r.ByKind {
 		kinds = append(kinds, k)

@@ -2,170 +2,50 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strings"
 )
 
-// checkAtomicField enforces all-or-nothing atomicity: once any code in
-// the module touches a struct field through sync/atomic, every access to
-// that field must be atomic. A plain read racing an atomic.AddInt64 is
-// still a data race — the atomic call only serializes against other
-// atomics — and on 32-bit targets a torn plain read of a 64-bit counter
-// can observe half an update.
-//
-// Exempt are accesses inside the single-threaded phases of an object's
-// life: constructors (New*), package init, and teardown (Stop/Close),
-// where the object is not yet — or no longer — shared. The exemption
-// propagates to helpers reachable only from exempt functions.
-//
-// The preferred fix in this repo is the typed atomics (atomic.Int64 and
-// friends), which make plain access a compile error; this check exists
-// for the raw &field call sites that predate them.
+// checkAtomicField keeps every atomically accessed struct field on the
+// typed atomics (atomic.Int64 and friends), which make a plain access a
+// compile error. A function-style sync/atomic call on a field —
+// atomic.AddInt64(&c.hits, 1) — serializes only against other atomic
+// calls: nothing stops a plain read of the same field elsewhere, which
+// is still a data race and, for a 64-bit counter on a 32-bit target, a
+// torn one. So the call itself is the finding; there is no mixed-access
+// bookkeeping left to do.
 const checkNameAtomicField = "atomicfield"
 
-// atomicSite records one sync/atomic call against a field.
-type atomicSite struct {
-	fn *Fn    // function containing the atomic access
-	op string // the sync/atomic function name
-}
-
-func checkAtomicField(g *Graph, pkgs []*Package, report reportFunc) {
-	requested := make(map[*Package]bool, len(pkgs))
+func checkAtomicField(_ *Graph, pkgs []*Package, report reportFunc) {
 	for _, p := range pkgs {
-		requested[p] = true
-	}
-
-	// Pass 1: every field accessed through sync/atomic anywhere in the
-	// loaded module, keyed by the field's types.Var identity.
-	atomicFields := make(map[types.Object]atomicSite)
-	for _, fn := range g.l.Fns {
-		info := fn.Pkg.Info
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if op, ok := atomicCallOp(info, call); ok {
-				if obj := atomicTargetField(info, call); obj != nil {
-					if _, seen := atomicFields[obj]; !seen {
-						atomicFields[obj] = atomicSite{fn: fn, op: op}
-					}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
 				}
-			}
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
-		return
-	}
-
-	exempt := exemptFromAtomic(g)
-
-	// Pass 2: plain accesses to those fields in the analyzed packages.
-	for _, fn := range g.l.Fns {
-		if !requested[fn.Pkg] || exempt[fn] {
-			continue
-		}
-		info := fn.Pkg.Info
-		var inspect func(n ast.Node) bool
-		inspect = func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if _, isAtomic := atomicCallOp(info, call); isAtomic {
-					// The &field argument of the atomic call itself is the
-					// sanctioned access; anything else in the argument list
-					// (an index expression, say) is still scanned.
-					for _, arg := range call.Args[1:] {
-						ast.Inspect(arg, inspect)
-					}
-					ast.Inspect(call.Fun, inspect)
-					return false
+				pkgPath, op, ok := pkgQualifiedCallee(p.Info, call)
+				if !ok || pkgPath != "sync/atomic" {
+					return true
 				}
-			}
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			s := info.Selections[sel]
-			if s == nil || s.Kind() != types.FieldVal {
-				return true
-			}
-			site, isAtomic := atomicFields[s.Obj()]
-			if !isAtomic {
-				return true
-			}
-			report(sel.Pos(), checkNameAtomicField,
-				"field %s is accessed atomically via atomic.%s in %s but plainly in %s: every access must go through sync/atomic (or use the typed atomics)",
-				fieldDisplay(s), site.op, site.fn.Name(), fn.Name())
-			return true
-		}
-		ast.Inspect(fn.Decl.Body, inspect)
-	}
-}
-
-// atomicCallOp reports whether call is a sync/atomic package-level call,
-// returning the operation name.
-func atomicCallOp(info *types.Info, call *ast.CallExpr) (string, bool) {
-	pkgPath, name, ok := pkgQualifiedCallee(info, call)
-	if !ok || pkgPath != "sync/atomic" {
-		return "", false
-	}
-	return name, true
-}
-
-// atomicTargetField resolves the first argument of an atomic call — the
-// conventional &x.field — to the field's object, or nil for non-field
-// targets (locals, globals, pointer-typed expressions).
-func atomicTargetField(info *types.Info, call *ast.CallExpr) types.Object {
-	if len(call.Args) == 0 {
-		return nil
-	}
-	arg := call.Args[0]
-	if un, ok := arg.(*ast.UnaryExpr); ok && un.Op.String() == "&" {
-		arg = un.X
-	}
-	sel, ok := arg.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-		return s.Obj()
-	}
-	return nil
-}
-
-// exemptFromAtomic computes the functions whose plain accesses are
-// sanctioned: the named single-threaded phases (init, New*, Stop, Close)
-// and, to a fixpoint, any function every caller of which is exempt — a
-// helper used only during construction or teardown inherits the
-// exemption.
-func exemptFromAtomic(g *Graph) map[*Fn]bool {
-	exempt := make(map[*Fn]bool)
-	for _, fn := range g.l.Fns {
-		name := fn.Decl.Name.Name
-		if name == "init" || name == "Stop" || name == "Close" || strings.HasPrefix(name, "New") {
-			exempt[fn] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range g.l.Fns {
-			if exempt[fn] || len(g.In[fn]) == 0 {
-				continue
-			}
-			all := true
-			for _, e := range g.In[fn] {
-				if !exempt[e.From] {
-					all = false
-					break
+				// The conventional target is &x.field.
+				target := call.Args[0]
+				if un, ok := target.(*ast.UnaryExpr); ok && un.Op == token.AND {
+					target = un.X
 				}
-			}
-			if all {
-				exempt[fn] = true
-				changed = true
-			}
+				sel, ok := target.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					report(call.Pos(), checkNameAtomicField,
+						"atomic.%s on field %s: use the typed atomics (atomic.Int64 and friends), which make a plain access a compile error",
+						op, fieldDisplay(s))
+				}
+				return true
+			})
 		}
 	}
-	return exempt
 }
 
 // fieldDisplay renders "pkg.Type.field" for a resolved field selection,

@@ -91,7 +91,6 @@ type Edge struct {
 type Graph struct {
 	l   *Loader
 	Out map[*Fn][]Edge
-	In  map[*Fn][]Edge
 
 	effects map[*Fn]Effect
 	trans   map[Effect]map[*Fn]Effect // memoized transitive closures, keyed by mask
@@ -102,7 +101,6 @@ func BuildGraph(l *Loader) *Graph {
 	g := &Graph{
 		l:       l,
 		Out:     make(map[*Fn][]Edge),
-		In:      make(map[*Fn][]Edge),
 		effects: make(map[*Fn]Effect),
 		trans:   make(map[Effect]map[*Fn]Effect),
 	}
@@ -139,7 +137,6 @@ func BuildGraph(l *Loader) *Graph {
 
 func (g *Graph) addEdge(e Edge) {
 	g.Out[e.From] = append(g.Out[e.From], e)
-	g.In[e.To] = append(g.In[e.To], e)
 }
 
 // spawnedCalls collects the immediate call expressions of go statements

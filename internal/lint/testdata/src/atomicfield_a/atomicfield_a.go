@@ -1,35 +1,24 @@
-// Package atomicfield_a (fixture) seeds the classic mixed-access race:
-// a counter field bumped through sync/atomic on the hot path but read
-// plainly elsewhere. The plain accesses inside the constructor and Stop
-// are sanctioned — the object is not shared during those phases.
+// Package atomicfield_a (fixture) seeds the mixed-access race the typed
+// atomics rule out: a counter field bumped through a function-style
+// sync/atomic call, which nothing stops other code from reading plainly.
+// The call is the finding; typed atomics and atomics on non-fields pass.
 package atomicfield_a
 
 import "sync/atomic"
 
 type counter struct {
-	hits int64
-	last int64
+	hits  int64
+	typed atomic.Int64
 }
 
-func New() *counter {
-	c := &counter{}
-	c.hits = 0 // ok: construction is single-threaded
-	return c
-}
+var global int64
 
 func (c *counter) bump() {
-	atomic.AddInt64(&c.hits, 1)
+	atomic.AddInt64(&c.hits, 1) // want "use the typed atomics"
+	c.typed.Add(1)              // ok: a plain access to typed cannot compile
 }
 
 func (c *counter) peek() int64 {
-	return c.hits // want "every access must go through sync/atomic"
-}
-
-func (c *counter) note(v int64) {
-	c.last = v // ok: last is never accessed atomically
-}
-
-func (c *counter) Stop() {
-	c.hits = 0 // ok: teardown is single-threaded
-	c.last = 0
+	atomic.AddInt64(&global, 1)      // ok: not a struct field
+	return atomic.LoadInt64(&c.hits) // want "use the typed atomics"
 }

@@ -474,16 +474,25 @@ func (t *Tree) stressAwareQuery(q Query) {
 	t.forwardQuery(q, bestPeer)
 }
 
-// accept adopts the joiner as a child and acknowledges.
+// accept adopts the joiner as a child and acknowledges. A query from a
+// node already listed is acknowledged again, without a second entry: a
+// joiner asks only while it is out of the session, so either the first
+// ack was lost or its state was reset after the ack arrived (a
+// BrokenSource cascade processed late), and a silent acceptor would leave
+// it re-querying forever while being fed. onQueryAck ignores the repeat
+// if the joiner is in session after all.
 func (t *Tree) accept(joiner message.NodeID) {
 	t.mu.Lock()
+	listed := false
 	for _, c := range t.children {
 		if c == joiner {
-			t.mu.Unlock()
-			return // duplicate query
+			listed = true
+			break
 		}
 	}
-	t.children = append(t.children, joiner)
+	if !listed {
+		t.children = append(t.children, joiner)
+	}
 	t.mu.Unlock()
 	payload := Query{App: t.App, Joiner: joiner}.Encode()
 	t.API.SendNew(t.API.NewControl(TypeQueryAck, t.App, payload), joiner)

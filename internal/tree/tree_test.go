@@ -101,10 +101,15 @@ func TestRandomVariantAcceptsImmediately(t *testing.T) {
 	if ch := tr.Children(); len(ch) != 1 || ch[0] != nid(5) {
 		t.Errorf("children = %v", ch)
 	}
-	// Duplicate query is idempotent.
+	// A duplicate query means the joiner is still outside the session (its
+	// ack was lost, or its state was reset after the ack): it is
+	// acknowledged again, and still listed once.
 	deliver(t, tr, message.New(TypeQuery, nid(5), app, 0, q.Encode()))
 	if len(tr.Children()) != 1 {
 		t.Error("duplicate query duplicated child")
+	}
+	if acks := api.SentOfType(TypeQueryAck); len(acks) != 2 || acks[1].Dest != nid(5) {
+		t.Errorf("duplicate query from a listed child was not re-acknowledged: acks = %+v", acks)
 	}
 }
 
