@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos churn-soak backpressure bench bench-smoke trace-smoke
+.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos churn-soak backpressure bench bench-smoke trace-smoke examples-smoke
 
 # ci is the tier-1 gate: everything here must pass before a change lands.
-ci: fmt vet lint build test backpressure bench-smoke trace-smoke fuzz race chaos
+ci: fmt vet lint build test backpressure bench-smoke trace-smoke examples-smoke fuzz race chaos
 
 # Linter fixtures under internal/lint/testdata deliberately contain
 # rule-violating code; they are exercised by the linter's own tests, not
@@ -53,8 +53,8 @@ fuzz:
 # door and control links (admission, observer, proxy) are where a teardown
 # race would. The
 # ioverlay_debug tag arms the internal/invariant runtime assertions
-# (engine-goroutine ownership, gauge non-negativity, watermark ordering)
-# so a violated invariant fails the run instead of corrupting it.
+# (engine-goroutine ownership, gauge non-negativity, a zero gauge after
+# Stop) so a violated invariant fails the run instead of corrupting it.
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
 		./internal/admission ./internal/observer ./internal/proxy
@@ -102,6 +102,14 @@ trace-smoke:
 # this is the gate that keeps an engine change from breaking it unnoticed.
 bench-smoke:
 	cd bench && $(GO) test ./...
+
+# examples-smoke runs every example program to completion: they are main
+# packages, so `test` only ever compiles them.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -11,25 +11,10 @@ import (
 	"time"
 
 	ioverlay "repro"
-	"repro/internal/media"
 	"repro/internal/tree"
 )
 
 const app = 1
-
-// playerTree couples the tree algorithm with a media playout meter: every
-// data frame feeds the receiver-side QoE statistics.
-type playerTree struct {
-	tree.Tree
-	player *media.Player
-}
-
-func (p *playerTree) Process(m *ioverlay.Msg) ioverlay.Verdict {
-	if m.IsData() {
-		p.player.Feed(m.Seq(), m.Len(), time.Now())
-	}
-	return p.Tree.Process(m)
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -58,24 +43,21 @@ func run() error {
 	// The source is node 0 with a 300 KBps uplink.
 	type member struct {
 		id  ioverlay.NodeID
-		alg *playerTree
+		alg *tree.Tree
 		eng *ioverlay.Engine
 	}
 	var members []*member
-	for i := 9; i >= 0; i-- { // source boots last, so it knows everyone
+	for i := 0; i < 10; i++ {
 		id := ioverlay.MustParseID(fmt.Sprintf("10.0.0.%d:7000", i+1))
 		up := int64(80+20*i) << 10 // 80–260 KBps uplinks
 		if i == 0 {
 			up = 300 << 10
 		}
-		alg := &playerTree{
-			Tree: tree.Tree{
-				Variant:    tree.StressAware,
-				App:        app,
-				LastMile:   up,
-				AutoRejoin: true, // rejoin through KnownHosts when a parent dies
-			},
-			player: &media.Player{FrameInterval: 33 * time.Millisecond},
+		alg := &tree.Tree{
+			Variant:    tree.StressAware,
+			App:        app,
+			LastMile:   up,
+			AutoRejoin: true, // rejoin through KnownHosts when a parent dies
 		}
 		eng, err := ioverlay.NewEngine(ioverlay.Config{
 			ID:        id,
@@ -92,13 +74,17 @@ func run() error {
 			return err
 		}
 		defer eng.Stop()
-		members = append([]*member{{id: id, alg: alg, eng: eng}}, members...)
+		members = append(members, &member{id: id, alg: alg, eng: eng})
 	}
 	if !obs.WaitForNodes(10, 5*time.Second) {
 		return fmt.Errorf("bootstrap incomplete")
 	}
 
-	// Start the stream at the source and join the viewers.
+	// Start the stream at the source and join the viewers. The source
+	// floods its identity to the members it knows of, so it is first told
+	// of all of them: its own bootstrap reply listed only the nodes that
+	// had registered before it.
+	obs.PushMembership(members[0].id)
 	obs.Deploy(members[0].id, app, 0, 1316) // RTP-ish packet size
 	time.Sleep(300 * time.Millisecond)
 	for _, m := range members[1:] {
@@ -114,10 +100,8 @@ func run() error {
 			if p, ok := m.alg.Parent(); ok {
 				parent = p.String()
 			}
-			st := m.alg.player.Snapshot()
-			fmt.Printf("  %s parent=%-16s received=%6d KB stress=%.2f loss=%.1f%% stalls=%d jitter=%s\n",
-				m.id, parent, m.alg.ReceivedBytes()/1024, m.alg.Stress(),
-				100*st.LossRate(), st.Stalls, st.Jitter.Round(time.Millisecond))
+			fmt.Printf("  %s parent=%-16s received=%6d KB stress=%.2f\n",
+				m.id, parent, m.alg.ReceivedBytes()/1024, m.alg.Stress())
 		}
 	}
 	report("tree built, streaming")

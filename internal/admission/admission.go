@@ -36,10 +36,6 @@ const (
 	// ShedGreylist: the source struck out repeatedly and is greylisted;
 	// it is closed without even a Busy frame.
 	ShedGreylist
-	// ShedWatermark: the memory budget is past its watermark and the
-	// connection identified as data-plane (decided post-hello by the
-	// engine, not by the gate).
-	ShedWatermark
 	// BadHello: the first frame of an admitted connection was not a
 	// well-formed hello.
 	BadHello
@@ -62,8 +58,6 @@ func (d Decision) String() string {
 		return "shed-rate"
 	case ShedGreylist:
 		return "shed-greylist"
-	case ShedWatermark:
-		return "shed-watermark"
 	case BadHello:
 		return "bad-hello"
 	case Timeout:

@@ -249,8 +249,7 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 func TestDecisionStrings(t *testing.T) {
 	for d, want := range map[Decision]string{
 		Admitted: "admitted", ShedBusy: "shed-busy", ShedRate: "shed-rate",
-		ShedGreylist: "shed-greylist", ShedWatermark: "shed-watermark",
-		BadHello: "bad-hello", Timeout: "handshake-timeout",
+		ShedGreylist: "shed-greylist", BadHello: "bad-hello", Timeout: "handshake-timeout",
 		AcceptRetry: "accept-retry", Decision(99): "unknown",
 	} {
 		if got := d.String(); got != want {

@@ -211,8 +211,7 @@ func (d *Door) handshake(conn net.Conn, handle Handler) {
 // Refuse answers conn with a one-frame Busy carrying the reason and the
 // retry-after hint, then closes it — from a bounded goroutine with a
 // write deadline, so a storm of refusals can neither block the caller nor
-// balloon into a goroutine flood. Owners use it for refusals they decide
-// after the hello (an engine past its memory watermark).
+// balloon into a goroutine flood.
 func (d *Door) Refuse(conn net.Conn, reason protocol.BusyReason, hint time.Duration) {
 	if d.busyWriters.Add(1) > maxBusyWriters {
 		d.busyWriters.Add(-1)

@@ -62,7 +62,7 @@ func TestRefuseBoundsBusyWriters(t *testing.T) {
 		go func(c *stallConn) {
 			defer callers.Done()
 			<-start
-			d.Refuse(c, protocol.BusyWatermark, time.Millisecond)
+			d.Refuse(c, protocol.BusyHandshakes, time.Millisecond)
 		}(c)
 	}
 	close(start)

@@ -79,11 +79,6 @@ func newSoak(t *testing.T, n int, observers ...message.NodeID) *experiments.Sess
 		Observers: observers,
 		Node: func(i int, conf *engine.Config) {
 			conf.Seed = int64(i + 1) // reproducible reconnect jitter
-			// Overload protections, exercised by the saturated round: a
-			// backstop buffered-bytes budget and slow-peer shedding slow
-			// enough that healthy rounds never trip it.
-			conf.MemoryBudget = 1 << 20
-			conf.StallThreshold = time.Second
 		},
 	})
 	if err != nil {

@@ -67,9 +67,9 @@ func TestCountersCountMessagesNotBatches(t *testing.T) {
 }
 
 // TestGaugeReconcilesAfterStop drives the buffered-bytes gauge through
-// every way a message reference can be disposed of — written, shed by the
-// budget, shed from a stalled peer, dropped with a dead or replaced link,
-// released by a graceful close, drained by Stop — on both lanes, and
+// every way a message reference can be disposed of — written, dropped with
+// a dead or replaced link, released by a graceful close, drained by Stop —
+// on both lanes, and
 // checks the one property that catches a lost or doubled credit in a
 // release build: after Stop the gauge reads exactly zero. (The
 // ioverlay_debug builds assert the same inside Stop, and non-negativity
@@ -88,23 +88,12 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 	parked := func(ch chain) bool { return ch.b.Snapshot().Shards[0].Parked > 0 }
 	scenarios := []struct {
 		name  string
-		relay engine.Config // LinkBW, SendBuf, MemoryBudget, StallThreshold of b
+		relay engine.Config // LinkBW, SendBuf of b
 		// ready reports that the disposal path is being exercised; then,
 		// when set, acts on the chain once it is.
 		ready func(ch chain) bool
 		then  func(t *testing.T, ch chain)
 	}{{
-		name:  "budget shedding",
-		relay: engine.Config{LinkBW: slowSink(20 << 10), SendBuf: 10000, MemoryBudget: 256 << 10},
-		ready: func(ch chain) bool { return ch.b.Counters().MsgsShed > 0 },
-		then: func(*testing.T, chain) {
-			time.Sleep(300 * time.Millisecond) // keep overloading past the watermark
-		},
-	}, {
-		name:  "slow-peer shed",
-		relay: engine.Config{LinkBW: slowSink(4 << 10), SendBuf: 8, StallThreshold: 100 * time.Millisecond},
-		ready: func(ch chain) bool { return ch.b.Counters().BytesShed > 0 },
-	}, {
 		name:  "downstream killed with a parked backlog",
 		relay: engine.Config{LinkBW: slowSink(20 << 10), SendBuf: 5},
 		ready: parked,
@@ -159,8 +148,6 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 				ch.alg.DefaultRoutes = []message.NodeID{sink}
 				ch.b = startNode(t, ch.n, relay, ch.alg, mode, func(c *engine.Config) {
 					c.LinkBW, c.SendBuf = sc.relay.LinkBW, sc.relay.SendBuf
-					c.MemoryBudget, c.StallThreshold = sc.relay.MemoryBudget, sc.relay.StallThreshold
-					c.StatusInterval = 50 * time.Millisecond // the stall detector's tick
 				})
 				srcAlg := &recorder{}
 				srcAlg.DefaultRoutes = []message.NodeID{relay}
@@ -172,9 +159,6 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 					sc.then(t, ch)
 				}
 
-				if budget := sc.relay.MemoryBudget; budget > 0 && ch.b.MaxBufferedBytes() > budget {
-					t.Errorf("relay buffered bytes peaked at %d, above the %d budget", ch.b.MaxBufferedBytes(), budget)
-				}
 				// The relay goes first, with traffic still arriving and its
 				// rings, parked backlog and write batch all occupied.
 				for _, e := range []*engine.Engine{ch.b, ch.a, ch.c} {

@@ -263,50 +263,6 @@ func TestDuplicateConnReplaceRace(t *testing.T) {
 	})
 }
 
-// TestWatermarkShedsStrangersKeepsNeighbors drives a node past its
-// memory-budget watermark and checks the coupled admission policy: an
-// unknown dialer is refused with a BusyWatermark frame, while a peer the
-// node already holds a sender to is admitted — a shedding node must keep
-// its control traffic flowing to dig itself out.
-func TestWatermarkShedsStrangersKeepsNeighbors(t *testing.T) {
-	n := vnet.New()
-	defer n.Close()
-	const app = 1
-	sink := &recorder{}
-	startNode(t, n, nid(2), sink)
-	src := &recorder{}
-	src.DefaultRoutes = []message.NodeID{nid(2)}
-	a := startNode(t, n, nid(1), src, func(c *engine.Config) {
-		c.LinkBW = map[message.NodeID]int64{nid(2): 20 << 10} // trickle out
-		c.SendBuf = 10000
-		c.MemoryBudget = 256 << 10
-	})
-	a.StartSource(app, 0, 4096)
-	// Shedding engaged AND the a->2 link actually delivered: the source
-	// floods its local ring past the watermark well before the switch has
-	// even dialed nid(2), and the neighbor exemption below needs the
-	// sender to exist.
-	waitFor(t, 10*time.Second, "overload to engage shedding", func() bool {
-		return a.Counters().MsgsShed > 0 && sink.ReceivedBytes(app) > 0
-	})
-
-	stranger := rawDial(t, n, "10.0.9.9:1", nid(1))
-	writeHello(t, stranger, message.MakeID("10.0.9.9", 1))
-	bz := readBusy(t, stranger, 2*time.Second)
-	if bz.Reason != protocol.BusyWatermark {
-		t.Errorf("busy reason = %d, want BusyWatermark", bz.Reason)
-	}
-	if len(acceptEvents(a, admission.ShedWatermark)) == 0 {
-		t.Error("no shed-watermark event on the flight recorder")
-	}
-
-	// nid(2) is an established neighbor (a holds a sender to it): its
-	// dial-back is admitted even while the watermark holds.
-	neighbor := rawDial(t, n, "10.0.0.2:9", nid(1))
-	writeHello(t, neighbor, nid(2))
-	expectWelcome(t, neighbor, 2*time.Second)
-}
-
 // TestDialerHonorsBusyBackpressure exercises the full refusal loop: the
 // acceptor's gate is saturated, the dialing engine reads the refusal in
 // answer to its hello and floors its backoff with the hint, and once capacity

@@ -135,7 +135,6 @@ func (e *Engine) Snapshot() protocol.Report {
 	}
 	snap := e.counters.Snapshot()
 	rp.MsgsIn, rp.MsgsOut, rp.Dropped = snap.MsgsIn, snap.MsgsOut, snap.MsgsDropped
-	rp.Shed = snap.MsgsShed
 	rp.BufferedBytes = e.buffered.Load()
 	rp.MaxBufferedBytes = e.buffered.Max()
 	var ctrl, data time.Duration
@@ -245,9 +244,9 @@ func (e *Engine) handleBrokenSource(cm ctrlMsg) {
 }
 
 // periodic runs at the status interval: deliver throughput measurements
-// to the algorithm and run slow-peer protection. (Inactivity failure
-// detection is no longer scanned here — each receiver carries its own
-// monotonic deadline, see probe.go.)
+// to the algorithm. The engine measures; what to do about a slow child is
+// the algorithm's decision. (Inactivity failure detection is not scanned
+// here — each receiver carries its own monotonic deadline, see probe.go.)
 func (e *Engine) periodic() {
 	e.mu.Lock()
 	type linkInfo struct {
@@ -259,10 +258,8 @@ func (e *Engine) periodic() {
 		ups = append(ups, linkInfo{peer, r.meter.Rate()})
 	}
 	downs := make([]linkInfo, 0, len(e.senders))
-	senders := make([]*sender, 0, len(e.senders))
 	for peer, s := range e.senders {
 		downs = append(downs, linkInfo{peer, s.meter.Rate()})
-		senders = append(senders, s)
 	}
 	e.mu.Unlock()
 
@@ -274,46 +271,10 @@ func (e *Engine) periodic() {
 		e.notifyAlg(protocol.TypeDownThroughput, 0,
 			protocol.Throughput{Peer: d.peer, Rate: d.rate}.Encode())
 	}
-	e.scanSlowPeers(senders)
 	// Liveness kick: re-arm the switch unconditionally so that a missed
 	// work signal (however it was lost) stalls progress for at most one
 	// status interval instead of forever.
 	e.signalWork()
-}
-
-// scanSlowPeers applies slow-peer protection on the engine goroutine: a
-// sender whose data lane has stayed full past StallThreshold sheds the
-// oldest half of its queued data (drop-head, charged as loss), and after
-// slowPeerStrikes consecutive sheds the peer is reported to the algorithm
-// as a SlowPeer so it can reparent the overlay away from it.
-func (e *Engine) scanSlowPeers(senders []*sender) {
-	if e.cfg.StallThreshold <= 0 {
-		return
-	}
-	now := time.Now()
-	for _, s := range senders {
-		if !s.ring.DataFull() {
-			s.stallSince = time.Time{}
-			s.stallStrikes = 0
-			continue
-		}
-		if s.stallSince.IsZero() {
-			s.stallSince = now
-			continue
-		}
-		if now.Sub(s.stallSince) < e.cfg.StallThreshold {
-			continue
-		}
-		s.stallShed += e.shedFrom(s.ring, s.peer, s.ring.Cap()/2+1, 0)
-		s.stallStrikes++
-		s.stallSince = now // restart the clock toward the next strike
-		e.logf("slow peer %s: shed %d bytes (strike %d)", s.peer, s.stallShed, s.stallStrikes)
-		if s.stallStrikes >= slowPeerStrikes {
-			s.stallStrikes = 0
-			e.notifyAlg(protocol.TypeSlowPeer, 0,
-				protocol.SlowPeer{Peer: s.peer, ShedBytes: s.stallShed}.Encode())
-		}
-	}
 }
 
 // ----- remaining API surface -----

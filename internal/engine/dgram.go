@@ -22,9 +22,9 @@ import (
 // inactivity detection all still hang off it, and datagrams from a
 // source that never completed a hello are dropped at the port.
 //
-// Nothing on the datagram receive path may block: budget admission is
-// drop-head, ring pushes are TryPush, and overflow is counted loss —
-// the shared endpoint must keep draining whatever one slow ring does.
+// Nothing on the datagram receive path may block: ring pushes are TryPush
+// and overflow is counted loss — the shared endpoint must keep draining
+// whatever one slow ring does.
 
 // packetBatchWriter is the optional sendmmsg-shaped fast path a packet
 // endpoint may offer: a whole batch of frames to one destination in a
@@ -255,14 +255,14 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 		// datagram traffic keeps the (quiet) stream link alive.
 		curR.meter.Add(groupBytes)
 		e.counters.AddIn(int64(len(msgs)), groupBytes)
-		toPush := e.admit(curR.ring, curR.peer, msgs, groupBytes)
-		pushed := curR.ring.TryPushBatch(toPush)
+		e.buffered.Add(groupBytes)
+		pushed := curR.ring.TryPushBatch(msgs)
 		if pushed > 0 {
 			e.signalWork()
 		}
 		// Ring full (or closed mid-teardown): loss, never back-pressure
 		// on the shared endpoint.
-		for _, m := range toPush[pushed:] {
+		for _, m := range msgs[pushed:] {
 			e.counters.AddDropped(int64(m.WireLen()))
 			e.disown(m)
 		}

@@ -128,29 +128,12 @@ type Config struct {
 	// DepartureGrace bounds how long Depart waits for queued outgoing
 	// messages to drain before the node shuts down.
 	DepartureGrace time.Duration
-	// MemoryBudget, when nonzero, bounds the node's total buffered wire
-	// bytes across receiver, sender and local-source rings (plus parked
-	// messages). Above the high watermark (3/4 of the budget) new data
-	// admissions shed the oldest buffered data drop-head — charged to the
-	// shed and loss counters — instead of growing the buffers; shedding
-	// disengages once usage falls to the low watermark (1/2). Control
-	// messages are never shed. Zero disables the budget: producers block
-	// on full rings instead, the paper's back-pressure semantics that the
-	// Fig 6/7 experiments depend on.
-	MemoryBudget int64
-	// StallThreshold, when nonzero, enables slow-peer protection: a
-	// sender whose data lane stays full for longer than this sheds its
-	// oldest queued data, and after slowPeerStrikes consecutive sheds the
-	// engine reports the peer to the algorithm as a SlowPeer event so
-	// tree/multicast can reparent away from it. Zero disables shedding;
-	// a slow peer then exerts back-pressure indefinitely.
-	StallThreshold time.Duration
 	// EventLog sizes the node's flight recorder: a fixed ring of the most
-	// recent structured engine events (switch quanta, sheds, link changes,
-	// probe results) appended lock-free and without allocation from every
-	// engine goroutine. Events are shipped to the observer with each status
-	// report and drive the timeline experiment. Zero selects
-	// DefaultEventLog; negative disables recording entirely.
+	// recent structured engine events (switch quanta, link changes,
+	// admission decisions, probe results) appended lock-free and without
+	// allocation from every engine goroutine. Events are shipped to the
+	// observer with each status report and drive the timeline experiment.
+	// Zero selects DefaultEventLog; negative disables recording entirely.
 	EventLog int
 	// DatagramData, when true, moves the node's data lane onto the
 	// transport's datagram endpoint (UDP on the real network, the vnet
@@ -267,11 +250,10 @@ type Engine struct {
 
 	// buffered gauges the wire bytes of every message reference this node
 	// holds: in a ring, parked, or popped and not yet disposed of. A
-	// reference is charged once where it enters — ingress admission, or
-	// deliverOut for what the algorithm sends — and credited once where it
-	// is disposed of. shedding latches the memory budget's hysteresis.
+	// reference is charged once where it enters — ingest or the datagram
+	// reader for arrivals, deliverOut for what the algorithm sends — and
+	// credited once where it is disposed of.
 	buffered metrics.Gauge
-	shedding atomic.Bool
 
 	// rec is the flight recorder: nil when Config.EventLog is negative,
 	// in which case trace.Emit's nil receiver makes every emit a no-op.
@@ -445,53 +427,7 @@ func (e *Engine) Note(kind trace.Kind, peer message.NodeID, app uint32, value in
 	e.rec.Emit(kind, peer, app, value)
 }
 
-// ----- memory budget -----
-
-// slowPeerStrikes is how many consecutive stall sheds a sender absorbs
-// before the peer is reported to the algorithm as a SlowPeer.
-const slowPeerStrikes = 3
-
-// admitBudget charges n more buffered bytes to the gauge, or refuses them,
-// latching hysteresis at the watermarks: shedding engages when buffered
-// bytes would cross 3/4 of the budget and stays on until they fall to
-// 1/2. Safe from any goroutine — receiver, source and datagram-reader
-// goroutines all admit concurrently, so the grant is a compare-and-swap on
-// the gauge itself: the admitter that wins it has charged its batch, and
-// no two admitters can squeeze through the same headroom reading. The
-// shedding latch likewise transitions by CAS, so exactly one admitter
-// emits each watermark trace event. Without a budget every batch is
-// charged, as BufferedBytes is reported either way.
-func (e *Engine) admitBudget(n int64) bool {
-	b := e.cfg.MemoryBudget
-	if b <= 0 {
-		e.buffered.Add(n)
-		return true
-	}
-	if invariant.Enabled {
-		invariant.Assert(b-b/4 >= b/2, "shed watermarks inverted: high %d < low %d", b-b/4, b/2)
-	}
-	for {
-		v := e.buffered.Load()
-		if e.shedding.Load() {
-			if v > b/2 {
-				return false
-			}
-			if e.shedding.CompareAndSwap(true, false) {
-				e.rec.Emit(trace.KindWatermark, message.NodeID{}, 0, 0)
-			}
-			continue // latch released (by us or a racer); re-evaluate
-		}
-		if v+n > b-b/4 {
-			if e.shedding.CompareAndSwap(false, true) {
-				e.rec.Emit(trace.KindWatermark, message.NodeID{}, 0, 1)
-			}
-			return false
-		}
-		if e.buffered.CompareAndSwap(v, v+n) {
-			return true
-		}
-	}
-}
+// ----- buffered-bytes gauge -----
 
 // credit takes n bytes of disposed-of message references off the gauge.
 func (e *Engine) credit(n int64) {
@@ -509,78 +445,23 @@ func (e *Engine) disown(m *message.Msg) {
 	e.credit(wl)
 }
 
-// shedFrom drops up to maxMsgs of the oldest data messages from the ring
-// belonging to peer — stopping once minBytes of wire volume are freed when
-// minBytes is positive — charging each to the shed (and loss) counters. It
-// reports the bytes freed. Control messages are never shed.
-func (e *Engine) shedFrom(r *queue.Ring, peer message.NodeID, maxMsgs int, minBytes int64) int64 {
-	var freed int64
-	for _, m := range r.ShedOldestData(maxMsgs, minBytes) {
-		wl := int64(m.WireLen())
-		freed += wl
-		e.counters.AddShed(wl)
-		m.Release()
-	}
-	e.credit(freed)
-	if freed > 0 {
-		e.rec.Emit(trace.KindShed, peer, 0, freed)
-	}
-	return freed
-}
-
-// chargeUpTo charges as much of an n-byte trade as fits under the hard
-// budget ceiling, returning the charged bytes. Safe from any goroutine:
-// the CAS on the gauge serializes concurrent traders, so two of them can
-// never both claim the last stretch of headroom.
-func (e *Engine) chargeUpTo(n int64) int64 {
-	for {
-		v := e.buffered.Load()
-		g := min(n, e.cfg.MemoryBudget-v)
-		if g <= 0 {
-			return 0
+// ingest is the one way data enters the node on a path that may block —
+// a stream receiver's decoded batch, a local source's generated one. The
+// batch is charged to the gauge and pushed onto ring, blocking while the
+// ring is full: that wait is the overload policy, back-pressure onto the
+// upstream connection or the source. False means the engine closed the
+// ring under the push and the caller must stand down; what the ring
+// refused is disowned here.
+func (e *Engine) ingest(ring *queue.Ring, batch []*message.Msg, bytes int64) bool {
+	e.buffered.Add(bytes)
+	if n, err := ring.PushBatch(batch); err != nil {
+		for _, m := range batch[n:] {
+			e.disown(m)
 		}
-		if e.buffered.CompareAndSwap(v, v+g) {
-			return g
-		}
+		return false
 	}
-}
-
-// admit applies drop-head admission control to a batch of data messages
-// about to enter ring and returns the admitted, prefix-packed part of it,
-// charged to the gauge: the caller owes a credit only for what its push
-// leaves over. A batch the budget refuses trades places with old buffered
-// data: the ring's oldest messages are shed to make room, and any
-// remainder that could not be traded (the ring held too little data, or
-// the budget has no headroom left) is shed from the batch's own tail. The
-// trade is bounded twice — by the bytes just freed from the ring (net
-// non-increase, the drop-head exchange) AND by the hard budget ceiling
-// (several rings trading concurrently must not stack their freed
-// allowances past it).
-func (e *Engine) admit(ring *queue.Ring, peer message.NodeID, batch []*message.Msg, bytes int64) []*message.Msg {
-	if e.admitBudget(bytes) {
-		return batch
-	}
-	allowed := e.chargeUpTo(min(bytes, e.shedFrom(ring, peer, ring.Cap(), bytes)))
-	kept := 0
-	var keptBytes int64
-	var tailShed int64
-	for _, m := range batch {
-		wl := int64(m.WireLen())
-		if keptBytes+wl > allowed {
-			e.counters.AddShed(wl)
-			tailShed += wl
-			m.Release()
-			continue
-		}
-		batch[kept] = m
-		kept++
-		keptBytes += wl
-	}
-	e.credit(allowed - keptBytes) // the fraction no whole message fits
-	if tailShed > 0 {
-		e.rec.Emit(trace.KindShed, peer, 0, tailShed)
-	}
-	return batch[:kept]
+	e.signalWork()
+	return true
 }
 
 // BufferedBytes reports the wire bytes of every message reference the node
@@ -1077,13 +958,6 @@ func (e *Engine) senderLocked(peer message.NodeID) *sender {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.senders[peer]
-}
-
-// hasSender reports whether the node holds an outbound link to peer —
-// the admission path's definition of an established neighbor, exempt
-// from watermark shedding.
-func (e *Engine) hasSender(peer message.NodeID) bool {
-	return e.senderLocked(peer) != nil
 }
 
 // ----- sending -----

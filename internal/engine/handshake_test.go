@@ -56,7 +56,7 @@ func frame(t *testing.T, typ message.Type, app, seq uint32, payload []byte) []by
 
 func busyFrame(t *testing.T, hint time.Duration) []byte {
 	return frame(t, protocol.TypeBusy, 0, 0,
-		protocol.Busy{Reason: protocol.BusyWatermark, RetryAfterNanos: int64(hint)}.Encode())
+		protocol.Busy{Reason: protocol.BusyHandshakes, RetryAfterNanos: int64(hint)}.Encode())
 }
 
 // replyBuf is what a sender lends awaitAdmission.

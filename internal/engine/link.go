@@ -82,20 +82,9 @@ func (e *Engine) runReceiver(r *receiver) {
 		// are per-message costs worth amortizing at these message rates.
 		r.meter.Add(bytes)
 		e.counters.AddIn(int64(len(batch)), bytes)
-		// Memory budget: above the high watermark the batch trades places
-		// with the oldest buffered data instead of growing the buffers
-		// (drop-head), so this push blocks neither the upstream connection
-		// nor the budget.
-		toPush := e.admit(r.ring, r.peer, batch, bytes)
+		ok := e.ingest(r.ring, batch, bytes)
 		batch, bytes = batch[:0], 0
-		if n, err := r.ring.PushBatch(toPush); err != nil {
-			for _, m := range toPush[n:] {
-				e.disown(m)
-			}
-			return false
-		}
-		e.signalWork()
-		return true
+		return ok
 	}
 	// deliver routes one decoded message; false means stand down.
 	deliver := func(m *message.Msg) bool {
@@ -220,13 +209,6 @@ type sender struct {
 	// written, so a graceful departure can tell an empty buffer from a
 	// drained link.
 	inflight atomic.Int32
-	// Slow-peer detection state, engine goroutine only (periodic):
-	// stallSince marks when the data lane was first observed full,
-	// stallStrikes counts consecutive threshold sheds, stallShed sums the
-	// bytes shed from this ring.
-	stallSince   time.Time
-	stallStrikes int
-	stallShed    int64
 	// dialMu guards dialConn, the connection whose handshake is in flight:
 	// Stop and CloseLink close it from outside so a dialer blocked on the
 	// peer's admission reply returns at once instead of at
@@ -310,9 +292,9 @@ func (e *Engine) runSender(s *sender) {
 		}
 		s.inflight.Store(int32(n))
 		e.sendBatchHist.Observe(int64(n))
-		// The batch stays charged until it is disposed of below: the
-		// memory budget keeps seeing a shaped batch for the seconds it
-		// takes to drain, and a framing may queue wire images until flush.
+		// The batch stays charged until it is disposed of below: a shaped
+		// batch can take seconds to drain, and a framing may queue wire
+		// images until flush.
 		var held int64
 		for i := 0; i < n; i++ {
 			held += int64(batch[i].WireLen())
@@ -656,24 +638,9 @@ func (e *Engine) dropQueued(r *queue.Ring) {
 // handshake takes over a connection the door admitted and identified:
 // it registers the connection as peer's receiver link and answers with
 // the Welcome frame the dialer is waiting for. The door holds the
-// admission token until this function returns — the reply written, or the
-// link refused — so MaxHandshakes bounds these goroutines exactly.
+// admission token until this function returns, the reply written, so
+// MaxHandshakes bounds these goroutines exactly.
 func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func()) {
-	// Watermark-coupled degradation: past the memory-budget watermark the
-	// node is already shedding buffered data, so new data-plane links from
-	// strangers are refused too — they would only widen the firehose.
-	// Observer links are control-plane and always admitted, and so are
-	// established neighbors (a peer we hold a sender to dialing back): a
-	// shedding node must keep exchanging control traffic — pings, slow-peer
-	// reports, reparent commands — with the overlay it is already part of,
-	// or it can never dig itself out.
-	if e.shedding.Load() && !e.isObserverID(peer) && !e.hasSender(peer) {
-		e.counters.AddConnShed()
-		e.rec.Emit(trace.KindAccept, peer, 0, int64(admission.ShedWatermark))
-		e.door.Refuse(conn, protocol.BusyWatermark, e.door.Gate.RetryAfter())
-		return
-	}
-
 	r := newReceiver(peer, conn, e.cfg.RecvBuf)
 	e.mu.Lock()
 	if e.stopping {

@@ -96,16 +96,8 @@ func (e *Engine) runSource(s *source, msgSize int) {
 			bytes += int64(m.WireLen())
 			seq++
 		}
-		// Memory budget: locally generated data obeys the same drop-head
-		// admission as network arrivals, so a saturated node stops
-		// amplifying its own overload.
-		toPush := e.admit(e.localRing, e.id, batch, bytes)
-		if n, err := e.localRing.PushBatch(toPush); err != nil {
-			for _, m := range toPush[n:] {
-				e.disown(m)
-			}
+		if !e.ingest(e.localRing, batch, bytes) {
 			return
 		}
-		e.signalWork()
 	}
 }

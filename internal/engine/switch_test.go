@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/message"
-	"repro/internal/trace"
 	"repro/internal/vnet"
 )
 
@@ -111,80 +109,5 @@ func TestProcessStaysSerialized(t *testing.T) {
 	defer sink.mu.Unlock()
 	if len(sink.gids) != 1 {
 		t.Fatalf("Process ran on %d distinct goroutines, want exactly 1: %v", len(sink.gids), sink.gids)
-	}
-}
-
-// TestBudgetWatermarkSingleTransition overloads a budgeted node from
-// several concurrent admission goroutines (sources and receivers all
-// call admitBudget) and checks the shed watermark behaves as a single
-// hysteresis latch: on/off trace events strictly alternate — the
-// regression would be two goroutines both observing the crossing and
-// double-emitting — and the buffered-bytes peak honors the budget.
-func TestBudgetWatermarkSingleTransition(t *testing.T) {
-	n := vnet.New()
-	defer n.Close()
-	const budget = 256 << 10
-
-	sink := &recorder{}
-	startNode(t, n, nid(9), sink)
-	src := &recorder{}
-	src.DefaultRoutes = []message.NodeID{nid(9)}
-	a := startNode(t, n, nid(1), src, func(c *engine.Config) {
-		c.LinkBW = map[message.NodeID]int64{nid(9): 20 << 10}
-		c.SendBuf = 10000
-		c.MemoryBudget = budget
-		// Watermark transitions are rare next to the flood of switch and
-		// shed events; the default 1024-entry recorder evicts them.
-		c.EventLog = 1 << 16
-	})
-	// Two independent source goroutines race the admission path.
-	a.StartSource(1, 0, 4096)
-	a.StartSource(2, 0, 4096)
-
-	// The unthrottled switch floods the recorder ring, so watermark
-	// events must be harvested while they are still retained.
-	marks := make(map[uint64]int64)
-	harvest := func() {
-		for _, ev := range a.Events() {
-			if ev.Kind == trace.KindWatermark {
-				marks[ev.Seq] = ev.Value
-			}
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for a.Counters().MsgsShed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for budget shedding to engage")
-		}
-		harvest()
-		time.Sleep(2 * time.Millisecond)
-	}
-	for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); {
-		harvest()
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	if max := a.MaxBufferedBytes(); max > budget {
-		t.Errorf("buffered bytes peaked at %d, above the %d budget", max, budget)
-	}
-	seqs := make([]uint64, 0, len(marks))
-	for seq := range marks {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	last := int64(-1)
-	ons := 0
-	for _, seq := range seqs {
-		v := marks[seq]
-		if v == last {
-			t.Fatalf("consecutive watermark events with value %d: transition double-emitted", v)
-		}
-		last = v
-		if v == 1 {
-			ons++
-		}
-	}
-	if ons == 0 {
-		t.Error("no watermark-on event harvested while shedding")
 	}
 }

@@ -113,7 +113,6 @@ func DialStorm(cfg DialStormConfig) (*DialStormResult, error) {
 	s, err := NewSession(SessionConfig{
 		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
 		Node: func(_ int, conf *engine.Config) {
-			conf.MemoryBudget = 1 << 20
 			conf.MaxHandshakes = cfg.MaxHandshakes
 		},
 	})

@@ -14,9 +14,9 @@ import (
 // receiver's uplink throttled to a fraction of the stream rate so the
 // forwarding queues stay saturated. With control and data sharing FIFO
 // rings, the loaded round's failure notifications would wait behind the
-// queued payload; with the priority lane plus slow-peer shedding and the
-// memory budget, recovery must stay within a small factor of the unloaded
-// baseline.
+// queued payload; with the priority lane, recovery must stay within a small
+// factor of the unloaded baseline while the bounded rings hold the backlog
+// by back-pressure alone.
 type OverloadConfig struct {
 	// N is the session size including the source (default 20).
 	N int
@@ -29,10 +29,6 @@ type OverloadConfig struct {
 	// SaturateBW is the per-receiver uplink throttle during the loaded
 	// round (default Rate/2, so interior fan-out is ~4x oversubscribed).
 	SaturateBW int64
-	// MemoryBudget bounds each engine's buffered wire bytes (default 1 MiB).
-	MemoryBudget int64
-	// StallThreshold enables slow-peer shedding (default 500ms).
-	StallThreshold time.Duration
 	// RecoveryTimeout bounds the wait for the session to heal (default 30s).
 	RecoveryTimeout time.Duration
 	// InactivityTimeout is the engines' passive failure detection window
@@ -55,12 +51,6 @@ func (c *OverloadConfig) applyDefaults() {
 	}
 	if c.SaturateBW <= 0 {
 		c.SaturateBW = c.Rate / 2
-	}
-	if c.MemoryBudget <= 0 {
-		c.MemoryBudget = 1 << 20
-	}
-	if c.StallThreshold <= 0 {
-		c.StallThreshold = 500 * time.Millisecond
 	}
 	if c.RecoveryTimeout <= 0 {
 		c.RecoveryTimeout = 30 * time.Second
@@ -87,10 +77,8 @@ type OverloadPoint struct {
 	// delays across all sender rings, sampled just before the kill.
 	CtrlDelay, DataDelay time.Duration
 	// MaxBuffered is the cluster-wide peak of any engine's buffered
-	// bytes over the whole round; it must stay within the budget.
+	// bytes over the whole round; the rings bound it.
 	MaxBuffered int64
-	// BytesShed is the total data shed by budget/slow-peer protection.
-	BytesShed int64
 
 	stuck string // on a timeout, the nodes in the way and why
 }
@@ -98,14 +86,22 @@ type OverloadPoint struct {
 // OverloadResult pairs the two rounds.
 type OverloadResult struct {
 	Unloaded, Loaded OverloadPoint
-	// Budget echoes the per-engine memory budget the rounds ran under.
-	Budget int64
+}
+
+// queueDelays reports the worst smoothed per-class queueing delay across
+// the session's engines.
+func (s *Session) queueDelays() (ctrl, data time.Duration) {
+	for _, e := range s.Engines {
+		c, d := e.QueueDelays()
+		ctrl, data = max(ctrl, c), max(data, d)
+	}
+	return ctrl, data
 }
 
 // Overload runs the unloaded baseline and the saturated round.
 func Overload(cfg OverloadConfig) (*OverloadResult, error) {
 	cfg.applyDefaults()
-	res := &OverloadResult{Budget: cfg.MemoryBudget}
+	res := &OverloadResult{}
 	unloaded, err := overloadOne(cfg, false)
 	if err != nil {
 		return nil, fmt.Errorf("unloaded round: %w", err)
@@ -124,8 +120,6 @@ func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
 		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
 		Node: func(_ int, conf *engine.Config) {
 			conf.InactivityTimeout = cfg.InactivityTimeout
-			conf.MemoryBudget = cfg.MemoryBudget
-			conf.StallThreshold = cfg.StallThreshold
 		},
 	})
 	if err != nil {
@@ -140,33 +134,29 @@ func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
 		for i := 1; i < cfg.N; i++ {
 			s.Saturate(i, cfg.SaturateBW)
 		}
-		// Let the overload bite before measuring: the first slow-peer
-		// shed proves the queues have been full past StallThreshold.
+		// Let the overload bite before measuring. A message that waited one
+		// sender ring's worth of bytes at the throttled rate arrived at a
+		// full ring: back-pressure binds.
+		ringDrain := time.Duration(engine.DefaultSendBuf*cfg.MsgSize) * time.Second / time.Duration(cfg.SaturateBW)
 		overloadBy := time.Now().Add(10 * time.Second)
-		for s.Shed() == 0 {
+		for {
+			if _, data := s.queueDelays(); data >= ringDrain {
+				break
+			}
 			if time.Now().After(overloadBy) {
-				return nil, fmt.Errorf("saturation never engaged shedding")
+				return nil, fmt.Errorf("saturation never filled a sender ring (data-lane delay below %s)", ringDrain)
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
 
 	point := &OverloadPoint{Saturated: saturate}
-	for _, e := range s.Engines {
-		ctrl, data := e.QueueDelays()
-		if ctrl > point.CtrlDelay {
-			point.CtrlDelay = ctrl
-		}
-		if data > point.DataDelay {
-			point.DataDelay = data
-		}
-	}
+	point.CtrlDelay, point.DataDelay = s.queueDelays()
 
 	burst := s.KillInterior(cfg.Kills, cfg.RecoveryTimeout)
 	point.Failures, point.Interior, point.Orphaned = burst.Failures, burst.Interior, burst.Orphaned
 	point.Recovery, point.Recovered, point.BytesLost = burst.Recovery, burst.Recovered, burst.BytesLost
 	point.stuck = burst.stuck
-	point.BytesShed = s.Shed()
 	for _, e := range s.Engines {
 		if m := e.MaxBufferedBytes(); m > point.MaxBuffered {
 			point.MaxBuffered = m
@@ -179,12 +169,12 @@ func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
 func RenderOverload(res *OverloadResult) string {
 	var b strings.Builder
 	b.WriteString("Overload: interior-kill recovery, unloaded vs saturated data plane\n")
-	b.WriteString("  round      kills  orphaned   recovery  ctrl-delay  data-delay   maxbuf  shed(bytes)  lost(bytes)  state\n")
+	b.WriteString("  round      kills  orphaned   recovery  ctrl-delay  data-delay   maxbuf  lost(bytes)  state\n")
 	row := func(name string, p OverloadPoint) {
-		fmt.Fprintf(&b, "  %-9s  %5d  %8d  %9s  %10s  %10s  %7d  %11d  %11d  %s\n",
+		fmt.Fprintf(&b, "  %-9s  %5d  %8d  %9s  %10s  %10s  %7d  %11d  %s\n",
 			name, p.Failures, p.Orphaned, p.Recovery.Round(time.Millisecond),
 			p.CtrlDelay.Round(time.Millisecond), p.DataDelay.Round(time.Millisecond),
-			p.MaxBuffered, p.BytesShed, p.BytesLost, healState(p.Recovered))
+			p.MaxBuffered, p.BytesLost, healState(p.Recovered))
 		b.WriteString(p.stuck)
 	}
 	row("unloaded", res.Unloaded)
@@ -193,7 +183,7 @@ func RenderOverload(res *OverloadResult) string {
 	if base <= 0 {
 		base = time.Millisecond
 	}
-	fmt.Fprintf(&b, "  loaded/unloaded recovery ratio: %.2f  (per-engine budget %d bytes)\n",
-		float64(res.Loaded.Recovery)/float64(base), res.Budget)
+	fmt.Fprintf(&b, "  loaded/unloaded recovery ratio: %.2f\n",
+		float64(res.Loaded.Recovery)/float64(base))
 	return b.String()
 }

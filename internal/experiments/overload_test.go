@@ -9,9 +9,7 @@ import (
 // plane isolation: with every receiver uplink saturated, killing interior
 // nodes must still repair within a small factor of the unloaded baseline,
 // because failure detection and rejoin ride the priority lane instead of
-// waiting behind the queued data. The round also checks the overload
-// protections held: buffered bytes stayed within the budget and the
-// overflow was shed (charged to loss), not buffered without bound.
+// waiting behind the queued data.
 func TestOverloadRecoveryWithinFactor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload soak")
@@ -30,7 +28,7 @@ func TestOverloadRecoveryWithinFactor(t *testing.T) {
 		t.Fatal("saturated round never recovered")
 	}
 	// Saturation must have been real: a deep data backlog with control
-	// overtaking it, and slow-peer/budget shedding engaged.
+	// overtaking it.
 	if res.Loaded.DataDelay < 100*time.Millisecond {
 		t.Errorf("saturated data-lane delay = %v; overload never built a backlog",
 			res.Loaded.DataDelay)
@@ -38,15 +36,6 @@ func TestOverloadRecoveryWithinFactor(t *testing.T) {
 	if res.Loaded.CtrlDelay > res.Loaded.DataDelay/4 {
 		t.Errorf("control-lane delay %v not well below data-lane delay %v under saturation",
 			res.Loaded.CtrlDelay, res.Loaded.DataDelay)
-	}
-	if res.Loaded.BytesShed == 0 {
-		t.Error("saturated round shed no data")
-	}
-	for _, p := range []OverloadPoint{res.Unloaded, res.Loaded} {
-		if p.MaxBuffered > res.Budget {
-			t.Errorf("saturated=%v: buffered bytes peaked at %d, above the %d budget",
-				p.Saturated, p.MaxBuffered, res.Budget)
-		}
 	}
 	// Recovery under overload stays within 3x the unloaded baseline.
 	// Sub-timeout recoveries are dominated by the passive failure

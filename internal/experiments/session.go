@@ -65,10 +65,9 @@ type Session struct {
 	baseline []int64                // ReceivedBytes at the last Mark
 }
 
-// NewSession boots the observer tier and the nodes (receivers first, the
-// source last), makes sure the source knows the whole membership so that
-// its deploy announce reaches everyone, deploys it, joins every receiver
-// and waits until the session is steady.
+// NewSession boots the observer tier and the nodes, deploys the source
+// (deployTree: every node knows it before anyone joins), joins every
+// receiver and waits until the session is steady.
 func NewSession(cfg SessionConfig) (*Session, error) {
 	c, err := NewCluster(false, cfg.NetOpts...)
 	if err != nil {
@@ -119,7 +118,7 @@ func (s *Session) boot() error {
 			return fmt.Errorf("observer %d: %w", k, err)
 		}
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := range s.IDs {
 		if err := s.StartNode(i); err != nil {
 			return err
 		}
@@ -127,17 +126,9 @@ func (s *Session) boot() error {
 	if !s.Obs.WaitForNodes(n, 10*time.Second) {
 		return fmt.Errorf("bootstrap incomplete (%d alive)", len(s.Obs.Alive()))
 	}
-	// Booting last does not by itself give the source the whole membership:
-	// its registration can overtake the receivers', and its bootstrap reply
-	// then lists only whoever the observer had heard from. Push it the full
-	// view, or the announce reaches part of the session and an orphan that
-	// never learned the source re-queries random hosts — starved ones too.
-	s.Obs.PushMembership(s.IDs[0])
-	// The two waits below are on events no node exposes yet; they are the
-	// next thing a predicate should replace.
-	time.Sleep(200 * time.Millisecond) // boot replies propagate
-	s.Obs.Deploy(s.IDs[0], treeApp, s.cfg.Rate, uint32(s.cfg.MsgSize))
-	time.Sleep(300 * time.Millisecond) // announce flood
+	if err := s.deployTree(s.IDs[0], s.Trees, s.cfg.Rate, s.cfg.MsgSize); err != nil {
+		return err
+	}
 	// Join each node through contact (i-1)/2 rather than letting every
 	// query land on the source: the Random variant accepts wherever the
 	// query arrives, so explicit contacts shape a deep tree with real
@@ -417,15 +408,6 @@ func (s *Session) Dropped() int64 {
 	var total int64
 	for _, e := range s.started {
 		total += e.Counters().BytesDropped
-	}
-	return total
-}
-
-// Shed sums bytes shed by budget and slow-peer protection.
-func (s *Session) Shed() int64 {
-	var total int64
-	for _, e := range s.started {
-		total += e.Counters().BytesShed
 	}
 	return total
 }

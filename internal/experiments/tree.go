@@ -111,18 +111,12 @@ func treeSmallOne(v tree.Variant, cfg TreeSmallConfig) (*Fig9Result, map[string]
 	defer c.Stop()
 
 	ids := make(map[string]message.NodeID)
-	names := make(map[message.NodeID]string)
 	algs := make(map[string]*tree.Tree)
-	for i, n := range treeSmallNames {
-		ids[n] = nodeID(i)
-		names[ids[n]] = n
-	}
-	// Boot receivers first, the source last, so the source's bootstrap
-	// reply covers the whole membership for the sAnnounce flood.
-	bootOrder := []string{"A", "B", "C", "D", "S"}
-	for _, n := range bootOrder {
-		name := n
+	var trees []*tree.Tree
+	for i, name := range treeSmallNames {
+		ids[name] = nodeID(i)
 		algs[name] = &tree.Tree{Variant: v, App: treeApp, LastMile: treeSmallBW[name]}
+		trees = append(trees, algs[name])
 		_, err := c.AddNode(ids[name], algs[name], func(conf *engine.Config) {
 			conf.UpBW = treeSmallBW[name]
 			conf.DownBW = treeSmallBW[name]
@@ -135,10 +129,9 @@ func treeSmallOne(v tree.Variant, cfg TreeSmallConfig) (*Fig9Result, map[string]
 	if !c.Obs.WaitForNodes(len(treeSmallNames), 5*time.Second) {
 		return nil, nil, nil, fmt.Errorf("tree: bootstrap incomplete")
 	}
-	time.Sleep(100 * time.Millisecond) // boot replies propagate
-	c.Obs.Deploy(ids["S"], treeApp, 0, uint32(cfg.MsgSize))
-	time.Sleep(200 * time.Millisecond) // announce flood
-
+	if err := c.deployTree(ids["S"], trees, 0, cfg.MsgSize); err != nil {
+		return nil, nil, nil, err
+	}
 	for _, n := range treeSmallJoinOrder {
 		c.Obs.Join(ids[n], treeApp, message.NodeID{})
 		if err := waitJoin(algs[n], 5*time.Second); err != nil {
@@ -175,6 +168,36 @@ func treeSmallOne(v tree.Variant, cfg TreeSmallConfig) (*Fig9Result, map[string]
 		return fig.Edges[i].Child.Less(fig.Edges[j].Child)
 	})
 	return fig, degrees, stresses, nil
+}
+
+// deployTree makes src the source of the tree session on a booted cluster
+// and returns once every tree knows it, so that no joiner is left to
+// query a random host. Boot order cannot guarantee that: registrations are
+// asynchronous, and a source whose bootstrap reply missed part of the
+// membership floods its announce to part of the session. So the source is
+// first pushed the full view — on the same observer link as the deploy,
+// which therefore finds it in place — and the announce flood is awaited,
+// not slept through. The error names the trees still ignorant.
+func (c *Cluster) deployTree(src message.NodeID, trees []*tree.Tree, rate int64, msgSize int) error {
+	c.Obs.PushMembership(src)
+	c.Obs.Deploy(src, treeApp, rate, uint32(msgSize))
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var ignorant []string
+		for _, t := range trees {
+			if t.Source() != src {
+				ignorant = append(ignorant, t.API.ID().String())
+			}
+		}
+		if len(ignorant) == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("tree: %d of %d nodes never learned the source %s: %s",
+				len(ignorant), len(trees), src, strings.Join(ignorant, " "))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func waitJoin(t *tree.Tree, timeout time.Duration) error {
@@ -299,16 +322,15 @@ func fig11One(v tree.Variant, cfg Fig11Config) (*Fig11Variant, error) {
 	}
 	defer c.Stop()
 
-	algs := make(map[message.NodeID]*tree.Tree, cfg.N)
-	// Node 0 is the source at SourceBW; boot it last.
-	for i := cfg.N - 1; i >= 0; i-- {
-		n := tb.Nodes[i]
+	trees := make([]*tree.Tree, 0, cfg.N) // indexed like tb.Nodes
+	// Node 0 is the source at SourceBW.
+	for i, n := range tb.Nodes[:cfg.N] {
 		bw := n.Bandwidth
 		if i == 0 {
 			bw = cfg.SourceBW
 		}
 		alg := &tree.Tree{Variant: v, App: treeApp, LastMile: bw}
-		algs[n.ID] = alg
+		trees = append(trees, alg)
 		if _, err := c.AddNode(n.ID, alg, func(conf *engine.Config) {
 			conf.UpBW = bw
 			conf.DownBW = bw
@@ -321,11 +343,9 @@ func fig11One(v tree.Variant, cfg Fig11Config) (*Fig11Variant, error) {
 	if !c.Obs.WaitForNodes(cfg.N, 15*time.Second) {
 		return nil, fmt.Errorf("fig11: bootstrap incomplete (%d alive)", len(c.Obs.Alive()))
 	}
-	time.Sleep(150 * time.Millisecond)
-	src := tb.Nodes[0].ID
-	c.Obs.Deploy(src, treeApp, 0, uint32(cfg.MsgSize))
-	time.Sleep(300 * time.Millisecond) // announce flood
-
+	if err := c.deployTree(tb.Nodes[0].ID, trees, 0, cfg.MsgSize); err != nil {
+		return nil, err
+	}
 	for i := 1; i < cfg.N; i++ {
 		c.Obs.Join(tb.Nodes[i].ID, treeApp, message.NodeID{})
 		time.Sleep(cfg.JoinGap)
@@ -336,7 +356,7 @@ func fig11One(v tree.Variant, cfg Fig11Config) (*Fig11Variant, error) {
 	for time.Now().Before(deadline) {
 		joined = 0
 		for i := 1; i < cfg.N; i++ {
-			if algs[tb.Nodes[i].ID].InSession() {
+			if trees[i].InSession() {
 				joined++
 			}
 		}
@@ -348,7 +368,7 @@ func fig11One(v tree.Variant, cfg Fig11Config) (*Fig11Variant, error) {
 
 	before := make(map[message.NodeID]int64, cfg.N)
 	for i := 1; i < cfg.N; i++ {
-		before[tb.Nodes[i].ID] = algs[tb.Nodes[i].ID].ReceivedBytes()
+		before[tb.Nodes[i].ID] = trees[i].ReceivedBytes()
 	}
 	time.Sleep(cfg.Window)
 
@@ -356,14 +376,14 @@ func fig11One(v tree.Variant, cfg Fig11Config) (*Fig11Variant, error) {
 	var sum float64
 	for i := 1; i < cfg.N; i++ {
 		id := tb.Nodes[i].ID
-		rate := float64(algs[id].ReceivedBytes()-before[id]) / cfg.Window.Seconds()
+		rate := float64(trees[i].ReceivedBytes()-before[id]) / cfg.Window.Seconds()
 		res.Throughputs = append(res.Throughputs, rate)
 		sum += rate
 	}
 	for i := 0; i < cfg.N; i++ {
 		id := tb.Nodes[i].ID
-		res.Stresses = append(res.Stresses, algs[id].Stress())
-		if p, ok := algs[id].Parent(); ok {
+		res.Stresses = append(res.Stresses, trees[i].Stress())
+		if p, ok := trees[i].Parent(); ok {
 			res.Edges = append(res.Edges, TreeEdge{Parent: p, Child: id})
 		}
 	}

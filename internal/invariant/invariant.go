@@ -8,8 +8,8 @@
 //
 // The asserted invariants mirror the linted ones: only the engine
 // goroutine may run Algorithm.Process, ring lane and byte accounting
-// stays non-negative with ordered watermarks, and the engine's memory
-// budget reconciles against what is actually buffered at shutdown.
+// stays non-negative, and the engine's buffered-bytes gauge reconciles
+// against what is actually buffered at shutdown.
 package invariant
 
 import (

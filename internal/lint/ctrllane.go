@@ -8,34 +8,30 @@ import (
 // checkCtrlLane enforces the control-plane isolation contract from PR 3:
 // control-class messages must reach a ring through the non-blocking push
 // API (the engine must never call the blocking Ring.Push, which can wait
-// on a data-full lane), consumers must serve the control lane before the
-// data lane, and no shed path may touch the control lane — control is
-// never dropped for memory pressure. Shed paths are traced
-// interprocedurally: a shed-named function must not reach a control-lane
-// pop through any chain of module-local helpers, and the diagnostic
-// carries the witness call path.
+// on a data-full lane), and consumers must serve the control lane before
+// the data lane. That control is never dropped for memory pressure needs
+// no rule: nothing sheds from a ring.
 //
 // The check is keyed by package name (engine, queue) so it applies to
 // the real tree and to fixtures alike.
 const checkNameCtrlLane = "ctrllane"
 
-func checkCtrlLane(g *Graph, p *Package, report reportFunc) {
+func checkCtrlLane(p *Package, report reportFunc) {
 	switch p.Name {
 	case "engine":
-		checkCtrlLaneEngine(g, p, report)
+		checkCtrlLaneEngine(p, report)
 	case "queue":
-		checkCtrlLaneQueue(g, p, report)
+		checkCtrlLaneQueue(p, report)
 	}
 }
 
-func checkCtrlLaneEngine(g *Graph, p *Package, report reportFunc) {
+func checkCtrlLaneEngine(p *Package, report reportFunc) {
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			isShed := strings.Contains(strings.ToLower(fd.Name.Name), "shed")
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -49,109 +45,22 @@ func checkCtrlLaneEngine(g *Graph, p *Package, report reportFunc) {
 					report(call.Pos(), checkNameCtrlLane,
 						"blocking Ring.Push in engine code: use TryPush (control parks on overflow) or PushBatch (data back-pressure)")
 				}
-				if isShed {
-					if sel.Sel.Name == "TryPopCtrl" || sel.Sel.Name == "CtrlLen" {
-						report(call.Pos(), checkNameCtrlLane,
-							"shed path %s touches the control lane: control-class messages are never shed", fd.Name.Name)
-					}
-				}
 				return true
 			})
-			if isShed {
-				flagCtrlLaneRefs(fd, report)
-				flagTransitiveCtrlPops(g, p, fd, report)
-			}
 		}
 	}
 }
 
-func checkCtrlLaneQueue(g *Graph, p *Package, report reportFunc) {
+func checkCtrlLaneQueue(p *Package, report reportFunc) {
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if strings.Contains(strings.ToLower(fd.Name.Name), "shed") {
-				flagCtrlLaneRefs(fd, report)
-				flagTransitiveCtrlPops(g, p, fd, report)
-			}
 			checkPopOrder(fd, report)
 		}
 	}
-}
-
-// flagCtrlLaneRefs reports any selector reference to a field named ctrl
-// inside a shed-path function body.
-func flagCtrlLaneRefs(fd *ast.FuncDecl, report reportFunc) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if ok && sel.Sel.Name == "ctrl" {
-			report(sel.Pos(), checkNameCtrlLane,
-				"shed path %s references the control lane: control-class messages are never shed", fd.Name.Name)
-		}
-		return true
-	})
-}
-
-// flagTransitiveCtrlPops follows the call graph out of a shed-path
-// function and flags any reachable same-package helper that pops the
-// control lane. Reached helpers are judged by the narrower pop rule, not
-// the any-ctrl-reference rule used on the shed body itself: a generic
-// lane helper may legitimately compare against the ctrl lane, but a shed
-// chain that *pops* from it is dropping control messages. The walk stays
-// inside the shed function's package — a cross-package entry point
-// (TryPopCtrl, CtrlLen) is already flagged at its call site by name.
-func flagTransitiveCtrlPops(g *Graph, p *Package, fd *ast.FuncDecl, report reportFunc) {
-	root := g.l.FuncOf[p.Info.Defs[fd.Name]]
-	if root == nil {
-		return
-	}
-	samePkg := func(e Edge) bool { return e.To.Pkg == p }
-	for _, r := range g.ReachableFrom(root, samePkg) {
-		if r.Fn == root {
-			continue
-		}
-		via := pathString(r.Path)
-		ast.Inspect(r.Fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if popsCtrlLane(call) {
-				report(call.Pos(), checkNameCtrlLane,
-					"shed path %s reaches a control-lane pop (via %s): control-class messages are never shed", fd.Name.Name, via)
-			}
-			return true
-		})
-	}
-}
-
-// popsCtrlLane recognizes a control-lane pop: the dedicated TryPopCtrl /
-// CtrlLen entry points, or a pop/popLocked invocation whose lane argument
-// or receiver spells ctrl.
-func popsCtrlLane(call *ast.CallExpr) bool {
-	name := ""
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	}
-	switch name {
-	case "TryPopCtrl", "CtrlLen":
-		return true
-	case "pop", "popLocked", "popBatchLocked":
-		for _, a := range call.Args {
-			if strings.HasSuffix(exprText(a), "ctrl") {
-				return true
-			}
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && strings.HasSuffix(exprText(sel.X), "ctrl") {
-			return true
-		}
-	}
-	return false
 }
 
 // checkPopOrder enforces control-before-data service order: in any queue

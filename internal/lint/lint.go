@@ -43,9 +43,9 @@ var allChecks = []struct {
 	run  func(g *Graph, pkgs []*Package, report reportFunc)
 }{
 	{checkNamePurity, checkPurity},
-	{checkNameCtrlLane, func(g *Graph, pkgs []*Package, report reportFunc) {
+	{checkNameCtrlLane, func(_ *Graph, pkgs []*Package, report reportFunc) {
 		for _, p := range pkgs {
-			checkCtrlLane(g, p, report)
+			checkCtrlLane(p, report)
 		}
 	}},
 	{checkNameLockDiscipline, func(g *Graph, pkgs []*Package, report reportFunc) {

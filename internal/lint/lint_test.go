@@ -63,8 +63,8 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 			}
 		}
 	}
-	if len(pkgs) < 22 {
-		t.Fatalf("expected at least 22 fixture packages (every check covered), found %d", len(pkgs))
+	if len(pkgs) < 21 {
+		t.Fatalf("expected at least 21 fixture packages (every check covered), found %d", len(pkgs))
 	}
 	if total == 0 {
 		t.Fatal("no want markers found in fixtures")

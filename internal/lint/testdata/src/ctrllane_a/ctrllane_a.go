@@ -1,6 +1,6 @@
-// Package engine (fixture ctrllane_a) seeds control-lane violations on
-// the engine side: a blocking Ring.Push where only the non-blocking
-// push APIs are allowed, and a shed path that drains the control lane.
+// Package engine (fixture ctrllane_a) seeds the control-lane violation on
+// the engine side: a blocking Ring.Push where only the non-blocking push
+// APIs are allowed.
 package engine
 
 import (
@@ -14,10 +14,4 @@ type relaySender struct {
 
 func (s *relaySender) enqueue(m *message.Msg) error {
 	return s.ring.Push(m) // want "blocking Ring.Push"
-}
-
-func (s *relaySender) shedBacklog() {
-	if m, ok := s.ring.TryPopCtrl(); ok { // want "control lane"
-		m.Release()
-	}
 }

@@ -1,6 +1,6 @@
-// Package queue (fixture ctrllane_b) seeds control-lane violations on
-// the queue side: a consumer that serves the data lane before the
-// control lane, and a shed path that touches the control lane.
+// Package queue (fixture ctrllane_b) seeds the control-lane violation on
+// the queue side: a consumer that serves the data lane before the control
+// lane.
 package queue
 
 type miniLane struct{ n int }
@@ -20,8 +20,4 @@ func (s *Spool) PopWrong() int {
 		return n
 	}
 	return s.popLocked(&s.ctrl)
-}
-
-func (s *Spool) ShedAll() {
-	s.ctrl.n = 0 // want "never shed"
 }

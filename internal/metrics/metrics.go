@@ -156,7 +156,7 @@ func (m *Meter) Reset() {
 }
 
 // Gauge is an atomic byte-count gauge with a high-water mark; the engine
-// uses one to track its total buffered bytes against the memory budget.
+// uses one to track its total buffered bytes.
 // All methods are safe for concurrent use.
 type Gauge struct {
 	v   atomic.Int64
@@ -171,19 +171,6 @@ func (g *Gauge) Add(n int64) int64 {
 		g.raise(v)
 	}
 	return v
-}
-
-// CompareAndSwap installs new only if the gauge still holds old,
-// reporting whether the swap happened; a successful raise folds into the
-// high-water mark like Add.
-func (g *Gauge) CompareAndSwap(old, new int64) bool {
-	if !g.v.CompareAndSwap(old, new) {
-		return false
-	}
-	if new > old {
-		g.raise(new)
-	}
-	return true
 }
 
 func (g *Gauge) raise(v int64) {
@@ -211,8 +198,6 @@ type Counters struct {
 	bytesOut     int64
 	msgsDropped  int64
 	bytesDropped int64
-	msgsShed     int64
-	bytesShed    int64
 	failovers    int64
 	connsIn      int64
 	connsShed    int64
@@ -229,14 +214,16 @@ type CountersSnapshot struct {
 	BytesIn, BytesOut int64
 	MsgsDropped       int64
 	BytesDropped      int64
-	MsgsShed          int64
-	BytesShed         int64
+	// MsgsShed and BytesShed are always zero: the shedding they counted is
+	// gone, and the fields stay only because bench/ compiles against them.
+	MsgsShed  int64
+	BytesShed int64
 	// Failovers counts successful observer failovers: re-registrations
 	// with a different observer after the previous link was lost.
 	Failovers int64
 	// ConnsIn counts inbound connections admitted past the admission
 	// gate; ConnsShed those refused before a handshake was attempted
-	// (token exhaustion, rate limit, greylist, or watermark shedding).
+	// (token exhaustion, rate limit or greylist).
 	ConnsIn   int64
 	ConnsShed int64
 	// HandshakesFailed counts admitted connections whose handshake then
@@ -290,18 +277,6 @@ func (c *Counters) AddDroppedBatch(msgs, n int64) {
 func (c *Counters) AddDropped(n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.msgsDropped++
-	c.bytesDropped += n
-}
-
-// AddShed records a data message of n bytes deliberately shed by overload
-// protection (memory-budget or slow-peer drop-head). Shed traffic is loss
-// the node chose, so it is charged to the loss counters as well as its own.
-func (c *Counters) AddShed(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.msgsShed++
-	c.bytesShed += n
 	c.msgsDropped++
 	c.bytesDropped += n
 }
@@ -375,7 +350,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		MsgsIn: c.msgsIn, MsgsOut: c.msgsOut,
 		BytesIn: c.bytesIn, BytesOut: c.bytesOut,
 		MsgsDropped: c.msgsDropped, BytesDropped: c.bytesDropped,
-		MsgsShed: c.msgsShed, BytesShed: c.bytesShed,
 		Failovers: c.failovers,
 		ConnsIn:   c.connsIn, ConnsShed: c.connsShed,
 		HandshakesFailed: c.hsFailed, AcceptRetries: c.acceptRetry,

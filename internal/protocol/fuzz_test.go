@@ -49,9 +49,6 @@ func allDecoderSpecs() []decoderSpec {
 		{"LinkEvent",
 			func(b []byte) (any, error) { return DecodeLinkEvent(b) },
 			func(v any) []byte { return v.(LinkEvent).Encode() }},
-		{"SlowPeer",
-			func(b []byte) (any, error) { return DecodeSlowPeer(b) },
-			func(v any) []byte { return v.(SlowPeer).Encode() }},
 		{"Probe",
 			func(b []byte) (any, error) { return DecodeProbe(b) },
 			func(v any) []byte { return v.(Probe).Encode() }},
@@ -93,7 +90,7 @@ func FuzzAllPayloadDecoders(f *testing.F) {
 		Apps:      []uint32{1, 2},
 	}.Encode())
 	reportWithTail := Report{Node: id, Events: []trace.Event{
-		{Seq: 3, Nanos: 1 << 50, Kind: trace.KindWatermark, Peer: id, App: 1, Value: 1},
+		{Seq: 3, Nanos: 1 << 50, Kind: trace.KindShed, Peer: id, App: 1, Value: 1},
 	}}
 	reportWithTail.QueueDataHist.Counts[7] = 12
 	reportWithTail.SendBatchHist.Counts[0] = 1
@@ -102,12 +99,12 @@ func FuzzAllPayloadDecoders(f *testing.F) {
 	f.Add(BrokenSource{App: 1, Upstream: id}.Encode())
 	f.Add(Relay{Dest: id, Inner: []byte("inner")}.Encode())
 	f.Add(LinkEvent{Peer: id, Upstream: true}.Encode())
-	f.Add(SlowPeer{Peer: id, ShedBytes: 1 << 30}.Encode())
 	f.Add(Probe{Token: 1, Index: 0, Count: 4, Pad: []byte{9, 9}}.Encode())
 	f.Add(ProbeAck{Token: 1, Rate: 1e6}.Encode())
 	f.Add(Ping{UnixNano: 1 << 60, Token: 5}.Encode())
 	f.Add(Tick{Kind: 3}.Encode())
 	f.Add(Busy{Reason: BusyHandshakes, RetryAfterNanos: 50_000_000}.Encode())
+	f.Add(Busy{Reason: BusyRate, RetryAfterNanos: 1}.Encode())
 	f.Add(ObsSync{Origin: id, Entries: []MemberEntry{
 		{Node: id, Home: id, Seq: 4, Alive: true},
 		{Node: message.MakeID("10.0.0.2", 7000), Seq: 9, Departed: true},

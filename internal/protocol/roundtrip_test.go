@@ -138,13 +138,6 @@ func allPayloadCases() []payloadCase {
 			fixed:  12,
 		},
 		{
-			name:   "SlowPeer",
-			value:  SlowPeer{Peer: idB, ShedBytes: 123456789},
-			encode: SlowPeer{Peer: idB, ShedBytes: 123456789}.Encode,
-			decode: func(b []byte) (any, error) { return DecodeSlowPeer(b) },
-			fixed:  16,
-		},
-		{
 			name:   "Probe",
 			value:  Probe{Token: 77, Index: 3, Count: 16, Pad: []byte{1, 2, 3}},
 			encode: Probe{Token: 77, Index: 3, Count: 16, Pad: []byte{1, 2, 3}}.Encode,
@@ -174,8 +167,8 @@ func allPayloadCases() []payloadCase {
 		},
 		{
 			name:   "Busy",
-			value:  Busy{Reason: BusyWatermark, RetryAfterNanos: 250_000_000},
-			encode: Busy{Reason: BusyWatermark, RetryAfterNanos: 250_000_000}.Encode,
+			value:  Busy{Reason: BusyRate, RetryAfterNanos: 250_000_000},
+			encode: Busy{Reason: BusyRate, RetryAfterNanos: 250_000_000}.Encode,
 			decode: func(b []byte) (any, error) { return DecodeBusy(b) },
 			fixed:  12,
 		},
@@ -240,7 +233,7 @@ func TestAllPayloadsRejectEveryTruncation(t *testing.T) {
 func TestPayloadTableIsExhaustive(t *testing.T) {
 	want := []string{
 		"SetBandwidth", "BootReply", "Deploy", "Join", "Custom", "Report",
-		"Throughput", "BrokenSource", "Relay", "LinkEvent", "SlowPeer",
+		"Throughput", "BrokenSource", "Relay", "LinkEvent",
 		"Probe", "ProbeAck", "Ping", "Tick", "ObsSync", "Busy",
 	}
 	have := map[string]bool{}

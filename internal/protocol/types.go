@@ -54,7 +54,6 @@ const (
 	TypeNodeShutdown   message.Type = 36 // engine is terminating gracefully
 	TypeLatency        message.Type = 37 // measured RTT result for the algorithm
 	TypeBandwidthEst   message.Type = 38 // measured available bandwidth result
-	TypeSlowPeer       message.Type = 39 // a downstream peer persistently cannot keep up
 )
 
 // TypeName renders a reserved type for traces; unknown and data types are
@@ -123,8 +122,6 @@ func TypeName(t message.Type) string {
 		return "latency"
 	case TypeBandwidthEst:
 		return "bandwidthEst"
-	case TypeSlowPeer:
-		return "slowPeer"
 	default:
 		if t >= message.FirstDataType {
 			return "data"
@@ -284,12 +281,12 @@ type Report struct {
 	MsgsIn     int64
 	MsgsOut    int64
 	Dropped    int64
-	// Shed counts data messages deliberately dropped by overload
-	// protection (included in Dropped as well).
+	// Shed is always zero: nothing sheds data any more, and the field
+	// stays only so the report's wire layout does not move.
 	Shed int64
 	// BufferedBytes is the wire bytes of every message reference the node
 	// holds — in a ring, parked, in the switch or in a sender's write batch;
-	// MaxBufferedBytes its lifetime high-water mark against the budget.
+	// MaxBufferedBytes its lifetime high-water mark.
 	BufferedBytes    int64
 	MaxBufferedBytes int64
 	// CtrlDelayNs and DataDelayNs are the worst smoothed per-class
@@ -575,15 +572,14 @@ func DecodeBrokenSource(b []byte) (BrokenSource, error) {
 }
 
 // BusyReason says why an acceptor refused admission; carried in a Busy
-// frame so the dialer (and its flight recorder) can tell transient token
-// exhaustion from deliberate overload shedding.
+// frame so the dialer (and its flight recorder) can tell token exhaustion
+// from a per-source rate refusal.
 type BusyReason uint32
 
 // Admission-refusal reasons.
 const (
 	BusyHandshakes BusyReason = iota + 1 // in-flight handshake tokens exhausted
 	BusyRate                             // per-source rate limit exceeded
-	BusyWatermark                        // memory budget past watermark; data-plane shed
 )
 
 // Busy is the payload of TypeBusy: the one frame an acceptor writes before
@@ -612,7 +608,7 @@ func DecodeBusy(b []byte) (Busy, error) {
 	if r.Err() != nil {
 		return bz, r.Err()
 	}
-	if bz.Reason < BusyHandshakes || bz.Reason > BusyWatermark {
+	if bz.Reason < BusyHandshakes || bz.Reason > BusyRate {
 		r.fail(fmt.Errorf("%w: busy reason %d out of range", ErrInvalid, bz.Reason))
 	}
 	return bz, r.Err()
@@ -758,28 +754,6 @@ func DecodeLinkEvent(b []byte) (LinkEvent, error) {
 	r := NewReader(b)
 	le := LinkEvent{Peer: r.ID(), Upstream: r.U32() == 1}
 	return le, r.Err()
-}
-
-// SlowPeer is the payload of TypeSlowPeer: the engine's slow-peer detector
-// found the outgoing buffer toward Peer persistently full past the stall
-// threshold and has been shedding its oldest data. ShedBytes is the data
-// volume shed from that buffer so far; algorithms typically respond by
-// routing the session away from the peer (CloseLink, reparent).
-type SlowPeer struct {
-	Peer      message.NodeID
-	ShedBytes int64
-}
-
-// Encode serializes the notification.
-func (sp SlowPeer) Encode() []byte {
-	return NewWriter(16).ID(sp.Peer).I64(sp.ShedBytes).Bytes()
-}
-
-// DecodeSlowPeer parses a SlowPeer payload.
-func DecodeSlowPeer(b []byte) (SlowPeer, error) {
-	r := NewReader(b)
-	sp := SlowPeer{Peer: r.ID(), ShedBytes: r.I64()}
-	return sp, r.Err()
 }
 
 // Probe is the payload of TypeProbe: one message of a back-to-back burst

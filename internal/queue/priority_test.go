@@ -106,74 +106,6 @@ func TestPopBatchServesControlLaneFirst(t *testing.T) {
 	}
 }
 
-func TestShedOldestDataSparesControl(t *testing.T) {
-	r := New(8)
-	var total int64
-	for i := uint32(0); i < 4; i++ {
-		m := mkData(i, 100)
-		total += int64(m.WireLen())
-		r.TryPush(m)
-	}
-	r.TryPush(mkCtrl(99))
-
-	// Shed everything data: control must survive.
-	shed := r.ShedOldestData(8, 0)
-	if len(shed) != 4 {
-		t.Fatalf("shed %d messages, want 4", len(shed))
-	}
-	for i, m := range shed {
-		if m.Seq() != uint32(i) {
-			t.Fatalf("shed order: got %d at %d (drop-head sheds oldest first)", m.Seq(), i)
-		}
-		m.Release()
-	}
-	if got := r.CtrlLen(); got != 1 {
-		t.Fatalf("CtrlLen after shed = %d, want 1", got)
-	}
-	if m, err := r.Pop(); err != nil || m.Seq() != 99 {
-		t.Fatalf("control message lost to shedding: %v, %v", m, err)
-	}
-}
-
-func TestShedOldestDataStopsAtMinBytes(t *testing.T) {
-	r := New(8)
-	for i := uint32(0); i < 6; i++ {
-		r.TryPush(mkData(i, 100))
-	}
-	one := int64(mkData(0, 100).WireLen())
-	shed := r.ShedOldestData(8, one+1) // needs two messages' worth
-	if len(shed) != 2 {
-		t.Fatalf("shed %d messages for %d bytes, want 2", len(shed), one+1)
-	}
-	for _, m := range shed {
-		m.Release()
-	}
-	if got := r.DataLen(); got != 4 {
-		t.Fatalf("DataLen after bounded shed = %d, want 4", got)
-	}
-}
-
-func TestShedUnblocksDataProducer(t *testing.T) {
-	r := New(1)
-	if err := r.Push(mkData(0, 10)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- r.Push(mkData(1, 10)) }()
-	time.Sleep(10 * time.Millisecond)
-	for _, m := range r.ShedOldestData(1, 0) {
-		m.Release()
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("blocked Push after shed: %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("ShedOldestData did not wake the blocked data producer")
-	}
-}
-
 func TestDelaysTrackedPerLane(t *testing.T) {
 	r := New(8)
 	r.TryPush(mkMsg(0))

@@ -155,14 +155,6 @@ func (r *Ring) Free() int {
 	return len(r.data.buf) - r.data.length
 }
 
-// DataFull reports whether the data lane is at capacity — the slow-peer
-// detector's stall signal.
-func (r *Ring) DataFull() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.data.full()
-}
-
 // Delays reports the smoothed per-class queueing delays: how long popped
 // messages of each class sat buffered. Zero until a class has been popped.
 func (r *Ring) Delays() (ctrl, data time.Duration) {
@@ -412,33 +404,6 @@ func (r *Ring) wakeProducers(c *sync.Cond, n int) {
 	case n > 1:
 		c.Broadcast()
 	}
-}
-
-// ShedOldestData removes and returns up to maxMsgs of the oldest buffered
-// data messages, stopping early once at least minBytes of wire volume have
-// been shed. Control messages are never touched. The caller owns the
-// returned messages (release them and charge loss counters); drop-head
-// shedding keeps the freshest data under overload, as the engine's memory
-// budget and slow-peer protection require.
-func (r *Ring) ShedOldestData(maxMsgs int, minBytes int64) []*message.Msg {
-	if maxMsgs <= 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := time.Now()
-	var shed []*message.Msg
-	var bytes int64
-	for r.data.length > 0 && len(shed) < maxMsgs {
-		m := r.data.pop(now)
-		shed = append(shed, m)
-		bytes += int64(m.WireLen())
-		if minBytes > 0 && bytes >= minBytes {
-			break
-		}
-	}
-	r.wakeProducers(r.dataNotFull, len(shed))
-	return shed
 }
 
 // Close marks the ring closed, waking all blocked producers and consumers.

@@ -1,9 +1,9 @@
 // Package trace implements the per-engine flight recorder: a fixed-size
 // ring of typed, preallocated event records that hot paths append to with
 // one atomic fetch-add and zero allocation. The recorder answers the
-// question the counters cannot — *when* did the engine shed, bypass,
-// reparent, or cross a watermark, and in what order relative to its
-// peers — without perturbing the data path it is observing.
+// question the counters cannot — *when* did the engine shed, bypass or
+// reparent, and in what order relative to its peers — without perturbing
+// the data path it is observing.
 //
 // Concurrency model: any goroutine may Emit concurrently. The cursor is
 // an atomic counter; each Emit claims a unique slot by fetch-add, writes
@@ -37,8 +37,9 @@ const (
 	// messages moved in the batch, Peer the destination (zero for local
 	// delivery), App the application of the first message.
 	KindSwitch Kind = iota + 1
-	// KindShed records a drop-head shed: Value is the bytes freed,
-	// Peer the ring owner the bytes were shed from.
+	// KindShed records an outgoing message refused at the sender for
+	// exceeding the datagram fragment budget: Value is its wire bytes,
+	// Peer the destination.
 	KindShed
 	// KindCtrlBypass records a control message overtaking queued data
 	// mid-batch in a shaped sender: Value is the data backlog (messages)
@@ -56,10 +57,6 @@ const (
 	// Peer is the new parent (or zero when detaching), Value is
 	// algorithm-specific context (e.g. the subtree size moved).
 	KindReparent
-	// KindWatermark records a memory-budget watermark crossing:
-	// Value 1 when shedding latches on (high watermark), 0 when it
-	// clears (low watermark). Peer is unused.
-	KindWatermark
 	// KindProbeRTT records a completed ping: Value is the measured RTT
 	// in nanoseconds, Peer the probed node.
 	KindProbeRTT
@@ -77,7 +74,7 @@ const (
 	// KindAccept records one inbound admission decision on a listener:
 	// Peer is the remote end (zero when the connection died before a
 	// hello identified it), Value an admission.Decision code — admitted,
-	// busy-shed, rate-limited, greylisted, watermark-shed, bad hello,
+	// busy-shed, rate-limited, greylisted, bad hello,
 	// handshake timeout, or an Accept retry after a transient error.
 	KindAccept
 )
@@ -100,8 +97,6 @@ func KindName(k Kind) string {
 		return "backoff"
 	case KindReparent:
 		return "reparent"
-	case KindWatermark:
-		return "watermark"
 	case KindProbeRTT:
 		return "probe-rtt"
 	case KindProbeBW:

@@ -243,6 +243,14 @@ func (t *Tree) IsSource() bool {
 	return t.isSource
 }
 
+// Source reports the session source as this node knows it — itself once
+// deployed, otherwise what an announce taught it; zero before either.
+func (t *Tree) Source() message.NodeID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.source
+}
+
 // ReceivedBytes reports application bytes received on this node.
 func (t *Tree) ReceivedBytes() int64 { return t.received.Load() }
 
@@ -273,8 +281,6 @@ func (t *Tree) Process(m *message.Msg) engine.Verdict {
 		t.onLinkDown(m)
 	case protocol.TypeBrokenSource:
 		t.onBrokenSource(m)
-	case protocol.TypeSlowPeer:
-		t.onSlowPeer(m)
 	default:
 		if m.IsData() {
 			t.onData(m)
@@ -614,32 +620,6 @@ func (t *Tree) onBrokenSource(m *message.Msg) {
 		if arm {
 			t.API.After(DefaultJoinRetry, tickRetryJoin)
 		}
-	}
-}
-
-// onSlowPeer reacts to the engine's slow-peer report: a child that cannot
-// keep up with the session rate has been shedding queued data past the
-// stall threshold. Keeping it attached only converts more of the stream
-// into losses, so the node drops the child from the tree and closes the
-// link; the child observes the upstream LinkDown and (with AutoRejoin)
-// re-queries through nodes that may have spare capacity toward it.
-func (t *Tree) onSlowPeer(m *message.Msg) {
-	sp, err := protocol.DecodeSlowPeer(m.Payload())
-	if err != nil {
-		return
-	}
-	t.mu.Lock()
-	child := false
-	for i, c := range t.children {
-		if c == sp.Peer {
-			t.children = append(t.children[:i], t.children[i+1:]...)
-			child = true
-			break
-		}
-	}
-	t.mu.Unlock()
-	if child {
-		t.API.CloseLink(sp.Peer)
 	}
 }
 

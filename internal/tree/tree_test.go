@@ -385,30 +385,3 @@ func TestJoinedAtTimestampOrdering(t *testing.T) {
 		t.Errorf("JoinedAt = %d outside [%d, %d]", got, before, after)
 	}
 }
-
-func TestSlowPeerDropsChild(t *testing.T) {
-	tr, api := newTree(Random, nid(1), 100<<10)
-	tr.Process(message.New(protocol.TypeDeploy, nid(0), app, 0, protocol.Deploy{App: app}.Encode()))
-	// Adopt two children.
-	for _, j := range []message.NodeID{nid(5), nid(6)} {
-		q := Query{App: app, Joiner: j}
-		deliver(t, tr, message.New(TypeQuery, j, app, 0, q.Encode()))
-	}
-	// The engine reports nid(5) as a slow peer: it is dropped from the
-	// tree and its link is closed; the other child is untouched.
-	sp := protocol.SlowPeer{Peer: nid(5), ShedBytes: 4096}
-	deliver(t, tr, message.New(protocol.TypeSlowPeer, nid(1), app, 0, sp.Encode()))
-	if ch := tr.Children(); len(ch) != 1 || ch[0] != nid(6) {
-		t.Errorf("children after SlowPeer = %v, want [%v]", ch, nid(6))
-	}
-	if len(api.Closed) != 1 || api.Closed[0] != nid(5) {
-		t.Errorf("closed links = %v, want [%v]", api.Closed, nid(5))
-	}
-	// A SlowPeer report for a non-child (e.g. the parent of some other
-	// session) is ignored.
-	sp = protocol.SlowPeer{Peer: nid(9), ShedBytes: 1}
-	deliver(t, tr, message.New(protocol.TypeSlowPeer, nid(1), app, 0, sp.Encode()))
-	if len(api.Closed) != 1 {
-		t.Errorf("non-child SlowPeer closed a link: %v", api.Closed)
-	}
-}
