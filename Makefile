@@ -55,9 +55,14 @@ fuzz:
 # ioverlay_debug tag arms the internal/invariant runtime assertions
 # (engine-goroutine ownership, gauge non-negativity, a zero gauge after
 # Stop) so a violated invariant fails the run instead of corrupting it.
+# That build never recycles a message struct, so the two packages that
+# own the recycling run once more without the tag: there a message touched
+# after its last reference was dropped is a data race with its next life,
+# which the detector sees.
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
 		./internal/admission ./internal/observer ./internal/proxy
+	$(GO) test -race ./internal/message ./internal/engine
 
 # The fault-injection soaks: a seeded chaos schedule (kills, restarts,
 # partitions, flaky links) against a live 16-node multicast session,

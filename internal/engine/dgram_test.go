@@ -86,8 +86,10 @@ func TestDatagramOversizeRefused(t *testing.T) {
 	a := dgramNode(t, n, nid(1), src)
 
 	over := message.MaxFragments*(message.DefaultDgramMTU-message.DgramHeaderSize) + 1
-	a.SendNew(message.New(message.FirstDataType, nid(1), app, 1, make([]byte, over)), nid(2))
-	a.SendNew(message.New(message.FirstDataType, nid(1), app, 2, make([]byte, 512)), nid(2))
+	a.Do(func(api engine.API) { // Send is engine-goroutine only
+		api.SendNew(message.New(message.FirstDataType, nid(1), app, 1, make([]byte, over)), nid(2))
+		api.SendNew(message.New(message.FirstDataType, nid(1), app, 2, make([]byte, 512)), nid(2))
+	})
 
 	waitFor(t, 5*time.Second, "small message to survive the oversize refusal", func() bool {
 		return sink.SeenMessages(app) >= 1

@@ -243,6 +243,9 @@ type Engine struct {
 
 	mu        sync.Mutex
 	receivers map[message.NodeID]*receiver
+	// recvGen counts changes to the receivers map; bumped under mu, read
+	// without it by the switch to validate its cached receiver list.
+	recvGen   atomic.Uint64
 	senders   map[message.NodeID]*sender
 	linkRates map[message.NodeID]int64 // pending per-link caps
 	stopping  bool
@@ -311,20 +314,29 @@ type Engine struct {
 	probeRecv map[probeKey]*probeAgg
 	nextToken uint32
 	// sentApps tracks which apps have been forwarded toward which
-	// destination, for BrokenSource cascades.
+	// destination, for BrokenSource cascades; notedDest/notedApp is the pair
+	// recorded last (zero notedDest: none).
 	sentApps     map[message.NodeID]map[uint32]struct{}
+	notedDest    message.NodeID
+	notedApp     uint32
 	lastEventSeq uint64 // recorder cursor already shipped in a report
 	// The switch's scheduler state — see switch.go. parked is the backlog
 	// full sender rings refused, parkedByDest its per-destination count,
-	// switchBuf the quantum's batch buffer, localPass the local-source
-	// ring's stride virtual time, lastDest/lastSender the one-entry sender
-	// cache.
+	// retryFull retryParked's scratch set of still-full destinations,
+	// dirty the senders holding staged output, switchBuf the quantum's
+	// batch buffer, localPass the local-source ring's stride virtual time,
+	// lastDest/lastSender the one-entry sender cache, recvList the sorted
+	// receiver list as of recvListGen.
 	parked       []parkedMsg
 	parkedByDest map[message.NodeID]int
+	retryFull    map[message.NodeID]bool
+	dirty        []*sender
 	switchBuf    []*message.Msg
 	localPass    float64
 	lastDest     message.NodeID
 	lastSender   *sender
+	recvList     []*receiver
+	recvListGen  uint64
 
 	control chan ctrlMsg
 	events  chan func()
@@ -372,6 +384,7 @@ func New(cfg Config) (*Engine, error) {
 		pingSent:     make(map[uint32]time.Time),
 		sentApps:     make(map[message.NodeID]map[uint32]struct{}),
 		parkedByDest: make(map[message.NodeID]int),
+		retryFull:    make(map[message.NodeID]bool),
 		switchBuf:    make([]*message.Msg, cfg.BatchSize),
 		control:      make(chan ctrlMsg, 1024),
 		events:       make(chan func(), 4096),
@@ -864,6 +877,9 @@ func (e *Engine) run() {
 	ticker := time.NewTicker(e.cfg.StatusInterval)
 	defer ticker.Stop()
 	for {
+		// Whatever the turn just ended staged — or Attach did, before this
+		// goroutine existed — goes out before the engine waits again.
+		e.flushStaged()
 		select {
 		case cm := <-e.control:
 			e.process(cm)
@@ -1054,6 +1070,7 @@ func (e *Engine) receiverGone(r *receiver) {
 		return // already replaced or removed
 	}
 	delete(e.receivers, r.peer)
+	e.recvGen.Add(1)
 	e.mu.Unlock()
 
 	if r.inactivity != nil {
@@ -1106,6 +1123,7 @@ func (e *Engine) brokenSource(app uint32, upstream message.NodeID) {
 			delete(apps, app)
 		}
 	}
+	e.notedDest = message.NodeID{}
 	sortIDs(dests)
 	for _, d := range dests {
 		fwd := protocol.BrokenSource{App: app, Upstream: e.id}.Encode()
@@ -1123,8 +1141,7 @@ func (e *Engine) senderGone(s *sender) {
 	delete(e.senders, s.peer)
 	e.mu.Unlock()
 
-	e.invalidateSender(s)
-	delete(e.sentApps, s.peer)
+	e.forgetSender(s)
 	s.ring.Close()
 	e.dropQueued(s.ring)
 	s.linkLimit.Close()
@@ -1176,6 +1193,7 @@ func (e *Engine) observerGone(o *observerLink) {
 // CloseLink gracefully tears down the outgoing link to peer. Part of the
 // API interface.
 func (e *Engine) CloseLink(peer message.NodeID) {
+	e.flushStaged() // what was sent before the close still goes out
 	e.mu.Lock()
 	s := e.senders[peer]
 	if s != nil {
@@ -1185,8 +1203,7 @@ func (e *Engine) CloseLink(peer message.NodeID) {
 	if s == nil {
 		return
 	}
-	e.invalidateSender(s)
-	delete(e.sentApps, peer)
+	e.forgetSender(s)
 	s.ring.Close() // sender goroutine flushes remaining messages and exits
 	// A link that is still dialing has nothing to flush to: its attempt
 	// loop ends at the closed ring, and a handshake waiting on the peer's

@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/message"
 	"repro/internal/observer"
+	"repro/internal/protocol"
 	"repro/internal/trace"
 	"repro/internal/vnet"
 )
@@ -40,16 +41,19 @@ func TestObserverFailoverReRegisters(t *testing.T) {
 	oa := startObs(t, n, idA)
 	ob := startObs(t, n, idB)
 
-	e := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
+	alg := &recorder{}
+	e := startNode(t, n, nid(1), alg, func(c *engine.Config) {
 		c.Observers = []message.NodeID{idA, idB}
 		c.StatusInterval = 25 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
 		c.RetryMax = 40 * time.Millisecond
 		c.DialTimeout = 100 * time.Millisecond
 	})
+	// A move counts as a failover only away from an observer that answered:
+	// wait for A's reply to arrive, not just for A to have seen the Boot.
 	waitFor(t, 5*time.Second, "node registered at A", func() bool {
 		a := oa.Alive()
-		return len(a) == 1 && a[0] == nid(1)
+		return len(a) == 1 && a[0] == nid(1) && alg.count(protocol.TypeBootReply) > 0
 	})
 	if got := e.Observer(); got != idA {
 		t.Fatalf("engine targets %s, want primary %s", got, idA)
@@ -95,19 +99,22 @@ func TestObserverFailbackAfterFlap(t *testing.T) {
 	oa := startObs(t, n, idA)
 	ob := startObs(t, n, idB)
 
-	e := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
+	alg := &recorder{}
+	e := startNode(t, n, nid(1), alg, func(c *engine.Config) {
 		c.Observers = []message.NodeID{idA, idB}
 		c.StatusInterval = 25 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
 		c.RetryMax = 40 * time.Millisecond
 		c.DialTimeout = 100 * time.Millisecond
 	})
+	// Each observer must have answered before it is killed, or leaving it
+	// is not a failover (see TestObserverFailoverReRegisters).
 	waitFor(t, 5*time.Second, "node registered at A", func() bool {
-		return len(oa.Alive()) == 1
+		return len(oa.Alive()) == 1 && alg.count(protocol.TypeBootReply) >= 1
 	})
 	oa.Stop()
 	waitFor(t, 10*time.Second, "failover to B", func() bool {
-		return len(ob.Alive()) == 1
+		return len(ob.Alive()) == 1 && alg.count(protocol.TypeBootReply) >= 2
 	})
 
 	// Revive A under the same identity, then kill B: the ring rotation

@@ -203,6 +203,9 @@ type sender struct {
 	conn      net.Conn // set by the sender goroutine after dialing
 	connReady chan struct{}
 	ring      *queue.Ring
+	// staged is the data the current engine turn has sent toward the peer
+	// and flushStaged has not yet moved into ring. Engine goroutine only.
+	staged    []*message.Msg
 	meter     *metrics.Meter
 	linkLimit *bandwidth.Limiter // per-link emulated bandwidth
 	// inflight counts messages popped from the ring but not yet fully
@@ -650,6 +653,7 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func(
 	}
 	old := e.receivers[peer]
 	e.receivers[peer] = r
+	e.recvGen.Add(1)
 	e.mu.Unlock()
 	if old != nil {
 		// A reconnect replaces the stale link, and what that still had

@@ -1,0 +1,197 @@
+package engine_test
+
+import (
+	"runtime/metrics"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/invariant"
+	"repro/internal/message"
+	"repro/internal/multicast"
+	"repro/internal/protocol"
+	"repro/internal/vnet"
+)
+
+// TestHopAllocatesNothing is the tripwire on the data path's steady state:
+// a hop — decode, receiver ring, switch, Process, staging, sender ring,
+// wire write — recycles the message struct with its buffer and allocates
+// nothing per message. Measured over a 3-node chain with the process-wide
+// allocation counter, so the status ticks and this test's own polling are
+// in the reading; they are a few hundred objects against 40 000 hops. (The
+// reading before message structs were recycled was 2.3 per hop.)
+func TestHopAllocatesNothing(t *testing.T) {
+	if raceEnabled || invariant.Enabled {
+		t.Skip("the race detector and ioverlay_debug builds do not recycle messages")
+	}
+	n := vnet.New()
+	defer n.Close()
+	const app, msgs = 1, 20000
+
+	sink := &multicast.Forwarder{}
+	startNode(t, n, nid(3), sink)
+	mid := &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}}
+	startNode(t, n, nid(2), mid)
+	src := &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(2)}}
+	a := startNode(t, n, nid(1), src)
+	a.StartSource(app, 0, 64)
+
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
+	read := func() (allocs uint64, hops int64) {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64(), mid.SeenMessages(app) + sink.SeenMessages(app)
+	}
+	// Warm-up: links up, pools and every reusable slice at their working size.
+	waitFor(t, 10*time.Second, "the chain to warm up", func() bool {
+		return sink.SeenMessages(app) >= msgs/4
+	})
+	allocs0, hops0 := read()
+	waitFor(t, 10*time.Second, "20 000 messages to reach the sink", func() bool {
+		return sink.SeenMessages(app) >= msgs/4+msgs
+	})
+	allocs1, hops1 := read()
+
+	perHop := float64(allocs1-allocs0) / float64(hops1-hops0)
+	t.Logf("%d allocations over %d hops: %.4f per hop", allocs1-allocs0, hops1-hops0, perHop)
+	if perHop >= 0.1 {
+		t.Errorf("%.3f allocations per hop, want < 0.1: something on the data path allocates per message again", perHop)
+	}
+}
+
+// ctrlMark stands for a control message in orderSink's arrival log.
+const ctrlMark = ^uint32(0)
+
+// orderSink logs what it consumes in arrival order: a data message's
+// sequence number, ctrlMark for a Custom control message.
+type orderSink struct {
+	recorder
+	logMu sync.Mutex
+	log   []uint32
+}
+
+func (s *orderSink) Process(m *message.Msg) engine.Verdict {
+	switch {
+	case m.IsData():
+		s.note(m.Seq())
+	case m.Type() == protocol.TypeCustom:
+		s.note(ctrlMark)
+	}
+	return s.recorder.Process(m)
+}
+
+func (s *orderSink) note(v uint32) {
+	s.logMu.Lock()
+	s.log = append(s.log, v)
+	s.logMu.Unlock()
+}
+
+func (s *orderSink) arrivals() []uint32 {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	return append([]uint32(nil), s.log...)
+}
+
+// sendData sends count data messages numbered from first to dest, from the
+// engine goroutine the caller is on.
+func sendData(api engine.API, dest message.NodeID, app, first uint32, count int) {
+	for i := 0; i < count; i++ {
+		api.SendNew(api.NewMsg(message.FirstDataType, app, first+uint32(i), 512), dest)
+	}
+}
+
+// TestStagedOutputKeepsOrderAcrossPark: a burst staged in one turn toward a
+// destination whose ring takes only its first few messages goes into the
+// ring and the parked backlog in send order, a later burst queues up behind
+// what is parked rather than slipping into a ring slot freed meanwhile, and
+// every charge is credited by the time the node has stopped.
+func TestStagedOutputKeepsOrderAcrossPark(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	const app, burst, late = 1, 64, 16
+
+	sink := &orderSink{}
+	startNode(t, n, nid(2), sink)
+	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
+		c.SendBuf = 4
+		c.LinkBW = map[message.NodeID]int64{nid(2): 1 << 10} // stalled: two messages a second
+	})
+
+	a.Do(func(api engine.API) { sendData(api, nid(2), app, 0, burst) })
+	waitFor(t, 5*time.Second, "the burst's tail to park", func() bool {
+		return a.Snapshot().Shards[0].Parked > 0
+	})
+	a.Do(func(api engine.API) { sendData(api, nid(2), app, burst, late) })
+	waitFor(t, 5*time.Second, "the second burst to park behind the first", func() bool {
+		return a.Snapshot().Shards[0].Parked > burst-late
+	})
+	if parked := a.Snapshot().Shards[0].Parked; parked > engine.DefaultMaxParked {
+		t.Errorf("%d messages parked, above MaxParked %d", parked, engine.DefaultMaxParked)
+	}
+
+	a.SetBandwidthLocal(protocol.SetBandwidth{Class: protocol.BandwidthLink, Peer: nid(2), Rate: 0})
+	waitFor(t, 10*time.Second, "everything to arrive", func() bool {
+		return len(sink.arrivals()) >= burst+late
+	})
+	for i, seq := range sink.arrivals() {
+		if seq != uint32(i) {
+			t.Fatalf("arrival %d has sequence number %d: per-destination order broken", i, seq)
+		}
+	}
+	a.Stop()
+	if got := a.BufferedBytes(); got != 0 {
+		t.Errorf("BufferedBytes = %d after Stop, want 0", got)
+	}
+}
+
+// TestCloseLinkFlushesStaged: data sent before a CloseLink in the same turn
+// is on its way, not staged toward a ring that is about to close.
+func TestCloseLinkFlushesStaged(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	const app = 1
+
+	sink := &orderSink{}
+	startNode(t, n, nid(2), sink)
+	a := startNode(t, n, nid(1), &recorder{})
+	// Closing a link that is still dialing abandons what was queued for it,
+	// so bring the link up first.
+	a.Do(func(api engine.API) { sendData(api, nid(2), app, 0, 1) })
+	waitFor(t, 5*time.Second, "the link to come up", func() bool {
+		return len(sink.arrivals()) == 1
+	})
+	a.Do(func(api engine.API) {
+		sendData(api, nid(2), app, 1, 3)
+		api.CloseLink(nid(2))
+	})
+	waitFor(t, 5*time.Second, "all three messages sent before the close", func() bool {
+		return len(sink.arrivals()) == 4
+	})
+	if dropped := a.Counters().MsgsDropped; dropped != 0 {
+		t.Errorf("%d messages dropped by the close", dropped)
+	}
+}
+
+// TestControlOvertakesStagedData: control sent after data in the same turn
+// goes to the ring's priority lane at once while the data waits for the
+// turn's flush, so it arrives first — the service-class contract, now
+// without depending on whether the sender goroutine has popped yet.
+func TestControlOvertakesStagedData(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	const app = 1
+
+	sink := &orderSink{}
+	startNode(t, n, nid(2), sink)
+	a := startNode(t, n, nid(1), &recorder{})
+	a.Do(func(api engine.API) {
+		sendData(api, nid(2), app, 0, 8)
+		api.SendNew(api.NewControl(protocol.TypeCustom, 0, protocol.Custom{Kind: 1}.Encode()), nid(2))
+	})
+	waitFor(t, 5*time.Second, "control and data to arrive", func() bool {
+		return len(sink.arrivals()) == 9
+	})
+	if got := sink.arrivals(); got[0] != ctrlMark {
+		t.Errorf("arrival order %v: control sent in the same turn did not overtake the staged data", got)
+	}
+}

@@ -10,10 +10,11 @@ import (
 
 // The switch. One goroutine — the engine goroutine, the paper's engine
 // thread — pops data from the receiver rings and the local-source ring in
-// weighted fair order, hands each message to Algorithm.Process, and pushes
-// what the algorithm sends into the sender rings, parking what a full ring
-// refuses. Everything in this file runs on that goroutine; the scheduler
-// state it touches is the engine-goroutine-only group of Engine fields.
+// weighted fair order, hands each message to Algorithm.Process, stages what
+// the algorithm sends per destination and moves each destination's run into
+// its sender ring once per quantum, parking what a full ring refuses.
+// Everything in this file runs on that goroutine; the scheduler state it
+// touches is the engine-goroutine-only group of Engine fields.
 
 // switchBudget bounds the data messages one switch pass processes, so
 // control messages stay responsive under heavy data load.
@@ -93,11 +94,16 @@ func (e *Engine) switchOnce() {
 		e.switched.Add(uint64(n))
 		e.switchBatchHist.Observe(int64(n))
 		e.rec.Emit(trace.KindSwitch, from, 0, int64(n))
+		// A link's app set changes once per session: the map is written
+		// when the app differs from the previous message's, not per message.
+		var app uint32
+		noted := false
 		for i := 0; i < n; i++ {
 			m := e.switchBuf[i]
 			e.switchBuf[i] = nil
-			if best != nil {
-				best.apps[m.App()] = struct{}{}
+			if a := m.App(); best != nil && !(noted && a == app) {
+				best.apps[a] = struct{}{}
+				app, noted = a, true
 			}
 			// The inbound reference is credited as soon as Process is done
 			// with it: whatever the algorithm forwarded was charged on its
@@ -107,6 +113,7 @@ func (e *Engine) switchOnce() {
 			e.processData(m)
 			e.credit(wl)
 		}
+		e.flushStaged()
 	}
 	// Re-arm only when the budget stopped us with work still queued AND
 	// the parked backlog leaves the next pass headroom to make progress.
@@ -139,10 +146,12 @@ func (e *Engine) park(m *message.Msg, dest message.NodeID) {
 // retryParked re-attempts delivery of messages labeled with remaining
 // senders, preserving per-destination FIFO order.
 func (e *Engine) retryParked() {
+	e.flushStaged()
 	if len(e.parked) == 0 {
 		return
 	}
-	stillFull := make(map[message.NodeID]bool)
+	stillFull := e.retryFull
+	clear(stillFull)
 	kept := e.parked[:0]
 	for _, p := range e.parked {
 		if stillFull[p.dest] {
@@ -180,8 +189,9 @@ func (e *Engine) setParked(kept []parkedMsg) {
 	e.parkedLen.Store(int64(len(kept)))
 }
 
-// deliverOut pushes m into the sender toward dest (creating the link on
-// first use) or parks it.
+// deliverOut hands m to the sender toward dest (creating the link on first
+// use). Control goes to the ring's priority lane at once; data is staged on
+// the sender until flushStaged moves the turn's run in one ring operation.
 func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 	s := e.lastSender
 	if s == nil || e.lastDest != dest {
@@ -198,10 +208,10 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 	// message that parks instead simply keeps its charge.
 	e.buffered.Add(int64(m.WireLen()))
 	if m.IsControl() {
-		// Control never waits behind parked data: the ring's priority lane
-		// preserves control-vs-control order on its own, and relaxing
-		// cross-class order is exactly the service-class contract. Parking
-		// happens only when the control lane itself is full.
+		// Control never waits behind staged or parked data: the ring's
+		// priority lane preserves control-vs-control order on its own, and
+		// relaxing cross-class order is exactly the service-class contract.
+		// Parking happens only when the control lane itself is full.
 		if !s.ring.TryPush(m) {
 			if cur := e.senderLocked(dest); cur != s {
 				// The cached link died and was (maybe) replaced under us.
@@ -214,21 +224,57 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 		}
 		return
 	}
-	// Preserve per-destination order: anything already parked for dest
-	// must go first.
-	if e.parkedByDest[dest] > 0 || !s.ring.TryPush(m) {
-		if cur := e.senderLocked(dest); cur != s {
-			e.lastDest, e.lastSender = message.NodeID{}, nil
+	if len(s.staged) == 0 {
+		// Staging is unlocked engine-goroutine state, which makes Send's
+		// "engine goroutine only" contract load-bearing. Asserted here, once
+		// per sender per flush: the goroutine lookup parses a stack trace,
+		// far too dear to pay on every Send.
+		if invariant.Enabled {
+			invariant.Assert(e.debugGID == 0 || invariant.GoroutineID() == e.debugGID,
+				"data Send off the engine goroutine: output staging is unlocked")
 		}
-		e.park(m, dest)
+		e.dirty = append(e.dirty, s)
 	}
+	s.staged = append(s.staged, m)
 }
 
-// invalidateSender clears the one-entry send cache when a link dies.
-func (e *Engine) invalidateSender(s *sender) {
+// flushStaged moves every staged run into its sender's ring — one lock, one
+// timestamp and one wake-up per destination — and parks, in order, what the
+// ring refuses. It runs after every switch quantum, between engine turns,
+// and before anything that inspects or tears down the parked backlog or a
+// link, so outside a quantum every message deliverOut accepted is either in
+// a ring or parked: per-destination FIFO, the MaxParked headroom rule and
+// the buffered-bytes bound are decided on the same state as before staging
+// existed.
+func (e *Engine) flushStaged() {
+	for i, s := range e.dirty {
+		e.dirty[i] = nil
+		run := s.staged
+		n := 0
+		// Per-destination order: anything already parked for the peer must
+		// go first, so the whole run queues up behind it.
+		if e.parkedByDest[s.peer] == 0 {
+			n = s.ring.TryPushBatch(run)
+		}
+		// Nothing may read run[:n] any more: the sender goroutine owns those
+		// messages and may have written and released them already.
+		for _, m := range run[n:] {
+			e.park(m, s.peer)
+		}
+		clear(run)
+		s.staged = run[:0]
+	}
+	e.dirty = e.dirty[:0]
+}
+
+// forgetSender drops what the send path remembers about a link that died
+// or was closed: the one-entry sender cache and the apps forwarded over it.
+func (e *Engine) forgetSender(s *sender) {
 	if e.lastSender == s {
 		e.lastDest, e.lastSender = message.NodeID{}, nil
 	}
+	delete(e.sentApps, s.peer)
+	e.notedDest = message.NodeID{}
 }
 
 // dropParkedFor drops (or, for a graceful close, silently releases) every
@@ -252,8 +298,13 @@ func (e *Engine) dropParkedFor(dest message.NodeID, countLost bool) {
 	e.setParked(kept)
 }
 
-// receiverSnapshot lists the receivers in stable order.
+// receiverSnapshot lists the receivers in stable order. The list is
+// rebuilt only when the receiver set has changed since the last call; the
+// caller must not modify it.
 func (e *Engine) receiverSnapshot() []*receiver {
+	if e.recvGen.Load() == e.recvListGen {
+		return e.recvList
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	rs := make([]*receiver, 0, len(e.receivers))
@@ -261,6 +312,7 @@ func (e *Engine) receiverSnapshot() []*receiver {
 		rs = append(rs, r)
 	}
 	sort.Slice(rs, func(i, j int) bool { return rs[i].peer.Less(rs[j].peer) })
+	e.recvList, e.recvListGen = rs, e.recvGen.Load()
 	return rs
 }
 
@@ -287,12 +339,17 @@ func (e *Engine) processData(m *message.Msg) {
 }
 
 // noteSentApp records that app data has been forwarded toward dest, so a
-// broken upstream can cascade BrokenSource to the right downstreams.
+// broken upstream can cascade BrokenSource to the right downstreams. The
+// set changes once per session, so the pair noted last skips the maps.
 func (e *Engine) noteSentApp(dest message.NodeID, app uint32) {
+	if dest == e.notedDest && app == e.notedApp {
+		return
+	}
 	apps, ok := e.sentApps[dest]
 	if !ok {
 		apps = make(map[uint32]struct{})
 		e.sentApps[dest] = apps
 	}
 	apps[app] = struct{}{}
+	e.notedDest, e.notedApp = dest, app
 }

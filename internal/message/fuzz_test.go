@@ -8,6 +8,11 @@ import (
 	"testing"
 )
 
+// fuzzPool is shared by every input of every fuzzer that decodes with a
+// pool, so each message is built out of a struct and buffer that an earlier
+// input — other sizes, other header fields, a failed read — left behind.
+var fuzzPool = NewPool()
+
 // fuzzWire renders a wire image for seeding the corpora.
 func fuzzWire(typ Type, payload []byte) []byte {
 	m := New(typ, NodeID{IP: 0x0a000001, Port: 7000}, 2, 3, payload)
@@ -63,7 +68,7 @@ func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, pooled bool) {
 		var pool *Pool
 		if pooled {
-			pool = NewPool()
+			pool = fuzzPool
 		}
 		r := bytes.NewReader(b)
 		m, err := Read(r, pool, 0)
@@ -120,7 +125,7 @@ func FuzzReadContinued(f *testing.F) {
 		}
 		var pool *Pool
 		if pooled {
-			pool = NewPool()
+			pool = fuzzPool
 		}
 		m, err := ReadContinued(pre, bytes.NewReader(rest), pool)
 		if len(pre) < HeaderSize {
@@ -230,6 +235,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(got.Payload(), payload) {
 			t.Fatal("payload changed across the wire")
+		}
+		// The same image decoded into a recycled struct reads the same.
+		rec := FromBytes(buf.Bytes(), fuzzPool)
+		defer rec.Release()
+		if rec.WireType() != wt || rec.Sender() != got.Sender() || rec.App() != app || rec.Seq() != seq ||
+			rec.Refs() != 1 || !bytes.Equal(rec.Wire(), buf.Bytes()) {
+			t.Fatalf("decoded into a recycled struct: %v with wire image %x, want %v", rec, rec.Wire(), got)
 		}
 	})
 }

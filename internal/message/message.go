@@ -87,6 +87,14 @@ var (
 // count of one; every additional consumer Retains it and every consumer
 // Releases it when done. The engine owns destruction: algorithm code never
 // releases messages it received from the engine.
+//
+// The structs behind the receive path are recycled: a message built by
+// Pool.Get, Read, ReadContinued or FromBytes with a pool, or by FromSegment
+// or FromOwned, goes back to a pool when its last reference drops and is
+// handed out again as a different message. Nothing may touch a Msg — not
+// even to read a header field — after dropping its last reference to it.
+// New, Clone, Derive, Decode and the pool-less decoders build
+// garbage-collected messages.
 type Msg struct {
 	typ     Type
 	sender  NodeID
@@ -219,9 +227,13 @@ func (m *Msg) Retain() *Msg {
 	return m
 }
 
-// Release decrements the reference count, returning the payload buffer to
-// its pool when the count reaches zero. Releasing more times than the
-// message was retained is a bug and panics.
+// Release decrements the reference count. At zero the message lets go of
+// what it aliased (parent, segment, owner) and, when its struct is a
+// recycled one, returns to its pool: every field that says where the bytes
+// came from is cleared first, so the next life starts from nothing. The
+// count stays at zero while the struct waits to be reused, which keeps a
+// stale Retain or Release loud: releasing more times than the message was
+// retained is a bug and panics.
 func (m *Msg) Release() {
 	n := m.refs.Add(-1)
 	switch {
@@ -235,20 +247,17 @@ func (m *Msg) Release() {
 		case m.seg != nil:
 			s := m.seg
 			m.seg = nil
-			m.raw = nil
-			m.payload = nil
 			s.Release()
+			putShell(m)
 		case m.owner != nil:
 			o := m.owner
 			m.owner = nil
-			m.raw = nil
-			m.payload = nil
 			o.Release()
+			putShell(m)
 		case m.pool != nil:
-			m.pool.putBuf(m.raw)
-			m.raw = nil
-			m.payload = nil
+			p := m.pool
 			m.pool = nil
+			p.putMsg(m)
 		}
 	case n < 0:
 		panic("message: release of already-released message")
@@ -360,35 +369,20 @@ func Read(r io.Reader, pool *Pool, maxPayload int) (*Msg, error) {
 	if int(size) > maxPayload {
 		return nil, fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, size, maxPayload)
 	}
-	var payload, raw []byte
-	if pool != nil {
-		raw = pool.getRaw(int(size))
-		copy(raw, h[:]) // the wire image keeps the header it arrived with
-		payload = raw[HeaderSize:]
-	} else if size > 0 {
-		payload = make([]byte, size)
+	m := alloc(pool, int(size))
+	if m.raw != nil {
+		copy(m.raw, h[:]) // the wire image keeps the header it arrived with
 	}
 	if size > 0 {
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if pool != nil {
-				pool.putBuf(raw)
-			}
+		if _, err := io.ReadFull(r, m.payload); err != nil {
+			m.Release()
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
 	}
-	m := New(Type(binary.BigEndian.Uint32(h[0:4])),
-		NodeID{
-			IP:   binary.BigEndian.Uint32(h[4:8]),
-			Port: binary.BigEndian.Uint32(h[8:12]),
-		},
-		binary.BigEndian.Uint32(h[12:16]),
-		binary.BigEndian.Uint32(h[16:20]),
-		payload)
-	m.pool = pool
-	m.raw = raw
+	m.setHeader(h[:])
 	return m, nil
 }
 
@@ -401,17 +395,40 @@ func PeekPayloadLen(b []byte) (size int, ok bool) {
 	return int(binary.BigEndian.Uint32(b[20:24])), true
 }
 
-// headerMsg builds a Msg from the wire header at the start of b and the
-// given payload slice.
-func headerMsg(b, payload []byte) *Msg {
-	return New(Type(binary.BigEndian.Uint32(b[0:4])),
-		NodeID{
-			IP:   binary.BigEndian.Uint32(b[4:8]),
-			Port: binary.BigEndian.Uint32(b[8:12]),
-		},
-		binary.BigEndian.Uint32(b[12:16]),
-		binary.BigEndian.Uint32(b[16:20]),
-		payload)
+// setHeader fills m's header fields from the wire header at the start of b.
+func (m *Msg) setHeader(b []byte) {
+	m.typ = Type(binary.BigEndian.Uint32(b[0:4]))
+	m.sender = NodeID{
+		IP:   binary.BigEndian.Uint32(b[4:8]),
+		Port: binary.BigEndian.Uint32(b[8:12]),
+	}
+	m.app = binary.BigEndian.Uint32(b[12:16])
+	m.seq.Store(binary.BigEndian.Uint32(b[16:20]))
+}
+
+// alloc returns a message with an n-byte payload and header fields still
+// to be set: a recycled struct with its wire buffer attached when pool is
+// non-nil, a garbage-collected one without a wire image otherwise.
+func alloc(pool *Pool, n int) *Msg {
+	if pool != nil {
+		return pool.getMsg(n)
+	}
+	var payload []byte
+	if n > 0 {
+		payload = make([]byte, n)
+	}
+	return New(0, NodeID{}, 0, 0, payload)
+}
+
+// alias fills a recycled shell as the message whose complete wire image
+// begins b: payload and wire image alias b, nothing is copied.
+func alias(b []byte) *Msg {
+	wire := HeaderSize + int(binary.BigEndian.Uint32(b[20:24]))
+	m := getShell()
+	m.raw = b[:wire:wire]
+	m.payload = m.raw[HeaderSize:]
+	m.setHeader(b)
+	return m
 }
 
 // FromSegment decodes the message whose complete wire image begins at
@@ -420,11 +437,7 @@ func headerMsg(b, payload []byte) *Msg {
 // reaches zero. The caller must have verified (via PeekPayloadLen) that
 // every byte of the message is present.
 func FromSegment(seg *Segment, off int) *Msg {
-	b := seg.buf[off:]
-	size := int(binary.BigEndian.Uint32(b[20:24]))
-	wire := HeaderSize + size
-	m := headerMsg(b, b[HeaderSize:wire:wire])
-	m.raw = b[:wire:wire]
+	m := alias(seg.buf[off:])
 	m.seg = seg
 	seg.refs.Add(1)
 	return m
@@ -438,10 +451,7 @@ func FromSegment(seg *Segment, off int) *Msg {
 // over rather than added: the caller must not release owner itself. The
 // caller must have validated the wire image.
 func FromOwned(b []byte, owner Owner) *Msg {
-	size := int(binary.BigEndian.Uint32(b[20:24]))
-	wire := HeaderSize + size
-	m := headerMsg(b, b[HeaderSize:wire:wire])
-	m.raw = b[:wire:wire]
+	m := alias(b)
 	m.owner = owner
 	return m
 }
@@ -452,18 +462,13 @@ func FromOwned(b []byte, owner Owner) *Msg {
 func FromBytes(b []byte, pool *Pool) *Msg {
 	size := int(binary.BigEndian.Uint32(b[20:24]))
 	wire := HeaderSize + size
-	var payload, raw []byte
-	if pool != nil {
-		raw = pool.getRaw(size)
-		copy(raw, b[:wire])
-		payload = raw[HeaderSize:]
-	} else if size > 0 {
-		payload = make([]byte, size)
-		copy(payload, b[HeaderSize:wire])
+	m := alloc(pool, size)
+	if m.raw != nil {
+		copy(m.raw, b[:wire])
+	} else {
+		copy(m.payload, b[HeaderSize:wire])
 	}
-	m := headerMsg(b, payload)
-	m.pool = pool
-	m.raw = raw
+	m.setHeader(b)
 	return m
 }
 
@@ -477,39 +482,27 @@ func ReadContinued(pre []byte, r io.Reader, pool *Pool) (*Msg, error) {
 	}
 	size := int(binary.BigEndian.Uint32(pre[20:24]))
 	wire := HeaderSize + size
-	var payload, raw []byte
-	if pool != nil {
-		raw = pool.getRaw(size)
-		copy(raw, pre)
-		payload = raw[HeaderSize:]
-	} else {
-		payload = make([]byte, size)
-		copy(payload, pre[HeaderSize:])
-	}
+	m := alloc(pool, size)
 	have := len(pre)
 	if have > wire {
 		have = wire
 	}
-	if have < wire {
-		var rest []byte
-		if raw != nil {
-			rest = raw[have:wire]
-		} else {
-			rest = payload[have-HeaderSize:]
-		}
+	rest := m.payload[have-HeaderSize:]
+	if m.raw != nil {
+		copy(m.raw, pre[:have])
+	} else {
+		copy(m.payload, pre[HeaderSize:have])
+	}
+	if len(rest) > 0 {
 		if _, err := io.ReadFull(r, rest); err != nil {
-			if pool != nil {
-				pool.putBuf(raw)
-			}
+			m.Release()
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
 	}
-	m := headerMsg(pre, payload)
-	m.pool = pool
-	m.raw = raw
+	m.setHeader(pre)
 	return m, nil
 }
 

@@ -3,20 +3,24 @@ package message
 import (
 	"math/bits"
 	"sync"
+
+	"repro/internal/invariant"
 )
 
-// Pool recycles payload buffers between the receiving and sending sockets,
-// supporting the paper's zero-copy, leak-free message lifecycle: buffers
-// are checked out by Read, travel by reference through the engine, and
-// return here when the last reference is released.
+// Pool recycles messages between the receiving and sending sockets,
+// supporting the paper's zero-copy, leak-free message lifecycle: a message
+// is checked out by Read, travels by reference through the engine, and
+// returns here — struct and wire buffer together, one pool operation each
+// way — when the last reference is released.
 //
-// Buffers are binned by size class — the powers of two plus their 1.5×
-// midpoints (64, 96, 128, 192, 256, ...), so mixed payload sizes are not
-// round-tripped through buffers up to twice the needed size (the paper's
-// 5 KB payloads recycle through 6 KB buffers rather than 8 KB ones).
-// Requests above the largest class fall back to plain allocation.
+// Messages are binned by the size class of their buffer — the powers of
+// two plus their 1.5× midpoints (64, 96, 128, 192, 256, ...), so mixed
+// payload sizes are not round-tripped through buffers up to twice the
+// needed size (the paper's 5 KB payloads recycle through 6 KB buffers
+// rather than 8 KB ones). Requests above the largest class fall back to
+// plain allocation.
 type Pool struct {
-	classes  [numClasses]sync.Pool
+	classes  [numClasses]sync.Pool // *Msg, raw at its class's full capacity
 	segments sync.Pool
 }
 
@@ -76,41 +80,76 @@ func classSize(c int) int {
 	return 3 << (minClassBits + (c-1)/2 - 1)
 }
 
-// getRaw returns a wire-image buffer of length HeaderSize+n — header room
-// followed by an n-byte payload region — recycled when possible. Buffers
-// are classed by their total (header-inclusive) size.
-func (p *Pool) getRaw(n int) []byte {
+// getMsg returns a message with refs 1 and a wire image of HeaderSize+n
+// bytes — header room followed by the n-byte payload region — recycled
+// when possible. Header fields are the caller's to set. Buffers are classed
+// by their total (header-inclusive) size.
+func (p *Pool) getMsg(n int) *Msg {
 	total := HeaderSize + n
 	c := classFor(total)
+	var m *Msg
 	if c < 0 {
-		return make([]byte, total)
+		m = &Msg{raw: make([]byte, total)}
+	} else if v := p.classes[c].Get(); v != nil {
+		m = v.(*Msg)
+		m.raw = m.raw[:total]
+	} else {
+		m = &Msg{raw: make([]byte, total, classSize(c))}
 	}
-	if v := p.classes[c].Get(); v != nil {
-		buf := *(v.(*[]byte))
-		return buf[:total]
-	}
-	return make([]byte, total, classSize(c))
+	m.payload = m.raw[HeaderSize:]
+	m.pool = p
+	m.refs.Store(1)
+	return m
 }
 
-// putBuf returns a buffer to the pool. Buffers whose capacity does not
-// match a size class exactly are dropped for the garbage collector.
-func (p *Pool) putBuf(buf []byte) {
-	c := classFor(cap(buf))
-	if c < 0 || cap(buf) != classSize(c) {
+// putMsg takes back a fully released message with its buffer attached. A
+// buffer above the largest class is left to the garbage collector, struct
+// and all. So is everything in ioverlay_debug builds, where a struct is
+// never handed out twice: a stale Retain or Release then always finds the
+// zero count of the message it was meant for, not a stranger's.
+func (p *Pool) putMsg(m *Msg) {
+	m.payload = nil
+	c := classFor(cap(m.raw))
+	if invariant.Enabled || c < 0 {
+		m.raw = nil
 		return
 	}
-	full := buf[:cap(buf)]
-	p.classes[c].Put(&full)
+	m.raw = m.raw[:cap(m.raw)]
+	p.classes[c].Put(m)
+}
+
+// shells recycles the bufferless structs of messages that alias someone
+// else's bytes (FromSegment, FromOwned). Package-level because FromOwned
+// has no Pool in hand.
+var shells sync.Pool
+
+// getShell returns a bufferless message with refs 1.
+func getShell() *Msg {
+	m, _ := shells.Get().(*Msg)
+	if m == nil {
+		m = new(Msg)
+	}
+	m.refs.Store(1)
+	return m
+}
+
+// putShell takes back a fully released aliasing message, dropping its view
+// of the bytes it aliased; ioverlay_debug builds recycle nothing, as in
+// putMsg.
+func putShell(m *Msg) {
+	m.raw, m.payload = nil, nil
+	if !invariant.Enabled {
+		shells.Put(m)
+	}
 }
 
 // Get allocates an n-byte payload from the pool and wraps it in a message
-// whose Release returns the buffer here. The payload contents are
-// unspecified; callers overwrite them.
+// whose Release returns both here. The payload contents are unspecified;
+// callers overwrite them.
 func (p *Pool) Get(typ Type, sender NodeID, app, seq uint32, n int) *Msg {
-	raw := p.getRaw(n)
-	m := New(typ, sender, app, seq, raw[HeaderSize:])
-	m.pool = p
-	m.raw = raw
+	m := p.getMsg(n)
+	m.typ, m.sender, m.app = typ, sender, app
+	m.seq.Store(seq)
 	m.renderHeader()
 	return m
 }

@@ -80,9 +80,9 @@ func (l *lane) pop(now time.Time) *message.Msg {
 // goroutines.
 type Ring struct {
 	mu          sync.Mutex
-	dataNotFull *sync.Cond
-	ctrlNotFull *sync.Cond
-	notEmpty    *sync.Cond
+	dataNotFull sync.Cond
+	ctrlNotFull sync.Cond
+	notEmpty    sync.Cond
 
 	data   lane
 	ctrl   lane
@@ -99,9 +99,9 @@ func New(capacity int) *Ring {
 		data: lane{buf: make([]*message.Msg, capacity), times: make([]time.Time, capacity)},
 		ctrl: lane{buf: make([]*message.Msg, capacity), times: make([]time.Time, capacity)},
 	}
-	r.dataNotFull = sync.NewCond(&r.mu)
-	r.ctrlNotFull = sync.NewCond(&r.mu)
-	r.notEmpty = sync.NewCond(&r.mu)
+	r.dataNotFull.L = &r.mu
+	r.ctrlNotFull.L = &r.mu
+	r.notEmpty.L = &r.mu
 	return r
 }
 
@@ -198,9 +198,9 @@ func (r *Ring) TryPush(m *message.Msg) bool {
 
 func (r *Ring) notFullCond(l *lane) *sync.Cond {
 	if l == &r.ctrl {
-		return r.ctrlNotFull
+		return &r.ctrlNotFull
 	}
-	return r.dataNotFull
+	return &r.dataNotFull
 }
 
 // PushBatch appends every message of ms in order, each to its class lane,
@@ -392,8 +392,8 @@ func (r *Ring) popBatchLocked(dst []*message.Msg) int {
 		n++
 		fromData++
 	}
-	r.wakeProducers(r.ctrlNotFull, fromCtrl)
-	r.wakeProducers(r.dataNotFull, fromData)
+	r.wakeProducers(&r.ctrlNotFull, fromCtrl)
+	r.wakeProducers(&r.dataNotFull, fromData)
 	return n
 }
 

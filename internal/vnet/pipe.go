@@ -31,8 +31,8 @@ type watermark struct {
 
 type pipe struct {
 	mu       sync.Mutex
-	notFull  *sync.Cond
-	notEmpty *sync.Cond
+	notFull  sync.Cond
+	notEmpty sync.Cond
 
 	// Waiter counts gate every condvar broadcast: the data path signals a
 	// pipe far more often than anyone sleeps on it, and an ungated
@@ -70,8 +70,8 @@ type pipe struct {
 
 func newPipe(capacity int, latency time.Duration) *pipe {
 	p := &pipe{buf: make([]byte, capacity), latency: latency}
-	p.notFull = sync.NewCond(&p.mu)
-	p.notEmpty = sync.NewCond(&p.mu)
+	p.notFull.L = &p.mu
+	p.notEmpty.L = &p.mu
 	return p
 }
 
@@ -117,43 +117,30 @@ func (p *pipe) wakeWritersLocked() {
 	}
 }
 
-// waitNotEmptyLocked sleeps on notEmpty with the waiter count maintained.
-func (p *pipe) waitNotEmptyLocked() {
-	p.readWaiters++
-	p.notEmpty.Wait()
-	p.readWaiters--
-}
-
-// waitNotFullLocked sleeps on notFull with the waiter count maintained.
-func (p *pipe) waitNotFullLocked() {
-	p.writeWaiters++
-	p.notFull.Wait()
-	p.writeWaiters--
-}
-
-// deadlineTimer arranges a broadcast wake-up at deadline so blocked
-// readers/writers can observe expiry. Returns a stop function.
-func (p *pipe) deadlineTimer(deadline time.Time) func() {
-	if deadline.IsZero() {
-		return func() {}
+// waitLocked sleeps on c, counted in *waiters, until c is signalled or,
+// when wake is set, until wake has passed. Callers pass the deadline in
+// force as they go to sleep and re-read it when they wake: setting a
+// deadline wakes the waiters, so one set under a blocked call is honoured,
+// and a call that never waits never arms a timer.
+func (p *pipe) waitLocked(c *sync.Cond, waiters *int, wake time.Time) {
+	var t *time.Timer
+	if !wake.IsZero() {
+		t = time.AfterFunc(time.Until(wake), func() {
+			p.mu.Lock()
+			c.Broadcast()
+			p.mu.Unlock()
+		})
 	}
-	d := time.Until(deadline)
-	if d < 0 {
-		d = 0
+	*waiters++
+	c.Wait()
+	*waiters--
+	if t != nil {
+		t.Stop()
 	}
-	t := time.AfterFunc(d, func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		p.wakeWritersLocked()
-		p.wakeReadersLocked()
-	})
-	return func() { t.Stop() }
 }
 
 func (p *pipe) Write(b []byte) (int, error) {
 	p.mu.Lock()
-	stop := p.deadlineTimer(p.writeDeadline)
-	defer stop()
 	defer p.mu.Unlock()
 
 	if p.dropFn != nil && !p.broken && !p.writeClosed && p.dropFn(len(b)) {
@@ -165,7 +152,7 @@ func (p *pipe) Write(b []byte) (int, error) {
 	written := 0
 	for len(b) > 0 {
 		for p.length == len(p.buf) && !p.writeClosed && !p.broken && !expired(p.writeDeadline) {
-			p.waitNotFullLocked()
+			p.waitLocked(&p.notFull, &p.writeWaiters, p.writeDeadline)
 		}
 		if p.broken || p.writeClosed {
 			return written, ErrPipeClosed
@@ -194,8 +181,6 @@ func (p *pipe) Write(b []byte) (int, error) {
 // in one pipe operation.
 func (p *pipe) writeBuffers(bufs [][]byte) (int64, error) {
 	p.mu.Lock()
-	stop := p.deadlineTimer(p.writeDeadline)
-	defer stop()
 	defer p.mu.Unlock()
 
 	var written int64
@@ -208,7 +193,7 @@ func (p *pipe) writeBuffers(bufs [][]byte) (int64, error) {
 		}
 		for len(b) > 0 {
 			for p.length == len(p.buf) && !p.writeClosed && !p.broken && !expired(p.writeDeadline) {
-				p.waitNotFullLocked()
+				p.waitLocked(&p.notFull, &p.writeWaiters, p.writeDeadline)
 			}
 			if p.broken || p.writeClosed {
 				return written, ErrPipeClosed
@@ -249,8 +234,6 @@ func (p *pipe) copyIn(b []byte) int {
 
 func (p *pipe) Read(b []byte) (int, error) {
 	p.mu.Lock()
-	stop := p.deadlineTimer(p.readDeadline)
-	defer stop()
 	defer p.mu.Unlock()
 
 	for {
@@ -294,18 +277,13 @@ func (p *pipe) Read(b []byte) (int, error) {
 		if expired(p.readDeadline) {
 			return 0, errTimeout{}
 		}
-		if !next.IsZero() {
-			// Bytes are in flight: wake when they land.
-			t := time.AfterFunc(time.Until(next), func() {
-				p.mu.Lock()
-				p.wakeReadersLocked()
-				p.mu.Unlock()
-			})
-			p.waitNotEmptyLocked()
-			t.Stop()
-		} else {
-			p.waitNotEmptyLocked()
+		// Wake for whichever comes first: the deadline, or bytes in flight
+		// (or a stall window) landing.
+		wake := p.readDeadline
+		if wake.IsZero() || (!next.IsZero() && next.Before(wake)) {
+			wake = next
 		}
+		p.waitLocked(&p.notEmpty, &p.readWaiters, wake)
 	}
 }
 

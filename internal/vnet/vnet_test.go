@@ -284,6 +284,72 @@ func TestWriteDeadline(t *testing.T) {
 	}
 }
 
+// TestDeadlineSetUnderBlockedCall: a deadline set while a Read or Write is
+// already blocked must cut that call short — the net.Conn contract. The
+// wake-up timer used to be armed once at call entry for the deadline in
+// force then, so such a call slept until the peer did something.
+func TestDeadlineSetUnderBlockedCall(t *testing.T) {
+	n := New(WithPipeCapacity(8))
+	defer n.Close()
+	client, _ := pair(t, n, "10.0.0.1:7000")
+	c := client.(*Conn)
+	waiting := func(p *pipe, waiters *int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			p.mu.Lock()
+			w := *waiters
+			p.mu.Unlock()
+			if w > 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("call never blocked")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	isTimeout := func(err error) bool {
+		var nerr net.Error
+		return errors.As(err, &nerr) && nerr.Timeout()
+	}
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 1))
+		errc <- err
+	}()
+	waiting(c.rd, &c.rd.readWaiters)
+	if err := c.SetReadDeadline(time.Now().Add(30 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if !isTimeout(err) {
+			t.Errorf("blocked Read: err = %v, want timeout", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Read still blocked 2 s after a 30 ms deadline set under it")
+	}
+
+	go func() {
+		_, err := c.Write(make([]byte, 64)) // 8-byte pipe, nobody reading
+		errc <- err
+	}()
+	waiting(c.wr, &c.wr.writeWaiters)
+	if err := c.SetWriteDeadline(time.Now().Add(30 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if !isTimeout(err) {
+			t.Errorf("blocked Write: err = %v, want timeout", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Write still blocked 2 s after a 30 ms deadline set under it")
+	}
+}
+
 func TestStreamIntegrityUnderChunking(t *testing.T) {
 	// Property: any sequence of writes is received as the identical byte
 	// stream regardless of chunk boundaries, through a small pipe.
