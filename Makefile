@@ -59,10 +59,17 @@ fuzz:
 # own the recycling run once more without the tag: there a message touched
 # after its last reference was dropped is a data race with its next life,
 # which the detector sees.
+# The seam between the fast paths and the rings — who holds the turn token,
+# what an inline write may pass — depends on which goroutine gets there
+# first, so its tests and the restated single-thread contract run again at
+# three core counts, with and without the assertions.
+SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestFirstBatchOfALinkTakesTheRing|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
 		./internal/admission ./internal/observer ./internal/proxy
 	$(GO) test -race ./internal/message ./internal/engine
+	$(GO) test -race -tags ioverlay_debug -count=1 -cpu 1,2,4 -run '$(SEAM)' ./internal/engine
+	$(GO) test -race -count=1 -cpu 1,2,4 -run '$(SEAM)' ./internal/engine
 
 # The fault-injection soaks: a seeded chaos schedule (kills, restarts,
 # partitions, flaky links) against a live 16-node multicast session,

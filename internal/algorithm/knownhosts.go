@@ -9,7 +9,7 @@ import (
 // KnownHosts is the local membership view the paper's iAlgorithm keeps:
 // the set of initial nodes recorded from the bootstrap message plus any
 // peers discovered later. It preserves insertion order for deterministic
-// iteration. It is used from the engine goroutine only and therefore
+// iteration. It is used from within Process only and therefore
 // needs no locking — the whole point of the single-threaded algorithm
 // guarantee.
 type KnownHosts struct {

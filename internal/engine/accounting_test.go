@@ -83,12 +83,26 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 		n       *vnet.Network
 		a, b, c *engine.Engine
 		alg     *recorder
+		dgram   bool
 	}
 	slowSink := func(bw int64) map[message.NodeID]int64 { return map[message.NodeID]int64{sink: bw} }
 	parked := func(ch chain) bool { return ch.b.Snapshot().Shards[0].Parked > 0 }
+	// inline reports that the relay is on both fast paths: the paced
+	// scenarios' traffic is switched by the receiver goroutine that decoded
+	// it and written by the same turn. The datagram lane has neither path
+	// and only has to be carrying the traffic.
+	inline := func(ch chain) bool {
+		if ch.dgram {
+			return ch.alg.SeenMessages(app) > 500
+		}
+		c := ch.b.Counters()
+		return c.SwitchedInline > 500 && c.WrittenInline > 500
+	}
 	scenarios := []struct {
 		name  string
 		relay engine.Config // LinkBW, SendBuf of b
+		// rate paces the source in bytes per second; zero is back to back.
+		rate int64
 		// ready reports that the disposal path is being exercised; then,
 		// when set, acts on the chain once it is.
 		ready func(ch chain) bool
@@ -136,11 +150,33 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 	}, {
 		name:  "Stop mid-traffic",
 		ready: func(ch chain) bool { return ch.alg.SeenMessages(app) > 2000 },
+	}, {
+		// The relay is unloaded, so Stop finds no backlog to drain: it races
+		// receiver goroutines that hold the turn token and are writing the
+		// wire themselves.
+		name:  "Stop racing inline turns",
+		rate:  8 << 20,
+		ready: inline,
+	}, {
+		// CloseLink runs in engine-goroutine turns that alternate with the
+		// receiver's inline ones; every close finds the link idle or with a
+		// run just written, and the next Send reopens it.
+		name:  "CloseLink racing inline writes",
+		rate:  8 << 20,
+		ready: inline,
+		then: func(t *testing.T, ch chain) {
+			for i := 0; i < 50; i++ {
+				closed := make(chan struct{})
+				ch.b.Do(func(api engine.API) { api.CloseLink(sink); close(closed) })
+				<-closed
+				time.Sleep(time.Millisecond)
+			}
+		},
 	}}
 	for lane, dgram := range lanes {
 		for _, sc := range scenarios {
 			t.Run(lane+"/"+sc.name, func(t *testing.T) {
-				ch := chain{n: vnet.New(), alg: &recorder{}}
+				ch := chain{n: vnet.New(), alg: &recorder{}, dgram: dgram}
 				defer ch.n.Close()
 				mode := func(c *engine.Config) { c.DatagramData = dgram }
 
@@ -152,7 +188,7 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 				srcAlg := &recorder{}
 				srcAlg.DefaultRoutes = []message.NodeID{relay}
 				ch.a = startNode(t, ch.n, src, srcAlg, mode)
-				ch.a.StartSource(app, 0, 2048)
+				ch.a.StartSource(app, sc.rate, 2048)
 
 				waitFor(t, 10*time.Second, sc.name, func() bool { return sc.ready(ch) })
 				if sc.then != nil {

@@ -26,8 +26,12 @@ const (
 
 // Algorithm is the application-specific protocol plugged into the engine
 // — the one interface an iOverlay developer implements. Process is
-// guaranteed to execute in a single goroutine (the engine goroutine), so
-// implementations never need thread-safe data structures.
+// guaranteed to execute one call at a time, each call happening-after the
+// one before it: every call is made under the engine's turn token, by the
+// engine goroutine or by a receiver goroutine that took the token to
+// switch its own batch. Implementations therefore never need thread-safe
+// data structures — but must not assume every call arrives on the same
+// goroutine (no goroutine-local state, no locks held across calls).
 type Algorithm interface {
 	// Attach hands the algorithm its engine API before the engine starts.
 	Attach(api API)
@@ -41,8 +45,9 @@ type Algorithm interface {
 // API is the engine surface exposed to algorithms. Send is the only call
 // most algorithms need, as in the paper; the rest are the optional utility
 // and measurement hooks iOverlay documents (timers, QoS measurements,
-// tracing, source control). All methods must be called from the engine
-// goroutine (that is, from within Process), except where noted.
+// tracing, source control). All methods must be called from within a turn
+// — from Process, or from a function passed to Engine.Do — which is where
+// the turn token is held, except where noted.
 type API interface {
 	// ID reports the local node identity.
 	ID() message.NodeID

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/invariant"
 	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -55,10 +54,7 @@ func (e *Engine) process(cm ctrlMsg) {
 }
 
 func (e *Engine) deliverToAlg(m *message.Msg) {
-	if invariant.Enabled {
-		invariant.Assert(e.debugGID == 0 || invariant.GoroutineID() == e.debugGID,
-			"deliverToAlg off the engine goroutine: Process ownership violated")
-	}
+	e.assertTurn("deliverToAlg")
 	if e.alg.Process(m) == Done {
 		m.Release()
 	}
@@ -77,8 +73,8 @@ const maxReportEvents = 256
 
 // buildReport snapshots buffer lengths, QoS measurements and the link
 // lists — the periodic status update the observer displays — and attaches
-// the flight-recorder events since the previous report. Engine goroutine
-// only (lastEventSeq is engine-goroutine state).
+// the flight-recorder events since the previous report. Token holder only
+// (lastEventSeq is token-holder state).
 func (e *Engine) buildReport() *message.Msg {
 	rp := e.Snapshot()
 	evs := e.rec.SnapshotSince(e.lastEventSeq)
@@ -163,8 +159,16 @@ func (e *Engine) Snapshot() protocol.Report {
 	return rp
 }
 
-// Counters snapshots the engine's loss/volume counters for experiments.
-func (e *Engine) Counters() metrics.CountersSnapshot { return e.counters.Snapshot() }
+// Counters snapshots the engine's loss/volume counters for experiments,
+// and how much of the traffic took each fast path.
+func (e *Engine) Counters() metrics.CountersSnapshot {
+	snap := e.counters.Snapshot()
+	snap.SwitchedInline = e.switchedInline.Load()
+	// Read after the inline share, which it contains: never negative.
+	snap.SwitchedViaRing = e.switched.Load() - snap.SwitchedInline
+	snap.WrittenInline, snap.WrittenBySender = e.writtenInline.Load(), e.writtenBySender.Load()
+	return snap
+}
 
 // applyBandwidth retunes the emulated bandwidth at runtime, honoring the
 // paper's three categories.

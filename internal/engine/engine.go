@@ -10,8 +10,11 @@
 // waits for control messages on the publicized port (here: a channel fed
 // by connection readers), consults Engine.process or Algorithm.Process,
 // then switches data messages from receiver buffers to sender buffers.
-// Algorithms run entirely in the engine goroutine and never need
-// thread-safe data structures.
+// Algorithms run one Process call at a time, under the engine's turn token
+// (Engine.turnMu), and never need thread-safe data structures: the engine
+// goroutine holds the token for every turn it runs, and a receiver
+// goroutine whose batch has nothing to queue behind may take it to switch
+// that batch itself instead of waking the engine goroutine.
 package engine
 
 import (
@@ -263,24 +266,42 @@ type Engine struct {
 	// Safe from any goroutine.
 	rec *trace.Recorder
 
+	// turnMu is the turn token: whoever holds it runs the engine's turn —
+	// a control message, an event, a switch pass, the periodic report, and
+	// the flushStaged that ends each — and is the only caller of
+	// Algorithm.Process and the only toucher of the token-holder-only state
+	// below. The engine goroutine takes it for every turn and gives it up
+	// only while it waits; a stream receiver may TryLock it for one quantum
+	// (switchInline) and never waits for it or while holding it. Lock
+	// order: turnMu, then mu, then a ring or pipe lock.
+	turnMu sync.Mutex
+	// waiting counts the control messages and events handed to the engine
+	// goroutine and not yet run. A receiver does not switch inline past
+	// them: len(control) would miss the one the engine goroutine has
+	// received and is about to take the token for.
+	waiting atomic.Int32
+
 	// work wakes the engine goroutine for a switch pass. Buffered one deep:
 	// a pending signal absorbs every later one until the pass runs.
 	work chan struct{}
 	// switched counts the messages the switch has moved; parkedLen mirrors
-	// len(parked) for readers off the engine goroutine.
+	// len(parked) for readers that do not hold the token.
 	switched  atomic.Uint64
 	parkedLen atomic.Int64
+	// How much traffic takes each fast path, in messages: switchedInline
+	// of switched were switched by the receiver that decoded them
+	// (switchInline); writtenInline left in a turn's own TryWriteBuffers
+	// (writeInline), writtenBySender through a sender goroutine. Reported
+	// by Counters.
+	switchedInline  atomic.Uint64
+	writtenInline   atomic.Uint64
+	writtenBySender atomic.Uint64
 	// Queue-delay and batch-size distributions, shipped with each status
 	// report. Observe lock-free; safe from any goroutine.
 	ctrlDelayHist   metrics.Histogram
 	dataDelayHist   metrics.Histogram
 	switchBatchHist metrics.Histogram
 	sendBatchHist   metrics.Histogram
-
-	// debugGID records the engine goroutine's ID in ioverlay_debug builds
-	// so algorithm upcalls can assert single-threaded ownership; zero
-	// (never set) in release builds.
-	debugGID int64
 
 	localRing *queue.Ring // source-injected data, drained like a receiver
 	localApps map[uint32]*source
@@ -309,7 +330,7 @@ type Engine struct {
 	// never synchronize otherwise.
 	obsBusyHint atomic.Int64
 
-	// Engine-goroutine-only state.
+	// Token-holder-only state: read and written under turnMu.
 	pingSent  map[uint32]time.Time
 	probeRecv map[probeKey]*probeAgg
 	nextToken uint32
@@ -323,7 +344,8 @@ type Engine struct {
 	// The switch's scheduler state — see switch.go. parked is the backlog
 	// full sender rings refused, parkedByDest its per-destination count,
 	// retryFull retryParked's scratch set of still-full destinations,
-	// dirty the senders holding staged output, switchBuf the quantum's
+	// dirty the senders holding staged output, inlineVec writeInline's
+	// scratch vector of wire images, switchBuf the quantum's
 	// batch buffer, localPass the local-source ring's stride virtual time,
 	// lastDest/lastSender the one-entry sender cache, recvList the sorted
 	// receiver list as of recvListGen.
@@ -331,6 +353,7 @@ type Engine struct {
 	parkedByDest map[message.NodeID]int
 	retryFull    map[message.NodeID]bool
 	dirty        []*sender
+	inlineVec    [][]byte
 	switchBuf    []*message.Msg
 	localPass    float64
 	lastDest     message.NodeID
@@ -561,7 +584,11 @@ func (e *Engine) Start() error {
 		}
 		e.pconn = pc
 	}
+	// Attach may Send; the engine goroutine does not exist yet, so the
+	// token is held here and its first turn flushes what Attach staged.
+	e.turnMu.Lock()
 	e.alg.Attach(e)
+	e.turnMu.Unlock()
 
 	e.wg.Add(2)
 	go e.door.AcceptLoop(l, e.handshake)
@@ -738,27 +765,23 @@ func (e *Engine) Depart() {
 	// sender rings and in-flight writes all empty (or the grace period
 	// expires, so a congested or dead downstream cannot hold the departure
 	// hostage).
-	// Two consecutive drained samples are required: a single one can
-	// catch a sender between popping its ring and marking the batch
-	// in flight.
 	deadline := time.Now().Add(e.cfg.DepartureGrace)
-	for drained := 0; drained < 2 && time.Now().Before(deadline); {
-		if e.drainedForDeparture() {
-			drained++
-		} else {
-			drained = 0
-		}
+	for !e.drainedForDeparture() && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	e.Stop()
 }
 
-// drainedForDeparture reports whether no queued outgoing data remains.
+// drainedForDeparture reports whether no queued outgoing data remains. It
+// takes the turn token for the look: between turns everything the node has
+// accepted is in a ring, parked or written, so one sample is exact — a
+// batch popped from the local ring and not yet staged cannot hide from it.
 func (e *Engine) drainedForDeparture() bool {
+	e.turnMu.Lock()
+	defer e.turnMu.Unlock()
 	// Parked messages are outbound data too: they reach their sender ring
-	// only on the next switch pass, so the rings alone can read empty while
-	// a pass waits behind a long Process or a control drain.
-	if e.localRing.Len() > 0 || e.parkedLen.Load() > 0 {
+	// only on the next switch pass.
+	if e.localRing.Len() > 0 || len(e.parked) > 0 {
 		return false
 	}
 	e.mu.Lock()
@@ -767,7 +790,9 @@ func (e *Engine) drainedForDeparture() bool {
 		return true
 	}
 	for _, s := range e.senders {
-		if s.ring.Len() > 0 || s.inflight.Load() > 0 {
+		// Idle is empty and nothing popped-but-unwritten, read under one
+		// lock: a sender caught between its pop and its write is not idle.
+		if !s.ring.Idle() {
 			return false
 		}
 	}
@@ -868,24 +893,30 @@ func (e *Engine) Stop() {
 
 // run is the engine goroutine: the Go analogue of the paper's engine
 // thread, multiplexing control messages, internal events, switch work and
-// periodic measurement. Every Algorithm.Process call happens here.
+// periodic measurement. It holds the turn token for every turn and gives
+// it up only while it waits; every Algorithm.Process call happens under
+// that token, here or in a receiver's switchInline.
 func (e *Engine) run() {
 	defer e.wg.Done()
-	if invariant.Enabled {
-		e.debugGID = invariant.GoroutineID()
-	}
 	ticker := time.NewTicker(e.cfg.StatusInterval)
 	defer ticker.Stop()
+	e.turnMu.Lock()
 	for {
 		// Whatever the turn just ended staged — or Attach did, before this
 		// goroutine existed — goes out before the engine waits again.
 		e.flushStaged()
+		e.turnMu.Unlock()
 		select {
 		case cm := <-e.control:
+			e.turnMu.Lock()
 			e.process(cm)
+			e.waiting.Add(-1)
 		case fn := <-e.events:
+			e.turnMu.Lock()
 			fn()
+			e.waiting.Add(-1)
 		case <-e.work:
+			e.turnMu.Lock()
 			// Control before data: a work signal competes fairly with the
 			// control channel in this select, so under saturation a pure
 			// select would serve data half the time. Draining pending
@@ -893,10 +924,23 @@ func (e *Engine) run() {
 			e.drainControl()
 			e.switchOnce()
 		case <-ticker.C:
+			e.turnMu.Lock()
 			e.periodic()
 		case <-e.done:
 			return
 		}
+	}
+}
+
+// assertTurn fails an ioverlay_debug build when nobody holds the turn
+// token: the mutex is its own owner word, and a TryLock that succeeds has
+// just proved the caller ran token-holder-only code without it. (Two
+// callers at once, one of them holding it, is the race detector's to find:
+// every such path touches unsynchronised state.)
+func (e *Engine) assertTurn(what string) {
+	if invariant.Enabled && e.turnMu.TryLock() {
+		e.turnMu.Unlock()
+		invariant.Assert(false, "%s without the turn token: Process ownership violated", what)
 	}
 }
 
@@ -905,19 +949,20 @@ func (e *Engine) run() {
 const maxCtrlDrain = 64
 
 // drainControl consumes pending control messages ahead of the next switch
-// pass. Engine goroutine only.
+// pass. Engine goroutine only, holding the token.
 func (e *Engine) drainControl() {
 	for i := 0; i < maxCtrlDrain; i++ {
 		select {
 		case cm := <-e.control:
 			e.process(cm)
+			e.waiting.Add(-1)
 		default:
 			return
 		}
 	}
 }
 
-// Do schedules fn on the engine goroutine with the engine's API — the
+// Do schedules fn as a turn of the engine goroutine with the engine's API — the
 // programmatic equivalent of an observer command, used by tests and
 // experiment harnesses to drive algorithms without a live observer. Safe
 // from any goroutine; fn is dropped if the engine is stopping.
@@ -934,20 +979,24 @@ func (e *Engine) signalWork() {
 	}
 }
 
-// postEvent schedules fn on the engine goroutine; events are dropped only
-// during shutdown.
+// postEvent schedules fn as a turn of the engine goroutine; events are
+// dropped only during shutdown.
 func (e *Engine) postEvent(fn func()) {
+	e.waiting.Add(1)
 	select {
 	case e.events <- fn:
 	case <-e.done:
+		e.waiting.Add(-1)
 	}
 }
 
 // deliverControl routes a wire control message to the engine goroutine.
 func (e *Engine) deliverControl(m *message.Msg, from message.NodeID) {
+	e.waiting.Add(1)
 	select {
 	case e.control <- ctrlMsg{m: m, from: from}:
 	case <-e.done:
+		e.waiting.Add(-1)
 		m.Release()
 	}
 }
@@ -960,10 +1009,7 @@ func (e *Engine) logf(format string, args ...any) {
 
 // notifyAlg delivers an engine-produced notification to the algorithm.
 func (e *Engine) notifyAlg(typ message.Type, app uint32, payload []byte) {
-	if invariant.Enabled {
-		invariant.Assert(e.debugGID == 0 || invariant.GoroutineID() == e.debugGID,
-			"notifyAlg off the engine goroutine: Process ownership violated")
-	}
+	e.assertTurn("notifyAlg")
 	m := message.New(typ, e.id, app, 0, payload)
 	if e.alg.Process(m) == Done {
 		m.Release()
@@ -979,7 +1025,7 @@ func (e *Engine) senderLocked(peer message.NodeID) *sender {
 // ----- sending -----
 
 // Send forwards m to dest, retaining a reference for the transfer. Part
-// of the API interface; must be called from the engine goroutine. Control
+// of the API interface; must be called from within a turn. Control
 // messages go to the destination ring's priority lane, so a failure
 // notification never waits behind parked data.
 func (e *Engine) Send(m *message.Msg, dest message.NodeID) {
@@ -1060,7 +1106,7 @@ func (e *Engine) ensureSender(peer message.NodeID) *sender {
 
 // ----- link failure and teardown -----
 
-// receiverGone handles an incoming-link failure on the engine goroutine:
+// receiverGone handles an incoming-link failure in a turn of the engine goroutine:
 // clear data structures, notify the algorithm, and propagate broken
 // sources downstream (the domino effect), all transparent to algorithms.
 func (e *Engine) receiverGone(r *receiver) {
@@ -1115,7 +1161,7 @@ func (e *Engine) brokenSource(app uint32, upstream message.NodeID) {
 	payload := protocol.BrokenSource{App: app, Upstream: upstream}.Encode()
 	e.notifyAlg(protocol.TypeBrokenSource, app, payload)
 
-	// sentApps is engine-goroutine state, like this whole cascade path.
+	// sentApps is token-holder state, like this whole cascade path.
 	var dests []message.NodeID
 	for peer, apps := range e.sentApps {
 		if _, ok := apps[app]; ok {
@@ -1131,7 +1177,7 @@ func (e *Engine) brokenSource(app uint32, upstream message.NodeID) {
 	}
 }
 
-// senderGone handles an outgoing-link failure on the engine goroutine.
+// senderGone handles an outgoing-link failure in a turn of the engine goroutine.
 func (e *Engine) senderGone(s *sender) {
 	e.mu.Lock()
 	if e.senders[s.peer] != s {

@@ -1,0 +1,422 @@
+package engine_test
+
+import (
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/message"
+	"repro/internal/multicast"
+	"repro/internal/protocol"
+	"repro/internal/vnet"
+)
+
+// pace injects burst data messages of size bytes toward dest every tick,
+// the way the repository benchmark's generator does, until stop is closed.
+func pace(e *engine.Engine, dest message.NodeID, app uint32, burst, size int, tick time.Duration, stop <-chan struct{}) {
+	seq := uint32(0)
+	t := time.NewTicker(tick)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		}
+		first := seq
+		e.Do(func(api engine.API) {
+			for i := 0; i < burst; i++ {
+				api.SendNew(api.NewMsg(message.FirstDataType, app, first+uint32(i), size), dest)
+			}
+		})
+		seq += uint32(burst)
+	}
+}
+
+// TestUnloadedHopTakesFastPath is the tripwire on both fast paths. On an
+// unloaded 3-node chain paced like the benchmark nearly every message at
+// the middle node is switched by the receiver goroutine that decoded it and
+// written by the turn that switched it; when the middle node's downstream
+// link is shaped below the offered rate neither path may carry a single
+// message over it, because the link's backlog is the back-pressure signal.
+func TestUnloadedHopTakesFastPath(t *testing.T) {
+	t.Run("unloaded", func(t *testing.T) {
+		n := vnet.New()
+		defer n.Close()
+		const app = 1
+		sink := &multicast.Forwarder{}
+		startNode(t, n, nid(3), sink)
+		mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}})
+		src := startNode(t, n, nid(1), &multicast.Forwarder{})
+
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			pace(src, nid(2), app, 40, 64, time.Millisecond, stop)
+		}()
+		waitFor(t, 10*time.Second, "the links to come up", func() bool {
+			return sink.SeenMessages(app) >= 400
+		})
+		before := mid.Counters()
+		waitFor(t, 20*time.Second, "20 000 paced messages to cross the chain", func() bool {
+			return sink.SeenMessages(app) >= 20400
+		})
+		after := mid.Counters()
+		close(stop)
+		<-done
+
+		written := share(after.WrittenInline-before.WrittenInline, after.WrittenBySender-before.WrittenBySender)
+		switched := share(after.SwitchedInline-before.SwitchedInline, after.SwitchedViaRing-before.SwitchedViaRing)
+		t.Logf("middle node: %.1f%% switched inline, %.1f%% written inline", 100*switched, 100*written)
+		if written < 0.9 {
+			t.Errorf("%.1f%% of messages written inline at the middle node, want >= 90%%", 100*written)
+		}
+		if switched < 0.9 {
+			t.Errorf("%.1f%% of messages switched inline at the middle node, want >= 90%%", 100*switched)
+		}
+	})
+	t.Run("shaped", func(t *testing.T) {
+		// Fig 6's shape on one path: 5-slot rings, a shallow pipe, and the
+		// middle node's downstream link capped below what the source offers.
+		n := vnet.New(vnet.WithPipeCapacity(4 << 10))
+		defer n.Close()
+		const app, linkCap = 1, 30 << 10
+		small := func(c *engine.Config) { c.RecvBuf, c.SendBuf, c.MaxParked = 5, 5, 4 }
+		startNode(t, n, nid(3), &multicast.Forwarder{}, small)
+		mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}}, small,
+			func(c *engine.Config) { c.LinkBW = map[message.NodeID]int64{nid(3): linkCap} })
+		src := startNode(t, n, nid(1), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(2)}}, small)
+		src.StartSource(app, 0, 1024)
+
+		time.Sleep(time.Second) // settle: rings, parked backlog and pipes fill back to the source
+		const window = 2 * time.Second
+		b0, s0 := mid.Counters(), src.Counters()
+		time.Sleep(window)
+		b1, s1 := mid.Counters(), src.Counters()
+		for name, got := range map[string]float64{
+			"shaped link":   float64(b1.BytesOut-b0.BytesOut) / window.Seconds(),
+			"source output": float64(s1.BytesOut-s0.BytesOut) / window.Seconds(),
+		} {
+			if got < linkCap*3/4 || got > linkCap*5/4 {
+				t.Errorf("%s = %.1f KBps, want %.1f (±25%%): back-pressure does not hold the path at the link's rate", name, got/1024, float64(linkCap)/1024)
+			}
+		}
+		if b1.WrittenInline != 0 {
+			t.Errorf("%d messages written inline over a shaped link, want 0: the link's backlog is the back-pressure signal", b1.WrittenInline)
+		}
+		t.Logf("middle node: %d written by the sender goroutine, %d switched inline, %d via ring",
+			b1.WrittenBySender, b1.SwitchedInline, b1.SwitchedViaRing)
+	})
+}
+
+// share is a/(a+b), zero when both are.
+func share(a, b uint64) float64 {
+	if a+b == 0 {
+		return 0
+	}
+	return float64(a) / float64(a+b)
+}
+
+// barrier returns once a turn posted after everything already posted to e
+// has run — so the flush that ended each earlier turn has, too.
+func barrier(e *engine.Engine) {
+	done := make(chan struct{})
+	e.Do(func(engine.API) { close(done) })
+	<-done
+}
+
+// expectInOrder fails unless the sink's data arrivals are 0..count-1.
+func expectInOrder(t *testing.T, arrivals []uint32, count int) {
+	t.Helper()
+	if len(arrivals) != count {
+		t.Fatalf("%d arrivals, want %d", len(arrivals), count)
+	}
+	for i, seq := range arrivals {
+		if seq != uint32(i) {
+			t.Fatalf("arrival %d has sequence number %d: per-destination order broken", i, seq)
+		}
+	}
+}
+
+// TestInlineWriteTailKeepsFIFO: the pipe is smaller than one staged run, so
+// the turn's own write takes a prefix and the tail rides the ring to the
+// sender goroutine — and, the ring being smaller still, the parked backlog —
+// while the next turns stage more behind it. Every path carries traffic, and
+// arrival order is send order: nothing overtakes what is queued or parked.
+func TestInlineWriteTailKeepsFIFO(t *testing.T) {
+	n := vnet.New(vnet.WithPipeCapacity(4 << 10))
+	defer n.Close()
+	const app, burst, bursts = 1, 24, 40 // a burst is 12.6 KB of wire against a 4 KiB pipe
+
+	sink := &orderSink{}
+	startNode(t, n, nid(2), sink)
+	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) { c.SendBuf = 8 })
+	a.Do(func(api engine.API) { sendData(api, nid(2), app, 0, 1) })
+	waitFor(t, 5*time.Second, "the link to come up", func() bool { return len(sink.arrivals()) == 1 })
+
+	var parkedPeak atomic.Uint32 // sampled at the start of each turn: what the previous one left parked
+	for b := 0; b < bursts; b++ {
+		first := uint32(1 + b*burst)
+		a.Do(func(api engine.API) {
+			parkedPeak.Store(max(parkedPeak.Load(), a.Snapshot().Shards[0].Parked))
+			sendData(api, nid(2), app, first, burst)
+		})
+		if b%4 == 3 {
+			// Let the link drain now and then, so later bursts find it idle
+			// again and the hand-over happens more than once.
+			waitFor(t, 5*time.Second, "the link to drain", func() bool { return len(sink.arrivals()) == int(first)+burst })
+		}
+	}
+	const total = 1 + burst*bursts
+	waitFor(t, 10*time.Second, "everything to arrive", func() bool { return len(sink.arrivals()) >= total })
+	expectInOrder(t, sink.arrivals(), total)
+	c := a.Counters()
+	if c.WrittenInline == 0 || c.WrittenBySender == 0 || parkedPeak.Load() == 0 {
+		t.Errorf("written inline %d, by the sender goroutine %d, parked peak %d: the test must exercise the hand-over between all three",
+			c.WrittenInline, c.WrittenBySender, parkedPeak.Load())
+	}
+	if c.MsgsDropped != 0 {
+		t.Errorf("%d messages dropped", c.MsgsDropped)
+	}
+}
+
+// stallTransport is a vnet transport whose dialed connections stall every
+// vectored write — the sender goroutine's — until the gate opens, while the
+// try form goes straight through. A sender goroutine stalled on a full vnet
+// pipe would not do: the pipe itself refuses a try-write while a blocking
+// one waits, and the test is about the rule one layer up.
+type stallTransport struct {
+	engine.VNet
+	gate chan struct{}
+}
+
+func (s stallTransport) DialFrom(local, addr string, timeout time.Duration) (net.Conn, error) {
+	c, err := s.VNet.DialFrom(local, addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &stallConn{Conn: c.(*vnet.Conn), gate: s.gate}, nil
+}
+
+type stallConn struct {
+	*vnet.Conn
+	gate chan struct{}
+}
+
+func (c *stallConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	<-c.gate
+	return c.Conn.WriteBuffers(bufs)
+}
+
+// TestHeldBatchBlocksInlineWrite: the sender goroutine has popped a batch
+// and is stalled in the middle of writing it, so the ring is empty — and not
+// idle. The pipe has room and would take a try-write; the next run must
+// queue behind the batch all the same, not be written past it by the turn.
+func TestHeldBatchBlocksInlineWrite(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	const app, first, second = 1, 5, 5
+
+	sink := &orderSink{}
+	startNode(t, n, nid(2), sink)
+	gate := make(chan struct{})
+	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
+		c.Transport = stallTransport{VNet: engine.VNet{Net: n}, gate: gate}
+	})
+	ringLen := func() uint32 {
+		for _, l := range a.Snapshot().Downstream { // lists a link once it is up
+			if l.Peer == nid(2) {
+				return l.BufLen
+			}
+		}
+		return ^uint32(0)
+	}
+	// Queued while the link dials, popped in one batch once it is up, and
+	// stalled at the gate.
+	a.Do(func(api engine.API) { sendData(api, nid(2), app, 0, first) })
+	waitFor(t, 5*time.Second, "the sender goroutine to pop the first run", func() bool { return ringLen() == 0 })
+
+	a.Do(func(api engine.API) { sendData(api, nid(2), app, first, second) })
+	barrier(a)
+	if c := a.Counters(); c.WrittenInline != 0 {
+		t.Errorf("%d messages written inline past a popped, unwritten batch", c.WrittenInline)
+	}
+	if got := ringLen(); got != second {
+		t.Errorf("sender ring holds %d messages, want the %d of the second run", got, second)
+	}
+	if got := len(sink.arrivals()); got != 0 {
+		t.Errorf("%d messages arrived with the first batch still held", got)
+	}
+
+	close(gate)
+	waitFor(t, 10*time.Second, "everything to arrive", func() bool { return len(sink.arrivals()) >= first+second })
+	expectInOrder(t, sink.arrivals(), first+second)
+	// With the batch written and the hold released, the turn writes again.
+	seq := uint32(first + second)
+	waitFor(t, 5*time.Second, "a run on the idle link to be written inline", func() bool {
+		next := seq
+		a.Do(func(api engine.API) { sendData(api, nid(2), app, next, 1) })
+		seq++
+		return a.Counters().WrittenInline > 0
+	})
+}
+
+// rawLink dials node as from, completes the hello exchange and returns the
+// connection: a link whose wire content the test decides byte by byte.
+func rawLink(t *testing.T, n *vnet.Network, from, node message.NodeID) net.Conn {
+	t.Helper()
+	conn := rawDial(t, n, from.Addr(), node)
+	writeHello(t, conn, from)
+	expectWelcome(t, conn, 2*time.Second)
+	return conn
+}
+
+// dataFrame renders one data message's wire image.
+func dataFrame(from message.NodeID, app, seq uint32, size int) []byte {
+	m := message.New(message.FirstDataType, from, app, seq, make([]byte, size))
+	defer m.Release()
+	return append(m.AppendHeader(nil), m.Payload()...)
+}
+
+// TestControlAheadOnTheWireBeatsInlineData is the receiver-side twin of
+// TestControlOvertakesStagedData. A control message and the data behind it
+// arrive in one read: the control crosses a channel to the engine
+// goroutine, the data could be switched by the receiver goroutine on the
+// spot. The receiver must see that control is waiting and queue the data
+// behind it — every round, not most of them.
+func TestControlAheadOnTheWireBeatsInlineData(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	const app, rounds, perRound = 1, 200, 8
+
+	sink := &orderSink{}
+	b := startNode(t, n, nid(2), sink)
+	conn := rawLink(t, n, nid(1), nid(2))
+	// The link's first batch takes the ring; from the second on the receiver
+	// may switch inline.
+	if _, err := conn.Write(dataFrame(nid(1), app, 0, 64)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the warm-up message", func() bool { return len(sink.arrivals()) == 1 })
+
+	ctrl := message.New(protocol.TypeCustom, nid(1), 0, 0, protocol.Custom{Kind: 1}.Encode())
+	defer ctrl.Release()
+	ctrlFrame := append(ctrl.AppendHeader(nil), ctrl.Payload()...)
+	seq := uint32(1)
+	for r := 0; r < rounds; r++ {
+		wire := append([]byte(nil), ctrlFrame...)
+		for i := 0; i < perRound; i++ {
+			wire = append(wire, dataFrame(nid(1), app, seq, 64)...)
+			seq++
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		want := 1 + (r+1)*(perRound+1)
+		waitFor(t, 5*time.Second, "the round to be processed", func() bool { return len(sink.arrivals()) == want })
+		if got := sink.arrivals()[want-perRound-1]; got != ctrlMark {
+			t.Fatalf("round %d: %v processed first, want the control message that was ahead of the data on the wire", r, got)
+		}
+	}
+	if c := b.Counters(); c.SwitchedInline != 0 {
+		// Every data batch here arrived right behind a control message.
+		t.Logf("%d messages switched inline after their round's control had run", c.SwitchedInline)
+	}
+}
+
+// TestFirstBatchOfALinkTakesTheRing: a link's first batch is never switched
+// inline, however long the link has been registered and however many switch
+// passes other links' traffic has caused meanwhile — the rule that keeps
+// data behind the link's LinkUp event no less often than before.
+func TestFirstBatchOfALinkTakesTheRing(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	const app, links = 1, 200
+
+	sink := &recorder{}
+	b := startNode(t, n, nid(250), sink, func(c *engine.Config) { c.MaxHandshakes = -1 })
+	conns := make([]net.Conn, links)
+	for i := range conns {
+		conns[i] = rawLink(t, n, nid(i+1), nid(250))
+	}
+	waitFor(t, 5*time.Second, "every LinkUp to be delivered", func() bool {
+		return sink.count(protocol.TypeLinkUp) == links
+	})
+	// Link 0's message causes a switch pass with every other link registered
+	// and idle; theirs follow one by one.
+	for i, conn := range conns {
+		if _, err := conn.Write(dataFrame(nid(i+1), app, 0, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			waitFor(t, 5*time.Second, "the first link's message", func() bool { return sink.SeenMessages(app) == 1 })
+		}
+	}
+	waitFor(t, 10*time.Second, "one message from every link", func() bool { return sink.SeenMessages(app) == links })
+	if c := b.Counters(); c.SwitchedInline != 0 || c.SwitchedViaRing != links {
+		t.Errorf("switched inline %d, via ring %d; want 0 and %d: a link's first batch takes the ring", c.SwitchedInline, c.SwitchedViaRing, links)
+	}
+	// The rule is about the first batch: later ones go inline whenever the
+	// token is free and nothing waits (a status tick can be in the way, so
+	// send until one does).
+	seq := uint32(1)
+	waitFor(t, 5*time.Second, "a later message of a warm, idle link to be switched inline", func() bool {
+		if _, err := conns[0].Write(dataFrame(nid(1), app, seq, 64)); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+		return b.Counters().SwitchedInline > 0
+	})
+}
+
+// TestInlineWriteErrorKillsLinkOnce: the peer dies between turns, with the
+// link idle and the sender goroutine asleep. The turn's own write is the
+// first to meet the dead connection; it must leave the messages to the
+// sender goroutine, whose error path counts each one lost and reports the
+// link down exactly once.
+func TestInlineWriteErrorKillsLinkOnce(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	const app, lost = 1, 10
+
+	sink := &orderSink{}
+	startNode(t, n, nid(2), sink)
+	alg := &recorder{}
+	a := startNode(t, n, nid(1), alg)
+	// Warm the link until the turn itself is writing it and the sender
+	// goroutine is asleep on an idle ring.
+	seq := uint32(0)
+	waitFor(t, 5*time.Second, "the warm link to write inline", func() bool {
+		next := seq
+		a.Do(func(api engine.API) { sendData(api, nid(2), app, next, 1) })
+		seq++
+		return a.Counters().WrittenInline > 0
+	})
+	waitFor(t, 5*time.Second, "the warm-up to arrive", func() bool { return len(sink.arrivals()) == int(seq) })
+	warm := a.Counters()
+
+	n.CrashNode(nid(2).Addr())
+	a.Do(func(api engine.API) { sendData(api, nid(2), app, seq, lost) })
+	waitFor(t, 5*time.Second, "the link to be reported down", func() bool {
+		return alg.count(protocol.TypeLinkDown) > 0
+	})
+	barrier(a)
+	if downs := alg.count(protocol.TypeLinkDown); downs != 1 {
+		t.Errorf("%d LinkDown notifications, want exactly 1", downs)
+	}
+	c := a.Counters()
+	if c.MsgsDropped != lost {
+		t.Errorf("MsgsDropped = %d, want the %d messages that did not land", c.MsgsDropped, lost)
+	}
+	if c.WrittenInline != warm.WrittenInline || c.WrittenBySender != warm.WrittenBySender {
+		t.Errorf("written inline %d -> %d, by the sender goroutine %d -> %d across the crash: nothing landed on the dead link",
+			warm.WrittenInline, c.WrittenInline, warm.WrittenBySender, c.WrittenBySender)
+	}
+	a.Stop()
+	if got := a.BufferedBytes(); got != 0 {
+		t.Errorf("BufferedBytes = %d after Stop, want 0", got)
+	}
+}

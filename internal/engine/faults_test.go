@@ -246,3 +246,61 @@ func TestDepartDrainsAndDeregisters(t *testing.T) {
 		return sink.count(message.FirstDataType) == burst
 	})
 }
+
+// TestDepartWaitsOutAHeldBatch: the departing node's last batch has left
+// the sender ring — the ring reads empty — and is still being paced onto a
+// shaped link. Depart must ask the ring whether a popped batch is still
+// held, in the same breath as whether it is empty, and not stop the node
+// before the bytes are out.
+func TestDepartWaitsOutAHeldBatch(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	const burst = 8
+	sink := &recorder{}
+	startNode(t, n, nid(2), sink)
+	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
+		c.LinkBW = map[message.NodeID]int64{nid(2): 16 << 10} // the burst takes half a second
+	})
+	a.Do(func(api engine.API) {
+		for i := 0; i < burst; i++ {
+			api.SendNew(api.NewMsg(message.FirstDataType, 1, uint32(i), 1024), nid(2))
+		}
+	})
+	waitFor(t, 5*time.Second, "the sender goroutine to pop the whole burst", func() bool {
+		ds := a.Snapshot().Downstream
+		return len(ds) == 1 && ds[0].BufLen == 0
+	})
+	if got := sink.count(message.FirstDataType); got == burst {
+		t.Fatal("the burst was written before Depart: nothing is held, the test shows nothing")
+	}
+	a.Depart()
+	waitFor(t, 5*time.Second, "the held batch to be delivered despite the departure", func() bool {
+		return sink.count(message.FirstDataType) == burst
+	})
+	if d := a.Counters().MsgsDropped; d != 0 {
+		t.Errorf("%d messages dropped by the departure", d)
+	}
+}
+
+// TestDepartOfAnIdleNodeIsPrompt: with nothing queued, parked or held the
+// first look says drained and Depart goes straight to Stop — it used to
+// need two looks 10 ms apart, because one could fall between a sender's pop
+// and its in-flight mark.
+func TestDepartOfAnIdleNodeIsPrompt(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	sink := &recorder{}
+	startNode(t, n, nid(2), sink)
+	a := startNode(t, n, nid(1), &recorder{})
+	a.Do(func(api engine.API) { api.SendNew(api.NewMsg(message.FirstDataType, 1, 0, 64), nid(2)) })
+	waitFor(t, 5*time.Second, "the link to come up and go idle", func() bool {
+		return sink.count(message.FirstDataType) == 1
+	})
+	start := time.Now()
+	a.Depart()
+	took := time.Since(start)
+	t.Logf("Depart of an idle node took %v", took)
+	if took >= 10*time.Millisecond {
+		t.Errorf("Depart of an idle node took %v, want less than one 10 ms poll", took)
+	}
+}

@@ -29,12 +29,14 @@ type receiver struct {
 	conn   net.Conn
 	ring   *queue.Ring
 	meter  *metrics.Meter
-	weight atomic.Int32        // weighted share; written via SetReceiverWeight
-	pass   float64             // stride-scheduling virtual time; engine goroutine only
-	apps   map[uint32]struct{} // data apps seen on this link; engine goroutine only
+	weight atomic.Int32 // weighted share; written via SetReceiverWeight
+	// pass is the link's stride-scheduling virtual time, negative until the
+	// switch first serves the link from its ring. Token holder only.
+	pass float64
+	apps map[uint32]struct{} // data apps seen on this link; token holder only
 	// inactivity is the monotonic staleness deadline: armed at
-	// InactivityTimeout past the last observed traffic, fired on the
-	// engine goroutine. Engine goroutine only after arming.
+	// InactivityTimeout past the last observed traffic, checked in a turn
+	// of the engine goroutine. Token holder only after arming.
 	inactivity *time.Timer
 }
 
@@ -44,7 +46,7 @@ func newReceiver(peer message.NodeID, conn net.Conn, bufMsgs int) *receiver {
 		conn:  conn,
 		ring:  queue.New(bufMsgs),
 		meter: metrics.NewMeter(0),
-		pass:  -1, // joins the stride scheduler at the current minimum
+		pass:  -1, // joins the stride scheduler at the current minimum with its first batch
 		apps:  make(map[uint32]struct{}),
 	}
 	r.weight.Store(1)
@@ -82,7 +84,10 @@ func (e *Engine) runReceiver(r *receiver) {
 		// are per-message costs worth amortizing at these message rates.
 		r.meter.Add(bytes)
 		e.counters.AddIn(int64(len(batch)), bytes)
-		ok := e.ingest(r.ring, batch, bytes)
+		// With nothing to queue behind, this goroutine runs the batch's
+		// switch quantum itself; otherwise the ring and the engine goroutine
+		// carry it.
+		ok := e.switchInline(r, batch, bytes) || e.ingest(r.ring, batch, bytes)
 		batch, bytes = batch[:0], 0
 		return ok
 	}
@@ -203,15 +208,16 @@ type sender struct {
 	conn      net.Conn // set by the sender goroutine after dialing
 	connReady chan struct{}
 	ring      *queue.Ring
-	// staged is the data the current engine turn has sent toward the peer
-	// and flushStaged has not yet moved into ring. Engine goroutine only.
+	// staged is the data the current turn has sent toward the peer and
+	// flushStaged has not yet moved to the wire or into ring. Token holder
+	// only.
 	staged    []*message.Msg
 	meter     *metrics.Meter
 	linkLimit *bandwidth.Limiter // per-link emulated bandwidth
-	// inflight counts messages popped from the ring but not yet fully
-	// written, so a graceful departure can tell an empty buffer from a
-	// drained link.
-	inflight atomic.Int32
+	// inline is the link's stream framing when its connection offers
+	// TryWriteBuffers, nil on every other link. Like conn it is set by the
+	// sender goroutine before connReady closes and read only after.
+	inline *streamFraming
 	// dialMu guards dialConn, the connection whose handshake is in flight:
 	// Stop and CloseLink close it from outside so a dialer blocked on the
 	// peer's admission reply returns at once instead of at
@@ -286,14 +292,19 @@ func (e *Engine) runSender(s *sender) {
 	batch := make([]*message.Msg, maxBatch)
 	var over []*message.Msg // control that overtook the batch in hand
 	for {
-		n, err := s.ring.PopBatch(batch)
+		// The pop marks the ring held in the same critical section, until
+		// the Unhold below: a turn that finds the ring empty must still be
+		// able to tell that this batch is not on the wire yet, or its own
+		// write would overtake it (writeInline), and a departing node that
+		// its last bytes are not out (drainedForDeparture). An error return
+		// leaves the hold in place — nothing may bypass a dead link.
+		n, err := s.ring.PopBatchHold(batch)
 		if err != nil {
 			// Ring closed: graceful teardown; flush what was written.
 			_ = f.flush()
 			_ = conn.Close()
 			return
 		}
-		s.inflight.Store(int32(n))
 		e.sendBatchHist.Observe(int64(n))
 		// The batch stays charged until it is disposed of below: a shaped
 		// batch can take seconds to drain, and a framing may queue wire
@@ -353,6 +364,7 @@ func (e *Engine) runSender(s *sender) {
 			cm.Release()
 			over[i] = nil
 		}
+		wrote := n + len(over)
 		over = over[:0]
 		e.credit(held)
 		if err != nil {
@@ -363,7 +375,8 @@ func (e *Engine) runSender(s *sender) {
 			e.postEvent(func() { e.senderGone(s) })
 			return
 		}
-		s.inflight.Store(0)
+		e.writtenBySender.Add(uint64(wrote))
+		s.ring.Unhold()
 		// One wakeup per drained batch: the switch retries parked messages
 		// destined to this (now less full) buffer promptly.
 		e.signalWork()
@@ -384,6 +397,9 @@ func (e *Engine) newFraming(s *sender, conn net.Conn) (framing, error) {
 	}
 	f.shaped = bandwidth.NewWriter(f.bufw, f.shaper)
 	f.bw, _ = conn.(buffersWriter)
+	if f.tw, _ = conn.(tryBuffersWriter); f.tw != nil {
+		s.inline = f
+	}
 	return f, nil
 }
 
@@ -403,6 +419,7 @@ type streamFraming struct {
 	shaper *bandwidth.Shaper // the link's cap and the node's uplink and total caps
 	shaped io.Writer         // bufw behind shaper
 	bw     buffersWriter     // nil: the connection has no vectored write
+	tw     tryBuffersWriter  // nil: nor a non-blocking one; see writeInline
 	vec    [][]byte          // wire images gathered for the batch's one write
 	paced  bool              // this batch: some emulated cap paces the link
 	sent   int64             // bytes this batch handed to the connection or bufw
@@ -623,6 +640,16 @@ func (s *sender) interruptDial() {
 // single lock acquisition.
 type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
+}
+
+// tryBuffersWriter is the optional non-blocking form of buffersWriter:
+// the leading buffers that fit whole right now, never part of one, never a
+// wait. It is what lets a turn write a destination's run itself instead of
+// waking the link's sender goroutine (writeInline). vnet connections have
+// it; a kernel TCP socket takes partial frames, so real links do not and
+// keep their goroutine.
+type tryBuffersWriter interface {
+	TryWriteBuffers(bufs [][]byte) (frames int, bytes int64, err error)
 }
 
 // dropQueued counts and releases everything still queued on a failed

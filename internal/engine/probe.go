@@ -39,7 +39,7 @@ type probeKey struct {
 // MeasureBandwidth launches an available-bandwidth probe toward dest; the
 // result arrives at the algorithm as a TypeBandwidthEst message whose
 // Throughput payload carries the estimated bytes/sec. Must be called from
-// the engine goroutine (i.e. from within Process).
+// within a turn (i.e. from Process).
 func (e *Engine) MeasureBandwidth(dest message.NodeID) {
 	e.nextToken++
 	token := e.nextToken
@@ -122,12 +122,12 @@ func (e *Engine) armInactivity(r *receiver) {
 		return
 	}
 	r.inactivity = time.AfterFunc(e.cfg.InactivityTimeout, func() {
-		// r.apps is engine-goroutine state; hop there for the check.
+		// r.apps is token-holder state; the check runs as a turn.
 		e.postEvent(func() { e.checkInactivity(r) })
 	})
 }
 
-// checkInactivity runs on the engine goroutine when r's deadline fires:
+// checkInactivity runs as a turn of the engine goroutine when r's deadline fires:
 // either the link really has been silent for the whole timeout — close it
 // so the receiver goroutine reports the failure through the normal path —
 // or traffic arrived in the meantime and the deadline re-arms for the

@@ -3,18 +3,21 @@ package engine
 import (
 	"sort"
 
-	"repro/internal/invariant"
 	"repro/internal/message"
 	"repro/internal/trace"
 )
 
-// The switch. One goroutine — the engine goroutine, the paper's engine
-// thread — pops data from the receiver rings and the local-source ring in
-// weighted fair order, hands each message to Algorithm.Process, stages what
-// the algorithm sends per destination and moves each destination's run into
-// its sender ring once per quantum, parking what a full ring refuses.
-// Everything in this file runs on that goroutine; the scheduler state it
-// touches is the engine-goroutine-only group of Engine fields.
+// The switch. One turn at a time — whoever holds the turn token
+// (Engine.turnMu) — pops data from the receiver rings and the local-source
+// ring in weighted fair order, hands each message to Algorithm.Process,
+// stages what the algorithm sends per destination and moves each
+// destination's run to the wire or into its sender ring once per quantum,
+// parking what a full ring refuses. The engine goroutine, the paper's
+// engine thread, runs the turns that start from a ring; a receiver whose
+// batch has nothing to queue behind runs that one quantum itself
+// (switchInline). Everything in this file runs under the token; the
+// scheduler state it touches is the token-holder-only group of Engine
+// fields.
 
 // switchBudget bounds the data messages one switch pass processes, so
 // control messages stay responsive under heavy data load.
@@ -31,17 +34,14 @@ func (e *Engine) switchOnce() {
 	e.retryParked()
 	budget := switchBudget
 	rs := e.receiverSnapshot()
-	// Admit newcomers at the current minimum virtual time so they
-	// neither monopolize nor starve.
+	// Newcomers are admitted at the current minimum virtual time so they
+	// neither monopolize nor starve — with the first batch the switch finds
+	// in their ring, which is what lets switchInline read pass >= 0 as
+	// "this link's first batch has been through the ring".
 	minPass := e.localPass
 	for _, r := range rs {
 		if r.pass >= 0 && r.pass < minPass {
 			minPass = r.pass
-		}
-	}
-	for _, r := range rs {
-		if r.pass < 0 {
-			r.pass = minPass
 		}
 	}
 	for budget > 0 && len(e.parked) < e.cfg.MaxParked {
@@ -55,6 +55,9 @@ func (e *Engine) switchOnce() {
 		for _, r := range rs {
 			if r.ring.Len() == 0 {
 				continue
+			}
+			if r.pass < 0 {
+				r.pass = minPass
 			}
 			if (!bestLocal && best == nil) || r.pass < bestPass {
 				best, bestLocal, bestPass = r, false, r.pass
@@ -73,47 +76,16 @@ func (e *Engine) switchOnce() {
 		if headroom := e.cfg.MaxParked - len(e.parked); quantum > headroom {
 			quantum = headroom
 		}
-		var n int
-		var from message.NodeID
-		if bestLocal {
-			n = e.localRing.TryPopBatch(e.switchBuf[:quantum])
-			e.localPass += float64(n)
-		} else {
-			n = best.ring.TryPopBatch(e.switchBuf[:quantum])
-			from = best.peer
-			w := int(best.weight.Load())
-			if w < 1 {
-				w = 1
-			}
-			best.pass += float64(n) / float64(w)
+		ring := e.localRing
+		if best != nil {
+			ring = best.ring
 		}
+		n := ring.TryPopBatch(e.switchBuf[:quantum])
 		if n == 0 {
 			continue
 		}
 		budget -= n
-		e.switched.Add(uint64(n))
-		e.switchBatchHist.Observe(int64(n))
-		e.rec.Emit(trace.KindSwitch, from, 0, int64(n))
-		// A link's app set changes once per session: the map is written
-		// when the app differs from the previous message's, not per message.
-		var app uint32
-		noted := false
-		for i := 0; i < n; i++ {
-			m := e.switchBuf[i]
-			e.switchBuf[i] = nil
-			if a := m.App(); best != nil && !(noted && a == app) {
-				best.apps[a] = struct{}{}
-				app, noted = a, true
-			}
-			// The inbound reference is credited as soon as Process is done
-			// with it: whatever the algorithm forwarded was charged on its
-			// own by deliverOut, so no byte is counted twice for longer than
-			// one upcall. The length is read first — Process may release m.
-			wl := int64(m.WireLen())
-			e.processData(m)
-			e.credit(wl)
-		}
-		e.flushStaged()
+		e.switchBatch(best, e.switchBuf[:n])
 	}
 	// Re-arm only when the budget stopped us with work still queued AND
 	// the parked backlog leaves the next pass headroom to make progress.
@@ -133,6 +105,90 @@ func (e *Engine) switchOnce() {
 			return
 		}
 	}
+}
+
+// switchBatch is one quantum: ms, already charged to the gauge, came from
+// r (nil: the local-source ring) in order. It advances the source's virtual
+// time, hands each message to the algorithm and flushes what that staged.
+// ms is cleared.
+func (e *Engine) switchBatch(r *receiver, ms []*message.Msg) {
+	n := len(ms)
+	var from message.NodeID
+	if r == nil {
+		e.localPass += float64(n)
+	} else {
+		from = r.peer
+		w := int(r.weight.Load())
+		if w < 1 {
+			w = 1
+		}
+		r.pass += float64(n) / float64(w)
+	}
+	e.switched.Add(uint64(n))
+	e.switchBatchHist.Observe(int64(n))
+	e.rec.Emit(trace.KindSwitch, from, 0, int64(n))
+	// A link's app set changes once per session: the map is written
+	// when the app differs from the previous message's, not per message.
+	var app uint32
+	noted := false
+	for i, m := range ms {
+		ms[i] = nil
+		if a := m.App(); r != nil && !(noted && a == app) {
+			r.apps[a] = struct{}{}
+			app, noted = a, true
+		}
+		// The inbound reference is credited as soon as Process is done
+		// with it: whatever the algorithm forwarded was charged on its
+		// own by deliverOut, so no byte is counted twice for longer than
+		// one upcall. The length is read first — Process may release m.
+		wl := int64(m.WireLen())
+		e.processData(m)
+		e.credit(wl)
+	}
+	e.flushStaged()
+}
+
+// switchInline is the receiver-side fast path: r's goroutine, holding a
+// decoded batch, takes the turn token if it is free and runs the batch's
+// quantum itself instead of pushing it through r's ring and waking the
+// engine goroutine. It reports false, having done nothing, unless every
+// one of these holds — each is what keeps a guarantee the ring path gives:
+//
+//   - r's ring is Idle (open and empty) and the token was free: nothing of
+//     this link is queued or being switched ahead of the batch — FIFO per
+//     link. r's goroutine is its ring's only producer, so the answer holds
+//     until it pushes;
+//   - r.pass >= 0: the link's first batch went through the ring, behind the
+//     LinkUp event its handshake posted;
+//   - nothing waits for the engine goroutine (control before data), and
+//     nothing is parked (a parked backlog is back-pressure at work: the
+//     switch pass owns the decision to admit more, and the batch must fit
+//     the headroom rule as a popped quantum would).
+//
+// The caller never waits for the token and, holding it, never blocks: the
+// quantum ends in try-writes and TryPush. Everything read here that is
+// token-holder-only state is read after the TryLock.
+func (e *Engine) switchInline(r *receiver, batch []*message.Msg, bytes int64) bool {
+	if e.pconn != nil || e.waiting.Load() > 0 || !r.ring.Idle() {
+		// On a datagram data lane the packet reader feeds r's ring too. With
+		// a turn waiting, not even trying keeps this goroutine from barging
+		// in front of the engine goroutine as it wakes to take the token.
+		return false
+	}
+	if !e.turnMu.TryLock() {
+		return false
+	}
+	// waiting again: the engine goroutine may have been handed something
+	// and found the token taken since the look above.
+	if r.pass < 0 || e.waiting.Load() > 0 || len(e.parked) > 0 || len(batch) > e.cfg.MaxParked {
+		e.turnMu.Unlock()
+		return false
+	}
+	e.buffered.Add(bytes)
+	e.switchBatch(r, batch)
+	e.switchedInline.Add(uint64(len(batch)))
+	e.turnMu.Unlock()
+	return true
 }
 
 // park shelves a message that could not be delivered right now, labeled
@@ -225,14 +281,9 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 		return
 	}
 	if len(s.staged) == 0 {
-		// Staging is unlocked engine-goroutine state, which makes Send's
-		// "engine goroutine only" contract load-bearing. Asserted here, once
-		// per sender per flush: the goroutine lookup parses a stack trace,
-		// far too dear to pay on every Send.
-		if invariant.Enabled {
-			invariant.Assert(e.debugGID == 0 || invariant.GoroutineID() == e.debugGID,
-				"data Send off the engine goroutine: output staging is unlocked")
-		}
+		// Staging is token-holder-only state, which makes Send's "within a
+		// turn" contract load-bearing. Asserted once per sender per flush.
+		e.assertTurn("data Send")
 		e.dirty = append(e.dirty, s)
 	}
 	s.staged = append(s.staged, m)
@@ -252,12 +303,16 @@ func (e *Engine) flushStaged() {
 		run := s.staged
 		n := 0
 		// Per-destination order: anything already parked for the peer must
-		// go first, so the whole run queues up behind it.
+		// go first, so the whole run queues up behind it. With nothing ahead
+		// of it anywhere the run's head goes straight to the wire; what the
+		// wire does not take right now queues behind it.
 		if e.parkedByDest[s.peer] == 0 {
-			n = s.ring.TryPushBatch(run)
+			n = e.writeInline(s, run)
+			n += s.ring.TryPushBatch(run[n:])
 		}
-		// Nothing may read run[:n] any more: the sender goroutine owns those
-		// messages and may have written and released them already.
+		// Nothing may read run[:n] any more: those messages are written and
+		// released, or the sender goroutine owns them and may have done both
+		// already.
 		for _, m := range run[n:] {
 			e.park(m, s.peer)
 		}
@@ -265,6 +320,61 @@ func (e *Engine) flushStaged() {
 		s.staged = run[:0]
 	}
 	e.dirty = e.dirty[:0]
+}
+
+// writeInline writes the head of a destination's staged run from the turn
+// itself, without waking the link's sender goroutine, and reports how many
+// messages it wrote and released. It writes only when nothing is ahead of
+// the run and the write cannot wait:
+//
+//   - the link is up on a connection with TryWriteBuffers (s.inline);
+//   - no emulated cap paces it — link, uplink or total: a shaped link's
+//     rate is the sender goroutine's to keep, and its backlog is the
+//     back-pressure signal;
+//   - nothing is parked for the peer (the caller checked);
+//   - the sender's ring is Idle — empty, and no batch popped and not yet
+//     written: either would be overtaken.
+//
+// The turn is the ring's only producer, so an idle ring stays idle until
+// the caller pushes the tail. What went out is metered, counted, released
+// and credited as runSender would have; a bypassed message waited in no
+// queue, and the data-lane delay histogram says so. A write error is left
+// for the sender goroutine to find on the tail: the link dies once, in
+// runSender, with its loss accounting.
+func (e *Engine) writeInline(s *sender, run []*message.Msg) int {
+	select {
+	case <-s.connReady:
+	default:
+		return 0 // still dialing
+	}
+	f := s.inline
+	if f == nil || f.shaper.Active() || !s.ring.Idle() {
+		return 0
+	}
+	vec := e.inlineVec[:0]
+	for _, m := range run {
+		w := m.Wire()
+		if w == nil {
+			break // no contiguous image: the sender goroutine renders it
+		}
+		vec = append(vec, w)
+	}
+	frames, bytes, _ := f.tw.TryWriteBuffers(vec)
+	clear(vec)
+	e.inlineVec = vec[:0]
+	if frames == 0 {
+		return 0
+	}
+	s.meter.Add(bytes)
+	e.counters.AddOut(int64(frames), bytes)
+	e.sendBatchHist.Observe(int64(frames))
+	e.dataDelayHist.ObserveN(0, uint64(frames))
+	e.writtenInline.Add(uint64(frames))
+	for _, m := range run[:frames] {
+		m.Release()
+	}
+	e.credit(bytes)
+	return frames
 }
 
 // forgetSender drops what the send path remembers about a link that died
@@ -316,8 +426,8 @@ func (e *Engine) receiverSnapshot() []*receiver {
 	return rs
 }
 
-// releaseParked releases the parked backlog. Called from Stop after the
-// engine goroutine has exited.
+// releaseParked releases the parked backlog. Called from Stop after every
+// goroutine that could hold the token has exited.
 func (e *Engine) releaseParked() {
 	for _, p := range e.parked {
 		e.disown(p.m)
@@ -326,13 +436,10 @@ func (e *Engine) releaseParked() {
 }
 
 // processData hands one data message to Algorithm.Process, releasing it on
-// Done. In debug builds the goroutine identity is asserted so a call from
-// anywhere but the engine goroutine fails loudly.
+// Done. In debug builds a call made while nobody holds the turn token fails
+// loudly.
 func (e *Engine) processData(m *message.Msg) {
-	if invariant.Enabled {
-		invariant.Assert(e.debugGID == 0 || invariant.GoroutineID() == e.debugGID,
-			"data Process off the engine goroutine: Process ownership violated")
-	}
+	e.assertTurn("data Process")
 	if e.alg.Process(m) == Done {
 		m.Release()
 	}

@@ -1,43 +1,43 @@
 package engine_test
 
 import (
-	"runtime"
-	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/message"
+	"repro/internal/multicast"
+	"repro/internal/protocol"
 	"repro/internal/vnet"
 )
 
-// gid returns the current goroutine's numeric ID by parsing the stack
-// header — test-only, to observe which goroutine runs Process.
-func gid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	fields := strings.Fields(string(buf[:n]))
-	id, _ := strconv.ParseInt(fields[1], 10, 64)
-	return id
+// serialSink checks the single-thread contract from the inside. calls is a
+// plain, unsynchronised counter and the first thing Process touches: two
+// consecutive calls on different goroutines are ordered only by whatever
+// the engine did to hand the turn over, so a missing happens-before edge is
+// the race detector's to report. inFlight must never read 2: never two
+// Process calls at once.
+type serialSink struct {
+	multicast.Forwarder
+	calls    int
+	inFlight atomic.Int32
+	overlaps atomic.Int32
+	customs  atomic.Int32
 }
 
-// gidRecorder records the goroutine ID of every Process invocation.
-type gidRecorder struct {
-	recorder
-	mu   sync.Mutex
-	gids map[int64]int
-}
-
-func (g *gidRecorder) Process(m *message.Msg) engine.Verdict {
-	g.mu.Lock()
-	if g.gids == nil {
-		g.gids = make(map[int64]int)
+func (s *serialSink) Process(m *message.Msg) engine.Verdict {
+	s.calls++
+	if s.inFlight.Add(1) != 1 {
+		s.overlaps.Add(1)
 	}
-	g.gids[gid()]++
-	g.mu.Unlock()
-	return g.recorder.Process(m)
+	if m.Type() == protocol.TypeCustom {
+		s.customs.Add(1)
+	}
+	v := s.Forwarder.Process(m)
+	s.inFlight.Add(-1)
+	return v
 }
 
 // TestSwitchFansInEightReceivers fans eight sources into one relay — the
@@ -83,16 +83,19 @@ func TestSwitchFansInEightReceivers(t *testing.T) {
 	}
 }
 
-// TestProcessStaysSerialized loads a sink from four concurrent receiver
-// goroutines and checks the paper's contract: every Algorithm.Process
-// call runs on the single engine goroutine.
+// TestProcessStaysSerialized checks the paper's contract as the engine now
+// keeps it: never two Algorithm.Process calls at once, and every call
+// happens-after the previous one, whichever goroutine holds the turn token.
+// Four receivers feed the sink (switching inline when they can), a fifth
+// link carries control traffic and a Do loop adds events, so every kind of
+// turn competes for the token.
 func TestProcessStaysSerialized(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
 	const app = 3
 
-	sink := &gidRecorder{}
-	startNode(t, n, nid(9), sink)
+	sink := &serialSink{}
+	e := startNode(t, n, nid(9), sink)
 
 	for i := 0; i < 4; i++ {
 		src := &recorder{}
@@ -100,14 +103,47 @@ func TestProcessStaysSerialized(t *testing.T) {
 		a := startNode(t, n, nid(i+1), src)
 		a.StartSource(app, 0, 1024)
 	}
+	ctl := startNode(t, n, nid(5), &recorder{})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // control messages from a peer
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ctl.Do(func(api engine.API) {
+				api.SendNew(api.NewControl(protocol.TypeCustom, app, []byte("c")), nid(9))
+			})
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	var events atomic.Int32
+	go func() { // events on the sink itself
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.Do(func(engine.API) { events.Add(1) })
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
 
-	waitFor(t, 10*time.Second, "sink to process fanned-in traffic", func() bool {
-		return sink.ReceivedBytes(app) > 128<<10
+	waitFor(t, 10*time.Second, "sink to process fanned-in data, control and events", func() bool {
+		return sink.ReceivedBytes(app) > 2<<20 && sink.customs.Load() > 100 && events.Load() > 100
 	})
+	close(stop)
+	wg.Wait()
 
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if len(sink.gids) != 1 {
-		t.Fatalf("Process ran on %d distinct goroutines, want exactly 1: %v", len(sink.gids), sink.gids)
+	if o := sink.overlaps.Load(); o != 0 {
+		t.Fatalf("%d Process calls began while another was in flight, want 0", o)
 	}
+	fp := e.Counters()
+	t.Logf("switched inline %d, via ring %d", fp.SwitchedInline, fp.SwitchedViaRing)
 }

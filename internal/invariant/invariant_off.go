@@ -11,6 +11,3 @@ const Enabled = false
 // still guard with `if invariant.Enabled` so argument evaluation is
 // eliminated too.
 func Assert(bool, string, ...any) {}
-
-// GoroutineID returns 0 in release builds.
-func GoroutineID() int64 { return 0 }

@@ -1,9 +1,6 @@
 package invariant
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestAssert exercises whichever twin of the package is compiled in:
 // under ioverlay_debug a false condition must panic and a true one must
@@ -17,32 +14,5 @@ func TestAssert(t *testing.T) {
 	}()
 	if fired != Enabled {
 		t.Fatalf("Assert(false) panicked=%v, want %v (Enabled=%v)", fired, Enabled, Enabled)
-	}
-}
-
-func TestGoroutineID(t *testing.T) {
-	if !Enabled {
-		if got := GoroutineID(); got != 0 {
-			t.Fatalf("release GoroutineID = %d, want 0", got)
-		}
-		return
-	}
-	self := GoroutineID()
-	if self <= 0 {
-		t.Fatalf("GoroutineID = %d, want positive", self)
-	}
-	if again := GoroutineID(); again != self {
-		t.Fatalf("GoroutineID not stable: %d then %d", self, again)
-	}
-	var other int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		other = GoroutineID()
-	}()
-	wg.Wait()
-	if other == self {
-		t.Fatalf("distinct goroutines share ID %d", self)
 	}
 }

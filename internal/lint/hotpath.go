@@ -7,9 +7,10 @@ import (
 
 // checkHotPath keeps allocation- and syscall-heavy constructs out of the
 // per-message paths. The hot set is the engine's switch loop, the sender,
-// receiver and datagram-reader loops (their for-loop bodies — setup and
-// teardown outside the loop are cold), and the whole of Send/retryParked,
-// which run once per switched message:
+// receiver and datagram-reader loops, the per-message loops of the quantum
+// (switchBatch) and of the turn's own wire write (writeInline) — their
+// for-loop bodies; setup and teardown outside the loop are cold — and the
+// whole of Send/retryParked, which run once per switched message:
 //
 //   - fmt.* formats allocate and reflect per call;
 //   - time.Now is a syscall-class call — the loops batch timestamps and
@@ -34,6 +35,7 @@ const checkNameHotPath = "hotpath"
 var hotSet = map[string]bool{
 	"Send": true, "retryParked": true,
 	"switchOnce": false, "runSender": false, "runReceiver": false, "runDgramReader": false,
+	"switchBatch": false, "writeInline": false,
 }
 
 const effHotAlloc = EffFmt | EffTimeNow | EffLogf

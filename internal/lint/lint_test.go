@@ -63,8 +63,8 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 			}
 		}
 	}
-	if len(pkgs) < 21 {
-		t.Fatalf("expected at least 21 fixture packages (every check covered), found %d", len(pkgs))
+	if len(pkgs) < 23 {
+		t.Fatalf("expected at least 23 fixture packages (every check covered), found %d", len(pkgs))
 	}
 	if total == 0 {
 		t.Fatal("no want markers found in fixtures")
@@ -136,7 +136,7 @@ func TestHotSetMustResolve(t *testing.T) {
 		}
 	})
 	sort.Strings(got)
-	if want := "Send retryParked runDgramReader runReceiver runSender"; strings.Join(got, " ") != want {
+	if want := "Send retryParked runDgramReader runReceiver runSender switchBatch writeInline"; strings.Join(got, " ") != want {
 		t.Errorf("unresolved hot-set names = %q, want %q", got, want)
 	}
 }
@@ -186,6 +186,31 @@ func TestShippedTreeClean(t *testing.T) {
 	}
 	for _, s := range stale {
 		t.Errorf("stale baseline entry (finding fixed, entry not removed): %s", s)
+	}
+}
+
+// TestLockOrderSeesTheTurnToken: the engine's turn token is taken with Lock
+// in the arms of run's select and with a TryLock guard in switchInline, and
+// held across everything a turn does. The lock-order graph must carry it —
+// token before the engine's state lock, before a ring's, before a vnet
+// pipe's (the turn's own wire write) — or a cycle through it would go
+// unreported; and nothing may be ordered before the token.
+func TestLockOrderSeesTheTurnToken(t *testing.T) {
+	loader, pkgs := loadWholeModule(t)
+	edges := lockOrderEdges(BuildGraph(loader), pkgs)
+	const token = "engine.Engine.turnMu"
+	for _, to := range []string{"engine.Engine.mu", "queue.Ring.mu", "vnet.pipe.mu"} {
+		if _, ok := edges[token+"\x00"+to]; !ok {
+			t.Errorf("no lock-order edge %s -> %s: the scanner does not see the token held", token, to)
+		}
+	}
+	if _, ok := edges["engine.Engine.mu\x00queue.Ring.mu"]; !ok {
+		t.Error("no lock-order edge engine.Engine.mu -> queue.Ring.mu")
+	}
+	for _, e := range edges {
+		if e.to == token {
+			t.Errorf("%s is acquired with %s held (in %s): the token comes first", token, e.from, e.witness())
+		}
 	}
 }
 

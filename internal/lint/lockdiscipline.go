@@ -15,10 +15,13 @@ import (
 //     takes does not implicate the ring mutex.
 //
 //   - engine: no algorithm upcall (alg.Process, notifyAlg, deliverToAlg)
-//     may run with an engine lock held — directly or through any chain
-//     of module-local helpers. Process may reenter the engine through
-//     the API, which retakes engine locks. Transitive findings carry the
-//     witness call path to the upcall.
+//     may run with any engine lock held other than the turn token —
+//     directly or through any chain of module-local helpers. Process may
+//     reenter the engine through the API, which retakes engine locks; the
+//     token (Engine.turnMu, matched by lock identity) is the one lock
+//     whose whole purpose is to be held across Process, and nothing the
+//     API reaches takes it. Transitive findings carry the witness call
+//     path to the upcall.
 const checkNameLockDiscipline = "lockdiscipline"
 
 func checkLockDiscipline(g *Graph, p *Package, report reportFunc) {
@@ -87,7 +90,7 @@ func checkEngineUpcalls(g *Graph, p *Package, report reportFunc) {
 					return reachesUpcall(methodCallee(g.l, p.Info, call))
 				},
 				func(call *ast.CallExpr, held []string) {
-					if !heldAny(held) {
+					if !heldMatching(held, func(id string) bool { return !isTurnToken(id) }) {
 						return
 					}
 					if isAlgUpcall(call) {
@@ -105,6 +108,12 @@ func checkEngineUpcalls(g *Graph, p *Package, report reportFunc) {
 				})
 		}
 	}
+}
+
+// isTurnToken reports whether a lock identity names the engine's turn
+// token, the mutex held across every Algorithm.Process call by design.
+func isTurnToken(id string) bool {
+	return strings.HasPrefix(id, "engine.") && strings.HasSuffix(id, ".turnMu")
 }
 
 // isAlgUpcall recognizes the three ways engine code hands control to the

@@ -38,6 +38,12 @@ func (e orderEdge) witness() string {
 }
 
 func checkLockOrder(g *Graph, pkgs []*Package, report reportFunc) {
+	reportLockCycles(lockOrderEdges(g, pkgs), report)
+}
+
+// lockOrderEdges collects the held->acquired edges rooted in pkgs, one per
+// (from, to) pair, keyed "from\x00to".
+func lockOrderEdges(g *Graph, pkgs []*Package) map[string]orderEdge {
 	requested := make(map[*Package]bool, len(pkgs))
 	for _, p := range pkgs {
 		requested[p] = true
@@ -116,6 +122,11 @@ func checkLockOrder(g *Graph, pkgs []*Package, report reportFunc) {
 		}
 	}
 
+	return edges
+}
+
+// reportLockCycles reports every elementary cycle among edges.
+func reportLockCycles(edges map[string]orderEdge, report reportFunc) {
 	// Adjacency, deterministically ordered.
 	adj := make(map[string][]orderEdge)
 	for _, e := range edges {

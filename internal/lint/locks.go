@@ -18,6 +18,11 @@ import (
 // early-unlock shapes can still yield false negatives — never false
 // positives on straight-line hold regions, the documented bias.
 //
+// TryLock is an acquisition when its result guards the code that follows:
+// `if !mu.TryLock() { return }` holds mu from the end of the guard on, and
+// `if mu.TryLock() { ... }` (alone or as an operand of &&) holds it inside
+// the body. A TryLock whose result goes anywhere else is not tracked.
+//
 // Function-literal bodies are scanned as their own scopes with an empty
 // held set: a closure's locks are taken when the closure runs, not where
 // it is written, so attributing them to the surrounding stream would
@@ -29,14 +34,7 @@ import (
 // otherwise. Identities are per declaration, not per instance — the
 // granularity every static lock-order analysis works at.
 func lockID(p *Package, expr ast.Expr) string {
-	e := expr
-	for {
-		if par, ok := e.(*ast.ParenExpr); ok {
-			e = par.X
-			continue
-		}
-		break
-	}
+	e := ast.Unparen(expr)
 	shortQual := func(tp *types.Package) string { return tp.Name() }
 	switch t := e.(type) {
 	case *ast.SelectorExpr:
@@ -98,6 +96,64 @@ func classifyLockCall(call *ast.CallExpr) (recv ast.Expr, kind int, rlock bool, 
 	return nil, 0, false, false
 }
 
+// tryLockGuard recognizes an if condition that decides on a TryLock or
+// TryRLock of a mutex-named receiver: the call itself, the call as an
+// operand of &&, or its negation. negated reports the guard form
+// `!mu.TryLock()`, whose body runs when the lock was NOT taken.
+func tryLockGuard(cond ast.Expr) (recv ast.Expr, rlock, negated, ok bool) {
+	cond = ast.Unparen(cond)
+	if not, isNot := cond.(*ast.UnaryExpr); isNot && not.Op == token.NOT {
+		recv, rlock, ok = tryLockCall(ast.Unparen(not.X))
+		return recv, rlock, true, ok
+	}
+	if and, isAnd := cond.(*ast.BinaryExpr); isAnd && and.Op == token.LAND {
+		for _, side := range []ast.Expr{and.X, and.Y} {
+			if recv, rlock, neg, ok := tryLockGuard(side); ok && !neg {
+				return recv, rlock, false, true
+			}
+		}
+		return nil, false, false, false
+	}
+	recv, rlock, ok = tryLockCall(cond)
+	return recv, rlock, false, ok
+}
+
+func tryLockCall(e ast.Expr) (recv ast.Expr, rlock, ok bool) {
+	call, isCall := e.(*ast.CallExpr)
+	if !isCall {
+		return nil, false, false
+	}
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel || !looksLikeMutex(sel.X) {
+		return nil, false, false
+	}
+	switch sel.Sel.Name {
+	case "TryLock":
+		return sel.X, false, true
+	case "TryRLock":
+		return sel.X, true, true
+	}
+	return nil, false, false
+}
+
+// leavesScope reports whether a guard body ends by leaving the code that
+// follows the if: a return, a branch (continue, break, goto) or a panic.
+func leavesScope(body *ast.BlockStmt) bool {
+	if len(body.List) == 0 {
+		return false
+	}
+	switch last := body.List[len(body.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			id, ok := call.Fun.(*ast.Ident)
+			return ok && id.Name == "panic"
+		}
+	}
+	return false
+}
+
 // collectLockScope builds the event stream for one scope, descending
 // into blocks but splitting function literals into child scopes.
 func collectLockScope(p *Package, body ast.Node, candidate func(*ast.CallExpr) bool) *lockScope {
@@ -111,6 +167,19 @@ func collectLockScope(p *Package, body ast.Node, candidate func(*ast.CallExpr) b
 			}
 			sc.inner = append(sc.inner, collectLockScope(p, st.Body, candidate))
 			return false
+		case *ast.IfStmt:
+			recv, rlock, negated, ok := tryLockGuard(st.Cond)
+			switch {
+			case !ok:
+			case !negated:
+				sc.events = append(sc.events, lockEvent{
+					pos: st.Body.Lbrace, kind: +1, id: lockID(p, recv), rlock: rlock,
+				})
+			case leavesScope(st.Body):
+				sc.events = append(sc.events, lockEvent{
+					pos: st.Body.End(), kind: +1, id: lockID(p, recv), rlock: rlock,
+				})
+			}
 		case *ast.DeferStmt:
 			if recv, kind, rlock, ok := classifyLockCall(st.Call); ok && kind == -1 {
 				sc.events = append(sc.events, lockEvent{

@@ -7,8 +7,8 @@ import (
 )
 
 // checkPurity enforces the paper's single-threaded algorithm guarantee:
-// Algorithm.Process runs on the engine goroutine and must never block or
-// spawn concurrency. Interprocedurally over the call graph from every
+// Algorithm.Process runs under the engine's turn token and must never
+// block or spawn concurrency. Interprocedurally over the call graph from every
 // Process implementation — direct calls and conservative interface
 // fan-outs alike — the check forbids goroutine spawns, channel
 // operations (send, receive, select, range-over-channel), time.Sleep,
@@ -90,7 +90,7 @@ func scanPureBody(g *Graph, fn *Fn, root string, path []*Fn, report reportFunc) 
 		switch st := n.(type) {
 		case *ast.GoStmt:
 			report(st.Pos(), checkNamePurity,
-				"goroutine spawn reachable from %s%s: Process must stay on the engine goroutine", root, where)
+				"goroutine spawn reachable from %s%s: Process must stay within the engine's turn", root, where)
 		case *ast.SendStmt:
 			report(st.Pos(), checkNamePurity,
 				"channel send reachable from %s%s: Process must never block", root, where)

@@ -242,6 +242,15 @@ type CountersSnapshot struct {
 	// DgramRefused counts outgoing messages refused at the sender because
 	// their wire image exceeds the fragment budget at the configured MTU.
 	DgramRefused int64
+	// The share of traffic that takes each of the engine's fast paths, in
+	// messages; Counters itself leaves them zero and engine.Counters fills
+	// them from its own atomics. SwitchedInline were switched by the
+	// receiver goroutine that decoded them, SwitchedViaRing crossed a
+	// receiver (or local-source) ring to the engine goroutine;
+	// WrittenInline were written by the turn that switched them,
+	// WrittenBySender crossed a sender ring to the link's goroutine.
+	SwitchedInline, SwitchedViaRing uint64
+	WrittenInline, WrittenBySender  uint64
 }
 
 // AddIn records msgs received messages totalling n bytes in one update —
@@ -419,11 +428,14 @@ func histBucket(v int64) int {
 }
 
 // Observe folds one sample in. Safe from any goroutine; no-op on nil.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN folds n samples of the same value in with one atomic add.
+func (h *Histogram) ObserveN(v int64, n uint64) {
 	if h == nil {
 		return
 	}
-	h.counts[histBucket(v)].Add(1)
+	h.counts[histBucket(v)].Add(n)
 }
 
 // ObserveDuration folds one duration sample in, in nanoseconds.

@@ -290,8 +290,10 @@ func TestTraceCollection(t *testing.T) {
 	e := startNode(t, n, nid(1), obsID, a)
 	o.WaitForNodes(1, 5*time.Second)
 	e.Trace("checkpoint %d reached", 5)
+	// The observer lists the record before it writes the line, so wait for
+	// both: checking the writer right after the list raced that window.
 	waitFor(t, 3*time.Second, "trace record", func() bool {
-		return len(o.Traces()) > 0
+		return len(o.Traces()) > 0 && strings.Contains(log.String(), "checkpoint 5 reached")
 	})
 	rec := o.Traces()[0]
 	if rec.Node != nid(1) || rec.Body != "checkpoint 5 reached" {

@@ -87,6 +87,10 @@ type Ring struct {
 	data   lane
 	ctrl   lane
 	closed bool
+	// held records that a PopBatchHold consumer has taken messages out and
+	// not yet said it is done with them. It is set under the same lock as
+	// the pop, so "nothing queued and nothing held" (Idle) is one fact.
+	held bool
 }
 
 // New returns a ring holding at most capacity messages per lane. Capacity
@@ -348,7 +352,9 @@ func (r *Ring) TryPopCtrl() (m *message.Msg, ok bool) {
 // single producer wakeup per lane, blocking while the ring is empty. It
 // returns the number of messages popped (at least one). Once the ring is
 // closed and drained, PopBatch returns ErrClosed.
-func (r *Ring) PopBatch(dst []*message.Msg) (int, error) {
+func (r *Ring) PopBatch(dst []*message.Msg) (int, error) { return r.popBatch(dst, false) }
+
+func (r *Ring) popBatch(dst []*message.Msg, hold bool) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
@@ -360,7 +366,37 @@ func (r *Ring) PopBatch(dst []*message.Msg) (int, error) {
 	if r.data.length+r.ctrl.length == 0 {
 		return 0, ErrClosed
 	}
+	if hold {
+		r.held = true
+	}
 	return r.popBatchLocked(dst), nil
+}
+
+// PopBatchHold is PopBatch for a consumer that forwards what it pops and
+// wants the producer to be able to tell: in the same critical section as
+// the pop the ring records that the consumer holds a batch, and stays that
+// way until Unhold. Between the two the ring can be empty without being
+// Idle — the messages are out of the ring and not yet wherever they go.
+func (r *Ring) PopBatchHold(dst []*message.Msg) (int, error) { return r.popBatch(dst, true) }
+
+// Unhold ends the hold PopBatchHold took: the consumer has disposed of
+// everything it popped.
+func (r *Ring) Unhold() {
+	r.mu.Lock()
+	r.held = false
+	r.mu.Unlock()
+}
+
+// Idle reports whether the ring is open, nothing is queued in either lane
+// and no PopBatchHold consumer still holds what it popped — one fact, read
+// under one lock. For the ring's single producer a true answer stays true
+// until its own next push: only a push can give the consumer something to
+// take. A closed ring is never idle: it is being torn down, and whoever
+// asks should meet its refusals rather than go around it.
+func (r *Ring) Idle() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return !r.closed && r.data.length+r.ctrl.length == 0 && !r.held
 }
 
 // TryPopBatch removes up to len(dst) of the oldest messages into dst —

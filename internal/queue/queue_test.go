@@ -2,7 +2,9 @@ package queue
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -599,5 +601,103 @@ func TestFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIdleIsEmptyAndUnheld: Idle is "open, nothing queued, nothing popped
+// and not yet disposed of" — the fact a producer needs before it may go
+// around the ring. The hold is taken in the pop's own critical section, so
+// there is no instant at which a popped batch is in neither count.
+func TestIdleIsEmptyAndUnheld(t *testing.T) {
+	r := New(4)
+	if !r.Idle() {
+		t.Fatal("a fresh ring is not idle")
+	}
+	r.TryPush(mkMsg(0))
+	if r.Idle() {
+		t.Fatal("a ring with a queued message is idle")
+	}
+	dst := make([]*message.Msg, 4)
+	if n, err := r.PopBatchHold(dst); n != 1 || err != nil {
+		t.Fatalf("PopBatchHold = %d, %v", n, err)
+	}
+	if r.Len() != 0 || r.Idle() {
+		t.Fatalf("after PopBatchHold: Len = %d, Idle = %v; want empty and not idle", r.Len(), r.Idle())
+	}
+	// The consumer's mid-batch control pops do not end the hold.
+	r.TryPush(message.New(1, message.ZeroID, 0, 0, nil))
+	if _, ok := r.TryPopCtrl(); !ok || r.Idle() {
+		t.Fatal("TryPopCtrl failed or ended the hold")
+	}
+	r.Unhold()
+	if !r.Idle() {
+		t.Fatal("ring not idle after Unhold")
+	}
+
+	// The plain pops are for consumers nobody bypasses: they hold nothing.
+	r.TryPush(mkMsg(1))
+	if n, err := r.PopBatch(dst); n != 1 || err != nil || !r.Idle() {
+		t.Fatalf("PopBatch = %d, %v, Idle = %v; want 1, nil, idle", n, err, r.Idle())
+	}
+
+	// A consumer asleep in PopBatchHold holds nothing either.
+	popped := make(chan int)
+	go func() {
+		n, _ := r.PopBatchHold(dst)
+		popped <- n
+	}()
+	time.Sleep(10 * time.Millisecond)
+	if !r.Idle() {
+		t.Fatal("a consumer waiting on an empty ring made it not idle")
+	}
+	r.TryPush(mkMsg(2))
+	if n := <-popped; n != 1 || r.Idle() {
+		t.Fatalf("woken PopBatchHold = %d, Idle = %v; want 1, held", n, r.Idle())
+	}
+	r.Unhold()
+
+	r.Close()
+	if r.Idle() {
+		t.Fatal("a closed ring is idle")
+	}
+}
+
+// TestIdleNeverMissesAPoppedBatch hammers the atomicity from the producer's
+// side: a single producer that has seen Idle must find the consumer holding
+// nothing, every time, until its own next push.
+func TestIdleNeverMissesAPoppedBatch(t *testing.T) {
+	r := New(4)
+	const rounds = 5000
+	var holding atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		dst := make([]*message.Msg, 4)
+		for {
+			if _, err := r.PopBatchHold(dst); err != nil {
+				return
+			}
+			holding.Store(true)
+			runtime.Gosched()
+			holding.Store(false)
+			r.Unhold()
+		}
+	}()
+	missed := 0
+	for i := 0; i < rounds; {
+		if !r.Idle() {
+			runtime.Gosched()
+			continue
+		}
+		if holding.Load() {
+			missed++
+		}
+		r.TryPush(mkMsg(uint32(i)))
+		i++
+	}
+	r.Close()
+	<-done
+	if missed != 0 {
+		t.Fatalf("Idle was true %d times while the consumer held a popped batch", missed)
 	}
 }

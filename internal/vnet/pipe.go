@@ -163,13 +163,7 @@ func (p *pipe) Write(b []byte) (int, error) {
 		n := p.copyIn(b)
 		b = b[n:]
 		written += n
-		p.totalWritten += int64(n)
-		if p.latency > 0 {
-			p.marks = append(p.marks, watermark{
-				total: p.totalWritten,
-				at:    time.Now().Add(p.latency),
-			})
-		}
+		p.markWrittenLocked(n)
 		p.wakeReadersLocked()
 	}
 	return written, nil
@@ -178,10 +172,14 @@ func (p *pipe) Write(b []byte) (int, error) {
 // writeBuffers appends the concatenation of bufs, blocking while full
 // exactly like sequential Writes but under a single lock acquisition —
 // the vectored fast path that lets a sender flush a whole message batch
-// in one pipe operation.
+// in one pipe operation. Readers are woken once for the call, and once
+// before each wait inside it so a full pipe still drains: a broadcast per
+// buffer would be up to a batch's worth of futex calls under the lock the
+// reader needs.
 func (p *pipe) writeBuffers(bufs [][]byte) (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	defer p.wakeReadersLocked()
 
 	var written int64
 	for _, b := range bufs {
@@ -193,6 +191,7 @@ func (p *pipe) writeBuffers(bufs [][]byte) (int64, error) {
 		}
 		for len(b) > 0 {
 			for p.length == len(p.buf) && !p.writeClosed && !p.broken && !expired(p.writeDeadline) {
+				p.wakeReadersLocked()
 				p.waitLocked(&p.notFull, &p.writeWaiters, p.writeDeadline)
 			}
 			if p.broken || p.writeClosed {
@@ -204,17 +203,57 @@ func (p *pipe) writeBuffers(bufs [][]byte) (int64, error) {
 			n := p.copyIn(b)
 			b = b[n:]
 			written += int64(n)
-			p.totalWritten += int64(n)
-			if p.latency > 0 {
-				p.marks = append(p.marks, watermark{
-					total: p.totalWritten,
-					at:    time.Now().Add(p.latency),
-				})
-			}
-			p.wakeReadersLocked()
+			p.markWrittenLocked(n)
 		}
 	}
 	return written, nil
+}
+
+// tryWriteBuffers appends the leading buffers of bufs that fit whole right
+// now and reports how many it took and their bytes. It never waits and
+// never takes part of a buffer, so a caller that writes one frame per
+// buffer can hand the rest to a blocking writer without splitting a frame
+// between the two. While a blocking write is parked on a full pipe — it
+// may be halfway through a frame — nothing is taken at all. Drops and
+// latency marks are per buffer, as in writeBuffers; the write deadline
+// does not apply to a call that cannot wait.
+func (p *pipe) tryWriteBuffers(bufs [][]byte) (frames int, bytes int64, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.broken || p.writeClosed {
+		return 0, 0, ErrPipeClosed
+	}
+	if p.writeWaiters > 0 {
+		return 0, 0, nil
+	}
+	for _, b := range bufs {
+		// A black-holed frame counts as taken and needs no room.
+		if p.dropFn == nil || !p.dropFn(len(b)) {
+			if len(b) > len(p.buf)-p.length {
+				break
+			}
+			p.copyIn(b)
+			p.markWrittenLocked(len(b))
+		}
+		frames++
+		bytes += int64(len(b))
+	}
+	if frames > 0 {
+		p.wakeReadersLocked()
+	}
+	return frames, bytes, nil
+}
+
+// markWrittenLocked accounts n bytes just copied in and, on a pipe with
+// latency, records when they become readable.
+func (p *pipe) markWrittenLocked(n int) {
+	p.totalWritten += int64(n)
+	if p.latency > 0 {
+		p.marks = append(p.marks, watermark{
+			total: p.totalWritten,
+			at:    time.Now().Add(p.latency),
+		})
+	}
 }
 
 func (p *pipe) copyIn(b []byte) int {

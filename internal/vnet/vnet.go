@@ -414,6 +414,16 @@ func (c *Conn) Write(b []byte) (int, error) { return c.wr.Write(b) }
 // blocks under back-pressure exactly like sequential Writes.
 func (c *Conn) WriteBuffers(bufs [][]byte) (int64, error) { return c.wr.writeBuffers(bufs) }
 
+// TryWriteBuffers is the non-blocking form of WriteBuffers: it writes the
+// leading buffers that fit whole in the peer's socket buffer right now,
+// under one pipe lock acquisition, and reports how many buffers and bytes
+// it took. It never waits and never writes part of a buffer; zero frames
+// means the pipe is full, or a blocking write on this connection is
+// waiting for space.
+func (c *Conn) TryWriteBuffers(bufs [][]byte) (frames int, bytes int64, err error) {
+	return c.wr.tryWriteBuffers(bufs)
+}
+
 // Close gracefully closes the connection: the peer drains buffered bytes
 // and then observes EOF, like a TCP FIN.
 func (c *Conn) Close() error {
