@@ -112,8 +112,11 @@ trace-smoke:
 # bench-smoke runs the repository benchmark's own tests. bench/ is a
 # separate Go module, so `go test ./...` from the root never reaches it;
 # this is the gate that keeps an engine change from breaking it unnoticed.
+# It also runs each root benchmark EXPERIMENTS.md cites once, so they
+# cannot rot either.
 bench-smoke:
 	cd bench && $(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # examples-smoke runs every example program to completion: they are main
 # packages, so `test` only ever compiles them.
@@ -123,5 +126,9 @@ examples-smoke:
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
 
+# bench runs the root benchmarks EXPERIMENTS.md cites — the §2.4 engine
+# measurements and the design ablations — at full length. cmd/ibench
+# regenerates the paper's tables and figures; bench/ is the layer-by-layer
+# benchmark.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

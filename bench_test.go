@@ -1,9 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (Section 2.4 and Section 3), plus micro-benchmarks of the
-// engine's building blocks and ablations of its design choices. The
-// figure benchmarks run a complete experiment per iteration and report
-// the headline quantities via b.ReportMetric; cmd/ibench prints the full
-// paper-style tables.
+// Benchmarks of the paper's §2.4 engine measurements — raw chain
+// throughput (with its BatchSize 1 ablation), the per-switch overhead and
+// the engine footprint — and the ablations of the design choices DESIGN.md
+// calls out, each reporting its headline quantities via b.ReportMetric.
+// cmd/ibench regenerates every table and figure of the paper; bench/
+// measures the engine layer by layer.
 package ioverlay_test
 
 import (
@@ -14,9 +14,6 @@ import (
 
 	ioverlay "repro"
 	"repro/internal/experiments"
-	"repro/internal/federation"
-	"repro/internal/gf256"
-	"repro/internal/tree"
 )
 
 // ----- §2.4, Fig. 5: raw engine performance -----
@@ -72,208 +69,6 @@ func BenchmarkSwitchOverhead(b *testing.B) {
 	}
 }
 
-// ----- Fig. 6 / Fig. 7: correctness and buffer regimes -----
-
-func BenchmarkFig6Correctness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		phases, err := experiments.Fig6(experiments.Fig6Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(phases[1].Measured["DE"]/experiments.KB, "b-DE-KBps")
-		b.ReportMetric(phases[1].Measured["AB"]/experiments.KB, "b-AB-KBps")
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig6("Fig 6 (small buffers)", phases))
-		}
-	}
-}
-
-func BenchmarkFig7LargeBuffers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		phases, err := experiments.Fig7(experiments.Fig6Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(phases[0].Measured["AB"]/experiments.KB, "a-AB-KBps")
-		b.ReportMetric(phases[1].Measured["EF"]/experiments.KB, "b-EF-KBps")
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig6("Fig 7 (large buffers)", phases))
-		}
-	}
-}
-
-// ----- Fig. 8: network coding -----
-
-func BenchmarkFig8NetworkCoding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(experiments.Fig8Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res.WithCoding {
-			if r.Node == "F" {
-				b.ReportMetric(r.Effective/experiments.KB, "coded-F-KBps")
-			}
-		}
-		for _, r := range res.WithoutCoding {
-			if r.Node == "F" {
-				b.ReportMetric(r.Effective/experiments.KB, "plain-F-KBps")
-			}
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig8(res))
-		}
-	}
-}
-
-// ----- Table 3 / Fig. 9: tree construction on the 5-node session -----
-
-func BenchmarkTable3TreeStress(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, figs, err := experiments.TreeSmall(experiments.TreeSmallConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Node == "S" {
-				b.ReportMetric(r.Stress[tree.Unicast], "S-stress-unicast")
-				b.ReportMetric(r.Stress[tree.StressAware], "S-stress-nsaware")
-			}
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.RenderTable3(rows))
-			b.Log("\n" + experiments.RenderFig9(figs))
-		}
-	}
-}
-
-// ----- Fig. 11 / 12 / 13: wide-area trees -----
-
-func BenchmarkFig11PlanetLabTrees(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := experiments.Fig11(experiments.Fig11Config{
-			N:      20, // scaled from the paper's 81; cmd/ibench -full runs 81
-			Seed:   7,
-			Window: 2 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			b.ReportMetric(r.Mean/experiments.KB, fmt.Sprintf("mean-KBps/%s", r.Variant))
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig11(results))
-		}
-	}
-}
-
-// ----- Fig. 14 / 15: service federation on 16 nodes -----
-
-func BenchmarkFig15FederationOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fed16(experiments.Fed16Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var aware, fed int64
-		for _, r := range res.Rows {
-			aware += r.AwareBytes
-			fed += r.FederateBytes
-		}
-		b.ReportMetric(float64(aware), "sAware-bytes")
-		b.ReportMetric(float64(fed), "sFederate-bytes")
-		b.ReportMetric(res.LastHop, "last-hop-Bps")
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFed16(res))
-		}
-	}
-}
-
-// ----- Fig. 16: sAware overhead over time -----
-
-func BenchmarkFig16AwareOverTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig16(experiments.Fig16Config{
-			N: 15, Minutes: 10, MinuteDur: 150 * time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var peak int64
-		for _, p := range points {
-			if p.Bytes > peak {
-				peak = p.Bytes
-			}
-		}
-		b.ReportMetric(float64(peak), "peak-bytes-per-min")
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig16(points))
-		}
-	}
-}
-
-// ----- Fig. 17 / 18: control overhead vs size -----
-
-func BenchmarkFig17OverheadVsSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.FedSweep(experiments.FedSweepConfig{
-			Sizes:        []int{5, 10, 15, 20},
-			Requirements: 20,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		b.ReportMetric(float64(last.AwareBytes), "sAware-bytes-at-20")
-		b.ReportMetric(float64(last.FederateBytes), "sFederate-bytes-at-20")
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig17(rows))
-		}
-	}
-}
-
-func BenchmarkFig18PerNodeOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.FedSweep(experiments.FedSweepConfig{
-			Sizes:        []int{15},
-			Requirements: 25,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n := rows[0].PerNode; len(n) > 0 {
-			b.ReportMetric(float64(n[0].FederateBytes), "max-node-sFederate-bytes")
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig18(rows[0]))
-		}
-	}
-}
-
-// ----- Fig. 19: end-to-end bandwidth across policies -----
-
-func BenchmarkFig19FederatedBandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		byPolicy := make(map[federation.Selection][]experiments.Fig17Row)
-		for _, p := range []federation.Selection{federation.SFlow, federation.Fixed, federation.RandomSel} {
-			rows, err := experiments.FedSweep(experiments.FedSweepConfig{
-				Sizes:        []int{5, 10, 15},
-				Requirements: 15,
-				Policy:       p,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			byPolicy[p] = rows
-			b.ReportMetric(rows[len(rows)-1].MeanBandwidth, fmt.Sprintf("e2e-Bps/%s", p))
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFig19(byPolicy))
-		}
-	}
-}
-
 // ----- §2.4 footprint: per-connection memory -----
 
 func BenchmarkEngineFootprint(b *testing.B) {
@@ -308,45 +103,6 @@ func BenchmarkEngineFootprint(b *testing.B) {
 		net.Close()
 	}
 	// -benchmem reports the allocation footprint per engine pair.
-}
-
-// ----- micro-benchmarks of the substrates -----
-
-func BenchmarkGF256Axpy(b *testing.B) {
-	dst := make([]byte, 4096)
-	src := make([]byte, 4096)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gf256.Axpy(dst, 7, src)
-	}
-}
-
-func BenchmarkGF256Solve(b *testing.B) {
-	const k = 4
-	src := make([][]byte, k)
-	coeffs := make([][]byte, k)
-	for i := range src {
-		src[i] = make([]byte, 1024)
-		coeffs[i] = make([]byte, k)
-		for j := range coeffs[i] {
-			coeffs[i][j] = gf256.Exp(i*7 + j*3)
-		}
-		coeffs[i][i] = 1
-	}
-	coded := make([][]byte, k)
-	for i := range coded {
-		coded[i] = gf256.Combine(coeffs[i], src)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := gf256.Solve(coeffs, coded); !ok {
-			b.Fatal("singular")
-		}
-	}
 }
 
 // ----- ablations of the design choices DESIGN.md calls out -----
@@ -467,7 +223,6 @@ func BenchmarkAblationWRRWeights(b *testing.B) {
 		midEng := boot(midID, mid, func(c *ioverlay.Config) {
 			c.UpBW = 200 << 10 // the bottleneck the upstreams compete for
 			c.RecvBuf, c.SendBuf = 5, 5
-			c.MaxParked = 4
 		})
 		defer midEng.Stop()
 		srcA := &counter{next: midID}

@@ -33,6 +33,7 @@ import (
 	"syscall"
 
 	ioverlay "repro"
+	"repro/internal/admission"
 	"repro/internal/debughttp"
 	"repro/internal/federation"
 	"repro/internal/multicast"
@@ -76,10 +77,8 @@ func run() error {
 	totalStr := flag.String("total", "0", "emulated total bandwidth")
 	lastMileStr := flag.String("lastmile", "100KB", "last-mile bandwidth for node-stress computation")
 	bufMsgs := flag.Int("buffers", 64, "receiver/sender buffer capacity in messages")
-	maxHandshakes := flag.Int("max-handshakes", 0, "concurrent inbound handshake cap; excess connections get a one-frame busy refusal (0 = default 64, negative disables admission control)")
-	acceptRate := flag.Float64("accept-rate", 0, "sustained per-source accept rate in connections/sec (0 = default 16)")
-	greylistAfter := flag.Int("greylist-after", 0, "consecutive rate refusals before a source is greylisted (0 = default 8)")
-	greylistFor := flag.Duration("greylist-for", 0, "how long a greylisted source's connections are closed silently (0 = default 2s)")
+	var gate admission.Config
+	admission.Flags(flag.CommandLine, &gate)
 	transport := flag.String("transport", "tcp", "data lane transport: tcp (reliable streams) or udp (datagrams for data; control stays on TCP)")
 	mtu := flag.Int("mtu", 0, "outgoing datagram size cap in bytes for -transport udp (0 = default 1400)")
 	debugAddr := flag.String("debug", "", "serve expvar/pprof debug endpoints on this address (e.g. 127.0.0.1:6060)")
@@ -152,11 +151,7 @@ func run() error {
 		DownBW:    down,
 		RecvBuf:   *bufMsgs,
 		SendBuf:   *bufMsgs,
-
-		MaxHandshakes: *maxHandshakes,
-		AcceptRate:    *acceptRate,
-		GreylistAfter: *greylistAfter,
-		GreylistFor:   *greylistFor,
+		Admission: gate,
 	}
 	switch *transport {
 	case "tcp":

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	ioverlay "repro"
+	"repro/internal/admission"
 	"repro/internal/debughttp"
 )
 
@@ -39,10 +40,8 @@ func run() error {
 	bootstrap := flag.Int("bootstrap", 8, "nodes returned per bootstrap request")
 	peersStr := flag.String("peers", "", "comma-separated peer observer addresses forming a federated tier")
 	topoEvery := flag.Duration("topology", 5*time.Second, "topology print interval (0 disables)")
-	maxHandshakes := flag.Int("max-handshakes", 0, "concurrent inbound handshake cap; excess connections get a one-frame busy refusal (0 = default 64, negative disables admission control)")
-	acceptRate := flag.Float64("accept-rate", 0, "sustained per-source accept rate in connections/sec (0 = default 16)")
-	greylistAfter := flag.Int("greylist-after", 0, "consecutive rate refusals before a source is greylisted (0 = default 8)")
-	greylistFor := flag.Duration("greylist-for", 0, "how long a greylisted source's connections are closed silently (0 = default 2s)")
+	var gate admission.Config
+	admission.Flags(flag.CommandLine, &gate)
 	debugAddr := flag.String("debug", "", "serve expvar/pprof debug endpoints plus /debug/timeline on this address (e.g. 127.0.0.1:6060)")
 	flag.Parse()
 
@@ -66,11 +65,7 @@ func run() error {
 		BootstrapCount: *bootstrap,
 		TraceWriter:    os.Stdout,
 		Peers:          peers,
-
-		MaxHandshakes: *maxHandshakes,
-		AcceptRate:    *acceptRate,
-		GreylistAfter: *greylistAfter,
-		GreylistFor:   *greylistFor,
+		Admission:      gate,
 	})
 	if err != nil {
 		return err

@@ -81,7 +81,7 @@ func runSession(useCoding bool) (map[string]float64, error) {
 			ID:        ids[name],
 			Transport: ioverlay.VirtualTransport(net),
 			Algorithm: algs[name],
-			RecvBuf:   2000, SendBuf: 2000, MaxParked: 8000,
+			RecvBuf:   2000, SendBuf: 2000,
 		}
 		switch name {
 		case "A":

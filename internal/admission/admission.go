@@ -17,6 +17,8 @@
 package admission
 
 import (
+	"flag"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -69,11 +71,14 @@ func (d Decision) String() string {
 	}
 }
 
-// Config tunes a Gate. Zero values select the defaults below.
+// Config tunes a Gate — the same five knobs on every listener that has
+// one: an engine's publicized port, an observer's registration port.
+// Zero values select the defaults below.
 type Config struct {
 	// MaxHandshakes bounds concurrent in-flight handshakes: tokens held
-	// from Accept until the link is registered. <=0 selects
-	// DefaultMaxHandshakes.
+	// from Accept until the link is registered. Zero selects
+	// DefaultMaxHandshakes; negative disables admission control (New
+	// returns the nil, admit-everything gate).
 	MaxHandshakes int
 	// SourceRate is the sustained admissions per second allowed per
 	// source host; SourceBurst the bucket depth. <=0 select defaults.
@@ -84,19 +89,13 @@ type Config struct {
 	// greylist entry lasts. <=0 select defaults.
 	GreylistAfter int
 	GreylistFor   time.Duration
-	// MaxSources bounds the per-source table; past it the entry with
-	// the oldest activity is evicted. <=0 selects DefaultMaxSources.
-	MaxSources int
-	// RetryAfter is the hint carried in Busy frames for token
-	// exhaustion; rate refusals hint the time until a token accrues.
-	// <=0 selects DefaultRetryAfter.
-	RetryAfter time.Duration
-	// Now is the clock, injectable for tests; nil selects time.Now.
-	Now func() time.Time
 }
 
 // Defaults; chosen so a polite overlay (redials spaced by the engine's
-// capped backoff) never notices the gate.
+// capped backoff) never notices the gate. DefaultMaxSources bounds the
+// per-source table (past it the entry with the oldest activity is
+// evicted); DefaultRetryAfter is the hint Busy frames carry for token
+// exhaustion (rate refusals hint the time until a token accrues).
 const (
 	DefaultMaxHandshakes = 64
 	DefaultSourceRate    = 16.0
@@ -106,6 +105,21 @@ const (
 	DefaultMaxSources    = 1024
 	DefaultRetryAfter    = 100 * time.Millisecond
 )
+
+// Flags registers the command-line knobs of c on fs — the same four flags
+// on every binary with a gated listener. Each flag's zero selects the
+// package default, and -max-handshakes below zero disables the gate.
+func Flags(fs *flag.FlagSet, c *Config) {
+	fs.IntVar(&c.MaxHandshakes, "max-handshakes", 0, fmt.Sprintf(
+		"concurrent inbound handshake cap; excess connections get a one-frame busy refusal (0 = default %d, negative disables admission control)",
+		DefaultMaxHandshakes))
+	fs.Float64Var(&c.SourceRate, "accept-rate", 0, fmt.Sprintf(
+		"sustained per-source accept rate in connections/sec (0 = default %v)", DefaultSourceRate))
+	fs.IntVar(&c.GreylistAfter, "greylist-after", 0, fmt.Sprintf(
+		"consecutive rate refusals before a source is greylisted (0 = default %d)", DefaultGreylistAfter))
+	fs.DurationVar(&c.GreylistFor, "greylist-for", 0, fmt.Sprintf(
+		"how long a greylisted source's connections are closed silently (0 = default %v)", DefaultGreylistFor))
+}
 
 // source is one per-host rate/greylist record.
 type source struct {
@@ -131,7 +145,9 @@ type Stats struct {
 // Gate is the admission controller. All methods are safe for concurrent
 // use and are no-ops (admit-everything) on a nil receiver.
 type Gate struct {
-	cfg Config
+	cfg        Config
+	maxSources int
+	now        func() time.Time
 
 	mu       sync.Mutex
 	inFlight int64
@@ -140,9 +156,18 @@ type Gate struct {
 	stats    Stats
 }
 
-// New builds a gate, normalizing zero config fields to the defaults.
-func New(cfg Config) *Gate {
-	if cfg.MaxHandshakes <= 0 {
+// New builds a gate, normalizing zero config fields to the defaults. A
+// negative MaxHandshakes disables admission control: New returns nil,
+// which admits everything.
+func New(cfg Config) *Gate { return newGate(cfg, DefaultMaxSources, time.Now) }
+
+// newGate is New with the source-table bound and the clock chosen by the
+// caller — the package's own tests.
+func newGate(cfg Config, maxSources int, now func() time.Time) *Gate {
+	if cfg.MaxHandshakes < 0 {
+		return nil
+	}
+	if cfg.MaxHandshakes == 0 {
 		cfg.MaxHandshakes = DefaultMaxHandshakes
 	}
 	if cfg.SourceRate <= 0 {
@@ -157,16 +182,7 @@ func New(cfg Config) *Gate {
 	if cfg.GreylistFor <= 0 {
 		cfg.GreylistFor = DefaultGreylistFor
 	}
-	if cfg.MaxSources <= 0 {
-		cfg.MaxSources = DefaultMaxSources
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Gate{cfg: cfg, sources: make(map[string]*source)}
+	return &Gate{cfg: cfg, maxSources: maxSources, now: now, sources: make(map[string]*source)}
 }
 
 // Admit decides whether a connection from the given source host may
@@ -180,7 +196,7 @@ func (g *Gate) Admit(sourceHost string) (Decision, time.Duration) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	now := g.cfg.Now()
+	now := g.now()
 	s := g.source(sourceHost, now)
 	s.lastSeen = now
 
@@ -216,7 +232,7 @@ func (g *Gate) Admit(sourceHost string) (Decision, time.Duration) {
 	// fault, so it costs no source token and no strike.
 	if g.inFlight >= int64(g.cfg.MaxHandshakes) {
 		g.stats.ShedBusy++
-		return ShedBusy, g.cfg.RetryAfter
+		return ShedBusy, DefaultRetryAfter
 	}
 
 	s.tokens--
@@ -244,7 +260,7 @@ func (g *Gate) AdmitDatagram(sourceHost string) Decision {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	now := g.cfg.Now()
+	now := g.now()
 	s := g.source(sourceHost, now)
 	s.lastSeen = now
 	if now.Before(s.greyUntil) {
@@ -317,14 +333,6 @@ func (g *Gate) InFlight() int64 {
 	return g.inFlight
 }
 
-// RetryAfter reports the configured busy-hint duration.
-func (g *Gate) RetryAfter() time.Duration {
-	if g == nil {
-		return 0
-	}
-	return g.cfg.RetryAfter
-}
-
 // Stats snapshots the gate's counters.
 func (g *Gate) Stats() Stats {
 	if g == nil {
@@ -345,7 +353,7 @@ func (g *Gate) source(host string, now time.Time) *source {
 	if s, ok := g.sources[host]; ok {
 		return s
 	}
-	if len(g.sources) >= g.cfg.MaxSources {
+	if len(g.sources) >= g.maxSources {
 		var oldestKey string
 		var oldest time.Time
 		for k, s := range g.sources {

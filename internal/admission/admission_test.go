@@ -29,16 +29,29 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.now = c.now.Add(d)
 }
 
+// TestNilGateAdmitsEverything: the nil gate admits everything, and a
+// negative MaxHandshakes is how a config asks for it.
 func TestNilGateAdmitsEverything(t *testing.T) {
-	var g *Gate
-	for i := 0; i < 100; i++ {
-		if d, _ := g.Admit("10.0.0.1"); d != Admitted {
-			t.Fatalf("nil gate refused: %v", d)
+	for _, tc := range []struct {
+		name string
+		g    *Gate
+	}{
+		{"nil", nil},
+		{"MaxHandshakes -1", New(Config{MaxHandshakes: -1})},
+	} {
+		g := tc.g
+		if g != nil {
+			t.Fatalf("%s: gate = %p, want nil", tc.name, g)
 		}
-	}
-	g.Release() // must not panic
-	if st := g.Stats(); st != (Stats{}) {
-		t.Fatalf("nil gate stats = %+v, want zero", st)
+		for i := 0; i < 100; i++ {
+			if d, _ := g.Admit("10.0.0.1"); d != Admitted {
+				t.Fatalf("%s: nil gate refused: %v", tc.name, d)
+			}
+		}
+		g.Release() // must not panic
+		if st := g.Stats(); st != (Stats{}) {
+			t.Fatalf("%s: nil gate stats = %+v, want zero", tc.name, st)
+		}
 	}
 }
 
@@ -47,7 +60,7 @@ func TestNilGateAdmitsEverything(t *testing.T) {
 // until tokens are released.
 func TestHandshakeTokensCapInFlight(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{MaxHandshakes: 4, Now: clk.Now})
+	g := newGate(Config{MaxHandshakes: 4}, DefaultMaxSources, clk.Now)
 	for i := 0; i < 4; i++ {
 		if d, _ := g.Admit(fmt.Sprintf("10.0.0.%d", i)); d != Admitted {
 			t.Fatalf("admission %d refused: %v", i, d)
@@ -89,10 +102,10 @@ func TestReleaseNeverUnderflows(t *testing.T) {
 // the refusal and the token-accrual hint, then refills by advancing time.
 func TestSourceRateLimitAndRefill(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{
+	g := newGate(Config{
 		MaxHandshakes: 1000, SourceRate: 10, SourceBurst: 3,
-		GreylistAfter: 100, Now: clk.Now,
-	})
+		GreylistAfter: 100,
+	}, DefaultMaxSources, clk.Now)
 	for i := 0; i < 3; i++ {
 		d, _ := g.Admit("10.0.0.1")
 		if d != Admitted {
@@ -123,10 +136,10 @@ func TestSourceRateLimitAndRefill(t *testing.T) {
 // after the source goes quiet.
 func TestGreylistFlappingSource(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{
+	g := newGate(Config{
 		MaxHandshakes: 1000, SourceRate: 1, SourceBurst: 1,
-		GreylistAfter: 3, GreylistFor: time.Second, Now: clk.Now,
-	})
+		GreylistAfter: 3, GreylistFor: time.Second,
+	}, DefaultMaxSources, clk.Now)
 	if d, _ := g.Admit("10.0.0.1"); d != Admitted {
 		t.Fatal("first admission refused")
 	}
@@ -165,10 +178,10 @@ func TestGreylistFlappingSource(t *testing.T) {
 // source toward the greylist.
 func TestBusyRefusalCostsNoStrike(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{
+	g := newGate(Config{
 		MaxHandshakes: 1, SourceRate: 1000, SourceBurst: 1000,
-		GreylistAfter: 2, Now: clk.Now,
-	})
+		GreylistAfter: 2,
+	}, DefaultMaxSources, clk.Now)
 	if d, _ := g.Admit("10.0.0.1"); d != Admitted {
 		t.Fatal("first admission refused")
 	}
@@ -185,7 +198,7 @@ func TestBusyRefusalCostsNoStrike(t *testing.T) {
 
 func TestSourceTableEviction(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{MaxHandshakes: 1000, MaxSources: 4, Now: clk.Now})
+	g := newGate(Config{MaxHandshakes: 1000}, 4, clk.Now)
 	for i := 0; i < 8; i++ {
 		clk.Advance(time.Millisecond)
 		if d, _ := g.Admit(fmt.Sprintf("10.0.0.%d", i)); d != Admitted {
@@ -266,10 +279,10 @@ func TestDecisionStrings(t *testing.T) {
 // bound.
 func TestEvictionPrefersStalest(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{
+	g := newGate(Config{
 		MaxHandshakes: 1000, SourceRate: 0.001, SourceBurst: 1,
-		GreylistAfter: 1, GreylistFor: time.Hour, MaxSources: 3, Now: clk.Now,
-	})
+		GreylistAfter: 1, GreylistFor: time.Hour,
+	}, 3, clk.Now)
 	// Burn B's only token, then strike it out: B is greylisted for an hour.
 	if d, _ := g.Admit("B"); d != Admitted {
 		t.Fatal("B's first admission refused")
@@ -319,7 +332,7 @@ func TestEvictionPrefersStalest(t *testing.T) {
 // single arrival, with the overflow accounted in Evicted.
 func TestSourceBoundNeverExceeded(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{MaxHandshakes: 1000, MaxSources: 4, Now: clk.Now})
+	g := newGate(Config{MaxHandshakes: 1000}, 4, clk.Now)
 	for i := 0; i < 100; i++ {
 		clk.Advance(time.Millisecond)
 		if d, _ := g.Admit(fmt.Sprintf("10.1.%d.%d", i/256, i%256)); d != Admitted {
@@ -345,10 +358,10 @@ func TestSourceBoundNeverExceeded(t *testing.T) {
 // a permanent ban.
 func TestGreylistExpiresExactlyAfterGreylistFor(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{
+	g := newGate(Config{
 		MaxHandshakes: 1000, SourceRate: 1, SourceBurst: 1,
-		GreylistAfter: 1, GreylistFor: time.Second, Now: clk.Now,
-	})
+		GreylistAfter: 1, GreylistFor: time.Second,
+	}, DefaultMaxSources, clk.Now)
 	if d, _ := g.Admit("10.0.0.1"); d != Admitted {
 		t.Fatal("first admission refused")
 	}

@@ -85,7 +85,6 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 		alg     *recorder
 		dgram   bool
 	}
-	slowSink := func(bw int64) map[message.NodeID]int64 { return map[message.NodeID]int64{sink: bw} }
 	parked := func(ch chain) bool { return ch.b.Snapshot().Shards[0].Parked > 0 }
 	// inline reports that the relay is on both fast paths: the paced
 	// scenarios' traffic is switched by the receiver goroutine that decoded
@@ -99,8 +98,11 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 		return c.SwitchedInline > 500 && c.WrittenInline > 500
 	}
 	scenarios := []struct {
-		name  string
-		relay engine.Config // LinkBW, SendBuf of b
+		name string
+		// sinkCap, when set, caps b's link to the sink in bytes per second;
+		// sendBuf sizes b's sender rings (zero: the default).
+		sinkCap int64
+		sendBuf int
 		// rate paces the source in bytes per second; zero is back to back.
 		rate int64
 		// ready reports that the disposal path is being exercised; then,
@@ -108,8 +110,8 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 		ready func(ch chain) bool
 		then  func(t *testing.T, ch chain)
 	}{{
-		name:  "downstream killed with a parked backlog",
-		relay: engine.Config{LinkBW: slowSink(20 << 10), SendBuf: 5},
+		name:    "downstream killed with a parked backlog",
+		sinkCap: 20 << 10, sendBuf: 5,
 		ready: parked,
 		then: func(t *testing.T, ch chain) {
 			ch.c.Stop()
@@ -121,8 +123,8 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 			})
 		},
 	}, {
-		name:  "CloseLink with data parked",
-		relay: engine.Config{LinkBW: slowSink(20 << 10), SendBuf: 5},
+		name:    "CloseLink with data parked",
+		sinkCap: 20 << 10, sendBuf: 5,
 		ready: parked,
 		then: func(t *testing.T, ch chain) {
 			closed := make(chan struct{})
@@ -136,8 +138,8 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 		// has stopped draining the upstream ring — when the upstream's
 		// identity says hello again. The switch never looks at a replaced
 		// ring again: what it held used to stay there, charged for good.
-		name:  "upstream reconnects onto a full ring",
-		relay: engine.Config{LinkBW: slowSink(20 << 10), SendBuf: 5},
+		name:    "upstream reconnects onto a full ring",
+		sinkCap: 20 << 10, sendBuf: 5,
 		ready: func(ch chain) bool {
 			ups := ch.b.Snapshot().Upstreams
 			return len(ups) == 1 && ups[0].BufLen == ups[0].BufCap
@@ -182,9 +184,10 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 
 				ch.c = startNode(t, ch.n, sink, &recorder{}, mode)
 				ch.alg.DefaultRoutes = []message.NodeID{sink}
-				ch.b = startNode(t, ch.n, relay, ch.alg, mode, func(c *engine.Config) {
-					c.LinkBW, c.SendBuf = sc.relay.LinkBW, sc.relay.SendBuf
-				})
+				ch.b = startNode(t, ch.n, relay, ch.alg, mode, func(c *engine.Config) { c.SendBuf = sc.sendBuf })
+				if sc.sinkCap > 0 {
+					capLink(ch.b, sink, sc.sinkCap)
+				}
 				srcAlg := &recorder{}
 				srcAlg.DefaultRoutes = []message.NodeID{relay}
 				ch.a = startNode(t, ch.n, src, srcAlg, mode)

@@ -96,7 +96,7 @@ func acceptEvents(e *engine.Engine, dec admission.Decision) []trace.Event {
 }
 
 // TestAdmissionGateCapsHandshakes checks the engine's half of the cap:
-// Config.MaxHandshakes reaches the gate, a dialer past it is refused with
+// Config.Admission reaches the gate, a dialer past it is refused with
 // a Busy frame, and once a token frees up a hello is answered with
 // Welcome. What the door itself promises about the cap — the hint, the
 // accounting of dead handshakes — is TestFrontDoorConformance's, which
@@ -105,10 +105,8 @@ func TestAdmissionGateCapsHandshakes(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
 	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
-		c.MaxHandshakes = 2
+		c.Admission = admission.Config{MaxHandshakes: 2, SourceRate: 1000, SourceBurst: 1000}
 		c.HandshakeTimeout = 5 * time.Second
-		c.AcceptRate = 1000
-		c.AcceptBurst = 1000
 	})
 
 	half1 := rawDial(t, n, "10.0.9.1:1", nid(1))
@@ -175,10 +173,10 @@ func TestGreylistedSourceIsClosedSilently(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
 	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
-		c.AcceptRate = 0.001 // one token, effectively no refill
-		c.AcceptBurst = 1
-		c.GreylistAfter = 2
-		c.GreylistFor = time.Hour
+		c.Admission = admission.Config{
+			SourceRate: 0.001, SourceBurst: 1, // one token, effectively no refill
+			GreylistAfter: 2, GreylistFor: time.Hour,
+		}
 	})
 
 	// First connection spends the burst; the next two strike out; every
@@ -218,8 +216,7 @@ func TestDuplicateConnReplaceRace(t *testing.T) {
 	const app = 1
 	sink := &recorder{}
 	a := startNode(t, n, nid(1), sink, func(c *engine.Config) {
-		c.AcceptRate = 10000
-		c.AcceptBurst = 10000
+		c.Admission = admission.Config{SourceRate: 10000, SourceBurst: 10000}
 	})
 
 	peer := nid(3)
@@ -273,10 +270,8 @@ func TestDialerHonorsBusyBackpressure(t *testing.T) {
 	const app = 1
 	sink := &recorder{}
 	a := startNode(t, n, nid(1), sink, func(c *engine.Config) {
-		c.MaxHandshakes = 1
+		c.Admission = admission.Config{MaxHandshakes: 1, SourceRate: 1000, SourceBurst: 1000}
 		c.HandshakeTimeout = 10 * time.Second
-		c.AcceptRate = 1000
-		c.AcceptBurst = 1000
 	})
 
 	// Saturate the single handshake token with a half-open connection.

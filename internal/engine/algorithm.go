@@ -124,7 +124,6 @@ type API interface {
 	// Note records a structured event in the node's flight recorder for
 	// decisions only the algorithm can see (e.g. a reparent). Unlike
 	// Trace it is lock-free, allocation-free and safe from any
-	// goroutine, so it may be called from the data path; a no-op when
-	// recording is disabled.
+	// goroutine, so it may be called from the data path.
 	Note(kind trace.Kind, peer message.NodeID, app uint32, value int64)
 }

@@ -37,14 +37,14 @@ func NewLink(conn net.Conn, capacity int, wg *sync.WaitGroup) *Link {
 
 // DialHello opens a connection from self to peer and identifies it with a
 // hello of the given kind (protocol.HelloProxy, protocol.HelloObserver, or
-// zero for a node). The hello write is bounded like the dial: a stalled
-// acceptor socket must not wedge the dialer.
-func DialHello(t Transport, self, peer message.NodeID, kind uint32, dialTimeout, helloTimeout time.Duration) (net.Conn, error) {
-	conn, err := t.DialFrom(self.Addr(), peer.Addr(), dialTimeout)
+// zero for a node). timeout bounds the dial and, separately, the hello
+// write: a stalled acceptor socket must not wedge the dialer.
+func DialHello(t Transport, self, peer message.NodeID, kind uint32, timeout time.Duration) (net.Conn, error) {
+	conn, err := t.DialFrom(self.Addr(), peer.Addr(), timeout)
 	if err != nil {
 		return nil, err
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(helloTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
 	hello := message.New(protocol.TypeHello, self, kind, 0, nil)
 	_, err = hello.WriteTo(conn)
 	hello.Release()

@@ -42,14 +42,23 @@ const (
 	DefaultRecvBuf        = 64
 	DefaultSendBuf        = 64
 	DefaultStatusInterval = 500 * time.Millisecond
-	DefaultMaxParked      = 256
 	DefaultBatchSize      = 32
-	DefaultDialTimeout    = 10 * time.Second
 	DefaultDialAttempts   = 3
 	DefaultRetryBase      = 100 * time.Millisecond
 	DefaultRetryMax       = 5 * time.Second
-	DefaultDepartureGrace = 2 * time.Second
-	DefaultEventLog       = 1024
+	// DefaultEventLog sizes every node's flight recorder: a fixed ring of
+	// the most recent structured engine events.
+	DefaultEventLog = 1024
+)
+
+// parkedPerSendSlot sizes the parked backlog — what full sender rings
+// refused, held until they drain — at four sender rings' worth: the
+// switch stops draining receivers once that many messages are parked.
+// departureGrace bounds how long Depart waits for queued outgoing
+// messages to drain before the node shuts down.
+const (
+	parkedPerSendSlot = 4
+	departureGrace    = 2 * time.Second
 )
 
 // Config parameterizes an Engine.
@@ -74,23 +83,20 @@ type Config struct {
 	Seed int64
 	// RecvBuf and SendBuf size the circular buffers in messages — the
 	// paper's per-node buffer capacity (5 for the back-pressure
-	// experiments, 10000 for the large-buffer ones).
+	// experiments, 10000 for the large-buffer ones). The parked backlog
+	// is sized from SendBuf: four sender rings' worth.
 	RecvBuf int
 	SendBuf int
 	// TotalBW, UpBW, DownBW set the emulated per-node bandwidth in bytes
-	// per second (0 = unlimited), adjustable later via SetBandwidth.
+	// per second (0 = unlimited), adjustable later via SetBandwidth, which
+	// also caps single links.
 	TotalBW, UpBW, DownBW int64
-	// LinkBW presets per-link emulated bandwidth toward specific peers.
-	LinkBW map[message.NodeID]int64
 	// StatusInterval paces periodic QoS reports to the algorithm.
 	StatusInterval time.Duration
 	// InactivityTimeout, when nonzero, declares an upstream link failed
 	// after that long without traffic (the paper's passive inactivity
 	// detection; no heartbeats are ever sent).
 	InactivityTimeout time.Duration
-	// MaxParked bounds the engine's parked-message backlog before the
-	// switch stops draining receivers (back-pressure).
-	MaxParked int
 	// BatchSize bounds how many message references move per ring operation
 	// across the data path: the receiver's decoded-message push, the
 	// switch's per-quantum drain, the sender's buffer drain, and unlimited
@@ -98,29 +104,16 @@ type Config struct {
 	// parked-backlog headroom, so a full ring still blocks the receiver
 	// and back-pressure semantics are unchanged. 1 disables batching.
 	BatchSize int
-	// HandshakeTimeout bounds how long a new inbound connection may take
-	// to identify itself with a hello message, and how long a dialer
-	// waits for the acceptor's Welcome or Busy reply to its own hello.
-	// Zero selects admission.DefaultHelloTimeout.
+	// HandshakeTimeout bounds each step of setting up a link: an outgoing
+	// transport dial, the hello a new inbound connection must identify
+	// itself with, and the dialer's wait for the acceptor's Welcome or
+	// Busy reply. Zero selects admission.DefaultHelloTimeout.
 	HandshakeTimeout time.Duration
-	// MaxHandshakes bounds concurrent in-flight inbound handshakes: an
-	// admission token is held from Accept until the link is registered
-	// and the Welcome reply written, and connections past the bound are
-	// shed pre-handshake with a one-frame Busy reply. Zero selects
-	// admission.DefaultMaxHandshakes; negative disables admission control
-	// entirely (every connection is admitted, the pre-PR-8 behavior).
-	MaxHandshakes int
-	// AcceptRate and AcceptBurst bound per-source admissions (sustained
-	// per second / bucket depth); GreylistAfter consecutive rate refusals
-	// greylist the source for GreylistFor, during which its connections
-	// are closed without even a Busy frame. Zeros select the admission
-	// package defaults.
-	AcceptRate    float64
-	AcceptBurst   int
-	GreylistAfter int
-	GreylistFor   time.Duration
-	// DialTimeout bounds each outgoing connection attempt.
-	DialTimeout time.Duration
+	// Admission tunes the publicized port's admission gate: the in-flight
+	// handshake cap (negative disables the gate), the per-source rate and
+	// burst, and the greylist. Zeros select the admission package
+	// defaults.
+	Admission admission.Config
 	// DialAttempts is how many times a sender tries to reach a peer
 	// (with backoff between attempts) before the link is declared down.
 	DialAttempts int
@@ -128,16 +121,6 @@ type Config struct {
 	// jitter) that paces sender redials and observer reconnects.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// DepartureGrace bounds how long Depart waits for queued outgoing
-	// messages to drain before the node shuts down.
-	DepartureGrace time.Duration
-	// EventLog sizes the node's flight recorder: a fixed ring of the most
-	// recent structured engine events (switch quanta, link changes,
-	// admission decisions, probe results) appended lock-free and without
-	// allocation from every engine goroutine. Events are shipped to the
-	// observer with each status report and drive the timeline experiment.
-	// Zero selects DefaultEventLog; negative disables recording entirely.
-	EventLog int
 	// DatagramData, when true, moves the node's data lane onto the
 	// transport's datagram endpoint (UDP on the real network, the vnet
 	// packet endpoints in tests): outgoing data messages are framed into
@@ -172,17 +155,11 @@ func (c *Config) applyDefaults() {
 	if c.StatusInterval <= 0 {
 		c.StatusInterval = DefaultStatusInterval
 	}
-	if c.MaxParked <= 0 {
-		c.MaxParked = DefaultMaxParked
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = admission.DefaultHelloTimeout
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = DefaultDialTimeout
 	}
 	if c.DialAttempts <= 0 {
 		c.DialAttempts = DefaultDialAttempts
@@ -192,12 +169,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = DefaultRetryMax
-	}
-	if c.DepartureGrace <= 0 {
-		c.DepartureGrace = DefaultDepartureGrace
-	}
-	if c.EventLog == 0 {
-		c.EventLog = DefaultEventLog
 	}
 	if c.DatagramMTU == 0 {
 		c.DatagramMTU = message.DefaultDgramMTU
@@ -230,8 +201,10 @@ type Engine struct {
 	// door is the front door of the publicized port: accept, admission
 	// gate, hello read. Its Gate is the connection-storm admission
 	// controller, also consulted for stray datagrams; nil (admit
-	// everything) when Config.MaxHandshakes is negative.
+	// everything) when Config.Admission.MaxHandshakes is negative.
 	door *admission.Door
+	// maxParked bounds the parked backlog: parkedPerSendSlot·SendBuf.
+	maxParked int
 	// pconn is the bound datagram endpoint when Config.DatagramData is
 	// set; senders share it for writes (packet writes are concurrency
 	// safe) and one reader goroutine drains it. dgramSeq numbers outgoing
@@ -261,9 +234,8 @@ type Engine struct {
 	// credited once where it is disposed of.
 	buffered metrics.Gauge
 
-	// rec is the flight recorder: nil when Config.EventLog is negative,
-	// in which case trace.Emit's nil receiver makes every emit a no-op.
-	// Safe from any goroutine.
+	// rec is the flight recorder, DefaultEventLog events deep. Safe from
+	// any goroutine.
 	rec *trace.Recorder
 
 	// turnMu is the turn token: whoever holds it runs the engine's turn —
@@ -398,6 +370,8 @@ func New(cfg Config) (*Engine, error) {
 		alg:          cfg.Algorithm,
 		pool:         message.NewPool(),
 		budget:       bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
+		maxParked:    parkedPerSendSlot * cfg.SendBuf,
+		rec:          trace.New(DefaultEventLog),
 		receivers:    make(map[message.NodeID]*receiver),
 		senders:      make(map[message.NodeID]*sender),
 		linkRates:    make(map[message.NodeID]int64),
@@ -420,31 +394,15 @@ func New(cfg Config) (*Engine, error) {
 	// jitter apart while a fixed (Seed, ID) pair replays exactly.
 	seedRng := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID.IP)<<32 ^ int64(cfg.ID.Port)))
 	e.obsBackoff = newBackoff(cfg.RetryBase, cfg.RetryMax, seedRng.Int63())
-	if cfg.EventLog > 0 {
-		e.rec = trace.New(cfg.EventLog)
-	}
 	e.door = &admission.Door{
-		ID: e.id, HelloTimeout: cfg.HandshakeTimeout,
+		Gate: admission.New(cfg.Admission), ID: e.id, HelloTimeout: cfg.HandshakeTimeout,
 		Counters: &e.counters, Rec: e.rec, Done: e.done, WG: &e.wg,
-	}
-	if cfg.MaxHandshakes >= 0 {
-		e.door.Gate = admission.New(admission.Config{
-			MaxHandshakes: cfg.MaxHandshakes,
-			SourceRate:    cfg.AcceptRate,
-			SourceBurst:   cfg.AcceptBurst,
-			GreylistAfter: cfg.GreylistAfter,
-			GreylistFor:   cfg.GreylistFor,
-		})
-	}
-	for peer, rate := range cfg.LinkBW {
-		e.linkRates[peer] = rate
 	}
 	return e, nil
 }
 
 // Recorder exposes the node's flight recorder for experiment harnesses
-// and debug endpoints; nil when recording is disabled. Safe from any
-// goroutine.
+// and debug endpoints. Safe from any goroutine.
 func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 
 // Admission snapshots the admission gate's counters — admitted and shed
@@ -458,7 +416,7 @@ func (e *Engine) Events() []trace.Event { return e.rec.Snapshot() }
 
 // Note records a structured event in the node's flight recorder. Part of
 // the API interface; unlike most of the API it is lock-free and safe from
-// any goroutine, and a no-op when recording is disabled.
+// any goroutine.
 func (e *Engine) Note(kind trace.Kind, peer message.NodeID, app uint32, value int64) {
 	e.rec.Emit(kind, peer, app, value)
 }
@@ -671,7 +629,7 @@ func (e *Engine) connectObserver() error {
 	}
 	target := e.observerTargetLocked()
 	e.mu.Unlock()
-	conn, err := DialHello(e.cfg.Transport, e.id, target, 0, e.cfg.DialTimeout, e.cfg.HandshakeTimeout)
+	conn, err := DialHello(e.cfg.Transport, e.id, target, 0, e.cfg.HandshakeTimeout)
 	if err != nil {
 		return err
 	}
@@ -734,7 +692,7 @@ func (e *Engine) observerConfirmed(o *observerLink) {
 // distinct from a crash. The node first tells the observer it is leaving
 // (so bootstrap stops handing out its address and monitoring records a
 // departure rather than a failure), halts its local sources, waits up to
-// Config.DepartureGrace for queued outgoing messages to drain to
+// departureGrace for queued outgoing messages to drain to
 // downstream peers, and only then stops. Peers still observe LinkDown
 // when the connections close, but no queued data is lost to the
 // departure. Safe to call from any goroutine; idempotent with Stop.
@@ -765,7 +723,7 @@ func (e *Engine) Depart() {
 	// sender rings and in-flight writes all empty (or the grace period
 	// expires, so a congested or dead downstream cannot hold the departure
 	// hostage).
-	deadline := time.Now().Add(e.cfg.DepartureGrace)
+	deadline := time.Now().Add(departureGrace)
 	for !e.drainedForDeparture() && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -90,6 +90,13 @@ func startNode(t *testing.T, n *vnet.Network, id message.NodeID, alg engine.Algo
 	return e
 }
 
+// capLink caps e's link toward peer at rate bytes per second, as the
+// observer's runtime control does. The call is synchronous, so made before
+// traffic it shapes the link from its first byte.
+func capLink(e *engine.Engine, peer message.NodeID, rate int64) {
+	e.SetBandwidthLocal(protocol.SetBandwidth{Class: protocol.BandwidthLink, Peer: peer, Rate: rate})
+}
+
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -281,11 +288,10 @@ func TestPerLinkBandwidth(t *testing.T) {
 	src.DefaultRoutes = []message.NodeID{nid(2), nid(3)}
 	const slowCap = 60 << 10
 	a := startNode(t, n, nid(1), src, func(c *engine.Config) {
-		c.LinkBW = map[message.NodeID]int64{nid(3): slowCap}
 		c.SendBuf = 10000 // large buffers: no back-pressure coupling
 		c.RecvBuf = 10000
-		c.MaxParked = 100000
 	})
+	capLink(a, nid(3), slowCap)
 	a.StartSource(app, 300<<10, 4096)
 
 	time.Sleep(300 * time.Millisecond)
@@ -320,13 +326,11 @@ func TestBackPressureThrottlesWholePath(t *testing.T) {
 	mid.DefaultRoutes = []message.NodeID{nid(3)}
 	startNode(t, n, nid(2), mid, func(c *engine.Config) {
 		c.RecvBuf, c.SendBuf = 5, 5
-		c.MaxParked = 8
 	})
 	src := &recorder{}
 	src.DefaultRoutes = []message.NodeID{nid(2)}
 	a := startNode(t, n, nid(1), src, func(c *engine.Config) {
 		c.RecvBuf, c.SendBuf = 5, 5
-		c.MaxParked = 8
 	})
 	a.StartSource(app, 0, 4096)
 
@@ -366,14 +370,11 @@ func backPressureAcrossMerge(t *testing.T) {
 		settle     = time.Second
 		window     = time.Second
 	)
-	// Shallow pipes, 5-slot rings and the parked bound are fig6.go's.
+	// Shallow pipes and 5-slot rings are fig6.go's.
 	n := vnet.New(vnet.WithPipeCapacity(4 << 10))
 	defer n.Close()
 	a, b, c, d, e := nid(1), nid(2), nid(3), nid(4), nid(5)
-	small := func(cfg *engine.Config) {
-		cfg.RecvBuf, cfg.SendBuf = 5, 5
-		cfg.MaxParked = 4
-	}
+	small := func(cfg *engine.Config) { cfg.RecvBuf, cfg.SendBuf = 5, 5 }
 	node := func(id message.NodeID, routes []message.NodeID, mut ...func(*engine.Config)) *engine.Engine {
 		alg := &recorder{}
 		alg.DefaultRoutes = routes
@@ -784,7 +785,7 @@ func (o *orderChecker) Process(m *message.Msg) engine.Verdict {
 }
 
 // TestParkedRetryPreservesOrder drives a source through a congested
-// relay (tiny buffers, tiny parked budget) and checks that the sink sees
+// relay (tiny buffers, so a tiny parked budget) and checks that the sink sees
 // strictly increasing sequence numbers: the parked/"remaining senders"
 // retry path must not reorder messages.
 func TestParkedRetryPreservesOrder(t *testing.T) {
@@ -800,13 +801,11 @@ func TestParkedRetryPreservesOrder(t *testing.T) {
 	relay.DefaultRoutes = []message.NodeID{nid(3)}
 	startNode(t, n, nid(2), relay, func(c *engine.Config) {
 		c.RecvBuf, c.SendBuf = 3, 3
-		c.MaxParked = 2
 	})
 	src := &recorder{}
 	src.DefaultRoutes = []message.NodeID{nid(2)}
 	a := startNode(t, n, nid(1), src, func(c *engine.Config) {
 		c.RecvBuf, c.SendBuf = 3, 3
-		c.MaxParked = 2
 	})
 	a.StartSource(app, 0, 2048)
 	waitFor(t, 10*time.Second, "congested delivery", func() bool {

@@ -161,7 +161,6 @@ func TestPendingReportsFlushAfterFailover(t *testing.T) {
 		StatusInterval: 15 * time.Millisecond,
 		RetryBase:      10 * time.Millisecond,
 		RetryMax:       30 * time.Millisecond,
-		DialTimeout:    50 * time.Millisecond,
 		Seed:           1,
 	})
 	if err != nil {

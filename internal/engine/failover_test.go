@@ -47,7 +47,6 @@ func TestObserverFailoverReRegisters(t *testing.T) {
 		c.StatusInterval = 25 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
 		c.RetryMax = 40 * time.Millisecond
-		c.DialTimeout = 100 * time.Millisecond
 	})
 	// A move counts as a failover only away from an observer that answered:
 	// wait for A's reply to arrive, not just for A to have seen the Boot.
@@ -105,7 +104,6 @@ func TestObserverFailbackAfterFlap(t *testing.T) {
 		c.StatusInterval = 25 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
 		c.RetryMax = 40 * time.Millisecond
-		c.DialTimeout = 100 * time.Millisecond
 	})
 	// Each observer must have answered before it is killed, or leaving it
 	// is not a failover (see TestObserverFailoverReRegisters).

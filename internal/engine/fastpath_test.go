@@ -84,10 +84,10 @@ func TestUnloadedHopTakesFastPath(t *testing.T) {
 		n := vnet.New(vnet.WithPipeCapacity(4 << 10))
 		defer n.Close()
 		const app, linkCap = 1, 30 << 10
-		small := func(c *engine.Config) { c.RecvBuf, c.SendBuf, c.MaxParked = 5, 5, 4 }
+		small := func(c *engine.Config) { c.RecvBuf, c.SendBuf = 5, 5 }
 		startNode(t, n, nid(3), &multicast.Forwarder{}, small)
-		mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}}, small,
-			func(c *engine.Config) { c.LinkBW = map[message.NodeID]int64{nid(3): linkCap} })
+		mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}}, small)
+		capLink(mid, nid(3), linkCap)
 		src := startNode(t, n, nid(1), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(2)}}, small)
 		src.StartSource(app, 0, 1024)
 
@@ -337,7 +337,7 @@ func TestFirstBatchOfALinkTakesTheRing(t *testing.T) {
 	const app, links = 1, 200
 
 	sink := &recorder{}
-	b := startNode(t, n, nid(250), sink, func(c *engine.Config) { c.MaxHandshakes = -1 })
+	b := startNode(t, n, nid(250), sink, func(c *engine.Config) { c.Admission.MaxHandshakes = -1 })
 	conns := make([]net.Conn, links)
 	for i := range conns {
 		conns[i] = rawLink(t, n, nid(i+1), nid(250))

@@ -258,9 +258,8 @@ func TestDepartWaitsOutAHeldBatch(t *testing.T) {
 	const burst = 8
 	sink := &recorder{}
 	startNode(t, n, nid(2), sink)
-	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
-		c.LinkBW = map[message.NodeID]int64{nid(2): 16 << 10} // the burst takes half a second
-	})
+	a := startNode(t, n, nid(1), &recorder{})
+	capLink(a, nid(2), 16<<10) // the burst takes half a second
 	a.Do(func(api engine.API) {
 		for i := 0; i < burst; i++ {
 			api.SendNew(api.NewMsg(message.FirstDataType, 1, uint32(i), 1024), nid(2))

@@ -544,7 +544,7 @@ func (e *Engine) dialPeer(s *sender) (net.Conn, error) {
 // handshake's duration, which lets Stop and CloseLink interrupt it. A
 // refusal's retry-after hint comes back with the error.
 func (e *Engine) dialOnce(s *sender) (net.Conn, time.Duration, error) {
-	conn, err := e.cfg.Transport.DialFrom(e.id.Addr(), s.peer.Addr(), e.cfg.DialTimeout)
+	conn, err := e.cfg.Transport.DialFrom(e.id.Addr(), s.peer.Addr(), e.cfg.HandshakeTimeout)
 	if err != nil {
 		return nil, 0, err
 	}

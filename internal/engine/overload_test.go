@@ -24,10 +24,8 @@ func TestDepartWhileObserverDownStopsReconnects(t *testing.T) {
 	alg := &recorder{}
 	e := startNode(t, n, nid(1), alg, func(c *engine.Config) {
 		c.Observers = []message.NodeID{obsID}
-		c.DialTimeout = 50 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
 		c.RetryMax = 20 * time.Millisecond
-		c.DepartureGrace = 200 * time.Millisecond
 	})
 	// Let a few reconnect attempts fail.
 	time.Sleep(60 * time.Millisecond)
@@ -79,9 +77,9 @@ func TestControlOvertakesQueuedDataUnderSaturation(t *testing.T) {
 	src := &recorder{}
 	src.DefaultRoutes = []message.NodeID{nid(2)}
 	a := startNode(t, n, nid(1), src, func(c *engine.Config) {
-		c.LinkBW = map[message.NodeID]int64{nid(2): linkCap}
 		c.SendBuf = 256 // deep queue: ~1 MiB of 4 KiB messages at the cap
 	})
+	capLink(a, nid(2), linkCap)
 	a.StartSource(app, 0, 4096)
 
 	// Let the backlog build: 256 slots of 4 KiB at 200 KiB/s is several
@@ -113,51 +111,70 @@ func TestControlOvertakesQueuedDataUnderSaturation(t *testing.T) {
 // but dead and a source generating back to back, every reference the node
 // holds sits in a bounded place, and once they are all full the source
 // blocks. For an algorithm that forwards each message to one destination
-// the places are, in wire images:
+// the places are, in wire images, with b = min(BatchSize, ring):
 //
-//	RecvBuf + BatchSize   the local ring, and the rest of the source's
+//	RecvBuf + b           the local ring, and the rest of the source's
 //	                      batch blocked in PushBatch (charged at ingress)
-//	MaxParked + 1         the parked backlog plus the switch's quantum (a
+//	4·SendBuf + 1         the parked backlog plus the switch's quantum (a
 //	                      quantum never exceeds the parked headroom), and
 //	                      the one message charged twice during its upcall
-//	SendBuf + BatchSize   the sender ring, and the batch the sender popped
+//	SendBuf + b           the sender ring, and the batch the sender popped
 //	                      and is still writing
 //
+// — RecvBuf + 5·SendBuf + 2b + 1 in all: 449 at the default rings, 41 at
+// 5-slot rings, where every batch is a whole ring. Both rows are exact, not
+// loose upper bounds: every place fills, and the peak reads the bound or
+// one image below it — the +1 is reached only when the peak coincides with
+// an upcall. (448–449 at the defaults; 448 and 40 on every run at
+// GOMAXPROCS 1, 2 and 4 on a 2-core x86-64 host.)
 // Nothing is lost on the way — the source waited — and control still
 // overtakes the wedged data.
 func TestWedgedDownstreamBoundsBufferedBytes(t *testing.T) {
-	n := vnet.New()
-	defer n.Close()
-	const app, msgSize = 1, 4096
+	for _, rings := range []struct {
+		name       string
+		recv, send int
+	}{
+		{"default rings", engine.DefaultRecvBuf, engine.DefaultSendBuf},
+		{"5-slot rings", 5, 5},
+	} {
+		t.Run(rings.name, func(t *testing.T) {
+			n := vnet.New()
+			defer n.Close()
+			const app, msgSize = 1, 4096
 
-	sink := &recorder{}
-	startNode(t, n, nid(2), sink)
-	src := &recorder{}
-	src.DefaultRoutes = []message.NodeID{nid(2)}
-	a := startNode(t, n, nid(1), src, func(c *engine.Config) {
-		c.LinkBW = map[message.NodeID]int64{nid(2): 4 << 10} // one message a second
-	})
-	a.StartSource(app, 0, msgSize)
+			sink := &recorder{}
+			startNode(t, n, nid(2), sink)
+			src := &recorder{}
+			src.DefaultRoutes = []message.NodeID{nid(2)}
+			a := startNode(t, n, nid(1), src, func(c *engine.Config) { c.RecvBuf, c.SendBuf = rings.recv, rings.send })
+			capLink(a, nid(2), 4<<10) // one message a second
+			a.StartSource(app, 0, msgSize)
 
-	waitFor(t, 10*time.Second, "back-pressure to reach the switch", func() bool {
-		return a.Snapshot().Shards[0].Parked >= engine.DefaultMaxParked
-	})
-	time.Sleep(time.Second) // keep overloading the wedged node
+			maxParked := 4 * rings.send
+			waitFor(t, 10*time.Second, "back-pressure to reach the switch", func() bool {
+				return int(a.Snapshot().Shards[0].Parked) >= maxParked
+			})
+			time.Sleep(time.Second) // keep overloading the wedged node
 
-	const images = engine.DefaultRecvBuf + engine.DefaultSendBuf + engine.DefaultMaxParked +
-		2*engine.DefaultBatchSize + 1
-	bound := int64(images * (message.HeaderSize + msgSize))
-	if max := a.MaxBufferedBytes(); max > bound {
-		t.Errorf("buffered bytes peaked at %d, above the %d the rings can hold (%d wire images)",
-			max, bound, images)
+			images := rings.recv + min(engine.DefaultBatchSize, rings.recv) +
+				maxParked + 1 +
+				rings.send + min(engine.DefaultBatchSize, rings.send)
+			image := int64(message.HeaderSize + msgSize)
+			peak := a.MaxBufferedBytes()
+			t.Logf("buffered bytes peaked at %d wire images, bound %d", peak/image, images)
+			if peak > int64(images)*image {
+				t.Errorf("buffered bytes peaked at %d, above the %d the rings can hold (%d wire images)",
+					peak, int64(images)*image, images)
+			}
+			if dropped := a.Counters().MsgsDropped; dropped != 0 {
+				t.Errorf("%d messages dropped: the source should have blocked instead", dropped)
+			}
+			a.Do(func(api engine.API) { api.Ping(nid(2)) })
+			waitFor(t, 5*time.Second, "ping round-trip past the wedged data", func() bool {
+				return src.count(protocol.TypeLatency) >= 1
+			})
+		})
 	}
-	if dropped := a.Counters().MsgsDropped; dropped != 0 {
-		t.Errorf("%d messages dropped: the source should have blocked instead", dropped)
-	}
-	a.Do(func(api engine.API) { api.Ping(nid(2)) })
-	waitFor(t, 5*time.Second, "ping round-trip past the wedged data", func() bool {
-		return src.count(protocol.TypeLatency) >= 1
-	})
 }
 
 // TestInactivityDeadlineIndependentOfStatusInterval stalls an upstream

@@ -55,10 +55,7 @@ func TestNoHotSpinWhenBackPressured(t *testing.T) {
 	}()
 
 	alg := &multicast.Forwarder{DefaultRoutes: []message.NodeID{sink}}
-	e := startNode(t, n, nid(1), alg, func(c *engine.Config) {
-		c.RecvBuf, c.SendBuf = 4, 4
-		c.MaxParked = 8
-	})
+	e := startNode(t, n, nid(1), alg, func(c *engine.Config) { c.RecvBuf, c.SendBuf = 4, 4 })
 	e.StartSource(1, 0, 4<<10)
 
 	var conn net.Conn
@@ -68,7 +65,7 @@ func TestNoHotSpinWhenBackPressured(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("engine never dialed the sink")
 	}
-	// Let the path wedge: source ring full, parked backlog at MaxParked,
+	// Let the path wedge: source ring full, parked backlog at its bound,
 	// sender blocked mid-write.
 	time.Sleep(200 * time.Millisecond)
 

@@ -44,7 +44,7 @@ func (e *Engine) switchOnce() {
 			minPass = r.pass
 		}
 	}
-	for budget > 0 && len(e.parked) < e.cfg.MaxParked {
+	for budget > 0 && len(e.parked) < e.maxParked {
 		var best *receiver
 		bestLocal := false
 		bestPass := 0.0
@@ -73,7 +73,7 @@ func (e *Engine) switchOnce() {
 		if quantum > budget {
 			quantum = budget
 		}
-		if headroom := e.cfg.MaxParked - len(e.parked); quantum > headroom {
+		if headroom := e.maxParked - len(e.parked); quantum > headroom {
 			quantum = headroom
 		}
 		ring := e.localRing
@@ -92,7 +92,7 @@ func (e *Engine) switchOnce() {
 	// When back-pressure (the parked limit) binds, self-signaling would
 	// hot-spin the engine goroutine: the sender goroutines signal work as
 	// their rings drain, which is the event that can make progress.
-	if budget > 0 || len(e.parked) >= e.cfg.MaxParked {
+	if budget > 0 || len(e.parked) >= e.maxParked {
 		return
 	}
 	if e.localRing.Len() > 0 {
@@ -180,7 +180,7 @@ func (e *Engine) switchInline(r *receiver, batch []*message.Msg, bytes int64) bo
 	}
 	// waiting again: the engine goroutine may have been handed something
 	// and found the token taken since the look above.
-	if r.pass < 0 || e.waiting.Load() > 0 || len(e.parked) > 0 || len(batch) > e.cfg.MaxParked {
+	if r.pass < 0 || e.waiting.Load() > 0 || len(e.parked) > 0 || len(batch) > e.maxParked {
 		e.turnMu.Unlock()
 		return false
 	}
@@ -294,7 +294,7 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 // ring refuses. It runs after every switch quantum, between engine turns,
 // and before anything that inspects or tears down the parked backlog or a
 // link, so outside a quantum every message deliverOut accepted is either in
-// a ring or parked: per-destination FIFO, the MaxParked headroom rule and
+// a ring or parked: per-destination FIFO, the parked-backlog headroom rule and
 // the buffered-bytes bound are decided on the same state as before staging
 // existed.
 func (e *Engine) flushStaged() {

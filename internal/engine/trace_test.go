@@ -103,34 +103,3 @@ func TestTraceNoteFromAlgorithm(t *testing.T) {
 		return false
 	})
 }
-
-// TestTraceDisabled: a negative EventLog turns recording off entirely —
-// every emit is a no-op and the accessors degrade gracefully.
-func TestTraceDisabled(t *testing.T) {
-	n := vnet.New()
-	defer n.Close()
-	const app = 7
-	off := func(c *engine.Config) { c.EventLog = -1 }
-
-	sink := &recorder{}
-	startNode(t, n, nid(2), sink, off)
-
-	src := &recorder{}
-	src.DefaultRoutes = []message.NodeID{nid(2)}
-	a := startNode(t, n, nid(1), src, off)
-	a.StartSource(app, 0, 1024)
-
-	waitFor(t, 5*time.Second, "sink to receive data with tracing off", func() bool {
-		return sink.ReceivedBytes(app) > 100*1024
-	})
-	if a.Recorder() != nil {
-		t.Error("Recorder() non-nil with EventLog < 0")
-	}
-	if evs := a.Events(); evs != nil {
-		t.Errorf("Events() returned %d events with recording disabled", len(evs))
-	}
-	if rp := a.Snapshot(); rp.SwitchBatchHist.Count() == 0 {
-		// Histograms are independent of the recorder: they stay on.
-		t.Error("histograms should populate even with the recorder disabled")
-	}
-}

@@ -113,7 +113,7 @@ func DialStorm(cfg DialStormConfig) (*DialStormResult, error) {
 	s, err := NewSession(SessionConfig{
 		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
 		Node: func(_ int, conf *engine.Config) {
-			conf.MaxHandshakes = cfg.MaxHandshakes
+			conf.Admission.MaxHandshakes = cfg.MaxHandshakes
 		},
 	})
 	if err != nil {

@@ -78,7 +78,7 @@ func (c *Fig6Config) applyDefaults(buffered bool) {
 // total and a back-to-back source at A. Shallow vnet pipes keep per-hop
 // byte backlog small so convergence after runtime bandwidth changes is
 // fast, like small kernel socket buffers would.
-func fig6Cluster(cfg Fig6Config, maxParked int) (*Cluster, map[string]message.NodeID, error) {
+func fig6Cluster(cfg Fig6Config) (*Cluster, map[string]message.NodeID, error) {
 	c, err := NewCluster(false, vnet.WithPipeCapacity(4<<10))
 	if err != nil {
 		return nil, nil, err
@@ -95,7 +95,6 @@ func fig6Cluster(cfg Fig6Config, maxParked int) (*Cluster, map[string]message.No
 		}
 		_, err := c.AddNode(ids[name], alg, func(conf *engine.Config) {
 			conf.RecvBuf, conf.SendBuf = cfg.BufferMsgs, cfg.BufferMsgs
-			conf.MaxParked = maxParked
 			if name == "A" {
 				conf.TotalBW = 400 << 10
 			}
@@ -240,7 +239,7 @@ func fig6Predict(mode flowsim.Mode, dUplink, efLink float64, dead map[string]boo
 // of G — with small buffers throughout.
 func Fig6(cfg Fig6Config) ([]Fig6Phase, error) {
 	cfg.applyDefaults(false)
-	c, ids, err := fig6Cluster(cfg, 4)
+	c, ids, err := fig6Cluster(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +277,7 @@ func Fig6(cfg Fig6Config) ([]Fig6Phase, error) {
 // buffers, where bottlenecks stay local within the measurement horizon.
 func Fig7(cfg Fig6Config) ([]Fig6Phase, error) {
 	cfg.applyDefaults(true)
-	c, ids, err := fig6Cluster(cfg, 4*cfg.BufferMsgs)
+	c, ids, err := fig6Cluster(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -102,7 +102,6 @@ func fig8Run(cfg Fig8Config, useCoding bool) ([]Fig8Row, error) {
 		name := fig6Names[i]
 		_, err := c.AddNode(ids[name], algs[name], func(conf *engine.Config) {
 			conf.RecvBuf, conf.SendBuf = 2000, 2000
-			conf.MaxParked = 8000
 			switch name {
 			case "A":
 				conf.TotalBW = 400 << 10

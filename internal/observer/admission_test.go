@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/message"
 	"repro/internal/observer"
 	"repro/internal/protocol"
@@ -11,7 +12,7 @@ import (
 )
 
 // TestObserverShedsStormButServesRegisteredNodes saturates the observer's
-// handshake tokens (Config.MaxHandshakes reaches the gate) with half-open
+// handshake tokens (Config.Admission reaches the gate) with half-open
 // connections and checks the part that is the observer's own: a node that
 // registered before the storm keeps being served through it. The refusal
 // frame and the accounting are TestFrontDoorConformance's.
@@ -19,9 +20,7 @@ func TestObserverShedsStormButServesRegisteredNodes(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
 	o := startObserver(t, n, func(c *observer.Config) {
-		c.MaxHandshakes = 2
-		c.AcceptRate = 1000
-		c.AcceptBurst = 1000
+		c.Admission = admission.Config{MaxHandshakes: 2, SourceRate: 1000, SourceBurst: 1000}
 	})
 	alg := &tracker{}
 	startNode(t, n, nid(1), obsID, alg)
@@ -70,9 +69,8 @@ func TestObserverFederationPeersBypassTheGate(t *testing.T) {
 		return func(c *observer.Config) {
 			c.ID = id
 			c.Peers = []message.NodeID{peer}
-			c.MaxHandshakes = 1
-			c.AcceptRate = 0.001 // strangers get one connection, ever
-			c.AcceptBurst = 1
+			// Strangers get one connection, ever.
+			c.Admission = admission.Config{MaxHandshakes: 1, SourceRate: 0.001, SourceBurst: 1}
 			c.SyncInterval = 20 * time.Millisecond
 		}
 	}

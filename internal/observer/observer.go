@@ -72,25 +72,15 @@ type Config struct {
 	// uses the default, negative disables proactive sync (inbound syncs
 	// are still absorbed).
 	SyncInterval time.Duration
-	// MaxHandshakes bounds concurrent in-flight inbound handshakes
-	// (accepted but not yet identified by a hello): the observer's
-	// admission gate, sized like the engine's. Zero uses the admission
-	// package default; negative disables the gate entirely. The observer
-	// is every node's registration point, so a connection storm lands
-	// here first — the gate keeps the hello readers bounded while
-	// registered links and federation trunks stay untouched.
-	MaxHandshakes int
-	// AcceptRate and AcceptBurst configure the per-source admission rate
-	// limit (connections/second and bucket depth); zero uses the
-	// admission package defaults.
-	AcceptRate  float64
-	AcceptBurst int
-	// GreylistAfter and GreylistFor configure the flapping-source
-	// greylist: after GreylistAfter consecutive rate refusals a source is
-	// silently dropped for GreylistFor. Zero uses the admission package
-	// defaults.
-	GreylistAfter int
-	GreylistFor   time.Duration
+	// Admission tunes the registration port's admission gate, the same
+	// knobs as an engine's: the cap on in-flight handshakes (accepted but
+	// not yet identified by a hello; negative disables the gate), the
+	// per-source rate and burst, and the greylist. Zeros select the
+	// admission package defaults. The observer is every node's
+	// registration point, so a connection storm lands here first — the
+	// gate keeps the hello readers bounded while registered links and
+	// federation trunks stay untouched.
+	Admission admission.Config
 }
 
 // route is an outbound path for commands to one node, or — for a
@@ -195,17 +185,8 @@ func New(cfg Config) (*Observer, error) {
 	// Federation peers bypass the gate: a connection storm of joining
 	// nodes must not cut the observer tier apart.
 	o.door = &admission.Door{
-		Bypass: o.isPeerHost, ID: cfg.ID,
+		Gate: admission.New(cfg.Admission), Bypass: o.isPeerHost, ID: cfg.ID,
 		Counters: &o.counters, Rec: o.rec, Done: o.done, WG: &o.wg,
-	}
-	if cfg.MaxHandshakes >= 0 {
-		o.door.Gate = admission.New(admission.Config{
-			MaxHandshakes: cfg.MaxHandshakes,
-			SourceRate:    cfg.AcceptRate,
-			SourceBurst:   cfg.AcceptBurst,
-			GreylistAfter: cfg.GreylistAfter,
-			GreylistFor:   cfg.GreylistFor,
-		})
 	}
 	return o, nil
 }

@@ -116,7 +116,7 @@ func (o *Observer) peerDialLoop(peer message.NodeID) {
 		default:
 		}
 		conn, err := engine.DialHello(o.cfg.Transport, o.cfg.ID, peer, protocol.HelloObserver,
-			engine.DefaultDialTimeout, admission.DefaultHelloTimeout)
+			admission.DefaultHelloTimeout)
 		if err != nil {
 			select {
 			case <-o.done:

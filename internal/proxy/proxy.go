@@ -91,7 +91,7 @@ func (p *Proxy) Events() []trace.Event { return p.rec.Snapshot() }
 // connections.
 func (p *Proxy) Start() error {
 	conn, err := engine.DialHello(p.cfg.Transport, p.cfg.ID, p.cfg.Observer, protocol.HelloProxy,
-		engine.DefaultDialTimeout, admission.DefaultHelloTimeout)
+		admission.DefaultHelloTimeout)
 	if err != nil {
 		return fmt.Errorf("proxy: trunk to observer: %w", err)
 	}

@@ -138,27 +138,6 @@ func (r *Ring) Len() int {
 	return r.data.length + r.ctrl.length
 }
 
-// DataLen reports the number of buffered data-class messages.
-func (r *Ring) DataLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.data.length
-}
-
-// CtrlLen reports the number of buffered control-class messages.
-func (r *Ring) CtrlLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ctrl.length
-}
-
-// Free reports the current number of unoccupied data-lane slots.
-func (r *Ring) Free() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.data.buf) - r.data.length
-}
-
 // Delays reports the smoothed per-class queueing delays: how long popped
 // messages of each class sat buffered. Zero until a class has been popped.
 func (r *Ring) Delays() (ctrl, data time.Duration) {

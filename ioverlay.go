@@ -44,6 +44,7 @@
 package ioverlay
 
 import (
+	"repro/internal/admission"
 	"repro/internal/algorithm"
 	"repro/internal/engine"
 	"repro/internal/message"
@@ -81,6 +82,9 @@ type (
 	Verdict = engine.Verdict
 	// Transport supplies connectivity (TCP or virtual).
 	Transport = engine.Transport
+	// AdmissionConfig tunes a listener's admission gate: Config.Admission
+	// on an engine, ObserverConfig.Admission on an observer.
+	AdmissionConfig = admission.Config
 )
 
 // Algorithm-support types.
