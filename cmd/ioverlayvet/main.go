@@ -1,19 +1,13 @@
 // Command ioverlayvet runs the repo-specific invariant linter over the
-// module. It checks the middleware contracts the engine's correctness
-// depends on — algorithm purity, control-lane discipline, lock and
-// lock-order discipline, hot-path hygiene, admission non-blocking rules,
-// atomic-field consistency, and goroutine lifecycle accounting — and
-// exits nonzero on any non-baselined finding.
+// module. It checks the three middleware contracts no test catches a
+// violation of — algorithm purity, hot-path hygiene and lock ordering —
+// and exits nonzero on any finding. A finding is fixed, never suppressed.
 //
 // Usage:
 //
-//	ioverlayvet [flags] [packages]
+//	ioverlayvet [-timing] [packages]
 //
-//	-json                emit findings as a JSON array on stdout
 //	-timing              print a per-check wall-clock breakdown to stderr
-//	-baseline FILE       suppress findings listed in FILE; stale entries
-//	                     (fixed findings still listed) are an error
-//	-write-baseline FILE write current findings to FILE and exit 0
 //
 // Package arguments are directories; the Go-style "./..." wildcard
 // expands to every package under the current directory, skipping
@@ -21,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,19 +25,8 @@ import (
 	"repro/internal/lint"
 )
 
-type jsonDiagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	timing := flag.Bool("timing", false, "print a per-check wall-clock breakdown to stderr")
-	baselinePath := flag.String("baseline", "", "suppress findings listed in this file")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this file and exit 0")
 	flag.Parse()
 
 	args := flag.Args()
@@ -91,58 +73,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ioverlayvet: %-16s %s\n", t.Check, t.Duration.Round(10*time.Microsecond))
 		}
 	}
-
-	if *writeBaseline != "" {
-		content := "# ioverlayvet baseline — accepted findings, one per line.\n" +
-			"# Format: file: check: message. Keep a justification comment above each entry.\n" +
-			lint.FormatBaseline(loader.ModuleRoot, diags)
-		if err := os.WriteFile(*writeBaseline, []byte(content), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "ioverlayvet: wrote %d baseline entries to %s\n", len(diags), *writeBaseline)
-		return
-	}
-
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var suppressed []lint.Diagnostic
-		var stale []string
-		diags, suppressed, stale = b.Filter(loader.ModuleRoot, diags)
-		if len(suppressed) > 0 && !*jsonOut {
-			fmt.Fprintf(os.Stderr, "ioverlayvet: %d finding(s) suppressed by %s\n", len(suppressed), *baselinePath)
-		}
-		if len(stale) > 0 {
-			for _, s := range stale {
-				fmt.Fprintf(os.Stderr, "ioverlayvet: stale baseline entry (finding no longer reported): %s\n", s)
-			}
-			fmt.Fprintf(os.Stderr, "ioverlayvet: remove stale entries from %s\n", *baselinePath)
-			os.Exit(1)
-		}
-	}
-
-	if *jsonOut {
-		out := make([]jsonDiagnostic, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiagnostic{
-				File:    d.Pos.Filename,
-				Line:    d.Pos.Line,
-				Column:  d.Pos.Column,
-				Check:   d.Check,
-				Message: d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)

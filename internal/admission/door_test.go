@@ -120,10 +120,11 @@ func TestDoorCloseInterruptsHelloReads(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// The bound covers Close itself: a Close that waits out the hello read
+	// (a handshake holding d.mu across it) must fail here, not pass late.
 	close(done)
-	d.Close()
 	stopped := make(chan struct{})
-	go func() { wg.Wait(); close(stopped) }()
+	go func() { d.Close(); wg.Wait(); close(stopped) }()
 	select {
 	case <-stopped:
 	case <-time.After(2 * time.Second):

@@ -175,7 +175,6 @@ func (e *Engine) Counters() metrics.CountersSnapshot {
 func (e *Engine) applyBandwidth(m *message.Msg) {
 	cmd, err := protocol.DecodeSetBandwidth(m.Payload())
 	if err != nil {
-		e.logf("bad SetBandwidth: %v", err)
 		return
 	}
 	switch cmd.Class {
@@ -193,8 +192,6 @@ func (e *Engine) applyBandwidth(m *message.Msg) {
 		if s != nil {
 			s.linkLimit.SetRate(cmd.Rate)
 		}
-	default:
-		e.logf("unknown bandwidth class %d", cmd.Class)
 	}
 }
 

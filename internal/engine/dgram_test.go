@@ -186,13 +186,28 @@ func TestDatagramStrangerDropped(t *testing.T) {
 }
 
 // TestDatagramGarbageCounted: malformed packets at the port are counted
-// and ignored without disturbing the node.
+// and ignored without disturbing the node — while one of its receiver
+// rings is full. The relay's link onward is capped, so back-pressure stops
+// its switch and the ring fed by the source stays full; the shared
+// endpoint must keep draining, dropping that link's overflow, or the
+// garbage queued behind it is never read.
 func TestDatagramGarbageCounted(t *testing.T) {
 	nw := vnet.New()
 	defer nw.Close()
+	const app = 8
 
-	sink := &recorder{}
-	b := startNode(t, nw, nid(2), sink, func(c *engine.Config) { c.DatagramData = true })
+	startNode(t, nw, nid(3), &recorder{})
+	relay := &recorder{}
+	relay.DefaultRoutes = []message.NodeID{nid(3)}
+	b := dgramNode(t, nw, nid(2), relay)
+	capLink(b, nid(3), 1<<10)
+	src := &recorder{}
+	src.DefaultRoutes = []message.NodeID{nid(2)}
+	a := dgramNode(t, nw, nid(1), src)
+	a.StartSource(app, 1<<20, 1024)
+	waitFor(t, 10*time.Second, "the relay to drop overflow at a full ring", func() bool {
+		return b.Counters().MsgsDropped > 0
+	})
 
 	stranger, err := nw.ListenPacket("10.9.9.8:7000")
 	if err != nil {

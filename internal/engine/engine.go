@@ -141,8 +141,6 @@ type Config struct {
 	// traces locally at each node when the volume is large. The writer
 	// must be safe for concurrent use or used by one engine only.
 	LocalTrace io.Writer
-	// Logf, when set, receives debug logging.
-	Logf func(format string, args ...any)
 }
 
 func (c *Config) applyDefaults() {
@@ -559,7 +557,6 @@ func (e *Engine) Start() error {
 
 	if len(e.cfg.Observers) > 0 {
 		if err := e.connectObserver(); err != nil {
-			e.logf("observer connect: %v", err)
 			e.scheduleObserverReconnect()
 		}
 	}
@@ -956,12 +953,6 @@ func (e *Engine) deliverControl(m *message.Msg, from message.NodeID) {
 	case <-e.done:
 		e.waiting.Add(-1)
 		m.Release()
-	}
-}
-
-func (e *Engine) logf(format string, args ...any) {
-	if e.cfg.Logf != nil {
-		e.cfg.Logf(format, args...)
 	}
 }
 

@@ -111,8 +111,12 @@ func TestObserverFailbackAfterFlap(t *testing.T) {
 		return len(oa.Alive()) == 1 && alg.count(protocol.TypeBootReply) >= 1
 	})
 	oa.Stop()
+	// The BootReply can reach the algorithm before the reader goroutine
+	// records B as confirmed; the counter says B's registration counted,
+	// so killing B next is a second failover.
 	waitFor(t, 10*time.Second, "failover to B", func() bool {
-		return len(ob.Alive()) == 1 && alg.count(protocol.TypeBootReply) >= 2
+		return len(ob.Alive()) == 1 && alg.count(protocol.TypeBootReply) >= 2 &&
+			e.Counters().Failovers == 1
 	})
 
 	// Revive A under the same identity, then kill B: the ring rotation

@@ -275,7 +275,6 @@ func (e *Engine) runSender(s *sender) {
 		f, err = e.newFraming(s, conn)
 	}
 	if err != nil {
-		e.logf("link to %s: %v", s.peer, err)
 		close(s.connReady)
 		e.dropQueued(s.ring)
 		e.postEvent(func() { e.senderGone(s) })

@@ -145,7 +145,6 @@ func (e *Engine) checkInactivity(r *receiver) {
 	// periodic scan: pure control links (an observer proxy, a joiner mid
 	// handshake) legitimately go quiet.
 	if len(r.apps) > 0 && idle >= timeout {
-		e.logf("inactivity timeout on upstream %s", r.peer)
 		_ = r.conn.Close()
 		return
 	}

@@ -8,10 +8,9 @@ import (
 
 // The whole-program call-graph engine. Every check that reasons about
 // what a function *reaches* — rather than what its body spells out —
-// runs on top of this graph: per-function effect summaries are unioned
-// over the module-local call graph to a fixpoint, and every transitive
-// diagnostic carries a witness call path reconstructed by breadth-first
-// search so a reader can follow the chain from root to effect.
+// runs on top of this graph, and every transitive diagnostic carries a
+// witness call path reconstructed by breadth-first search so a reader can
+// follow the chain from root to effect.
 //
 // Resolution is conservative and stdlib-only:
 //
@@ -22,68 +21,26 @@ import (
 //     method — the analysis assumes any implementer may be behind the
 //     value;
 //   - calls into packages outside the module (the standard library
-//     included) produce no edges; the per-check external tables
-//     (blockingExternals, fmt/time/atomic recognition) classify those
-//     directly at the call site;
+//     included) produce no edges; the checks classify those directly at
+//     the call site (blockingExternals, fmt/time recognition);
 //   - a go statement's call produces no edge: the spawned work runs on
 //     its own goroutine, outside the caller's locks and hot loops, so
-//     "reaches" must not flow through it. Spawn accountability is the
-//     golifecycle check's job, which resolves spawn targets itself.
+//     "reaches" must not flow through it.
 
-// Effect is a bit set of facts a function body performs directly.
-// Transitive closures over the graph union these bits.
-type Effect uint32
+// Effect is a bit set of facts a function body performs directly: the
+// per-message hazards the hot-path check hunts.
+type Effect uint8
 
 const (
-	// EffGoSpawn: contains a go statement.
-	EffGoSpawn Effect = 1 << iota
-	// EffChanSend / EffChanRecv / EffSelect / EffChanRange: channel
-	// operations, each a potential block.
-	EffChanSend
-	EffChanRecv
-	EffSelect
-	EffChanRange
-	// EffBlockCall: calls a known-blocking external (time.Sleep,
-	// net.Dial*/Listen*, os.Pipe).
-	EffBlockCall
-	// EffBareWait: calls .Wait() on an unresolved receiver — the shape
-	// of a sync.WaitGroup or sync.Cond wait.
-	EffBareWait
-	// EffConnIO: performs frame or byte I/O against a network conn.
-	EffConnIO
-	// EffFmt / EffTimeNow / EffLogf: per-message allocation hazards the
-	// hot-path check hunts.
-	EffFmt
+	// EffFmt: calls into package fmt, which formats and allocates.
+	EffFmt Effect = 1 << iota
+	// EffTimeNow: reads the clock with time.Now.
 	EffTimeNow
-	EffLogf
-	// EffAlgUpcall: hands control to the algorithm (Process/notifyAlg/
-	// deliverToAlg) — must never run under an engine lock.
-	EffAlgUpcall
-	// EffWGDone / EffWGWait: touches a WaitGroup by the repo's naming
-	// convention (a receiver whose name mentions "wg") — the positive
-	// evidence the golifecycle check accepts.
-	EffWGDone
-	EffWGWait
-	// EffStopChan: receives from (or selects on) a stop-class channel —
-	// a name mentioning stop/done/quit/halt/close.
-	EffStopChan
 )
-
-// effPurityBlocking is the union of effects Algorithm.Process may never
-// reach: anything that blocks the engine goroutine.
-const effPurityBlocking = EffChanSend | EffChanRecv | EffSelect | EffChanRange |
-	EffBlockCall | EffBareWait
-
-// effLifecycleTied is the positive evidence that a spawned goroutine is
-// reconciled at Stop: it signals a WaitGroup, waits on one (it *is* the
-// reconciliation), or watches a stop channel.
-const effLifecycleTied = EffWGDone | EffWGWait | EffStopChan
 
 // Edge is one resolved call in the graph.
 type Edge struct {
-	From  *Fn
-	To    *Fn
-	Iface bool // resolved conservatively through an interface fan-out
+	From, To *Fn
 }
 
 // Graph is the module-wide call graph over every function the loader has
@@ -93,7 +50,6 @@ type Graph struct {
 	Out map[*Fn][]Edge
 
 	effects map[*Fn]Effect
-	trans   map[Effect]map[*Fn]Effect // memoized transitive closures, keyed by mask
 }
 
 // BuildGraph resolves every call site in every loaded function.
@@ -102,7 +58,6 @@ func BuildGraph(l *Loader) *Graph {
 		l:       l,
 		Out:     make(map[*Fn][]Edge),
 		effects: make(map[*Fn]Effect),
-		trans:   make(map[Effect]map[*Fn]Effect),
 	}
 	for _, fn := range l.Fns {
 		seen := make(map[*Fn]bool)
@@ -126,7 +81,7 @@ func BuildGraph(l *Loader) *Graph {
 			for _, impl := range g.ifaceImplementers(info, call) {
 				if !seen[impl] {
 					seen[impl] = true
-					g.addEdge(Edge{From: fn, To: impl, Iface: true})
+					g.addEdge(Edge{From: fn, To: impl})
 				}
 			}
 			return true
@@ -189,25 +144,6 @@ func (g *Graph) ifaceImplementers(info *types.Info, call *ast.CallExpr) []*Fn {
 	return impls
 }
 
-// stopChanName reports whether a channel expression is a stop-class
-// channel by the repo's naming convention.
-func stopChanName(e ast.Expr) bool {
-	n := strings.ToLower(lastComponent(e))
-	for _, s := range []string{"stop", "done", "quit", "halt", "clos"} {
-		if strings.Contains(n, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// wgName reports whether a receiver expression names a WaitGroup by the
-// repo's convention (the engine's e.wg, the observer's o.wg, ...).
-func wgName(e ast.Expr) bool {
-	n := strings.ToLower(lastComponent(e))
-	return strings.Contains(n, "wg") || strings.Contains(n, "waitgroup")
-}
-
 // Effects computes (and memoizes) the direct effect bits of one function
 // body. Function-literal bodies nested inside count toward the enclosing
 // declaration, matching how the checks attribute closure behavior.
@@ -216,30 +152,9 @@ func (g *Graph) Effects(fn *Fn) Effect {
 		return eff
 	}
 	var eff Effect
-	info := fn.Pkg.Info
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.GoStmt:
-			eff |= EffGoSpawn
-		case *ast.SendStmt:
-			eff |= EffChanSend
-		case *ast.SelectStmt:
-			eff |= EffSelect
-		case *ast.UnaryExpr:
-			if st.Op.String() == "<-" {
-				eff |= EffChanRecv
-				if stopChanName(st.X) {
-					eff |= EffStopChan
-				}
-			}
-		case *ast.RangeStmt:
-			if tv, ok := info.Types[st.X]; ok && tv.Type != nil {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					eff |= EffChanRange
-				}
-			}
-		case *ast.CallExpr:
-			eff |= g.callEffects(fn.Pkg, st)
+		if call, ok := n.(*ast.CallExpr); ok {
+			eff |= callEffect(fn.Pkg.Info, call)
 		}
 		return true
 	})
@@ -247,76 +162,16 @@ func (g *Graph) Effects(fn *Fn) Effect {
 	return eff
 }
 
-// callEffects classifies one call expression's direct effect bits.
-func (g *Graph) callEffects(p *Package, call *ast.CallExpr) Effect {
-	var eff Effect
-	if pkgPath, name, ok := pkgQualifiedCallee(p.Info, call); ok {
-		for _, prefix := range blockingExternals[pkgPath] {
-			if strings.HasPrefix(name, prefix) {
-				eff |= EffBlockCall
-			}
-		}
-		switch {
-		case pkgPath == "fmt":
-			eff |= EffFmt
-		case pkgPath == "time" && name == "Now":
-			eff |= EffTimeNow
-		}
+// callEffect classifies one call expression's own effect bit, if any.
+func callEffect(info *types.Info, call *ast.CallExpr) Effect {
+	pkgPath, name, ok := pkgQualifiedCallee(info, call)
+	switch {
+	case ok && pkgPath == "fmt":
+		return EffFmt
+	case ok && pkgPath == "time" && name == "Now":
+		return EffTimeNow
 	}
-	if isConnIO(p, call) {
-		eff |= EffConnIO
-	}
-	if isAlgUpcall(call) {
-		eff |= EffAlgUpcall
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "logf":
-			eff |= EffLogf
-		case "Wait":
-			if wgName(sel.X) {
-				eff |= EffWGWait
-			}
-			if obj := p.Info.Uses[sel.Sel]; obj == nil {
-				eff |= EffBareWait
-			}
-		case "Done":
-			if wgName(sel.X) {
-				eff |= EffWGDone
-			}
-		}
-	} else if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "logf" {
-		eff |= EffLogf
-	}
-	return eff
-}
-
-// Transitive computes, for every function, the union of its own and all
-// reachable functions' direct effects restricted to mask, following
-// every graph edge. The closure is memoized per mask.
-func (g *Graph) Transitive(mask Effect) map[*Fn]Effect {
-	if m, ok := g.trans[mask]; ok {
-		return m
-	}
-	m := make(map[*Fn]Effect, len(g.l.Fns))
-	for _, fn := range g.l.Fns {
-		m[fn] = g.Effects(fn) & mask
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range g.l.Fns {
-			eff := m[fn]
-			for _, e := range g.Out[fn] {
-				if add := m[e.To] &^ eff; add != 0 {
-					eff |= add
-					changed = true
-				}
-			}
-			m[fn] = eff
-		}
-	}
-	g.trans[mask] = m
-	return m
+	return 0
 }
 
 // Reached is one function discovered by a graph walk, with the call path
@@ -379,8 +234,7 @@ func (g *Graph) WitnessPath(start *Fn, pred func(*Fn) bool, follow func(Edge) bo
 }
 
 // pathString renders a witness call path for a diagnostic. Positions are
-// deliberately omitted so messages stay stable across unrelated edits
-// (the baseline matches on message text).
+// deliberately omitted so messages stay stable across unrelated edits.
 func pathString(path []*Fn) string {
 	names := make([]string, len(path))
 	for i, fn := range path {

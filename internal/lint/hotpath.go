@@ -15,8 +15,8 @@ import (
 //   - fmt.* formats allocate and reflect per call;
 //   - time.Now is a syscall-class call — the loops batch timestamps and
 //     use the monotonic deadline helpers instead;
-//   - passing *message.Msg to a variadic ...any (fmt or logf) boxes the
-//     pointer into an interface, allocating per message.
+//   - passing *message.Msg to a variadic fmt ...any boxes the pointer
+//     into an interface, allocating per message.
 //
 // The rules apply interprocedurally within the engine package: a hot
 // region may not launder a fmt call through a helper, nor through a
@@ -37,8 +37,6 @@ var hotSet = map[string]bool{
 	"switchOnce": false, "runSender": false, "runReceiver": false, "runDgramReader": false,
 	"switchBatch": false, "writeInline": false,
 }
-
-const effHotAlloc = EffFmt | EffTimeNow | EffLogf
 
 func checkHotPath(g *Graph, p *Package, report reportFunc) {
 	if p.Name != "engine" {
@@ -78,55 +76,49 @@ func checkHotPath(g *Graph, p *Package, report reportFunc) {
 
 func scanHotRegion(g *Graph, p *Package, fn string, region *ast.BlockStmt, report reportFunc) {
 	samePkg := func(e Edge) bool { return e.To.Pkg == p }
-	isHot := func(f *Fn) bool { return g.Effects(f)&effHotAlloc != 0 }
+	isHot := func(f *Fn) bool { return g.Effects(f) != 0 }
 	ast.Inspect(region, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		isLogf := false
-		if pkgPath, name, ok := pkgQualifiedCallee(p.Info, call); ok {
-			switch {
-			case pkgPath == "fmt":
-				report(call.Pos(), checkNameHotPath,
-					"fmt.%s on the hot path in %s: formatting allocates per message", name, fn)
-			case pkgPath == "time" && name == "Now":
-				report(call.Pos(), checkNameHotPath,
-					"time.Now on the hot path in %s: batch timestamps or use the monotonic deadline helpers", fn)
-			}
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "logf" {
-			isLogf = true
+		eff := callEffect(p.Info, call)
+		switch eff {
+		case EffFmt:
 			report(call.Pos(), checkNameHotPath,
-				"logf on the hot path in %s: log outside the per-message loop", fn)
+				"%s on the hot path in %s: formatting allocates per message", exprText(call.Fun), fn)
+		case EffTimeNow:
+			report(call.Pos(), checkNameHotPath,
+				"time.Now on the hot path in %s: batch timestamps or use the monotonic deadline helpers", fn)
 		}
 		// A helper called from the hot region is as hot as the region:
-		// flag it if anything it reaches inside the package formats,
-		// reads the clock, or logs. Detection and witness use the same
+		// flag it if anything it reaches inside the package formats or
+		// reads the clock. Detection and witness use the same
 		// same-package walk, so every finding has a concrete path.
 		var callees []*Fn
 		if callee := methodCallee(g.l, p.Info, call); callee != nil {
 			callees = []*Fn{callee}
-		} else if !isLogf {
+		} else {
 			callees = g.ifaceImplementers(p.Info, call)
 		}
 		for _, callee := range callees {
-			if callee.Pkg != p || isLogf {
+			if callee.Pkg != p {
 				continue
 			}
 			if path := g.WitnessPath(callee, isHot, samePkg); path != nil {
-				eff := g.Effects(path[len(path)-1]) & effHotAlloc
 				report(call.Pos(), checkNameHotPath,
 					"%s on the hot path in %s reaches %s (via %s): keep formatting and clock reads out of the per-message loop",
-					exprText(call.Fun), fn, describeHotEffect(eff), pathString(path))
+					exprText(call.Fun), fn, describeHotEffect(g.Effects(path[len(path)-1])), pathString(path))
 			}
 		}
+		if eff != EffFmt {
+			return true
+		}
+		// fmt's ...any parameters box a *message.Msg argument.
 		for _, arg := range call.Args {
-			if tv, ok := p.Info.Types[arg]; ok && tv.Type != nil {
-				if strings.HasSuffix(tv.Type.String(), "message.Msg") && isFormatCall(p, call) {
-					report(arg.Pos(), checkNameHotPath,
-						"*message.Msg boxed into ...any in %s: interface conversion allocates per message", fn)
-				}
+			if tv, ok := p.Info.Types[arg]; ok && tv.Type != nil && strings.HasSuffix(tv.Type.String(), "message.Msg") {
+				report(arg.Pos(), checkNameHotPath,
+					"*message.Msg boxed into ...any in %s: interface conversion allocates per message", fn)
 			}
 		}
 		return true
@@ -135,24 +127,8 @@ func scanHotRegion(g *Graph, p *Package, fn string, region *ast.BlockStmt, repor
 
 // describeHotEffect renders the dominant hot-path hazard bit.
 func describeHotEffect(eff Effect) string {
-	switch {
-	case eff&EffFmt != 0:
+	if eff&EffFmt != 0 {
 		return "a fmt call"
-	case eff&EffTimeNow != 0:
-		return "time.Now"
-	default:
-		return "logf"
 	}
-}
-
-// isFormatCall reports whether call is a variadic ...any sink (fmt.* or
-// a logf method) where a pointer argument would be boxed.
-func isFormatCall(p *Package, call *ast.CallExpr) bool {
-	if pkgPath, _, ok := pkgQualifiedCallee(p.Info, call); ok {
-		return pkgPath == "fmt"
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		return sel.Sel.Name == "logf"
-	}
-	return false
+	return "time.Now"
 }

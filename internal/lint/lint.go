@@ -36,36 +36,19 @@ func CheckNames() []string {
 	return names
 }
 
-// allChecks is the registry: the eight invariants, each a closure over
+// allChecks is the registry: the three invariants, each a closure over
 // the shared call graph.
 var allChecks = []struct {
 	name string
 	run  func(g *Graph, pkgs []*Package, report reportFunc)
 }{
 	{checkNamePurity, checkPurity},
-	{checkNameCtrlLane, func(_ *Graph, pkgs []*Package, report reportFunc) {
-		for _, p := range pkgs {
-			checkCtrlLane(p, report)
-		}
-	}},
-	{checkNameLockDiscipline, func(g *Graph, pkgs []*Package, report reportFunc) {
-		for _, p := range pkgs {
-			checkLockDiscipline(g, p, report)
-		}
-	}},
 	{checkNameHotPath, func(g *Graph, pkgs []*Package, report reportFunc) {
 		for _, p := range pkgs {
 			checkHotPath(g, p, report)
 		}
 	}},
-	{checkNameAdmission, func(g *Graph, pkgs []*Package, report reportFunc) {
-		for _, p := range pkgs {
-			checkAdmission(g, p, report)
-		}
-	}},
 	{checkNameLockOrder, checkLockOrder},
-	{checkNameAtomicField, checkAtomicField},
-	{checkNameGoLifecycle, checkGoLifecycle},
 }
 
 // Run executes every check against the given packages (which must have

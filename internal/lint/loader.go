@@ -1,9 +1,8 @@
 // Package lint implements ioverlayvet, the repo-specific static analyzer
 // that machine-checks the middleware invariants the engine's correctness
-// rests on: the single-threaded algorithm guarantee (Algorithm.Process
-// never blocks and never spawns concurrency), control-lane discipline
-// (control-class messages are enqueued without blocking and never shed),
-// ring/engine lock discipline, and hot-path allocation hygiene.
+// rests on and no test catches a violation of: the single-threaded
+// algorithm guarantee (Algorithm.Process never blocks and never spawns
+// concurrency), hot-path allocation hygiene, and an acyclic lock order.
 //
 // The analyzer is pure standard library — go/ast, go/parser and go/types
 // only, no golang.org/x/tools — so the module stays dependency-free.

@@ -15,8 +15,8 @@ import (
 // the two sides of a cycle in opposite order deadlock, so any cycle is a
 // bug in waiting even if today's schedules never interleave that way.
 //
-// Self-edges (re-acquiring the mutex already held) are the reentrancy
-// problem owned by the lockdiscipline check and are excluded here; the
+// Self-edges (re-acquiring the mutex already held) deadlock the first
+// time they run, so the tests own them and they are excluded here; the
 // minimum cycle this check reports is A -> B -> A. Each edge in a
 // reported cycle carries its witness: the function holding the first
 // lock and, for transitive edges, the call path to the acquire site.

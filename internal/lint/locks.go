@@ -5,18 +5,17 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Lock-region analysis, keyed by lock identity.
 //
 // The scanner walks a body in source order and tracks which mutexes are
-// held at each point. Unlike the earlier depth-counter version, every
-// mutex is tracked separately: a deferred Unlock of mutex A pins A (and
-// only A) held to the end of the body, and an Unlock of B never releases
-// a held A. The scan stays linear over source positions, so branchy
-// early-unlock shapes can still yield false negatives — never false
-// positives on straight-line hold regions, the documented bias.
+// held at each point. Every mutex is tracked separately: a deferred Unlock
+// of mutex A pins A (and only A) held to the end of the body, and an
+// Unlock of B never releases a held A. The scan stays linear over source
+// positions, so branchy early-unlock shapes can still yield false
+// negatives — never false positives on straight-line hold regions, the
+// documented bias.
 //
 // TryLock is an acquisition when its result guards the code that follows:
 // `if !mu.TryLock() { return }` holds mu from the end of the guard on, and
@@ -62,11 +61,10 @@ func lockID(p *Package, expr ast.Expr) string {
 
 // lockEvent is one entry in the linear scan of a single scope.
 type lockEvent struct {
-	pos   token.Pos
-	kind  int    // +1 acquire, -1 release, 2 deferred release, 0 candidate
-	id    string // lock identity for kind != 0
-	rlock bool   // RLock/RUnlock
-	call  *ast.CallExpr
+	pos  token.Pos
+	kind int    // +1 acquire, -1 release, 2 deferred release, 0 candidate
+	id   string // lock identity for kind != 0
+	call *ast.CallExpr
 }
 
 // lockScope is one body (function or function literal) with nested
@@ -76,64 +74,57 @@ type lockScope struct {
 	inner  []*lockScope
 }
 
-// classifyLockCall recognizes Lock/RLock/Unlock/RUnlock on a mutex-named
-// receiver.
-func classifyLockCall(call *ast.CallExpr) (recv ast.Expr, kind int, rlock bool, ok bool) {
+// classifyLockCall recognizes Lock/RLock (+1) and Unlock/RUnlock (-1) on a
+// mutex-named receiver.
+func classifyLockCall(call *ast.CallExpr) (recv ast.Expr, kind int, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel || !looksLikeMutex(sel.X) {
-		return nil, 0, false, false
+		return nil, 0, false
 	}
 	switch sel.Sel.Name {
-	case "Lock":
-		return sel.X, +1, false, true
-	case "RLock":
-		return sel.X, +1, true, true
-	case "Unlock":
-		return sel.X, -1, false, true
-	case "RUnlock":
-		return sel.X, -1, true, true
+	case "Lock", "RLock":
+		return sel.X, +1, true
+	case "Unlock", "RUnlock":
+		return sel.X, -1, true
 	}
-	return nil, 0, false, false
+	return nil, 0, false
 }
 
 // tryLockGuard recognizes an if condition that decides on a TryLock or
 // TryRLock of a mutex-named receiver: the call itself, the call as an
 // operand of &&, or its negation. negated reports the guard form
 // `!mu.TryLock()`, whose body runs when the lock was NOT taken.
-func tryLockGuard(cond ast.Expr) (recv ast.Expr, rlock, negated, ok bool) {
+func tryLockGuard(cond ast.Expr) (recv ast.Expr, negated, ok bool) {
 	cond = ast.Unparen(cond)
 	if not, isNot := cond.(*ast.UnaryExpr); isNot && not.Op == token.NOT {
-		recv, rlock, ok = tryLockCall(ast.Unparen(not.X))
-		return recv, rlock, true, ok
+		recv, ok = tryLockCall(ast.Unparen(not.X))
+		return recv, true, ok
 	}
 	if and, isAnd := cond.(*ast.BinaryExpr); isAnd && and.Op == token.LAND {
 		for _, side := range []ast.Expr{and.X, and.Y} {
-			if recv, rlock, neg, ok := tryLockGuard(side); ok && !neg {
-				return recv, rlock, false, true
+			if recv, neg, ok := tryLockGuard(side); ok && !neg {
+				return recv, false, true
 			}
 		}
-		return nil, false, false, false
+		return nil, false, false
 	}
-	recv, rlock, ok = tryLockCall(cond)
-	return recv, rlock, false, ok
+	recv, ok = tryLockCall(cond)
+	return recv, false, ok
 }
 
-func tryLockCall(e ast.Expr) (recv ast.Expr, rlock, ok bool) {
+func tryLockCall(e ast.Expr) (recv ast.Expr, ok bool) {
 	call, isCall := e.(*ast.CallExpr)
 	if !isCall {
-		return nil, false, false
+		return nil, false
 	}
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel || !looksLikeMutex(sel.X) {
-		return nil, false, false
+		return nil, false
 	}
-	switch sel.Sel.Name {
-	case "TryLock":
-		return sel.X, false, true
-	case "TryRLock":
-		return sel.X, true, true
+	if sel.Sel.Name == "TryLock" || sel.Sel.Name == "TryRLock" {
+		return sel.X, true
 	}
-	return nil, false, false
+	return nil, false
 }
 
 // leavesScope reports whether a guard body ends by leaving the code that
@@ -168,23 +159,17 @@ func collectLockScope(p *Package, body ast.Node, candidate func(*ast.CallExpr) b
 			sc.inner = append(sc.inner, collectLockScope(p, st.Body, candidate))
 			return false
 		case *ast.IfStmt:
-			recv, rlock, negated, ok := tryLockGuard(st.Cond)
+			recv, negated, ok := tryLockGuard(st.Cond)
 			switch {
 			case !ok:
 			case !negated:
-				sc.events = append(sc.events, lockEvent{
-					pos: st.Body.Lbrace, kind: +1, id: lockID(p, recv), rlock: rlock,
-				})
+				sc.events = append(sc.events, lockEvent{pos: st.Body.Lbrace, kind: +1, id: lockID(p, recv)})
 			case leavesScope(st.Body):
-				sc.events = append(sc.events, lockEvent{
-					pos: st.Body.End(), kind: +1, id: lockID(p, recv), rlock: rlock,
-				})
+				sc.events = append(sc.events, lockEvent{pos: st.Body.End(), kind: +1, id: lockID(p, recv)})
 			}
 		case *ast.DeferStmt:
-			if recv, kind, rlock, ok := classifyLockCall(st.Call); ok && kind == -1 {
-				sc.events = append(sc.events, lockEvent{
-					pos: st.Pos(), kind: 2, id: lockID(p, recv), rlock: rlock,
-				})
+			if recv, kind, ok := classifyLockCall(st.Call); ok && kind == -1 {
+				sc.events = append(sc.events, lockEvent{pos: st.Pos(), kind: 2, id: lockID(p, recv)})
 				return false
 			}
 		case *ast.CallExpr:
@@ -193,10 +178,8 @@ func collectLockScope(p *Package, body ast.Node, candidate func(*ast.CallExpr) b
 				// this hold region (the literal case is split out above).
 				return true
 			}
-			if recv, kind, rlock, ok := classifyLockCall(st); ok {
-				sc.events = append(sc.events, lockEvent{
-					pos: st.Pos(), kind: kind, id: lockID(p, recv), rlock: rlock,
-				})
+			if recv, kind, ok := classifyLockCall(st); ok {
+				sc.events = append(sc.events, lockEvent{pos: st.Pos(), kind: kind, id: lockID(p, recv)})
 				return true
 			}
 			if candidate != nil && candidate(st) {
@@ -210,10 +193,11 @@ func collectLockScope(p *Package, body ast.Node, candidate func(*ast.CallExpr) b
 }
 
 // replayScope runs the linear held-set simulation over one scope and its
-// nested literal scopes (each literal starts with nothing held). flag is
-// invoked for every candidate call with the sorted set of identities
-// held at that point (possibly empty).
-func replayScope(sc *lockScope, flag func(call *ast.CallExpr, held []string)) {
+// nested literal scopes (each literal starts with nothing held). acquire,
+// when non-nil, sees every acquisition with the identities already held;
+// flag sees every candidate call with the identities held at that point
+// (possibly none), so callers decide the policy.
+func replayScope(sc *lockScope, acquire func(ev lockEvent, held []string), flag func(call *ast.CallExpr, held []string)) {
 	held := make(map[string]int)
 	sticky := make(map[string]bool) // deferred unlock: held to end of body
 	order := []string{}
@@ -229,6 +213,9 @@ func replayScope(sc *lockScope, flag func(call *ast.CallExpr, held []string)) {
 	for _, ev := range sc.events {
 		switch ev.kind {
 		case +1:
+			if acquire != nil {
+				acquire(ev, snapshot())
+			}
 			if held[ev.id] == 0 {
 				order = append(order, ev.id)
 			}
@@ -246,31 +233,15 @@ func replayScope(sc *lockScope, flag func(call *ast.CallExpr, held []string)) {
 		}
 	}
 	for _, inner := range sc.inner {
-		replayScope(inner, flag)
+		replayScope(inner, acquire, flag)
 	}
 }
 
 // scanLockRegions walks a function body tracking per-identity mutex hold
 // regions and invokes flag for every call for which candidate returns
-// true, together with the identities held at that point. Calls made while
-// nothing is held are reported with an empty held set, so callers decide
-// the policy.
+// true, together with the identities held at that point.
 func scanLockRegions(p *Package, body *ast.BlockStmt, candidate func(*ast.CallExpr) bool, flag func(call *ast.CallExpr, held []string)) {
-	sc := collectLockScope(p, body, candidate)
-	replayScope(sc, flag)
-}
-
-// heldAny reports whether any lock is held.
-func heldAny(held []string) bool { return len(held) > 0 }
-
-// heldMatching reports whether any held identity satisfies pred.
-func heldMatching(held []string, pred func(string) bool) bool {
-	for _, id := range held {
-		if pred(id) {
-			return true
-		}
-	}
-	return false
+	replayScope(collectLockScope(p, body, candidate), nil, flag)
 }
 
 // ----- per-function lock facts for the lockorder check -----
@@ -301,76 +272,33 @@ type lockFacts struct {
 func lockFactsOf(g *Graph, fn *Fn) *lockFacts {
 	p := fn.Pkg
 	facts := &lockFacts{acquires: make(map[string]token.Pos)}
-	resolved := func(call *ast.CallExpr) *Fn {
+	callees := func(call *ast.CallExpr) []*Fn {
 		if callee := methodCallee(g.l, p.Info, call); callee != nil {
-			return callee
+			return []*Fn{callee}
 		}
-		return nil
+		return g.ifaceImplementers(p.Info, call)
 	}
 	sc := collectLockScope(p, fn.Decl.Body, func(call *ast.CallExpr) bool {
-		return resolved(call) != nil || len(g.ifaceImplementers(p.Info, call)) > 0
+		return len(callees(call)) > 0
 	})
-	var replay func(sc *lockScope)
-	replay = func(sc *lockScope) {
-		held := make(map[string]int)
-		sticky := make(map[string]bool)
-		order := []string{}
-		snapshot := func() []string {
-			var ids []string
-			for _, id := range order {
-				if held[id] > 0 {
-					ids = append(ids, id)
+	replayScope(sc,
+		func(ev lockEvent, held []string) {
+			if _, seen := facts.acquires[ev.id]; !seen {
+				facts.acquires[ev.id] = ev.pos
+			}
+			for _, h := range held {
+				if h != ev.id {
+					facts.pairs = append(facts.pairs, lockPair{held: h, acq: ev.id, pos: ev.pos})
 				}
 			}
-			return ids
-		}
-		for _, ev := range sc.events {
-			switch ev.kind {
-			case +1:
-				if _, seen := facts.acquires[ev.id]; !seen {
-					facts.acquires[ev.id] = ev.pos
-				}
-				for _, h := range snapshot() {
-					if h != ev.id {
-						facts.pairs = append(facts.pairs, lockPair{held: h, acq: ev.id, pos: ev.pos})
-					}
-				}
-				if held[ev.id] == 0 {
-					order = append(order, ev.id)
-				}
-				held[ev.id]++
-			case -1:
-				if held[ev.id] > 0 && !sticky[ev.id] {
-					held[ev.id]--
-				}
-			case 2:
-				sticky[ev.id] = true
-			case 0:
-				ids := snapshot()
-				if len(ids) == 0 {
-					continue
-				}
-				if callee := resolved(ev.call); callee != nil {
-					facts.calls = append(facts.calls, lockCall{held: ids, to: callee, pos: ev.pos})
-					continue
-				}
-				for _, impl := range g.ifaceImplementers(p.Info, ev.call) {
-					facts.calls = append(facts.calls, lockCall{held: ids, to: impl, pos: ev.pos})
-				}
+		},
+		func(call *ast.CallExpr, held []string) {
+			if len(held) == 0 {
+				return
 			}
-		}
-		for _, inner := range sc.inner {
-			replay(inner)
-		}
-	}
-	replay(sc)
+			for _, to := range callees(call) {
+				facts.calls = append(facts.calls, lockCall{held: held, to: to, pos: call.Pos()})
+			}
+		})
 	return facts
-}
-
-// ringMutexHeld reports whether the held set contains the Ring's own
-// mutex (as opposed to some auxiliary lock a Ring method might take).
-func ringMutexHeld(held []string) bool {
-	return heldMatching(held, func(id string) bool {
-		return strings.HasSuffix(id, "Ring.mu")
-	})
 }

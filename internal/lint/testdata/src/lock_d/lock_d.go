@@ -1,90 +1,47 @@
-// Package engine (fixture lock_d) is the turn-token half of the engine
-// upcall rule. The token is the one engine lock meant to be held across
-// the algorithm callback, so an upcall under it alone — taken with Lock in
-// a select arm and dropped at the loop top, or with the TryLock guard a
-// receiver uses — is clean. Any other engine lock held at the upcall stays
-// a finding, with or without the token, and so does a lock taken behind a
-// TryLock guard: the guard is an acquisition like any other.
+// Package engine (fixture lock_d) is an algorithm upcall made under the
+// engine's state lock, in miniature: completeProbe holds mu across
+// notifyAlg, whose turn assertion takes the token with a TryLock, while a
+// turn holds the token across a call that takes mu. mu -> turnMu and
+// turnMu -> mu close a cycle. No test drives a probe to completion, so
+// this shape in the real engine is caught by the lock-order graph alone.
 package engine
 
 import "sync"
 
-type algIface interface {
-	Process(v int) int
-}
-
 type Core struct {
 	turnMu sync.Mutex
 	mu     sync.Mutex
-	auxMu  sync.Mutex
-	alg    algIface
-	work   chan int
-	done   chan struct{}
+	n      int
+}
+
+// assertTurn panics unless someone holds the token.
+func (c *Core) assertTurn() {
+	if c.turnMu.TryLock() {
+		c.turnMu.Unlock()
+		panic("upcall without the turn token")
+	}
 }
 
 func (c *Core) notifyAlg(v int) {
-	c.alg.Process(v)
+	c.assertTurn()
+	c.n += v
 }
 
-// run holds the token for every turn and gives it up only while it waits.
-func (c *Core) run() {
-	c.turnMu.Lock()
-	for {
-		c.turnMu.Unlock()
-		select {
-		case v := <-c.work:
-			c.turnMu.Lock()
-			c.alg.Process(v)
-			c.notifyAlg(v)
-		case <-c.done:
-			return
-		}
-	}
-}
-
-// switchInline is the receiver's try: no token, no turn.
-func (c *Core) switchInline(v int) bool {
-	if !c.turnMu.TryLock() {
-		return false
-	}
-	c.alg.Process(v)
-	c.turnMu.Unlock()
-	return true
-}
-
-// underBoth holds the token, legitimately, and the state lock, not.
-func (c *Core) underBoth(v int) {
-	if !c.turnMu.TryLock() {
-		return
-	}
+func (c *Core) completeProbe(v int) {
 	c.mu.Lock()
-	c.alg.Process(v) // want "engine lock held"
+	c.notifyAlg(v) // want "lock-order cycle"
 	c.mu.Unlock()
+}
+
+// turn holds the token across a call that takes the state lock.
+func (c *Core) turn() {
+	c.turnMu.Lock()
+	c.bump()
 	c.turnMu.Unlock()
 }
 
-// guarded takes an ordinary engine lock through the guard form.
-func (c *Core) guarded(v int) {
-	if !c.auxMu.TryLock() {
-		return
-	}
-	defer c.auxMu.Unlock()
-	c.notifyAlg(v) // want "engine lock held"
-}
-
-// probing holds the lock only inside the body of the positive form.
-func (c *Core) probing(v int) {
-	if v > 0 && c.auxMu.TryLock() {
-		c.alg.Process(v) // want "engine lock held"
-		c.auxMu.Unlock()
-	}
-	c.alg.Process(v)
-}
-
-// fallthroughGuard does not leave on failure, so nothing is known after it.
-func (c *Core) fallthroughGuard(v int) {
-	if !c.auxMu.TryLock() {
-		v++
-	}
-	c.alg.Process(v)
+func (c *Core) bump() {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
 }

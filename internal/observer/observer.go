@@ -58,8 +58,6 @@ type Config struct {
 	TraceWriter io.Writer
 	// Seed fixes the bootstrap sampling for reproducible experiments.
 	Seed int64
-	// Logf, when set, receives debug logging.
-	Logf func(format string, args ...any)
 	// Peers lists the other observers of a federated deployment. The
 	// observer dials a trunk to each peer (and accepts theirs) over the
 	// same hello machinery proxies use, and runs anti-entropy sync of its
@@ -270,12 +268,6 @@ func (o *Observer) untrack(out *route) {
 	o.mu.Unlock()
 }
 
-func (o *Observer) logf(format string, args ...any) {
-	if o.cfg.Logf != nil {
-		o.cfg.Logf(format, args...)
-	}
-}
-
 // isPeerHost reports whether host names a configured federation peer.
 func (o *Observer) isPeerHost(host string) bool {
 	for _, p := range o.cfg.Peers {
@@ -335,7 +327,6 @@ func (o *Observer) handle(m *message.Msg, out *route) {
 	case protocol.TypeReport:
 		rp, err := protocol.DecodeReport(m.Payload())
 		if err != nil {
-			o.logf("bad report from %s: %v", from, err)
 			return
 		}
 		o.mu.Lock()
@@ -361,7 +352,6 @@ func (o *Observer) handle(m *message.Msg, out *route) {
 			n.seq++ // version the departure for the federation
 		}
 		o.mu.Unlock()
-		o.logf("node %s departed", from)
 	case protocol.TypeTrace:
 		rec := TraceRecord{When: time.Now(), Node: from, Body: string(m.Payload())}
 		o.mu.Lock()
@@ -371,8 +361,6 @@ func (o *Observer) handle(m *message.Msg, out *route) {
 			fmt.Fprintf(o.cfg.TraceWriter, "%s %s %s\n",
 				rec.When.Format(time.RFC3339Nano), rec.Node, rec.Body)
 		}
-	default:
-		o.logf("unexpected %s from %s", protocol.TypeName(m.Type()), from)
 	}
 }
 

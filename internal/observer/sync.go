@@ -162,7 +162,6 @@ func (o *Observer) registerPeer(peer message.NodeID, out *route) {
 	o.peers[peer] = out
 	o.mu.Unlock()
 	o.rec.Emit(trace.KindLinkUp, peer, protocol.HelloObserver, 1)
-	o.logf("federation trunk to %s up", peer)
 }
 
 // markPeerGone retires a dead trunk, by pointer so a superseded trunk's
@@ -174,7 +173,6 @@ func (o *Observer) markPeerGone(peer message.NodeID, out *route) {
 	}
 	o.mu.Unlock()
 	o.rec.Emit(trace.KindLinkDown, peer, protocol.HelloObserver, 1)
-	o.logf("federation trunk to %s down", peer)
 }
 
 // handlePeerMsg processes one message from a peer observer's trunk.
@@ -184,7 +182,6 @@ func (o *Observer) handlePeerMsg(m *message.Msg, peer message.NodeID) {
 	case protocol.TypeObsSync:
 		s, err := protocol.DecodeObsSync(m.Payload())
 		if err != nil {
-			o.logf("bad sync from %s: %v", peer, err)
 			return
 		}
 		changed := o.absorbSync(s)
@@ -195,7 +192,6 @@ func (o *Observer) handlePeerMsg(m *message.Msg, peer message.NodeID) {
 		// not reachable over this trunk.
 		rp, err := protocol.DecodeReport(m.Payload())
 		if err != nil {
-			o.logf("bad federated report from %s: %v", peer, err)
 			return
 		}
 		from := m.Sender()
@@ -218,12 +214,10 @@ func (o *Observer) handlePeerMsg(m *message.Msg, peer message.NodeID) {
 		// so a stale home pointer cannot form a forwarding loop.
 		rl, err := protocol.DecodeRelay(m.Payload())
 		if err != nil {
-			o.logf("bad federated relay from %s: %v", peer, err)
 			return
 		}
 		fwd, err := message.Read(bytes.NewReader(rl.Inner), nil, message.DefaultMaxPayload)
 		if err != nil {
-			o.logf("bad federated relay payload from %s: %v", peer, err)
 			return
 		}
 		o.mu.Lock()
@@ -236,8 +230,6 @@ func (o *Observer) handlePeerMsg(m *message.Msg, peer message.NodeID) {
 		}
 		o.mu.Unlock()
 		o.sendRoute(dst, rl.Dest, fwd)
-	default:
-		o.logf("unexpected %s on federation trunk from %s", protocol.TypeName(m.Type()), peer)
 	}
 }
 

@@ -28,8 +28,6 @@ type Config struct {
 	Observer message.NodeID
 	// Transport supplies connectivity.
 	Transport engine.Transport
-	// Logf, when set, receives debug logging.
-	Logf func(format string, args ...any)
 }
 
 // Ring capacities, in messages: the trunk aggregates every node's updates.
@@ -127,12 +125,6 @@ func (p *Proxy) Stop() {
 	})
 }
 
-func (p *Proxy) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf(format, args...)
-	}
-}
-
 // serveConn takes over a node connection the door admitted and
 // identified: it relays the node's updates onto the trunk and registers
 // the link for commands flowing back. A node that reconnects replaces its
@@ -179,7 +171,6 @@ func (p *Proxy) trunkReader() {
 			return
 		}
 		if m.Type() != protocol.TypeRelay {
-			p.logf("unexpected trunk message %s", protocol.TypeName(m.Type()))
 			m.Release()
 			continue
 		}
