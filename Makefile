@@ -55,7 +55,7 @@ fuzz:
 # what an inline write may pass — depends on which goroutine gets there
 # first, so its tests and the restated single-thread contract run again at
 # three core counts, with and without the assertions.
-SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestFirstBatchOfALinkTakesTheRing|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark
+SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestHeldDatagramBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestFirstBatchOfALinkTakesTheRing|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
 		./internal/admission ./internal/observer ./internal/proxy

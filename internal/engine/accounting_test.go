@@ -83,17 +83,12 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 		n       *vnet.Network
 		a, b, c *engine.Engine
 		alg     *recorder
-		dgram   bool
 	}
 	parked := func(ch chain) bool { return ch.b.Snapshot().Shards[0].Parked > 0 }
 	// inline reports that the relay is on both fast paths: the paced
-	// scenarios' traffic is switched by the receiver goroutine that decoded
-	// it and written by the same turn. The datagram lane has neither path
-	// and only has to be carrying the traffic.
+	// scenarios' traffic is switched by the goroutine that decoded it — the
+	// stream receiver or the packet reader — and written by the same turn.
 	inline := func(ch chain) bool {
-		if ch.dgram {
-			return ch.alg.SeenMessages(app) > 500
-		}
 		c := ch.b.Counters()
 		return c.SwitchedInline > 500 && c.WrittenInline > 500
 	}
@@ -178,7 +173,7 @@ func TestGaugeReconcilesAfterStop(t *testing.T) {
 	for lane, dgram := range lanes {
 		for _, sc := range scenarios {
 			t.Run(lane+"/"+sc.name, func(t *testing.T) {
-				ch := chain{n: vnet.New(), alg: &recorder{}, dgram: dgram}
+				ch := chain{n: vnet.New(), alg: &recorder{}}
 				defer ch.n.Close()
 				mode := func(c *engine.Config) { c.DatagramData = dgram }
 

@@ -28,8 +28,8 @@ const (
 // — the one interface an iOverlay developer implements. Process is
 // guaranteed to execute one call at a time, each call happening-after the
 // one before it: every call is made under the engine's turn token, by the
-// engine goroutine or by a receiver goroutine that took the token to
-// switch its own batch. Implementations therefore never need thread-safe
+// engine goroutine or by a receiver goroutine (a stream link's, or the
+// packet reader) that took the token to switch its own batch. Implementations therefore never need thread-safe
 // data structures — but must not assume every call arrives on the same
 // goroutine (no goroutine-local state, no locks held across calls).
 type Algorithm interface {

@@ -295,7 +295,7 @@ func (e *Engine) NewControl(typ message.Type, app uint32, payload []byte) *messa
 // After schedules a Tick delivery. Part of the API interface.
 func (e *Engine) After(d time.Duration, kind uint32) {
 	time.AfterFunc(d, func() {
-		e.postEvent(func() {
+		e.postEvent(func(API) {
 			e.notifyAlg(protocol.TypeTick, 0, protocol.Tick{Kind: kind}.Encode())
 		})
 	})

@@ -62,11 +62,11 @@ const dgramArenaCap = 64 << 10
 // When the endpoint offers the sendmmsg-shaped batch path and the link is
 // unshaped, consecutive messages accumulate into one arena and leave in
 // a single WriteToBatch — one routing decision and one handoff for the
-// lot — with metering folded to one update per flush. A shaped link (or
-// an endpoint without the batch path) sends packet by packet so pacing
-// keeps its per-packet granularity. Oversize messages (past the
-// fragment budget at the configured MTU) are refused with a counted
-// error.
+// lot — with metering folded to one update per flush. The same path lets
+// a turn send a run itself (tryWrite). A shaped link (or an endpoint
+// without the batch path) sends packet by packet so pacing keeps its
+// per-packet granularity. Oversize messages (past the fragment budget at
+// the configured MTU) are refused with a counted error.
 type dgramFraming struct {
 	e      *Engine
 	s      *sender
@@ -98,6 +98,7 @@ func (e *Engine) newDgramFraming(s *sender, conn net.Conn) (framing, error) {
 	if bw, ok := e.pconn.(packetBatchWriter); ok {
 		d.bw = bw
 		d.arena = make([]byte, 0, dgramArenaCap)
+		s.inline = d
 	}
 	return d, nil
 }
@@ -143,8 +144,7 @@ func (d *dgramFraming) wireOf(m *message.Msg) []byte {
 // out packet by packet rather than into the arena.
 func (d *dgramFraming) addMsg(m *message.Msg) bool {
 	wire := d.wireOf(m)
-	mtu := d.e.cfg.DatagramMTU
-	cnt, err := message.DgramFragments(len(wire), mtu)
+	cnt, err := message.DgramFragments(len(wire), d.e.cfg.DatagramMTU)
 	if err != nil {
 		d.e.counters.AddDgramRefused(int64(len(wire)))
 		d.e.rec.Emit(trace.KindShed, d.s.peer, m.App(), int64(len(wire)))
@@ -152,28 +152,40 @@ func (d *dgramFraming) addMsg(m *message.Msg) bool {
 	}
 	need := len(wire) + cnt*message.DgramHeaderSize
 	if d.bw == nil || d.shaper.Active() || need > cap(d.arena) {
-		d.writeNow(wire, cnt, mtu)
+		d.writeNow(wire, cnt)
 		return true
 	}
 	if need > cap(d.arena)-len(d.arena) {
 		_ = d.flush()
 	}
-	chunk := mtu - message.DgramHeaderSize
-	id := d.e.dgramSeq.Add(1)
-	for i := 0; i < cnt; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(wire) {
-			hi = len(wire)
-		}
-		h := message.DgramHeader{Src: d.e.id, MsgID: id, FragIdx: uint16(i), FragCnt: uint16(cnt)}
-		off := len(d.arena)
-		d.arena = message.AppendDgram(d.arena, h, wire[lo:hi])
-		d.frames = append(d.frames, d.arena[off:len(d.arena):len(d.arena)])
-	}
+	d.arena, d.frames = d.appendFrames(d.arena, d.frames, wire, cnt)
 	d.wire += int64(len(wire))
 	d.msgs++
 	return false
+}
+
+// appendFrames frames one message's wire image, cnt fragments under a
+// fresh message id, onto arena and appends each frame's view of it to
+// frames. The sender goroutine frames into its arena with it, a turn into
+// its own.
+func (d *dgramFraming) appendFrames(arena []byte, frames [][]byte, wire []byte, cnt int) ([]byte, [][]byte) {
+	id := d.e.dgramSeq.Add(1)
+	for i := 0; i < cnt; i++ {
+		off := len(arena)
+		arena = d.appendFragment(arena, wire, id, i, cnt)
+		frames = append(frames, arena[off:len(arena):len(arena)])
+	}
+	return arena, frames
+}
+
+// appendFragment appends datagram i of cnt carrying message id's wire
+// image to dst.
+func (d *dgramFraming) appendFragment(dst, wire []byte, id uint32, i, cnt int) []byte {
+	chunk := d.e.cfg.DatagramMTU - message.DgramHeaderSize
+	lo := i * chunk
+	hi := min(lo+chunk, len(wire))
+	h := message.DgramHeader{Src: d.e.id, MsgID: id, FragIdx: uint16(i), FragCnt: uint16(cnt)}
+	return message.AppendDgram(dst, h, wire[lo:hi])
 }
 
 // flush writes every queued frame in one batch write. A write error
@@ -199,17 +211,10 @@ func (d *dgramFraming) flush() error {
 
 // writeNow frames and sends one message packet by packet, pacing each
 // datagram through the link shaper.
-func (d *dgramFraming) writeNow(wire []byte, cnt, mtu int) {
-	chunk := mtu - message.DgramHeaderSize
+func (d *dgramFraming) writeNow(wire []byte, cnt int) {
 	id := d.e.dgramSeq.Add(1)
 	for i := 0; i < cnt; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(wire) {
-			hi = len(wire)
-		}
-		h := message.DgramHeader{Src: d.e.id, MsgID: id, FragIdx: uint16(i), FragCnt: uint16(cnt)}
-		d.scratch = message.AppendDgram(d.scratch[:0], h, wire[lo:hi])
+		d.scratch = d.appendFragment(d.scratch[:0], wire, id, i, cnt)
 		d.shaper.Wait(len(d.scratch))
 		if _, werr := d.e.pconn.WriteTo(d.scratch, d.dest); werr != nil {
 			d.e.counters.AddDropped(int64(len(wire)))
@@ -220,10 +225,50 @@ func (d *dgramFraming) writeNow(wire []byte, cnt, mtu int) {
 	d.e.counters.AddOut(1, int64(len(wire)))
 }
 
+func (d *dgramFraming) capped() bool { return d.shaper.Active() }
+
+// tryWrite frames the run's leading messages and sends them in one
+// WriteToBatch, which never waits on vnet. It stops at the first message
+// without a wire image or past the fragment budget, and where the arena
+// is full: the sender goroutine frames, refuses or sends the rest. The
+// arena and frame list are the turn's scratch, not d.arena: the sender
+// goroutine is outside begin/put/flush while its ring is Idle, but it
+// still reads d.frames in the flush it runs when the ring closes, and Stop
+// closes rings without the token.
+func (d *dgramFraming) tryWrite(run []*message.Msg) (int, int64, error) {
+	e := d.e
+	if e.inlineArena == nil {
+		e.inlineArena = make([]byte, 0, dgramArenaCap)
+	}
+	arena, frames := e.inlineArena, e.inlineVec[:0]
+	n := 0
+	var wire int64
+	for _, m := range run {
+		w := m.Wire()
+		if w == nil {
+			break
+		}
+		cnt, err := message.DgramFragments(len(w), e.cfg.DatagramMTU)
+		if err != nil || len(w)+cnt*message.DgramHeaderSize > cap(arena)-len(arena) {
+			break
+		}
+		arena, frames = d.appendFrames(arena, frames, w, cnt)
+		n++
+		wire += int64(len(w))
+	}
+	var err error
+	if n > 0 {
+		_, err = d.bw.WriteToBatch(frames, d.dest)
+	}
+	e.inlineArena, e.inlineVec = arena[:0], frames[:0]
+	return n, wire, err
+}
+
 // runDgramReader drains the node's packet endpoint: validate the frame,
 // attribute it to the receiver link its source's hello established,
-// reassemble, and push the message onto that receiver's ring without
-// ever blocking. Datagrams from strangers — sources with no admitted
+// reassemble, and hand the message to that link — switched on the spot
+// when nothing is queued ahead of it, pushed onto its ring otherwise —
+// without ever blocking. Datagrams from strangers — sources with no admitted
 // receiver link — are dropped after a pass through the admission gate's
 // per-source accounting, so a host spraying an open port walks into the
 // same greylist the accept loop maintains.
@@ -238,8 +283,8 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 	}
 
 	// Messages completed by the packets of one wakeup are grouped by
-	// their receiver link and handed over in one TryPushBatch, with one
-	// meter update and one switch wakeup per group — recvmmsg-shaped
+	// their receiver link and handed over in one switch quantum or one
+	// TryPushBatch, with one meter update per group — recvmmsg-shaped
 	// amortization of the per-packet bookkeeping. The group flushes on
 	// every source change and at the end of each wakeup's drain, so
 	// nothing lingers past the packets in hand.
@@ -255,16 +300,21 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 		// datagram traffic keeps the (quiet) stream link alive.
 		curR.meter.Add(groupBytes)
 		e.counters.AddIn(int64(len(msgs)), groupBytes)
-		e.buffered.Add(groupBytes)
-		pushed := curR.ring.TryPushBatch(msgs)
-		if pushed > 0 {
-			e.signalWork()
-		}
-		// Ring full (or closed mid-teardown): loss, never back-pressure
-		// on the shared endpoint.
-		for _, m := range msgs[pushed:] {
-			e.counters.AddDropped(int64(m.WireLen()))
-			e.disown(m)
+		// With nothing of this reader's queued ahead on the link, it runs
+		// the group's switch quantum itself; otherwise the ring and the
+		// engine goroutine carry it.
+		if !e.switchInline(curR, msgs, groupBytes) {
+			e.buffered.Add(groupBytes)
+			pushed := curR.ring.TryPushBatch(msgs)
+			if pushed > 0 {
+				e.signalWork()
+			}
+			// Ring full (or closed mid-teardown): loss, never back-pressure
+			// on the shared endpoint.
+			for _, m := range msgs[pushed:] {
+				e.counters.AddDropped(int64(m.WireLen()))
+				e.disown(m)
+			}
 		}
 		msgs = msgs[:0]
 		groupBytes = 0

@@ -241,8 +241,9 @@ type Engine struct {
 	// the flushStaged that ends each — and is the only caller of
 	// Algorithm.Process and the only toucher of the token-holder-only state
 	// below. The engine goroutine takes it for every turn and gives it up
-	// only while it waits; a stream receiver may TryLock it for one quantum
-	// (switchInline) and never waits for it or while holding it. Lock
+	// only while it waits; a stream receiver or the packet reader may
+	// TryLock it for one quantum (switchInline) and never waits for it or
+	// while holding it. Lock
 	// order: turnMu, then mu, then a ring or pipe lock.
 	turnMu sync.Mutex
 	// waiting counts the control messages and events handed to the engine
@@ -314,8 +315,9 @@ type Engine struct {
 	// The switch's scheduler state — see switch.go. parked is the backlog
 	// full sender rings refused, parkedByDest its per-destination count,
 	// retryFull retryParked's scratch set of still-full destinations,
-	// dirty the senders holding staged output, inlineVec writeInline's
-	// scratch vector of wire images, switchBuf the quantum's
+	// dirty the senders holding staged output, inlineVec and inlineArena
+	// writeInline's scratch (the buffers it hands the transport, and on a
+	// datagram lane the frames' bytes), switchBuf the quantum's
 	// batch buffer, localPass the local-source ring's stride virtual time,
 	// lastDest/lastSender the one-entry sender cache, recvList the sorted
 	// receiver list as of recvListGen.
@@ -324,6 +326,7 @@ type Engine struct {
 	retryFull    map[message.NodeID]bool
 	dirty        []*sender
 	inlineVec    [][]byte
+	inlineArena  []byte
 	switchBuf    []*message.Msg
 	localPass    float64
 	lastDest     message.NodeID
@@ -332,7 +335,7 @@ type Engine struct {
 	recvListGen  uint64
 
 	control chan ctrlMsg
-	events  chan func()
+	events  chan func(API)
 	done    chan struct{}
 	started bool
 	wg      sync.WaitGroup
@@ -382,7 +385,7 @@ func New(cfg Config) (*Engine, error) {
 		retryFull:    make(map[message.NodeID]bool),
 		switchBuf:    make([]*message.Msg, cfg.BatchSize),
 		control:      make(chan ctrlMsg, 1024),
-		events:       make(chan func(), 4096),
+		events:       make(chan func(API), 4096),
 		done:         make(chan struct{}),
 	}
 	e.hello = message.New(protocol.TypeHello, cfg.ID, 0, 0, nil).AppendHeader(nil)
@@ -868,7 +871,7 @@ func (e *Engine) run() {
 			e.waiting.Add(-1)
 		case fn := <-e.events:
 			e.turnMu.Lock()
-			fn()
+			fn(e)
 			e.waiting.Add(-1)
 		case <-e.work:
 			e.turnMu.Lock()
@@ -920,9 +923,10 @@ func (e *Engine) drainControl() {
 // Do schedules fn as a turn of the engine goroutine with the engine's API — the
 // programmatic equivalent of an observer command, used by tests and
 // experiment harnesses to drive algorithms without a live observer. Safe
-// from any goroutine; fn is dropped if the engine is stopping.
+// from any goroutine; fn is dropped if the engine is stopping. Do itself
+// allocates nothing: fn is queued as it is.
 func (e *Engine) Do(fn func(api API)) {
-	e.postEvent(func() { fn(e) })
+	e.postEvent(fn)
 }
 
 // signalWork nudges the engine goroutine to run a switch pass. Safe from
@@ -934,9 +938,9 @@ func (e *Engine) signalWork() {
 	}
 }
 
-// postEvent schedules fn as a turn of the engine goroutine; events are
-// dropped only during shutdown.
-func (e *Engine) postEvent(fn func()) {
+// postEvent schedules fn as a turn of the engine goroutine, which calls it
+// with itself; events are dropped only during shutdown.
+func (e *Engine) postEvent(fn func(API)) {
 	e.waiting.Add(1)
 	select {
 	case e.events <- fn:

@@ -15,8 +15,17 @@ import (
 
 // pace injects burst data messages of size bytes toward dest every tick,
 // the way the repository benchmark's generator does, until stop is closed.
+// Every tick posts the same closure, which numbers the messages itself: it
+// only ever runs in a turn, one at a time.
 func pace(e *engine.Engine, dest message.NodeID, app uint32, burst, size int, tick time.Duration, stop <-chan struct{}) {
 	seq := uint32(0)
+	dests := []message.NodeID{dest} // passed on as is: a variadic list built per call allocates
+	send := func(api engine.API) {
+		for i := 0; i < burst; i++ {
+			api.SendNew(api.NewMsg(message.FirstDataType, app, seq, size), dests...)
+			seq++
+		}
+	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {
@@ -25,90 +34,103 @@ func pace(e *engine.Engine, dest message.NodeID, app uint32, burst, size int, ti
 			return
 		case <-t.C:
 		}
-		first := seq
-		e.Do(func(api engine.API) {
-			for i := 0; i < burst; i++ {
-				api.SendNew(api.NewMsg(message.FirstDataType, app, first+uint32(i), size), dest)
-			}
-		})
-		seq += uint32(burst)
+		e.Do(send)
 	}
 }
 
-// TestUnloadedHopTakesFastPath is the tripwire on both fast paths. On an
-// unloaded 3-node chain paced like the benchmark nearly every message at
-// the middle node is switched by the receiver goroutine that decoded it and
-// written by the turn that switched it; when the middle node's downstream
-// link is shaped below the offered rate neither path may carry a single
-// message over it, because the link's backlog is the back-pressure signal.
+// TestUnloadedHopTakesFastPath is the tripwire on both fast paths, on both
+// data lanes. On an unloaded 3-node chain paced like the benchmark nearly
+// every message at the middle node is switched by the goroutine that
+// decoded it — the stream receiver, or the packet reader — and written by
+// the turn that switched it; when the middle node's downstream link is
+// shaped below the offered rate the turn may not write a single message
+// over it, because the link's backlog is the back-pressure signal.
 func TestUnloadedHopTakesFastPath(t *testing.T) {
 	t.Run("unloaded", func(t *testing.T) {
-		n := vnet.New()
-		defer n.Close()
-		const app = 1
-		sink := &multicast.Forwarder{}
-		startNode(t, n, nid(3), sink)
-		mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}})
-		src := startNode(t, n, nid(1), &multicast.Forwarder{})
+		for lane, dgram := range lanes {
+			t.Run(lane, func(t *testing.T) {
+				n := vnet.New()
+				defer n.Close()
+				const app = 1
+				mode := func(c *engine.Config) { c.DatagramData = dgram }
+				sink := &multicast.Forwarder{}
+				startNode(t, n, nid(3), sink, mode)
+				mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}}, mode)
+				src := startNode(t, n, nid(1), &multicast.Forwarder{}, mode)
 
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			pace(src, nid(2), app, 40, 64, time.Millisecond, stop)
-		}()
-		waitFor(t, 10*time.Second, "the links to come up", func() bool {
-			return sink.SeenMessages(app) >= 400
-		})
-		before := mid.Counters()
-		waitFor(t, 20*time.Second, "20 000 paced messages to cross the chain", func() bool {
-			return sink.SeenMessages(app) >= 20400
-		})
-		after := mid.Counters()
-		close(stop)
-		<-done
+				stop := make(chan struct{})
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					pace(src, nid(2), app, 40, 64, time.Millisecond, stop)
+				}()
+				waitFor(t, 10*time.Second, "the links to come up", func() bool {
+					return sink.SeenMessages(app) >= 400
+				})
+				before := mid.Counters()
+				waitFor(t, 20*time.Second, "20 000 paced messages to cross the chain", func() bool {
+					return sink.SeenMessages(app) >= 20400
+				})
+				after := mid.Counters()
+				close(stop)
+				<-done
 
-		written := share(after.WrittenInline-before.WrittenInline, after.WrittenBySender-before.WrittenBySender)
-		switched := share(after.SwitchedInline-before.SwitchedInline, after.SwitchedViaRing-before.SwitchedViaRing)
-		t.Logf("middle node: %.1f%% switched inline, %.1f%% written inline", 100*switched, 100*written)
-		if written < 0.9 {
-			t.Errorf("%.1f%% of messages written inline at the middle node, want >= 90%%", 100*written)
-		}
-		if switched < 0.9 {
-			t.Errorf("%.1f%% of messages switched inline at the middle node, want >= 90%%", 100*switched)
+				written := share(after.WrittenInline-before.WrittenInline, after.WrittenBySender-before.WrittenBySender)
+				switched := share(after.SwitchedInline-before.SwitchedInline, after.SwitchedViaRing-before.SwitchedViaRing)
+				t.Logf("middle node: %.1f%% switched inline, %.1f%% written inline", 100*switched, 100*written)
+				if written < 0.9 {
+					t.Errorf("%.1f%% of messages written inline at the middle node, want >= 90%%", 100*written)
+				}
+				if switched < 0.9 {
+					t.Errorf("%.1f%% of messages switched inline at the middle node, want >= 90%%", 100*switched)
+				}
+			})
 		}
 	})
 	t.Run("shaped", func(t *testing.T) {
-		// Fig 6's shape on one path: 5-slot rings, a shallow pipe, and the
-		// middle node's downstream link capped below what the source offers.
-		n := vnet.New(vnet.WithPipeCapacity(4 << 10))
-		defer n.Close()
-		const app, linkCap = 1, 30 << 10
-		small := func(c *engine.Config) { c.RecvBuf, c.SendBuf = 5, 5 }
-		startNode(t, n, nid(3), &multicast.Forwarder{}, small)
-		mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}}, small)
-		capLink(mid, nid(3), linkCap)
-		src := startNode(t, n, nid(1), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(2)}}, small)
-		src.StartSource(app, 0, 1024)
+		for lane, dgram := range lanes {
+			t.Run(lane, func(t *testing.T) {
+				// Fig 6's shape on one path: 5-slot rings, a shallow pipe, and
+				// the middle node's downstream link capped below what the
+				// source offers.
+				n := vnet.New(vnet.WithPipeCapacity(4 << 10))
+				defer n.Close()
+				const app, linkCap = 1, 30 << 10
+				small := func(c *engine.Config) { c.RecvBuf, c.SendBuf, c.DatagramData = 5, 5, dgram }
+				startNode(t, n, nid(3), &multicast.Forwarder{}, small)
+				mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}}, small)
+				capLink(mid, nid(3), linkCap)
+				src := startNode(t, n, nid(1), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(2)}}, small)
+				var offered int64 // back to back
+				if dgram {
+					// Nothing pushes back on a datagram source: the middle
+					// node's full ring drops what the link cannot carry. Offer
+					// four times the cap, not all the source can make.
+					offered = 4 * linkCap
+				}
+				src.StartSource(app, offered, 1024)
 
-		time.Sleep(time.Second) // settle: rings, parked backlog and pipes fill back to the source
-		const window = 2 * time.Second
-		b0, s0 := mid.Counters(), src.Counters()
-		time.Sleep(window)
-		b1, s1 := mid.Counters(), src.Counters()
-		for name, got := range map[string]float64{
-			"shaped link":   float64(b1.BytesOut-b0.BytesOut) / window.Seconds(),
-			"source output": float64(s1.BytesOut-s0.BytesOut) / window.Seconds(),
-		} {
-			if got < linkCap*3/4 || got > linkCap*5/4 {
-				t.Errorf("%s = %.1f KBps, want %.1f (±25%%): back-pressure does not hold the path at the link's rate", name, got/1024, float64(linkCap)/1024)
-			}
+				time.Sleep(time.Second) // settle: rings, parked backlog and pipes fill back to the source
+				const window = 2 * time.Second
+				b0, s0 := mid.Counters(), src.Counters()
+				time.Sleep(window)
+				b1, s1 := mid.Counters(), src.Counters()
+				rates := map[string]float64{"shaped link": float64(b1.BytesOut-b0.BytesOut) / window.Seconds()}
+				if !dgram {
+					rates["source output"] = float64(s1.BytesOut-s0.BytesOut) / window.Seconds()
+				}
+				for name, got := range rates {
+					if got < linkCap*3/4 || got > linkCap*5/4 {
+						t.Errorf("%s = %.1f KBps, want %.1f (±25%%): back-pressure does not hold the path at the link's rate", name, got/1024, float64(linkCap)/1024)
+					}
+				}
+				if b1.WrittenInline != 0 {
+					t.Errorf("%d messages written inline over a shaped link, want 0: the link's backlog is the back-pressure signal", b1.WrittenInline)
+				}
+				t.Logf("middle node: %d written by the sender goroutine, %d switched inline, %d via ring",
+					b1.WrittenBySender, b1.SwitchedInline, b1.SwitchedViaRing)
+			})
 		}
-		if b1.WrittenInline != 0 {
-			t.Errorf("%d messages written inline over a shaped link, want 0: the link's backlog is the back-pressure signal", b1.WrittenInline)
-		}
-		t.Logf("middle node: %d written by the sender goroutine, %d switched inline, %d via ring",
-			b1.WrittenBySender, b1.SwitchedInline, b1.SwitchedViaRing)
 	})
 }
 
@@ -183,22 +205,36 @@ func TestInlineWriteTailKeepsFIFO(t *testing.T) {
 	}
 }
 
-// stallTransport is a vnet transport whose dialed connections stall every
-// vectored write — the sender goroutine's — until the gate opens, while the
-// try form goes straight through. A sender goroutine stalled on a full vnet
-// pipe would not do: the pipe itself refuses a try-write while a blocking
-// one waits, and the test is about the rule one layer up.
+// stallTransport is a vnet transport that holds every dial until dial
+// opens, and stalls the sender goroutine's write until gate opens while the
+// turn's own write goes straight through: on the stream lane every blocking
+// vectored write waits and the try form does not; on the datagram lane the
+// endpoint's first batch send waits — the sender goroutine's, as the turn
+// cannot send before the link is up — and later ones do not, so a turn that
+// wrongly sends past a held batch fails the test instead of hanging it. A
+// sender goroutine stalled on a full vnet pipe would not do: the pipe itself
+// refuses a try-write while a blocking one waits, and the test is about the
+// rule one layer up.
 type stallTransport struct {
 	engine.VNet
-	gate chan struct{}
+	dial, gate chan struct{}
 }
 
 func (s stallTransport) DialFrom(local, addr string, timeout time.Duration) (net.Conn, error) {
+	<-s.dial
 	c, err := s.VNet.DialFrom(local, addr, timeout)
 	if err != nil {
 		return nil, err
 	}
 	return &stallConn{Conn: c.(*vnet.Conn), gate: s.gate}, nil
+}
+
+func (s stallTransport) ListenPacket(addr string) (net.PacketConn, error) {
+	pc, err := s.VNet.ListenPacket(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &stallPacketConn{PacketConn: pc.(*vnet.PacketConn), gate: s.gate}, nil
 }
 
 type stallConn struct {
@@ -211,21 +247,50 @@ func (c *stallConn) WriteBuffers(bufs [][]byte) (int64, error) {
 	return c.Conn.WriteBuffers(bufs)
 }
 
+type stallPacketConn struct {
+	*vnet.PacketConn
+	gate  chan struct{}
+	sends atomic.Int32
+}
+
+func (c *stallPacketConn) WriteToBatch(bufs [][]byte, to net.Addr) (int, error) {
+	if c.sends.Add(1) == 1 {
+		<-c.gate
+	}
+	return c.PacketConn.WriteToBatch(bufs, to)
+}
+
 // TestHeldBatchBlocksInlineWrite: the sender goroutine has popped a batch
 // and is stalled in the middle of writing it, so the ring is empty — and not
 // idle. The pipe has room and would take a try-write; the next run must
 // queue behind the batch all the same, not be written past it by the turn.
-func TestHeldBatchBlocksInlineWrite(t *testing.T) {
+func TestHeldBatchBlocksInlineWrite(t *testing.T) { heldBatchBlocksInlineWrite(t, false) }
+
+// TestHeldDatagramBatchBlocksInlineWrite is the same on the datagram lane:
+// the held batch is framed into the sender goroutine's arena and stalled in
+// its batch send, and the endpoint would take the turn's.
+func TestHeldDatagramBatchBlocksInlineWrite(t *testing.T) { heldBatchBlocksInlineWrite(t, true) }
+
+func heldBatchBlocksInlineWrite(t *testing.T, dgram bool) {
 	n := vnet.New()
 	defer n.Close()
 	const app, first, second = 1, 5, 5
 
 	sink := &orderSink{}
-	startNode(t, n, nid(2), sink)
-	gate := make(chan struct{})
+	startNode(t, n, nid(2), sink, func(c *engine.Config) { c.DatagramData = dgram })
+	dial, gate := make(chan struct{}), make(chan struct{})
 	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
-		c.Transport = stallTransport{VNet: engine.VNet{Net: n}, gate: gate}
+		c.Transport = stallTransport{VNet: engine.VNet{Net: n}, dial: dial, gate: gate}
+		c.DatagramData = dgram
 	})
+	open := func(c chan struct{}) {
+		select {
+		case <-c:
+		default:
+			close(c)
+		}
+	}
+	t.Cleanup(func() { open(dial); open(gate) }) // before Stop, even on a failed wait
 	ringLen := func() uint32 {
 		for _, l := range a.Snapshot().Downstream { // lists a link once it is up
 			if l.Peer == nid(2) {
@@ -234,9 +299,12 @@ func TestHeldBatchBlocksInlineWrite(t *testing.T) {
 		}
 		return ^uint32(0)
 	}
-	// Queued while the link dials, popped in one batch once it is up, and
-	// stalled at the gate.
+	// Queued while the link dials — held until the run is in the ring, or a
+	// dial that wins the race with the turn's flush lets the turn write the
+	// run itself — then popped in one batch and stalled at the gate.
 	a.Do(func(api engine.API) { sendData(api, nid(2), app, 0, first) })
+	barrier(a)
+	open(dial)
 	waitFor(t, 5*time.Second, "the sender goroutine to pop the first run", func() bool { return ringLen() == 0 })
 
 	a.Do(func(api engine.API) { sendData(api, nid(2), app, first, second) })
@@ -251,7 +319,7 @@ func TestHeldBatchBlocksInlineWrite(t *testing.T) {
 		t.Errorf("%d messages arrived with the first batch still held", got)
 	}
 
-	close(gate)
+	open(gate)
 	waitFor(t, 10*time.Second, "everything to arrive", func() bool { return len(sink.arrivals()) >= first+second })
 	expectInOrder(t, sink.arrivals(), first+second)
 	// With the batch written and the hold released, the turn writes again.

@@ -117,7 +117,7 @@ func (e *Engine) runReceiver(r *receiver) {
 	seg := e.pool.GetSegment()
 	fail := func() {
 		seg.Release()
-		e.postEvent(func() { e.receiverGone(r) })
+		e.postEvent(func(API) { e.receiverGone(r) })
 	}
 	fill := 0
 	for {
@@ -214,10 +214,10 @@ type sender struct {
 	staged    []*message.Msg
 	meter     *metrics.Meter
 	linkLimit *bandwidth.Limiter // per-link emulated bandwidth
-	// inline is the link's stream framing when its connection offers
-	// TryWriteBuffers, nil on every other link. Like conn it is set by the
-	// sender goroutine before connReady closes and read only after.
-	inline *streamFraming
+	// inline is the link's framing when it has a non-blocking write, nil on
+	// every other link. Like conn it is set by the sender goroutine before
+	// connReady closes and read only after.
+	inline inlineWriter
 	// dialMu guards dialConn, the connection whose handshake is in flight:
 	// Stop and CloseLink close it from outside so a dialer blocked on the
 	// peer's admission reply returns at once instead of at
@@ -259,6 +259,21 @@ type framing interface {
 	landed() int64
 }
 
+// inlineWriter is the non-blocking write of a link's framing, the one a
+// turn makes itself instead of waking the link's sender goroutine
+// (writeInline). The stream framing offers it on a connection with
+// TryWriteBuffers, the datagram framing on an endpoint with WriteToBatch;
+// kernel sockets have neither, so real links keep their goroutine.
+type inlineWriter interface {
+	// capped reports that an emulated cap — link, uplink or total — paces
+	// the link.
+	capped() bool
+	// tryWrite writes the leading messages of run that can go out whole
+	// right now, without waiting, and reports how many and their wire
+	// bytes. An error means those n messages were lost, not the link.
+	tryWrite(run []*message.Msg) (n int, bytes int64, err error)
+}
+
 // runSender is the sender thread body. It dials lazily: messages queued
 // while the connection is being established are delivered once it is up.
 // A failed dial is retried with capped exponential backoff up to
@@ -277,7 +292,7 @@ func (e *Engine) runSender(s *sender) {
 	if err != nil {
 		close(s.connReady)
 		e.dropQueued(s.ring)
-		e.postEvent(func() { e.senderGone(s) })
+		e.postEvent(func(API) { e.senderGone(s) })
 		return
 	}
 	s.conn = conn
@@ -371,7 +386,7 @@ func (e *Engine) runSender(s *sender) {
 			// now rather than at its inactivity timeout.
 			_ = conn.Close()
 			e.dropQueued(s.ring)
-			e.postEvent(func() { e.senderGone(s) })
+			e.postEvent(func(API) { e.senderGone(s) })
 			return
 		}
 		e.writtenBySender.Add(uint64(wrote))
@@ -495,6 +510,28 @@ func (f *streamFraming) flush() error {
 // reached the wire either.
 func (f *streamFraming) landed() int64 {
 	return f.sent - int64(f.bufw.Buffered())
+}
+
+func (f *streamFraming) capped() bool { return f.shaper.Active() }
+
+// tryWrite hands the run's leading wire images to TryWriteBuffers, which
+// takes whole frames only. The vector is the turn's scratch, not f.vec: the
+// sender goroutine reads that even on a closed ring. A write error is never
+// reported here: the sender goroutine meets it on the tail, and the link
+// dies once, in runSender.
+func (f *streamFraming) tryWrite(run []*message.Msg) (int, int64, error) {
+	vec := f.e.inlineVec[:0]
+	for _, m := range run {
+		w := m.Wire()
+		if w == nil {
+			break // no contiguous image: the sender goroutine renders it
+		}
+		vec = append(vec, w)
+	}
+	frames, bytes, _ := f.tw.TryWriteBuffers(vec)
+	clear(vec)
+	f.e.inlineVec = vec[:0]
+	return frames, bytes, nil
 }
 
 // errPeerBusy marks a dial attempt refused by the peer's admission gate
@@ -703,7 +740,7 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func(
 	e.rec.Emit(trace.KindLinkUp, peer, 0, 1)
 	e.wg.Add(1)
 	go e.runReceiver(r)
-	e.postEvent(func() {
+	e.postEvent(func(API) {
 		e.notifyAlg(protocol.TypeLinkUp, 0,
 			protocol.LinkEvent{Peer: peer, Upstream: true}.Encode())
 	})
@@ -730,7 +767,7 @@ func (e *Engine) runObserverReader(o *observerLink) {
 	for {
 		m, err := o.Read()
 		if err != nil {
-			e.postEvent(func() { e.observerGone(o) })
+			e.postEvent(func(API) { e.observerGone(o) })
 			return
 		}
 		if m.Type() == protocol.TypeBusy {

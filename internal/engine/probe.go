@@ -123,7 +123,7 @@ func (e *Engine) armInactivity(r *receiver) {
 	}
 	r.inactivity = time.AfterFunc(e.cfg.InactivityTimeout, func() {
 		// r.apps is token-holder state; the check runs as a turn.
-		e.postEvent(func() { e.checkInactivity(r) })
+		e.postEvent(func(API) { e.checkInactivity(r) })
 	})
 }
 

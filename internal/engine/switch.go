@@ -148,16 +148,19 @@ func (e *Engine) switchBatch(r *receiver, ms []*message.Msg) {
 	e.flushStaged()
 }
 
-// switchInline is the receiver-side fast path: r's goroutine, holding a
-// decoded batch, takes the turn token if it is free and runs the batch's
-// quantum itself instead of pushing it through r's ring and waking the
-// engine goroutine. It reports false, having done nothing, unless every
+// switchInline is the receiver-side fast path: the goroutine that decoded
+// a batch for r — the link's stream receiver, or on a datagram data lane the
+// node's packet reader — takes the turn token if it is free and runs the
+// batch's quantum itself instead of pushing it through r's ring and waking
+// the engine goroutine. It reports false, having done nothing, unless every
 // one of these holds — each is what keeps a guarantee the ring path gives:
 //
-//   - r's ring is Idle (open and empty) and the token was free: nothing of
-//     this link is queued or being switched ahead of the batch — FIFO per
-//     link. r's goroutine is its ring's only producer, so the answer holds
-//     until it pushes;
+//   - r's ring is Idle (open and empty) and the token was free: nothing the
+//     caller pushed is queued or being switched ahead of the batch — FIFO per
+//     producer, which is all the ring ever promised. A link's data has one
+//     producer, the stream receiver or the packet reader, so the answer holds
+//     until the caller pushes; control on a datagram link rides the stream
+//     and goes through deliverControl, which the waiting check covers;
 //   - r.pass >= 0: the link's first batch went through the ring, behind the
 //     LinkUp event its handshake posted;
 //   - nothing waits for the engine goroutine (control before data), and
@@ -169,10 +172,10 @@ func (e *Engine) switchBatch(r *receiver, ms []*message.Msg) {
 // quantum ends in try-writes and TryPush. Everything read here that is
 // token-holder-only state is read after the TryLock.
 func (e *Engine) switchInline(r *receiver, batch []*message.Msg, bytes int64) bool {
-	if e.pconn != nil || e.waiting.Load() > 0 || !r.ring.Idle() {
-		// On a datagram data lane the packet reader feeds r's ring too. With
-		// a turn waiting, not even trying keeps this goroutine from barging
-		// in front of the engine goroutine as it wakes to take the token.
+	if e.waiting.Load() > 0 || !r.ring.Idle() {
+		// With a turn waiting, not even trying keeps this goroutine from
+		// barging in front of the engine goroutine as it wakes to take the
+		// token.
 		return false
 	}
 	if !e.turnMu.TryLock() {
@@ -324,10 +327,12 @@ func (e *Engine) flushStaged() {
 
 // writeInline writes the head of a destination's staged run from the turn
 // itself, without waking the link's sender goroutine, and reports how many
-// messages it wrote and released. It writes only when nothing is ahead of
-// the run and the write cannot wait:
+// messages it disposed of. It writes only when nothing is ahead of the run
+// and the write cannot wait:
 //
-//   - the link is up on a connection with TryWriteBuffers (s.inline);
+//   - the link is up and its framing has a non-blocking write (s.inline):
+//     stream framing on a connection with TryWriteBuffers, datagram framing
+//     on an endpoint with WriteToBatch;
 //   - no emulated cap paces it — link, uplink or total: a shaped link's
 //     rate is the sender goroutine's to keep, and its backlog is the
 //     back-pressure signal;
@@ -338,43 +343,38 @@ func (e *Engine) flushStaged() {
 // The turn is the ring's only producer, so an idle ring stays idle until
 // the caller pushes the tail. What went out is metered, counted, released
 // and credited as runSender would have; a bypassed message waited in no
-// queue, and the data-lane delay histogram says so. A write error is left
-// for the sender goroutine to find on the tail: the link dies once, in
-// runSender, with its loss accounting.
+// queue, and the data-lane delay histogram says so. A datagram send error
+// costs the messages, as in the sender goroutine, never the link; a stream
+// write error is left for the sender goroutine to find on the tail, so the
+// link dies once, in runSender, with its loss accounting.
 func (e *Engine) writeInline(s *sender, run []*message.Msg) int {
 	select {
 	case <-s.connReady:
 	default:
 		return 0 // still dialing
 	}
-	f := s.inline
-	if f == nil || f.shaper.Active() || !s.ring.Idle() {
+	w := s.inline
+	if w == nil || w.capped() || !s.ring.Idle() {
 		return 0
 	}
-	vec := e.inlineVec[:0]
-	for _, m := range run {
-		w := m.Wire()
-		if w == nil {
-			break // no contiguous image: the sender goroutine renders it
-		}
-		vec = append(vec, w)
-	}
-	frames, bytes, _ := f.tw.TryWriteBuffers(vec)
-	clear(vec)
-	e.inlineVec = vec[:0]
-	if frames == 0 {
+	n, bytes, err := w.tryWrite(run)
+	if n == 0 {
 		return 0
 	}
-	s.meter.Add(bytes)
-	e.counters.AddOut(int64(frames), bytes)
-	e.sendBatchHist.Observe(int64(frames))
-	e.dataDelayHist.ObserveN(0, uint64(frames))
-	e.writtenInline.Add(uint64(frames))
-	for _, m := range run[:frames] {
+	if err != nil {
+		e.counters.AddDroppedBatch(int64(n), bytes)
+	} else {
+		s.meter.Add(bytes)
+		e.counters.AddOut(int64(n), bytes)
+		e.sendBatchHist.Observe(int64(n))
+		e.dataDelayHist.ObserveN(0, uint64(n))
+		e.writtenInline.Add(uint64(n))
+	}
+	for _, m := range run[:n] {
 		m.Release()
 	}
 	e.credit(bytes)
-	return frames
+	return n
 }
 
 // forgetSender drops what the send path remembers about a link that died

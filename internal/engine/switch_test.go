@@ -86,16 +86,18 @@ func TestSwitchFansInEightReceivers(t *testing.T) {
 // TestProcessStaysSerialized checks the paper's contract as the engine now
 // keeps it: never two Algorithm.Process calls at once, and every call
 // happens-after the previous one, whichever goroutine holds the turn token.
-// Four receivers feed the sink (switching inline when they can), a fifth
-// link carries control traffic and a Do loop adds events, so every kind of
-// turn competes for the token.
+// Four stream receivers and the packet reader feed the sink (switching
+// inline when they can), a sixth link carries control traffic and a Do loop
+// adds events, so every kind of turn competes for the token.
 func TestProcessStaysSerialized(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
-	const app = 3
+	const app, dgramApp = 3, 4
 
 	sink := &serialSink{}
-	e := startNode(t, n, nid(9), sink)
+	// The sink binds a packet endpoint; its stream peers still send on the
+	// stream, so data reaches it both ways.
+	e := startNode(t, n, nid(9), sink, func(c *engine.Config) { c.DatagramData = true })
 
 	for i := 0; i < 4; i++ {
 		src := &recorder{}
@@ -103,6 +105,10 @@ func TestProcessStaysSerialized(t *testing.T) {
 		a := startNode(t, n, nid(i+1), src)
 		a.StartSource(app, 0, 1024)
 	}
+	dsrc := &recorder{}
+	dsrc.DefaultRoutes = []message.NodeID{nid(9)}
+	// Paced: nothing holds a datagram source back, and its overflow is loss.
+	startNode(t, n, nid(6), dsrc, func(c *engine.Config) { c.DatagramData = true }).StartSource(dgramApp, 4<<20, 1024)
 	ctl := startNode(t, n, nid(5), &recorder{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -135,8 +141,9 @@ func TestProcessStaysSerialized(t *testing.T) {
 		}
 	}()
 
-	waitFor(t, 10*time.Second, "sink to process fanned-in data, control and events", func() bool {
-		return sink.ReceivedBytes(app) > 2<<20 && sink.customs.Load() > 100 && events.Load() > 100
+	waitFor(t, 10*time.Second, "sink to process fanned-in data, datagrams, control and events", func() bool {
+		return sink.ReceivedBytes(app) > 2<<20 && sink.ReceivedBytes(dgramApp) > 1<<20 &&
+			sink.customs.Load() > 100 && events.Load() > 100
 	})
 	close(stop)
 	wg.Wait()

@@ -7,10 +7,11 @@ import (
 
 // checkHotPath keeps allocation- and syscall-heavy constructs out of the
 // per-message paths. The hot set is the engine's switch loop, the sender,
-// receiver and datagram-reader loops, the per-message loops of the quantum
-// (switchBatch) and of the turn's own wire write (writeInline) — their
-// for-loop bodies; setup and teardown outside the loop are cold — and the
-// whole of Send/retryParked, which run once per switched message:
+// receiver and datagram-reader loops and the per-message loop of the
+// quantum (switchBatch) — their for-loop bodies; setup and teardown outside
+// the loop are cold — and the whole of Send/retryParked, which run once per
+// switched message, and of writeInline, which runs once per destination
+// per quantum and reaches each framing's tryWrite through an interface:
 //
 //   - fmt.* formats allocate and reflect per call;
 //   - time.Now is a syscall-class call — the loops batch timestamps and
@@ -35,7 +36,7 @@ const checkNameHotPath = "hotpath"
 var hotSet = map[string]bool{
 	"Send": true, "retryParked": true,
 	"switchOnce": false, "runSender": false, "runReceiver": false, "runDgramReader": false,
-	"switchBatch": false, "writeInline": false,
+	"switchBatch": false, "writeInline": true,
 }
 
 func checkHotPath(g *Graph, p *Package, report reportFunc) {

@@ -114,7 +114,11 @@ type PacketConn struct {
 
 	mu           sync.Mutex
 	readDeadline time.Time
-	pending      []dgram // unread tail of the last batch taken from inbox
+	// pending holds the unread tails of batches taken from inbox, consumed
+	// from head on. It is reset to [:0] when it drains, so a steady reader
+	// reuses one backing array instead of walking its capacity away.
+	pending []dgram
+	head    int
 }
 
 var _ net.PacketConn = (*PacketConn)(nil)
@@ -361,9 +365,8 @@ func (d Dgram) Owner() interface{ Release() } { return d.buf }
 func (p *PacketConn) TryReadDgrams(dst []Dgram) int {
 	n := 0
 	p.mu.Lock()
-	for n < len(dst) && len(p.pending) > 0 {
-		pkt := p.pending[0]
-		p.pending = p.pending[1:]
+	for n < len(dst) && p.head < len(p.pending) {
+		pkt := p.popPending()
 		dst[n] = Dgram{Data: pkt.data, From: pkt.from, buf: pkt.buf}
 		n++
 	}
@@ -392,6 +395,18 @@ func (p *PacketConn) TryReadDgrams(dst []Dgram) int {
 	return n
 }
 
+// popPending takes the oldest unread packet; the caller holds p.mu and has
+// seen one queued. The slot is cleared so no consumed buffer stays pinned.
+func (p *PacketConn) popPending() dgram {
+	pkt := p.pending[p.head]
+	p.pending[p.head] = dgram{}
+	p.head++
+	if p.head == len(p.pending) {
+		p.pending, p.head = p.pending[:0], 0
+	}
+	return pkt
+}
+
 // consume copies one packet out to the caller and retires it: the
 // inbox reservation is returned and the packet's buffer reference
 // dropped (the copy makes the caller's view independent of the pool).
@@ -418,9 +433,8 @@ func (p *PacketConn) stashRest(batch []dgram) dgram {
 // packet larger than b is truncated, per datagram socket semantics.
 func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 	p.mu.Lock()
-	if len(p.pending) > 0 {
-		pkt := p.pending[0]
-		p.pending = p.pending[1:]
+	if p.head < len(p.pending) {
+		pkt := p.popPending()
 		p.mu.Unlock()
 		n, from := p.consume(pkt, b)
 		return n, from, nil

@@ -335,3 +335,59 @@ func TestDgramClosedEndpoint(t *testing.T) {
 	// The address is free again.
 	mustListenPacket(t, n, "10.0.0.1:7000")
 }
+
+// TestDgramSteadyReadsAllocateNothing: a reader that takes packets one at a
+// time, or fewer at a time than a batch holds, keeps the unread tail in one
+// queue that it reuses. (It used to advance a slice past each packet read,
+// so nearly every multi-packet batch re-allocated the queue: one allocation
+// per batch on both read paths.)
+func TestDgramSteadyReadsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers on purpose")
+	}
+	n := New()
+	defer n.Close()
+	a := mustListenPacket(t, n, "10.0.0.1:7000")
+	b := mustListenPacket(t, n, "10.0.0.2:7000")
+	to := Addr("10.0.0.2:7000") // boxed once, as a caller would
+	const perBatch = 8
+	bufs := make([][]byte, perBatch)
+	for i := range bufs {
+		bufs[i] = make([]byte, 1024)
+	}
+	send := func() {
+		if _, err := a.(*PacketConn).WriteToBatch(bufs, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	buf := make([]byte, 2048)
+	readFrom := func() {
+		send()
+		for i := 0; i < perBatch; i++ {
+			if _, _, err := b.ReadFrom(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dst := make([]Dgram, 3) // smaller than a batch: every call leaves a tail
+	tryRead := func() {
+		send()
+		for got := 0; got < perBatch; {
+			k := b.(*PacketConn).TryReadDgrams(dst)
+			if k == 0 {
+				t.Fatalf("%d of %d packets read, then none queued", got, perBatch)
+			}
+			for i := range dst[:k] {
+				dst[i].Release()
+				dst[i] = Dgram{}
+			}
+			got += k
+		}
+	}
+	for name, read := range map[string]func(){"ReadFrom": readFrom, "TryReadDgrams": tryRead} {
+		if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+			t.Errorf("%s: %.2f allocations per %d-packet batch read, want 0", name, allocs, perBatch)
+		}
+	}
+}
