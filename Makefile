@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt build test vet lint fuzz race chaos churn-soak backpressure bench bench-smoke trace-smoke examples-smoke
+.PHONY: ci fmt build test vet lint fuzz race chaos churn-soak backpressure allocs bench bench-smoke trace-smoke examples-smoke
 
 # ci is the tier-1 gate: everything here must pass before a change lands.
-ci: fmt vet lint build test backpressure bench-smoke trace-smoke examples-smoke fuzz race chaos
+ci: fmt vet lint build test backpressure allocs bench-smoke trace-smoke examples-smoke fuzz race chaos
 
 # Linter fixtures under internal/lint/testdata deliberately contain
 # rule-violating code; they are exercised by the linter's own tests, not
@@ -92,6 +92,14 @@ churn-soak:
 # already runs them at the host's GOMAXPROCS.
 backpressure:
 	$(GO) test -count=1 -cpu 1,4 -run 'TestFig6BackPressureCorrectness|TestFig7LargeBuffersLocalize' ./internal/experiments
+
+# allocs runs the allocation tripwires five times over: a hop, a link's
+# build and teardown, a status tick, an injection, a datagram read. Each
+# reads a process-wide counter, so a bound that holds only sometimes fails
+# here rather than in somebody else's run.
+ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing
+allocs:
+	$(GO) test -count=5 -run '$(ALLOCS)' ./internal/engine ./internal/vnet
 
 # trace-smoke proves the flight-recorder pipeline end to end with fresh
 # runs (-count=1 defeats the test cache): events recorded on a live

@@ -1,7 +1,9 @@
 package admission
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -184,18 +186,15 @@ func (d *Door) handshake(conn net.Conn, handle Handler) {
 		timeout = DefaultHelloTimeout
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(timeout))
-	m, err := message.Read(conn, nil, 256)
+	peer, app, err := readHello(conn)
 	d.mu.Lock()
 	delete(d.greeting, conn)
 	d.mu.Unlock()
-	if err != nil || m.Type() != protocol.TypeHello {
+	if err != nil {
 		dec := BadHello
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			dec = Timeout
-		}
-		if err == nil {
-			m.Release()
 		}
 		d.Counters.AddHandshakeFailed()
 		d.Rec.Emit(trace.KindAccept, message.NodeID{}, 0, int64(dec))
@@ -203,9 +202,40 @@ func (d *Door) handshake(conn net.Conn, handle Handler) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	peer, app := m.Sender(), m.App()
-	m.Release()
 	handle(conn, peer, app, release)
+}
+
+// maxHelloPayload bounds the payload a hello may carry; a node's own hello
+// is a bare header.
+const maxHelloPayload = 256
+
+// errNotHello marks a first frame that is not a hello, or one whose
+// payload is past maxHelloPayload.
+var errNotHello = errors.New("admission: first frame is not a hello")
+
+// readHello reads the connection's first frame into a fixed header array
+// and returns the hello's sender and App field. A payload, if the frame
+// carries one, is read and discarded.
+func readHello(conn net.Conn) (message.NodeID, uint32, error) {
+	var hdr [message.HeaderSize]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return message.NodeID{}, 0, err
+	}
+	size, _ := message.PeekPayloadLen(hdr[:])
+	if size > maxHelloPayload {
+		return message.NodeID{}, 0, errNotHello
+	}
+	if size > 0 {
+		if _, err := io.ReadFull(conn, make([]byte, size)); err != nil {
+			return message.NodeID{}, 0, err
+		}
+	}
+	// The class tag is no part of the type: compare with it set on both.
+	if message.Type(binary.BigEndian.Uint32(hdr[0:4])).AsControl() != protocol.TypeHello.AsControl() {
+		return message.NodeID{}, 0, errNotHello
+	}
+	peer := message.NodeID{IP: binary.BigEndian.Uint32(hdr[4:8]), Port: binary.BigEndian.Uint32(hdr[8:12])}
+	return peer, binary.BigEndian.Uint32(hdr[12:16]), nil
 }
 
 // Refuse answers conn with a one-frame Busy carrying the reason and the

@@ -26,7 +26,10 @@ const DefaultBurstWindow = 50 * time.Millisecond
 // Limiter is a token-bucket rate limiter measured in bytes per second. A
 // zero or negative rate means unlimited. Limiters are safe for concurrent
 // use; several connections may share one limiter to model a shared budget
-// (for example a node's uplink shared by all its outgoing links).
+// (for example a node's uplink shared by all its outgoing links). The zero
+// value is not usable: Init builds a limiter in place — a link's sender
+// keeps its per-link limiter by value — and a limiter must not be copied
+// after Init.
 type Limiter struct {
 	// active mirrors rate > 0 and lets the hot data path skip the mutex
 	// entirely for unlimited limiters — every shaped byte would otherwise
@@ -40,14 +43,21 @@ type Limiter struct {
 	tokens float64
 	last   time.Time
 	closed bool
-	wake   *sync.Cond
+	wake   sync.Cond
 }
 
-// NewLimiter returns a limiter at the given rate in bytes per second.
-func NewLimiter(rate int64) *Limiter {
-	l := &Limiter{rate: rate, burst: DefaultBurstWindow, last: time.Now()}
+// Init makes l a limiter at the given rate in bytes per second.
+func (l *Limiter) Init(rate int64) {
+	l.rate, l.burst, l.last = rate, DefaultBurstWindow, time.Now()
 	l.active.Store(rate > 0)
-	l.wake = sync.NewCond(&l.mu)
+	l.wake.L = &l.mu
+}
+
+// NewLimiter returns a limiter built by Init, for holders that share one by
+// pointer: a node's budget, a local source, and the benchmark's micro rows.
+func NewLimiter(rate int64) *Limiter {
+	l := new(Limiter)
+	l.Init(rate)
 	return l
 }
 
@@ -165,17 +175,23 @@ func (l *Limiter) sleepLocked(d time.Duration) {
 // Shaper applies an ordered set of limiters to a byte stream. The paper
 // stacks per-link, per-node-direction, and per-node-total budgets on each
 // socket; a Shaper composes them, consuming from every limiter for each
-// chunk transferred.
+// chunk transferred. It is a small value — at most those three limiters —
+// held by whatever it shapes.
 type Shaper struct {
-	limits []*Limiter
+	limits [maxLimits]*Limiter
+	n      int
 }
 
-// NewShaper composes limiters; nil entries are skipped.
-func NewShaper(limits ...*Limiter) *Shaper {
-	s := &Shaper{}
+// maxLimits is the most limiters a Shaper composes: link, direction, total.
+const maxLimits = 3
+
+// NewShaper composes up to three limiters; nil entries are skipped.
+func NewShaper(limits ...*Limiter) Shaper {
+	var s Shaper
 	for _, l := range limits {
 		if l != nil {
-			s.limits = append(s.limits, l)
+			s.limits[s.n] = l
+			s.n++
 		}
 	}
 	return s
@@ -183,7 +199,7 @@ func NewShaper(limits ...*Limiter) *Shaper {
 
 // Wait consumes n bytes of budget from every composed limiter.
 func (s *Shaper) Wait(n int) {
-	for _, l := range s.limits {
+	for _, l := range s.limits[:s.n] {
 		l.Wait(n)
 	}
 }
@@ -192,7 +208,7 @@ func (s *Shaper) Wait(n int) {
 // Rates are runtime-tunable, so callers must re-check per transfer rather
 // than caching the answer.
 func (s *Shaper) Active() bool {
-	for _, l := range s.limits {
+	for _, l := range s.limits[:s.n] {
 		if l.active.Load() {
 			return true
 		}
@@ -210,8 +226,9 @@ type Writer struct {
 	s *Shaper
 }
 
-// NewWriter wraps w with the shaper. A nil shaper passes through.
-func NewWriter(w io.Writer, s *Shaper) *Writer { return &Writer{w: w, s: s} }
+// NewWriter wraps w with the shaper. A nil shaper passes through. The
+// writer is a value: its holder keeps it and writes through its address.
+func NewWriter(w io.Writer, s *Shaper) Writer { return Writer{w: w, s: s} }
 
 // Write pushes b through the shaper in paced chunks. When no composed
 // limiter is active the write passes through whole, with no chunking and
@@ -244,8 +261,9 @@ type Reader struct {
 	s *Shaper
 }
 
-// NewReader wraps r with the shaper. A nil shaper passes through.
-func NewReader(r io.Reader, s *Shaper) *Reader { return &Reader{r: r, s: s} }
+// NewReader wraps r with the shaper. A nil shaper passes through. The
+// reader is a value: its holder keeps it and reads through its address.
+func NewReader(r io.Reader, s *Shaper) Reader { return Reader{r: r, s: s} }
 
 // Read fills b at the shaped rate. When no composed limiter is active the
 // read passes through whole — in particular it is not clamped to maxChunk,
@@ -285,13 +303,14 @@ func NewNodeBudget(total, up, down int64) *NodeBudget {
 }
 
 // UpShaper composes the node's outgoing budget with a per-link limiter.
-func (b *NodeBudget) UpShaper(link *Limiter) *Shaper {
+func (b *NodeBudget) UpShaper(link *Limiter) Shaper {
 	return NewShaper(link, b.Up, b.Total)
 }
 
-// DownShaper composes the node's incoming budget with a per-link limiter.
-func (b *NodeBudget) DownShaper(link *Limiter) *Shaper {
-	return NewShaper(link, b.Down, b.Total)
+// DownShaper composes the node's incoming budget. Incoming links carry no
+// cap of their own, so one down shaper serves every receiver of the node.
+func (b *NodeBudget) DownShaper() Shaper {
+	return NewShaper(b.Down, b.Total)
 }
 
 // Close releases all three limiters.

@@ -143,8 +143,8 @@ func TestShaperTakesMinOfLimiters(t *testing.T) {
 
 func TestNewShaperSkipsNil(t *testing.T) {
 	s := NewShaper(nil, NewLimiter(Unlimited), nil)
-	if len(s.limits) != 1 {
-		t.Errorf("NewShaper kept %d limiters, want 1", len(s.limits))
+	if s.n != 1 {
+		t.Errorf("NewShaper kept %d limiters, want 1", s.n)
 	}
 	s.Wait(1024) // must not panic
 }
@@ -153,7 +153,8 @@ func TestShapedWriterRate(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLimiter(300 << 10)
 	defer l.Close()
-	w := NewWriter(&buf, NewShaper(l))
+	sh := NewShaper(l)
+	w := NewWriter(&buf, &sh)
 	payload := make([]byte, 90<<10)
 	start := time.Now()
 	n, err := w.Write(payload)
@@ -182,9 +183,10 @@ func TestShapedReaderRate(t *testing.T) {
 	src := bytes.NewReader(make([]byte, 90<<10))
 	l := NewLimiter(300 << 10)
 	defer l.Close()
-	r := NewReader(src, NewShaper(l))
+	sh := NewShaper(l)
+	r := NewReader(src, &sh)
 	start := time.Now()
-	n, err := io.Copy(io.Discard, r)
+	n, err := io.Copy(io.Discard, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestNodeBudgetAsymmetric(t *testing.T) {
 	// the waiter between refills.
 	within(t, "uplink rate", got, 100<<10, 0.4)
 
-	down := b.DownShaper(nil)
+	down := b.DownShaper()
 	start := time.Now()
 	for off := 0; off < 1<<20; off += 4096 {
 		down.Wait(4096)
@@ -219,11 +221,11 @@ func TestNodeBudgetAsymmetric(t *testing.T) {
 func TestNodeBudgetTotalCapsBothDirections(t *testing.T) {
 	b := NewNodeBudget(200<<10, Unlimited, Unlimited)
 	defer b.Close()
-	up, down := b.UpShaper(nil), b.DownShaper(nil)
+	up, down := b.UpShaper(nil), b.DownShaper()
 	const each = 30 << 10
 	start := time.Now()
 	var wg sync.WaitGroup
-	for _, s := range []*Shaper{up, down} {
+	for _, s := range []*Shaper{&up, &down} {
 		wg.Add(1)
 		go func(s *Shaper) {
 			defer wg.Done()

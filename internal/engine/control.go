@@ -236,7 +236,7 @@ func (e *Engine) handleBrokenSource(cm ctrlMsg) {
 	}
 	e.mu.Lock()
 	if r, ok := e.receivers[cm.from]; ok {
-		delete(r.apps, bs.App)
+		r.apps.remove(bs.App)
 	}
 	e.mu.Unlock()
 	if !e.appStillSupplied(bs.App, cm.from) {
@@ -249,33 +249,34 @@ func (e *Engine) handleBrokenSource(cm ctrlMsg) {
 // the algorithm's decision. (Inactivity failure detection is not scanned
 // here — each receiver carries its own monotonic deadline, see probe.go.)
 func (e *Engine) periodic() {
+	// The rates are read under mu and delivered after it, into the scratch
+	// list the last tick left: a tick allocates nothing.
+	rates := e.rates[:0]
 	e.mu.Lock()
-	type linkInfo struct {
-		peer message.NodeID
-		rate float64
-	}
-	ups := make([]linkInfo, 0, len(e.receivers))
 	for peer, r := range e.receivers {
-		ups = append(ups, linkInfo{peer, r.meter.Rate()})
+		rates = append(rates, linkRate{protocol.TypeUpThroughput, peer, r.meter.Rate()})
 	}
-	downs := make([]linkInfo, 0, len(e.senders))
 	for peer, s := range e.senders {
-		downs = append(downs, linkInfo{peer, s.meter.Rate()})
+		rates = append(rates, linkRate{protocol.TypeDownThroughput, peer, s.meter.Rate()})
 	}
 	e.mu.Unlock()
-
-	for _, u := range ups {
-		e.notifyAlg(protocol.TypeUpThroughput, 0,
-			protocol.Throughput{Peer: u.peer, Rate: u.rate}.Encode())
-	}
-	for _, d := range downs {
-		e.notifyAlg(protocol.TypeDownThroughput, 0,
-			protocol.Throughput{Peer: d.peer, Rate: d.rate}.Encode())
+	e.rates = rates
+	for _, lr := range rates {
+		var b [protocol.ThroughputSize]byte
+		e.notifyAlg(lr.typ, 0, protocol.Throughput{Peer: lr.peer, Rate: lr.rate}.Append(b[:0]))
 	}
 	// Liveness kick: re-arm the switch unconditionally so that a missed
 	// work signal (however it was lost) stalls progress for at most one
 	// status interval instead of forever.
 	e.signalWork()
+}
+
+// linkRate is one link's measured rate as a status tick reports it to the
+// algorithm: an up- or a down-throughput notification.
+type linkRate struct {
+	typ  message.Type
+	peer message.NodeID
+	rate float64
 }
 
 // ----- remaining API surface -----

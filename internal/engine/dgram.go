@@ -73,7 +73,7 @@ type dgramFraming struct {
 	conn   net.Conn
 	dest   net.Addr
 	bw     packetBatchWriter // nil: endpoint has no batch path
-	shaper *bandwidth.Shaper
+	shaper bandwidth.Shaper
 
 	arena   []byte   // backing for queued frames; never reallocated
 	frames  [][]byte // queued frames, each a view into arena
@@ -92,7 +92,7 @@ func (e *Engine) newDgramFraming(s *sender, conn net.Conn) (framing, error) {
 	}
 	d := &dgramFraming{
 		e: e, s: s, conn: conn, dest: dest,
-		shaper:  e.budget.UpShaper(s.linkLimit),
+		shaper:  e.budget.UpShaper(&s.linkLimit),
 		scratch: make([]byte, 0, e.cfg.DatagramMTU),
 	}
 	if bw, ok := e.pconn.(packetBatchWriter); ok {

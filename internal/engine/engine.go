@@ -189,11 +189,15 @@ type parkedMsg struct {
 
 // Engine is one iOverlay node.
 type Engine struct {
-	cfg      Config
-	id       message.NodeID
-	alg      Algorithm
-	pool     *message.Pool
+	cfg  Config
+	id   message.NodeID
+	addr string // id rendered as a dial/listen address, once
+	alg  Algorithm
+	pool *message.Pool
+	// budget is the node's emulated bandwidth; down composes its incoming
+	// half, the one shaper every receiver reads through.
 	budget   *bandwidth.NodeBudget
+	down     bandwidth.Shaper
 	counters metrics.Counters
 
 	// door is the front door of the publicized port: accept, admission
@@ -302,16 +306,11 @@ type Engine struct {
 	obsBusyHint atomic.Int64
 
 	// Token-holder-only state: read and written under turnMu.
-	pingSent  map[uint32]time.Time
-	probeRecv map[probeKey]*probeAgg
-	nextToken uint32
-	// sentApps tracks which apps have been forwarded toward which
-	// destination, for BrokenSource cascades; notedDest/notedApp is the pair
-	// recorded last (zero notedDest: none).
-	sentApps     map[message.NodeID]map[uint32]struct{}
-	notedDest    message.NodeID
-	notedApp     uint32
-	lastEventSeq uint64 // recorder cursor already shipped in a report
+	pingSent     map[uint32]time.Time
+	probeRecv    map[probeKey]*probeAgg
+	nextToken    uint32
+	lastEventSeq uint64     // recorder cursor already shipped in a report
+	rates        []linkRate // the status tick's scratch
 	// The switch's scheduler state — see switch.go. parked is the backlog
 	// full sender rings refused, parkedByDest its per-destination count,
 	// retryFull retryParked's scratch set of still-full destinations,
@@ -368,6 +367,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:          cfg,
 		id:           cfg.ID,
+		addr:         cfg.ID.Addr(),
 		alg:          cfg.Algorithm,
 		pool:         message.NewPool(),
 		budget:       bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
@@ -380,7 +380,6 @@ func New(cfg Config) (*Engine, error) {
 		localRing:    queue.New(cfg.RecvBuf),
 		localApps:    make(map[uint32]*source),
 		pingSent:     make(map[uint32]time.Time),
-		sentApps:     make(map[message.NodeID]map[uint32]struct{}),
 		parkedByDest: make(map[message.NodeID]int),
 		retryFull:    make(map[message.NodeID]bool),
 		switchBuf:    make([]*message.Msg, cfg.BatchSize),
@@ -388,6 +387,7 @@ func New(cfg Config) (*Engine, error) {
 		events:       make(chan func(API), 4096),
 		done:         make(chan struct{}),
 	}
+	e.down = e.budget.DownShaper()
 	e.hello = message.New(protocol.TypeHello, cfg.ID, 0, 0, nil).AppendHeader(nil)
 	e.welcome = message.New(protocol.TypeWelcome, cfg.ID, 0, 0, nil).AppendHeader(nil)
 	// The reconnect jitter seed mixes Config.Seed with the identity
@@ -531,15 +531,15 @@ func (e *Engine) isObserverID(id message.NodeID) bool {
 // Start binds the publicized port, attaches the algorithm, launches the
 // engine goroutine and bootstraps from the observer when configured.
 func (e *Engine) Start() error {
-	l, err := e.cfg.Transport.Listen(e.id.Addr())
+	l, err := e.cfg.Transport.Listen(e.addr)
 	if err != nil {
-		return fmt.Errorf("engine: listen %s: %w", e.id.Addr(), err)
+		return fmt.Errorf("engine: listen %s: %w", e.addr, err)
 	}
 	if e.cfg.DatagramData {
-		pc, err := e.cfg.Transport.(PacketTransport).ListenPacket(e.id.Addr())
+		pc, err := e.cfg.Transport.(PacketTransport).ListenPacket(e.addr)
 		if err != nil {
 			_ = l.Close()
-			return fmt.Errorf("engine: listen datagram %s: %w", e.id.Addr(), err)
+			return fmt.Errorf("engine: listen datagram %s: %w", e.addr, err)
 		}
 		e.pconn = pc
 	}
@@ -960,10 +960,13 @@ func (e *Engine) deliverControl(m *message.Msg, from message.NodeID) {
 	}
 }
 
-// notifyAlg delivers an engine-produced notification to the algorithm.
+// notifyAlg delivers an engine-produced notification to the algorithm, in
+// a pooled message holding a copy of payload: callers may encode it into a
+// buffer on their stack.
 func (e *Engine) notifyAlg(typ message.Type, app uint32, payload []byte) {
 	e.assertTurn("notifyAlg")
-	m := message.New(typ, e.id, app, 0, payload)
+	m := e.pool.Get(typ, e.id, app, 0, len(payload))
+	copy(m.Payload(), payload)
 	if e.alg.Process(m) == Done {
 		m.Release()
 	}
@@ -992,9 +995,6 @@ func (e *Engine) Send(m *message.Msg, dest message.NodeID) {
 		// open an overlay link to a dead (or live) observer.
 		e.sendToObserver(m)
 		return
-	}
-	if m.IsData() {
-		e.noteSentApp(dest, m.App())
 	}
 	e.deliverOut(m, dest)
 }
@@ -1077,11 +1077,12 @@ func (e *Engine) receiverGone(r *receiver) {
 	}
 	_ = r.conn.Close()
 	r.ring.Close()
-	e.dropQueued(r.ring)
+	e.dropQueued(&r.ring)
 	e.rec.Emit(trace.KindLinkDown, r.peer, 0, 1)
+	var b [protocol.LinkEventSize]byte
 	e.notifyAlg(protocol.TypeLinkDown, 0,
-		protocol.LinkEvent{Peer: r.peer, Upstream: true}.Encode())
-	for app := range r.apps {
+		protocol.LinkEvent{Peer: r.peer, Upstream: true}.Append(b[:0]))
+	for _, app := range r.apps {
 		if !e.appStillSupplied(app, r.peer) {
 			e.brokenSource(app, r.peer)
 		}
@@ -1100,7 +1101,7 @@ func (e *Engine) appStillSupplied(app uint32, except message.NodeID) bool {
 		if peer == except {
 			continue
 		}
-		if _, ok := r.apps[app]; ok {
+		if r.apps.has(app) {
 			return true
 		}
 	}
@@ -1111,18 +1112,19 @@ func (e *Engine) appStillSupplied(app uint32, except message.NodeID) bool {
 // cascades a BrokenSource control message to every downstream this node
 // forwarded the app to.
 func (e *Engine) brokenSource(app uint32, upstream message.NodeID) {
-	payload := protocol.BrokenSource{App: app, Upstream: upstream}.Encode()
-	e.notifyAlg(protocol.TypeBrokenSource, app, payload)
+	var b [protocol.BrokenSourceSize]byte
+	e.notifyAlg(protocol.TypeBrokenSource, app,
+		protocol.BrokenSource{App: app, Upstream: upstream}.Append(b[:0]))
 
-	// sentApps is token-holder state, like this whole cascade path.
+	// A sender's apps are token-holder state, like this whole cascade path.
 	var dests []message.NodeID
-	for peer, apps := range e.sentApps {
-		if _, ok := apps[app]; ok {
+	e.mu.Lock()
+	for peer, s := range e.senders {
+		if s.apps.remove(app) {
 			dests = append(dests, peer)
-			delete(apps, app)
 		}
 	}
-	e.notedDest = message.NodeID{}
+	e.mu.Unlock()
 	sortIDs(dests)
 	for _, d := range dests {
 		fwd := protocol.BrokenSource{App: app, Upstream: e.id}.Encode()
@@ -1142,12 +1144,13 @@ func (e *Engine) senderGone(s *sender) {
 
 	e.forgetSender(s)
 	s.ring.Close()
-	e.dropQueued(s.ring)
+	e.dropQueued(&s.ring)
 	s.linkLimit.Close()
 	e.dropParkedFor(s.peer, true)
 	e.rec.Emit(trace.KindLinkDown, s.peer, 0, 0)
+	var b [protocol.LinkEventSize]byte
 	e.notifyAlg(protocol.TypeLinkDown, 0,
-		protocol.LinkEvent{Peer: s.peer, Upstream: false}.Encode())
+		protocol.LinkEvent{Peer: s.peer, Upstream: false}.Append(b[:0]))
 }
 
 // observerGone clears the observer link after a failure, salvages its

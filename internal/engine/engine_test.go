@@ -250,30 +250,56 @@ func TestPerNodeBandwidthEmulation(t *testing.T) {
 	}
 }
 
+// TestSetBandwidthAtRuntimeThrottles imposes each class of cap on the fly,
+// as the observer would, on a link that has already carried unshaped
+// traffic over vnet's vectored write: its first paced message builds the
+// link's write buffer, a link cap retunes the limiter inside the sender, a
+// download or total cap at the sink paces every receiver through the
+// node's one down shaper.
 func TestSetBandwidthAtRuntimeThrottles(t *testing.T) {
-	n := vnet.New()
-	defer n.Close()
-	const app = 1
-	sink := &recorder{}
-	startNode(t, n, nid(2), sink)
-	src := &recorder{}
-	src.DefaultRoutes = []message.NodeID{nid(2)}
-	a := startNode(t, n, nid(1), src)
-	a.StartSource(app, 0, 4096)
+	for _, tc := range []struct {
+		name   string
+		class  protocol.BandwidthClass
+		atSink bool // cap the sink's budget rather than the source's
+	}{
+		{"Up", protocol.BandwidthUp, false},
+		{"Link", protocol.BandwidthLink, false},
+		{"Down", protocol.BandwidthDown, true},
+		{"Total", protocol.BandwidthTotal, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := vnet.New()
+			defer n.Close()
+			const app = 1
+			sink := &recorder{}
+			b := startNode(t, n, nid(2), sink)
+			src := &recorder{}
+			src.DefaultRoutes = []message.NodeID{nid(2)}
+			a := startNode(t, n, nid(1), src)
+			a.StartSource(app, 0, 4096)
 
-	waitFor(t, 5*time.Second, "initial traffic", func() bool {
-		return sink.ReceivedBytes(app) > 256<<10
-	})
-	// Impose a bottleneck on the fly, as the observer would.
-	const cap = 100 << 10
-	a.SetBandwidthLocal(protocol.SetBandwidth{Class: protocol.BandwidthUp, Rate: cap})
-	time.Sleep(300 * time.Millisecond)
-	before := sink.ReceivedBytes(app)
-	const window = 700 * time.Millisecond
-	time.Sleep(window)
-	rate := float64(sink.ReceivedBytes(app)-before) / window.Seconds()
-	if rate < cap*0.5 || rate > cap*1.5 {
-		t.Errorf("throttled rate = %.0f B/s, want ~%d", rate, cap)
+			waitFor(t, 5*time.Second, "initial traffic", func() bool {
+				return sink.ReceivedBytes(app) > 256<<10
+			})
+			const cap = 100 << 10
+			cmd := protocol.SetBandwidth{Class: tc.class, Rate: cap}
+			if tc.class == protocol.BandwidthLink {
+				cmd.Peer = nid(2)
+			}
+			if tc.atSink {
+				b.SetBandwidthLocal(cmd)
+			} else {
+				a.SetBandwidthLocal(cmd)
+			}
+			time.Sleep(300 * time.Millisecond)
+			before := sink.ReceivedBytes(app)
+			const window = 700 * time.Millisecond
+			time.Sleep(window)
+			rate := float64(sink.ReceivedBytes(app)-before) / window.Seconds()
+			if rate < cap*0.5 || rate > cap*1.5 {
+				t.Errorf("throttled rate = %.0f B/s, want ~%d", rate, cap)
+			}
+		})
 	}
 }
 

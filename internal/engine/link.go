@@ -27,28 +27,29 @@ import (
 type receiver struct {
 	peer   message.NodeID
 	conn   net.Conn
-	ring   *queue.Ring
-	meter  *metrics.Meter
+	in     bandwidth.Reader // conn behind the node's down shaper
+	ring   queue.Ring
+	meter  metrics.Meter
 	weight atomic.Int32 // weighted share; written via SetReceiverWeight
 	// pass is the link's stride-scheduling virtual time, negative until the
 	// switch first serves the link from its ring. Token holder only.
 	pass float64
-	apps map[uint32]struct{} // data apps seen on this link; token holder only
+	apps appSet // data apps seen on this link; token holder only
 	// inactivity is the monotonic staleness deadline: armed at
 	// InactivityTimeout past the last observed traffic, checked in a turn
 	// of the engine goroutine. Token holder only after arming.
 	inactivity *time.Timer
 }
 
-func newReceiver(peer message.NodeID, conn net.Conn, bufMsgs int) *receiver {
+func (e *Engine) newReceiver(peer message.NodeID, conn net.Conn) *receiver {
 	r := &receiver{
-		peer:  peer,
-		conn:  conn,
-		ring:  queue.New(bufMsgs),
-		meter: metrics.NewMeter(0),
-		pass:  -1, // joins the stride scheduler at the current minimum with its first batch
-		apps:  make(map[uint32]struct{}),
+		peer: peer,
+		conn: conn,
+		in:   bandwidth.NewReader(conn, &e.down),
+		pass: -1, // joins the stride scheduler at the current minimum with its first batch
 	}
+	r.ring.Init(e.cfg.RecvBuf)
+	r.meter.Init(0)
 	r.weight.Store(1)
 	return r
 }
@@ -66,7 +67,6 @@ func newReceiver(peer message.NodeID, conn net.Conn, bufMsgs int) *receiver {
 // back-pressure propagates to the upstream connection unchanged.
 func (e *Engine) runReceiver(r *receiver) {
 	defer e.wg.Done()
-	shaped := bandwidth.NewReader(r.conn, e.budget.DownShaper(nil))
 	maxBatch := e.cfg.BatchSize
 	if c := r.ring.Cap(); maxBatch > c {
 		maxBatch = c
@@ -87,7 +87,7 @@ func (e *Engine) runReceiver(r *receiver) {
 		// With nothing to queue behind, this goroutine runs the batch's
 		// switch quantum itself; otherwise the ring and the engine goroutine
 		// carry it.
-		ok := e.switchInline(r, batch, bytes) || e.ingest(r.ring, batch, bytes)
+		ok := e.switchInline(r, batch, bytes) || e.ingest(&r.ring, batch, bytes)
 		batch, bytes = batch[:0], 0
 		return ok
 	}
@@ -121,7 +121,7 @@ func (e *Engine) runReceiver(r *receiver) {
 	}
 	fill := 0
 	for {
-		n, err := shaped.Read(seg.Bytes()[fill:])
+		n, err := r.in.Read(seg.Bytes()[fill:])
 		if err != nil {
 			fail()
 			return
@@ -149,7 +149,7 @@ func (e *Engine) runReceiver(r *receiver) {
 				// The message can never fit in the remaining segment:
 				// assemble it in its own pool buffer, blocking until the
 				// sender's remaining bytes arrive.
-				m, err := message.ReadContinued(b, shaped, e.pool)
+				m, err := message.ReadContinued(b, &r.in, e.pool)
 				if err != nil {
 					flush()
 					fail()
@@ -207,13 +207,16 @@ type sender struct {
 	peer      message.NodeID
 	conn      net.Conn // set by the sender goroutine after dialing
 	connReady chan struct{}
-	ring      *queue.Ring
+	ring      queue.Ring
 	// staged is the data the current turn has sent toward the peer and
 	// flushStaged has not yet moved to the wire or into ring. Token holder
 	// only.
-	staged    []*message.Msg
-	meter     *metrics.Meter
-	linkLimit *bandwidth.Limiter // per-link emulated bandwidth
+	staged []*message.Msg
+	// apps is the data apps forwarded over the link, for BrokenSource
+	// cascades. Token holder only.
+	apps      appSet
+	meter     metrics.Meter
+	linkLimit bandwidth.Limiter // per-link emulated bandwidth
 	// inline is the link's framing when it has a non-blocking write, nil on
 	// every other link. Like conn it is set by the sender goroutine before
 	// connReady closes and read only after.
@@ -230,13 +233,11 @@ type sender struct {
 }
 
 func newSender(peer message.NodeID, bufMsgs int, linkRate int64) *sender {
-	return &sender{
-		peer:      peer,
-		connReady: make(chan struct{}),
-		ring:      queue.New(bufMsgs),
-		meter:     metrics.NewMeter(0),
-		linkLimit: bandwidth.NewLimiter(linkRate),
-	}
+	s := &sender{peer: peer, connReady: make(chan struct{})}
+	s.ring.Init(bufMsgs)
+	s.meter.Init(0)
+	s.linkLimit.Init(linkRate)
+	return s
 }
 
 // framing is the wire format of one link, chosen once when the link comes
@@ -291,7 +292,7 @@ func (e *Engine) runSender(s *sender) {
 	}
 	if err != nil {
 		close(s.connReady)
-		e.dropQueued(s.ring)
+		e.dropQueued(&s.ring)
 		e.postEvent(func(API) { e.senderGone(s) })
 		return
 	}
@@ -385,7 +386,7 @@ func (e *Engine) runSender(s *sender) {
 			// Close promptly so the peer's receiver observes the failure
 			// now rather than at its inactivity timeout.
 			_ = conn.Close()
-			e.dropQueued(s.ring)
+			e.dropQueued(&s.ring)
 			e.postEvent(func(API) { e.senderGone(s) })
 			return
 		}
@@ -405,11 +406,7 @@ func (e *Engine) newFraming(s *sender, conn net.Conn) (framing, error) {
 		// stays up as the control lane.
 		return e.newDgramFraming(s, conn)
 	}
-	f := &streamFraming{
-		e: e, s: s, conn: conn, bufw: bufio.NewWriterSize(conn, 32<<10),
-		shaper: e.budget.UpShaper(s.linkLimit),
-	}
-	f.shaped = bandwidth.NewWriter(f.bufw, f.shaper)
+	f := &streamFraming{e: e, s: s, conn: conn, shaper: e.budget.UpShaper(&s.linkLimit)}
 	f.bw, _ = conn.(buffersWriter)
 	if f.tw, _ = conn.(tryBuffersWriter); f.tw != nil {
 		s.inline = f
@@ -424,19 +421,21 @@ func (e *Engine) newFraming(s *sender, conn net.Conn) (framing, error) {
 // operation — no intermediate buffer, no copy. Everything else goes
 // through the write buffer and the shapers: flushed per message on shaped
 // links, where holding messages back would turn a smooth emulated rate
-// into bursts downstream, and once the ring runs dry on unshaped ones.
+// into bursts downstream, and once the ring runs dry on unshaped ones. The
+// write buffer is built the first time a message takes that road, so a
+// link that never does — an unshaped vnet link — never pays for it.
 type streamFraming struct {
 	e      *Engine
 	s      *sender
 	conn   net.Conn
-	bufw   *bufio.Writer
-	shaper *bandwidth.Shaper // the link's cap and the node's uplink and total caps
-	shaped io.Writer         // bufw behind shaper
-	bw     buffersWriter     // nil: the connection has no vectored write
-	tw     tryBuffersWriter  // nil: nor a non-blocking one; see writeInline
-	vec    [][]byte          // wire images gathered for the batch's one write
-	paced  bool              // this batch: some emulated cap paces the link
-	sent   int64             // bytes this batch handed to the connection or bufw
+	bufw   *bufio.Writer    // nil until the buffered road is first taken
+	shaper bandwidth.Shaper // the link's cap and the node's uplink and total caps
+	shaped bandwidth.Writer // bufw behind shaper
+	bw     buffersWriter    // nil: the connection has no vectored write
+	tw     tryBuffersWriter // nil: nor a non-blocking one; see writeInline
+	vec    [][]byte         // wire images gathered for the batch's one write
+	paced  bool             // this batch: some emulated cap paces the link
+	sent   int64            // bytes this batch handed to the connection or bufw
 }
 
 func (f *streamFraming) begin() {
@@ -458,7 +457,11 @@ func (f *streamFraming) put(m *message.Msg) (bool, error) {
 		f.wrote(1, n)
 		return true, err
 	}
-	n, err := m.WriteTo(f.shaped)
+	if f.bufw == nil {
+		f.bufw = bufio.NewWriterSize(f.conn, 32<<10)
+		f.shaped = bandwidth.NewWriter(f.bufw, &f.shaper)
+	}
+	n, err := m.WriteTo(&f.shaped)
 	if err == nil && f.paced {
 		err = f.bufw.Flush()
 	}
@@ -500,7 +503,7 @@ func (f *streamFraming) flush() error {
 	if err := f.writeVec(); err != nil {
 		return err
 	}
-	if f.bufw.Buffered() > 0 && f.s.ring.Len() == 0 {
+	if f.buffered() > 0 && f.s.ring.Len() == 0 {
 		return f.bufw.Flush()
 	}
 	return nil
@@ -509,7 +512,16 @@ func (f *streamFraming) flush() error {
 // landed discounts the bytes stranded in the write buffer: they never
 // reached the wire either.
 func (f *streamFraming) landed() int64 {
-	return f.sent - int64(f.bufw.Buffered())
+	return f.sent - int64(f.buffered())
+}
+
+// buffered reports the bytes waiting in the write buffer; none before it
+// is built.
+func (f *streamFraming) buffered() int {
+	if f.bufw == nil {
+		return 0
+	}
+	return f.bufw.Buffered()
 }
 
 func (f *streamFraming) capped() bool { return f.shaper.Active() }
@@ -580,7 +592,7 @@ func (e *Engine) dialPeer(s *sender) (net.Conn, error) {
 // handshake's duration, which lets Stop and CloseLink interrupt it. A
 // refusal's retry-after hint comes back with the error.
 func (e *Engine) dialOnce(s *sender) (net.Conn, time.Duration, error) {
-	conn, err := e.cfg.Transport.DialFrom(e.id.Addr(), s.peer.Addr(), e.cfg.HandshakeTimeout)
+	conn, err := e.cfg.Transport.DialFrom(e.addr, s.peer.Addr(), e.cfg.HandshakeTimeout)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -707,7 +719,7 @@ func (e *Engine) dropQueued(r *queue.Ring) {
 // admission token until this function returns, the reply written, so
 // MaxHandshakes bounds these goroutines exactly.
 func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func()) {
-	r := newReceiver(peer, conn, e.cfg.RecvBuf)
+	r := e.newReceiver(peer, conn)
 	e.mu.Lock()
 	if e.stopping {
 		e.mu.Unlock()
@@ -723,7 +735,7 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func(
 		// buffered is lost with it: the switch no longer sees the ring.
 		_ = old.conn.Close()
 		old.ring.Close()
-		e.dropQueued(old.ring)
+		e.dropQueued(&old.ring)
 	}
 	// The explicit admission reply: the dialer treats nothing short of
 	// this frame as admitted, so the link costs one round trip at any
@@ -741,8 +753,9 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func(
 	e.wg.Add(1)
 	go e.runReceiver(r)
 	e.postEvent(func(API) {
+		var b [protocol.LinkEventSize]byte
 		e.notifyAlg(protocol.TypeLinkUp, 0,
-			protocol.LinkEvent{Peer: peer, Upstream: true}.Encode())
+			protocol.LinkEvent{Peer: peer, Upstream: true}.Append(b[:0]))
 	})
 }
 

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/message"
 	"repro/internal/trace"
@@ -78,7 +78,7 @@ func (e *Engine) switchOnce() {
 		}
 		ring := e.localRing
 		if best != nil {
-			ring = best.ring
+			ring = &best.ring
 		}
 		n := ring.TryPopBatch(e.switchBuf[:quantum])
 		if n == 0 {
@@ -127,14 +127,14 @@ func (e *Engine) switchBatch(r *receiver, ms []*message.Msg) {
 	e.switched.Add(uint64(n))
 	e.switchBatchHist.Observe(int64(n))
 	e.rec.Emit(trace.KindSwitch, from, 0, int64(n))
-	// A link's app set changes once per session: the map is written
+	// A link's app set changes once per session: the set is consulted
 	// when the app differs from the previous message's, not per message.
 	var app uint32
 	noted := false
 	for i, m := range ms {
 		ms[i] = nil
 		if a := m.App(); r != nil && !(noted && a == app) {
-			r.apps[a] = struct{}{}
+			r.apps.add(a)
 			app, noted = a, true
 		}
 		// The inbound reference is credited as soon as Process is done
@@ -283,6 +283,7 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 		}
 		return
 	}
+	s.apps.add(m.App())
 	if len(s.staged) == 0 {
 		// Staging is token-holder-only state, which makes Send's "within a
 		// turn" contract load-bearing. Asserted once per sender per flush.
@@ -378,13 +379,11 @@ func (e *Engine) writeInline(s *sender, run []*message.Msg) int {
 }
 
 // forgetSender drops what the send path remembers about a link that died
-// or was closed: the one-entry sender cache and the apps forwarded over it.
+// or was closed: the one-entry sender cache.
 func (e *Engine) forgetSender(s *sender) {
 	if e.lastSender == s {
 		e.lastDest, e.lastSender = message.NodeID{}, nil
 	}
-	delete(e.sentApps, s.peer)
-	e.notedDest = message.NodeID{}
 }
 
 // dropParkedFor drops (or, for a graceful close, silently releases) every
@@ -409,19 +408,21 @@ func (e *Engine) dropParkedFor(dest message.NodeID, countLost bool) {
 }
 
 // receiverSnapshot lists the receivers in stable order. The list is
-// rebuilt only when the receiver set has changed since the last call; the
-// caller must not modify it.
+// rebuilt, into the same backing array, only when the receiver set has
+// changed since the last call; the caller must not modify it. Token holder
+// only: the switch pass is its one reader.
 func (e *Engine) receiverSnapshot() []*receiver {
 	if e.recvGen.Load() == e.recvListGen {
 		return e.recvList
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs := make([]*receiver, 0, len(e.receivers))
+	rs := e.recvList[:0]
 	for _, r := range e.receivers {
 		rs = append(rs, r)
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].peer.Less(rs[j].peer) })
+	clear(rs[len(rs):cap(rs)]) // a departed receiver is not pinned
+	slices.SortFunc(rs, func(a, b *receiver) int { return a.peer.Compare(b.peer) })
 	e.recvList, e.recvListGen = rs, e.recvGen.Load()
 	return rs
 }
@@ -445,18 +446,25 @@ func (e *Engine) processData(m *message.Msg) {
 	}
 }
 
-// noteSentApp records that app data has been forwarded toward dest, so a
-// broken upstream can cascade BrokenSource to the right downstreams. The
-// set changes once per session, so the pair noted last skips the maps.
-func (e *Engine) noteSentApp(dest message.NodeID, app uint32) {
-	if dest == e.notedDest && app == e.notedApp {
-		return
+// appSet is the data apps a link carries — one or two in practice — as a
+// slice: a membership test is a scan of a few words, and a link's set
+// costs no map.
+type appSet []uint32
+
+func (a appSet) has(app uint32) bool { return slices.Contains(a, app) }
+
+func (a *appSet) add(app uint32) {
+	if !a.has(app) {
+		*a = append(*a, app)
 	}
-	apps, ok := e.sentApps[dest]
-	if !ok {
-		apps = make(map[uint32]struct{})
-		e.sentApps[dest] = apps
+}
+
+// remove deletes app from the set and reports whether it was there.
+func (a *appSet) remove(app uint32) bool {
+	i := slices.Index(*a, app)
+	if i < 0 {
+		return false
 	}
-	apps[app] = struct{}{}
-	e.notedDest, e.notedApp = dest, app
+	*a = slices.Delete(*a, i, i+1)
+	return true
 }

@@ -12,7 +12,7 @@ import (
 // buckets and a post-idle burst was rated over a span clamped to a
 // single bucket instead of the window.
 func TestMeterBucketAdvance(t *testing.T) {
-	// NewMeter(2s) gives 20 buckets of 100ms.
+	// newMeter(2s) gives 20 buckets of 100ms.
 	const bucket = 100 * time.Millisecond
 	t0 := time.Unix(1000, 0)
 
@@ -84,7 +84,7 @@ func TestMeterBucketAdvance(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewMeter(2 * time.Second)
+			m := newMeter(2 * time.Second)
 			now := tc.drive(m)
 			got := m.rateAt(now)
 			if got < tc.min || got > tc.max {
@@ -99,7 +99,7 @@ func TestMeterBucketAdvance(t *testing.T) {
 // one window before the newest bucket (stale counts must have been
 // cleared, not left behind with their old timestamps).
 func TestMeterAdvanceClearsSkippedBuckets(t *testing.T) {
-	m := NewMeter(2 * time.Second)
+	m := newMeter(2 * time.Second)
 	t0 := time.Unix(2000, 0)
 	gaps := []time.Duration{
 		0, 50 * time.Millisecond, 150 * time.Millisecond, 700 * time.Millisecond,

@@ -14,12 +14,15 @@ import (
 
 // Meter measures throughput in bytes per second over a sliding window of
 // fixed-width buckets. It is safe for concurrent use: the transport
-// goroutine Adds while the engine goroutine samples Rate.
+// goroutine Adds while the engine goroutine samples Rate. The zero value
+// is not usable: Init builds a meter in place, inside whatever holds it —
+// a link's sender or receiver keeps its meter by value, buckets and all.
+// A meter must not be copied after Init.
 type Meter struct {
 	mu         sync.Mutex
 	bucketSize time.Duration
-	buckets    []int64
-	times      []time.Time
+	buckets    [meterBuckets]int64
+	times      [meterBuckets]time.Time
 	head       int
 	total      int64 // lifetime bytes
 	start      time.Time
@@ -28,21 +31,17 @@ type Meter struct {
 // DefaultWindow is the sliding measurement window.
 const DefaultWindow = 2 * time.Second
 
-// defaultBuckets subdivides the window; more buckets smooth the estimate.
-const defaultBuckets = 20
+// meterBuckets subdivides the window; more buckets smooth the estimate.
+const meterBuckets = 20
 
-// NewMeter returns a meter with the given sliding window; zero uses
-// DefaultWindow.
-func NewMeter(window time.Duration) *Meter {
+// Init makes m an empty meter with the given sliding window, starting its
+// lifetime clock; zero uses DefaultWindow.
+func (m *Meter) Init(window time.Duration) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &Meter{
-		bucketSize: window / defaultBuckets,
-		buckets:    make([]int64, defaultBuckets),
-		times:      make([]time.Time, defaultBuckets),
-		start:      time.Now(),
-	}
+	m.bucketSize = window / meterBuckets
+	m.start = time.Now()
 }
 
 // Add records n bytes transferred now.
@@ -90,7 +89,7 @@ func (m *Meter) rateAt(now time.Time) float64 {
 	cutoff := now.Add(-window)
 	var sum int64
 	oldest := now
-	for i, ts := range m.times {
+	for i, ts := range &m.times {
 		if ts.IsZero() || ts.Before(cutoff) {
 			continue
 		}
@@ -132,7 +131,7 @@ func (m *Meter) Idle() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var latest time.Time
-	for _, ts := range m.times {
+	for _, ts := range &m.times {
 		if ts.After(latest) {
 			latest = ts
 		}
@@ -147,10 +146,8 @@ func (m *Meter) Idle() time.Duration {
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.buckets {
-		m.buckets[i] = 0
-		m.times[i] = time.Time{}
-	}
+	m.buckets = [meterBuckets]int64{}
+	m.times = [meterBuckets]time.Time{}
 	m.total = 0
 	m.start = time.Now()
 }

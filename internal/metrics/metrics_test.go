@@ -6,8 +6,16 @@ import (
 	"time"
 )
 
+// newMeter builds a meter on the heap, the way the tests share one
+// between goroutines.
+func newMeter(window time.Duration) *Meter {
+	m := new(Meter)
+	m.Init(window)
+	return m
+}
+
 func TestMeterRateTracksSteadyStream(t *testing.T) {
-	m := NewMeter(500 * time.Millisecond)
+	m := newMeter(500 * time.Millisecond)
 	const rate = 100 << 10 // 100 KiB/s
 	deadline := time.Now().Add(400 * time.Millisecond)
 	ticker := time.NewTicker(10 * time.Millisecond)
@@ -25,7 +33,7 @@ func TestMeterRateTracksSteadyStream(t *testing.T) {
 }
 
 func TestMeterRateDecaysAfterTrafficStops(t *testing.T) {
-	m := NewMeter(200 * time.Millisecond)
+	m := newMeter(200 * time.Millisecond)
 	m.Add(1 << 20)
 	if m.Rate() == 0 {
 		t.Fatal("Rate() = 0 right after Add")
@@ -37,7 +45,7 @@ func TestMeterRateDecaysAfterTrafficStops(t *testing.T) {
 }
 
 func TestMeterTotalAndLifetime(t *testing.T) {
-	m := NewMeter(time.Second)
+	m := newMeter(time.Second)
 	m.Add(100)
 	m.Add(200)
 	if got := m.Total(); got != 300 {
@@ -51,7 +59,7 @@ func TestMeterTotalAndLifetime(t *testing.T) {
 }
 
 func TestMeterIdle(t *testing.T) {
-	m := NewMeter(time.Second)
+	m := newMeter(time.Second)
 	if m.Idle() < 0 {
 		t.Error("Idle() negative on fresh meter")
 	}
@@ -66,7 +74,7 @@ func TestMeterIdle(t *testing.T) {
 }
 
 func TestMeterReset(t *testing.T) {
-	m := NewMeter(time.Second)
+	m := newMeter(time.Second)
 	m.Add(1000)
 	m.Reset()
 	if m.Total() != 0 {
@@ -78,7 +86,7 @@ func TestMeterReset(t *testing.T) {
 }
 
 func TestMeterConcurrentAddAndRate(t *testing.T) {
-	m := NewMeter(time.Second)
+	m := newMeter(time.Second)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -165,10 +173,10 @@ func TestLatencyTrackerSmoothing(t *testing.T) {
 	}
 }
 
-func TestNewMeterZeroWindowUsesDefault(t *testing.T) {
-	m := NewMeter(0)
-	if m.bucketSize != DefaultWindow/defaultBuckets {
-		t.Errorf("bucketSize = %v, want %v", m.bucketSize, DefaultWindow/defaultBuckets)
+func TestMeterInitZeroWindowUsesDefault(t *testing.T) {
+	m := newMeter(0)
+	if m.bucketSize != DefaultWindow/meterBuckets {
+		t.Errorf("bucketSize = %v, want %v", m.bucketSize, DefaultWindow/meterBuckets)
 	}
 }
 

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/message"
 	"repro/internal/metrics"
@@ -540,9 +542,16 @@ type Throughput struct {
 	Rate float64 // bytes per second
 }
 
+// ThroughputSize is the encoded size of a Throughput.
+const ThroughputSize = 16
+
 // Encode serializes the measurement.
-func (tp Throughput) Encode() []byte {
-	return NewWriter(16).ID(tp.Peer).F64(tp.Rate).Bytes()
+func (tp Throughput) Encode() []byte { return tp.Append(make([]byte, 0, ThroughputSize)) }
+
+// Append appends the encoded measurement to dst and returns the extended
+// slice, so a caller with a buffer at hand encodes without allocating.
+func (tp Throughput) Append(dst []byte) []byte {
+	return binary.BigEndian.AppendUint64(appendID(dst, tp.Peer), math.Float64bits(tp.Rate))
 }
 
 // DecodeThroughput parses a Throughput payload.
@@ -559,9 +568,16 @@ type BrokenSource struct {
 	Upstream message.NodeID
 }
 
+// BrokenSourceSize is the encoded size of a BrokenSource.
+const BrokenSourceSize = 12
+
 // Encode serializes the notification.
-func (bs BrokenSource) Encode() []byte {
-	return NewWriter(12).U32(bs.App).ID(bs.Upstream).Bytes()
+func (bs BrokenSource) Encode() []byte { return bs.Append(make([]byte, 0, BrokenSourceSize)) }
+
+// Append appends the encoded notification to dst and returns the extended
+// slice, so a caller with a buffer at hand encodes without allocating.
+func (bs BrokenSource) Append(dst []byte) []byte {
+	return appendID(binary.BigEndian.AppendUint32(dst, bs.App), bs.Upstream)
 }
 
 // DecodeBrokenSource parses a BrokenSource payload.
@@ -740,13 +756,20 @@ type LinkEvent struct {
 	Upstream bool // true: the peer was an upstream (incoming link)
 }
 
+// LinkEventSize is the encoded size of a LinkEvent.
+const LinkEventSize = 12
+
 // Encode serializes the event.
-func (le LinkEvent) Encode() []byte {
+func (le LinkEvent) Encode() []byte { return le.Append(make([]byte, 0, LinkEventSize)) }
+
+// Append appends the encoded event to dst and returns the extended slice,
+// so a caller with a buffer at hand encodes without allocating.
+func (le LinkEvent) Append(dst []byte) []byte {
 	up := uint32(0)
 	if le.Upstream {
 		up = 1
 	}
-	return NewWriter(12).ID(le.Peer).U32(up).Bytes()
+	return binary.BigEndian.AppendUint32(appendID(dst, le.Peer), up)
 }
 
 // DecodeLinkEvent parses a LinkEvent payload.

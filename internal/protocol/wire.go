@@ -55,7 +55,14 @@ func (w *Writer) F64(v float64) *Writer { return w.U64(math.Float64bits(v)) }
 
 // ID appends a NodeID as 8 bytes (IP, port).
 func (w *Writer) ID(id message.NodeID) *Writer {
-	return w.U32(id.IP).U32(id.Port)
+	w.buf = appendID(w.buf, id)
+	return w
+}
+
+// appendID is ID for encoders that append to a caller's slice: a Writer
+// escapes the bytes it appends to, a plain append does not.
+func appendID(dst []byte, id message.NodeID) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(dst, id.IP), id.Port)
 }
 
 // String appends a length-prefixed UTF-8 string (max 64 KiB).

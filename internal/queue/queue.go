@@ -31,42 +31,48 @@ var ErrClosed = errors.New("queue: closed")
 // mirroring TCP's SRTT smoothing.
 const delayAlpha = 0.125
 
-// lane is one service class's bounded FIFO within a Ring. Push timestamps
-// ride alongside the message references so consumers can measure per-class
-// queueing delay without touching the messages themselves.
+// slot is one position of a lane: the message reference and when it was
+// pushed, so consumers can measure per-class queueing delay without
+// touching the messages themselves.
+type slot struct {
+	m  *message.Msg
+	at time.Time
+}
+
+// lane is one service class's bounded FIFO within a Ring: a window of the
+// ring's slot slab.
 type lane struct {
-	buf    []*message.Msg
-	times  []time.Time
+	slots  []slot
 	head   int // index of the oldest element
 	length int
 	delay  float64            // smoothed queueing delay, nanoseconds
 	hist   *metrics.Histogram // optional delay distribution (nil: EWMA only)
 }
 
-func (l *lane) full() bool { return l.length == len(l.buf) }
+func (l *lane) full() bool { return l.length == len(l.slots) }
 
 func (l *lane) push(m *message.Msg, now time.Time) {
-	i := (l.head + l.length) % len(l.buf)
-	l.buf[i] = m
-	l.times[i] = now
+	i := (l.head + l.length) % len(l.slots)
+	l.slots[i] = slot{m: m, at: now}
 	l.length++
 	if invariant.Enabled {
-		invariant.Assert(l.length <= len(l.buf),
-			"lane length %d past capacity %d after push", l.length, len(l.buf))
+		invariant.Assert(l.length <= len(l.slots),
+			"lane length %d past capacity %d after push", l.length, len(l.slots))
 	}
 }
 
 func (l *lane) pop(now time.Time) *message.Msg {
-	m := l.buf[l.head]
-	l.buf[l.head] = nil
-	d := float64(now.Sub(l.times[l.head]))
+	sl := &l.slots[l.head]
+	m := sl.m
+	d := float64(now.Sub(sl.at))
+	sl.m = nil
 	if l.delay == 0 {
 		l.delay = d
 	} else {
 		l.delay += delayAlpha * (d - l.delay)
 	}
 	l.hist.Observe(int64(d))
-	l.head = (l.head + 1) % len(l.buf)
+	l.head = (l.head + 1) % len(l.slots)
 	l.length--
 	if invariant.Enabled {
 		invariant.Assert(l.length >= 0, "lane length %d negative after pop", l.length)
@@ -75,9 +81,11 @@ func (l *lane) pop(now time.Time) *message.Msg {
 }
 
 // Ring is a bounded two-lane FIFO of message references with blocking and
-// non-blocking endpoints. The zero value is not usable; construct with
-// New. All methods are safe for concurrent use by any number of
-// goroutines.
+// non-blocking endpoints. The zero value is not usable: Init builds a ring
+// in place, inside whatever holds it — a link's sender or receiver keeps
+// its ring by value, so the ring costs its holder one slot slab and
+// nothing else. A ring must not be copied after Init. All methods are
+// safe for concurrent use by any number of goroutines.
 type Ring struct {
 	mu          sync.Mutex
 	dataNotFull sync.Cond
@@ -93,19 +101,26 @@ type Ring struct {
 	held bool
 }
 
-// New returns a ring holding at most capacity messages per lane. Capacity
-// must be positive.
-func New(capacity int) *Ring {
+// Init makes r an empty ring holding at most capacity messages per lane,
+// both lanes in one slab of 2·capacity slots. Capacity must be positive.
+func (r *Ring) Init(capacity int) {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
 	}
-	r := &Ring{
-		data: lane{buf: make([]*message.Msg, capacity), times: make([]time.Time, capacity)},
-		ctrl: lane{buf: make([]*message.Msg, capacity), times: make([]time.Time, capacity)},
-	}
+	slab := make([]slot, 2*capacity)
+	r.ctrl.slots = slab[:capacity:capacity]
+	r.data.slots = slab[capacity:]
 	r.dataNotFull.L = &r.mu
 	r.ctrlNotFull.L = &r.mu
 	r.notEmpty.L = &r.mu
+}
+
+// New returns a ring built by Init, for holders that keep one behind a
+// pointer: the engine's local-source ring, the observer link's ring, and
+// the benchmark's micro rows.
+func New(capacity int) *Ring {
+	r := new(Ring)
+	r.Init(capacity)
 	return r
 }
 
@@ -129,7 +144,7 @@ func (r *Ring) laneOf(m *message.Msg) *lane {
 }
 
 // Cap reports the fixed per-lane capacity.
-func (r *Ring) Cap() int { return len(r.data.buf) }
+func (r *Ring) Cap() int { return len(r.data.slots) }
 
 // Len reports the current number of buffered messages across both lanes.
 func (r *Ring) Len() int {
