@@ -66,6 +66,24 @@ func parseRate(s string) (int64, error) {
 	return v * mult, nil
 }
 
+// dataLane puts cfg's data lane on the named transport. Only datagrams
+// have a size cap, so an -mtu without -transport udp is a mistake, not a
+// no-op.
+func dataLane(cfg *ioverlay.Config, transport string, mtu int) error {
+	switch transport {
+	case "tcp":
+		if mtu != 0 {
+			return fmt.Errorf("-mtu %d needs -transport udp: -transport tcp sends no datagrams", mtu)
+		}
+	case "udp":
+		cfg.DatagramData = true
+		cfg.DatagramMTU = mtu
+	default:
+		return fmt.Errorf("unknown transport %q (want tcp or udp)", transport)
+	}
+	return nil
+}
+
 func run() error {
 	idStr := flag.String("id", "127.0.0.1:7000", "node identity and listen address (ip:port)")
 	obsStr := flag.String("observer", "", "observer or proxy address (ip:port); a comma-separated list enables failover in order; empty runs standalone")
@@ -153,13 +171,8 @@ func run() error {
 		SendBuf:   *bufMsgs,
 		Admission: gate,
 	}
-	switch *transport {
-	case "tcp":
-	case "udp":
-		cfg.DatagramData = true
-		cfg.DatagramMTU = *mtu
-	default:
-		return fmt.Errorf("unknown transport %q (want tcp or udp)", *transport)
+	if err := dataLane(&cfg, *transport, *mtu); err != nil {
+		return err
 	}
 	if *obsStr != "" {
 		for _, part := range strings.Split(*obsStr, ",") {

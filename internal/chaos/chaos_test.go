@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/chaos"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/message"
 	"repro/internal/observer"
@@ -63,8 +62,6 @@ func TestChaosGenerateProtectsSource(t *testing.T) {
 	}
 }
 
-const soakRate = 256 << 10
-
 // newSoak boots the live multicast session the chaos runner torments: one
 // source (node 0) streaming to n-1 receivers over a self-organizing
 // dissemination tree, with the observer tier as an out-of-band control
@@ -74,12 +71,9 @@ const soakRate = 256 << 10
 func newSoak(t *testing.T, n int, observers ...message.NodeID) *experiments.Session {
 	t.Helper()
 	s, err := experiments.NewSession(experiments.SessionConfig{
-		N: n, Rate: soakRate, MsgSize: 1024,
+		N:         n,
 		NetOpts:   []vnet.Option{vnet.WithSeed(42)},
 		Observers: observers,
-		Node: func(i int, conf *engine.Config) {
-			conf.Seed = int64(i + 1) // reproducible reconnect jitter
-		},
 	})
 	if err != nil {
 		t.Fatalf("soak session: %v", err)
@@ -183,16 +177,17 @@ func TestChaosSoakSurvivesChurn(t *testing.T) {
 	}
 
 	// One saturated round: throttle every receiver's uplink to half the
-	// stream rate so interior forwarding queues stay full, then kill two
-	// high-fanout nodes mid-overload. Control traffic rides the priority
-	// lane, so the repair (failure detection, rejoin, re-adoption) must
-	// still complete instead of waiting behind the queued data.
+	// session's 256 KiB/s stream so interior forwarding queues stay full,
+	// then kill two high-fanout nodes mid-overload. Control traffic rides
+	// the priority lane, so the repair (failure detection, rejoin,
+	// re-adoption) must still complete instead of waiting behind the
+	// queued data.
 	receivers := make([]int, 0, 15)
 	for i := 1; i < 16; i++ {
 		receivers = append(receivers, i)
 	}
 	saturated := []chaos.Event{
-		{Kind: chaos.Saturate, Nodes: receivers, Rate: soakRate / 2},
+		{Kind: chaos.Saturate, Nodes: receivers, Rate: 128 << 10},
 		{After: 500 * time.Millisecond, Kind: chaos.Kill, Nodes: []int{1, 2}},
 		{After: 150 * time.Millisecond, Kind: chaos.Restart, Nodes: []int{1, 2}},
 		{After: 150 * time.Millisecond, Kind: chaos.Saturate, Nodes: receivers, Rate: 0},

@@ -186,7 +186,6 @@ func TestChaosSoakObserverFailover(t *testing.T) {
 		Transport:      engine.VNet{Net: s.Net},
 		Algorithm:      probeAlg,
 		Observers:      tier,
-		Seed:           99,
 		StatusInterval: 50 * time.Millisecond,
 		RetryBase:      50 * time.Millisecond,
 	})

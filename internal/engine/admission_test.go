@@ -106,7 +106,6 @@ func TestAdmissionGateCapsHandshakes(t *testing.T) {
 	defer n.Close()
 	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
 		c.Admission = admission.Config{MaxHandshakes: 2, SourceRate: 1000, SourceBurst: 1000}
-		c.HandshakeTimeout = 5 * time.Second
 	})
 
 	half1 := rawDial(t, n, "10.0.9.1:1", nid(1))
@@ -141,9 +140,7 @@ func TestAdmissionGateCapsHandshakes(t *testing.T) {
 func TestFailedHandshakesAreInstrumented(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
-	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
-		c.HandshakeTimeout = 100 * time.Millisecond
-	})
+	a := startTimedNode(t, n, nid(1), &recorder{}, engine.Timing{Handshake: 100 * time.Millisecond})
 
 	bad := rawDial(t, n, "10.0.9.1:1", nid(1))
 	junk := message.New(protocol.TypePing, message.MakeID("10.0.9.1", 1), 0, 0, nil)
@@ -271,7 +268,6 @@ func TestDialerHonorsBusyBackpressure(t *testing.T) {
 	sink := &recorder{}
 	a := startNode(t, n, nid(1), sink, func(c *engine.Config) {
 		c.Admission = admission.Config{MaxHandshakes: 1, SourceRate: 1000, SourceBurst: 1000}
-		c.HandshakeTimeout = 10 * time.Second
 	})
 
 	// Saturate the single handshake token with a half-open connection.
@@ -282,10 +278,8 @@ func TestDialerHonorsBusyBackpressure(t *testing.T) {
 
 	src := &recorder{}
 	src.DefaultRoutes = []message.NodeID{nid(1)}
-	eb := startNode(t, n, nid(2), src, func(c *engine.Config) {
+	eb := startTimedNode(t, n, nid(2), src, engine.Timing{RetryMax: 50 * time.Millisecond, DialAttempts: 1000}, func(c *engine.Config) {
 		c.RetryBase = 5 * time.Millisecond
-		c.RetryMax = 50 * time.Millisecond
-		c.DialAttempts = 1000
 	})
 	eb.StartSource(app, 0, 1024)
 

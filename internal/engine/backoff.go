@@ -28,7 +28,7 @@ func newBackoff(base, max time.Duration, seed int64) *backoff {
 		base = DefaultRetryBase
 	}
 	if max <= 0 {
-		max = DefaultRetryMax
+		max = fixedTiming.RetryMax
 	}
 	return &backoff{base: base, max: max, rng: rand.New(rand.NewSource(seed))}
 }
@@ -78,11 +78,11 @@ func (b *backoff) floor(d time.Duration) {
 // reset restarts the progression after a successful attempt.
 func (b *backoff) reset() { b.attempt = 0 }
 
-// newBackoff derives a retry pacer from the engine's retry configuration,
-// seeded from the node identity, Config.Seed and a caller-chosen salt so
-// concurrent loops on one node don't share a jitter sequence while a
-// fixed Seed still replays the whole schedule.
+// newBackoff derives a retry pacer from the engine's retry bounds, seeded
+// from the node identity and a caller-chosen salt: concurrent loops on one
+// node don't share a jitter sequence, nodes jitter apart, and the same
+// identity replays the same schedule.
 func (e *Engine) newBackoff(salt int64) *backoff {
-	seed := (int64(e.id.IP)<<32 | int64(e.id.Port)) ^ salt ^ e.cfg.Seed
-	return newBackoff(e.cfg.RetryBase, e.cfg.RetryMax, seed)
+	seed := (int64(e.id.IP)<<32 | int64(e.id.Port)) ^ salt
+	return newBackoff(e.cfg.RetryBase, e.timing.RetryMax, seed)
 }

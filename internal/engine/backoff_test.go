@@ -100,7 +100,7 @@ func TestBackoffFloorClampedToCap(t *testing.T) {
 func TestBackoffDefaultsApplied(t *testing.T) {
 	b := newBackoff(0, 0, 3)
 	d := b.next()
-	if d < DefaultRetryBase || d > DefaultRetryMax {
-		t.Fatalf("default-config delay = %v, want within [%v, %v]", d, DefaultRetryBase, DefaultRetryMax)
+	if d < DefaultRetryBase || d > fixedTiming.RetryMax {
+		t.Fatalf("default-config delay = %v, want within [%v, %v]", d, DefaultRetryBase, fixedTiming.RetryMax)
 	}
 }

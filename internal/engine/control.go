@@ -367,14 +367,10 @@ func (e *Engine) SetReceiverWeight(peer message.NodeID, weight int) {
 	}
 }
 
-// Trace ships a formatted trace record to the observer's central log
-// and, when configured, to the node's local trace writer. Part of the
-// API interface.
+// Trace ships a formatted trace record to the observer's central log.
+// Part of the API interface.
 func (e *Engine) Trace(format string, args ...any) {
 	body := fmt.Sprintf(format, args...)
-	if w := e.cfg.LocalTrace; w != nil {
-		fmt.Fprintf(w, "%s %s %s\n", time.Now().Format(time.RFC3339Nano), e.id, body)
-	}
 	e.mu.Lock()
 	o := e.obs
 	e.mu.Unlock()

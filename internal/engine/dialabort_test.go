@@ -37,10 +37,7 @@ func muteAcceptor(t *testing.T, n *vnet.Network, id message.NodeID) <-chan net.C
 func dialIntoMute(t *testing.T, n *vnet.Network) (*engine.Engine, net.Conn) {
 	t.Helper()
 	accepted := muteAcceptor(t, n, nid(2))
-	e := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
-		c.HandshakeTimeout = time.Minute
-		c.DialAttempts = 1
-	})
+	e := startTimedNode(t, n, nid(1), &recorder{}, engine.Timing{Handshake: time.Minute, DialAttempts: 1})
 	e.Do(func(api engine.API) {
 		api.SendNew(message.New(message.FirstDataType, nid(1), 1, 0, []byte("queued behind the dial")), nid(2))
 	})

@@ -20,8 +20,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,9 +41,7 @@ const (
 	DefaultSendBuf        = 64
 	DefaultStatusInterval = 500 * time.Millisecond
 	DefaultBatchSize      = 32
-	DefaultDialAttempts   = 3
 	DefaultRetryBase      = 100 * time.Millisecond
-	DefaultRetryMax       = 5 * time.Second
 	// DefaultEventLog sizes every node's flight recorder: a fixed ring of
 	// the most recent structured engine events.
 	DefaultEventLog = 1024
@@ -60,6 +56,25 @@ const (
 	parkedPerSendSlot = 4
 	departureGrace    = 2 * time.Second
 )
+
+// linkTiming bounds link set-up. Handshake bounds each step — an outgoing
+// transport dial, the hello a new inbound connection must identify itself
+// with, the dialer's wait for the acceptor's Welcome or Busy reply.
+// DialAttempts is how many times a sender tries to reach a peer before
+// the link is declared down, and RetryMax caps the backoff between sender
+// redials and between observer reconnects. Every engine runs
+// fixedTiming; tests shorten it through export_test.go.
+type linkTiming struct {
+	Handshake    time.Duration
+	DialAttempts int
+	RetryMax     time.Duration
+}
+
+var fixedTiming = linkTiming{
+	Handshake:    admission.DefaultHelloTimeout,
+	DialAttempts: 3,
+	RetryMax:     5 * time.Second,
+}
 
 // Config parameterizes an Engine.
 type Config struct {
@@ -76,11 +91,6 @@ type Config struct {
 	// link dies, re-registering idempotently under the same NodeID. One
 	// entry is the classic single-observer deployment.
 	Observers []message.NodeID
-	// Seed, when nonzero, fixes the engine's internal randomness — the
-	// observer-reconnect jitter — so chaos schedules replay
-	// deterministically. Zero derives the seed from the node identity
-	// alone.
-	Seed int64
 	// RecvBuf and SendBuf size the circular buffers in messages — the
 	// paper's per-node buffer capacity (5 for the back-pressure
 	// experiments, 10000 for the large-buffer ones). The parked backlog
@@ -104,23 +114,14 @@ type Config struct {
 	// parked-backlog headroom, so a full ring still blocks the receiver
 	// and back-pressure semantics are unchanged. 1 disables batching.
 	BatchSize int
-	// HandshakeTimeout bounds each step of setting up a link: an outgoing
-	// transport dial, the hello a new inbound connection must identify
-	// itself with, and the dialer's wait for the acceptor's Welcome or
-	// Busy reply. Zero selects admission.DefaultHelloTimeout.
-	HandshakeTimeout time.Duration
 	// Admission tunes the publicized port's admission gate: the in-flight
 	// handshake cap (negative disables the gate), the per-source rate and
 	// burst, and the greylist. Zeros select the admission package
 	// defaults.
 	Admission admission.Config
-	// DialAttempts is how many times a sender tries to reach a peer
-	// (with backoff between attempts) before the link is declared down.
-	DialAttempts int
-	// RetryBase and RetryMax bound the capped exponential backoff (with
-	// jitter) that paces sender redials and observer reconnects.
+	// RetryBase is the first delay of the capped exponential backoff
+	// (with jitter) that paces sender redials and observer reconnects.
 	RetryBase time.Duration
-	RetryMax  time.Duration
 	// DatagramData, when true, moves the node's data lane onto the
 	// transport's datagram endpoint (UDP on the real network, the vnet
 	// packet endpoints in tests): outgoing data messages are framed into
@@ -136,11 +137,6 @@ type Config struct {
 	// selects message.DefaultDgramMTU; values below message.MinDgramMTU
 	// are rejected.
 	DatagramMTU int
-	// LocalTrace, when set, receives every Trace record as a text line in
-	// addition to the observer — the paper's alternative of logging
-	// traces locally at each node when the volume is large. The writer
-	// must be safe for concurrent use or used by one engine only.
-	LocalTrace io.Writer
 }
 
 func (c *Config) applyDefaults() {
@@ -156,17 +152,8 @@ func (c *Config) applyDefaults() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = admission.DefaultHelloTimeout
-	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = DefaultDialAttempts
-	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = DefaultRetryBase
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = DefaultRetryMax
 	}
 	if c.DatagramMTU == 0 {
 		c.DatagramMTU = message.DefaultDgramMTU
@@ -189,11 +176,12 @@ type parkedMsg struct {
 
 // Engine is one iOverlay node.
 type Engine struct {
-	cfg  Config
-	id   message.NodeID
-	addr string // id rendered as a dial/listen address, once
-	alg  Algorithm
-	pool *message.Pool
+	cfg    Config
+	timing linkTiming
+	id     message.NodeID
+	addr   string // id rendered as a dial/listen address, once
+	alg    Algorithm
+	pool   *message.Pool
 	// budget is the node's emulated bandwidth; down composes its incoming
 	// half, the one shaper every receiver reads through.
 	budget   *bandwidth.NodeBudget
@@ -344,7 +332,9 @@ type Engine struct {
 var _ API = (*Engine)(nil)
 
 // New constructs an engine; Start must be called to run it.
-func New(cfg Config) (*Engine, error) {
+func New(cfg Config) (*Engine, error) { return newEngine(cfg, fixedTiming) }
+
+func newEngine(cfg Config, timing linkTiming) (*Engine, error) {
 	if cfg.Algorithm == nil {
 		return nil, errors.New("engine: Config.Algorithm is required")
 	}
@@ -366,6 +356,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:          cfg,
+		timing:       timing,
 		id:           cfg.ID,
 		addr:         cfg.ID.Addr(),
 		alg:          cfg.Algorithm,
@@ -390,13 +381,9 @@ func New(cfg Config) (*Engine, error) {
 	e.down = e.budget.DownShaper()
 	e.hello = message.New(protocol.TypeHello, cfg.ID, 0, 0, nil).AppendHeader(nil)
 	e.welcome = message.New(protocol.TypeWelcome, cfg.ID, 0, 0, nil).AppendHeader(nil)
-	// The reconnect jitter seed mixes Config.Seed with the identity
-	// through a private RNG draw, so two nodes sharing a Seed still
-	// jitter apart while a fixed (Seed, ID) pair replays exactly.
-	seedRng := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID.IP)<<32 ^ int64(cfg.ID.Port)))
-	e.obsBackoff = newBackoff(cfg.RetryBase, cfg.RetryMax, seedRng.Int63())
+	e.obsBackoff = e.newBackoff(0) // sender loops salt with their peer
 	e.door = &admission.Door{
-		Gate: admission.New(cfg.Admission), ID: e.id, HelloTimeout: cfg.HandshakeTimeout,
+		Gate: admission.New(cfg.Admission), ID: e.id, HelloTimeout: timing.Handshake,
 		Counters: &e.counters, Rec: e.rec, Done: e.done, WG: &e.wg,
 	}
 	return e, nil
@@ -629,7 +616,7 @@ func (e *Engine) connectObserver() error {
 	}
 	target := e.observerTargetLocked()
 	e.mu.Unlock()
-	conn, err := DialHello(e.cfg.Transport, e.id, target, 0, e.cfg.HandshakeTimeout)
+	conn, err := DialHello(e.cfg.Transport, e.id, target, 0, e.timing.Handshake)
 	if err != nil {
 		return err
 	}

@@ -70,6 +70,12 @@ func nid(i int) message.NodeID {
 // startNode boots an engine over the shared vnet with the given algorithm.
 func startNode(t *testing.T, n *vnet.Network, id message.NodeID, alg engine.Algorithm, mut ...func(*engine.Config)) *engine.Engine {
 	t.Helper()
+	return startTimedNode(t, n, id, alg, engine.Timing{}, mut...)
+}
+
+// startTimedNode is startNode with the link set-up timing shortened.
+func startTimedNode(t *testing.T, n *vnet.Network, id message.NodeID, alg engine.Algorithm, timing engine.Timing, mut ...func(*engine.Config)) *engine.Engine {
+	t.Helper()
 	cfg := engine.Config{
 		ID:             id,
 		Transport:      engine.VNet{Net: n},
@@ -79,7 +85,7 @@ func startNode(t *testing.T, n *vnet.Network, id message.NodeID, alg engine.Algo
 	for _, m := range mut {
 		m(&cfg)
 	}
-	e, err := engine.New(cfg)
+	e, err := engine.NewTimed(cfg, timing)
 	if err != nil {
 		t.Fatalf("New(%s): %v", id, err)
 	}
@@ -936,54 +942,4 @@ func (a *appRouter) Process(m *message.Msg) engine.Verdict {
 		return engine.Done
 	}
 	return a.recorder.Process(m)
-}
-
-// lockedBuf is a goroutine-safe trace sink for tests.
-type lockedBuf struct {
-	mu sync.Mutex
-	s  []string
-}
-
-func (l *lockedBuf) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s = append(l.s, string(p))
-	return len(p), nil
-}
-
-func (l *lockedBuf) lines() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.s...)
-}
-
-func TestLocalTraceLogging(t *testing.T) {
-	n := vnet.New()
-	defer n.Close()
-	var buf lockedBuf
-	a := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) {
-		c.LocalTrace = &buf
-	})
-	a.Trace("checkpoint %d", 7)
-	lines := buf.lines()
-	if len(lines) != 1 {
-		t.Fatalf("local trace lines = %d, want 1", len(lines))
-	}
-	if want := "checkpoint 7"; len(lines[0]) == 0 || !containsStr(lines[0], want) {
-		t.Errorf("trace line %q missing %q", lines[0], want)
-	}
-	if !containsStr(lines[0], nid(1).String()) {
-		t.Errorf("trace line %q missing node id", lines[0])
-	}
-}
-
-func containsStr(s, sub string) bool {
-	return len(s) >= len(sub) && func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
-			}
-		}
-		return false
-	}()
 }

@@ -102,18 +102,17 @@ func (f *fakeObserver) close() {
 }
 
 // TestObserverBackoffSeededDeterministically: two engines with the same
-// identity and Seed must produce identical reconnect jitter sequences, so
-// chaos schedules replay exactly; a different Seed perturbs the sequence.
+// identity must produce identical reconnect jitter sequences, so chaos
+// schedules replay exactly; a different identity perturbs the sequence.
 func TestObserverBackoffSeededDeterministically(t *testing.T) {
-	mk := func(seed int64) *Engine {
+	mk := func(ip string) *Engine {
 		n := vnet.New()
 		t.Cleanup(n.Close)
 		e, err := New(Config{
-			ID:        message.MakeID("10.0.0.1", 7000),
+			ID:        message.MakeID(ip, 7000),
 			Transport: VNet{Net: n},
 			Algorithm: nopAlg{},
 			Observers: []message.NodeID{message.MakeID("10.255.0.1", 9000)},
-			Seed:      seed,
 		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -127,18 +126,18 @@ func TestObserverBackoffSeededDeterministically(t *testing.T) {
 		}
 		return out
 	}
-	a, b, c := draw(mk(42), 8), draw(mk(42), 8), draw(mk(43), 8)
+	a, b, c := draw(mk("10.0.0.1"), 8), draw(mk("10.0.0.1"), 8), draw(mk("10.0.0.2"), 8)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, a[i], b[i])
+			t.Fatalf("same identity diverged at draw %d: %v vs %v", i, a[i], b[i])
 		}
 		if a[i] != c[i] {
 			same = false
 		}
 	}
 	if same {
-		t.Fatal("different seeds produced identical jitter sequences")
+		t.Fatal("different identities produced identical jitter sequences")
 	}
 }
 
@@ -153,16 +152,14 @@ func TestPendingReportsFlushAfterFailover(t *testing.T) {
 	idB := message.MakeID("10.255.0.2", 9000)
 	obsB := startFakeObserver(t, n, idB)
 
-	e, err := New(Config{
+	e, err := NewTimed(Config{
 		ID:             message.MakeID("10.0.0.1", 7000),
 		Transport:      VNet{Net: n},
 		Algorithm:      nopAlg{},
 		Observers:      []message.NodeID{idA, idB},
 		StatusInterval: 15 * time.Millisecond,
 		RetryBase:      10 * time.Millisecond,
-		RetryMax:       30 * time.Millisecond,
-		Seed:           1,
-	})
+	}, Timing{RetryMax: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -294,8 +291,6 @@ func TestRefusedRegistrationKeepsBackingOff(t *testing.T) {
 		Algorithm: nopAlg{},
 		Observers: []message.NodeID{idA, idB},
 		RetryBase: 20 * time.Millisecond,
-		RetryMax:  5 * time.Second,
-		Seed:      1,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

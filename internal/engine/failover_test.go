@@ -42,11 +42,10 @@ func TestObserverFailoverReRegisters(t *testing.T) {
 	ob := startObs(t, n, idB)
 
 	alg := &recorder{}
-	e := startNode(t, n, nid(1), alg, func(c *engine.Config) {
+	e := startTimedNode(t, n, nid(1), alg, engine.Timing{RetryMax: 40 * time.Millisecond}, func(c *engine.Config) {
 		c.Observers = []message.NodeID{idA, idB}
 		c.StatusInterval = 25 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
-		c.RetryMax = 40 * time.Millisecond
 	})
 	// A move counts as a failover only away from an observer that answered:
 	// wait for A's reply to arrive, not just for A to have seen the Boot.
@@ -99,11 +98,10 @@ func TestObserverFailbackAfterFlap(t *testing.T) {
 	ob := startObs(t, n, idB)
 
 	alg := &recorder{}
-	e := startNode(t, n, nid(1), alg, func(c *engine.Config) {
+	e := startTimedNode(t, n, nid(1), alg, engine.Timing{RetryMax: 40 * time.Millisecond}, func(c *engine.Config) {
 		c.Observers = []message.NodeID{idA, idB}
 		c.StatusInterval = 25 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
-		c.RetryMax = 40 * time.Millisecond
 	})
 	// Each observer must have answered before it is killed, or leaving it
 	// is not a failover (see TestObserverFailoverReRegisters).

@@ -82,9 +82,8 @@ func TestDropAccountingCountsInFlightMessage(t *testing.T) {
 	// Budget: hello + first message + half of the second. The second
 	// message fails mid-write and must be charged in full.
 	lt := &limitTransport{net: n, limit: helloLen + wireLen + wireLen/2}
-	a := startNode(t, n, nid(1), r, func(c *engine.Config) {
+	a := startTimedNode(t, n, nid(1), r, engine.Timing{DialAttempts: 1}, func(c *engine.Config) {
 		c.Transport = lt
-		c.DialAttempts = 1
 	})
 
 	a.Do(func(api engine.API) {
@@ -202,8 +201,7 @@ func TestDialRetryReachesLateListener(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
 	r := &recorder{}
-	a := startNode(t, n, nid(1), r, func(c *engine.Config) {
-		c.DialAttempts = 10
+	a := startTimedNode(t, n, nid(1), r, engine.Timing{DialAttempts: 10}, func(c *engine.Config) {
 		c.RetryBase = 20 * time.Millisecond
 	})
 	m := a.NewControl(protocol.TypeCustom, 0, protocol.Custom{Kind: 7}.Encode())

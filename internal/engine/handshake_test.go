@@ -176,15 +176,17 @@ func rawAcceptor(t *testing.T, n *vnet.Network, serve func(c net.Conn)) {
 	}()
 }
 
-func dialerEngine(t *testing.T, n *vnet.Network, mut func(*Config)) *Engine {
+func dialerEngine(t *testing.T, n *vnet.Network, timing Timing, mut ...func(*Config)) *Engine {
 	t.Helper()
 	cfg := Config{
 		ID:        message.MakeID("10.0.0.1", 7000),
 		Transport: VNet{Net: n},
 		Algorithm: nopAlg{},
 	}
-	mut(&cfg)
-	e, err := New(cfg)
+	for _, m := range mut {
+		m(&cfg)
+	}
+	e, err := NewTimed(cfg, timing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +225,8 @@ func TestDialPeerLateBusyStillBacksOff(t *testing.T) {
 		_, _ = c.Write(welcome)
 	})
 
-	e := dialerEngine(t, n, func(c *Config) {
-		c.DialAttempts = 2
+	e := dialerEngine(t, n, Timing{DialAttempts: 2, RetryMax: time.Second}, func(c *Config) {
 		c.RetryBase = time.Millisecond // the hint, not the schedule, must pace the retry
-		c.RetryMax = time.Second
 	})
 	conn, err := dialAcceptor(e)
 	if err != nil {
@@ -244,7 +244,7 @@ func TestDialPeerLateBusyStillBacksOff(t *testing.T) {
 
 // TestDialPeerMuteAcceptorFailsAtHandshakeTimeout: a peer that accepts
 // the transport connection, reads the hello and never answers is a failed
-// attempt — after the full HandshakeTimeout, not after some shorter guess.
+// attempt — after the full handshake deadline, not after some shorter guess.
 func TestDialPeerMuteAcceptorFailsAtHandshakeTimeout(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
@@ -252,10 +252,7 @@ func TestDialPeerMuteAcceptorFailsAtHandshakeTimeout(t *testing.T) {
 		_, _ = message.Read(c, nil, 256) // take the hello, then go mute
 	})
 	const timeout = 150 * time.Millisecond
-	e := dialerEngine(t, n, func(c *Config) {
-		c.DialAttempts = 1
-		c.HandshakeTimeout = timeout
-	})
+	e := dialerEngine(t, n, Timing{DialAttempts: 1, Handshake: timeout})
 	start := time.Now()
 	conn, err := dialAcceptor(e)
 	elapsed := time.Since(start)
@@ -268,7 +265,7 @@ func TestDialPeerMuteAcceptorFailsAtHandshakeTimeout(t *testing.T) {
 		t.Errorf("dial error = %v, want a timeout", err)
 	}
 	if elapsed < timeout || elapsed > 10*timeout {
-		t.Errorf("dial failed after %v, want HandshakeTimeout (%v)", elapsed, timeout)
+		t.Errorf("dial failed after %v, want the handshake deadline (%v)", elapsed, timeout)
 	}
 }
 
@@ -281,10 +278,7 @@ func TestDialPeerHelloWriteBounded(t *testing.T) {
 	defer n.Close()
 	rawAcceptor(t, n, func(net.Conn) {}) // accepted, never read: socket buffer stays full
 
-	e := dialerEngine(t, n, func(c *Config) {
-		c.DialAttempts = 1
-		c.HandshakeTimeout = 100 * time.Millisecond
-	})
+	e := dialerEngine(t, n, Timing{DialAttempts: 1, Handshake: 100 * time.Millisecond})
 	done := make(chan error, 1)
 	go func() {
 		conn, derr := dialAcceptor(e)
@@ -299,6 +293,6 @@ func TestDialPeerHelloWriteBounded(t *testing.T) {
 			t.Error("dial into a never-drained pipe succeeded, want a bounded write failure")
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("dialPeer stuck past HandshakeTimeout: hello write is unbounded")
+		t.Fatal("dialPeer stuck past the handshake deadline: hello write is unbounded")
 	}
 }

@@ -223,8 +223,8 @@ type sender struct {
 	inline inlineWriter
 	// dialMu guards dialConn, the connection whose handshake is in flight:
 	// Stop and CloseLink close it from outside so a dialer blocked on the
-	// peer's admission reply returns at once instead of at
-	// Config.HandshakeTimeout.
+	// peer's admission reply returns at once instead of at the handshake
+	// deadline.
 	dialMu   sync.Mutex
 	dialConn net.Conn
 	// reply receives the peer's admission reply frame — a bare Welcome
@@ -278,7 +278,7 @@ type inlineWriter interface {
 // runSender is the sender thread body. It dials lazily: messages queued
 // while the connection is being established are delivered once it is up.
 // A failed dial is retried with capped exponential backoff up to
-// Config.DialAttempts times — transient refusals during churn (a peer
+// linkTiming.DialAttempts times — transient refusals during churn (a peer
 // mid-restart, a healing partition) no longer kill the link on the first
 // try — before the link is declared down.
 func (e *Engine) runSender(s *sender) {
@@ -570,7 +570,7 @@ func (e *Engine) dialPeer(s *sender) (net.Conn, error) {
 		if err == nil {
 			return conn, nil
 		}
-		if attempt >= e.cfg.DialAttempts || s.ring.Closed() {
+		if attempt >= e.timing.DialAttempts || s.ring.Closed() {
 			return nil, err
 		}
 		if bo == nil {
@@ -592,7 +592,7 @@ func (e *Engine) dialPeer(s *sender) (net.Conn, error) {
 // handshake's duration, which lets Stop and CloseLink interrupt it. A
 // refusal's retry-after hint comes back with the error.
 func (e *Engine) dialOnce(s *sender) (net.Conn, time.Duration, error) {
-	conn, err := e.cfg.Transport.DialFrom(e.addr, s.peer.Addr(), e.cfg.HandshakeTimeout)
+	conn, err := e.cfg.Transport.DialFrom(e.addr, s.peer.Addr(), e.timing.Handshake)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -608,7 +608,7 @@ func (e *Engine) dialOnce(s *sender) (net.Conn, time.Duration, error) {
 
 // greet is the client side of the handshake, one round trip: the hello
 // goes out and the acceptor's one reply frame comes back, both inside
-// Config.HandshakeTimeout — a blackholed peer with a full socket buffer
+// the handshake deadline — a blackholed peer with a full socket buffer
 // stalls the hello write no longer than a mute one stalls the reply.
 func (e *Engine) greet(s *sender, conn net.Conn) (time.Duration, error) {
 	if s.ring.Closed() {
@@ -616,7 +616,7 @@ func (e *Engine) greet(s *sender, conn net.Conn) (time.Duration, error) {
 		// interrupt this handshake, so it must not start.
 		return 0, errLinkClosed
 	}
-	_ = conn.SetDeadline(time.Now().Add(e.cfg.HandshakeTimeout))
+	_ = conn.SetDeadline(time.Now().Add(e.timing.Handshake))
 	if _, err := conn.Write(e.hello); err != nil {
 		return 0, err
 	}

@@ -22,10 +22,9 @@ func TestDepartWhileObserverDownStopsReconnects(t *testing.T) {
 	obsID := nid(99) // never listening
 
 	alg := &recorder{}
-	e := startNode(t, n, nid(1), alg, func(c *engine.Config) {
+	e := startTimedNode(t, n, nid(1), alg, engine.Timing{RetryMax: 20 * time.Millisecond}, func(c *engine.Config) {
 		c.Observers = []message.NodeID{obsID}
 		c.RetryBase = 10 * time.Millisecond
-		c.RetryMax = 20 * time.Millisecond
 	})
 	// Let a few reconnect attempts fail.
 	time.Sleep(60 * time.Millisecond)

@@ -21,7 +21,7 @@ import (
 func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
-	e := dialerEngine(t, n, func(*Config) {})
+	e := dialerEngine(t, n, Timing{})
 	dest := message.MakeID("10.0.0.9", 7000)
 	s := newSender(dest, 2, 0)
 	e.senders[dest] = s
@@ -62,7 +62,7 @@ func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
 func TestDepartWaitsForParkedData(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
-	e := dialerEngine(t, n, func(*Config) {})
+	e := dialerEngine(t, n, Timing{})
 	if !e.drainedForDeparture() {
 		t.Fatal("idle engine reads as not drained")
 	}

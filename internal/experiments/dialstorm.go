@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/engine"
 )
 
 // DialStormConfig parameterizes the connection-storm experiment: a live
@@ -16,64 +15,28 @@ import (
 // The admission gate must shed the storm at the listener — bounded
 // in-flight handshakes, Busy refusals, greylisting — while the
 // established tree keeps streaming and the control lane stays empty.
+// Every engine runs the default gate. The storm dials each of
+// stormTargets listeners — the source plus the interior nodes with the
+// most children — stormRate times a second, and delivery is sampled over
+// one second before it.
 type DialStormConfig struct {
 	// N is the session size including the source (default 16).
 	N int
-	// Rate is the source's send rate in bytes/sec (default 256 KBps).
-	Rate int64
-	// MsgSize is the data payload size (default 1 KB).
-	MsgSize int
-	// MaxHandshakes is the per-engine in-flight handshake cap (default
-	// admission.DefaultMaxHandshakes).
-	MaxHandshakes int
-	// StormRate is the dial rate per stormed listener in dials/sec
-	// (default 400).
-	StormRate int64
 	// StormFor is how long the storm runs (default 2s).
 	StormFor time.Duration
-	// Targets is how many listeners are stormed: the source plus the
-	// interior nodes with the most children (default 3).
-	Targets int
-	// Linger is how long each half-open connection pins its handshake
-	// token before hanging up (default 300ms).
-	Linger time.Duration
-	// MeasureWindow is the pre-storm throughput sampling window
-	// (default 1s).
-	MeasureWindow time.Duration
-	// RecoveryTimeout bounds the post-storm steady-state wait (default 30s).
-	RecoveryTimeout time.Duration
 }
+
+const (
+	stormRate    = 400 // dials/sec per stormed listener
+	stormTargets = 3
+)
 
 func (c *DialStormConfig) applyDefaults() {
 	if c.N <= 0 {
 		c.N = 16
 	}
-	if c.Rate <= 0 {
-		c.Rate = 256 << 10
-	}
-	if c.MsgSize <= 0 {
-		c.MsgSize = 1 << 10
-	}
-	if c.MaxHandshakes <= 0 {
-		c.MaxHandshakes = admission.DefaultMaxHandshakes
-	}
-	if c.StormRate <= 0 {
-		c.StormRate = 400
-	}
 	if c.StormFor <= 0 {
 		c.StormFor = 2 * time.Second
-	}
-	if c.Targets <= 0 {
-		c.Targets = 3
-	}
-	if c.Linger <= 0 {
-		c.Linger = stormLinger
-	}
-	if c.MeasureWindow <= 0 {
-		c.MeasureWindow = time.Second
-	}
-	if c.RecoveryTimeout <= 0 {
-		c.RecoveryTimeout = 30 * time.Second
 	}
 }
 
@@ -110,25 +73,20 @@ type DialStormResult struct {
 // DialStorm runs the connection-storm experiment.
 func DialStorm(cfg DialStormConfig) (*DialStormResult, error) {
 	cfg.applyDefaults()
-	s, err := NewSession(SessionConfig{
-		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
-		Node: func(_ int, conf *engine.Config) {
-			conf.Admission.MaxHandshakes = cfg.MaxHandshakes
-		},
-	})
+	s, err := NewSession(SessionConfig{N: cfg.N})
 	if err != nil {
 		return nil, err
 	}
 	defer s.Stop()
 
-	res := &DialStormResult{Cap: int64(cfg.MaxHandshakes)}
-	res.PreRate = rateOver(cfg.MeasureWindow, s.ReceivedTotal)
+	res := &DialStormResult{Cap: admission.DefaultMaxHandshakes}
+	res.PreRate = rateOver(time.Second, s.ReceivedTotal)
 
 	// Storm the source plus the interior nodes with the widest fan-out:
 	// those listeners carry the most established links, so starving them
 	// would hurt the stream the most.
 	widest := s.Interior()
-	res.Targets = append([]int{0}, widest[:min(cfg.Targets-1, len(widest))]...)
+	res.Targets = append([]int{0}, widest[:min(stormTargets-1, len(widest))]...)
 
 	// Sample the stormed engines' control-lane delay while the storm runs:
 	// the acceptance criterion is that admission work never queues repair
@@ -152,10 +110,10 @@ func DialStorm(cfg DialStormConfig) (*DialStormResult, error) {
 		}
 	}()
 
-	res.Dials, res.StormTput = s.DialStorm(res.Targets, cfg.StormRate, cfg.StormFor, cfg.Linger)
+	res.Dials, res.StormTput = s.DialStorm(res.Targets, stormRate, cfg.StormFor)
 	s.Mark()
 	start := time.Now()
-	res.Recovered = s.AwaitSteady(cfg.RecoveryTimeout) == nil
+	res.Recovered = s.AwaitSteady(recoveryTimeout) == nil
 	res.Recovery = time.Since(start)
 	close(stopSampling)
 	samplerDone.Wait()

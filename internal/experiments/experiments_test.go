@@ -300,10 +300,9 @@ func TestFed16SessionAndOverhead(t *testing.T) {
 
 func TestFig16OverheadDecaysAfterArrivalsStop(t *testing.T) {
 	points, err := Fig16(Fig16Config{
-		N:              9,
-		Minutes:        6,
-		ServicesPerMin: 3,
-		MinuteDur:      150 * time.Millisecond,
+		N:         9,
+		Minutes:   6,
+		MinuteDur: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -141,7 +141,6 @@ func (fc *fedCluster) overheadTotals() (aware, federate int64) {
 // Fed16Config parameterizes the 16-node service federation experiment.
 type Fed16Config struct {
 	N      int
-	Seed   int64
 	Window time.Duration
 }
 
@@ -180,7 +179,7 @@ type Fed16Result struct {
 // it, and reports per-node overhead and bandwidth.
 func Fed16(cfg Fed16Config) (*Fed16Result, error) {
 	cfg.applyDefaults()
-	fc, err := newFedCluster(cfg.N, cfg.Seed+16, federation.SFlow)
+	fc, err := newFedCluster(cfg.N, 16, federation.SFlow)
 	if err != nil {
 		return nil, err
 	}
@@ -294,12 +293,13 @@ func RenderFed16(r *Fed16Result) string {
 // new services per minute, observing sAware overhead over 22 minutes.
 // MinuteDur compresses each paper-minute.
 type Fig16Config struct {
-	N              int
-	Seed           int64
-	Minutes        int
-	ServicesPerMin int
-	MinuteDur      time.Duration
+	N         int
+	Minutes   int
+	MinuteDur time.Duration
 }
+
+// fig16ServicesPerMin is the paper's service arrival rate.
+const fig16ServicesPerMin = 3
 
 func (c *Fig16Config) applyDefaults() {
 	if c.N <= 0 {
@@ -307,9 +307,6 @@ func (c *Fig16Config) applyDefaults() {
 	}
 	if c.Minutes <= 0 {
 		c.Minutes = 22
-	}
-	if c.ServicesPerMin <= 0 {
-		c.ServicesPerMin = 3
 	}
 	if c.MinuteDur <= 0 {
 		c.MinuteDur = 250 * time.Millisecond
@@ -328,7 +325,7 @@ type Fig16Point struct {
 // minutes).
 func Fig16(cfg Fig16Config) ([]Fig16Point, error) {
 	cfg.applyDefaults()
-	fc, err := newFedCluster(cfg.N, cfg.Seed+77, federation.SFlow)
+	fc, err := newFedCluster(cfg.N, 77, federation.SFlow)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +335,7 @@ func Fig16(cfg Fig16Config) ([]Fig16Point, error) {
 	next := 0
 	prev := int64(0)
 	for minute := 1; minute <= cfg.Minutes; minute++ {
-		for k := 0; k < cfg.ServicesPerMin && next < cfg.N; k++ {
+		for k := 0; k < fig16ServicesPerMin && next < cfg.N; k++ {
 			node := fc.tb.Nodes[next]
 			typ := serviceTypes[next%len(serviceTypes)]
 			fc.Obs.Command(node.ID, federation.TypeAssign,
@@ -365,12 +362,11 @@ func RenderFig16(points []Fig16Point) string {
 
 // ----- Fig. 17 / 18 / 19: overhead and bandwidth vs network size -----
 
-// FedSweepConfig parameterizes the network-size sweeps.
+// FedSweepConfig parameterizes the network-size sweeps. Every requirement
+// asks for 100 KBps.
 type FedSweepConfig struct {
 	Sizes        []int
-	Seed         int64
 	Requirements int // federated sessions per size (paper: 500)
-	SessionBW    int64
 	Policy       federation.Selection
 }
 
@@ -380,9 +376,6 @@ func (c *FedSweepConfig) applyDefaults() {
 	}
 	if c.Requirements <= 0 {
 		c.Requirements = 500
-	}
-	if c.SessionBW <= 0 {
-		c.SessionBW = 100 << 10
 	}
 	if c.Policy == 0 {
 		c.Policy = federation.SFlow
@@ -427,7 +420,7 @@ func FedSweep(cfg FedSweepConfig) ([]Fig17Row, error) {
 }
 
 func fedSweepOne(size int, cfg FedSweepConfig) (*Fig17Row, error) {
-	fc, err := newFedCluster(size, cfg.Seed+int64(size), cfg.Policy)
+	fc, err := newFedCluster(size, int64(size), cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -450,7 +443,7 @@ func fedSweepOne(size int, cfg FedSweepConfig) (*Fig17Row, error) {
 		for k := 0; k < length; k++ {
 			types = append(types, serviceTypes[(s+k)%len(serviceTypes)])
 		}
-		req := federation.Chain(cfg.SessionBW, types...)
+		req := federation.Chain(100<<10, types...)
 		session := uint32(1000 + s)
 		if _, err := fc.federate(session, req, 5*time.Second); err != nil {
 			row.Failed++

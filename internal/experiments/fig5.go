@@ -12,12 +12,11 @@ import (
 
 // Fig5Config parameterizes the raw engine performance experiment: a chain
 // of virtualized nodes on one machine with a back-to-back source at one
-// end, as in Section 2.4 / Fig. 5 of the paper.
+// end, as in Section 2.4 / Fig. 5 of the paper, sending the paper's
+// 5 KB messages.
 type Fig5Config struct {
 	// Sizes are the chain lengths; defaults to the paper's 2–32 sweep.
 	Sizes []int
-	// MsgSize is the data payload per message (the paper uses 5 KB).
-	MsgSize int
 	// Warmup and Window bound the measurement.
 	Warmup, Window time.Duration
 	// BatchSize overrides engine.Config.BatchSize (0 = engine default;
@@ -28,9 +27,6 @@ type Fig5Config struct {
 func (c *Fig5Config) applyDefaults() {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{2, 3, 4, 5, 6, 8, 12, 16, 32}
-	}
-	if c.MsgSize <= 0 {
-		c.MsgSize = 5 << 10
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = 300 * time.Millisecond
@@ -84,7 +80,7 @@ func fig5One(n int, cfg Fig5Config) (Fig5Row, error) {
 			return Fig5Row{}, err
 		}
 	}
-	c.Engines[nodeID(0)].StartSource(app, 0, cfg.MsgSize)
+	c.Engines[nodeID(0)].StartSource(app, 0, 5<<10)
 	time.Sleep(cfg.Warmup)
 	tail := algs[n-1]
 	endToEnd := rateOver(cfg.Window, func() int64 { return tail.ReceivedBytes(app) })

@@ -40,32 +40,19 @@ type Fig6Phase struct {
 
 // Fig6Config parameterizes the correctness experiments.
 type Fig6Config struct {
-	// BufferMsgs is the engine buffer capacity (5 in Fig. 6, 10000 in
-	// Fig. 7).
-	BufferMsgs int
-	// MsgSize is the data payload (5 KB in the paper).
-	MsgSize int
 	// Settle is the wait before measuring each phase.
 	Settle time.Duration
 	// Window is the measurement window.
 	Window time.Duration
 }
 
-func (c *Fig6Config) applyDefaults(buffered bool) {
-	if c.BufferMsgs <= 0 {
-		if buffered {
-			c.BufferMsgs = 10000
-		} else {
-			c.BufferMsgs = 5
-		}
-	}
-	if c.MsgSize <= 0 {
-		// 1 KB rather than the paper's 5 KB so per-hop buffering (rings
-		// plus virtual-network pipes) drains within seconds at the
-		// 15–30 KBps back-pressured rates; the steady-state rates are
-		// independent of message size.
-		c.MsgSize = 1 << 10
-	}
+// fig6MsgSize is the source's payload: 1 KB rather than the paper's 5 KB
+// so per-hop buffering (rings plus virtual-network pipes) drains within
+// seconds at the 15–30 KBps back-pressured rates; the steady-state rates
+// are independent of message size.
+const fig6MsgSize = 1 << 10
+
+func (c *Fig6Config) applyDefaults() {
 	if c.Settle <= 0 {
 		c.Settle = 3 * time.Second
 	}
@@ -75,10 +62,11 @@ func (c *Fig6Config) applyDefaults(buffered bool) {
 }
 
 // fig6Cluster boots the seven-node topology with A capped at 400 KBps
-// total and a back-to-back source at A. Shallow vnet pipes keep per-hop
-// byte backlog small so convergence after runtime bandwidth changes is
-// fast, like small kernel socket buffers would.
-func fig6Cluster(cfg Fig6Config) (*Cluster, map[string]message.NodeID, error) {
+// total, every buffer bufferMsgs long (5 in Fig. 6, 10000 in Fig. 7) and
+// a back-to-back source at A. Shallow vnet pipes keep per-hop byte
+// backlog small so convergence after runtime bandwidth changes is fast,
+// like small kernel socket buffers would.
+func fig6Cluster(bufferMsgs int) (*Cluster, map[string]message.NodeID, error) {
 	c, err := NewCluster(false, vnet.WithPipeCapacity(4<<10))
 	if err != nil {
 		return nil, nil, err
@@ -94,7 +82,7 @@ func fig6Cluster(cfg Fig6Config) (*Cluster, map[string]message.NodeID, error) {
 			alg.DefaultRoutes = append(alg.DefaultRoutes, ids[dst])
 		}
 		_, err := c.AddNode(ids[name], alg, func(conf *engine.Config) {
-			conf.RecvBuf, conf.SendBuf = cfg.BufferMsgs, cfg.BufferMsgs
+			conf.RecvBuf, conf.SendBuf = bufferMsgs, bufferMsgs
 			if name == "A" {
 				conf.TotalBW = 400 << 10
 			}
@@ -104,7 +92,7 @@ func fig6Cluster(cfg Fig6Config) (*Cluster, map[string]message.NodeID, error) {
 			return nil, nil, err
 		}
 	}
-	c.Engines[ids["A"]].StartSource(1, 0, cfg.MsgSize)
+	c.Engines[ids["A"]].StartSource(1, 0, fig6MsgSize)
 	return c, ids, nil
 }
 
@@ -238,8 +226,8 @@ func fig6Predict(mode flowsim.Mode, dUplink, efLink float64, dead map[string]boo
 // cap, back-pressure from D's uplink cap, termination of B, termination
 // of G — with small buffers throughout.
 func Fig6(cfg Fig6Config) ([]Fig6Phase, error) {
-	cfg.applyDefaults(false)
-	c, ids, err := fig6Cluster(cfg)
+	cfg.applyDefaults()
+	c, ids, err := fig6Cluster(5)
 	if err != nil {
 		return nil, err
 	}
@@ -276,8 +264,8 @@ func Fig6(cfg Fig6Config) ([]Fig6Phase, error) {
 // Fig7 runs the two panels of Fig. 7: the same topology with very large
 // buffers, where bottlenecks stay local within the measurement horizon.
 func Fig7(cfg Fig6Config) ([]Fig6Phase, error) {
-	cfg.applyDefaults(true)
-	c, ids, err := fig6Cluster(cfg)
+	cfg.applyDefaults()
+	c, ids, err := fig6Cluster(10000)
 	if err != nil {
 		return nil, err
 	}

@@ -12,17 +12,14 @@ import (
 
 // Fig8Config parameterizes the network-coding case study (Fig. 8): the
 // seven-node topology with A splitting the session into streams a and b,
-// A capped at 400 KBps total, D's uplink capped at 200 KBps.
+// A capped at 400 KBps total, D's uplink capped at 200 KBps, A sending
+// 1 KB messages.
 type Fig8Config struct {
-	MsgSize int
-	Settle  time.Duration
-	Window  time.Duration
+	Settle time.Duration
+	Window time.Duration
 }
 
 func (c *Fig8Config) applyDefaults() {
-	if c.MsgSize <= 0 {
-		c.MsgSize = 1 << 10
-	}
 	if c.Settle <= 0 {
 		c.Settle = 2 * time.Second
 	}
@@ -113,7 +110,7 @@ func fig8Run(cfg Fig8Config, useCoding bool) ([]Fig8Row, error) {
 			return nil, err
 		}
 	}
-	c.Engines[ids["A"]].StartSource(app, 0, cfg.MsgSize)
+	c.Engines[ids["A"]].StartSource(app, 0, 1<<10)
 	time.Sleep(cfg.Settle)
 
 	rows := make([]Fig8Row, 0, 4)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/engine"
 )
 
 // Fig9ChurnConfig parameterizes the mid-stream failure experiment: a
@@ -19,15 +17,8 @@ type Fig9ChurnConfig struct {
 	N int
 	// MaxConcurrent is the largest simultaneous-failure burst (default 8).
 	MaxConcurrent int
-	// Rate is the source's send rate in bytes/sec (default 256 KBps).
-	Rate int64
-	// MsgSize is the data payload size (default 1 KB).
-	MsgSize int
 	// RecoveryTimeout bounds the wait for the session to heal (default 30s).
 	RecoveryTimeout time.Duration
-	// InactivityTimeout is the engines' passive failure detection window
-	// (default 600ms); recovery latency is dominated by it.
-	InactivityTimeout time.Duration
 }
 
 func (c *Fig9ChurnConfig) applyDefaults() {
@@ -37,17 +28,8 @@ func (c *Fig9ChurnConfig) applyDefaults() {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 8
 	}
-	if c.Rate <= 0 {
-		c.Rate = 256 << 10
-	}
-	if c.MsgSize <= 0 {
-		c.MsgSize = 1 << 10
-	}
 	if c.RecoveryTimeout <= 0 {
-		c.RecoveryTimeout = 30 * time.Second
-	}
-	if c.InactivityTimeout <= 0 {
-		c.InactivityTimeout = 600 * time.Millisecond
+		c.RecoveryTimeout = recoveryTimeout
 	}
 }
 
@@ -91,12 +73,7 @@ func Fig9Churn(cfg Fig9ChurnConfig) ([]Fig9ChurnPoint, error) {
 }
 
 func fig9ChurnOne(k int, cfg Fig9ChurnConfig) (*Fig9ChurnPoint, error) {
-	s, err := NewSession(SessionConfig{
-		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
-		Node: func(_ int, conf *engine.Config) {
-			conf.InactivityTimeout = cfg.InactivityTimeout
-		},
-	})
+	s, err := NewSession(SessionConfig{N: cfg.N})
 	if err != nil {
 		return nil, err
 	}

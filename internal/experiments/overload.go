@@ -22,19 +22,11 @@ type OverloadConfig struct {
 	N int
 	// Kills is how many interior nodes are crashed at once (default 3).
 	Kills int
-	// Rate is the source's send rate in bytes/sec (default 256 KBps).
-	Rate int64
-	// MsgSize is the data payload size (default 1 KB).
-	MsgSize int
-	// SaturateBW is the per-receiver uplink throttle during the loaded
-	// round (default Rate/2, so interior fan-out is ~4x oversubscribed).
-	SaturateBW int64
-	// RecoveryTimeout bounds the wait for the session to heal (default 30s).
-	RecoveryTimeout time.Duration
-	// InactivityTimeout is the engines' passive failure detection window
-	// (default 600ms); sub-timeout recoveries are dominated by it.
-	InactivityTimeout time.Duration
 }
+
+// saturateBW is the per-receiver uplink throttle during the loaded round:
+// half the stream rate, so interior fan-out is ~4x oversubscribed.
+const saturateBW = sessionRate / 2
 
 func (c *OverloadConfig) applyDefaults() {
 	if c.N <= 0 {
@@ -42,21 +34,6 @@ func (c *OverloadConfig) applyDefaults() {
 	}
 	if c.Kills <= 0 {
 		c.Kills = 3
-	}
-	if c.Rate <= 0 {
-		c.Rate = 256 << 10
-	}
-	if c.MsgSize <= 0 {
-		c.MsgSize = 1 << 10
-	}
-	if c.SaturateBW <= 0 {
-		c.SaturateBW = c.Rate / 2
-	}
-	if c.RecoveryTimeout <= 0 {
-		c.RecoveryTimeout = 30 * time.Second
-	}
-	if c.InactivityTimeout <= 0 {
-		c.InactivityTimeout = 600 * time.Millisecond
 	}
 }
 
@@ -116,12 +93,7 @@ func Overload(cfg OverloadConfig) (*OverloadResult, error) {
 }
 
 func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
-	s, err := NewSession(SessionConfig{
-		N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize,
-		Node: func(_ int, conf *engine.Config) {
-			conf.InactivityTimeout = cfg.InactivityTimeout
-		},
-	})
+	s, err := NewSession(SessionConfig{N: cfg.N})
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +104,12 @@ func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
 		// source keeps pumping at full rate, so interior forwarding
 		// queues fill and stay full.
 		for i := 1; i < cfg.N; i++ {
-			s.Saturate(i, cfg.SaturateBW)
+			s.Saturate(i, saturateBW)
 		}
 		// Let the overload bite before measuring. A message that waited one
 		// sender ring's worth of bytes at the throttled rate arrived at a
 		// full ring: back-pressure binds.
-		ringDrain := time.Duration(engine.DefaultSendBuf*cfg.MsgSize) * time.Second / time.Duration(cfg.SaturateBW)
+		ringDrain := time.Duration(engine.DefaultSendBuf*sessionMsgSize) * time.Second / saturateBW
 		overloadBy := time.Now().Add(10 * time.Second)
 		for {
 			if _, data := s.queueDelays(); data >= ringDrain {
@@ -153,7 +125,7 @@ func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
 	point := &OverloadPoint{Saturated: saturate}
 	point.CtrlDelay, point.DataDelay = s.queueDelays()
 
-	burst := s.KillInterior(cfg.Kills, cfg.RecoveryTimeout)
+	burst := s.KillInterior(cfg.Kills, recoveryTimeout)
 	point.Failures, point.Interior, point.Orphaned = burst.Failures, burst.Interior, burst.Orphaned
 	point.Recovery, point.Recovered, point.BytesLost = burst.Recovery, burst.Recovered, burst.BytesLost
 	point.stuck = burst.stuck

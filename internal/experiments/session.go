@@ -20,6 +20,17 @@ import (
 // adds its own node to one needs it.
 const SessionApp = treeApp
 
+// A session's source streams sessionMsgSize-byte messages at
+// sessionRate bytes/sec.
+const (
+	sessionRate    = 256 << 10
+	sessionMsgSize = 1 << 10
+)
+
+// recoveryTimeout is how long an experiment waits for a session to heal
+// unless its caller says otherwise.
+const recoveryTimeout = 30 * time.Second
+
 // stormLinger is how long a storm connection pins its handshake token.
 const stormLinger = 300 * time.Millisecond
 
@@ -27,16 +38,11 @@ const stormLinger = 300 * time.Millisecond
 type SessionConfig struct {
 	// N is the session size including the source (node 0).
 	N int
-	// Rate is the source's send rate in bytes/sec, MsgSize its payload size.
-	Rate    int64
-	MsgSize int
 	// NetOpts tune the virtual network.
 	NetOpts []vnet.Option
 	// Observers lists the observer tier in failover order, a full mesh
 	// when it names more than one; empty means the one at ObserverID.
 	Observers []message.NodeID
-	// Node adjusts node i's engine configuration on every (re)start.
-	Node func(i int, conf *engine.Config)
 }
 
 // Session is the live scenario behind the churn, overload, timeline and
@@ -126,7 +132,7 @@ func (s *Session) boot() error {
 	if !s.Obs.WaitForNodes(n, 10*time.Second) {
 		return fmt.Errorf("bootstrap incomplete (%d alive)", len(s.Obs.Alive()))
 	}
-	if err := s.deployTree(s.IDs[0], s.Trees, s.cfg.Rate, s.cfg.MsgSize); err != nil {
+	if err := s.deployTree(s.IDs[0], s.Trees, sessionRate, sessionMsgSize); err != nil {
 		return err
 	}
 	// Join each node through contact (i-1)/2 rather than letting every
@@ -159,9 +165,6 @@ func (s *Session) StartNode(i int) error {
 		conf.StatusInterval = 50 * time.Millisecond
 		conf.InactivityTimeout = 600 * time.Millisecond
 		conf.RetryBase = 50 * time.Millisecond
-		if s.cfg.Node != nil {
-			s.cfg.Node(i, conf)
-		}
 	})
 	if err != nil {
 		return err
@@ -358,11 +361,11 @@ func (s *Session) orphanedBy(victims []int) int {
 // rate dials/sec per target for d — from a mix of unique spoofed hosts
 // (exercising the handshake-token cap) and one repeat-offender host
 // (exercising per-source rate limiting and the greylist). No connection
-// ever sends a hello: each pins its handshake token for linger, then
+// ever sends a hello: each pins its handshake token for stormLinger, then
 // hangs up without a goodbye. It returns once the last one has, with the
 // number of dials attempted and the receivers' aggregate delivery rate in
 // bytes/sec over the storm's own wall time, before the stragglers drain.
-func (s *Session) DialStorm(nodes []int, rate int64, d, linger time.Duration) (dials int64, delivered float64) {
+func (s *Session) DialStorm(nodes []int, rate int64, d time.Duration) (dials int64, delivered float64) {
 	interval := time.Second / time.Duration(rate)
 	if interval <= 0 {
 		interval = time.Millisecond
@@ -383,7 +386,7 @@ func (s *Session) DialStorm(nodes []int, rate int64, d, linger time.Duration) (d
 				if err != nil {
 					return // backlog overflow: the storm sheds itself
 				}
-				time.Sleep(linger)
+				time.Sleep(stormLinger)
 				conn.Close()
 			}(src, s.IDs[idx].Addr())
 		}
@@ -420,7 +423,7 @@ func (s *Session) Ops() chaos.Ops {
 		Kill:     s.Kill,
 		Saturate: s.Saturate,
 		DialStorm: func(nodes []int, rate int64, d time.Duration) {
-			s.DialStorm(nodes, rate, d, stormLinger)
+			s.DialStorm(nodes, rate, d)
 		},
 		Mark:      func(chaos.Event) { s.Mark() },
 		Recovered: s.Steady,

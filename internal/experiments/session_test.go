@@ -72,7 +72,7 @@ func TestTimelineSmoke(t *testing.T) {
 // timeout names that node and says why, instead of a bare "not steady".
 func TestSessionStuckNamesTheNode(t *testing.T) {
 	t.Parallel()
-	s, err := NewSession(SessionConfig{N: 8, Rate: 256 << 10, MsgSize: 1 << 10})
+	s, err := NewSession(SessionConfig{N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,16 +24,12 @@ type TimelineConfig struct {
 	N int
 	// Kills is how many interior nodes are crashed at once (default 2).
 	Kills int
-	// Rate is the source send rate in bytes/sec (default 256 KBps).
-	Rate int64
-	// MsgSize is the data payload size (default 1 KB).
-	MsgSize int
-	// Tail caps how many trailing timeline events the render includes
-	// (default 48).
-	Tail int
 	// RecoveryTimeout bounds the wait for the session to heal (default 30s).
 	RecoveryTimeout time.Duration
 }
+
+// timelineTail caps how many trailing timeline events the render includes.
+const timelineTail = 48
 
 func (c *TimelineConfig) applyDefaults() {
 	if c.N <= 0 {
@@ -42,17 +38,8 @@ func (c *TimelineConfig) applyDefaults() {
 	if c.Kills <= 0 {
 		c.Kills = 2
 	}
-	if c.Rate <= 0 {
-		c.Rate = 256 << 10
-	}
-	if c.MsgSize <= 0 {
-		c.MsgSize = 1 << 10
-	}
-	if c.Tail <= 0 {
-		c.Tail = 48
-	}
 	if c.RecoveryTimeout <= 0 {
-		c.RecoveryTimeout = 30 * time.Second
+		c.RecoveryTimeout = recoveryTimeout
 	}
 }
 
@@ -82,7 +69,7 @@ type TimelineResult struct {
 // flight-recorder timeline of the whole episode.
 func Timeline(cfg TimelineConfig) (*TimelineResult, error) {
 	cfg.applyDefaults()
-	s, err := NewSession(SessionConfig{N: cfg.N, Rate: cfg.Rate, MsgSize: cfg.MsgSize})
+	s, err := NewSession(SessionConfig{N: cfg.N})
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +89,7 @@ func Timeline(cfg TimelineConfig) (*TimelineResult, error) {
 		seen[te.Node.String()] = true
 	}
 	res.Nodes = len(seen)
-	res.Tail = renderTimelineTail(tl, cfg.Tail)
+	res.Tail = renderTimelineTail(tl, timelineTail)
 	res.Hists = s.Obs.RenderHists()
 	return res, nil
 }

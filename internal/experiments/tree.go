@@ -13,8 +13,17 @@ import (
 	"repro/internal/tree"
 )
 
-// treeApp is the dissemination session id used by the tree experiments.
-const treeApp = 1
+// treeApp is the dissemination session id used by the tree experiments,
+// whose sources send treeMsgSize-byte messages as fast as the tree takes
+// them.
+const (
+	treeApp     = 1
+	treeMsgSize = 1 << 10
+)
+
+// treeVariants are the construction algorithms the tree experiments
+// compare, in the paper's column order.
+var treeVariants = []tree.Variant{tree.Unicast, tree.Random, tree.StressAware}
 
 // TreeEdge is one parent->child link of a constructed tree.
 type TreeEdge struct {
@@ -40,24 +49,16 @@ type Fig9Result struct {
 
 // TreeSmallConfig parameterizes the five-node experiment.
 type TreeSmallConfig struct {
-	MsgSize  int
 	JoinWait time.Duration // settle after each join (stress exchange)
 	Window   time.Duration
-	Variants []tree.Variant
 }
 
 func (c *TreeSmallConfig) applyDefaults() {
-	if c.MsgSize <= 0 {
-		c.MsgSize = 1 << 10
-	}
 	if c.JoinWait <= 0 {
 		c.JoinWait = 300 * time.Millisecond
 	}
 	if c.Window <= 0 {
 		c.Window = 2 * time.Second
-	}
-	if len(c.Variants) == 0 {
-		c.Variants = []tree.Variant{tree.Unicast, tree.Random, tree.StressAware}
 	}
 }
 
@@ -85,7 +86,7 @@ func TreeSmall(cfg TreeSmallConfig) ([]Table3Row, []Fig9Result, error) {
 		}
 	}
 	var figs []Fig9Result
-	for _, v := range cfg.Variants {
+	for _, v := range treeVariants {
 		fig, degrees, stresses, err := treeSmallOne(v, cfg)
 		if err != nil {
 			return nil, nil, err
@@ -129,7 +130,7 @@ func treeSmallOne(v tree.Variant, cfg TreeSmallConfig) (*Fig9Result, map[string]
 	if !c.Obs.WaitForNodes(len(treeSmallNames), 5*time.Second) {
 		return nil, nil, nil, fmt.Errorf("tree: bootstrap incomplete")
 	}
-	if err := c.deployTree(ids["S"], trees, 0, cfg.MsgSize); err != nil {
+	if err := c.deployTree(ids["S"], trees, 0, treeMsgSize); err != nil {
 		return nil, nil, nil, err
 	}
 	for _, n := range treeSmallJoinOrder {
@@ -248,16 +249,13 @@ func RenderFig9(figs []Fig9Result) string {
 
 // ----- Fig. 11 / 12 / 13: the wide-area (simulated PlanetLab) runs -----
 
-// Fig11Config parameterizes the large-scale tree experiment.
+// Fig11Config parameterizes the large-scale tree experiment. The source's
+// last-mile bandwidth is the paper's 100 KBps.
 type Fig11Config struct {
 	// N is the overlay size (81 in the paper).
 	N int
 	// Seed fixes the synthetic testbed.
 	Seed int64
-	// SourceBW is the source's last-mile bandwidth (100 KBps).
-	SourceBW int64
-	// MsgSize is the data payload size.
-	MsgSize int
 	// JoinGap spaces the joins.
 	JoinGap time.Duration
 	// Window is the throughput measurement window.
@@ -270,12 +268,6 @@ func (c *Fig11Config) applyDefaults() {
 	if c.N <= 0 {
 		c.N = 81
 	}
-	if c.SourceBW <= 0 {
-		c.SourceBW = 100 << 10
-	}
-	if c.MsgSize <= 0 {
-		c.MsgSize = 1 << 10
-	}
 	if c.JoinGap <= 0 {
 		c.JoinGap = 40 * time.Millisecond
 	}
@@ -283,7 +275,7 @@ func (c *Fig11Config) applyDefaults() {
 		c.Window = 3 * time.Second
 	}
 	if len(c.Variants) == 0 {
-		c.Variants = []tree.Variant{tree.Unicast, tree.Random, tree.StressAware}
+		c.Variants = treeVariants
 	}
 }
 
@@ -323,11 +315,11 @@ func fig11One(v tree.Variant, cfg Fig11Config) (*Fig11Variant, error) {
 	defer c.Stop()
 
 	trees := make([]*tree.Tree, 0, cfg.N) // indexed like tb.Nodes
-	// Node 0 is the source at SourceBW.
+	// Node 0 is the source, at 100 KBps.
 	for i, n := range tb.Nodes[:cfg.N] {
 		bw := n.Bandwidth
 		if i == 0 {
-			bw = cfg.SourceBW
+			bw = 100 << 10
 		}
 		alg := &tree.Tree{Variant: v, App: treeApp, LastMile: bw}
 		trees = append(trees, alg)
@@ -343,7 +335,7 @@ func fig11One(v tree.Variant, cfg Fig11Config) (*Fig11Variant, error) {
 	if !c.Obs.WaitForNodes(cfg.N, 15*time.Second) {
 		return nil, fmt.Errorf("fig11: bootstrap incomplete (%d alive)", len(c.Obs.Alive()))
 	}
-	if err := c.deployTree(tb.Nodes[0].ID, trees, 0, cfg.MsgSize); err != nil {
+	if err := c.deployTree(tb.Nodes[0].ID, trees, 0, treeMsgSize); err != nil {
 		return nil, err
 	}
 	for i := 1; i < cfg.N; i++ {

@@ -19,45 +19,32 @@ import (
 // about: how much payload survives each loss rate, and what the
 // datagram plane costs against TCP when the network is clean.
 type UDPLossConfig struct {
-	// Nodes is the chain length (default 3: source, relay, tail; the
-	// relay→tail hop carries the injected loss).
-	Nodes int
-	// MsgSize is the payload per message (default 1 KB — a single
-	// datagram fragment, so packet loss maps 1:1 to message loss).
-	MsgSize int
-	// Rate paces the source during lossy runs, in bytes/sec (default
-	// 2 MB/s).
-	Rate int64
 	// LossRates are the per-packet drop probabilities to sweep
 	// (default 0, 0.1%, 1%, 5%).
 	LossRates []float64
-	// Warmup and Window bound each measurement.
-	Warmup, Window time.Duration
-	// Seed feeds the vnet fault source.
-	Seed int64
+	// Window bounds each measurement (default 2s).
+	Window time.Duration
 }
 
+// The sweep's chain is source, relay, tail; the relay→tail hop carries
+// the injected loss. Each message is one 1 KB datagram fragment, so
+// packet loss maps 1:1 to message loss, and a lossy run paces the source
+// at 2 MB/s. Each measurement follows a 300 ms warm-up, on a network
+// whose fault source is seeded with 11.
+const (
+	udpLossNodes   = 3
+	udpLossMsgSize = 1 << 10
+	udpLossRate    = 2 << 20
+	udpLossWarmup  = 300 * time.Millisecond
+	udpLossSeed    = 11
+)
+
 func (c *UDPLossConfig) applyDefaults() {
-	if c.Nodes < 2 {
-		c.Nodes = 3
-	}
-	if c.MsgSize <= 0 {
-		c.MsgSize = 1 << 10
-	}
-	if c.Rate <= 0 {
-		c.Rate = 2 << 20
-	}
 	if len(c.LossRates) == 0 {
 		c.LossRates = []float64{0, 0.001, 0.01, 0.05}
 	}
-	if c.Warmup <= 0 {
-		c.Warmup = 300 * time.Millisecond
-	}
 	if c.Window <= 0 {
 		c.Window = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
 	}
 }
 
@@ -82,14 +69,14 @@ func UDPLoss(cfg UDPLossConfig) (UDPLossResult, error) {
 	cfg.applyDefaults()
 	var res UDPLossResult
 	var err error
-	if res.TCPBaseline, err = udpLossBaseline(cfg, false); err != nil {
+	if res.TCPBaseline, err = udpLossBaseline(cfg.Window, false); err != nil {
 		return res, err
 	}
-	if res.UDPBaseline, err = udpLossBaseline(cfg, true); err != nil {
+	if res.UDPBaseline, err = udpLossBaseline(cfg.Window, true); err != nil {
 		return res, err
 	}
 	for _, loss := range cfg.LossRates {
-		row, rerr := udpLossOne(cfg, loss)
+		row, rerr := udpLossOne(cfg.Window, loss)
 		if rerr != nil {
 			return res, rerr
 		}
@@ -99,11 +86,11 @@ func UDPLoss(cfg UDPLossConfig) (UDPLossResult, error) {
 }
 
 // udpLossChain boots the chain and returns the per-node forwarders.
-func udpLossChain(c *Cluster, cfg UDPLossConfig, datagram bool) ([]*multicast.Forwarder, error) {
-	algs := make([]*multicast.Forwarder, cfg.Nodes)
-	for i := cfg.Nodes - 1; i >= 0; i-- {
+func udpLossChain(c *Cluster, datagram bool) ([]*multicast.Forwarder, error) {
+	algs := make([]*multicast.Forwarder, udpLossNodes)
+	for i := udpLossNodes - 1; i >= 0; i-- {
 		algs[i] = &multicast.Forwarder{}
-		if i < cfg.Nodes-1 {
+		if i < udpLossNodes-1 {
 			algs[i].DefaultRoutes = []message.NodeID{nodeID(i + 1)}
 		}
 		if _, err := c.AddNode(nodeID(i), algs[i], func(conf *engine.Config) {
@@ -118,21 +105,21 @@ func udpLossChain(c *Cluster, cfg UDPLossConfig, datagram bool) ([]*multicast.Fo
 }
 
 // udpLossBaseline measures unpaced chain throughput on a clean network.
-func udpLossBaseline(cfg UDPLossConfig, datagram bool) (float64, error) {
+func udpLossBaseline(window time.Duration, datagram bool) (float64, error) {
 	const app = 1
-	c, err := NewCluster(false, vnet.WithSeed(cfg.Seed))
+	c, err := NewCluster(false, vnet.WithSeed(udpLossSeed))
 	if err != nil {
 		return 0, err
 	}
 	defer c.Stop()
-	algs, err := udpLossChain(c, cfg, datagram)
+	algs, err := udpLossChain(c, datagram)
 	if err != nil {
 		return 0, err
 	}
-	c.Engines[nodeID(0)].StartSource(app, 0, cfg.MsgSize)
-	time.Sleep(cfg.Warmup)
-	tail := algs[cfg.Nodes-1]
-	return rateOver(cfg.Window, func() int64 { return tail.ReceivedBytes(app) }), nil
+	c.Engines[nodeID(0)].StartSource(app, 0, udpLossMsgSize)
+	time.Sleep(udpLossWarmup)
+	tail := algs[udpLossNodes-1]
+	return rateOver(window, func() int64 { return tail.ReceivedBytes(app) }), nil
 }
 
 // udpLossOne measures one loss rate: seeded drops on the last hop only,
@@ -140,32 +127,32 @@ func udpLossBaseline(cfg UDPLossConfig, datagram bool) (float64, error) {
 // over the same window (messages are fixed-size single fragments, so
 // the message ratio IS the payload ratio) — uncontaminated by the
 // clean hops.
-func udpLossOne(cfg UDPLossConfig, loss float64) (UDPLossRow, error) {
+func udpLossOne(window time.Duration, loss float64) (UDPLossRow, error) {
 	const app = 1
-	c, err := NewCluster(false, vnet.WithSeed(cfg.Seed))
+	c, err := NewCluster(false, vnet.WithSeed(udpLossSeed))
 	if err != nil {
 		return UDPLossRow{}, err
 	}
 	defer c.Stop()
-	algs, err := udpLossChain(c, cfg, true)
+	algs, err := udpLossChain(c, true)
 	if err != nil {
 		return UDPLossRow{}, err
 	}
-	relayAddr := nodeID(cfg.Nodes - 2).Addr()
-	tailAddr := nodeID(cfg.Nodes - 1).Addr()
+	relayAddr := nodeID(udpLossNodes - 2).Addr()
+	tailAddr := nodeID(udpLossNodes - 1).Addr()
 	c.Net.DgramFaults(relayAddr, tailAddr, loss, 0, 0)
 
-	c.Engines[nodeID(0)].StartSource(app, cfg.Rate, cfg.MsgSize)
-	time.Sleep(cfg.Warmup)
-	relay := algs[cfg.Nodes-2]
-	tail := algs[cfg.Nodes-1]
+	c.Engines[nodeID(0)].StartSource(app, udpLossRate, udpLossMsgSize)
+	time.Sleep(udpLossWarmup)
+	relay := algs[udpLossNodes-2]
+	tail := algs[udpLossNodes-1]
 	r0, t0 := relay.SeenMessages(app), tail.SeenMessages(app)
 	b0 := tail.ReceivedBytes(app)
-	time.Sleep(cfg.Window)
+	time.Sleep(window)
 	rd := relay.SeenMessages(app) - r0
 	td := tail.SeenMessages(app) - t0
 	bd := tail.ReceivedBytes(app) - b0
-	row := UDPLossRow{Loss: loss, Throughput: float64(bd) / cfg.Window.Seconds()}
+	row := UDPLossRow{Loss: loss, Throughput: float64(bd) / window.Seconds()}
 	if rd > 0 {
 		row.Delivered = float64(td) / float64(rd)
 	}

@@ -37,19 +37,16 @@ func (d frontDoor) accepts(dec admission.Decision) int {
 }
 
 // doorKinds builds each of the three listeners that share the door, at its
-// default gate. Only the engine has a knob for the hello deadline
-// (helloKnob): the others always run the door's 10 s default.
+// default gate and the door's 10 s hello deadline.
 var doorKinds = []struct {
-	name      string
-	helloKnob bool
-	start     func(t *testing.T, n *vnet.Network, helloTimeout time.Duration) frontDoor
+	name  string
+	start func(t *testing.T, n *vnet.Network) frontDoor
 }{
-	{"engine", true, func(t *testing.T, n *vnet.Network, helloTimeout time.Duration) frontDoor {
+	{"engine", func(t *testing.T, n *vnet.Network) frontDoor {
 		e, err := engine.New(engine.Config{
-			ID:               nid(1),
-			Transport:        engine.VNet{Net: n},
-			Algorithm:        &multicast.Forwarder{},
-			HandshakeTimeout: helloTimeout,
+			ID:        nid(1),
+			Transport: engine.VNet{Net: n},
+			Algorithm: &multicast.Forwarder{},
 		})
 		if err != nil {
 			t.Fatalf("engine.New: %v", err)
@@ -60,11 +57,11 @@ var doorKinds = []struct {
 		t.Cleanup(e.Stop)
 		return frontDoor{nid(1), e.Admission, e.Counters, e.Events}
 	}},
-	{"observer", false, func(t *testing.T, n *vnet.Network, _ time.Duration) frontDoor {
+	{"observer", func(t *testing.T, n *vnet.Network) frontDoor {
 		o := startObserver(t, n)
 		return frontDoor{obsID, o.Admission, o.Counters, o.Events}
 	}},
-	{"proxy", false, func(t *testing.T, n *vnet.Network, _ time.Duration) frontDoor {
+	{"proxy", func(t *testing.T, n *vnet.Network) frontDoor {
 		startObserver(t, n)
 		id := message.MakeID("10.254.0.1", 9100)
 		p, err := proxy.New(proxy.Config{ID: id, Observer: obsID, Transport: engine.VNet{Net: n}})
@@ -147,13 +144,12 @@ func readBusy(t *testing.T, conn net.Conn) protocol.Busy {
 // at its default gate: whatever the door promises, all three keep.
 func TestFrontDoorConformance(t *testing.T) {
 	rows := []struct {
-		name         string
-		helloTimeout time.Duration
-		run          func(t *testing.T, n *vnet.Network, d frontDoor)
+		name string
+		run  func(t *testing.T, n *vnet.Network, d frontDoor)
 	}{
 		// The handshake cap holds, a dial past it is told when to come
 		// back, and dead handshakes give their tokens back, counted.
-		{"cap", 0, func(t *testing.T, n *vnet.Network, d frontDoor) {
+		{"cap", func(t *testing.T, n *vnet.Network, d frontDoor) {
 			const limit = admission.DefaultMaxHandshakes
 			halves := make([]net.Conn, limit)
 			for i := range halves {
@@ -190,7 +186,7 @@ func TestFrontDoorConformance(t *testing.T) {
 		}},
 		// A source that keeps hammering past its rate is told to slow
 		// down, then goes dark: closed without a frame. Others are served.
-		{"greylist", 0, func(t *testing.T, n *vnet.Network, d frontDoor) {
+		{"greylist", func(t *testing.T, n *vnet.Network, d frontDoor) {
 			const flapper = "10.0.9.1:1"
 			for i := 0; i < admission.DefaultSourceBurst; i++ {
 				dialDoor(t, n, flapper, d).Close()
@@ -214,7 +210,7 @@ func TestFrontDoorConformance(t *testing.T) {
 		}},
 		// Transient Accept errors (EMFILE, ECONNABORTED) are retried with
 		// back-off, not taken for a dead listener.
-		{"accept-errors", 0, func(t *testing.T, n *vnet.Network, d frontDoor) {
+		{"accept-errors", func(t *testing.T, n *vnet.Network, d frontDoor) {
 			const injected = 4
 			if !n.InjectAcceptErrors(d.id.Addr(), injected) {
 				t.Fatal("InjectAcceptErrors: no such listener")
@@ -233,7 +229,7 @@ func TestFrontDoorConformance(t *testing.T) {
 		}},
 		// A first frame that is not a hello is a failed handshake, counted
 		// and on the recorder.
-		{"bad-hello", 0, func(t *testing.T, n *vnet.Network, d frontDoor) {
+		{"bad-hello", func(t *testing.T, n *vnet.Network, d frontDoor) {
 			conn := dialDoor(t, n, "10.0.9.1:1", d)
 			junk := message.New(protocol.TypePing, message.MakeID("10.0.9.1", 1), 0, 0, nil)
 			_, err := junk.WriteTo(conn)
@@ -248,12 +244,14 @@ func TestFrontDoorConformance(t *testing.T) {
 			expectAdmitted(t, n, d)
 		}},
 		// A dialer that never identifies itself is a failed handshake of
-		// its own kind once the hello deadline passes. The classification
-		// is one piece of code for all three listeners; the row runs where
-		// the deadline can be shortened enough to wait it out.
-		{"late-hello", 100 * time.Millisecond, func(t *testing.T, n *vnet.Network, d frontDoor) {
+		// its own kind once the hello deadline passes. The deadline runs
+		// from the dial, so dialing before the row goes parallel lets the
+		// three listeners wait theirs out at once, however few rows
+		// -parallel lets run together.
+		{"late-hello", func(t *testing.T, n *vnet.Network, d frontDoor) {
 			mute := dialDoor(t, n, "10.0.9.2:1", d)
-			waitFor(t, 5*time.Second, "the mute dialer to time out", func() bool {
+			t.Parallel()
+			waitFor(t, admission.DefaultHelloTimeout+5*time.Second, "the mute dialer to time out", func() bool {
 				return d.counters().HandshakesFailed >= 1 && d.accepts(admission.Timeout) >= 1
 			})
 			expectSilentClose(t, mute)
@@ -264,13 +262,10 @@ func TestFrontDoorConformance(t *testing.T) {
 	}
 	for _, kind := range doorKinds {
 		for _, row := range rows {
-			if row.helloTimeout != 0 && !kind.helloKnob {
-				continue
-			}
 			t.Run(kind.name+"/"+row.name, func(t *testing.T) {
 				n := vnet.New()
 				defer n.Close()
-				row.run(t, n, kind.start(t, n, row.helloTimeout))
+				row.run(t, n, kind.start(t, n))
 			})
 		}
 	}

@@ -301,7 +301,6 @@ func TestFederatedObserverTier(t *testing.T) {
 		Observers:      []message.NodeID{idA, idB},
 		StatusInterval: 50 * time.Millisecond,
 		RetryBase:      20 * time.Millisecond,
-		Seed:           7,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
