@@ -43,7 +43,9 @@ fuzz:
 # detector: the batched ring handoffs, engine switch, and virtual-network
 # pipes are where a lost wakeup or torn batch would hide, and the front
 # door and control links (admission, observer, proxy) are where a teardown
-# race would. The
+# race would. Every goroutine of a node writes the flight recorder's
+# lock-free slots, the histograms and the mutex counters (trace, metrics).
+# The
 # ioverlay_debug tag arms the internal/invariant runtime assertions
 # (engine-goroutine ownership, gauge non-negativity, a zero gauge after
 # Stop) so a violated invariant fails the run instead of corrupting it.
@@ -58,7 +60,7 @@ fuzz:
 SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestHeldDatagramBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestFirstBatchOfALinkTakesTheRing|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
-		./internal/admission ./internal/observer ./internal/proxy
+		./internal/admission ./internal/observer ./internal/proxy ./internal/trace ./internal/metrics
 	$(GO) test -race ./internal/message ./internal/engine
 	$(GO) test -race -tags ioverlay_debug -count=1 -cpu 1,2,4 -run '$(SEAM)' ./internal/engine
 	$(GO) test -race -count=1 -cpu 1,2,4 -run '$(SEAM)' ./internal/engine

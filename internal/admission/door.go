@@ -132,7 +132,6 @@ func (d *Door) AcceptLoop(l net.Listener, handle Handler) {
 			}
 			continue
 		}
-		d.Counters.AddConnIn()
 		d.WG.Add(1)
 		go d.handshake(conn, handle)
 	}

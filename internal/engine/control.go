@@ -18,7 +18,7 @@ func (e *Engine) process(cm ctrlMsg) {
 	m := cm.m
 	switch m.Type() {
 	case protocol.TypeRequest:
-		e.reply(e.buildReport())
+		e.sendToObserver(e.buildReport())
 		e.deliverToAlg(m)
 		return
 	case protocol.TypeTerminateNode:
@@ -58,13 +58,6 @@ func (e *Engine) deliverToAlg(m *message.Msg) {
 	if e.alg.Process(m) == Done {
 		m.Release()
 	}
-}
-
-// reply pushes a message to the observer link.
-func (e *Engine) reply(m *message.Msg) {
-	m.Retain()
-	e.sendToObserver(m)
-	m.Release()
 }
 
 // maxReportEvents bounds the flight-recorder tail shipped per report so a
@@ -133,17 +126,6 @@ func (e *Engine) Snapshot() protocol.Report {
 	rp.MsgsIn, rp.MsgsOut, rp.Dropped = snap.MsgsIn, snap.MsgsOut, snap.MsgsDropped
 	rp.BufferedBytes = e.buffered.Load()
 	rp.MaxBufferedBytes = e.buffered.Max()
-	var ctrl, data time.Duration
-	for _, s := range e.senders {
-		c, d := s.ring.Delays()
-		if c > ctrl {
-			ctrl = c
-		}
-		if d > data {
-			data = d
-		}
-	}
-	rp.CtrlDelayNs, rp.DataDelayNs = int64(ctrl), int64(data)
 	rp.QueueCtrlHist = e.ctrlDelayHist.Snapshot()
 	rp.QueueDataHist = e.dataDelayHist.Snapshot()
 	rp.SwitchBatchHist = e.switchBatchHist.Snapshot()
@@ -367,20 +349,12 @@ func (e *Engine) SetReceiverWeight(peer message.NodeID, weight int) {
 	}
 }
 
-// Trace ships a formatted trace record to the observer's central log.
-// Part of the API interface.
+// Trace ships a formatted trace record to the observer's central log,
+// the way a status report travels: stashed across an observer failover,
+// counted as dropped when it cannot be sent. Part of the API interface.
 func (e *Engine) Trace(format string, args ...any) {
 	body := fmt.Sprintf(format, args...)
-	e.mu.Lock()
-	o := e.obs
-	e.mu.Unlock()
-	if o == nil {
-		return
-	}
-	m := message.New(protocol.TypeTrace, e.id, 0, 0, []byte(body))
-	if !o.Send(m) {
-		m.Release()
-	}
+	e.sendToObserver(message.New(protocol.TypeTrace, e.id, 0, 0, []byte(body)))
 }
 
 func sortIDs(ids []message.NodeID) {

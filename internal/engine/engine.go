@@ -1007,7 +1007,13 @@ const (
 	maxObsPending = 256
 )
 
+// sendToObserver is the one road to the observer, for status reports and
+// trace records alike; it takes over m's reference.
 func (e *Engine) sendToObserver(m *message.Msg) {
+	if len(e.cfg.Observers) == 0 {
+		m.Release() // nothing to report to, so nothing is lost
+		return
+	}
 	e.mu.Lock()
 	o := e.obs
 	if o == nil && !e.stopping && !e.departing && len(e.obsPending) < maxObsPending {

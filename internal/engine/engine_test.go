@@ -726,6 +726,10 @@ func TestObserverlessTraceIsNoop(t *testing.T) {
 	defer n.Close()
 	a := startNode(t, n, nid(1), &recorder{})
 	a.Trace("hello %d", 42) // must not panic or block without an observer
+	a.Stop()
+	if d := a.Counters().MsgsDropped; d != 0 {
+		t.Errorf("a trace with no observer to send to counted %d dropped messages", d)
+	}
 }
 
 func TestSendNewToUnreachableDestinationDropsGracefully(t *testing.T) {

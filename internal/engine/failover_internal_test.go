@@ -190,7 +190,8 @@ func TestPendingReportsFlushAfterFailover(t *testing.T) {
 		return obsB.count(protocol.TypeReport) >= 1
 	})
 
-	// B goes dark too. Reports must pile into the stash, not the floor.
+	// B goes dark too. Reports and an algorithm's trace must pile into
+	// the stash, not the floor.
 	obsB.close()
 	wait(5*time.Second, "observer link torn down", func() bool {
 		e.mu.Lock()
@@ -201,12 +202,18 @@ func TestPendingReportsFlushAfterFailover(t *testing.T) {
 	for i := 0; i < parked; i++ {
 		e.sendToObserver(message.New(protocol.TypeReport, e.id, 0, 0, nil))
 	}
+	traced := make(chan struct{})
+	e.Do(func(api API) {
+		api.Trace("dark %d", 2)
+		close(traced)
+	})
+	<-traced
 	var stashed int
 	e.mu.Lock()
 	stashed = len(e.obsPending)
 	e.mu.Unlock()
-	if stashed < parked {
-		t.Fatalf("stash holds %d reports, want at least the %d parked", stashed, parked)
+	if stashed < parked+1 {
+		t.Fatalf("stash holds %d messages, want at least the %d parked reports and the trace", stashed, parked)
 	}
 	if dropped := e.Counters().MsgsDropped; dropped != 0 {
 		t.Fatalf("engine dropped %d messages while stashing", dropped)
@@ -215,7 +222,7 @@ func TestPendingReportsFlushAfterFailover(t *testing.T) {
 	// A finally comes up; the rotation reaches it and the stash flushes.
 	obsA := startFakeObserver(t, n, idA)
 	wait(5*time.Second, "stash flushed to A", func() bool {
-		return obsA.count(protocol.TypeReport) >= stashed
+		return obsA.count(protocol.TypeReport) >= stashed-1 && obsA.count(protocol.TypeTrace) == 1
 	})
 	e.mu.Lock()
 	left := len(e.obsPending)

@@ -49,7 +49,7 @@ func (e *Engine) newReceiver(peer message.NodeID, conn net.Conn) *receiver {
 		pass: -1, // joins the stride scheduler at the current minimum with its first batch
 	}
 	r.ring.Init(e.cfg.RecvBuf)
-	r.meter.Init(0)
+	r.meter.Init()
 	r.weight.Store(1)
 	return r
 }
@@ -235,7 +235,7 @@ type sender struct {
 func newSender(peer message.NodeID, bufMsgs int, linkRate int64) *sender {
 	s := &sender{peer: peer, connReady: make(chan struct{})}
 	s.ring.Init(bufMsgs)
-	s.meter.Init(0)
+	s.meter.Init()
 	s.linkLimit.Init(linkRate)
 	return s
 }

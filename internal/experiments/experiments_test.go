@@ -50,10 +50,7 @@ func TestFig5ShapesHold(t *testing.T) {
 }
 
 func TestFig6BackPressureCorrectness(t *testing.T) {
-	phases, err := Fig6(Fig6Config{
-		Settle: 2 * time.Second,
-		Window: 1200 * time.Millisecond,
-	})
+	phases, err := Fig6(Fig6Config{Window: 1200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +94,7 @@ func TestFig6BackPressureCorrectness(t *testing.T) {
 }
 
 func TestFig7LargeBuffersLocalize(t *testing.T) {
-	phases, err := Fig7(Fig6Config{
-		Settle: 2 * time.Second,
-		Window: 1200 * time.Millisecond,
-	})
+	phases, err := Fig7(Fig6Config{Window: 1200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +245,6 @@ func TestFig11SmallScale(t *testing.T) {
 	if byVariant[tree.StressAware].Mean <= byVariant[tree.Unicast].Mean {
 		t.Errorf("ns-aware mean %.0f not above unicast %.0f",
 			byVariant[tree.StressAware].Mean, byVariant[tree.Unicast].Mean)
-	}
-	cdf := StressCDF(byVariant[tree.StressAware].Stresses)
-	if len(cdf) == 0 || cdf[len(cdf)-1][1] != 1.0 {
-		t.Error("StressCDF malformed")
 	}
 	if !strings.Contains(RenderFig11(results), "ns-aware") {
 		t.Error("RenderFig11 empty")

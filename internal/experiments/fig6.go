@@ -40,8 +40,6 @@ type Fig6Phase struct {
 
 // Fig6Config parameterizes the correctness experiments.
 type Fig6Config struct {
-	// Settle is the wait before measuring each phase.
-	Settle time.Duration
 	// Window is the measurement window.
 	Window time.Duration
 }
@@ -53,9 +51,6 @@ type Fig6Config struct {
 const fig6MsgSize = 1 << 10
 
 func (c *Fig6Config) applyDefaults() {
-	if c.Settle <= 0 {
-		c.Settle = 3 * time.Second
-	}
 	if c.Window <= 0 {
 		c.Window = 1500 * time.Millisecond
 	}
@@ -234,7 +229,6 @@ func Fig6(cfg Fig6Config) ([]Fig6Phase, error) {
 	defer c.Stop()
 	var phases []Fig6Phase
 	record := func(name string, dUp, ef float64, dead map[string]bool) {
-		time.Sleep(cfg.Settle)
 		measured, closed := measureStable(c, ids, cfg.Window)
 		phases = append(phases, Fig6Phase{
 			Name:      name,
@@ -275,7 +269,6 @@ func Fig7(cfg Fig6Config) ([]Fig6Phase, error) {
 	})
 	var phases []Fig6Phase
 	record := func(name string, ef float64) {
-		time.Sleep(cfg.Settle)
 		measured, closed := measureStable(c, ids, cfg.Window)
 		phases = append(phases, Fig6Phase{
 			Name:      name,

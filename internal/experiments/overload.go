@@ -39,11 +39,8 @@ func (c *OverloadConfig) applyDefaults() {
 
 // OverloadPoint is one round's outcome.
 type OverloadPoint struct {
-	// Saturated reports whether the data plane was overloaded when the
-	// failure burst fired.
-	Saturated bool
-	// Failures/Interior/Orphaned mirror Fig9ChurnPoint.
-	Failures, Interior, Orphaned int
+	// Failures/Orphaned mirror Fig9ChurnPoint.
+	Failures, Orphaned int
 	// Recovery is the time until every surviving receiver was back in
 	// the tree and receiving; Recovered is false on timeout.
 	Recovery  time.Duration
@@ -122,11 +119,11 @@ func overloadOne(cfg OverloadConfig, saturate bool) (*OverloadPoint, error) {
 		}
 	}
 
-	point := &OverloadPoint{Saturated: saturate}
+	point := &OverloadPoint{}
 	point.CtrlDelay, point.DataDelay = s.queueDelays()
 
 	burst := s.KillInterior(cfg.Kills, recoveryTimeout)
-	point.Failures, point.Interior, point.Orphaned = burst.Failures, burst.Interior, burst.Orphaned
+	point.Failures, point.Orphaned = burst.Failures, burst.Orphaned
 	point.Recovery, point.Recovered, point.BytesLost = burst.Recovery, burst.Recovered, burst.BytesLost
 	point.stuck = burst.stuck
 	for _, e := range s.Engines {

@@ -28,7 +28,6 @@ var treeVariants = []tree.Variant{tree.Unicast, tree.Random, tree.StressAware}
 // TreeEdge is one parent->child link of a constructed tree.
 type TreeEdge struct {
 	Parent, Child message.NodeID
-	Rate          float64 // measured bytes/sec, when sampled
 }
 
 // Table3Row is one row of Table 3: per-node degree and stress under each
@@ -385,15 +384,6 @@ func fig11One(v tree.Variant, cfg Fig11Config) (*Fig11Variant, error) {
 		res.Mean = sum / float64(len(res.Throughputs))
 	}
 	return res, nil
-}
-
-// StressCDF returns (x, fraction<=x) pairs for a sorted stress slice.
-func StressCDF(sorted []float64) [][2]float64 {
-	out := make([][2]float64, len(sorted))
-	for i, s := range sorted {
-		out[i] = [2]float64{s, float64(i+1) / float64(len(sorted))}
-	}
-	return out
 }
 
 // RenderFig11 formats the comparison.

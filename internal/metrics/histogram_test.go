@@ -14,7 +14,7 @@ func TestHistogramBuckets(t *testing.T) {
 	h.Observe(2)
 	h.Observe(3)
 	h.Observe(1024)
-	h.ObserveDuration(1024 * time.Nanosecond)
+	h.Observe(int64(1024 * time.Nanosecond))
 	h.Observe(1 << 62) // clamps to the last bucket
 
 	s := h.Snapshot()

@@ -1,6 +1,6 @@
 // Package metrics implements the QoS measurement facilities the paper
-// attaches at the socket level: per-connection throughput, round-trip
-// latency samples, and counters of bytes or messages lost due to
+// attaches at the socket level: per-connection throughput, queueing and
+// batch distributions, and counters of bytes or messages lost due to
 // failures. Results are sampled periodically by the engine and reported
 // to the algorithm and the observer.
 package metrics
@@ -28,19 +28,16 @@ type Meter struct {
 	start      time.Time
 }
 
-// DefaultWindow is the sliding measurement window.
+// DefaultWindow is the sliding measurement window of every meter.
 const DefaultWindow = 2 * time.Second
 
 // meterBuckets subdivides the window; more buckets smooth the estimate.
 const meterBuckets = 20
 
-// Init makes m an empty meter with the given sliding window, starting its
-// lifetime clock; zero uses DefaultWindow.
-func (m *Meter) Init(window time.Duration) {
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	m.bucketSize = window / meterBuckets
+// Init makes m an empty meter over DefaultWindow, starting its lifetime
+// clock.
+func (m *Meter) Init() {
+	m.bucketSize = DefaultWindow / meterBuckets
 	m.start = time.Now()
 }
 
@@ -112,18 +109,6 @@ func (m *Meter) Total() int64 {
 	return m.total
 }
 
-// LifetimeRate reports total bytes divided by the meter's lifetime; the
-// stable long-run throughput used by experiment harnesses.
-func (m *Meter) LifetimeRate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	elapsed := time.Since(m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.total) / elapsed
-}
-
 // Idle reports how long the meter has gone without traffic; the engine's
 // inactivity-based failure detector consults this (the paper detects
 // failures partly by "long consecutive periods of traffic inactivity").
@@ -140,16 +125,6 @@ func (m *Meter) Idle() time.Duration {
 		return time.Since(m.start)
 	}
 	return time.Since(latest)
-}
-
-// Reset zeroes the meter, restarting its lifetime clock.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.buckets = [meterBuckets]int64{}
-	m.times = [meterBuckets]time.Time{}
-	m.total = 0
-	m.start = time.Now()
 }
 
 // Gauge is an atomic byte-count gauge with a high-water mark; the engine
@@ -196,7 +171,6 @@ type Counters struct {
 	msgsDropped  int64
 	bytesDropped int64
 	failovers    int64
-	connsIn      int64
 	connsShed    int64
 	hsFailed     int64
 	acceptRetry  int64
@@ -211,17 +185,14 @@ type CountersSnapshot struct {
 	BytesIn, BytesOut int64
 	MsgsDropped       int64
 	BytesDropped      int64
-	// MsgsShed and BytesShed are always zero: the shedding they counted is
-	// gone, and the fields stay only because bench/ compiles against them.
-	MsgsShed  int64
-	BytesShed int64
+	// MsgsShed is always zero: the shedding it counted is gone, and the
+	// field stays only because bench/ compiles against it.
+	MsgsShed int64
 	// Failovers counts successful observer failovers: re-registrations
 	// with a different observer after the previous link was lost.
 	Failovers int64
-	// ConnsIn counts inbound connections admitted past the admission
-	// gate; ConnsShed those refused before a handshake was attempted
-	// (token exhaustion, rate limit or greylist).
-	ConnsIn   int64
+	// ConnsShed counts inbound connections refused before a handshake
+	// was attempted (token exhaustion, rate limit or greylist).
 	ConnsShed int64
 	// HandshakesFailed counts admitted connections whose handshake then
 	// died: bad hello, handshake timeout, or a peer that hung up.
@@ -294,13 +265,6 @@ func (c *Counters) AddFailover() {
 	c.failovers++
 }
 
-// AddConnIn records one inbound connection admitted past the gate.
-func (c *Counters) AddConnIn() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.connsIn++
-}
-
 // AddConnShed records one inbound connection refused before a handshake.
 func (c *Counters) AddConnShed() {
 	c.mu.Lock()
@@ -356,42 +320,11 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		MsgsIn: c.msgsIn, MsgsOut: c.msgsOut,
 		BytesIn: c.bytesIn, BytesOut: c.bytesOut,
 		MsgsDropped: c.msgsDropped, BytesDropped: c.bytesDropped,
-		Failovers: c.failovers,
-		ConnsIn:   c.connsIn, ConnsShed: c.connsShed,
+		Failovers: c.failovers, ConnsShed: c.connsShed,
 		HandshakesFailed: c.hsFailed, AcceptRetries: c.acceptRetry,
 		DgramBad: c.dgramBad, DgramNoLink: c.dgramNoLink,
 		DgramRefused: c.dgramRefused,
 	}
-}
-
-// LatencyTracker keeps an exponentially weighted round-trip estimate fed
-// by ping/pong probes.
-type LatencyTracker struct {
-	mu      sync.Mutex
-	rtt     time.Duration
-	samples int
-}
-
-// ewmaAlpha weights new samples, mirroring TCP's SRTT smoothing.
-const ewmaAlpha = 0.125
-
-// Observe folds one RTT sample into the estimate.
-func (lt *LatencyTracker) Observe(rtt time.Duration) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	lt.samples++
-	if lt.samples == 1 {
-		lt.rtt = rtt
-		return
-	}
-	lt.rtt = time.Duration((1-ewmaAlpha)*float64(lt.rtt) + ewmaAlpha*float64(rtt))
-}
-
-// RTT reports the smoothed estimate and whether any sample exists.
-func (lt *LatencyTracker) RTT() (time.Duration, bool) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	return lt.rtt, lt.samples > 0
 }
 
 // HistogramBuckets is the number of power-of-two buckets a Histogram
@@ -434,9 +367,6 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	}
 	h.counts[histBucket(v)].Add(n)
 }
-
-// ObserveDuration folds one duration sample in, in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Snapshot copies the bucket counters.
 func (h *Histogram) Snapshot() HistogramSnapshot {

@@ -121,7 +121,7 @@ func (o *Observer) Nodes() []message.NodeID {
 // with a live local route and recent traffic, plus nodes whose home
 // observer's synced liveness claim is still fresh.
 func (o *Observer) Alive() []message.NodeID {
-	cutoff := time.Now().Add(-o.cfg.StaleAfter)
+	cutoff := time.Now().Add(-staleAfter)
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	ids := make([]message.NodeID, 0, len(o.nodes))

@@ -30,9 +30,11 @@ import (
 const (
 	DefaultBootstrapCount  = 8
 	DefaultRequestInterval = 500 * time.Millisecond
-	DefaultStaleAfter      = 5 * time.Second
 	DefaultSyncInterval    = 200 * time.Millisecond
 )
+
+// staleAfter marks nodes dead after silence for this long.
+const staleAfter = 5 * time.Second
 
 // TraceRecord is one centrally logged trace message.
 type TraceRecord struct {
@@ -52,8 +54,6 @@ type Config struct {
 	// RequestInterval paces automatic status requests to all alive nodes;
 	// zero uses the default, negative disables automatic requests.
 	RequestInterval time.Duration
-	// StaleAfter marks nodes dead after silence for this long.
-	StaleAfter time.Duration
 	// TraceWriter, when set, receives trace records as text lines.
 	TraceWriter io.Writer
 	// Seed fixes the bootstrap sampling for reproducible experiments.
@@ -157,9 +157,6 @@ func New(cfg Config) (*Observer, error) {
 	}
 	if cfg.RequestInterval == 0 {
 		cfg.RequestInterval = DefaultRequestInterval
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = DefaultStaleAfter
 	}
 	if cfg.SyncInterval == 0 {
 		cfg.SyncInterval = DefaultSyncInterval
@@ -422,7 +419,7 @@ func (o *Observer) markRouteGone(out *route) {
 // the order must vary, or every joiner in a small overlay contacts the
 // same first host and early experiments always build the same topology.
 func (o *Observer) bootstrapSet(exclude message.NodeID) []message.NodeID {
-	cutoff := time.Now().Add(-o.cfg.StaleAfter)
+	cutoff := time.Now().Add(-staleAfter)
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	alive := make([]message.NodeID, 0, len(o.nodes))

@@ -33,11 +33,8 @@ const (
 // FederationStats counts federation activity, for tests and experiment
 // logs.
 type FederationStats struct {
-	SyncsSent        int64 // anti-entropy payloads pushed onto peer trunks
-	SyncsAbsorbed    int64 // sync payloads merged from peers
-	EntriesChanged   int64 // membership entries changed by merges
-	ReportsForwarded int64 // node reports fanned out to peers
-	RelaysDelivered  int64 // federated commands delivered to local nodes
+	SyncsSent     int64 // anti-entropy payloads pushed onto peer trunks
+	SyncsAbsorbed int64 // sync payloads merged from peers
 }
 
 // Federation returns a snapshot of the federation activity counters.
@@ -87,7 +84,7 @@ func (o *Observer) remoteAliveLocked(n *nodeState, cutoff time.Time) bool {
 
 // aliveLocal lists alive nodes homed at this observer, sorted.
 func (o *Observer) aliveLocal() []message.NodeID {
-	cutoff := time.Now().Add(-o.cfg.StaleAfter)
+	cutoff := time.Now().Add(-staleAfter)
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	ids := make([]message.NodeID, 0, len(o.nodes))
@@ -225,9 +222,6 @@ func (o *Observer) handlePeerMsg(m *message.Msg, peer message.NodeID) {
 		if n, ok := o.nodes[rl.Dest]; ok {
 			dst = n.out
 		}
-		if dst != nil {
-			o.fed.RelaysDelivered++
-		}
 		o.mu.Unlock()
 		o.sendRoute(dst, rl.Dest, fwd)
 	}
@@ -246,7 +240,6 @@ func (o *Observer) fanoutReport(m *message.Msg) {
 	for _, p := range o.peers {
 		trunks = append(trunks, p)
 	}
-	o.fed.ReportsForwarded += int64(len(trunks))
 	o.mu.Unlock()
 	for _, tr := range trunks {
 		m.Retain()
@@ -377,6 +370,5 @@ func (o *Observer) absorbSync(s protocol.ObsSync) int {
 			changed++
 		}
 	}
-	o.fed.EntriesChanged += int64(changed)
 	return changed
 }

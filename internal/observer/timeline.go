@@ -154,58 +154,8 @@ func (o *Observer) ClusterHists() (ctrl, data metrics.HistogramSnapshot) {
 	return ctrl, data
 }
 
-// ShardLoad aggregates the switch occupancy counters of every reporting
-// node, per entry index of the report's section: how much the switches
-// are working (switched) and holding (queued in receiver rings, parked).
-// Engines report one entry, index 0, with the handoff fields zero.
-type ShardLoad struct {
-	Shard        uint32
-	Switched     uint64
-	Queued       uint64
-	Parked       uint64
-	HandoffDepth uint64
-	HandoffPeak  uint32 // deepest single-node handoff backlog observed
-	Nodes        int    // nodes reporting this shard index
-}
-
-// ShardLoads merges the latest switch occupancy sections across every
-// reporting node, keyed by entry index. Nodes predating the section
-// simply contribute nothing.
-func (o *Observer) ShardLoads() []ShardLoad {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	byIdx := make(map[uint32]*ShardLoad)
-	for _, n := range o.nodes {
-		if !n.hasReport {
-			continue
-		}
-		for _, s := range n.lastReport.Shards {
-			l := byIdx[s.Shard]
-			if l == nil {
-				l = &ShardLoad{Shard: s.Shard}
-				byIdx[s.Shard] = l
-			}
-			l.Switched += s.Switched
-			l.Queued += uint64(s.Queued)
-			l.Parked += uint64(s.Parked)
-			l.HandoffDepth += uint64(s.HandoffDepth)
-			if s.HandoffPeak > l.HandoffPeak {
-				l.HandoffPeak = s.HandoffPeak
-			}
-			l.Nodes++
-		}
-	}
-	out := make([]ShardLoad, 0, len(byIdx))
-	for _, l := range byIdx {
-		out = append(out, *l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
-	return out
-}
-
 // RenderHists formats the cluster-wide queue-delay distributions with
-// their 50th/99th percentile upper bounds in nanoseconds, followed by
-// the switch occupancy when any node reports one.
+// their 50th/99th percentile upper bounds in nanoseconds.
 func (o *Observer) RenderHists() string {
 	ctrl, data := o.ClusterHists()
 	var b strings.Builder
@@ -213,9 +163,5 @@ func (o *Observer) RenderHists() string {
 		ctrl.Count(), ctrl.Quantile(0.5), ctrl.Quantile(0.99), ctrl.String())
 	fmt.Fprintf(&b, "data lane: n=%d p50<%dns p99<%dns %s\n",
 		data.Count(), data.Quantile(0.5), data.Quantile(0.99), data.String())
-	for _, l := range o.ShardLoads() {
-		fmt.Fprintf(&b, "shard %d: nodes=%d switched=%d queued=%d parked=%d handoff=%d peak=%d\n",
-			l.Shard, l.Nodes, l.Switched, l.Queued, l.Parked, l.HandoffDepth, l.HandoffPeak)
-	}
 	return b.String()
 }

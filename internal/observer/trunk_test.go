@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/message"
-	"repro/internal/observer"
 	"repro/internal/protocol"
 	"repro/internal/proxy"
 	"repro/internal/trace"
@@ -34,14 +33,14 @@ func startProxy(t *testing.T, n *vnet.Network, id message.NodeID) *proxy.Proxy {
 // TestProxyTrunkFailureOrphansRelayedNodes is the end-to-end regression
 // test for the dead-trunk bug: when a proxy trunk drops, every node that
 // was reachable only through it must leave the alive/bootstrap set at
-// once, and must re-register cleanly when the proxy comes back. StaleAfter
-// is set far above the test duration so the only way the nodes can leave
-// the alive set is by losing their route — exactly what the old code
-// failed to do for relayed nodes.
+// once, and must re-register cleanly when the proxy comes back. The wait
+// for them to leave is far below the observer's 5 s silence cutoff, so
+// the only way the nodes can leave the alive set is by losing their
+// route — exactly what the old code failed to do for relayed nodes.
 func TestProxyTrunkFailureOrphansRelayedNodes(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
-	o := startObserver(t, n, func(c *observer.Config) { c.StaleAfter = time.Hour })
+	o := startObserver(t, n)
 	proxyID := message.MakeID("10.254.0.1", 9100)
 	p := startProxy(t, n, proxyID)
 	defer p.Stop()
@@ -57,7 +56,7 @@ func TestProxyTrunkFailureOrphansRelayedNodes(t *testing.T) {
 	// Kill the trunk. Both relayed nodes must drop out of the alive set
 	// immediately — their only route died with the proxy.
 	p.Stop()
-	waitFor(t, 5*time.Second, "relayed nodes to leave the alive set", func() bool {
+	waitFor(t, 2*time.Second, "relayed nodes to leave the alive set", func() bool {
 		return len(o.Alive()) == 0
 	})
 

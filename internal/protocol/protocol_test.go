@@ -159,22 +159,22 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReportLegacyDecodeWithoutShards checks the shard section really is
-// optional on the wire: a report cut before it (what an older node
-// emits) decodes cleanly with a nil Shards slice.
-func TestReportLegacyDecodeWithoutShards(t *testing.T) {
+// TestReportWireLayout pins the report's fixed layout: an empty report
+// is 84 bytes (60 of fixed fields, four empty histograms, and the event
+// and shard counts), and the shard section is not optional — a report
+// cut just before it is truncated.
+func TestReportWireLayout(t *testing.T) {
+	if n := len(Report{}.Encode()); n != 84 {
+		t.Errorf("empty report encodes to %d bytes, want 84", n)
+	}
 	rp := Report{
 		Node:   message.MakeID("10.0.0.1", 7000),
 		Shards: []ShardStatus{{Shard: 1, Switched: 5}},
 	}
 	full := rp.Encode()
-	legacy := full[:len(full)-(4+28)]
-	got, err := DecodeReport(legacy)
-	if err != nil {
-		t.Fatalf("DecodeReport(legacy): %v", err)
-	}
-	if got.Node != rp.Node || got.Shards != nil {
-		t.Errorf("legacy decode = %+v", got)
+	cut := full[:len(full)-(4+shardStatusSize)]
+	if _, err := DecodeReport(cut); !errors.Is(err, ErrTruncated) {
+		t.Errorf("DecodeReport of a report without its shard section: err = %v, want ErrTruncated", err)
 	}
 }
 
@@ -209,19 +209,8 @@ func TestPingTickRoundTrip(t *testing.T) {
 
 func TestDecodersRejectTruncation(t *testing.T) {
 	full := Report{Node: message.MakeID("1.1.1.1", 1)}.Encode()
-	// The shard section is a trailing extension: cutting exactly before
-	// it yields a well-formed legacy report, so that one length must
-	// decode; every other prefix is a genuine truncation.
-	legacy := len(full) - 4
 	for n := 0; n < len(full); n++ {
-		_, err := DecodeReport(full[:n])
-		if n == legacy {
-			if err != nil {
-				t.Errorf("DecodeReport rejected legacy %d-byte report: %v", n, err)
-			}
-			continue
-		}
-		if err == nil {
+		if _, err := DecodeReport(full[:n]); err == nil {
 			t.Errorf("DecodeReport accepted %d-byte truncation", n)
 		}
 	}

@@ -49,11 +49,8 @@ func allPayloadCases() []payloadCase {
 		MsgsIn:           10,
 		MsgsOut:          -3,
 		Dropped:          99,
-		Shed:             98,
 		BufferedBytes:    1 << 30,
 		MaxBufferedBytes: 1 << 31,
-		CtrlDelayNs:      1500,
-		DataDelayNs:      2_000_000_000,
 		QueueCtrlHist:    histWith(map[int]uint64{0: 3, 12: 9}),
 		QueueDataHist:    histWith(map[int]uint64{20: 1 << 40}),
 		SwitchBatchHist:  histWith(map[int]uint64{5: 77}),
@@ -105,9 +102,9 @@ func allPayloadCases() []payloadCase {
 			value:  report,
 			encode: report.Encode,
 			decode: func(b []byte) (any, error) { return DecodeReport(b) },
-			// 84-byte classic fixed part + four histogram pair counts
-			// (16) + the event count (4).
-			fixed: 104,
+			// 60-byte fixed part + four histogram pair counts (16) +
+			// the event and shard counts (4+4).
+			fixed: 84,
 		},
 		{
 			name:   "Throughput",
@@ -276,7 +273,7 @@ func TestReportRejectsForgedCounts(t *testing.T) {
 		{"huge link count", forge(8, 1<<30)},
 		{"link count exceeding remaining by one entry", forge(8, 3)},
 		{"huge app count", forge(16, 1<<30)},
-		{"app count exceeding remaining by one", forge(16, 22)},
+		{"app count exceeding remaining by one", forge(16, 17)},
 	} {
 		if _, err := DecodeReport(tc.buf); !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: err = %v, want ErrTruncated", tc.name, err)
@@ -308,11 +305,11 @@ func TestReportRejectsForgedHistAndEvents(t *testing.T) {
 	}
 
 	// Layout of the empty-link report: ID 8 + three zero counts (12) +
-	// eight I64s (64) = offset 84 for the first histogram's pair count;
-	// its single (idx,count) pair spans 84+4..84+16; the remaining three
+	// five I64s (40) = offset 60 for the first histogram's pair count;
+	// its single (idx,count) pair spans 60+4..60+16; the remaining three
 	// histogram counts follow, then the event count, then the event with
 	// its kind at +12 into the entry.
-	const hist1 = 84
+	const hist1 = 60
 	const hist1Idx = hist1 + 4
 	const evCount = hist1 + 4 + 12 + 3*4
 	const evKind = evCount + 4 + 8 + 8

@@ -283,24 +283,16 @@ type Report struct {
 	MsgsIn     int64
 	MsgsOut    int64
 	Dropped    int64
-	// Shed is always zero: nothing sheds data any more, and the field
-	// stays only so the report's wire layout does not move.
-	Shed int64
 	// BufferedBytes is the wire bytes of every message reference the node
 	// holds — in a ring, parked, in the switch or in a sender's write batch;
 	// MaxBufferedBytes its lifetime high-water mark.
 	BufferedBytes    int64
 	MaxBufferedBytes int64
-	// CtrlDelayNs and DataDelayNs are the worst smoothed per-class
-	// queueing delays across the node's sender buffers — the measured gap
-	// between the service classes.
-	CtrlDelayNs int64
-	DataDelayNs int64
 	// QueueCtrlHist and QueueDataHist are the per-lane queueing-delay
 	// distributions (log-2 nanosecond buckets) aggregated across the
 	// node's sender buffers; SwitchBatchHist and SendBatchHist are the
-	// switch-quantum and sender-batch size distributions. Together they
-	// replace the lone EWMA as the QoS detail the observer records.
+	// switch-quantum and sender-batch size distributions: the QoS detail
+	// the observer records.
 	QueueCtrlHist   metrics.HistogramSnapshot
 	QueueDataHist   metrics.HistogramSnapshot
 	SwitchBatchHist metrics.HistogramSnapshot
@@ -310,8 +302,6 @@ type Report struct {
 	// series to build cross-node timelines.
 	Events []trace.Event
 	// Shards holds the switch occupancy section — one entry per engine.
-	// The section is a trailing extension: reports from older nodes
-	// simply omit it, and the decoder tolerates its absence.
 	Shards []ShardStatus
 }
 
@@ -374,9 +364,7 @@ func encodeShards(w *Writer, shards []ShardStatus) {
 	}
 }
 
-// decodeShards parses the per-shard tail. The section trails the event
-// list, so a report from an older node ends before it: the caller only
-// invokes this when bytes remain.
+// decodeShards parses the per-shard tail.
 func decodeShards(r *Reader) []ShardStatus {
 	n := r.U32()
 	if r.Err() != nil || n == 0 {
@@ -447,9 +435,10 @@ func decodeEvents(r *Reader) []trace.Event {
 // Encode serializes the report.
 func (rp Report) Encode() []byte {
 	// Fixed part: node ID (8) + two link counts (4+4) + app count (4) +
-	// eight I64 counters (64) = 84 bytes; each link entry is 32. The
-	// four histograms and the event tail follow, sized by content.
-	w := NewWriter(84 + 32*(len(rp.Upstreams)+len(rp.Downstream)) + 4*len(rp.Apps) +
+	// five I64 counters (40) = 60 bytes; each link entry is 32. The
+	// four histograms, the event tail and the shard tail follow, sized by
+	// content.
+	w := NewWriter(60 + 32*(len(rp.Upstreams)+len(rp.Downstream)) + 4*len(rp.Apps) +
 		4*(4+12*metrics.HistogramBuckets) + 4 + traceEventSize*len(rp.Events) +
 		4 + shardStatusSize*len(rp.Shards))
 	w.ID(rp.Node)
@@ -466,8 +455,7 @@ func (rp Report) Encode() []byte {
 		w.U32(a)
 	}
 	w.I64(rp.MsgsIn).I64(rp.MsgsOut).I64(rp.Dropped)
-	w.I64(rp.Shed).I64(rp.BufferedBytes).I64(rp.MaxBufferedBytes)
-	w.I64(rp.CtrlDelayNs).I64(rp.DataDelayNs)
+	w.I64(rp.BufferedBytes).I64(rp.MaxBufferedBytes)
 	encodeHist(w, rp.QueueCtrlHist)
 	encodeHist(w, rp.QueueDataHist)
 	encodeHist(w, rp.SwitchBatchHist)
@@ -519,19 +507,14 @@ func DecodeReport(b []byte) (Report, error) {
 	rp.MsgsIn = r.I64()
 	rp.MsgsOut = r.I64()
 	rp.Dropped = r.I64()
-	rp.Shed = r.I64()
 	rp.BufferedBytes = r.I64()
 	rp.MaxBufferedBytes = r.I64()
-	rp.CtrlDelayNs = r.I64()
-	rp.DataDelayNs = r.I64()
 	rp.QueueCtrlHist = decodeHist(r)
 	rp.QueueDataHist = decodeHist(r)
 	rp.SwitchBatchHist = decodeHist(r)
 	rp.SendBatchHist = decodeHist(r)
 	rp.Events = decodeEvents(r)
-	if r.Err() == nil && r.Remaining() > 0 {
-		rp.Shards = decodeShards(r)
-	}
+	rp.Shards = decodeShards(r)
 	return rp, r.Err()
 }
 

@@ -126,8 +126,8 @@ func New(capacity int) *Ring {
 
 // SetDelayHists attaches per-lane queueing-delay histograms, shared
 // across every ring of an engine: each pop observes how long the message
-// sat buffered, in nanoseconds. The EWMA the overload detector reads is
-// unaffected; the histograms feed the QoS reports. Either may be nil.
+// sat buffered, in nanoseconds. The EWMA that Engine.QueueDelays reads
+// is unaffected; the histograms feed the QoS reports. Either may be nil.
 func (r *Ring) SetDelayHists(ctrl, data *metrics.Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

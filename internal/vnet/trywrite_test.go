@@ -121,7 +121,7 @@ func TestTryWriteBuffersHonoursFaultsAndLatency(t *testing.T) {
 	})
 	t.Run("latency marks", func(t *testing.T) {
 		const lat = 60 * time.Millisecond
-		n := New(WithLatency(lat))
+		n := New(constantLatency(lat))
 		defer n.Close()
 		client, server := pair(t, n, "10.0.0.1:7000")
 		start := time.Now()

@@ -40,7 +40,6 @@ type Network struct {
 	listeners map[string]*Listener
 	packets   map[string]*PacketConn
 	conns     map[*Conn]struct{}
-	latency   time.Duration
 	latencyFn func(a, b string) time.Duration
 	pipeCap   int
 	nextEphem int
@@ -65,15 +64,10 @@ type Network struct {
 // Option configures a Network.
 type Option func(*Network)
 
-// WithLatency attaches a fixed one-way propagation latency to every
-// connection: written bytes become readable at the far end only after d.
-func WithLatency(d time.Duration) Option {
-	return func(n *Network) { n.latency = d }
-}
-
 // WithLatencyFunc attaches per-pair one-way propagation latency, keyed by
 // the two endpoint addresses (symmetric: the function is called with the
-// dialer's address first). It overrides WithLatency.
+// dialer's address first): written bytes become readable at the far end
+// only after that delay.
 func WithLatencyFunc(fn func(a, b string) time.Duration) Option {
 	return func(n *Network) { n.latencyFn = fn }
 }
@@ -160,7 +154,7 @@ func (n *Network) DialFrom(local, address string) (net.Conn, error) {
 		return nil, fmt.Errorf("%w: %s (link fault)", ErrConnectionRefused, address)
 	}
 	l, ok := n.listeners[address]
-	latency := n.latency
+	var latency time.Duration
 	if n.latencyFn != nil {
 		latency = n.latencyFn(local, address)
 	}

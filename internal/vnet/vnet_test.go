@@ -11,6 +11,11 @@ import (
 	"time"
 )
 
+// constantLatency gives every connection the same one-way latency d.
+func constantLatency(d time.Duration) Option {
+	return WithLatencyFunc(func(a, b string) time.Duration { return d })
+}
+
 func pair(t *testing.T, n *Network, address string) (client, server net.Conn) {
 	t.Helper()
 	l, err := n.Listen(address)
@@ -455,7 +460,7 @@ func TestManyConcurrentConnections(t *testing.T) {
 
 func TestConstantLatencyDelaysDelivery(t *testing.T) {
 	const lat = 60 * time.Millisecond
-	n := New(WithLatency(lat))
+	n := New(constantLatency(lat))
 	defer n.Close()
 	client, server := pair(t, n, "10.0.0.1:7000")
 
@@ -531,7 +536,7 @@ func TestLatencyFuncPerPair(t *testing.T) {
 }
 
 func TestLatencyEOFAfterDrain(t *testing.T) {
-	n := New(WithLatency(30 * time.Millisecond))
+	n := New(constantLatency(30 * time.Millisecond))
 	defer n.Close()
 	client, server := pair(t, n, "10.0.0.1:7000")
 	if _, err := client.Write([]byte("tail")); err != nil {
