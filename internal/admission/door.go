@@ -21,10 +21,10 @@ import (
 // that window.
 const DefaultHelloTimeout = 10 * time.Second
 
-// ReplyWriteTimeout bounds the write of an admission reply — the door's
-// Busy, an engine's Welcome — so a stalled dialer can pin neither a Busy
-// writer goroutine nor a handshake token.
-const ReplyWriteTimeout = 100 * time.Millisecond
+// replyWriteTimeout bounds the write of an admission reply — Busy or
+// Welcome — so a stalled dialer can pin neither a Busy writer goroutine
+// nor a handshake token.
+const replyWriteTimeout = 100 * time.Millisecond
 
 // maxBusyWriters bounds concurrent Busy-frame writer goroutines; refusals
 // past the bound are closed silently (the dialer treats the hangup as a
@@ -77,6 +77,9 @@ type Door struct {
 
 	busyWriters atomic.Int32
 
+	// welcome is the bare Welcome header, rendered once by AcceptLoop.
+	welcome []byte
+
 	mu       sync.Mutex
 	listener net.Listener
 	greeting map[net.Conn]struct{} // admitted, hello not yet read
@@ -89,6 +92,7 @@ type Door struct {
 // it calls WG.Done when it returns.
 func (d *Door) AcceptLoop(l net.Listener, handle Handler) {
 	defer d.WG.Done()
+	d.welcome = message.New(protocol.TypeWelcome, d.ID, 0, 0, nil).AppendHeader(nil)
 	d.mu.Lock()
 	d.listener = l
 	d.greeting = make(map[net.Conn]struct{})
@@ -252,12 +256,28 @@ func (d *Door) Refuse(conn net.Conn, reason protocol.BusyReason, hint time.Durat
 		defer d.WG.Done()
 		defer d.busyWriters.Add(-1)
 		defer conn.Close()
-		_ = conn.SetWriteDeadline(time.Now().Add(ReplyWriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(replyWriteTimeout))
 		busy := message.New(protocol.TypeBusy, d.ID, 0, 0,
 			protocol.Busy{Reason: reason, RetryAfterNanos: int64(hint)}.Encode())
 		_, _ = busy.WriteTo(conn)
 		busy.Release()
 	}()
+}
+
+// Welcome answers an identified connection with the one reply frame that
+// admits it: the dialer treats nothing short of this frame as admitted, so
+// every link — engine, observer, proxy — opens in one round trip at any
+// RTT. The owner writes it once its side of the link exists, and before
+// anything else goes out on conn. A dialer that hung up or stalls the
+// write gets conn closed and the error back.
+func (d *Door) Welcome(conn net.Conn) error {
+	_ = conn.SetWriteDeadline(time.Now().Add(replyWriteTimeout))
+	if _, err := conn.Write(d.welcome); err != nil {
+		_ = conn.Close()
+		return err
+	}
+	_ = conn.SetWriteDeadline(time.Time{})
+	return nil
 }
 
 // Close shuts the door: the listener, so AcceptLoop returns, and every

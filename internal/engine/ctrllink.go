@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/message"
-	"repro/internal/protocol"
 	"repro/internal/queue"
 )
 
@@ -33,27 +31,6 @@ func NewLink(conn net.Conn, capacity int, wg *sync.WaitGroup) *Link {
 	wg.Add(1)
 	go l.write(wg)
 	return l
-}
-
-// DialHello opens a connection from self to peer and identifies it with a
-// hello of the given kind (protocol.HelloProxy, protocol.HelloObserver, or
-// zero for a node). timeout bounds the dial and, separately, the hello
-// write: a stalled acceptor socket must not wedge the dialer.
-func DialHello(t Transport, self, peer message.NodeID, kind uint32, timeout time.Duration) (net.Conn, error) {
-	conn, err := t.DialFrom(self.Addr(), peer.Addr(), timeout)
-	if err != nil {
-		return nil, err
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
-	hello := message.New(protocol.TypeHello, self, kind, 0, nil)
-	_, err = hello.WriteTo(conn)
-	hello.Release()
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	_ = conn.SetWriteDeadline(time.Time{})
-	return conn, nil
 }
 
 // write drains the ring to the connection, flushing when the ring runs

@@ -117,3 +117,46 @@ func TestCloseLinkInterruptsDialAwaitingReply(t *testing.T) {
 	}
 	within(t, 2*time.Second, "Stop after CloseLink", e.Stop)
 }
+
+// TestMuteObserverHoldsNeitherStartNorStop: an observer that accepts the
+// node's connection and never answers its hello holds neither Start — the
+// first attempt runs on the reconnect loop, not on Start's goroutine — nor
+// Stop, which cuts the handshake short instead of sitting out its 10 s
+// deadline.
+func TestMuteObserverHoldsNeitherStartNorStop(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	obs := message.MakeID("10.255.0.1", 9000)
+	accepted := muteAcceptor(t, n, obs)
+	e, err := engine.New(engine.Config{
+		ID:        nid(1),
+		Transport: engine.VNet{Net: n},
+		Algorithm: &recorder{},
+		Observers: []message.NodeID{obs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	within(t, 100*time.Millisecond, "Start against a mute observer", func() {
+		if err := e.Start(); err != nil {
+			t.Errorf("Start: %v", err)
+		}
+	})
+	var c net.Conn
+	select {
+	case c = <-accepted:
+		t.Cleanup(func() { c.Close() })
+	case <-time.After(5 * time.Second):
+		e.Stop()
+		t.Fatal("the engine never dialed the observer")
+	}
+	// Once the hello is in, the engine is waiting for the reply.
+	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	hello, err := message.Read(c, nil, 256)
+	if err != nil {
+		e.Stop()
+		t.Fatalf("reading the hello: %v", err)
+	}
+	hello.Release()
+	within(t, time.Second, "Stop with an observer handshake awaiting its reply", e.Stop)
+}

@@ -202,10 +202,10 @@ type Engine struct {
 	pconn    net.PacketConn
 	dgramSeq atomic.Uint32
 
-	// hello and welcome are the node's two handshake frames, bare headers
-	// that differ per engine only in the sender identity: rendered once
-	// here so neither side of a link set-up builds a message for them.
-	hello, welcome []byte
+	// hello is the node's handshake frame, a bare header that differs per
+	// engine only in the sender identity: rendered once here so no link
+	// set-up builds a message for it.
+	hello []byte
 
 	mu        sync.Mutex
 	receivers map[message.NodeID]*receiver
@@ -272,7 +272,7 @@ type Engine struct {
 
 	// Observer failover state, guarded by mu. obsIdx indexes the
 	// cfg.Observers entry currently targeted; obsLast is the observer that
-	// last confirmed a registration (zero before the first);
+	// last admitted a registration (zero before the first);
 	// obsRetrying guards the singleton reconnect loop; obsPending stashes
 	// observer-bound messages that were queued or sent while no link was
 	// up, flushed in order after the next successful registration.
@@ -283,15 +283,12 @@ type Engine struct {
 	// obsBackoff paces observer reconnects. It persists across link
 	// losses — rotation through the failover list shares one progression,
 	// so an unreachable or refusing tier is not hammered at base rate per
-	// entry — and restarts only with a registration the observer did not
-	// refuse. Touched by the singleton reconnect loop (or Start, before
-	// any loop exists) and, between loops, by observerGone.
+	// entry — and restarts only with an admitted registration. Touched by
+	// the singleton reconnect loop only.
 	obsBackoff *backoff
-	// obsBusyHint carries a Busy refusal's retry-after hint (nanoseconds)
-	// from the observer reader goroutine to the reconnect loop, which
-	// floors its next delay with it; atomic because the two goroutines
-	// never synchronize otherwise.
-	obsBusyHint atomic.Int64
+	// obsDialer opens the observer link; Stop closes it, so a handshake
+	// in flight does not hold Stop for the handshake deadline.
+	obsDialer Dialer
 
 	// Token-holder-only state: read and written under turnMu.
 	pingSent     map[uint32]time.Time
@@ -380,7 +377,6 @@ func newEngine(cfg Config, timing linkTiming) (*Engine, error) {
 	}
 	e.down = e.budget.DownShaper()
 	e.hello = message.New(protocol.TypeHello, cfg.ID, 0, 0, nil).AppendHeader(nil)
-	e.welcome = message.New(protocol.TypeWelcome, cfg.ID, 0, 0, nil).AppendHeader(nil)
 	e.obsBackoff = e.newBackoff(0) // sender loops salt with their peer
 	e.door = &admission.Door{
 		Gate: admission.New(cfg.Admission), ID: e.id, HelloTimeout: timing.Handshake,
@@ -546,21 +542,22 @@ func (e *Engine) Start() error {
 	e.started = true
 
 	if len(e.cfg.Observers) > 0 {
-		if err := e.connectObserver(); err != nil {
-			e.scheduleObserverReconnect()
-		}
+		// The first attempt runs on the loop too: Start must not wait for
+		// the observer's reply.
+		e.scheduleObserverReconnect(true)
 	}
 	return nil
 }
 
-// scheduleObserverReconnect launches the background loop that restores
-// an observer link, pacing attempts with the engine's persistent capped
-// backoff so a crashed tier is not hammered by its whole cluster at a
-// fixed interval, and rotating to the next failover-list entry after
-// each failed attempt. At most one loop runs at a time: a second caller
-// (a racing observerGone, say) would otherwise double-advance the
-// rotation and double-dial.
-func (e *Engine) scheduleObserverReconnect() {
+// scheduleObserverReconnect launches the background loop that brings up
+// an observer link — the first attempt at once when now is set (Start),
+// every other one after a delay from the engine's persistent capped
+// backoff, floored by a refusal's retry-after hint — so a crashed or
+// refusing tier is not hammered by its whole cluster at a fixed interval.
+// Each failed attempt rotates to the next failover-list entry. At most one
+// loop runs at a time: a second caller (a racing observerGone, say) would
+// otherwise double-advance the rotation and double-dial.
+func (e *Engine) scheduleObserverReconnect(now bool) {
 	e.mu.Lock()
 	if e.stopping || e.departing || e.obsRetrying {
 		// A departing node deregistered on purpose; redialing the observer
@@ -574,70 +571,68 @@ func (e *Engine) scheduleObserverReconnect() {
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		defer func() {
-			e.mu.Lock()
-			e.obsRetrying = false
-			lost := e.obs == nil && !e.stopping && !e.departing
-			e.mu.Unlock()
-			if lost {
-				// The link this loop brought up died before the loop had
-				// stepped aside (a prompt Busy refusal does that), so
-				// observerGone found it still registered and started no
-				// successor: start it here.
-				e.scheduleObserverReconnect()
+		for ; ; now = false {
+			if !now {
+				d := e.obsBackoff.next()
+				e.rec.Emit(trace.KindBackoff, e.Observer(), 0, int64(d))
+				select {
+				case <-e.done:
+					return
+				case <-time.After(d):
+				}
 			}
-		}()
-		for {
-			// An observer that refused us with a Busy frame told us when to
-			// come back; honor it over the exponential schedule.
-			if h := e.obsBusyHint.Swap(0); h > 0 {
-				e.obsBackoff.floor(time.Duration(h))
-			}
-			d := e.obsBackoff.next()
-			e.rec.Emit(trace.KindBackoff, e.Observer(), 0, int64(d))
-			select {
-			case <-e.done:
-				return
-			case <-time.After(d):
-			}
-			if err := e.connectObserver(); err == nil {
+			hint, err := e.connectObserver()
+			if err == nil {
 				return
 			}
 			e.advanceObserver()
+			e.obsBackoff.floor(hint)
 		}
 	}()
 }
 
-func (e *Engine) connectObserver() error {
+// connectObserver makes one attempt at the observer link: the handshake
+// with the targeted entry, then the link's installation. It ends the
+// reconnect loop — nil — once the link is up or the node is going away;
+// a refusal's retry-after hint comes back with the error.
+func (e *Engine) connectObserver() (time.Duration, error) {
 	e.mu.Lock()
-	if e.obs != nil || e.stopping || e.departing {
-		e.mu.Unlock()
-		return nil
-	}
 	target := e.observerTargetLocked()
 	e.mu.Unlock()
-	conn, err := DialHello(e.cfg.Transport, e.id, target, 0, e.timing.Handshake)
-	if err != nil {
-		return err
-	}
+	conn, hint, err := e.obsDialer.Dial(e.cfg.Transport, e.addr, target.Addr(), e.hello, e.timing.Handshake)
 	e.mu.Lock()
-	if e.obs != nil || e.stopping || e.departing {
-		// Shutdown (or a competing connect) won the race while this dial
-		// was in flight.
+	if e.stopping || e.departing {
+		// Shutdown won the race while this dial was in flight.
 		e.mu.Unlock()
-		_ = conn.Close()
-		return nil
+		if conn != nil {
+			_ = conn.Close()
+		}
+		return 0, nil
 	}
-	o := &observerLink{Link: NewLink(conn, obsLinkCap, &e.wg), peer: target, resume: e.obsBackoff.attempt}
+	if err != nil {
+		e.mu.Unlock()
+		return hint, err
+	}
+	o := &observerLink{Link: NewLink(conn, obsLinkCap, &e.wg), peer: target}
 	e.obs = o
+	// The loop steps aside in the same critical section that installs the
+	// link: from here on, the link's death starts the next loop.
+	e.obsRetrying = false
 	pending := e.obsPending
 	e.obsPending = nil
-	e.mu.Unlock()
-	// A link that came up restarts the backoff progression — a flapping
-	// observer must not leave healthy nodes stuck at max backoff for the
-	// next flap — but provisionally: the observer's gate may yet answer
-	// the hello with Busy, and observerGone then puts it back.
+	// An admitted registration restarts the backoff progression — a
+	// flapping observer must not leave healthy nodes stuck at max backoff
+	// for the next flap — and a move to another failover-list entry is a
+	// failover.
 	e.obsBackoff.reset()
+	prev := e.obsLast
+	e.obsLast = target
+	idx := e.obsIdx
+	e.mu.Unlock()
+	if !prev.IsZero() && prev != target {
+		e.counters.AddFailover()
+		e.rec.Emit(trace.KindObsFailover, target, 0, int64(idx))
+	}
 	e.wg.Add(1)
 	go e.runObserverReader(o)
 
@@ -657,22 +652,7 @@ func (e *Engine) connectObserver() error {
 			break
 		}
 	}
-	return nil
-}
-
-// observerConfirmed runs on the observer link's reader goroutine when the
-// observer first answers a registration with something other than Busy:
-// only now is a move to another failover-list entry a failover.
-func (e *Engine) observerConfirmed(o *observerLink) {
-	e.mu.Lock()
-	prev := e.obsLast
-	e.obsLast = o.peer
-	idx := e.obsIdx
-	e.mu.Unlock()
-	if !prev.IsZero() && prev != o.peer {
-		e.counters.AddFailover()
-		e.rec.Emit(trace.KindObsFailover, o.peer, 0, int64(idx))
-	}
+	return 0, nil
 }
 
 // Depart leaves the overlay gracefully — the paper's deregistration,
@@ -807,12 +787,13 @@ func (e *Engine) Stop() {
 		default:
 			// Still dialing: the closed ring ends the attempt loop, and a
 			// handshake waiting on the peer's reply is cut short here.
-			s.interruptDial()
+			s.dialer.Close()
 		}
 	}
 	if obs != nil {
 		obs.Close()
 	}
+	e.obsDialer.Close()
 	e.budget.Close()
 	e.wg.Wait()
 	e.releaseParked()
@@ -1156,14 +1137,6 @@ func (e *Engine) observerGone(o *observerLink) {
 		return
 	}
 	e.obs = nil
-	if !o.confirmed {
-		// Refused — a Busy frame, or a silent shed — rather than lost: the
-		// next attempt continues the progression the provisional reset
-		// interrupted, so a refusing tier sees exponentially rarer dials.
-		// No reconnect loop runs while a link is up, and the next one
-		// starts behind this lock.
-		e.obsBackoff.attempt = o.resume
-	}
 	stopping := e.stopping
 	e.mu.Unlock()
 	o.Close()
@@ -1181,7 +1154,7 @@ func (e *Engine) observerGone(o *observerLink) {
 	e.mu.Unlock()
 	if !stopping {
 		e.advanceObserver()
-		e.scheduleObserverReconnect()
+		e.scheduleObserverReconnect(false)
 	}
 }
 
@@ -1203,7 +1176,7 @@ func (e *Engine) CloseLink(peer message.NodeID) {
 	// A link that is still dialing has nothing to flush to: its attempt
 	// loop ends at the closed ring, and a handshake waiting on the peer's
 	// reply is cut short rather than sat out.
-	s.interruptDial()
+	s.dialer.Close()
 	s.linkLimit.Close()
 	e.dropParkedFor(peer, false)
 }

@@ -19,10 +19,11 @@ func (nopAlg) Attach(API)                     {}
 func (nopAlg) Process(m *message.Msg) Verdict { return Done }
 
 // fakeObserver is a raw listener standing in for an observer: it accepts
-// connections and counts the messages it reads, without any of the real
-// observer's behavior. White-box tests use it because package engine
+// connections, answers each hello with Welcome and counts the messages it
+// reads, without any of the real observer's behavior. White-box tests use it because package engine
 // cannot import internal/observer (import cycle).
 type fakeObserver struct {
+	id message.NodeID
 	ln net.Listener
 
 	mu    sync.Mutex
@@ -36,7 +37,7 @@ func startFakeObserver(t *testing.T, n *vnet.Network, id message.NodeID) *fakeOb
 	if err != nil {
 		t.Fatalf("fake observer listen(%s): %v", id, err)
 	}
-	f := &fakeObserver{ln: ln, types: make(map[message.Type]int)}
+	f := &fakeObserver{id: id, ln: ln, types: make(map[message.Type]int)}
 	t.Cleanup(f.close)
 	go func() {
 		for {
@@ -54,6 +55,15 @@ func startFakeObserver(t *testing.T, n *vnet.Network, id message.NodeID) *fakeOb
 }
 
 func (f *fakeObserver) read(c net.Conn) {
+	hello, err := message.Read(c, nil, 256)
+	if err != nil {
+		return
+	}
+	hello.Release()
+	welcome := message.New(protocol.TypeWelcome, f.id, 0, 0, nil)
+	if _, err := welcome.WriteTo(c); err != nil {
+		return
+	}
 	for {
 		m, err := message.Read(c, nil, message.DefaultMaxPayload)
 		if err != nil {

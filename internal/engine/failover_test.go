@@ -47,8 +47,8 @@ func TestObserverFailoverReRegisters(t *testing.T) {
 		c.StatusInterval = 25 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
 	})
-	// A move counts as a failover only away from an observer that answered:
-	// wait for A's reply to arrive, not just for A to have seen the Boot.
+	// A move counts as a failover only away from an observer that admitted
+	// the node: wait for A's reply to the Boot, which follows its Welcome.
 	waitFor(t, 5*time.Second, "node registered at A", func() bool {
 		a := oa.Alive()
 		return len(a) == 1 && a[0] == nid(1) && alg.count(protocol.TypeBootReply) > 0
@@ -103,15 +103,14 @@ func TestObserverFailbackAfterFlap(t *testing.T) {
 		c.StatusInterval = 25 * time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
 	})
-	// Each observer must have answered before it is killed, or leaving it
-	// is not a failover (see TestObserverFailoverReRegisters).
+	// Each observer must have admitted the node before it is killed, or
+	// leaving it is not a failover (see TestObserverFailoverReRegisters).
 	waitFor(t, 5*time.Second, "node registered at A", func() bool {
 		return len(oa.Alive()) == 1 && alg.count(protocol.TypeBootReply) >= 1
 	})
 	oa.Stop()
-	// The BootReply can reach the algorithm before the reader goroutine
-	// records B as confirmed; the counter says B's registration counted,
-	// so killing B next is a second failover.
+	// The counter says B's registration counted, so killing B next is a
+	// second failover.
 	waitFor(t, 10*time.Second, "failover to B", func() bool {
 		return len(ob.Alive()) == 1 && alg.count(protocol.TypeBootReply) >= 2 &&
 			e.Counters().Failovers == 1

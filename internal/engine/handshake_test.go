@@ -296,3 +296,36 @@ func TestDialPeerHelloWriteBounded(t *testing.T) {
 		t.Fatal("dialPeer stuck past the handshake deadline: hello write is unbounded")
 	}
 }
+
+// TestClosedDialerFailsEveryDial: a Dialer that Close has run on fails
+// each later Dial before its hello goes out — a sender link between two
+// attempts, an observer loop between two reconnects — so nothing it opens
+// outlives its owner's Stop.
+func TestClosedDialerFailsEveryDial(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	hellos := make(chan struct{}, 2)
+	rawAcceptor(t, n, func(c net.Conn) {
+		if m, err := message.Read(c, nil, 256); err == nil {
+			m.Release()
+			hellos <- struct{}{}
+		}
+	})
+	var d Dialer
+	d.Close()
+	for i := 0; i < 2; i++ {
+		conn, _, err := d.Dial(VNet{Net: n}, "10.0.0.1:7000", acceptorID.Addr(),
+			frame(t, protocol.TypeHello, 0, 0, nil), time.Second)
+		if !errors.Is(err, errDialerClosed) {
+			if conn != nil {
+				conn.Close()
+			}
+			t.Fatalf("Dial %d after Close = %v, want errDialerClosed", i+1, err)
+		}
+	}
+	select {
+	case <-hellos:
+		t.Error("a closed Dialer sent a hello")
+	case <-time.After(50 * time.Millisecond):
+	}
+}

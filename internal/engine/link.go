@@ -2,11 +2,7 @@ package engine
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
-	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -221,15 +217,10 @@ type sender struct {
 	// every other link. Like conn it is set by the sender goroutine before
 	// connReady closes and read only after.
 	inline inlineWriter
-	// dialMu guards dialConn, the connection whose handshake is in flight:
-	// Stop and CloseLink close it from outside so a dialer blocked on the
-	// peer's admission reply returns at once instead of at the handshake
-	// deadline.
-	dialMu   sync.Mutex
-	dialConn net.Conn
-	// reply receives the peer's admission reply frame — a bare Welcome
-	// header, or a Busy header and payload. Sender goroutine only.
-	reply [message.HeaderSize + protocol.BusySize]byte
+	// dialer runs the link's handshake on the sender goroutine; Stop and
+	// CloseLink close it, so a dial blocked on the peer's admission reply
+	// returns at once instead of at the handshake deadline.
+	dialer Dialer
 }
 
 func newSender(peer message.NodeID, bufMsgs int, linkRate int64) *sender {
@@ -546,18 +537,6 @@ func (f *streamFraming) tryWrite(run []*message.Msg) (int, int64, error) {
 	return frames, bytes, nil
 }
 
-// errPeerBusy marks a dial attempt refused by the peer's admission gate
-// with a Busy frame; the carried hint floors the next backoff delay.
-var errPeerBusy = errors.New("engine: peer refused admission (busy)")
-
-// errBadReply marks a dial attempt answered with anything other than a
-// Welcome or Busy frame.
-var errBadReply = errors.New("engine: unexpected reply to hello")
-
-// errLinkClosed ends the dial of a link that Stop or CloseLink already
-// tore down.
-var errLinkClosed = errors.New("engine: link closed while dialing")
-
 // dialPeer opens the outgoing connection to s.peer, retrying with backoff
 // until an attempt is admitted, the attempt budget is exhausted, or the
 // link is closed under it (Stop, CloseLink). A Busy refusal consumes the
@@ -566,7 +545,7 @@ var errLinkClosed = errors.New("engine: link closed while dialing")
 func (e *Engine) dialPeer(s *sender) (net.Conn, error) {
 	var bo *backoff // built on the first failure: most dials never retry
 	for attempt := 1; ; attempt++ {
-		conn, hint, err := e.dialOnce(s)
+		conn, hint, err := s.dialer.Dial(e.cfg.Transport, e.addr, s.peer.Addr(), e.hello, e.timing.Handshake)
 		if err == nil {
 			return conn, nil
 		}
@@ -584,102 +563,6 @@ func (e *Engine) dialPeer(s *sender) (net.Conn, error) {
 			return nil, err
 		case <-time.After(d):
 		}
-	}
-}
-
-// dialOnce makes one attempt at the link: the transport connection, then
-// the handshake on it. The connection is published on the sender for the
-// handshake's duration, which lets Stop and CloseLink interrupt it. A
-// refusal's retry-after hint comes back with the error.
-func (e *Engine) dialOnce(s *sender) (net.Conn, time.Duration, error) {
-	conn, err := e.cfg.Transport.DialFrom(e.addr, s.peer.Addr(), e.timing.Handshake)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.setDialConn(conn)
-	hint, err := e.greet(s, conn)
-	s.setDialConn(nil)
-	if err != nil {
-		_ = conn.Close()
-		return nil, hint, err
-	}
-	return conn, 0, nil
-}
-
-// greet is the client side of the handshake, one round trip: the hello
-// goes out and the acceptor's one reply frame comes back, both inside
-// the handshake deadline — a blackholed peer with a full socket buffer
-// stalls the hello write no longer than a mute one stalls the reply.
-func (e *Engine) greet(s *sender, conn net.Conn) (time.Duration, error) {
-	if s.ring.Closed() {
-		// Closed before the connection was published: nobody will
-		// interrupt this handshake, so it must not start.
-		return 0, errLinkClosed
-	}
-	_ = conn.SetDeadline(time.Now().Add(e.timing.Handshake))
-	if _, err := conn.Write(e.hello); err != nil {
-		return 0, err
-	}
-	hint, err := awaitAdmission(conn, s.reply[:])
-	_ = conn.SetDeadline(time.Time{})
-	return hint, err
-}
-
-// awaitAdmission reads the acceptor's reply to the hello — exactly one
-// frame, so nothing the peer sends behind it is consumed — into buf,
-// which must hold a header plus a Busy payload. Welcome means admitted:
-// the peer has registered the link. Busy returns errPeerBusy with the
-// refusal's retry-after hint (zero when the payload does not decode).
-// A connection closed without a frame is an error like any other: a
-// greylisted source, or a refusal past the Busy-writer bound, is shed
-// silently.
-func awaitAdmission(conn net.Conn, buf []byte) (time.Duration, error) {
-	hdr := buf[:message.HeaderSize]
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		return 0, err
-	}
-	size, _ := message.PeekPayloadLen(hdr)
-	switch message.Type(binary.BigEndian.Uint32(hdr[0:4])) {
-	case protocol.TypeWelcome:
-		if size != 0 {
-			return 0, errBadReply
-		}
-		return 0, nil
-	case protocol.TypeBusy:
-		payload := buf[message.HeaderSize:]
-		if size != len(payload) {
-			return 0, errPeerBusy
-		}
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return 0, errPeerBusy
-		}
-		bz, err := protocol.DecodeBusy(payload)
-		if err != nil {
-			return 0, errPeerBusy
-		}
-		return time.Duration(bz.RetryAfterNanos), errPeerBusy
-	default:
-		return 0, errBadReply
-	}
-}
-
-// setDialConn publishes (or, with nil, retracts) the connection whose
-// handshake the sender goroutine is running.
-func (s *sender) setDialConn(conn net.Conn) {
-	s.dialMu.Lock()
-	s.dialConn = conn
-	s.dialMu.Unlock()
-}
-
-// interruptDial closes the connection a handshake is in flight on, if
-// any. Callers close s.ring first: the dialer checks the ring after
-// publishing its connection, so one side always sees the other.
-func (s *sender) interruptDial() {
-	s.dialMu.Lock()
-	conn := s.dialConn
-	s.dialMu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
 	}
 }
 
@@ -737,16 +620,10 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func(
 		old.ring.Close()
 		e.dropQueued(&old.ring)
 	}
-	// The explicit admission reply: the dialer treats nothing short of
-	// this frame as admitted, so the link costs one round trip at any
-	// RTT. A dialer that hung up or stalls the write gets its connection
+	// A dialer that hung up or stalls the Welcome gets its connection
 	// closed; the receiver goroutine then observes the failure and tears
 	// the link down through the normal path.
-	_ = conn.SetWriteDeadline(time.Now().Add(admission.ReplyWriteTimeout))
-	if _, err := conn.Write(e.welcome); err != nil {
-		_ = conn.Close()
-	}
-	_ = conn.SetWriteDeadline(time.Time{})
+	_ = e.door.Welcome(conn)
 	e.armInactivity(r)
 	e.rec.Emit(trace.KindAccept, peer, 0, int64(admission.Admitted))
 	e.rec.Emit(trace.KindLinkUp, peer, 0, 1)
@@ -765,13 +642,6 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func(
 type observerLink struct {
 	*Link
 	peer message.NodeID // the observer this link registered with
-	// A registration is provisional until the observer answers it with
-	// something other than Busy: resume is the reconnect progression
-	// before the provisional reset, put back if the link dies unconfirmed.
-	// confirmed is written by the reader goroutine and read by
-	// observerGone, which the reader's exit event orders after it.
-	resume    int
-	confirmed bool
 }
 
 // runObserverReader feeds observer commands into the engine loop.
@@ -782,20 +652,6 @@ func (e *Engine) runObserverReader(o *observerLink) {
 		if err != nil {
 			e.postEvent(func(API) { e.observerGone(o) })
 			return
-		}
-		if m.Type() == protocol.TypeBusy {
-			// The observer's admission gate refused this registration; it
-			// will hang up next. Stash the retry-after hint so the
-			// reconnect loop waits at least that long before redialing.
-			if bz, derr := protocol.DecodeBusy(m.Payload()); derr == nil {
-				e.obsBusyHint.Store(bz.RetryAfterNanos)
-			}
-			m.Release()
-			continue
-		}
-		if !o.confirmed {
-			o.confirmed = true
-			e.observerConfirmed(o)
 		}
 		// Attribute to the observer this link registered with — after a
 		// failover that is no longer the head of the list.

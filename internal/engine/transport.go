@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"net"
 	"time"
 
@@ -79,21 +78,12 @@ func (v VNet) Listen(addr string) (net.Listener, error) {
 }
 
 // DialFrom dials through the virtual network, preserving the local
-// address so traffic is attributable in tests. Virtual dials resolve (or
-// are refused) without blocking on any remote party, so the timeout can
-// only expire when this goroutine was starved past the whole deadline —
-// in which case the contract the caller asked for still holds: the
-// result is a timeout error, not a connection delivered late.
-func (v VNet) DialFrom(local, addr string, timeout time.Duration) (net.Conn, error) {
-	start := time.Now()
-	conn, err := v.Net.DialFrom(local, addr)
-	if timeout > 0 && time.Since(start) > timeout {
-		if err == nil {
-			_ = conn.Close()
-		}
-		return nil, &dialTimeoutError{addr: addr, budget: timeout}
-	}
-	return conn, err
+// address so traffic is attributable in tests. A virtual dial resolves (or
+// is refused) without waiting on any remote party, so there is nothing
+// for the timeout to bound; the Dialer's handshake deadline bounds link
+// set-up on both transports.
+func (v VNet) DialFrom(local, addr string, _ time.Duration) (net.Conn, error) {
+	return v.Net.DialFrom(local, addr)
 }
 
 // ListenPacket binds a virtual datagram endpoint.
@@ -105,17 +95,3 @@ func (v VNet) ListenPacket(addr string) (net.PacketConn, error) {
 func (v VNet) PacketAddr(a string) (net.Addr, error) {
 	return vnet.Addr(a), nil
 }
-
-// dialTimeoutError satisfies net.Error for dial attempts that exceeded
-// their budget; Timeout() lets callers classify it like a real
-// connect(2) timeout.
-type dialTimeoutError struct {
-	addr   string
-	budget time.Duration
-}
-
-func (e *dialTimeoutError) Error() string {
-	return fmt.Sprintf("engine: dial %s: timeout after %v", e.addr, e.budget)
-}
-func (e *dialTimeoutError) Timeout() bool   { return true }
-func (e *dialTimeoutError) Temporary() bool { return true }

@@ -87,7 +87,8 @@ func dialDoor(t *testing.T, n *vnet.Network, from string, d frontDoor) net.Conn 
 }
 
 // expectAdmitted dials from a fresh source, identifies, and requires the
-// door to hand the connection over: the listener is alive and serving.
+// door to hand the connection over — its one reply frame a bare Welcome —
+// and its accounting to show it: the listener is alive and serving.
 func expectAdmitted(t *testing.T, n *vnet.Network, d frontDoor) {
 	t.Helper()
 	before := d.admission().Admitted
@@ -98,6 +99,16 @@ func expectAdmitted(t *testing.T, n *vnet.Network, d frontDoor) {
 	if err != nil {
 		t.Fatalf("write hello: %v", err)
 	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := message.Read(conn, nil, 256)
+	if err != nil {
+		t.Fatalf("reading the reply to a polite hello: %v", err)
+	}
+	if reply.Type() != protocol.TypeWelcome || reply.Len() != 0 {
+		t.Fatalf("reply to a polite hello = %s frame with %d payload bytes, want a bare welcome",
+			protocol.TypeName(reply.Type()), reply.Len())
+	}
+	reply.Release()
 	waitFor(t, 5*time.Second, "a polite dialer to be admitted and identified", func() bool {
 		st := d.admission()
 		return st.Admitted > before && st.InFlight == 0

@@ -130,6 +130,10 @@ type Observer struct {
 	rng      *rand.Rand
 	rec      *trace.Recorder // the observer's own flight recorder
 	counters metrics.Counters
+	// hello identifies this observer's trunks to its federation peers;
+	// dialers, one per peer, open them, and Stop closes the dialers.
+	hello   []byte
+	dialers []engine.Dialer
 
 	mu      sync.Mutex
 	nodes   map[message.NodeID]*nodeState
@@ -169,13 +173,15 @@ func New(cfg Config) (*Observer, error) {
 	}
 	cfg.Peers = peers
 	o := &Observer{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed + 1)),
-		rec:   trace.New(1024),
-		nodes: make(map[message.NodeID]*nodeState),
-		peers: make(map[message.NodeID]*route),
-		links: make(map[*engine.Link]struct{}),
-		done:  make(chan struct{}),
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
+		rec:     trace.New(1024),
+		nodes:   make(map[message.NodeID]*nodeState),
+		peers:   make(map[message.NodeID]*route),
+		links:   make(map[*engine.Link]struct{}),
+		hello:   message.New(protocol.TypeHello, cfg.ID, protocol.HelloObserver, 0, nil).AppendHeader(nil),
+		dialers: make([]engine.Dialer, len(peers)),
+		done:    make(chan struct{}),
 	}
 	// Federation peers bypass the gate: a connection storm of joining
 	// nodes must not cut the observer tier apart.
@@ -207,9 +213,9 @@ func (o *Observer) Start() error {
 		o.wg.Add(1)
 		go o.requestLoop()
 	}
-	for _, p := range o.cfg.Peers {
+	for i, p := range o.cfg.Peers {
 		o.wg.Add(1)
-		go o.peerDialLoop(p)
+		go o.peerDialLoop(p, &o.dialers[i])
 	}
 	if o.cfg.SyncInterval > 0 && len(o.cfg.Peers) > 0 {
 		o.wg.Add(1)
@@ -223,6 +229,9 @@ func (o *Observer) Stop() {
 	o.once.Do(func() {
 		close(o.done)
 		o.door.Close()
+		for i := range o.dialers {
+			o.dialers[i].Close()
+		}
 		o.mu.Lock()
 		o.closing = true
 		// Closing a link closes its conn, which unblocks the reader even
@@ -277,11 +286,15 @@ func (o *Observer) isPeerHost(host string) bool {
 
 // serveConn takes over a connection the door admitted and identified: a
 // node's observer link, a proxy's trunk, or a peer observer's federation
-// trunk — the hello's App field says which. The admission token is
-// released as soon as the link is registered: it covers the handshake,
-// not the link's lifetime.
+// trunk — the hello's App field says which. The Welcome goes out before
+// the link's writer starts, so nothing queued on the new route can reach
+// the dialer ahead of it. The admission token is released as soon as the
+// link is registered: it covers the handshake, not the link's lifetime.
 func (o *Observer) serveConn(conn net.Conn, peer message.NodeID, app uint32, release func()) {
 	o.rec.Emit(trace.KindAccept, peer, app, int64(admission.Admitted))
+	if o.door.Welcome(conn) != nil {
+		return
+	}
 	out := o.newRoute(conn, app)
 	if out == nil {
 		return

@@ -101,18 +101,15 @@ func (o *Observer) aliveLocal() []message.NodeID {
 
 // peerDialLoop maintains an outbound trunk to one federation peer,
 // redialing with capped-doubling backoff for as long as the observer
-// runs. Both sides of a peering dial; duplicate trunks are benign (each
-// side pushes on whichever trunk registered last and reads both).
-func (o *Observer) peerDialLoop(peer message.NodeID) {
+// runs; Stop closes d, which ends the loop's handshake in flight and every
+// later one. Both sides of a peering dial; duplicate trunks are benign
+// (each side pushes on whichever trunk registered last and reads both).
+// Peers bypass each other's gates, so no Busy hint paces the redials.
+func (o *Observer) peerDialLoop(peer message.NodeID, d *engine.Dialer) {
 	defer o.wg.Done()
 	delay := peerDialBase
 	for {
-		select {
-		case <-o.done:
-			return
-		default:
-		}
-		conn, err := engine.DialHello(o.cfg.Transport, o.cfg.ID, peer, protocol.HelloObserver,
+		conn, _, err := d.Dial(o.cfg.Transport, o.cfg.ID.Addr(), peer.Addr(), o.hello,
 			admission.DefaultHelloTimeout)
 		if err != nil {
 			select {

@@ -2,12 +2,14 @@ package observer_test
 
 import (
 	"encoding/json"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/message"
+	"repro/internal/observer"
 	"repro/internal/protocol"
 	"repro/internal/proxy"
 	"repro/internal/trace"
@@ -152,5 +154,58 @@ func TestTimelineAggregation(t *testing.T) {
 	})
 	if s := o.RenderHists(); !strings.Contains(s, "data lane:") {
 		t.Errorf("RenderHists output malformed: %q", s)
+	}
+}
+
+// TestStopInterruptsPeerTrunkAwaitingReply: a federation peer that accepts
+// the trunk and never answers its hello must not hold Stop for the
+// handshake deadline: Stop closes the peer loop's dialer.
+func TestStopInterruptsPeerTrunkAwaitingReply(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	peer := message.MakeID("10.255.0.2", 9000)
+	ln, err := n.Listen(peer.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	o, err := observer.New(observer.Config{ID: obsID, Transport: engine.VNet{Net: n}, Peers: []message.NodeID{peer}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var c net.Conn
+	select {
+	case c = <-accepted:
+		defer c.Close()
+	case <-time.After(5 * time.Second):
+		o.Stop()
+		t.Fatal("the observer never dialed its peer")
+	}
+	// Once the hello is in, the peer loop is waiting for the reply.
+	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	hello, err := message.Read(c, nil, 256)
+	if err != nil {
+		o.Stop()
+		t.Fatalf("reading the trunk hello: %v", err)
+	}
+	hello.Release()
+	stopped := make(chan struct{})
+	go func() {
+		o.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Stop still blocked 1 s after a mute peer took the trunk hello")
 	}
 }

@@ -14,9 +14,10 @@ import (
 // names mirror the paper where it gives them: boot, request, sDeploy,
 // sTerminate, BrokenSource, UpThroughput, trace.
 const (
-	// Link management between engines.
+	// Link management: every link — engine, observer, proxy — opens with a
+	// hello and exactly one reply frame, Welcome or Busy.
 	TypeHello   message.Type = 1  // first message on a new connection: sender identity
-	TypeWelcome message.Type = 18 // acceptor -> dialer: admitted, the link is registered
+	TypeWelcome message.Type = 18 // acceptor -> dialer: admitted
 
 	// Observer bootstrap and monitoring.
 	TypeBoot      message.Type = 2 // node -> observer: bootstrap request

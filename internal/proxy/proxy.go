@@ -86,9 +86,11 @@ func (p *Proxy) Counters() metrics.CountersSnapshot { return p.counters.Snapshot
 func (p *Proxy) Events() []trace.Event { return p.rec.Snapshot() }
 
 // Start connects the trunk to the observer and begins accepting node
-// connections.
+// connections. An observer that refuses the trunk fails Start.
 func (p *Proxy) Start() error {
-	conn, err := engine.DialHello(p.cfg.Transport, p.cfg.ID, p.cfg.Observer, protocol.HelloProxy,
+	var d engine.Dialer
+	hello := message.New(protocol.TypeHello, p.cfg.ID, protocol.HelloProxy, 0, nil).AppendHeader(nil)
+	conn, _, err := d.Dial(p.cfg.Transport, p.cfg.ID.Addr(), p.cfg.Observer.Addr(), hello,
 		admission.DefaultHelloTimeout)
 	if err != nil {
 		return fmt.Errorf("proxy: trunk to observer: %w", err)
@@ -126,10 +128,15 @@ func (p *Proxy) Stop() {
 }
 
 // serveConn takes over a node connection the door admitted and
-// identified: it relays the node's updates onto the trunk and registers
-// the link for commands flowing back. A node that reconnects replaces its
-// earlier link, which is closed.
+// identified: it welcomes the node, relays its updates onto the trunk and
+// registers the link for commands flowing back. The Welcome goes out
+// before the link's writer starts, so a command relayed to the node
+// cannot overtake it. A node that reconnects replaces its earlier link,
+// which is closed.
 func (p *Proxy) serveConn(conn net.Conn, node message.NodeID, _ uint32, release func()) {
+	if p.door.Welcome(conn) != nil {
+		return
+	}
 	p.mu.Lock()
 	if p.stopping {
 		p.mu.Unlock()

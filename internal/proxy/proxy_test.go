@@ -16,8 +16,9 @@ var (
 	proxyID = message.MakeID("10.254.0.1", 9100)
 )
 
-// fakeObserver accepts the proxy trunk and records received messages; it
-// can also push relay envelopes back down the trunk.
+// fakeObserver accepts the proxy trunk, answers its hello with Welcome and
+// records received messages; it can also push relay envelopes back down
+// the trunk.
 type fakeObserver struct {
 	net      *vnet.Network
 	received chan *message.Msg
@@ -61,6 +62,11 @@ func startFakeObserver(t *testing.T, n *vnet.Network) *fakeObserver {
 			t.Errorf("bad trunk hello: %v %v", hello, err)
 			return
 		}
+		welcome := message.New(protocol.TypeWelcome, obsID, 0, 0, nil)
+		if _, err := welcome.WriteTo(conn); err != nil {
+			t.Errorf("write welcome: %v", err)
+			return
+		}
 		fo.trunk <- trunkConn{c: conn}
 		for {
 			m, err := message.Read(conn, nil, message.DefaultMaxPayload)
@@ -73,7 +79,8 @@ func startFakeObserver(t *testing.T, n *vnet.Network) *fakeObserver {
 	return fo
 }
 
-// fakeNode dials the proxy like an engine's observer link would.
+// fakeNode dials the proxy like an engine's observer link would: the
+// hello, then the proxy's Welcome before anything else.
 type fakeNode struct {
 	id       message.NodeID
 	conn     interface{ Close() error }
@@ -90,6 +97,10 @@ func startFakeNode(t *testing.T, n *vnet.Network, id message.NodeID) *fakeNode {
 	hello := message.New(protocol.TypeHello, id, 0, 0, nil)
 	if _, err := hello.WriteTo(conn); err != nil {
 		t.Fatal(err)
+	}
+	welcome, err := message.Read(conn, nil, 256)
+	if err != nil || welcome.Type() != protocol.TypeWelcome || welcome.Len() != 0 {
+		t.Fatalf("reply to the node's hello = %v, %v; want a bare welcome", welcome, err)
 	}
 	fn := &fakeNode{id: id, conn: conn, w: conn, received: make(chan *message.Msg, 64)}
 	go func() {
@@ -251,5 +262,39 @@ func TestProxyStartFailsWithoutObserver(t *testing.T) {
 	if err := p.Start(); err == nil {
 		p.Stop()
 		t.Fatal("Start succeeded with no observer")
+	}
+}
+
+// TestProxyStartFailsWhenObserverRefusesTrunk: an observer whose gate
+// answers the trunk's hello with Busy has refused the trunk, and Start
+// says so instead of leaving a dead trunk that sheds every relayed report.
+func TestProxyStartFailsWhenObserverRefusesTrunk(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	l, err := n.Listen(obsID.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if hello, err := message.Read(conn, nil, 256); err == nil {
+			hello.Release()
+		}
+		busy := message.New(protocol.TypeBusy, obsID, 0, 0,
+			protocol.Busy{Reason: protocol.BusyHandshakes, RetryAfterNanos: int64(time.Second)}.Encode())
+		_, _ = busy.WriteTo(conn)
+	}()
+	p, err := proxy.New(proxy.Config{ID: proxyID, Observer: obsID, Transport: engine.VNet{Net: n}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err == nil {
+		p.Stop()
+		t.Fatal("Start succeeded over a trunk the observer refused")
 	}
 }

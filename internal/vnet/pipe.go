@@ -139,34 +139,11 @@ func (p *pipe) waitLocked(c *sync.Cond, waiters *int, wake time.Time) {
 	}
 }
 
+// Write is writeBuffers of one buffer.
 func (p *pipe) Write(b []byte) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	if p.dropFn != nil && !p.broken && !p.writeClosed && p.dropFn(len(b)) {
-		// Black-holed: report success without buffering, like a lossy
-		// link that ate the frame. Never blocks, so a dropping link
-		// exerts no back-pressure for the frames it loses.
-		return len(b), nil
-	}
-	written := 0
-	for len(b) > 0 {
-		for p.length == len(p.buf) && !p.writeClosed && !p.broken && !expired(p.writeDeadline) {
-			p.waitLocked(&p.notFull, &p.writeWaiters, p.writeDeadline)
-		}
-		if p.broken || p.writeClosed {
-			return written, ErrPipeClosed
-		}
-		if expired(p.writeDeadline) {
-			return written, errTimeout{}
-		}
-		n := p.copyIn(b)
-		b = b[n:]
-		written += n
-		p.markWrittenLocked(n)
-		p.wakeReadersLocked()
-	}
-	return written, nil
+	bufs := [1][]byte{b}
+	n, err := p.writeBuffers(bufs[:])
+	return int(n), err
 }
 
 // writeBuffers appends the concatenation of bufs, blocking while full
