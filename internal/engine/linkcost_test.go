@@ -23,13 +23,14 @@ import (
 // test's two Do closures per cycle are in it too.
 //
 // Readings on a 2-core x86-64 host over 25 runs, objects and bytes per
-// cycle: vnet 35–41 and 159–167 KiB, loopback TCP 52–58 and 50–55 KiB. The
-// bounds are the highest reading plus a quarter for objects and a tenth
-// for bytes. Before a link's rings, meters, limiter and shapers moved
-// inside its sender and receiver, and its write buffer was built on first
-// use, the same test read 74–75 objects and 203 KiB on vnet, and 90–93
-// objects and 53–55 KiB on TCP, where the write buffer is built on the
-// first message either way.
+// cycle: vnet 29.5–35.0 and 15.9–17.7 KiB, loopback TCP 52–58 and 50–55
+// KiB. The bounds are the highest reading plus a quarter for objects and
+// a tenth for bytes. While a vnet pipe allocated its whole 64 KiB buffer
+// when dialled, vnet read 35–41 objects and 159–167 KiB. Before a link's
+// rings, meters, limiter and shapers moved inside its sender and receiver,
+// and its write buffer was built on first use, the same test read 74–75
+// objects and 203 KiB on vnet, and 90–93 objects and 53–55 KiB on TCP,
+// where the write buffer is built on the first message either way.
 func TestLinkCycleAllocations(t *testing.T) {
 	if raceEnabled || invariant.Enabled {
 		t.Skip("the race detector and ioverlay_debug builds do not recycle messages")
@@ -38,7 +39,7 @@ func TestLinkCycleAllocations(t *testing.T) {
 		name         string
 		tcp          bool
 		objects, kib float64
-	}{{"vnet", false, 51, 184}, {"tcp", true, 73, 61}} {
+	}{{"vnet", false, 44, 20}, {"tcp", true, 73, 61}} {
 		t.Run(tr.name, func(t *testing.T) {
 			var n *vnet.Network
 			if !tr.tcp {

@@ -70,8 +70,14 @@ func (id NodeID) IsZero() bool { return id == ZeroID }
 
 // Addr renders the dial/listen address "a.b.c.d:port".
 func (id NodeID) Addr() string {
-	return fmt.Sprintf("%d.%d.%d.%d:%d",
-		byte(id.IP>>24), byte(id.IP>>16), byte(id.IP>>8), byte(id.IP), id.Port)
+	var a [len("255.255.255.255:4294967295")]byte
+	b := a[:0]
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(id.IP>>shift)), 10)
+		b = append(b, '.')
+	}
+	b[len(b)-1] = ':'
+	return string(strconv.AppendUint(b, uint64(id.Port), 10))
 }
 
 // String implements fmt.Stringer; identical to Addr.

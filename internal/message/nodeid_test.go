@@ -1,6 +1,7 @@
 package message
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,26 @@ func TestAddrRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAddrMatchesSprintf: Addr renders exactly what the dotted-quad
+// Sprintf format would, at the extremes of each field, and parses back.
+func TestAddrMatchesSprintf(t *testing.T) {
+	for _, id := range []NodeID{
+		{},
+		{IP: 0xffffffff, Port: 65535},
+		{IP: 0x0a000001, Port: 4294967295},
+		{IP: 0xc0a80105, Port: 7000},
+	} {
+		want := fmt.Sprintf("%d.%d.%d.%d:%d",
+			byte(id.IP>>24), byte(id.IP>>16), byte(id.IP>>8), byte(id.IP), id.Port)
+		if got := id.Addr(); got != want {
+			t.Errorf("Addr() = %q, want %q", got, want)
+		}
+		if parsed, err := ParseID(id.Addr()); err != nil || parsed != id {
+			t.Errorf("ParseID(%q) = %v, %v; want %v", id.Addr(), parsed, err, id)
+		}
 	}
 }
 

@@ -17,11 +17,6 @@ func (errTimeout) Temporary() bool { return true }
 // ErrPipeClosed is returned by operations on a closed pipe endpoint.
 var ErrPipeClosed = errors.New("vnet: pipe closed")
 
-// pipe is a bounded, single-direction byte stream between two endpoints of
-// a virtual connection. Its bounded buffer is what yields TCP-like
-// back-pressure: writers block when the reader side falls behind, exactly
-// the property the paper's engine relies on for the back-pressure effect
-// of small buffers.
 // watermark records that all bytes up to total become readable at `at`,
 // implementing one-way propagation latency.
 type watermark struct {
@@ -29,6 +24,13 @@ type watermark struct {
 	at    time.Time
 }
 
+// pipe is a bounded, single-direction byte stream between two endpoints of
+// a virtual connection. Its bound is what yields TCP-like back-pressure:
+// writers block when the reader side falls behind, exactly the property
+// the paper's engine relies on for the back-pressure effect of small
+// buffers. The bound is capacity, not the buffer: the buffer starts empty
+// and grows as bytes queue, so a link that only ever carries a handshake
+// never pays for a full socket buffer.
 type pipe struct {
 	mu       sync.Mutex
 	notFull  sync.Cond
@@ -41,9 +43,10 @@ type pipe struct {
 	readWaiters  int
 	writeWaiters int
 
-	buf    []byte
-	head   int
-	length int
+	capacity int    // the most bytes the pipe holds; writers block beyond it
+	buf      []byte // ring of buffered bytes, grown by copyIn up to capacity
+	head     int
+	length   int
 
 	// latency, when positive, delays the visibility of written bytes.
 	latency      time.Duration
@@ -69,7 +72,7 @@ type pipe struct {
 }
 
 func newPipe(capacity int, latency time.Duration) *pipe {
-	p := &pipe{buf: make([]byte, capacity), latency: latency}
+	p := &pipe{capacity: capacity, latency: latency}
 	p.notFull.L = &p.mu
 	p.notEmpty.L = &p.mu
 	return p
@@ -167,7 +170,7 @@ func (p *pipe) writeBuffers(bufs [][]byte) (int64, error) {
 			continue
 		}
 		for len(b) > 0 {
-			for p.length == len(p.buf) && !p.writeClosed && !p.broken && !expired(p.writeDeadline) {
+			for p.length == p.capacity && !p.writeClosed && !p.broken && !expired(p.writeDeadline) {
 				p.wakeReadersLocked()
 				p.waitLocked(&p.notFull, &p.writeWaiters, p.writeDeadline)
 			}
@@ -206,7 +209,7 @@ func (p *pipe) tryWriteBuffers(bufs [][]byte) (frames int, bytes int64, err erro
 	for _, b := range bufs {
 		// A black-holed frame counts as taken and needs no room.
 		if p.dropFn == nil || !p.dropFn(len(b)) {
-			if len(b) > len(p.buf)-p.length {
+			if len(b) > p.capacity-p.length {
 				break
 			}
 			p.copyIn(b)
@@ -233,11 +236,19 @@ func (p *pipe) markWrittenLocked(n int) {
 	}
 }
 
+// minPipeBuf is the size of a pipe's first buffer, before doubling: a
+// hello or a Welcome fits in it many times over.
+const minPipeBuf = 512
+
+// copyIn appends as much of b as the capacity leaves room for and reports
+// how many bytes it took, first growing the buffer when they do not fit.
 func (p *pipe) copyIn(b []byte) int {
-	free := len(p.buf) - p.length
-	n := len(b)
-	if n > free {
-		n = free
+	n := min(len(b), p.capacity-p.length)
+	if n == 0 {
+		return 0
+	}
+	if p.length+n > len(p.buf) {
+		p.growLocked(p.length + n)
 	}
 	tail := (p.head + p.length) % len(p.buf)
 	first := copy(p.buf[tail:], b[:n])
@@ -246,6 +257,21 @@ func (p *pipe) copyIn(b []byte) int {
 	}
 	p.length += n
 	return n
+}
+
+// growLocked replaces the buffer with one that holds at least need bytes:
+// the old size doubled, from minPipeBuf, as often as need takes, but never
+// more than capacity. The buffered bytes move to the front of the new
+// ring, in order.
+func (p *pipe) growLocked(need int) {
+	size := max(len(p.buf), minPipeBuf)
+	for size < need {
+		size *= 2
+	}
+	buf := make([]byte, min(size, p.capacity))
+	first := copy(buf, p.buf[p.head:min(p.head+p.length, len(p.buf))])
+	copy(buf[first:p.length], p.buf)
+	p.buf, p.head = buf, 0
 }
 
 func (p *pipe) Read(b []byte) (int, error) {

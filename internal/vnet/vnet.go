@@ -17,7 +17,9 @@ import (
 
 // DefaultPipeCapacity is the per-direction socket buffer, mirroring a
 // typical kernel TCP buffer. Small relative to experiment traffic so that
-// back-pressure propagates promptly.
+// back-pressure propagates promptly. It is a bound, not an allocation: a
+// pipe's buffer grows as bytes queue, up to the capacity, so a connection
+// costs what it carries.
 const DefaultPipeCapacity = 64 << 10
 
 // Errors reported by the network.
@@ -72,7 +74,7 @@ func WithLatencyFunc(fn func(a, b string) time.Duration) Option {
 	return func(n *Network) { n.latencyFn = fn }
 }
 
-// WithPipeCapacity overrides the per-direction buffer size.
+// WithPipeCapacity overrides the per-direction buffer bound.
 func WithPipeCapacity(c int) Option {
 	return func(n *Network) { n.pipeCap = c }
 }
