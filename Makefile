@@ -56,10 +56,12 @@ fuzz:
 # The seam between the fast paths and the rings — who holds the turn token,
 # what an inline write may pass — depends on which goroutine gets there
 # first, so its tests and the restated single-thread contract run again at
-# three core counts, with and without the assertions. So does the Dialer's
+# three core counts, with and without the assertions: among them, that a
+# link's LinkUp reaches the algorithm before its data, and that a parked
+# backlog drains on the sender goroutines' wake-ups alone. So does the Dialer's
 # seam — a Close racing the Dial it must interrupt — on a sender link and
 # on the observer link.
-SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestHeldDatagramBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestFirstBatchOfALinkTakesTheRing|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark|TestStopInterruptsDialAwaitingReply|TestCloseLinkInterruptsDialAwaitingReply|TestMuteObserverHoldsNeitherStartNorStop
+SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestHeldDatagramBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestLinkUpPrecedesFirstData|TestParkedBacklogDrainsWithoutTraffic|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark|TestStopInterruptsDialAwaitingReply|TestCloseLinkInterruptsDialAwaitingReply|TestMuteObserverHoldsNeitherStartNorStop
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
 		./internal/admission ./internal/observer ./internal/proxy ./internal/trace ./internal/metrics

@@ -39,10 +39,13 @@ const (
 )
 
 // Handler takes over an admitted, identified connection: peer and app are
-// the hello's sender and App field. The handler owns conn from here on.
-// The connection's gate token is held until the handler returns or calls
-// release, whichever comes first; release is idempotent and must stay on
-// the handler's goroutine.
+// the hello's sender and App field. The handler owns conn from here on, and
+// may keep the door's goroutine for as long as the connection lives — an
+// engine's handler becomes the link's receiver, an observer's or a proxy's
+// its read loop. The connection's gate token is held until the handler
+// returns or calls release, whichever comes first; a handler that stays
+// calls it once its reply is written. release is idempotent and must stay
+// on the handler's goroutine.
 type Handler func(conn net.Conn, peer message.NodeID, app uint32, release func())
 
 // Door is the front door of a listener — an engine's publicized port, an
@@ -161,10 +164,11 @@ func SourceHost(a net.Addr) string {
 }
 
 // handshake reads the mandatory hello of an admitted connection and hands
-// the identified connection over. A hello that is malformed or late is
-// counted and lands on the flight recorder instead of vanishing in a
-// silent close. The gate token is held for the whole function, so
-// MaxHandshakes bounds these goroutines exactly.
+// the identified connection over, on this goroutine. A hello that is
+// malformed or late is counted and lands on the flight recorder instead of
+// vanishing in a silent close. The gate token is held through the hello
+// read and until the handler calls release or returns, so MaxHandshakes
+// bounds the connections still being set up exactly.
 func (d *Door) handshake(conn net.Conn, handle Handler) {
 	defer d.WG.Done()
 	released := false

@@ -12,9 +12,10 @@
 // then switches data messages from receiver buffers to sender buffers.
 // Algorithms run one Process call at a time, under the engine's turn token
 // (Engine.turnMu), and never need thread-safe data structures: the engine
-// goroutine holds the token for every turn it runs, and a receiver
-// goroutine whose batch has nothing to queue behind may take it to switch
-// that batch itself instead of waking the engine goroutine.
+// goroutine holds the token for every turn it runs, a receiver goroutine
+// whose batch has nothing to queue behind may take it to switch that batch
+// itself, and a new link's handshake to run the link's LinkUp, instead of
+// waking the engine goroutine.
 package engine
 
 import (
@@ -234,14 +235,15 @@ type Engine struct {
 	// Algorithm.Process and the only toucher of the token-holder-only state
 	// below. The engine goroutine takes it for every turn and gives it up
 	// only while it waits; a stream receiver or the packet reader may
-	// TryLock it for one quantum (switchInline) and never waits for it or
-	// while holding it. Lock
-	// order: turnMu, then mu, then a ring or pipe lock.
+	// TryLock it for one quantum (switchInline), a new link's handshake for
+	// the link's LinkUp turn (linkUp), and neither ever waits for it or
+	// while holding it. Lock order: turnMu, then mu, then a ring or pipe
+	// lock.
 	turnMu sync.Mutex
 	// waiting counts the control messages and events handed to the engine
-	// goroutine and not yet run. A receiver does not switch inline past
-	// them: len(control) would miss the one the engine goroutine has
-	// received and is about to take the token for.
+	// goroutine and not yet run. Neither a receiver's quantum nor a
+	// handshake's LinkUp runs past them: len(control) would miss the one
+	// the engine goroutine has received and is about to take the token for.
 	waiting atomic.Int32
 
 	// work wakes the engine goroutine for a switch pass. Buffered one deep:

@@ -1,7 +1,9 @@
 package engine_test
 
 import (
+	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -363,8 +365,7 @@ func TestControlAheadOnTheWireBeatsInlineData(t *testing.T) {
 	sink := &orderSink{}
 	b := startNode(t, n, nid(2), sink)
 	conn := rawLink(t, n, nid(1), nid(2))
-	// The link's first batch takes the ring; from the second on the receiver
-	// may switch inline.
+	// A warm-up message first, so every round meets a link that is up.
 	if _, err := conn.Write(dataFrame(nid(1), app, 0, 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -395,49 +396,143 @@ func TestControlAheadOnTheWireBeatsInlineData(t *testing.T) {
 	}
 }
 
-// TestFirstBatchOfALinkTakesTheRing: a link's first batch is never switched
-// inline, however long the link has been registered and however many switch
-// passes other links' traffic has caused meanwhile — the rule that keeps
-// data behind the link's LinkUp event no less often than before.
-func TestFirstBatchOfALinkTakesTheRing(t *testing.T) {
+// linkOrderSink notes, per upstream peer, whether the algorithm saw the
+// link's LinkUp before the first data message the peer sent over it.
+type linkOrderSink struct {
+	multicast.Forwarder
+	mu    sync.Mutex
+	up    map[message.NodeID]bool
+	data  int
+	early []message.NodeID // peers whose data came before their LinkUp
+}
+
+func (s *linkOrderSink) Process(m *message.Msg) engine.Verdict {
+	s.mu.Lock()
+	switch {
+	case m.Type() == protocol.TypeLinkUp:
+		if le, err := protocol.DecodeLinkEvent(m.Payload()); err == nil && le.Upstream {
+			s.up[le.Peer] = true
+		}
+	case m.IsData():
+		s.data++
+		if !s.up[m.Sender()] {
+			s.early = append(s.early, m.Sender())
+		}
+	}
+	s.mu.Unlock()
+	return s.Forwarder.Process(m)
+}
+
+func (s *linkOrderSink) seen() (data int, early []message.NodeID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.data, append([]message.NodeID(nil), s.early...)
+}
+
+// openAndSend dials node as from, writes the hello and, the moment the
+// Welcome is read, the data frame: the link's first data is on the wire as
+// early as a dialer can put it there.
+func openAndSend(n *vnet.Network, from, node message.NodeID, frame []byte) (net.Conn, error) {
+	conn, err := n.DialFrom(from.Addr(), node.Addr())
+	if err != nil {
+		return nil, err
+	}
+	hello := message.New(protocol.TypeHello, from, 0, 0, nil)
+	_, err = hello.WriteTo(conn)
+	hello.Release()
+	if err == nil {
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var m *message.Msg
+		if m, err = message.Read(conn, nil, 256); err == nil {
+			if m.Type() != protocol.TypeWelcome {
+				err = fmt.Errorf("reply = %s frame, want welcome", protocol.TypeName(m.Type()))
+			}
+			m.Release()
+		}
+	}
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
+}
+
+// TestLinkUpPrecedesFirstData: the algorithm sees a link come up before
+// anything the link carries, however early the dialer sends — here the
+// moment it reads the Welcome, on 200 links opened four at a time, so that
+// some LinkUps and first batches find the token free and others find it
+// taken. The guarantee must not cost the fast path: a link's first batch
+// may be switched by the receiver that decoded it, and on an idle node one
+// is.
+func TestLinkUpPrecedesFirstData(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
-	const app, links = 1, 200
+	const app, links, dialers = 1, 200, 4
 
-	sink := &recorder{}
+	sink := &linkOrderSink{up: make(map[message.NodeID]bool)}
 	b := startNode(t, n, nid(250), sink, func(c *engine.Config) { c.Admission.MaxHandshakes = -1 })
+	frames := make([][]byte, links)
+	for i := range frames {
+		frames[i] = dataFrame(nid(i+1), app, 0, 64)
+	}
 	conns := make([]net.Conn, links)
-	for i := range conns {
-		conns[i] = rawLink(t, n, nid(i+1), nid(250))
+	errs := make(chan error, links)
+	var wg sync.WaitGroup
+	for d := 0; d < dialers; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			for i := d; i < links; i += dialers {
+				conn, err := openAndSend(n, nid(i+1), nid(250), frames[i])
+				if err != nil {
+					errs <- fmt.Errorf("link %d: %w", i+1, err)
+					return
+				}
+				conns[i] = conn
+			}
+		}(d)
 	}
-	waitFor(t, 5*time.Second, "every LinkUp to be delivered", func() bool {
-		return sink.count(protocol.TypeLinkUp) == links
+	wg.Wait()
+	for _, c := range conns {
+		if c != nil {
+			defer c.Close()
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "one message from every link", func() bool {
+		data, _ := sink.seen()
+		return data == links
 	})
-	// Link 0's message causes a switch pass with every other link registered
-	// and idle; theirs follow one by one.
-	for i, conn := range conns {
-		if _, err := conn.Write(dataFrame(nid(i+1), app, 0, 64)); err != nil {
+	c := b.Counters()
+	t.Logf("%d links opened %d at a time: first batches switched inline %d, via the ring %d",
+		links, dialers, c.SwitchedInline, c.SwitchedViaRing)
+	// Then links one at a time, on an otherwise idle node, until one's first
+	// batch is switched inline (a status tick can be in the way).
+	for i := 1; c.SwitchedInline == 0; i++ {
+		if i > 50 {
+			t.Fatalf("switched inline %d, via ring %d: no link's first batch was switched inline", c.SwitchedInline, c.SwitchedViaRing)
+		}
+		from := message.MakeID(fmt.Sprintf("10.0.1.%d", i), 7000)
+		conn, err := openAndSend(n, from, nid(250), dataFrame(from, app, 0, 64))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			waitFor(t, 5*time.Second, "the first link's message", func() bool { return sink.SeenMessages(app) == 1 })
-		}
+		defer conn.Close()
+		waitFor(t, 5*time.Second, "the link's message", func() bool {
+			data, _ := sink.seen()
+			return data == links+i
+		})
+		c = b.Counters()
 	}
-	waitFor(t, 10*time.Second, "one message from every link", func() bool { return sink.SeenMessages(app) == links })
-	if c := b.Counters(); c.SwitchedInline != 0 || c.SwitchedViaRing != links {
-		t.Errorf("switched inline %d, via ring %d; want 0 and %d: a link's first batch takes the ring", c.SwitchedInline, c.SwitchedViaRing, links)
+	if _, early := sink.seen(); len(early) > 0 {
+		t.Errorf("%d links had data processed before their LinkUp, first %s", len(early), early[0])
 	}
-	// The rule is about the first batch: later ones go inline whenever the
-	// token is free and nothing waits (a status tick can be in the way, so
-	// send until one does).
-	seq := uint32(1)
-	waitFor(t, 5*time.Second, "a later message of a warm, idle link to be switched inline", func() bool {
-		if _, err := conns[0].Write(dataFrame(nid(1), app, seq, 64)); err != nil {
-			t.Fatal(err)
-		}
-		seq++
-		return b.Counters().SwitchedInline > 0
-	})
 }
 
 // TestInlineWriteErrorKillsLinkOnce: the peer dies between turns, with the

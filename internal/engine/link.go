@@ -15,11 +15,12 @@ import (
 	"repro/internal/trace"
 )
 
-// receiver owns one incoming persistent connection: a dedicated goroutine
-// reads messages from the socket, routes control messages to the engine
-// loop and pushes data messages into its circular buffer, blocking when
-// the buffer is full so that back-pressure propagates to the upstream TCP
-// connection — the paper's thread-per-receiver design.
+// receiver owns one incoming persistent connection: a dedicated goroutine —
+// the one that accepted the connection — reads messages from the socket,
+// routes control messages to the engine loop and pushes data messages into
+// its circular buffer, blocking when the buffer is full so that
+// back-pressure propagates to the upstream TCP connection — the paper's
+// thread-per-receiver design.
 type receiver struct {
 	peer   message.NodeID
 	conn   net.Conn
@@ -28,8 +29,12 @@ type receiver struct {
 	meter  metrics.Meter
 	weight atomic.Int32 // weighted share; written via SetReceiverWeight
 	// pass is the link's stride-scheduling virtual time, negative until the
-	// switch first serves the link from its ring. Token holder only.
+	// switch first serves the link. Token holder only.
 	pass float64
+	// up is set by the link's LinkUp turn. Until then the switch serves the
+	// link's data neither from its ring nor inline, so the algorithm sees a
+	// link come up before anything it carries. Token holder only.
+	up   bool
 	apps appSet // data apps seen on this link; token holder only
 	// inactivity is the monotonic staleness deadline: armed at
 	// InactivityTimeout past the last observed traffic, checked in a turn
@@ -50,7 +55,8 @@ func (e *Engine) newReceiver(peer message.NodeID, conn net.Conn) *receiver {
 	return r
 }
 
-// runReceiver is the receiver thread body. Each iteration performs one
+// runReceiver is the receiver thread body, run by the goroutine that
+// accepted the connection once the link is up. Each iteration performs one
 // bulk read from the socket into a pooled segment, then decodes every
 // fully arrived message inside it and pushes the data messages to the
 // ring in batches — one lock acquisition and one engine wakeup per burst
@@ -62,7 +68,6 @@ func (e *Engine) newReceiver(peer message.NodeID, conn net.Conn) *receiver {
 // still blocks this goroutine exactly as in the unbatched design, so
 // back-pressure propagates to the upstream connection unchanged.
 func (e *Engine) runReceiver(r *receiver) {
-	defer e.wg.Done()
 	maxBatch := e.cfg.BatchSize
 	if c := r.ring.Cap(); maxBatch > c {
 		maxBatch = c
@@ -210,7 +215,11 @@ type sender struct {
 	staged []*message.Msg
 	// apps is the data apps forwarded over the link, for BrokenSource
 	// cascades. Token holder only.
-	apps      appSet
+	apps appSet
+	// wanted is raised by the switch before its last try-push into ring
+	// (pushOrWant) and swapped off by the sender goroutine after each
+	// batch, which wakes the switch only if it was raised.
+	wanted    atomic.Bool
 	meter     metrics.Meter
 	linkLimit bandwidth.Limiter // per-link emulated bandwidth
 	// inline is the link's framing when it has a non-blocking write, nil on
@@ -383,9 +392,13 @@ func (e *Engine) runSender(s *sender) {
 		}
 		e.writtenBySender.Add(uint64(wrote))
 		s.ring.Unhold()
-		// One wakeup per drained batch: the switch retries parked messages
-		// destined to this (now less full) buffer promptly.
-		e.signalWork()
+		// The switch retries what this ring refused once the batch has made
+		// room — and is woken only if something did wait for room: it sets
+		// wanted before its last try-push, so a push it lost to a full ring
+		// is always followed by a batch that reads wanted here.
+		if s.wanted.Swap(false) {
+			e.signalWork()
+		}
 	}
 }
 
@@ -596,12 +609,14 @@ func (e *Engine) dropQueued(r *queue.Ring) {
 	}
 }
 
-// handshake takes over a connection the door admitted and identified:
-// it registers the connection as peer's receiver link and answers with
-// the Welcome frame the dialer is waiting for. The door holds the
-// admission token until this function returns, the reply written, so
-// MaxHandshakes bounds these goroutines exactly.
-func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func()) {
+// handshake takes over a connection the door admitted and identified, and
+// the goroutine it runs on becomes the link's receiver: it registers the
+// connection as peer's receiver link, runs or posts the algorithm's LinkUp,
+// answers with the Welcome frame the dialer is waiting for, hands the
+// admission token back and reads the link until it dies. The token is held
+// until the Welcome is written, so MaxHandshakes bounds the links still
+// being set up exactly; the door's goroutine is already counted in e.wg.
+func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, release func()) {
 	r := e.newReceiver(peer, conn)
 	e.mu.Lock()
 	if e.stopping {
@@ -620,20 +635,49 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, _ func(
 		old.ring.Close()
 		e.dropQueued(&old.ring)
 	}
+	// The dialer sends nothing before the Welcome, so the link's first data
+	// finds its LinkUp run, or queued as a turn that waiting counts.
+	e.linkUp(r)
 	// A dialer that hung up or stalls the Welcome gets its connection
-	// closed; the receiver goroutine then observes the failure and tears
-	// the link down through the normal path.
+	// closed; the read below then observes the failure and tears the link
+	// down through the normal path.
 	_ = e.door.Welcome(conn)
+	release()
 	e.armInactivity(r)
 	e.rec.Emit(trace.KindAccept, peer, 0, int64(admission.Admitted))
 	e.rec.Emit(trace.KindLinkUp, peer, 0, 1)
-	e.wg.Add(1)
-	go e.runReceiver(r)
-	e.postEvent(func(API) {
-		var b [protocol.LinkEventSize]byte
-		e.notifyAlg(protocol.TypeLinkUp, 0,
-			protocol.LinkEvent{Peer: peer, Upstream: true}.Append(b[:0]))
-	})
+	e.runReceiver(r)
+}
+
+// linkUp tells the algorithm that r's link is up, in a turn of its own: run
+// here when the token is free and no turn waits for the engine goroutine —
+// the calling goroutine wakes nobody — and posted to the engine goroutine
+// otherwise.
+func (e *Engine) linkUp(r *receiver) {
+	// waiting is read again under the token, as in switchInline.
+	if e.waiting.Load() == 0 && e.turnMu.TryLock() {
+		if e.waiting.Load() == 0 {
+			e.linkUpTurn(r)
+			e.flushStaged()
+			e.turnMu.Unlock()
+			return
+		}
+		e.turnMu.Unlock()
+	}
+	e.postEvent(func(API) { e.linkUpTurn(r) })
+}
+
+// linkUpTurn is the turn that brings r's link up: the algorithm's LinkUp,
+// then the link's data. What a posted LinkUp made wait in the ring gets a
+// switch pass of its own, since the pass that found it may have come first.
+func (e *Engine) linkUpTurn(r *receiver) {
+	var b [protocol.LinkEventSize]byte
+	e.notifyAlg(protocol.TypeLinkUp, 0,
+		protocol.LinkEvent{Peer: r.peer, Upstream: true}.Append(b[:0]))
+	r.up = true
+	if r.ring.Len() > 0 {
+		e.signalWork()
+	}
 }
 
 // observerLink is the node's control link to the observer (or its proxy):

@@ -170,6 +170,34 @@ func TestStagedOutputKeepsOrderAcrossPark(t *testing.T) {
 	}
 }
 
+// TestParkedBacklogDrainsWithoutTraffic: one turn sends a burst a hundred
+// times the sender ring toward a fresh link, and then nothing happens on the
+// node — no traffic, no status tick — so the only thing that can move the
+// parked tail into the ring is the sender goroutine waking the switch as its
+// ring drains. Every message must still arrive, in order, promptly, on both
+// data lanes.
+func TestParkedBacklogDrainsWithoutTraffic(t *testing.T) {
+	const app, burst = 1, 200
+	for lane, dgram := range lanes {
+		t.Run(lane, func(t *testing.T) {
+			n := vnet.New()
+			defer n.Close()
+			mode := func(c *engine.Config) { c.DatagramData, c.StatusInterval = dgram, time.Hour }
+			sink := &orderSink{}
+			// The sink's rings hold the whole burst: on the datagram lane a
+			// full ring is loss, and what is under test is the sending side.
+			startNode(t, n, nid(2), sink, mode, func(c *engine.Config) { c.RecvBuf = burst })
+			a := startNode(t, n, nid(1), &recorder{}, mode, func(c *engine.Config) { c.SendBuf = 2 })
+
+			a.Do(func(api engine.API) { sendData(api, nid(2), app, 0, burst) })
+			for deadline := time.Now().Add(2 * time.Second); len(sink.arrivals()) < burst && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			expectInOrder(t, sink.arrivals(), burst)
+		})
+	}
+}
+
 // TestCloseLinkFlushesStaged: data sent before a CloseLink in the same turn
 // is on its way, not staged toward a ring that is about to close.
 func TestCloseLinkFlushesStaged(t *testing.T) {

@@ -34,16 +34,7 @@ func (e *Engine) switchOnce() {
 	e.retryParked()
 	budget := switchBudget
 	rs := e.receiverSnapshot()
-	// Newcomers are admitted at the current minimum virtual time so they
-	// neither monopolize nor starve — with the first batch the switch finds
-	// in their ring, which is what lets switchInline read pass >= 0 as
-	// "this link's first batch has been through the ring".
-	minPass := e.localPass
-	for _, r := range rs {
-		if r.pass >= 0 && r.pass < minPass {
-			minPass = r.pass
-		}
-	}
+	minPass := e.minPass(rs)
 	for budget > 0 && len(e.parked) < e.maxParked {
 		var best *receiver
 		bestLocal := false
@@ -53,7 +44,7 @@ func (e *Engine) switchOnce() {
 			bestPass = e.localPass
 		}
 		for _, r := range rs {
-			if r.ring.Len() == 0 {
+			if r.ring.Len() == 0 || !r.up {
 				continue
 			}
 			if r.pass < 0 {
@@ -105,6 +96,20 @@ func (e *Engine) switchOnce() {
 			return
 		}
 	}
+}
+
+// minPass is the virtual time a newcomer joins the stride schedule at: the
+// smallest among the local-source ring and the links already in it, so the
+// newcomer neither monopolizes nor starves. A link joins with the first
+// batch the switch serves it, from its ring or inline.
+func (e *Engine) minPass(rs []*receiver) float64 {
+	m := e.localPass
+	for _, r := range rs {
+		if r.pass >= 0 && r.pass < m {
+			m = r.pass
+		}
+	}
+	return m
 }
 
 // switchBatch is one quantum: ms, already charged to the gauge, came from
@@ -161,8 +166,10 @@ func (e *Engine) switchBatch(r *receiver, ms []*message.Msg) {
 //     producer, the stream receiver or the packet reader, so the answer holds
 //     until the caller pushes; control on a datagram link rides the stream
 //     and goes through deliverControl, which the waiting check covers;
-//   - r.pass >= 0: the link's first batch went through the ring, behind the
-//     LinkUp event its handshake posted;
+//   - r is up: the algorithm has seen the link's LinkUp. On a stream link
+//     that always holds once the waiting check passes — the handshake runs
+//     or posts the LinkUp before its Welcome lets the dialer send — but a
+//     stale datagram of the peer's previous link can beat it;
 //   - nothing waits for the engine goroutine (control before data), and
 //     nothing is parked (a parked backlog is back-pressure at work: the
 //     switch pass owns the decision to admit more, and the batch must fit
@@ -183,9 +190,12 @@ func (e *Engine) switchInline(r *receiver, batch []*message.Msg, bytes int64) bo
 	}
 	// waiting again: the engine goroutine may have been handed something
 	// and found the token taken since the look above.
-	if r.pass < 0 || e.waiting.Load() > 0 || len(e.parked) > 0 || len(batch) > e.maxParked {
+	if !r.up || e.waiting.Load() > 0 || len(e.parked) > 0 || len(batch) > e.maxParked {
 		e.turnMu.Unlock()
 		return false
+	}
+	if r.pass < 0 {
+		r.pass = e.minPass(e.receiverSnapshot())
 	}
 	e.buffered.Add(bytes)
 	e.switchBatch(r, batch)
@@ -228,7 +238,7 @@ func (e *Engine) retryParked() {
 		// into the ring leaves the gauge alone — and nothing here may read
 		// the message after a successful push: that hands it to the sender
 		// goroutine, which may have written and released it already.
-		if s.ring.TryPush(p.m) {
+		if one := [1]*message.Msg{p.m}; e.pushOrWant(s, one[:]) == 1 {
 			e.parkedByDest[p.dest]--
 		} else {
 			stillFull[p.dest] = true
@@ -271,11 +281,11 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 		// priority lane preserves control-vs-control order on its own, and
 		// relaxing cross-class order is exactly the service-class contract.
 		// Parking happens only when the control lane itself is full.
-		if !s.ring.TryPush(m) {
+		if one := [1]*message.Msg{m}; e.pushOrWant(s, one[:]) == 0 {
 			if cur := e.senderLocked(dest); cur != s {
 				// The cached link died and was (maybe) replaced under us.
 				e.lastDest, e.lastSender = message.NodeID{}, nil
-				if cur != nil && cur.ring.TryPush(m) {
+				if cur != nil && e.pushOrWant(cur, one[:]) == 1 {
 					return
 				}
 			}
@@ -312,11 +322,12 @@ func (e *Engine) flushStaged() {
 		// wire does not take right now queues behind it.
 		if e.parkedByDest[s.peer] == 0 {
 			n = e.writeInline(s, run)
-			n += s.ring.TryPushBatch(run[n:])
+			n += e.pushOrWant(s, run[n:])
 		}
 		// Nothing may read run[:n] any more: those messages are written and
 		// released, or the sender goroutine owns them and may have done both
-		// already.
+		// already. What is parked behind parked messages needs no wake-up of
+		// its own: the retry that frees those reaches it.
 		for _, m := range run[n:] {
 			e.park(m, s.peer)
 		}
@@ -324,6 +335,21 @@ func (e *Engine) flushStaged() {
 		s.staged = run[:0]
 	}
 	e.dirty = e.dirty[:0]
+}
+
+// pushOrWant pushes the leading messages of ms that s's ring takes, in
+// order, and reports how many. What the ring refuses is tried once more
+// after s.wanted goes up, so that a refusal the caller parks always leaves
+// the sender goroutine a reason to wake the switch: the second try fails
+// only on a lane that was full after the flag went up, and the batch that
+// drains it reads the flag.
+func (e *Engine) pushOrWant(s *sender, ms []*message.Msg) int {
+	n := s.ring.TryPushBatch(ms)
+	if n < len(ms) {
+		s.wanted.Store(true)
+		n += s.ring.TryPushBatch(ms[n:])
+	}
+	return n
 }
 
 // writeInline writes the head of a destination's staged run from the turn
