@@ -60,8 +60,9 @@ fuzz:
 # link's LinkUp reaches the algorithm before its data, and that a parked
 # backlog drains on the sender goroutines' wake-ups alone. So does the Dialer's
 # seam — a Close racing the Dial it must interrupt — on a sender link and
-# on the observer link.
-SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestHeldDatagramBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestLinkUpPrecedesFirstData|TestParkedBacklogDrainsWithoutTraffic|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark|TestStopInterruptsDialAwaitingReply|TestCloseLinkInterruptsDialAwaitingReply|TestMuteObserverHoldsNeitherStartNorStop
+# on the observer link; and the engine goroutine's inbox: its bound holds a
+# poster until Stop, and control parked behind a full lane keeps its order.
+SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestHeldDatagramBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestLinkUpPrecedesFirstData|TestParkedBacklogDrainsWithoutTraffic|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark|TestStopInterruptsDialAwaitingReply|TestCloseLinkInterruptsDialAwaitingReply|TestMuteObserverHoldsNeitherStartNorStop|TestInboxBoundHoldsPostersUntilStop|TestParkedControlKeepsOrder
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
 		./internal/admission ./internal/observer ./internal/proxy ./internal/trace ./internal/metrics
@@ -100,11 +101,11 @@ backpressure:
 	$(GO) test -count=1 -cpu 1,4 -run 'TestFig6BackPressureCorrectness|TestFig7LargeBuffersLocalize' ./internal/experiments
 
 # allocs runs the allocation tripwires five times over: a hop, a link's
-# build and teardown, a status tick, an injection, a datagram read, and
-# the pipe buffer a handshake-only vnet connection holds. Most read a
+# build and teardown, a status tick, an injection, a datagram read, the
+# pipe buffer a handshake-only vnet connection holds, and an idle engine. Most read a
 # process-wide counter, so a bound that holds only sometimes fails here
 # rather than in somebody else's run.
-ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing|TestPipeFootprintOfAHandshake
+ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing|TestPipeFootprintOfAHandshake|TestIdleEngineFootprint
 allocs:
 	$(GO) test -count=5 -run '$(ALLOCS)' ./internal/engine ./internal/vnet
 

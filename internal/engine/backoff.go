@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // backoff produces capped exponential retry delays with jitter. One
 // instance paces one retry loop (an observer reconnect, a sender's dial
@@ -14,7 +11,7 @@ type backoff struct {
 	base    time.Duration
 	max     time.Duration
 	attempt int
-	rng     *rand.Rand
+	rng     splitmix64
 	// floorNext is a one-shot minimum for the next delay: a busy
 	// acceptor's retry-after hint lands here so the next attempt waits at
 	// least that long, whatever the exponential schedule says.
@@ -30,7 +27,7 @@ func newBackoff(base, max time.Duration, seed int64) *backoff {
 	if max <= 0 {
 		max = fixedTiming.RetryMax
 	}
-	return &backoff{base: base, max: max, rng: rand.New(rand.NewSource(seed))}
+	return &backoff{base: base, max: max, rng: splitmix64(seed)}
 }
 
 // next returns the delay before the following attempt: base doubled per
@@ -45,7 +42,7 @@ func (b *backoff) next() time.Duration {
 	if b.attempt < 62 {
 		b.attempt++
 	}
-	jitter := 0.75 + 0.5*b.rng.Float64()
+	jitter := 0.75 + 0.5*b.rng.float64()
 	j := time.Duration(float64(d) * jitter)
 	if j < b.base {
 		j = b.base
@@ -85,4 +82,19 @@ func (b *backoff) reset() { b.attempt = 0 }
 func (e *Engine) newBackoff(salt int64) *backoff {
 	seed := (int64(e.id.IP)<<32 | int64(e.id.Port)) ^ salt
 	return newBackoff(e.cfg.RetryBase, e.timing.RetryMax, seed)
+}
+
+// splitmix64 is the jitter source: a 64-bit state and an output mix, where
+// a math/rand source would carry 4.9 KiB of state per retry loop. Jitter
+// needs spread and replay, not statistical strength.
+type splitmix64 uint64
+
+// float64 returns the next value, uniform in [0, 1).
+func (s *splitmix64) float64() float64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }

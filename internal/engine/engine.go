@@ -7,7 +7,7 @@
 // scheduling over the dynamically tunable per-receiver weights).
 //
 // The design mirrors the paper's Table 1 skeleton: the engine goroutine
-// waits for control messages on the publicized port (here: a channel fed
+// waits for control messages on the publicized port (here: an inbox fed
 // by connection readers), consults Engine.process or Algorithm.Process,
 // then switches data messages from receiver buffers to sender buffers.
 // Algorithms run one Process call at a time, under the engine's turn token
@@ -43,8 +43,9 @@ const (
 	DefaultStatusInterval = 500 * time.Millisecond
 	DefaultBatchSize      = 32
 	DefaultRetryBase      = 100 * time.Millisecond
-	// DefaultEventLog sizes every node's flight recorder: a fixed ring of
-	// the most recent structured engine events.
+	// DefaultEventLog sizes every node's flight recorder: a ring of the
+	// most recent structured engine events, allocated a chunk at a time as
+	// the events first reach it.
 	DefaultEventLog = 1024
 )
 
@@ -242,9 +243,11 @@ type Engine struct {
 	turnMu sync.Mutex
 	// waiting counts the control messages and events handed to the engine
 	// goroutine and not yet run. Neither a receiver's quantum nor a
-	// handshake's LinkUp runs past them: len(control) would miss the one
-	// the engine goroutine has received and is about to take the token for.
+	// handshake's LinkUp runs past them: the inbox's length would miss the
+	// one the engine goroutine has popped and is about to run.
 	waiting atomic.Int32
+	// inbox queues those turns for the engine goroutine.
+	inbox inbox
 
 	// work wakes the engine goroutine for a switch pass. Buffered one deep:
 	// a pending signal absorbs every later one until the pass runs.
@@ -300,7 +303,7 @@ type Engine struct {
 	rates        []linkRate // the status tick's scratch
 	// The switch's scheduler state — see switch.go. parked is the backlog
 	// full sender rings refused, parkedByDest its per-destination count,
-	// retryFull retryParked's scratch set of still-full destinations,
+	// retryFull retryParked's scratch set of still-full sender-ring lanes,
 	// dirty the senders holding staged output, inlineVec and inlineArena
 	// writeInline's scratch (the buffers it hands the transport, and on a
 	// datagram lane the frames' bytes), switchBuf the quantum's
@@ -309,7 +312,7 @@ type Engine struct {
 	// receiver list as of recvListGen.
 	parked       []parkedMsg
 	parkedByDest map[message.NodeID]int
-	retryFull    map[message.NodeID]bool
+	retryFull    map[laneKey]bool
 	dirty        []*sender
 	inlineVec    [][]byte
 	inlineArena  []byte
@@ -320,8 +323,6 @@ type Engine struct {
 	recvList     []*receiver
 	recvListGen  uint64
 
-	control chan ctrlMsg
-	events  chan func(API)
 	done    chan struct{}
 	started bool
 	wg      sync.WaitGroup
@@ -371,12 +372,11 @@ func newEngine(cfg Config, timing linkTiming) (*Engine, error) {
 		localApps:    make(map[uint32]*source),
 		pingSent:     make(map[uint32]time.Time),
 		parkedByDest: make(map[message.NodeID]int),
-		retryFull:    make(map[message.NodeID]bool),
+		retryFull:    make(map[laneKey]bool),
 		switchBuf:    make([]*message.Msg, cfg.BatchSize),
-		control:      make(chan ctrlMsg, 1024),
-		events:       make(chan func(API), 4096),
 		done:         make(chan struct{}),
 	}
+	e.inbox.init()
 	e.down = e.budget.DownShaper()
 	e.hello = message.New(protocol.TypeHello, cfg.ID, 0, 0, nil).AppendHeader(nil)
 	e.obsBackoff = e.newBackoff(0) // sender loops salt with their peer
@@ -761,6 +761,7 @@ func (e *Engine) Stop() {
 	e.mu.Unlock()
 
 	close(e.done)
+	e.inbox.close()
 	e.door.Close()
 	if e.pconn != nil {
 		_ = e.pconn.Close()
@@ -835,20 +836,15 @@ func (e *Engine) run() {
 		e.flushStaged()
 		e.turnMu.Unlock()
 		select {
-		case cm := <-e.control:
+		case <-e.inbox.ready:
 			e.turnMu.Lock()
-			e.process(cm)
-			e.waiting.Add(-1)
-		case fn := <-e.events:
-			e.turnMu.Lock()
-			fn(e)
-			e.waiting.Add(-1)
+			e.runQueued()
 		case <-e.work:
 			e.turnMu.Lock()
 			// Control before data: a work signal competes fairly with the
-			// control channel in this select, so under saturation a pure
-			// select would serve data half the time. Draining pending
-			// control first keeps failure notifications ahead of payload.
+			// inbox in this select, so under saturation a pure select would
+			// serve data half the time. Draining pending control first keeps
+			// failure notifications ahead of payload.
 			e.drainControl()
 			e.switchOnce()
 		case <-ticker.C:
@@ -872,6 +868,22 @@ func (e *Engine) assertTurn(what string) {
 	}
 }
 
+// runQueued runs the inbox's next turn, a control message before an event.
+// The inbox may be empty: a work turn's drainControl may have run what the
+// ready signal was for. Engine goroutine only, holding the token.
+func (e *Engine) runQueued() {
+	cm, fn, ok := e.inbox.next()
+	if !ok {
+		return
+	}
+	if fn != nil {
+		fn(e)
+	} else {
+		e.process(cm)
+	}
+	e.waiting.Add(-1)
+}
+
 // maxCtrlDrain bounds how many queued control messages one switch pass
 // consumes ahead of data, so a control storm cannot starve the switch.
 const maxCtrlDrain = 64
@@ -880,21 +892,22 @@ const maxCtrlDrain = 64
 // pass. Engine goroutine only, holding the token.
 func (e *Engine) drainControl() {
 	for i := 0; i < maxCtrlDrain; i++ {
-		select {
-		case cm := <-e.control:
-			e.process(cm)
-			e.waiting.Add(-1)
-		default:
+		cm, ok := e.inbox.nextControl()
+		if !ok {
 			return
 		}
+		e.process(cm)
+		e.waiting.Add(-1)
 	}
 }
 
 // Do schedules fn as a turn of the engine goroutine with the engine's API — the
 // programmatic equivalent of an observer command, used by tests and
 // experiment harnesses to drive algorithms without a live observer. Safe
-// from any goroutine; fn is dropped if the engine is stopping. Do itself
-// allocates nothing: fn is queued as it is.
+// from any goroutine; fn is dropped if the engine is stopping. With 4096
+// events already waiting for the engine goroutine, Do waits for room. Do
+// itself allocates nothing once the inbox has grown to the depth it is
+// driven at: fn is queued as it is.
 func (e *Engine) Do(fn func(api API)) {
 	e.postEvent(fn)
 }
@@ -909,22 +922,22 @@ func (e *Engine) signalWork() {
 }
 
 // postEvent schedules fn as a turn of the engine goroutine, which calls it
-// with itself; events are dropped only during shutdown.
+// with itself, waiting while maxQueuedEvents events are queued; events are
+// dropped only once Stop has closed the inbox.
 func (e *Engine) postEvent(fn func(API)) {
 	e.waiting.Add(1)
-	select {
-	case e.events <- fn:
-	case <-e.done:
+	if !post(&e.inbox, &e.inbox.events, maxQueuedEvents, fn) {
 		e.waiting.Add(-1)
 	}
 }
 
-// deliverControl routes a wire control message to the engine goroutine.
+// deliverControl routes a wire control message to the engine goroutine,
+// waiting while maxQueuedControl control messages are queued — the
+// back-pressure a control storm puts on the link that carries it. After
+// Stop the message is released instead.
 func (e *Engine) deliverControl(m *message.Msg, from message.NodeID) {
 	e.waiting.Add(1)
-	select {
-	case e.control <- ctrlMsg{m: m, from: from}:
-	case <-e.done:
+	if !post(&e.inbox, &e.inbox.ctrl, maxQueuedControl, ctrlMsg{m: m, from: from}) {
 		e.waiting.Add(-1)
 		m.Release()
 	}

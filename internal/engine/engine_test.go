@@ -947,3 +947,65 @@ func (a *appRouter) Process(m *message.Msg) engine.Verdict {
 	}
 	return a.recorder.Process(m)
 }
+
+// TestInboxBoundHoldsPostersUntilStop: the engine goroutine's inbox grows
+// on demand, but no further than 4096 events. With the engine goroutine held
+// in a turn, 4096 posts return and the next one waits; Stop, not a drained
+// inbox, is what lets it go — the engine goroutine is still held when it
+// returns.
+func TestInboxBoundHoldsPostersUntilStop(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	e := startNode(t, n, nid(1), &recorder{}, func(c *engine.Config) { c.StatusInterval = time.Hour })
+	const bound = 4096
+	held, release := make(chan struct{}), make(chan struct{})
+	e.Do(func(engine.API) { close(held); <-release })
+	<-held
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	posted := make(chan struct{})
+	go func() {
+		defer close(posted)
+		for i := 0; i < bound; i++ {
+			e.Do(func(engine.API) {})
+		}
+	}()
+	select {
+	case <-posted:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("posting %d events to a held engine did not return: the inbox holds fewer", bound)
+	}
+	extra := make(chan struct{})
+	go func() {
+		e.Do(func(engine.API) {})
+		close(extra)
+	}()
+	select {
+	case <-extra:
+		t.Fatalf("event %d was queued with the engine goroutine held: the inbox holds more than %d", bound+1, bound)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		e.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-extra:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not release the poster waiting for room")
+	}
+	close(release)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return")
+	}
+}

@@ -353,7 +353,7 @@ func dataFrame(from message.NodeID, app, seq uint32, size int) []byte {
 
 // TestControlAheadOnTheWireBeatsInlineData is the receiver-side twin of
 // TestControlOvertakesStagedData. A control message and the data behind it
-// arrive in one read: the control crosses a channel to the engine
+// arrive in one read: the control crosses the inbox to the engine
 // goroutine, the data could be switched by the receiver goroutine on the
 // spot. The receiver must see that control is waiting and queue the data
 // behind it — every round, not most of them.

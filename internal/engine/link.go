@@ -335,8 +335,10 @@ func (e *Engine) runSender(s *sender) {
 			through, err = f.put(batch[i])
 			// Control before data holds inside an in-flight batch too: a
 			// paced batch can take seconds to drain, and a failure
-			// notification pushed meanwhile must not wait it out.
-			for through && err == nil {
+			// notification pushed meanwhile must not wait it out. The
+			// batch holds its control first, and later control may not
+			// overtake it: only data is left to bypass.
+			for through && err == nil && (i+1 == n || !batch[i+1].IsControl()) {
 				cm, ok := s.ring.TryPopCtrl()
 				if !ok {
 					break

@@ -212,8 +212,16 @@ func (e *Engine) park(m *message.Msg, dest message.NodeID) {
 	e.parkedLen.Store(int64(len(e.parked)))
 }
 
+// laneKey names one lane of one destination's sender ring.
+type laneKey struct {
+	dest message.NodeID
+	ctrl bool
+}
+
 // retryParked re-attempts delivery of messages labeled with remaining
-// senders, preserving per-destination FIFO order.
+// senders, preserving per-destination FIFO order within each class: once a
+// lane refuses a message, everything later for that lane stays parked, and
+// parked data never holds back control in the other lane.
 func (e *Engine) retryParked() {
 	e.flushStaged()
 	if len(e.parked) == 0 {
@@ -223,7 +231,8 @@ func (e *Engine) retryParked() {
 	clear(stillFull)
 	kept := e.parked[:0]
 	for _, p := range e.parked {
-		if stillFull[p.dest] {
+		lane := laneKey{p.dest, p.m.IsControl()}
+		if stillFull[lane] {
 			kept = append(kept, p)
 			continue
 		}
@@ -241,7 +250,7 @@ func (e *Engine) retryParked() {
 		if one := [1]*message.Msg{p.m}; e.pushOrWant(s, one[:]) == 1 {
 			e.parkedByDest[p.dest]--
 		} else {
-			stillFull[p.dest] = true
+			stillFull[lane] = true
 			kept = append(kept, p)
 		}
 	}
@@ -259,7 +268,8 @@ func (e *Engine) setParked(kept []parkedMsg) {
 }
 
 // deliverOut hands m to the sender toward dest (creating the link on first
-// use). Control goes to the ring's priority lane at once; data is staged on
+// use). Control goes to the ring's priority lane at once, unless control for
+// dest is parked and it must queue behind that; data is staged on
 // the sender until flushStaged moves the turn's run in one ring operation.
 func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 	s := e.lastSender
@@ -277,10 +287,16 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 	// message that parks instead simply keeps its charge.
 	e.buffered.Add(int64(m.WireLen()))
 	if m.IsControl() {
-		// Control never waits behind staged or parked data: the ring's
-		// priority lane preserves control-vs-control order on its own, and
-		// relaxing cross-class order is exactly the service-class contract.
-		// Parking happens only when the control lane itself is full.
+		// Control never waits behind staged or parked data: relaxing
+		// cross-class order is exactly the service-class contract. It parks
+		// when the ring's control lane is full, and behind control already
+		// parked for the peer, which retryParked moves into the lane first:
+		// the lane alone keeps control-vs-control order only while none of
+		// the peer's control is parked.
+		if e.ctrlParkedFor(dest) {
+			e.park(m, dest)
+			return
+		}
 		if one := [1]*message.Msg{m}; e.pushOrWant(s, one[:]) == 0 {
 			if cur := e.senderLocked(dest); cur != s {
 				// The cached link died and was (maybe) replaced under us.
@@ -301,6 +317,19 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 		e.dirty = append(e.dirty, s)
 	}
 	s.staged = append(s.staged, m)
+}
+
+// ctrlParkedFor reports whether a control message toward dest is parked.
+func (e *Engine) ctrlParkedFor(dest message.NodeID) bool {
+	if e.parkedByDest[dest] == 0 {
+		return false
+	}
+	for _, p := range e.parked {
+		if p.dest == dest && p.m.IsControl() {
+			return true
+		}
+	}
+	return false
 }
 
 // flushStaged moves every staged run into its sender's ring — one lock, one

@@ -1,14 +1,19 @@
 // Package trace implements the per-engine flight recorder: a fixed-size
-// ring of typed, preallocated event records that hot paths append to with
-// one atomic fetch-add and zero allocation. The recorder answers the
+// ring of typed event records that hot paths append to with one atomic
+// fetch-add. The ring is allocated in chunks of 64 records, each the first
+// time the cursor reaches it, so a recorder costs what its events have
+// filled and at most one allocation per chunk for its whole life; once
+// every chunk exists, Emit allocates nothing. The recorder answers the
 // question the counters cannot — *when* did the engine shed, bypass or
 // reparent, and in what order relative to its peers — without perturbing
 // the data path it is observing.
 //
 // Concurrency model: any goroutine may Emit concurrently. The cursor is
-// an atomic counter; each Emit claims a unique slot by fetch-add, writes
-// the payload fields, and publishes the record by storing its sequence
-// number last (with release ordering via atomic store). Snapshot reads
+// an atomic counter; each Emit claims a unique slot by fetch-add, installs
+// the slot's chunk by compare-and-swap if nobody has yet (a loser adopts
+// the winner's), writes the payload fields, and publishes the record by
+// storing its sequence number last (with release ordering via atomic
+// store). Snapshot skips chunks that were never allocated and reads
 // each slot's sequence before and after copying the payload and discards
 // records that were torn by a concurrent wrap-around overwrite. There are
 // no locks anywhere, so Emit can never block the data path, and the
@@ -139,31 +144,58 @@ type slot struct {
 	value   atomic.Int64
 }
 
-// Recorder is the flight recorder. The zero value and the nil pointer
-// are both valid "disabled" recorders: Emit is a no-op and Snapshot
-// returns nothing, so call sites need no guards.
+// chunkSlots is how many ring slots one chunk holds: 2.5 KiB of slots.
+const chunkSlots = 64
+
+// chunk is one allocation of the ring. A ring smaller than a chunk uses
+// the first slots of its only one.
+type chunk [chunkSlots]slot
+
+// Recorder is the flight recorder: a ring of Cap slots, held as chunks
+// that are allocated on first use, so an idle node's recorder is a table of
+// nil pointers. The zero value and the nil pointer are both valid
+// "disabled" recorders: Emit is a no-op and Snapshot returns nothing, so
+// call sites need no guards.
 type Recorder struct {
-	ring   []slot
-	mask   uint64
+	chunks []atomic.Pointer[chunk]
+	mask   uint64 // ring capacity - 1
 	cursor atomic.Uint64
 }
 
 // New returns a recorder holding the most recent capacity events.
 // Capacity is rounded up to a power of two; values < 2 are rounded to 2.
+// No slot is allocated until an event reaches it.
 func New(capacity int) *Recorder {
 	n := 2
 	for n < capacity {
 		n <<= 1
 	}
-	return &Recorder{ring: make([]slot, n), mask: uint64(n - 1)}
+	return &Recorder{
+		chunks: make([]atomic.Pointer[chunk], (n+chunkSlots-1)/chunkSlots),
+		mask:   uint64(n - 1),
+	}
 }
 
 // Cap returns the ring capacity (0 for a disabled recorder).
 func (r *Recorder) Cap() int {
-	if r == nil {
+	if r == nil || len(r.chunks) == 0 {
 		return 0
 	}
-	return len(r.ring)
+	return int(r.mask + 1)
+}
+
+// slotAt returns the ring slot for a 1-based sequence number, allocating
+// its chunk if no Emit has yet. Of two Emits racing to allocate one chunk,
+// the CAS picks the winner's and the loser writes into that.
+func (r *Recorder) slotAt(seq uint64) *slot {
+	i := (seq - 1) & r.mask
+	p := &r.chunks[i/chunkSlots]
+	c := p.Load()
+	if c == nil {
+		p.CompareAndSwap(nil, new(chunk))
+		c = p.Load()
+	}
+	return &c[i%chunkSlots]
 }
 
 // Cursor returns the sequence number of the most recently claimed slot.
@@ -174,14 +206,15 @@ func (r *Recorder) Cursor() uint64 {
 	return r.cursor.Load()
 }
 
-// Emit appends one event. It never blocks, never allocates, and is safe
-// from any goroutine. On a nil or zero recorder it is a no-op.
+// Emit appends one event. It never blocks, allocates only the first time
+// the ring reaches a chunk, and is safe from any goroutine. On a nil or
+// zero recorder it is a no-op.
 func (r *Recorder) Emit(kind Kind, peer message.NodeID, app uint32, value int64) {
-	if r == nil || len(r.ring) == 0 {
+	if r == nil || len(r.chunks) == 0 {
 		return
 	}
 	seq := r.cursor.Add(1)
-	s := &r.ring[(seq-1)&r.mask]
+	s := r.slotAt(seq)
 	s.seq.Store(0) // invalidate while the payload is rewritten
 	s.nanos.Store(time.Now().UnixNano())
 	s.kindApp.Store(uint64(kind)<<32 | uint64(app))
@@ -199,22 +232,29 @@ func (r *Recorder) Snapshot() []Event {
 
 // SnapshotSince returns the published records with Seq > since, oldest
 // first. Use it to ship incremental batches: pass the highest Seq seen
-// so far and only newer events come back.
+// so far and only newer events come back. It allocates no chunk: a slot
+// whose chunk no Emit has reached yet holds nothing to copy.
 func (r *Recorder) SnapshotSince(since uint64) []Event {
-	if r == nil || len(r.ring) == 0 {
+	if r == nil || len(r.chunks) == 0 {
 		return nil
 	}
 	cur := r.cursor.Load()
 	if cur == 0 || cur <= since {
 		return nil
 	}
+	size := r.mask + 1
 	lo := since + 1
-	if cur > uint64(len(r.ring)) && cur-uint64(len(r.ring))+1 > lo {
-		lo = cur - uint64(len(r.ring)) + 1
+	if cur > size && cur-size+1 > lo {
+		lo = cur - size + 1
 	}
 	out := make([]Event, 0, cur-lo+1)
 	for seq := lo; seq <= cur; seq++ {
-		s := &r.ring[(seq-1)&r.mask]
+		i := (seq - 1) & r.mask
+		c := r.chunks[i/chunkSlots].Load()
+		if c == nil {
+			continue // claimed, but its Emit has not allocated the chunk yet
+		}
+		s := &c[i%chunkSlots]
 		got := s.seq.Load()
 		if got != seq {
 			continue // overwritten or not yet published

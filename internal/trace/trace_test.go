@@ -175,3 +175,103 @@ func TestKindNames(t *testing.T) {
 		t.Fatal("unknown kind must still render")
 	}
 }
+
+// TestWrapAroundAcrossChunks: a ring of several chunks keeps its newest
+// Cap events, in order, across every chunk boundary and the wrap.
+func TestWrapAroundAcrossChunks(t *testing.T) {
+	const size, emitted = 4 * chunkSlots, 700
+	r := New(size)
+	for i := 1; i <= emitted; i++ {
+		r.Emit(KindSwitch, message.NodeID{}, 0, int64(i))
+	}
+	evs := r.Snapshot()
+	if len(evs) != size {
+		t.Fatalf("got %d events after wrap, want %d", len(evs), size)
+	}
+	for i, ev := range evs {
+		want := uint64(emitted - size + 1 + i)
+		if ev.Seq != want || ev.Value != int64(want) {
+			t.Fatalf("event %d = seq %d value %d, want %d", i, ev.Seq, ev.Value, want)
+		}
+	}
+}
+
+// TestSnapshotSinceInFirstChunk: a recorder whose events have not filled
+// its first chunk has allocated no other, and snapshots skip the chunks
+// that do not exist.
+func TestSnapshotSinceInFirstChunk(t *testing.T) {
+	r := New(1024)
+	if got := r.Snapshot(); got != nil {
+		t.Fatalf("fresh recorder snapshot = %+v, want nil", got)
+	}
+	for i := 1; i <= 10; i++ {
+		r.Emit(KindLinkUp, message.NodeID{}, 0, int64(i))
+	}
+	for i := 1; i < len(r.chunks); i++ {
+		if r.chunks[i].Load() != nil {
+			t.Fatalf("chunk %d allocated after 10 events", i)
+		}
+	}
+	if evs := r.Snapshot(); len(evs) != 10 {
+		t.Fatalf("Snapshot = %d events, want 10", len(evs))
+	}
+	evs := r.SnapshotSince(7)
+	if len(evs) != 3 || evs[0].Seq != 8 || evs[2].Seq != 10 || evs[2].Value != 10 {
+		t.Fatalf("SnapshotSince(7) = %+v, want seqs 8..10", evs)
+	}
+}
+
+// TestEmitAllocatesOncePerChunk: over a recorder's whole life — here three
+// times around its ring — Emit allocates each chunk once and nothing else.
+func TestEmitAllocatesOncePerChunk(t *testing.T) {
+	const size = 1024
+	allocs := testing.AllocsPerRun(10, func() {
+		r := New(size)
+		for i := 0; i < 3*size; i++ {
+			r.Emit(KindSwitch, message.NodeID{}, 0, int64(i))
+		}
+	})
+	// New allocates at most the recorder and its chunk table; the
+	// recorder may live on the stack here.
+	if want := float64(2 + size/chunkSlots); allocs > want {
+		t.Fatalf("a recorder's life allocates %v objects, want at most %v: one per chunk", allocs, want)
+	}
+}
+
+// TestConcurrentEmitsRaceForAChunk: writers that reach an unallocated chunk
+// together install exactly one of their allocations — a loser writes into
+// the winner's chunk, never into one the ring forgets — so no event goes
+// missing. Run under -race this also checks the chunk's publication.
+func TestConcurrentEmitsRaceForAChunk(t *testing.T) {
+	const writers, perWriter = 8, 16
+	for round := 0; round < 2000; round++ {
+		r := New(1024)
+		pre := round % chunkSlots // where in a chunk the race starts
+		for i := 0; i < pre; i++ {
+			r.Emit(KindSwitch, message.NodeID{}, 0, 0)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(writers)
+		for w := 0; w < writers; w++ {
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWriter; i++ {
+					r.Emit(KindSwitch, message.NodeID{}, uint32(w), int64(i))
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		evs := r.Snapshot()
+		if want := pre + writers*perWriter; len(evs) != want {
+			t.Fatalf("round %d: %d events recorded, want %d: an Emit wrote into a chunk the ring lost", round, len(evs), want)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("round %d: event %d has seq %d", round, i, ev.Seq)
+			}
+		}
+	}
+}
