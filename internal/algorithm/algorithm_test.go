@@ -1,6 +1,7 @@
 package algorithm_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,6 +34,38 @@ func TestAttachInitializesState(t *testing.T) {
 	}
 	if b.Rng == nil {
 		t.Error("Attach did not seed Rng")
+	}
+}
+
+// TestRngStreamMatchesSeededSource: an attached Base's Rng, whose source
+// is seeded on the first draw, yields exactly the stream of
+// rand.New(rand.NewSource(seed)) for the node's identity seed — the
+// randomized experiments depend on it — across Intn, Float64, Perm and
+// Uint64 draws and a re-seed.
+func TestRngStreamMatchesSeededSource(t *testing.T) {
+	for _, id := range []message.NodeID{
+		nid(1), nid(42), {IP: 127<<24 | 1, Port: 9000}, {IP: 0xffffffff, Port: 65535},
+	} {
+		b := &algorithm.Base{}
+		b.Attach(algtest.New(id))
+		want := rand.New(rand.NewSource(int64(id.IP)<<32 | int64(id.Port)))
+		check := func(what string, i int, got, exp any) {
+			t.Helper()
+			if got != exp {
+				t.Fatalf("%v: draw %d of %s = %v, want %v", id, i, what, got, exp)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			check("Intn", i, b.Rng.Intn(1000+i), want.Intn(1000+i))
+			check("Float64", i, b.Rng.Float64(), want.Float64())
+			check("Perm", i, fmt.Sprint(b.Rng.Perm(8)), fmt.Sprint(want.Perm(8)))
+			check("Uint64", i, b.Rng.Uint64(), want.Uint64())
+		}
+		b.Rng.Seed(int64(id.Port))
+		want.Seed(int64(id.Port))
+		for i := 0; i < 100; i++ {
+			check("Int63 after Seed", i, b.Rng.Int63(), want.Int63())
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ type API interface {
 	// Finish releases a message previously kept with the Hold verdict.
 	Finish(m *message.Msg)
 
-	// NewMsg allocates a message from the engine's buffer pool with the
+	// NewMsg allocates a message from the process-wide buffer pool with the
 	// local node stamped as original sender.
 	NewMsg(typ message.Type, app, seq uint32, payloadLen int) *message.Msg
 

@@ -266,7 +266,7 @@ type linkRate struct {
 // NewMsg allocates a pooled data message stamped with this node as the
 // original sender. Part of the API interface.
 func (e *Engine) NewMsg(typ message.Type, app, seq uint32, payloadLen int) *message.Msg {
-	return e.pool.Get(typ, e.id, app, seq, payloadLen)
+	return sharedPool.Get(typ, e.id, app, seq, payloadLen)
 }
 
 // NewControl builds a control/protocol message. Part of the API

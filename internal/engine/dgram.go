@@ -369,7 +369,7 @@ func (e *Engine) runDgramReader(pc net.PacketConn) {
 			m = message.FromOwned(wire, owner)
 			took = true
 		} else {
-			m = message.FromBytes(wire, e.pool)
+			m = message.FromBytes(wire, sharedPool)
 		}
 		if m.IsControl() {
 			// Control rides the reliable lane by design; a control frame

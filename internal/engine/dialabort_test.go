@@ -33,7 +33,12 @@ func muteAcceptor(t *testing.T, n *vnet.Network, id message.NodeID) <-chan net.C
 
 // dialIntoMute starts an engine whose one outgoing link is stuck waiting
 // for the mute acceptor's reply, under a HandshakeTimeout far longer than
-// the test, and returns once the dial is blocked there.
+// the test, and returns once the dial is blocked there and the message
+// sent over the link waits in its sender ring. The acceptor can accept
+// before the sending turn has flushed that message; a second turn that
+// signals proves the flush done, since turns run in order. Without it,
+// a Stop could close the ring first, and the message would park and be
+// released uncounted instead of dropped with the aborted dial.
 func dialIntoMute(t *testing.T, n *vnet.Network) (*engine.Engine, net.Conn) {
 	t.Helper()
 	accepted := muteAcceptor(t, n, nid(2))
@@ -41,14 +46,21 @@ func dialIntoMute(t *testing.T, n *vnet.Network) (*engine.Engine, net.Conn) {
 	e.Do(func(api engine.API) {
 		api.SendNew(message.New(message.FirstDataType, nid(1), 1, 0, []byte("queued behind the dial")), nid(2))
 	})
+	flushed := make(chan struct{})
+	e.Do(func(engine.API) { close(flushed) })
+	var c net.Conn
 	select {
-	case c := <-accepted:
+	case c = <-accepted:
 		t.Cleanup(func() { c.Close() })
-		return e, c
 	case <-time.After(5 * time.Second):
 		t.Fatal("the engine never dialed the mute acceptor")
-		return nil, nil
 	}
+	select {
+	case <-flushed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the turn after the send never ran")
+	}
+	return e, c
 }
 
 // within fails the test unless fn returns inside d.

@@ -49,6 +49,14 @@ const (
 	DefaultEventLog = 1024
 )
 
+// sharedPool is the process's one message and receive-segment pool: every
+// Engine draws from it and releases into it. The engines of one process
+// (an experiment, a benchmark, a test) pass buffers along hop by hop, so
+// a segment or message one engine releases is the next one another engine
+// reads into, and a fresh engine starts on the buffers that engines
+// before it gave back instead of allocating its own.
+var sharedPool = message.NewPool()
+
 // parkedPerSendSlot sizes the parked backlog — what full sender rings
 // refused, held until they drain — at four sender rings' worth: the
 // switch stops draining receivers once that many messages are parked.
@@ -183,7 +191,6 @@ type Engine struct {
 	id     message.NodeID
 	addr   string // id rendered as a dial/listen address, once
 	alg    Algorithm
-	pool   *message.Pool
 	// budget is the node's emulated bandwidth; down composes its incoming
 	// half, the one shaper every receiver reads through.
 	budget   *bandwidth.NodeBudget
@@ -271,7 +278,12 @@ type Engine struct {
 	switchBatchHist metrics.Histogram
 	sendBatchHist   metrics.Histogram
 
-	localRing *queue.Ring // source-injected data, drained like a receiver
+	// localRing holds source-injected data, drained like a receiver. The
+	// first StartSource builds it, under mu and only while the node is not
+	// stopping, so Stop, which sets stopping first, sees any ring there
+	// will be. Until then the node reads as having an empty one
+	// (localQueued).
+	localRing atomic.Pointer[queue.Ring]
 	localApps map[uint32]*source
 	obs       *observerLink
 
@@ -360,7 +372,6 @@ func newEngine(cfg Config, timing linkTiming) (*Engine, error) {
 		id:           cfg.ID,
 		addr:         cfg.ID.Addr(),
 		alg:          cfg.Algorithm,
-		pool:         message.NewPool(),
 		budget:       bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
 		maxParked:    parkedPerSendSlot * cfg.SendBuf,
 		rec:          trace.New(DefaultEventLog),
@@ -368,7 +379,6 @@ func newEngine(cfg Config, timing linkTiming) (*Engine, error) {
 		senders:      make(map[message.NodeID]*sender),
 		linkRates:    make(map[message.NodeID]int64),
 		work:         make(chan struct{}, 1),
-		localRing:    queue.New(cfg.RecvBuf),
 		localApps:    make(map[uint32]*source),
 		pingSent:     make(map[uint32]time.Time),
 		parkedByDest: make(map[message.NodeID]int),
@@ -442,6 +452,15 @@ func (e *Engine) ingest(ring *queue.Ring, batch []*message.Msg, bytes int64) boo
 	}
 	e.signalWork()
 	return true
+}
+
+// localQueued reports how many source-injected messages wait in the local
+// ring: zero for a node that has never started a source.
+func (e *Engine) localQueued() int {
+	if lr := e.localRing.Load(); lr != nil {
+		return lr.Len()
+	}
+	return 0
 }
 
 // BufferedBytes reports the wire bytes of every message reference the node
@@ -708,7 +727,7 @@ func (e *Engine) drainedForDeparture() bool {
 	defer e.turnMu.Unlock()
 	// Parked messages are outbound data too: they reach their sender ring
 	// only on the next switch pass.
-	if e.localRing.Len() > 0 || len(e.parked) > 0 {
+	if e.localQueued() > 0 || len(e.parked) > 0 {
 		return false
 	}
 	e.mu.Lock()
@@ -769,8 +788,10 @@ func (e *Engine) Stop() {
 	for _, s := range sources {
 		s.halt()
 	}
-	e.localRing.Close()
-	e.credit(e.localRing.Drain())
+	if lr := e.localRing.Load(); lr != nil {
+		lr.Close()
+		e.credit(lr.Drain())
+	}
 	for _, r := range receivers {
 		_ = r.conn.Close()
 		r.ring.Close()
@@ -948,7 +969,7 @@ func (e *Engine) deliverControl(m *message.Msg, from message.NodeID) {
 // buffer on their stack.
 func (e *Engine) notifyAlg(typ message.Type, app uint32, payload []byte) {
 	e.assertTurn("notifyAlg")
-	m := e.pool.Get(typ, e.id, app, 0, len(payload))
+	m := sharedPool.Get(typ, e.id, app, 0, len(payload))
 	copy(m.Payload(), payload)
 	if e.alg.Process(m) == Done {
 		m.Release()

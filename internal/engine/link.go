@@ -115,7 +115,7 @@ func (e *Engine) runReceiver(r *receiver) {
 		return true
 	}
 
-	seg := e.pool.GetSegment()
+	seg := sharedPool.GetSegment()
 	fail := func() {
 		seg.Release()
 		e.postEvent(func(API) { e.receiverGone(r) })
@@ -150,7 +150,7 @@ func (e *Engine) runReceiver(r *receiver) {
 				// The message can never fit in the remaining segment:
 				// assemble it in its own pool buffer, blocking until the
 				// sender's remaining bytes arrive.
-				m, err := message.ReadContinued(b, &r.in, e.pool)
+				m, err := message.ReadContinued(b, &r.in, sharedPool)
 				if err != nil {
 					flush()
 					fail()
@@ -171,7 +171,7 @@ func (e *Engine) runReceiver(r *receiver) {
 				m = message.FromSegment(seg, off)
 				aliased = true
 			} else {
-				m = message.FromBytes(b, e.pool)
+				m = message.FromBytes(b, sharedPool)
 			}
 			off += wire
 			if !deliver(m) {
@@ -188,7 +188,7 @@ func (e *Engine) runReceiver(r *receiver) {
 		rem := fill - off
 		switch {
 		case aliased:
-			ns := e.pool.GetSegment()
+			ns := sharedPool.GetSegment()
 			copy(ns.Bytes(), seg.Bytes()[off:fill])
 			seg.Release()
 			seg = ns

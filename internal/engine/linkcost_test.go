@@ -25,9 +25,12 @@ import (
 // test's two Do closures per cycle are in it too.
 //
 // Readings on a 2-core x86-64 host over 25 runs, objects and bytes per
-// cycle: vnet 27.6–32.9 and 15.9–17.3 KiB, loopback TCP 52–58 and 50–55
+// cycle: vnet 26.6–34.8 and 15.2–16.0 KiB, loopback TCP 52–58 and 50–55
 // KiB. The bounds are the highest reading plus a quarter for objects and
-// a tenth for bytes, rounded up. While a link's accepting goroutine
+// a tenth for bytes, rounded up, and never raised: the vnet object bound
+// stays 42 from an earlier, lower highest reading. While every engine had
+// its own message pool and a 512-slot vnet listener backlog, vnet read
+// 27.6–33.2 objects and 15.5–17.4 KiB. While a link's accepting goroutine
 // started another for the receiver and posted the LinkUp as a closure,
 // vnet read 29.5–35.0 objects. While a vnet pipe allocated its whole
 // 64 KiB buffer when dialled, vnet read 35–41 objects and 159–167 KiB.
@@ -137,23 +140,29 @@ func TestLinkCycleAllocations(t *testing.T) {
 // goroutines are running, read with the process-wide heap counters over 32
 // engines after a forced GC (a collection during the reading adds a third
 // to the objects). Every buffer an engine has a bound for — its turn inbox,
-// its flight recorder, its links' rings and pipes — is allocated as it
-// fills, so an idle engine holds none of them; what is left is mostly the
-// algorithm's math/rand source, the vnet listener's backlog, the
-// local-source ring and the Engine struct.
+// its flight recorder, its links' rings and pipes, its local-source ring,
+// its vnet listener's backlog — is allocated as it fills, its message
+// buffers come from the process's one pool, and its algorithm's math/rand
+// source is seeded on the first draw, so an idle engine holds none of
+// them; what is left is mostly the Engine struct, its maps and channels,
+// and its goroutines' closures.
 //
-// Readings on a 2-core x86-64 host over 25 runs, per engine: 25.1–34.4
-// objects and 19.9–21.2 KiB. The bounds are the highest reading plus a
-// quarter for objects and a tenth for bytes, rounded up. While the inbox
-// was two buffered channels of 1024 control messages and 4096 events, the
-// flight recorder a preallocated ring of 1024 slots and the backoff jitter
-// a math/rand source, the same test read 29–64 objects and 112–119 KiB.
+// Readings on a 2-core x86-64 host over 25 runs, per engine: 20.2–27.0
+// objects and 4.6–5.6 KiB (45 more at -cpu 1,2,4: up to 27.8 and 5.6). The
+// bounds are the highest reading plus a quarter for objects and a tenth
+// for bytes, rounded up. While every engine built its own message pool,
+// local-source ring, 512-slot listener backlog and seeded math/rand
+// source, the same test read 22–32 objects and 19.6–20.9 KiB. While the
+// inbox was two buffered channels of 1024 control messages and 4096
+// events, the flight recorder a preallocated ring of 1024 slots and the
+// backoff jitter a math/rand source, it read 29–64 objects and 112–119
+// KiB.
 func TestIdleEngineFootprint(t *testing.T) {
 	if raceEnabled || invariant.Enabled {
 		t.Skip("the race detector and ioverlay_debug builds allocate on their own")
 	}
 	const engines = 32
-	const maxObjects, maxKiB = 43.0, 24.0
+	const maxObjects, maxKiB = 35.0, 7.0
 	n := vnet.New()
 	defer n.Close()
 	algs := make([]multicast.Forwarder, engines)
@@ -186,6 +195,74 @@ func TestIdleEngineFootprint(t *testing.T) {
 	}
 	if kib >= maxKiB {
 		t.Errorf("%.1f KiB per idle engine, want < %g: an engine allocates more before it carries anything", kib, maxKiB)
+	}
+}
+
+// TestFreshEngineReusesBuffers is the tripwire on the process-wide buffer
+// pool: a fresh engine starts on the receive segments and messages that
+// engines before it released, not on buffers of its own. A hub links to a
+// leaf, delivers to it and closes the link; then, in the reading, each of
+// 32 fresh leaves is built and started, receives a link from the hub and
+// one 64-byte message, and sees the link closed again. Per fresh leaf, the
+// reading holds its New and Start, both ends of its first link and its
+// first delivery, and it must stay under one receive segment. With a pool
+// per engine, each fresh leaf's receiver allocated its own 64 KiB segment
+// for its first read. A segment released into one P's private slot of the
+// pool cannot be taken from another P, hence the mean over several leaves.
+func TestFreshEngineReusesBuffers(t *testing.T) {
+	if raceEnabled || invariant.Enabled {
+		t.Skip("the race detector and ioverlay_debug builds do not recycle messages")
+	}
+	const app, fresh = 1, 32
+	n := vnet.New()
+	defer n.Close()
+	start := func(id message.NodeID, alg engine.Algorithm) *engine.Engine {
+		e, err := engine.New(engine.Config{ID: id, Transport: engine.VNet{Net: n}, Algorithm: alg, StatusInterval: time.Hour})
+		if err != nil {
+			t.Fatalf("New(%s): %v", id, err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatalf("Start(%s): %v", id, err)
+		}
+		t.Cleanup(e.Stop)
+		return e
+	}
+	hub := start(nid(1), &multicast.Forwarder{})
+	closed := make(chan struct{})
+	// deliver links the hub to the leaf with one message and closes the
+	// link once the leaf has it; it returns when the leaf's receiver has
+	// given its segment back.
+	deliver := func(c int, leaf *engine.Engine, alg *multicast.Forwarder) {
+		peer := leaf.ID()
+		hub.Do(func(api engine.API) {
+			api.SendNew(api.NewMsg(message.FirstDataType, app, uint32(c), 64), peer)
+		})
+		waitFor(t, 5*time.Second, "the message to reach a leaf", func() bool { return alg.SeenMessages(app) > 0 })
+		hub.Do(func(api engine.API) {
+			api.CloseLink(peer)
+			closed <- struct{}{}
+		})
+		<-closed
+		waitFor(t, 5*time.Second, "a leaf to see its link close", func() bool { return len(leaf.Upstreams()) == 0 })
+	}
+	// A collection empties the pool, so one is forced before the test
+	// rather than left to start in the reading.
+	runtime.GC()
+	var warm multicast.Forwarder
+	deliver(0, start(nid(2), &warm), &warm)
+
+	algs := make([]multicast.Forwarder, fresh)
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	bytes0 := sample[0].Value.Uint64()
+	for i := range algs {
+		deliver(i+1, start(nid(i+3), &algs[i]), &algs[i])
+	}
+	metrics.Read(sample)
+	kib := float64(sample[0].Value.Uint64()-bytes0) / fresh / 1024
+	t.Logf("%d fresh engines: %.1f KiB each for New, Start, a first link and a first delivery", fresh, kib)
+	if max := float64(message.SegmentSize) / 1024; kib >= max {
+		t.Errorf("%.1f KiB per fresh engine, want < %g: a fresh engine allocates its own receive buffers instead of reusing the process's", kib, max)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestRetryParkedReadsNothingAfterHandoff(t *testing.T) {
 
 	const rounds = 5000
 	for i := 0; i < rounds; i++ {
-		m := e.pool.Get(message.FirstDataType, e.id, 1, uint32(i), 512)
+		m := sharedPool.Get(message.FirstDataType, e.id, 1, uint32(i), 512)
 		e.buffered.Add(int64(m.WireLen()))
 		e.park(m, dest)
 		for e.retryParked(); len(e.parked) > 0; e.retryParked() {
@@ -67,7 +67,7 @@ func TestDepartWaitsForParkedData(t *testing.T) {
 		t.Fatal("idle engine reads as not drained")
 	}
 	dest := message.MakeID("10.0.0.9", 7000)
-	m := e.pool.Get(message.FirstDataType, e.id, 1, 0, 512)
+	m := sharedPool.Get(message.FirstDataType, e.id, 1, 0, 512)
 	e.buffered.Add(int64(m.WireLen()))
 	e.park(m, dest)
 	if e.drainedForDeparture() {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/message"
+	"repro/internal/queue"
 )
 
 // source is a locally deployed application data generator: it produces
@@ -45,9 +46,14 @@ func (e *Engine) StartSource(app uint32, rate int64, msgSize int) {
 		old.halt()
 	}
 	e.localApps[app] = s
+	ring := e.localRing.Load()
+	if ring == nil {
+		ring = queue.New(e.cfg.RecvBuf)
+		e.localRing.Store(ring)
+	}
 	e.mu.Unlock()
 	e.wg.Add(1)
-	go e.runSource(s, msgSize)
+	go e.runSource(s, ring, msgSize)
 }
 
 // StopSource terminates a locally deployed source. Part of the API
@@ -64,7 +70,7 @@ func (e *Engine) StopSource(app uint32) {
 	}
 }
 
-func (e *Engine) runSource(s *source, msgSize int) {
+func (e *Engine) runSource(s *source, ring *queue.Ring, msgSize int) {
 	defer e.wg.Done()
 	defer s.limiter.Close()
 	seq := uint32(0)
@@ -74,7 +80,7 @@ func (e *Engine) runSource(s *source, msgSize int) {
 	batchN := 1
 	if s.limiter.Rate() <= 0 {
 		batchN = e.cfg.BatchSize
-		if c := e.localRing.Cap(); batchN > c {
+		if c := ring.Cap(); batchN > c {
 			batchN = c
 		}
 	}
@@ -90,13 +96,13 @@ func (e *Engine) runSource(s *source, msgSize int) {
 		batch = batch[:0]
 		var bytes int64
 		for i := 0; i < batchN; i++ {
-			m := e.pool.Get(message.FirstDataType, e.id, s.app, seq, msgSize)
+			m := sharedPool.Get(message.FirstDataType, e.id, s.app, seq, msgSize)
 			s.limiter.Wait(m.WireLen())
 			batch = append(batch, m)
 			bytes += int64(m.WireLen())
 			seq++
 		}
-		if !e.ingest(e.localRing, batch, bytes) {
+		if !e.ingest(ring, batch, bytes) {
 			return
 		}
 	}

@@ -39,7 +39,7 @@ func (e *Engine) switchOnce() {
 		var best *receiver
 		bestLocal := false
 		bestPass := 0.0
-		if e.localRing.Len() > 0 {
+		if e.localQueued() > 0 {
 			bestLocal = true
 			bestPass = e.localPass
 		}
@@ -67,7 +67,7 @@ func (e *Engine) switchOnce() {
 		if headroom := e.maxParked - len(e.parked); quantum > headroom {
 			quantum = headroom
 		}
-		ring := e.localRing
+		ring := e.localRing.Load()
 		if best != nil {
 			ring = &best.ring
 		}
@@ -86,7 +86,7 @@ func (e *Engine) switchOnce() {
 	if budget > 0 || len(e.parked) >= e.maxParked {
 		return
 	}
-	if e.localRing.Len() > 0 {
+	if e.localQueued() > 0 {
 		e.signalWork()
 		return
 	}

@@ -35,6 +35,11 @@ var (
 	ErrAcceptTransient = errors.New("vnet: transient accept error")
 )
 
+// maxBacklog bounds a listener's queue of dialed, not yet accepted
+// connections: a dial past it is refused. Like the pipe capacity it is a
+// bound, not an allocation: the queue grows as connections wait.
+const maxBacklog = 512
+
 // Network is one virtual internet. Addresses are arbitrary "host:port"
 // strings; the network hands out ephemeral local addresses to dialers.
 type Network struct {
@@ -124,11 +129,8 @@ func (n *Network) Listen(address string) (net.Listener, error) {
 	}
 	// A crashed node that listens again has restarted.
 	delete(n.crashed, address)
-	l := &Listener{
-		net:     n,
-		address: address,
-		backlog: make(chan *Conn, 512),
-	}
+	l := &Listener{net: n, address: address}
+	l.ready.L = &l.mu
 	n.listeners[address] = l
 	return l, nil
 }
@@ -181,19 +183,15 @@ func (n *Network) DialFrom(local, address string) (net.Conn, error) {
 	client.peer, server.peer = server, client
 
 	l.mu.Lock()
-	closed := l.closed
-	if !closed {
-		select {
-		case l.backlog <- server:
-		default:
-			l.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s backlog full", ErrConnectionRefused, address)
-		}
-	}
-	l.mu.Unlock()
-	if closed {
+	if l.closed {
+		l.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrConnectionRefused, address)
 	}
+	if !l.enqueue(server) {
+		l.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s backlog full", ErrConnectionRefused, address)
+	}
+	l.mu.Unlock()
 
 	n.mu.Lock()
 	n.conns[client] = struct{}{}
@@ -297,9 +295,14 @@ func (n *Network) removeConn(c *Conn) {
 type Listener struct {
 	net     *Network
 	address string
-	backlog chan *Conn
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// backlog[head:] holds the dialed connections Accept has not yet
+	// taken, oldest first, at most maxBacklog of them; ready is signalled
+	// on mu when one is queued or the listener closes.
+	backlog   []*Conn
+	head      int
+	ready     sync.Cond
 	closed    bool
 	failNext  int // pending injected transient Accept failures
 	failTotal int // lifetime injected failures delivered
@@ -319,12 +322,40 @@ func (l *Listener) Accept() (net.Conn, error) {
 		l.mu.Unlock()
 		return nil, ErrAcceptTransient
 	}
-	l.mu.Unlock()
-	c, ok := <-l.backlog
-	if !ok {
+	for l.head == len(l.backlog) && !l.closed {
+		l.ready.Wait()
+	}
+	if l.closed {
+		l.mu.Unlock()
 		return nil, ErrListenerClosed
 	}
+	c := l.backlog[l.head]
+	l.backlog[l.head] = nil
+	l.head++
+	if l.head == len(l.backlog) {
+		l.backlog, l.head = l.backlog[:0], 0
+	}
+	l.mu.Unlock()
 	return c, nil
+}
+
+// enqueue appends a dialed connection to the backlog, reporting false when
+// maxBacklog connections already wait. When the slice is full it first
+// slides the waiting connections down over the accepted ones, so the
+// backing array never outgrows the bound. Called with mu held.
+func (l *Listener) enqueue(c *Conn) bool {
+	waiting := len(l.backlog) - l.head
+	if waiting >= maxBacklog {
+		return false
+	}
+	if l.head > 0 && len(l.backlog) == cap(l.backlog) {
+		copy(l.backlog, l.backlog[l.head:])
+		clear(l.backlog[waiting:])
+		l.backlog, l.head = l.backlog[:waiting], 0
+	}
+	l.backlog = append(l.backlog, c)
+	l.ready.Signal()
+	return true
 }
 
 // InjectAcceptErrors arms the listener at address to fail its next count
@@ -371,12 +402,14 @@ func (l *Listener) close(unregister bool) {
 		return
 	}
 	l.closed = true
-	close(l.backlog)
+	queued := l.backlog[l.head:]
+	l.backlog, l.head = nil, 0
+	l.ready.Broadcast()
 	l.mu.Unlock()
 	if unregister {
 		l.net.removeListener(l.address)
 	}
-	for c := range l.backlog {
+	for _, c := range queued {
 		c.breakConn()
 	}
 }

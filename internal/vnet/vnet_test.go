@@ -3,8 +3,10 @@ package vnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -112,6 +114,127 @@ func TestListenerCloseFreesAddress(t *testing.T) {
 	}
 	if _, err := l.Accept(); !errors.Is(err, ErrListenerClosed) {
 		t.Errorf("Accept after Close: err = %v, want ErrListenerClosed", err)
+	}
+}
+
+// TestBacklogRefusesPastBound: a listener queues up to maxBacklog dialed
+// connections; the next dial is refused as "backlog full" until Accept
+// takes one.
+func TestBacklogRefusesPastBound(t *testing.T) {
+	n := New()
+	defer n.Close()
+	l, err := n.Listen("10.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxBacklog; i++ {
+		if _, err := n.Dial("10.0.0.1:1"); err != nil {
+			t.Fatalf("dial %d of %d: %v", i+1, maxBacklog, err)
+		}
+	}
+	_, err = n.Dial("10.0.0.1:1")
+	if !errors.Is(err, ErrConnectionRefused) || !strings.Contains(err.Error(), "backlog full") {
+		t.Fatalf("dial %d: err = %v, want a refusal for a full backlog", maxBacklog+1, err)
+	}
+	if _, err := l.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Dial("10.0.0.1:1"); err != nil {
+		t.Errorf("dial after an Accept freed a slot: %v", err)
+	}
+	if _, err := n.Dial("10.0.0.1:1"); err == nil {
+		t.Error("dial past the bound again succeeded")
+	}
+}
+
+// TestAcceptIsFIFO: Accept hands connections out in dial order, across
+// the backlog's growth and across a full backlog whose head has moved on,
+// and returns ErrListenerClosed after Close, also to an Accept already
+// waiting.
+func TestAcceptIsFIFO(t *testing.T) {
+	n := New()
+	defer n.Close()
+	l, err := n.Listen("10.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialed, accepted := 0, 0
+	dial := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			if _, err := n.DialFrom(fmt.Sprintf("10.0.1.%d:1", dialed), "10.0.0.1:1"); err != nil {
+				t.Fatalf("dial %d: %v", dialed, err)
+			}
+			dialed++
+		}
+	}
+	accept := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			c, err := l.Accept()
+			if err != nil {
+				t.Fatalf("accept %d: %v", accepted, err)
+			}
+			if got, want := c.RemoteAddr().String(), fmt.Sprintf("10.0.1.%d:1", accepted); got != want {
+				t.Fatalf("accept %d came from %s, want %s", accepted, got, want)
+			}
+			accepted++
+		}
+	}
+	dial(3)
+	accept(2)
+	dial(maxBacklog - 1) // fills the backlog with its head moved on
+	accept(100)
+	dial(100)
+	accept(maxBacklog)
+	if dialed != accepted {
+		t.Fatalf("dialed %d, accepted %d", dialed, accepted)
+	}
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := l.Accept()
+		errc <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	l.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrListenerClosed) {
+			t.Errorf("waiting Accept: err = %v, want ErrListenerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not release a waiting Accept")
+	}
+	if _, err := l.Accept(); !errors.Is(err, ErrListenerClosed) {
+		t.Errorf("Accept after Close: err = %v, want ErrListenerClosed", err)
+	}
+}
+
+// TestListenerCloseBreaksQueued: closing a listener breaks every
+// connection still waiting in its backlog, so their dialers see the
+// connection fail instead of hanging.
+func TestListenerCloseBreaksQueued(t *testing.T) {
+	n := New()
+	defer n.Close()
+	l, err := n.Listen("10.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := make([]net.Conn, 5)
+	for i := range clients {
+		if clients[i], err = n.Dial("10.0.0.1:1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	for i, c := range clients {
+		if _, err := c.Write([]byte("x")); !errors.Is(err, ErrPipeClosed) {
+			t.Errorf("client %d: Write err = %v, want ErrPipeClosed", i, err)
+		}
+		if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrPipeClosed) {
+			t.Errorf("client %d: Read err = %v, want ErrPipeClosed", i, err)
+		}
 	}
 }
 
