@@ -101,12 +101,13 @@ backpressure:
 	$(GO) test -count=1 -cpu 1,4 -run 'TestFig6BackPressureCorrectness|TestFig7LargeBuffersLocalize' ./internal/experiments
 
 # allocs runs the allocation tripwires five times over: a hop, a link's
-# build and teardown, a status tick, an injection, a datagram read, the
-# pipe buffer a handshake-only vnet connection holds, an idle engine, and a
-# fresh engine's first link and delivery. Most read a process-wide
+# build and teardown, a vnet connection's dial, accept, use and close, a
+# status tick, an injection, a datagram read, the pipe buffer a
+# handshake-only vnet connection holds, an idle engine, and a fresh
+# engine's first link and delivery. Most read a process-wide
 # counter, so a bound that holds only sometimes fails here rather than in
 # somebody else's run.
-ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing|TestPipeFootprintOfAHandshake|TestIdleEngineFootprint|TestFreshEngineReusesBuffers
+ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestDialAcceptAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing|TestPipeFootprintOfAHandshake|TestIdleEngineFootprint|TestFreshEngineReusesBuffers
 allocs:
 	$(GO) test -count=5 -run '$(ALLOCS)' ./internal/engine ./internal/vnet
 

@@ -43,10 +43,29 @@ const (
 // may keep the door's goroutine for as long as the connection lives — an
 // engine's handler becomes the link's receiver, an observer's or a proxy's
 // its read loop. The connection's gate token is held until the handler
-// returns or calls release, whichever comes first; a handler that stays
-// calls it once its reply is written. release is idempotent and must stay
-// on the handler's goroutine.
-type Handler func(conn net.Conn, peer message.NodeID, app uint32, release func())
+// returns or calls tok.Release, whichever comes first; a handler that stays
+// calls it once its reply is written.
+type Handler func(conn net.Conn, peer message.NodeID, app uint32, tok *Token)
+
+// Token is an admitted connection's hold on a gate slot, and the door's
+// whole state for its handshake in one object: the connection, its
+// handler and the buffer its hello is read into.
+type Token struct {
+	door     *Door
+	conn     net.Conn
+	handle   Handler
+	released bool
+	hello    [message.HeaderSize]byte
+}
+
+// Release hands the gate token back. It is idempotent and must stay on the
+// handler's goroutine.
+func (t *Token) Release() {
+	if !t.released {
+		t.released = true
+		t.door.Gate.Release()
+	}
+}
 
 // Door is the front door of a listener — an engine's publicized port, an
 // observer's registration port, a proxy's node-facing port: it accepts,
@@ -140,7 +159,8 @@ func (d *Door) AcceptLoop(l net.Listener, handle Handler) {
 			continue
 		}
 		d.WG.Add(1)
-		go d.handshake(conn, handle)
+		tok := &Token{door: d, conn: conn, handle: handle}
+		go tok.handshake()
 	}
 }
 
@@ -167,18 +187,12 @@ func SourceHost(a net.Addr) string {
 // the identified connection over, on this goroutine. A hello that is
 // malformed or late is counted and lands on the flight recorder instead of
 // vanishing in a silent close. The gate token is held through the hello
-// read and until the handler calls release or returns, so MaxHandshakes
+// read and until the handler calls Release or returns, so MaxHandshakes
 // bounds the connections still being set up exactly.
-func (d *Door) handshake(conn net.Conn, handle Handler) {
+func (t *Token) handshake() {
+	d, conn := t.door, t.conn
 	defer d.WG.Done()
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			d.Gate.Release()
-		}
-	}
-	defer release()
+	defer t.Release()
 	// Close interrupts the hello read through the greeting set.
 	d.mu.Lock()
 	if d.closed {
@@ -193,7 +207,7 @@ func (d *Door) handshake(conn net.Conn, handle Handler) {
 		timeout = DefaultHelloTimeout
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(timeout))
-	peer, app, err := readHello(conn)
+	peer, app, err := readHello(conn, &t.hello)
 	d.mu.Lock()
 	delete(d.greeting, conn)
 	d.mu.Unlock()
@@ -209,7 +223,7 @@ func (d *Door) handshake(conn net.Conn, handle Handler) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	handle(conn, peer, app, release)
+	t.handle(conn, peer, app, t)
 }
 
 // maxHelloPayload bounds the payload a hello may carry; a node's own hello
@@ -220,11 +234,10 @@ const maxHelloPayload = 256
 // payload is past maxHelloPayload.
 var errNotHello = errors.New("admission: first frame is not a hello")
 
-// readHello reads the connection's first frame into a fixed header array
-// and returns the hello's sender and App field. A payload, if the frame
-// carries one, is read and discarded.
-func readHello(conn net.Conn) (message.NodeID, uint32, error) {
-	var hdr [message.HeaderSize]byte
+// readHello reads the connection's first frame into hdr and returns the
+// hello's sender and App field. A payload, if the frame carries one, is
+// read and discarded.
+func readHello(conn net.Conn, hdr *[message.HeaderSize]byte) (message.NodeID, uint32, error) {
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return message.NodeID{}, 0, err
 	}

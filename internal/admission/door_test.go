@@ -104,7 +104,7 @@ func TestDoorCloseInterruptsHelloReads(t *testing.T) {
 	gate := New(Config{})
 	d := &Door{Gate: gate, Counters: &counters, Done: done, WG: &wg, HelloTimeout: time.Minute}
 	wg.Add(1)
-	go d.AcceptLoop(l, func(net.Conn, message.NodeID, uint32, func()) {
+	go d.AcceptLoop(l, func(net.Conn, message.NodeID, uint32, *Token) {
 		t.Error("a mute connection was handed over")
 	})
 	mute, err := n.DialFrom("10.0.9.1:1", addr)

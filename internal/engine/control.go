@@ -103,12 +103,7 @@ func (e *Engine) Snapshot() protocol.Report {
 		// down) is not an established link: with dial retries a sender to
 		// an unreachable peer can linger through its backoff window, and
 		// reporting it would present a phantom downstream edge.
-		select {
-		case <-s.connReady:
-			if s.conn == nil {
-				continue
-			}
-		default:
+		if !s.dialed.Load() || s.conn == nil {
 			continue
 		}
 		rp.Downstream = append(rp.Downstream, protocol.LinkStatus{

@@ -803,12 +803,11 @@ func (e *Engine) Stop() {
 		// A sender blocked mid-Write toward a congested peer would hold
 		// shutdown hostage; close the connection so the write returns.
 		// Bytes already written remain deliverable (graceful close).
-		select {
-		case <-s.connReady:
+		if s.dialed.Load() {
 			if s.conn != nil {
 				_ = s.conn.Close()
 			}
-		default:
+		} else {
 			// Still dialing: the closed ring ends the attempt loop, and a
 			// handshake waiting on the peer's reply is cut short here.
 			s.dialer.Close()

@@ -60,13 +60,27 @@ func TestUnloadedHopTakesFastPath(t *testing.T) {
 				mid := startNode(t, n, nid(2), &multicast.Forwarder{DefaultRoutes: []message.NodeID{nid(3)}}, mode)
 				src := startNode(t, n, nid(1), &multicast.Forwarder{}, mode)
 
+				// Both links come up before the paced load starts. Batches
+				// that reach the middle node while its downstream link is
+				// still dialling fill that link's ring and park the rest, and
+				// until the parked backlog drains every later batch queues
+				// behind it through the rings. Under the race detector at one
+				// core the chain has no idle time left to drain it, so a
+				// backlog from set-up could hold the middle node off its fast
+				// paths for the whole window.
+				src.Do(func(api engine.API) {
+					api.SendNew(api.NewMsg(message.FirstDataType, app, 0, 64), nid(2))
+				})
+				waitFor(t, 10*time.Second, "the links to come up", func() bool {
+					return sink.SeenMessages(app) >= 1
+				})
 				stop := make(chan struct{})
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
 					pace(src, nid(2), app, 40, 64, time.Millisecond, stop)
 				}()
-				waitFor(t, 10*time.Second, "the links to come up", func() bool {
+				waitFor(t, 10*time.Second, "the paced load to reach the sink", func() bool {
 					return sink.SeenMessages(app) >= 400
 				})
 				before := mid.Counters()

@@ -34,8 +34,9 @@ type receiver struct {
 	// up is set by the link's LinkUp turn. Until then the switch serves the
 	// link's data neither from its ring nor inline, so the algorithm sees a
 	// link come up before anything it carries. Token holder only.
-	up   bool
-	apps appSet // data apps seen on this link; token holder only
+	up        bool
+	apps      appSet    // data apps seen on this link; token holder only
+	firstApps [2]uint32 // apps' first storage
 	// inactivity is the monotonic staleness deadline: armed at
 	// InactivityTimeout past the last observed traffic, checked in a turn
 	// of the engine goroutine. Token holder only after arming.
@@ -49,6 +50,7 @@ func (e *Engine) newReceiver(peer message.NodeID, conn net.Conn) *receiver {
 		in:   bandwidth.NewReader(conn, &e.down),
 		pass: -1, // joins the stride scheduler at the current minimum with its first batch
 	}
+	r.apps = r.firstApps[:0]
 	r.ring.Init(e.cfg.RecvBuf)
 	r.meter.Init()
 	r.weight.Store(1)
@@ -68,11 +70,13 @@ func (e *Engine) newReceiver(peer message.NodeID, conn net.Conn) *receiver {
 // still blocks this goroutine exactly as in the unbatched design, so
 // back-pressure propagates to the upstream connection unchanged.
 func (e *Engine) runReceiver(r *receiver) {
-	maxBatch := e.cfg.BatchSize
-	if c := r.ring.Cap(); maxBatch > c {
-		maxBatch = c
+	var batch []*message.Msg
+	var inline [DefaultBatchSize]*message.Msg // the batch, unless BatchSize is larger
+	if maxBatch := e.maxBatch(&r.ring); maxBatch <= len(inline) {
+		batch = inline[:0:maxBatch]
+	} else {
+		batch = make([]*message.Msg, 0, maxBatch)
 	}
-	batch := make([]*message.Msg, 0, maxBatch)
 	var bytes int64
 
 	// flush meters and pushes the gathered batch; false means the ring was
@@ -97,7 +101,7 @@ func (e *Engine) runReceiver(r *receiver) {
 		if m.IsData() {
 			bytes += int64(m.WireLen())
 			batch = append(batch, m)
-			if len(batch) < maxBatch {
+			if len(batch) < cap(batch) {
 				return true
 			}
 			return flush()
@@ -118,7 +122,7 @@ func (e *Engine) runReceiver(r *receiver) {
 	seg := sharedPool.GetSegment()
 	fail := func() {
 		seg.Release()
-		e.postEvent(func(API) { e.receiverGone(r) })
+		e.linkDown(r)
 	}
 	fill := 0
 	for {
@@ -205,17 +209,21 @@ func (e *Engine) runReceiver(r *receiver) {
 // paper's thread-per-sender design with the sender suspended on an empty
 // buffer.
 type sender struct {
-	peer      message.NodeID
-	conn      net.Conn // set by the sender goroutine after dialing
-	connReady chan struct{}
-	ring      queue.Ring
+	peer message.NodeID
+	conn net.Conn // set by the sender goroutine after dialing
+	// dialed is raised by the sender goroutine once its dial has ended,
+	// admitted or not; conn is nil if not.
+	dialed atomic.Bool
+	ring   queue.Ring
 	// staged is the data the current turn has sent toward the peer and
 	// flushStaged has not yet moved to the wire or into ring. Token holder
 	// only.
-	staged []*message.Msg
+	staged      []*message.Msg
+	firstStaged [4]*message.Msg // staged's first storage
 	// apps is the data apps forwarded over the link, for BrokenSource
 	// cascades. Token holder only.
-	apps appSet
+	apps      appSet
+	firstApps [2]uint32 // apps' first storage
 	// wanted is raised by the switch before its last try-push into ring
 	// (pushOrWant) and swapped off by the sender goroutine after each
 	// batch, which wakes the switch only if it was raised.
@@ -224,16 +232,20 @@ type sender struct {
 	linkLimit bandwidth.Limiter // per-link emulated bandwidth
 	// inline is the link's framing when it has a non-blocking write, nil on
 	// every other link. Like conn it is set by the sender goroutine before
-	// connReady closes and read only after.
+	// dialed is raised and read only after.
 	inline inlineWriter
 	// dialer runs the link's handshake on the sender goroutine; Stop and
 	// CloseLink close it, so a dial blocked on the peer's admission reply
 	// returns at once instead of at the handshake deadline.
 	dialer Dialer
+	// stream is the link's framing when it carries data as a byte stream;
+	// a datagram link builds its own.
+	stream streamFraming
 }
 
 func newSender(peer message.NodeID, bufMsgs int, linkRate int64) *sender {
-	s := &sender{peer: peer, connReady: make(chan struct{})}
+	s := &sender{peer: peer}
+	s.staged, s.apps = s.firstStaged[:0], s.firstApps[:0]
 	s.ring.Init(bufMsgs)
 	s.meter.Init()
 	s.linkLimit.Init(linkRate)
@@ -291,20 +303,22 @@ func (e *Engine) runSender(s *sender) {
 		f, err = e.newFraming(s, conn)
 	}
 	if err != nil {
-		close(s.connReady)
+		s.dialed.Store(true)
 		e.dropQueued(&s.ring)
 		e.postEvent(func(API) { e.senderGone(s) })
 		return
 	}
 	s.conn = conn
-	close(s.connReady)
+	s.dialed.Store(true)
 	e.rec.Emit(trace.KindLinkUp, s.peer, 0, 0)
 
-	maxBatch := e.cfg.BatchSize
-	if c := s.ring.Cap(); maxBatch > c {
-		maxBatch = c
+	var batch []*message.Msg
+	var inline [DefaultBatchSize]*message.Msg // the batch, unless BatchSize is larger
+	if maxBatch := e.maxBatch(&s.ring); maxBatch <= len(inline) {
+		batch = inline[:maxBatch]
+	} else {
+		batch = make([]*message.Msg, maxBatch)
 	}
-	batch := make([]*message.Msg, maxBatch)
 	var over []*message.Msg // control that overtook the batch in hand
 	for {
 		// The pop marks the ring held in the same critical section, until
@@ -412,7 +426,9 @@ func (e *Engine) newFraming(s *sender, conn net.Conn) (framing, error) {
 		// stays up as the control lane.
 		return e.newDgramFraming(s, conn)
 	}
-	f := &streamFraming{e: e, s: s, conn: conn, shaper: e.budget.UpShaper(&s.linkLimit)}
+	f := &s.stream
+	*f = streamFraming{e: e, s: s, conn: conn, shaper: e.budget.UpShaper(&s.linkLimit)}
+	f.vec = f.firstVec[:0]
 	f.bw, _ = conn.(buffersWriter)
 	if f.tw, _ = conn.(tryBuffersWriter); f.tw != nil {
 		s.inline = f
@@ -440,8 +456,11 @@ type streamFraming struct {
 	bw     buffersWriter    // nil: the connection has no vectored write
 	tw     tryBuffersWriter // nil: nor a non-blocking one; see writeInline
 	vec    [][]byte         // wire images gathered for the batch's one write
-	paced  bool             // this batch: some emulated cap paces the link
-	sent   int64            // bytes this batch handed to the connection or bufw
+	// firstVec is vec's first storage: a link that carries a trickle never
+	// allocates one.
+	firstVec [4][]byte
+	paced    bool  // this batch: some emulated cap paces the link
+	sent     int64 // bytes this batch handed to the connection or bufw
 }
 
 func (f *streamFraming) begin() {
@@ -618,7 +637,7 @@ func (e *Engine) dropQueued(r *queue.Ring) {
 // admission token back and reads the link until it dies. The token is held
 // until the Welcome is written, so MaxHandshakes bounds the links still
 // being set up exactly; the door's goroutine is already counted in e.wg.
-func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, release func()) {
+func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, tok *admission.Token) {
 	r := e.newReceiver(peer, conn)
 	e.mu.Lock()
 	if e.stopping {
@@ -644,11 +663,17 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, release
 	// closed; the read below then observes the failure and tears the link
 	// down through the normal path.
 	_ = e.door.Welcome(conn)
-	release()
+	tok.Release()
 	e.armInactivity(r)
 	e.rec.Emit(trace.KindAccept, peer, 0, int64(admission.Admitted))
 	e.rec.Emit(trace.KindLinkUp, peer, 0, 1)
 	e.runReceiver(r)
+}
+
+// maxBatch is how many messages a link's goroutine moves through ring in
+// one operation.
+func (e *Engine) maxBatch(ring *queue.Ring) int {
+	return min(e.cfg.BatchSize, ring.Cap())
 }
 
 // linkUp tells the algorithm that r's link is up, in a turn of its own: run
@@ -667,6 +692,30 @@ func (e *Engine) linkUp(r *receiver) {
 		e.turnMu.Unlock()
 	}
 	e.postEvent(func(API) { e.linkUpTurn(r) })
+}
+
+// linkDown tears r's failed link down in a turn of its own, on the same
+// terms as linkUp: run by the receiver goroutine itself when the token is
+// free, no turn waits and the link's ring is empty — so nothing it carried
+// is still to be switched — and posted to the engine goroutine otherwise.
+// Once Stop has marked the engine stopping — read under mu, as handshake
+// reads it — the turn is posted, for Stop to drop with every other queued
+// turn. Like a posted turn the engine goroutine has already begun, one
+// begun here before Stop finishes while Stop runs.
+func (e *Engine) linkDown(r *receiver) {
+	if e.waiting.Load() == 0 && r.ring.Len() == 0 && e.turnMu.TryLock() {
+		e.mu.Lock()
+		stopping := e.stopping
+		e.mu.Unlock()
+		if e.waiting.Load() == 0 && !stopping {
+			e.receiverGone(r)
+			e.flushStaged()
+			e.turnMu.Unlock()
+			return
+		}
+		e.turnMu.Unlock()
+	}
+	e.postEvent(func(API) { e.receiverGone(r) })
 }
 
 // linkUpTurn is the turn that brings r's link up: the algorithm's LinkUp,

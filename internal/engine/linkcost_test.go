@@ -25,20 +25,25 @@ import (
 // test's two Do closures per cycle are in it too.
 //
 // Readings on a 2-core x86-64 host over 25 runs, objects and bytes per
-// cycle: vnet 26.6–34.8 and 15.2–16.0 KiB, loopback TCP 52–58 and 50–55
-// KiB. The bounds are the highest reading plus a quarter for objects and
-// a tenth for bytes, rounded up, and never raised: the vnet object bound
-// stays 42 from an earlier, lower highest reading. While every engine had
-// its own message pool and a 512-slot vnet listener backlog, vnet read
-// 27.6–33.2 objects and 15.5–17.4 KiB. While a link's accepting goroutine
-// started another for the receiver and posted the LinkUp as a closure,
-// vnet read 29.5–35.0 objects. While a vnet pipe allocated its whole
-// 64 KiB buffer when dialled, vnet read 35–41 objects and 159–167 KiB.
-// Before a link's
-// rings, meters, limiter and shapers moved inside its sender and receiver,
-// and its write buffer was built on first use, the same test read 74–75
-// objects and 203 KiB on vnet, and 90–93 objects and 53–55 KiB on TCP,
-// where the write buffer is built on the first message either way.
+// cycle: vnet 12.4–17.1 and 14.9–15.4 KiB, loopback TCP 41.8–46.7 and
+// 46.6–47.5 KiB; an earlier 25 read up to 17.2 objects and 15.6 KiB on
+// vnet. The bounds are the highest reading plus a quarter for objects and
+// a tenth for bytes, rounded up, and never raised. While a
+// vnet connection was two Conns and two pipes whose first writes grew
+// their buffers, and a link's framing, batches, staging, first app, dial
+// flag, teardown closure and the door's hello state were objects of their
+// own, the same 25-run reading was vnet 27.1–34.6 objects and 15.1–16.0
+// KiB, TCP 49.0–55.2 and 46.9–47.8 KiB, against bounds of 42/20 and 73/61.
+// While every engine had its own message pool and a 512-slot vnet listener
+// backlog, vnet read 27.6–33.2 objects and 15.5–17.4 KiB. While a link's
+// accepting goroutine started another for the receiver and posted the
+// LinkUp as a closure, vnet read 29.5–35.0 objects. While a vnet pipe
+// allocated its whole 64 KiB buffer when dialled, vnet read 35–41 objects
+// and 159–167 KiB. Before a link's rings, meters, limiter and shapers moved
+// inside its sender and receiver, and its write buffer was built on first
+// use, the same test read 74–75 objects and 203 KiB on vnet, and 90–93
+// objects and 53–55 KiB on TCP, where the write buffer is built on the
+// first message either way.
 func TestLinkCycleAllocations(t *testing.T) {
 	if raceEnabled || invariant.Enabled {
 		t.Skip("the race detector and ioverlay_debug builds do not recycle messages")
@@ -47,7 +52,7 @@ func TestLinkCycleAllocations(t *testing.T) {
 		name         string
 		tcp          bool
 		objects, kib float64
-	}{{"vnet", false, 42, 20}, {"tcp", true, 73, 61}} {
+	}{{"vnet", false, 22, 18}, {"tcp", true, 59, 53}} {
 		t.Run(tr.name, func(t *testing.T) {
 			var n *vnet.Network
 			if !tr.tcp {

@@ -404,9 +404,7 @@ func (e *Engine) pushOrWant(s *sender, ms []*message.Msg) int {
 // write error is left for the sender goroutine to find on the tail, so the
 // link dies once, in runSender, with its loss accounting.
 func (e *Engine) writeInline(s *sender, run []*message.Msg) int {
-	select {
-	case <-s.connReady:
-	default:
+	if !s.dialed.Load() {
 		return 0 // still dialing
 	}
 	w := s.inline

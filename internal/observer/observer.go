@@ -290,7 +290,7 @@ func (o *Observer) isPeerHost(host string) bool {
 // the link's writer starts, so nothing queued on the new route can reach
 // the dialer ahead of it. The admission token is released as soon as the
 // link is registered: it covers the handshake, not the link's lifetime.
-func (o *Observer) serveConn(conn net.Conn, peer message.NodeID, app uint32, release func()) {
+func (o *Observer) serveConn(conn net.Conn, peer message.NodeID, app uint32, tok *admission.Token) {
 	o.rec.Emit(trace.KindAccept, peer, app, int64(admission.Admitted))
 	if o.door.Welcome(conn) != nil {
 		return
@@ -301,14 +301,14 @@ func (o *Observer) serveConn(conn net.Conn, peer message.NodeID, app uint32, rel
 	}
 	defer o.untrack(out)
 	if out.peerTrunk {
-		release()
+		tok.Release()
 		o.runPeerTrunk(out, peer)
 		return
 	}
 	if !out.proxy {
 		o.register(peer, out) // a proxy trunk is registered per relayed node
 	}
-	release()
+	tok.Release()
 	for {
 		m, err := out.link.Read()
 		if err != nil {

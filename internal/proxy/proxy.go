@@ -133,7 +133,7 @@ func (p *Proxy) Stop() {
 // before the link's writer starts, so a command relayed to the node
 // cannot overtake it. A node that reconnects replaces its earlier link,
 // which is closed.
-func (p *Proxy) serveConn(conn net.Conn, node message.NodeID, _ uint32, release func()) {
+func (p *Proxy) serveConn(conn net.Conn, node message.NodeID, _ uint32, tok *admission.Token) {
 	if p.door.Welcome(conn) != nil {
 		return
 	}
@@ -150,7 +150,7 @@ func (p *Proxy) serveConn(conn net.Conn, node message.NodeID, _ uint32, release 
 	if old != nil {
 		old.Close()
 	}
-	release()
+	tok.Release()
 	for {
 		m, err := link.Read()
 		if err != nil {

@@ -47,6 +47,10 @@ type pipe struct {
 	buf      []byte // ring of buffered bytes, grown by copyIn up to capacity
 	head     int
 	length   int
+	// first is buf until the bytes queued outgrow it: a hello or a Welcome
+	// fits in it many times over, so a link that carries only a handshake,
+	// or a trickle, never allocates a buffer.
+	first [minPipeBuf]byte
 
 	// latency, when positive, delays the visibility of written bytes.
 	latency      time.Duration
@@ -71,11 +75,12 @@ type pipe struct {
 	broken      bool // hard failure: reads and writes error immediately
 }
 
-func newPipe(capacity int, latency time.Duration) *pipe {
-	p := &pipe{capacity: capacity, latency: latency}
+// init makes p an empty pipe in place, writing into its first buffer.
+func (p *pipe) init(capacity int, latency time.Duration) {
+	p.capacity, p.latency = capacity, latency
+	p.buf = p.first[:min(len(p.first), capacity)]
 	p.notFull.L = &p.mu
 	p.notEmpty.L = &p.mu
-	return p
 }
 
 // arrivedLocked reports how many buffered bytes have propagated (their
@@ -236,8 +241,8 @@ func (p *pipe) markWrittenLocked(n int) {
 	}
 }
 
-// minPipeBuf is the size of a pipe's first buffer, before doubling: a
-// hello or a Welcome fits in it many times over.
+// minPipeBuf is the size of a pipe's first buffer, the one inside the
+// pipe, from which a grown buffer doubles.
 const minPipeBuf = 512
 
 // copyIn appends as much of b as the capacity leaves room for and reports

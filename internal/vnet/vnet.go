@@ -169,18 +169,15 @@ func (n *Network) DialFrom(local, address string) (net.Conn, error) {
 		return nil, fmt.Errorf("%w: %s", ErrConnectionRefused, address)
 	}
 
-	a2b := newPipe(pipeCap, latency)
-	b2a := newPipe(pipeCap, latency)
+	cp := newConnPair(n, local, address, pipeCap, latency)
+	client, server := &cp.client, &cp.server
 	if hasFlaky {
 		// New connections over a flaky link inherit its fault spec; the
 		// pipes are still private here, so plain assignment is safe.
 		drop := n.dropFnFor(spec.dropProb)
-		a2b.dropFn, a2b.stallUntil = drop, spec.stallUntil
-		b2a.dropFn, b2a.stallUntil = drop, spec.stallUntil
+		cp.a2b.dropFn, cp.a2b.stallUntil = drop, spec.stallUntil
+		cp.b2a.dropFn, cp.b2a.stallUntil = drop, spec.stallUntil
 	}
-	client := &Conn{net: n, local: addr(local), remote: addr(address), rd: b2a, wr: a2b}
-	server := &Conn{net: n, local: addr(address), remote: addr(local), rd: a2b, wr: b2a}
-	client.peer, server.peer = server, client
 
 	l.mu.Lock()
 	if l.closed {
@@ -420,13 +417,34 @@ func (l *Listener) Addr() net.Addr { return addr(l.address) }
 // Conn is one endpoint of a virtual connection.
 type Conn struct {
 	net    *Network
-	local  addr
-	remote addr
+	local  net.Addr
+	remote net.Addr
 	rd     *pipe
 	wr     *pipe
 	peer   *Conn
 
 	closeOnce sync.Once
+}
+
+// connPair is one dialled connection in a single allocation: both
+// endpoints, both pipes with their first buffers, and both addresses,
+// already boxed as the net.Addr values LocalAddr and RemoteAddr return.
+// A link's set-up and teardown are the control plane's steady state, so a
+// connection costs the heap one object until a pipe outgrows its first
+// buffer.
+type connPair struct {
+	client, server Conn
+	a2b, b2a       pipe // client to server, server to client
+	dialer, lsn    addr
+}
+
+func newConnPair(n *Network, local, address string, pipeCap int, latency time.Duration) *connPair {
+	cp := &connPair{dialer: addr(local), lsn: addr(address)}
+	cp.a2b.init(pipeCap, latency)
+	cp.b2a.init(pipeCap, latency)
+	cp.client = Conn{net: n, local: &cp.dialer, remote: &cp.lsn, rd: &cp.b2a, wr: &cp.a2b, peer: &cp.server}
+	cp.server = Conn{net: n, local: &cp.lsn, remote: &cp.dialer, rd: &cp.a2b, wr: &cp.b2a, peer: &cp.client}
+	return cp
 }
 
 var _ net.Conn = (*Conn)(nil)
