@@ -62,7 +62,7 @@ fuzz:
 # seam — a Close racing the Dial it must interrupt — on a sender link and
 # on the observer link; and the engine goroutine's inbox: its bound holds a
 # poster until Stop, and control parked behind a full lane keeps its order.
-SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestHeldDatagramBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestLinkUpPrecedesFirstData|TestParkedBacklogDrainsWithoutTraffic|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark|TestStopInterruptsDialAwaitingReply|TestCloseLinkInterruptsDialAwaitingReply|TestMuteObserverHoldsNeitherStartNorStop|TestInboxBoundHoldsPostersUntilStop|TestParkedControlKeepsOrder
+SEAM = TestProcessStaysSerialized|TestUnloadedHopTakesFastPath|TestInlineWriteTailKeepsFIFO|TestHeldBatchBlocksInlineWrite|TestHeldDatagramBatchBlocksInlineWrite|TestControlAheadOnTheWireBeatsInlineData|TestLinkUpPrecedesFirstData|TestParkedBacklogDrainsWithoutTraffic|TestInlineWriteErrorKillsLinkOnce|TestDepartWaitsOutAHeldBatch|TestGaugeReconcilesAfterStop|TestControlOvertakes|TestStagedOutputKeepsOrderAcrossPark|TestStopInterruptsDialAwaitingReply|TestCloseLinkInterruptsDialAwaitingReply|TestMuteObserverHoldsNeitherStartNorStop|TestInboxBoundHoldsPostersUntilStop|TestParkedControlKeepsOrder|TestFastPathReturnsAfterSetUpBurst
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet \
 		./internal/admission ./internal/observer ./internal/proxy ./internal/trace ./internal/metrics

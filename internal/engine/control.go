@@ -129,9 +129,9 @@ func (e *Engine) Snapshot() protocol.Report {
 	// the benchmark: the switch is its one entry, index 0, and hands nothing
 	// off, so the handoff fields stay zero.
 	rp.Shards = []protocol.ShardStatus{{
-		Switched: e.switched.Load(),
+		Switched: e.switchedInline.Load() + e.switchedViaRing.Load(),
 		Queued:   queued,
-		Parked:   uint32(e.parkedLen.Load()),
+		Parked:   uint32(e.parked.Load()),
 	}}
 	return rp
 }
@@ -140,9 +140,7 @@ func (e *Engine) Snapshot() protocol.Report {
 // and how much of the traffic took each fast path.
 func (e *Engine) Counters() metrics.CountersSnapshot {
 	snap := e.counters.Snapshot()
-	snap.SwitchedInline = e.switchedInline.Load()
-	// Read after the inline share, which it contains: never negative.
-	snap.SwitchedViaRing = e.switched.Load() - snap.SwitchedInline
+	snap.SwitchedInline, snap.SwitchedViaRing = e.switchedInline.Load(), e.switchedViaRing.Load()
 	snap.WrittenInline, snap.WrittenBySender = e.writtenInline.Load(), e.writtenBySender.Load()
 	return snap
 }

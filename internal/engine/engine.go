@@ -58,8 +58,9 @@ const (
 var sharedPool = message.NewPool()
 
 // parkedPerSendSlot sizes the parked backlog — what full sender rings
-// refused, held until they drain — at four sender rings' worth: the
-// switch stops draining receivers once that many messages are parked.
+// refused, held in the links' queues until they drain — at four sender
+// rings' worth: the switch stops draining receivers once that many
+// messages are parked.
 // departureGrace bounds how long Depart waits for queued outgoing
 // messages to drain before the node shuts down.
 const (
@@ -177,13 +178,6 @@ type ctrlMsg struct {
 	from message.NodeID
 }
 
-// parkedMsg is a message that could not be pushed to a full sender buffer
-// and is labeled with its remaining destination for the next round.
-type parkedMsg struct {
-	m    *message.Msg
-	dest message.NodeID
-}
-
 // Engine is one iOverlay node.
 type Engine struct {
 	cfg    Config
@@ -203,7 +197,7 @@ type Engine struct {
 	// everything) when Config.Admission.MaxHandshakes is negative.
 	door *admission.Door
 	// maxParked bounds the parked backlog: parkedPerSendSlot·SendBuf.
-	maxParked int
+	maxParked int64
 	// pconn is the bound datagram endpoint when Config.DatagramData is
 	// set; senders share it for writes (packet writes are concurrency
 	// safe) and one reader goroutine drains it. dgramSeq numbers outgoing
@@ -239,7 +233,7 @@ type Engine struct {
 
 	// turnMu is the turn token: whoever holds it runs the engine's turn —
 	// a control message, an event, a switch pass, the periodic report, and
-	// the flushStaged that ends each — and is the only caller of
+	// the flushOut that ends each — and is the only caller of
 	// Algorithm.Process and the only toucher of the token-holder-only state
 	// below. The engine goroutine takes it for every turn and gives it up
 	// only while it waits; a stream receiver or the packet reader may
@@ -259,16 +253,18 @@ type Engine struct {
 	// work wakes the engine goroutine for a switch pass. Buffered one deep:
 	// a pending signal absorbs every later one until the pass runs.
 	work chan struct{}
-	// switched counts the messages the switch has moved; parkedLen mirrors
-	// len(parked) for readers that do not hold the token.
-	switched  atomic.Uint64
-	parkedLen atomic.Int64
-	// How much traffic takes each fast path, in messages: switchedInline
-	// of switched were switched by the receiver that decoded them
-	// (switchInline); writtenInline left in a turn's own TryWriteBuffers
-	// (writeInline), writtenBySender through a sender goroutine. Reported
-	// by Counters.
+	// parked counts the messages the links' queues held at the last
+	// flushOut — the parked backlog, what full sender rings refused.
+	// Written by the token holder, read by anyone.
+	parked atomic.Int64
+	// How much traffic takes each road, in messages: switchedInline were
+	// switched by the receiver that decoded them (switchInline),
+	// switchedViaRing by a switch pass from a receiver or local-source ring;
+	// writtenInline left in a turn's own TryWriteBuffers (writeInline),
+	// writtenBySender through a sender goroutine. Reported by Counters; the
+	// switched total is the sum of the first two.
 	switchedInline  atomic.Uint64
+	switchedViaRing atomic.Uint64
 	writtenInline   atomic.Uint64
 	writtenBySender atomic.Uint64
 	// Queue-delay and batch-size distributions, shipped with each status
@@ -313,27 +309,22 @@ type Engine struct {
 	nextToken    uint32
 	lastEventSeq uint64     // recorder cursor already shipped in a report
 	rates        []linkRate // the status tick's scratch
-	// The switch's scheduler state — see switch.go. parked is the backlog
-	// full sender rings refused, parkedByDest its per-destination count,
-	// retryFull retryParked's scratch set of still-full sender-ring lanes,
-	// dirty the senders holding staged output, inlineVec and inlineArena
+	// The switch's scheduler state — see switch.go. dirty lists the senders
+	// whose queue (sender.out) is not empty, inlineVec and inlineArena are
 	// writeInline's scratch (the buffers it hands the transport, and on a
-	// datagram lane the frames' bytes), switchBuf the quantum's
-	// batch buffer, localPass the local-source ring's stride virtual time,
+	// datagram lane the frames' bytes), switchBuf the quantum's batch
+	// buffer, localPass the local-source ring's stride virtual time,
 	// lastDest/lastSender the one-entry sender cache, recvList the sorted
 	// receiver list as of recvListGen.
-	parked       []parkedMsg
-	parkedByDest map[message.NodeID]int
-	retryFull    map[laneKey]bool
-	dirty        []*sender
-	inlineVec    [][]byte
-	inlineArena  []byte
-	switchBuf    []*message.Msg
-	localPass    float64
-	lastDest     message.NodeID
-	lastSender   *sender
-	recvList     []*receiver
-	recvListGen  uint64
+	dirty       []*sender
+	inlineVec   [][]byte
+	inlineArena []byte
+	switchBuf   []*message.Msg
+	localPass   float64
+	lastDest    message.NodeID
+	lastSender  *sender
+	recvList    []*receiver
+	recvListGen uint64
 
 	done    chan struct{}
 	started bool
@@ -367,24 +358,22 @@ func newEngine(cfg Config, timing linkTiming) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:          cfg,
-		timing:       timing,
-		id:           cfg.ID,
-		addr:         cfg.ID.Addr(),
-		alg:          cfg.Algorithm,
-		budget:       bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
-		maxParked:    parkedPerSendSlot * cfg.SendBuf,
-		rec:          trace.New(DefaultEventLog),
-		receivers:    make(map[message.NodeID]*receiver),
-		senders:      make(map[message.NodeID]*sender),
-		linkRates:    make(map[message.NodeID]int64),
-		work:         make(chan struct{}, 1),
-		localApps:    make(map[uint32]*source),
-		pingSent:     make(map[uint32]time.Time),
-		parkedByDest: make(map[message.NodeID]int),
-		retryFull:    make(map[laneKey]bool),
-		switchBuf:    make([]*message.Msg, cfg.BatchSize),
-		done:         make(chan struct{}),
+		cfg:       cfg,
+		timing:    timing,
+		id:        cfg.ID,
+		addr:      cfg.ID.Addr(),
+		alg:       cfg.Algorithm,
+		budget:    bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
+		maxParked: int64(parkedPerSendSlot * cfg.SendBuf),
+		rec:       trace.New(DefaultEventLog),
+		receivers: make(map[message.NodeID]*receiver),
+		senders:   make(map[message.NodeID]*sender),
+		linkRates: make(map[message.NodeID]int64),
+		work:      make(chan struct{}, 1),
+		localApps: make(map[uint32]*source),
+		pingSent:  make(map[uint32]time.Time),
+		switchBuf: make([]*message.Msg, cfg.BatchSize),
+		done:      make(chan struct{}),
 	}
 	e.inbox.init()
 	e.down = e.budget.DownShaper()
@@ -726,8 +715,8 @@ func (e *Engine) drainedForDeparture() bool {
 	e.turnMu.Lock()
 	defer e.turnMu.Unlock()
 	// Parked messages are outbound data too: they reach their sender ring
-	// only on the next switch pass.
-	if e.localQueued() > 0 || len(e.parked) > 0 {
+	// or the wire only on a later flush.
+	if e.localQueued() > 0 || e.parked.Load() > 0 {
 		return false
 	}
 	e.mu.Lock()
@@ -819,8 +808,8 @@ func (e *Engine) Stop() {
 	e.obsDialer.Close()
 	e.budget.Close()
 	e.wg.Wait()
-	e.releaseParked()
 	for _, s := range senders {
+		e.dropOut(s, false)
 		e.credit(s.ring.Drain())
 	}
 	e.mu.Lock()
@@ -832,7 +821,7 @@ func (e *Engine) Stop() {
 		m.Release()
 	}
 	if invariant.Enabled {
-		// Every ring is drained, the parked backlog released and every
+		// Every ring is drained, every link's queue released and every
 		// goroutine that could hold a popped batch gone: the gauge must
 		// read exactly zero, or some path lost track of a reference.
 		invariant.Assert(e.buffered.Load() == 0,
@@ -853,7 +842,7 @@ func (e *Engine) run() {
 	for {
 		// Whatever the turn just ended staged — or Attach did, before this
 		// goroutine existed — goes out before the engine waits again.
-		e.flushStaged()
+		e.flushOut()
 		e.turnMu.Unlock()
 		select {
 		case <-e.inbox.ready:
@@ -1155,7 +1144,7 @@ func (e *Engine) senderGone(s *sender) {
 	s.ring.Close()
 	e.dropQueued(&s.ring)
 	s.linkLimit.Close()
-	e.dropParkedFor(s.peer, true)
+	e.dropOut(s, true)
 	e.rec.Emit(trace.KindLinkDown, s.peer, 0, 0)
 	var b [protocol.LinkEventSize]byte
 	e.notifyAlg(protocol.TypeLinkDown, 0,
@@ -1196,7 +1185,7 @@ func (e *Engine) observerGone(o *observerLink) {
 // CloseLink gracefully tears down the outgoing link to peer. Part of the
 // API interface.
 func (e *Engine) CloseLink(peer message.NodeID) {
-	e.flushStaged() // what was sent before the close still goes out
+	e.flushOut() // what was sent before the close still goes out
 	e.mu.Lock()
 	s := e.senders[peer]
 	if s != nil {
@@ -1213,5 +1202,5 @@ func (e *Engine) CloseLink(peer message.NodeID) {
 	// reply is cut short rather than sat out.
 	s.dialer.Close()
 	s.linkLimit.Close()
-	e.dropParkedFor(peer, false)
+	e.dropOut(s, false)
 }

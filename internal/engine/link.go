@@ -215,11 +215,12 @@ type sender struct {
 	// admitted or not; conn is nil if not.
 	dialed atomic.Bool
 	ring   queue.Ring
-	// staged is the data the current turn has sent toward the peer and
-	// flushStaged has not yet moved to the wire or into ring. Token holder
-	// only.
-	staged      []*message.Msg
-	firstStaged [4]*message.Msg // staged's first storage
+	// out is the link's queue: what turns sent toward the peer that is in
+	// neither ring nor the wire — first the parked backlog a full ring
+	// refused, then the current turn's data, and control that had to queue
+	// (deliverOut). flushOut moves it on. Token holder only.
+	out      []*message.Msg
+	firstOut [4]*message.Msg // out's first storage
 	// apps is the data apps forwarded over the link, for BrokenSource
 	// cascades. Token holder only.
 	apps      appSet
@@ -245,7 +246,7 @@ type sender struct {
 
 func newSender(peer message.NodeID, bufMsgs int, linkRate int64) *sender {
 	s := &sender{peer: peer}
-	s.staged, s.apps = s.firstStaged[:0], s.firstApps[:0]
+	s.out, s.apps = s.firstOut[:0], s.firstApps[:0]
 	s.ring.Init(bufMsgs)
 	s.meter.Init()
 	s.linkLimit.Init(linkRate)
@@ -685,7 +686,7 @@ func (e *Engine) linkUp(r *receiver) {
 	if e.waiting.Load() == 0 && e.turnMu.TryLock() {
 		if e.waiting.Load() == 0 {
 			e.linkUpTurn(r)
-			e.flushStaged()
+			e.flushOut()
 			e.turnMu.Unlock()
 			return
 		}
@@ -709,7 +710,7 @@ func (e *Engine) linkDown(r *receiver) {
 		e.mu.Unlock()
 		if e.waiting.Load() == 0 && !stopping {
 			e.receiverGone(r)
-			e.flushStaged()
+			e.flushOut()
 			e.turnMu.Unlock()
 			return
 		}

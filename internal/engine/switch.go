@@ -23,19 +23,19 @@ import (
 // control messages stay responsive under heavy data load.
 const switchBudget = 512
 
-// switchOnce retries parked messages, then switches data messages from the
-// receiver buffers. Service order is stride scheduling on the dynamically
+// switchOnce flushes the links' queues, then switches data messages from
+// the receiver buffers. Service order is stride scheduling on the dynamically
 // tunable per-receiver weights: each quantum drains a bounded batch from
 // the smallest-virtual-time nonempty buffer and advances that buffer's
 // virtual time by batch/weight, which yields weighted fair sharing even
 // when back-pressure admits only a trickle while amortizing the ring lock
 // over the whole quantum.
 func (e *Engine) switchOnce() {
-	e.retryParked()
+	e.flushOut()
 	budget := switchBudget
 	rs := e.receiverSnapshot()
 	minPass := e.minPass(rs)
-	for budget > 0 && len(e.parked) < e.maxParked {
+	for budget > 0 && e.parked.Load() < e.maxParked {
 		var best *receiver
 		bestLocal := false
 		bestPass := 0.0
@@ -64,7 +64,7 @@ func (e *Engine) switchOnce() {
 		if quantum > budget {
 			quantum = budget
 		}
-		if headroom := e.maxParked - len(e.parked); quantum > headroom {
+		if headroom := int(e.maxParked - e.parked.Load()); quantum > headroom {
 			quantum = headroom
 		}
 		ring := e.localRing.Load()
@@ -77,13 +77,14 @@ func (e *Engine) switchOnce() {
 		}
 		budget -= n
 		e.switchBatch(best, e.switchBuf[:n])
+		e.switchedViaRing.Add(uint64(n))
 	}
 	// Re-arm only when the budget stopped us with work still queued AND
 	// the parked backlog leaves the next pass headroom to make progress.
 	// When back-pressure (the parked limit) binds, self-signaling would
 	// hot-spin the engine goroutine: the sender goroutines signal work as
 	// their rings drain, which is the event that can make progress.
-	if budget > 0 || len(e.parked) >= e.maxParked {
+	if budget > 0 || e.parked.Load() >= e.maxParked {
 		return
 	}
 	if e.localQueued() > 0 {
@@ -129,7 +130,6 @@ func (e *Engine) switchBatch(r *receiver, ms []*message.Msg) {
 		}
 		r.pass += float64(n) / float64(w)
 	}
-	e.switched.Add(uint64(n))
 	e.switchBatchHist.Observe(int64(n))
 	e.rec.Emit(trace.KindSwitch, from, 0, int64(n))
 	// A link's app set changes once per session: the set is consulted
@@ -150,7 +150,7 @@ func (e *Engine) switchBatch(r *receiver, ms []*message.Msg) {
 		e.processData(m)
 		e.credit(wl)
 	}
-	e.flushStaged()
+	e.flushOut()
 }
 
 // switchInline is the receiver-side fast path: the goroutine that decoded
@@ -171,9 +171,9 @@ func (e *Engine) switchBatch(r *receiver, ms []*message.Msg) {
 //     or posts the LinkUp before its Welcome lets the dialer send — but a
 //     stale datagram of the peer's previous link can beat it;
 //   - nothing waits for the engine goroutine (control before data), and
-//     nothing is parked (a parked backlog is back-pressure at work: the
-//     switch pass owns the decision to admit more, and the batch must fit
-//     the headroom rule as a popped quantum would).
+//     no link's queue holds a parked backlog (that is back-pressure at
+//     work: the switch pass owns the decision to admit more, and the batch
+//     must fit the headroom rule as a popped quantum would).
 //
 // The caller never waits for the token and, holding it, never blocks: the
 // quantum ends in try-writes and TryPush. Everything read here that is
@@ -190,7 +190,7 @@ func (e *Engine) switchInline(r *receiver, batch []*message.Msg, bytes int64) bo
 	}
 	// waiting again: the engine goroutine may have been handed something
 	// and found the token taken since the look above.
-	if !r.up || e.waiting.Load() > 0 || len(e.parked) > 0 || len(batch) > e.maxParked {
+	if !r.up || e.waiting.Load() > 0 || e.parked.Load() > 0 || int64(len(batch)) > e.maxParked {
 		e.turnMu.Unlock()
 		return false
 	}
@@ -204,73 +204,14 @@ func (e *Engine) switchInline(r *receiver, batch []*message.Msg, bytes int64) bo
 	return true
 }
 
-// park shelves a message that could not be delivered right now, labeled
-// with its destination for the next retry round.
-func (e *Engine) park(m *message.Msg, dest message.NodeID) {
-	e.parked = append(e.parked, parkedMsg{m: m, dest: dest})
-	e.parkedByDest[dest]++
-	e.parkedLen.Store(int64(len(e.parked)))
-}
-
-// laneKey names one lane of one destination's sender ring.
-type laneKey struct {
-	dest message.NodeID
-	ctrl bool
-}
-
-// retryParked re-attempts delivery of messages labeled with remaining
-// senders, preserving per-destination FIFO order within each class: once a
-// lane refuses a message, everything later for that lane stays parked, and
-// parked data never holds back control in the other lane.
-func (e *Engine) retryParked() {
-	e.flushStaged()
-	if len(e.parked) == 0 {
-		return
-	}
-	stillFull := e.retryFull
-	clear(stillFull)
-	kept := e.parked[:0]
-	for _, p := range e.parked {
-		lane := laneKey{p.dest, p.m.IsControl()}
-		if stillFull[lane] {
-			kept = append(kept, p)
-			continue
-		}
-		s := e.senderLocked(p.dest)
-		if s == nil {
-			e.counters.AddDropped(int64(p.m.WireLen()))
-			e.disown(p.m)
-			e.parkedByDest[p.dest]--
-			continue
-		}
-		// A parked message keeps the charge deliverOut gave it, so the move
-		// into the ring leaves the gauge alone — and nothing here may read
-		// the message after a successful push: that hands it to the sender
-		// goroutine, which may have written and released it already.
-		if one := [1]*message.Msg{p.m}; e.pushOrWant(s, one[:]) == 1 {
-			e.parkedByDest[p.dest]--
-		} else {
-			stillFull[lane] = true
-			kept = append(kept, p)
-		}
-	}
-	e.setParked(kept)
-}
-
-// setParked installs kept — a prefix-packed reslice of e.parked — as the
-// backlog, clearing the vacated tail so released messages are not pinned.
-func (e *Engine) setParked(kept []parkedMsg) {
-	for i := len(kept); i < len(e.parked); i++ {
-		e.parked[i] = parkedMsg{}
-	}
-	e.parked = kept
-	e.parkedLen.Store(int64(len(kept)))
-}
-
 // deliverOut hands m to the sender toward dest (creating the link on first
-// use). Control goes to the ring's priority lane at once, unless control for
-// dest is parked and it must queue behind that; data is staged on
-// the sender until flushStaged moves the turn's run in one ring operation.
+// use) by way of the link's queue, which flushOut moves to the wire or into
+// the ring once per quantum. Control skips the queue for the ring's
+// priority lane at once, unless the lane is full or control already waits
+// in the queue, which flushOut moves into the lane first: the lane alone
+// keeps control-vs-control order only while none of the peer's control is
+// queued. Control never waits behind queued data: relaxing cross-class
+// order is exactly the service-class contract.
 func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 	s := e.lastSender
 	if s == nil || e.lastDest != dest {
@@ -284,91 +225,99 @@ func (e *Engine) deliverOut(m *message.Msg, dest message.NodeID) {
 	}
 	// The reference is charged before any push: a sender that writes and
 	// credits at once can then never drive the gauge negative, and a
-	// message that parks instead simply keeps its charge.
+	// message that queues instead simply keeps its charge.
 	e.buffered.Add(int64(m.WireLen()))
-	if m.IsControl() {
-		// Control never waits behind staged or parked data: relaxing
-		// cross-class order is exactly the service-class contract. It parks
-		// when the ring's control lane is full, and behind control already
-		// parked for the peer, which retryParked moves into the lane first:
-		// the lane alone keeps control-vs-control order only while none of
-		// the peer's control is parked.
-		if e.ctrlParkedFor(dest) {
-			e.park(m, dest)
+	if !m.IsControl() {
+		s.apps.add(m.App())
+	} else if !s.ctrlQueued() {
+		if one := [1]*message.Msg{m}; e.pushOrWant(s, one[:]) == 1 {
 			return
 		}
-		if one := [1]*message.Msg{m}; e.pushOrWant(s, one[:]) == 0 {
-			if cur := e.senderLocked(dest); cur != s {
-				// The cached link died and was (maybe) replaced under us.
-				e.lastDest, e.lastSender = message.NodeID{}, nil
-				if cur != nil && e.pushOrWant(cur, one[:]) == 1 {
-					return
-				}
-			}
-			e.park(m, dest)
-		}
-		return
 	}
-	s.apps.add(m.App())
-	if len(s.staged) == 0 {
-		// Staging is token-holder-only state, which makes Send's "within a
-		// turn" contract load-bearing. Asserted once per sender per flush.
-		e.assertTurn("data Send")
+	if len(s.out) == 0 {
+		// The queue is token-holder-only state, which makes Send's "within
+		// a turn" contract load-bearing. Asserted once per link per flush.
+		e.assertTurn("Send")
 		e.dirty = append(e.dirty, s)
 	}
-	s.staged = append(s.staged, m)
+	s.out = append(s.out, m)
 }
 
-// ctrlParkedFor reports whether a control message toward dest is parked.
-func (e *Engine) ctrlParkedFor(dest message.NodeID) bool {
-	if e.parkedByDest[dest] == 0 {
-		return false
+// flushOut moves every non-empty link queue toward the wire — one lock, one
+// timestamp and one wake-up per link — and keeps, in order, what the ring
+// refuses: the parked backlog. It runs after every switch quantum, between
+// engine turns, and before anything that inspects or tears down a link, so
+// outside a quantum every message deliverOut accepted is in a ring, written
+// or parked and counted: per-link FIFO, the parked-backlog headroom rule and
+// the buffered-bytes bound are decided on that state.
+func (e *Engine) flushOut() {
+	if len(e.dirty) == 0 {
+		return
 	}
-	for _, p := range e.parked {
-		if p.dest == dest && p.m.IsControl() {
+	kept, parked := e.dirty[:0], 0
+	for i, s := range e.dirty {
+		e.dirty[i] = nil
+		if len(s.out) == 0 {
+			continue // dropped with its link
+		}
+		e.flushLink(s)
+		if len(s.out) > 0 {
+			kept = append(kept, s)
+			parked += len(s.out)
+		}
+	}
+	e.dirty = kept
+	e.parked.Store(int64(parked))
+}
+
+// flushLink moves s's queue on, from its head: to the wire from the turn
+// itself while nothing is ahead of it (writeInline), into the ring while
+// its lanes take it, and what a full lane refuses stays queued, in order.
+// A full data lane never holds back control behind it in the queue, nor a
+// full control lane data.
+func (e *Engine) flushLink(s *sender) {
+	q := s.out
+	n := e.writeInline(s, q)
+	n += e.pushOrWant(s, q[n:])
+	// Nothing may read q[:n] any more: those messages are written and
+	// released, or the sender goroutine owns them and may have done both
+	// already. What stays needs no wake-up of its own: pushOrWant left the
+	// sender goroutine a reason to wake the switch.
+	k := 0
+	var dataFull, ctrlFull bool
+	for i, m := range q[n:] {
+		full := &dataFull
+		if m.IsControl() {
+			full = &ctrlFull
+		}
+		// q[n] is what the ring just refused; a later message of the other
+		// lane gets its own try.
+		if i > 0 && !*full && e.pushOrWant(s, q[n+i:n+i+1]) == 1 {
+			continue
+		}
+		*full = true
+		q[k] = m
+		k++
+	}
+	clear(q[k:])
+	s.out = q[:k]
+}
+
+// ctrlQueued reports whether control waits in s's queue. It scans the whole
+// queue: control queued behind this turn's data counts as much as control
+// behind the parked backlog.
+func (s *sender) ctrlQueued() bool {
+	for _, m := range s.out {
+		if m.IsControl() {
 			return true
 		}
 	}
 	return false
 }
 
-// flushStaged moves every staged run into its sender's ring — one lock, one
-// timestamp and one wake-up per destination — and parks, in order, what the
-// ring refuses. It runs after every switch quantum, between engine turns,
-// and before anything that inspects or tears down the parked backlog or a
-// link, so outside a quantum every message deliverOut accepted is either in
-// a ring or parked: per-destination FIFO, the parked-backlog headroom rule and
-// the buffered-bytes bound are decided on the same state as before staging
-// existed.
-func (e *Engine) flushStaged() {
-	for i, s := range e.dirty {
-		e.dirty[i] = nil
-		run := s.staged
-		n := 0
-		// Per-destination order: anything already parked for the peer must
-		// go first, so the whole run queues up behind it. With nothing ahead
-		// of it anywhere the run's head goes straight to the wire; what the
-		// wire does not take right now queues behind it.
-		if e.parkedByDest[s.peer] == 0 {
-			n = e.writeInline(s, run)
-			n += e.pushOrWant(s, run[n:])
-		}
-		// Nothing may read run[:n] any more: those messages are written and
-		// released, or the sender goroutine owns them and may have done both
-		// already. What is parked behind parked messages needs no wake-up of
-		// its own: the retry that frees those reaches it.
-		for _, m := range run[n:] {
-			e.park(m, s.peer)
-		}
-		clear(run)
-		s.staged = run[:0]
-	}
-	e.dirty = e.dirty[:0]
-}
-
 // pushOrWant pushes the leading messages of ms that s's ring takes, in
 // order, and reports how many. What the ring refuses is tried once more
-// after s.wanted goes up, so that a refusal the caller parks always leaves
+// after s.wanted goes up, so that a refusal the caller keeps always leaves
 // the sender goroutine a reason to wake the switch: the second try fails
 // only on a lane that was full after the flag went up, and the batch that
 // drains it reads the flag.
@@ -381,10 +330,12 @@ func (e *Engine) pushOrWant(s *sender, ms []*message.Msg) int {
 	return n
 }
 
-// writeInline writes the head of a destination's staged run from the turn
-// itself, without waking the link's sender goroutine, and reports how many
-// messages it disposed of. It writes only when nothing is ahead of the run
-// and the write cannot wait:
+// writeInline writes the head of a link's queue from the turn itself,
+// without waking the link's sender goroutine, and reports how many messages
+// it disposed of. It writes only data ahead of the queue's first control
+// message — control takes the ring's priority lane, and on a datagram link
+// it rides the stream — and only when nothing is ahead of the queue and the
+// write cannot wait:
 //
 //   - the link is up and its framing has a non-blocking write (s.inline):
 //     stream framing on a connection with TryWriteBuffers, datagram framing
@@ -392,23 +343,34 @@ func (e *Engine) pushOrWant(s *sender, ms []*message.Msg) int {
 //   - no emulated cap paces it — link, uplink or total: a shaped link's
 //     rate is the sender goroutine's to keep, and its backlog is the
 //     back-pressure signal;
-//   - nothing is parked for the peer (the caller checked);
 //   - the sender's ring is Idle — empty, and no batch popped and not yet
 //     written: either would be overtaken.
 //
 // The turn is the ring's only producer, so an idle ring stays idle until
-// the caller pushes the tail. What went out is metered, counted, released
-// and credited as runSender would have; a bypassed message waited in no
-// queue, and the data-lane delay histogram says so. A datagram send error
-// costs the messages, as in the sender goroutine, never the link; a stream
-// write error is left for the sender goroutine to find on the tail, so the
-// link dies once, in runSender, with its loss accounting.
-func (e *Engine) writeInline(s *sender, run []*message.Msg) int {
+// the caller pushes the tail. A parked backlog leaves this way too, as soon
+// as the sender goroutine has emptied the ring. What went out is metered,
+// counted, released and credited as runSender would have; a bypassed
+// message waited in no ring, and the data-lane delay histogram says so. A
+// datagram send error costs the messages, as in the sender goroutine, never
+// the link; a stream write error is left for the sender goroutine to find
+// on the tail, so the link dies once, in runSender, with its loss
+// accounting.
+func (e *Engine) writeInline(s *sender, q []*message.Msg) int {
 	if !s.dialed.Load() {
 		return 0 // still dialing
 	}
 	w := s.inline
 	if w == nil || w.capped() || !s.ring.Idle() {
+		return 0
+	}
+	run := q
+	for i, m := range q {
+		if m.IsControl() {
+			run = q[:i]
+			break
+		}
+	}
+	if len(run) == 0 {
 		return 0
 	}
 	n, bytes, err := w.tryWrite(run)
@@ -439,25 +401,19 @@ func (e *Engine) forgetSender(s *sender) {
 	}
 }
 
-// dropParkedFor drops (or, for a graceful close, silently releases) every
-// parked message toward dest.
-func (e *Engine) dropParkedFor(dest message.NodeID, countLost bool) {
-	if len(e.parked) == 0 {
-		return
-	}
-	kept := e.parked[:0]
-	for _, p := range e.parked {
-		if p.dest == dest {
-			if countLost {
-				e.counters.AddDropped(int64(p.m.WireLen()))
-			}
-			e.disown(p.m)
-			e.parkedByDest[p.dest]--
-			continue
+// dropOut drops (or, for a graceful close, silently releases) what s's
+// queue holds. The queue was flushed — every message in it is counted
+// parked — as it is at the start of every turn.
+func (e *Engine) dropOut(s *sender, countLost bool) {
+	for _, m := range s.out {
+		if countLost {
+			e.counters.AddDropped(int64(m.WireLen()))
 		}
-		kept = append(kept, p)
+		e.disown(m)
 	}
-	e.setParked(kept)
+	e.parked.Add(-int64(len(s.out)))
+	clear(s.out)
+	s.out = s.out[:0]
 }
 
 // receiverSnapshot lists the receivers in stable order. The list is
@@ -478,15 +434,6 @@ func (e *Engine) receiverSnapshot() []*receiver {
 	slices.SortFunc(rs, func(a, b *receiver) int { return a.peer.Compare(b.peer) })
 	e.recvList, e.recvListGen = rs, e.recvGen.Load()
 	return rs
-}
-
-// releaseParked releases the parked backlog. Called from Stop after every
-// goroutine that could hold the token has exited.
-func (e *Engine) releaseParked() {
-	for _, p := range e.parked {
-		e.disown(p.m)
-	}
-	e.setParked(e.parked[:0])
 }
 
 // processData hands one data message to Algorithm.Process, releasing it on

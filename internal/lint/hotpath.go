@@ -9,9 +9,9 @@ import (
 // per-message paths. The hot set is the engine's switch loop, the sender,
 // receiver and datagram-reader loops and the per-message loop of the
 // quantum (switchBatch) — their for-loop bodies; setup and teardown outside
-// the loop are cold — and the whole of Send/retryParked, which run once per
-// switched message, and of writeInline, which runs once per destination
-// per quantum and reaches each framing's tryWrite through an interface:
+// the loop are cold — and the whole of Send and flushLink, which every
+// switched message passes through, and of writeInline, which runs once per
+// link per flush and reaches each framing's tryWrite through an interface:
 //
 //   - fmt.* formats allocate and reflect per call;
 //   - time.Now is a syscall-class call — the loops batch timestamps and
@@ -34,7 +34,7 @@ const checkNameHotPath = "hotpath"
 // hotSet names the hot functions; true marks one hot from its first
 // statement, false one that is hot inside its for loops only.
 var hotSet = map[string]bool{
-	"Send": true, "retryParked": true,
+	"Send": true, "flushLink": true,
 	"switchOnce": false, "runSender": false, "runReceiver": false, "runDgramReader": false,
 	"switchBatch": false, "writeInline": true,
 }

@@ -136,7 +136,7 @@ func TestHotSetMustResolve(t *testing.T) {
 		}
 	})
 	sort.Strings(got)
-	if want := "Send retryParked runDgramReader runReceiver runSender switchBatch writeInline"; strings.Join(got, " ") != want {
+	if want := "Send flushLink runDgramReader runReceiver runSender switchBatch writeInline"; strings.Join(got, " ") != want {
 		t.Errorf("unresolved hot-set names = %q, want %q", got, want)
 	}
 }
