@@ -103,13 +103,13 @@ backpressure:
 # allocs runs the allocation tripwires five times over: a hop, a link's
 # build and teardown, a vnet connection's dial, accept, use and close, a
 # status tick, an injection, a datagram read, the pipe buffer a
-# handshake-only vnet connection holds, an idle engine, and a fresh
-# engine's first link and delivery. Most read a process-wide
-# counter, so a bound that holds only sometimes fails here rather than in
-# somebody else's run.
-ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestDialAcceptAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing|TestPipeFootprintOfAHandshake|TestIdleEngineFootprint|TestFreshEngineReusesBuffers
+# handshake-only vnet connection holds, a ring's slots (none until a push),
+# an idle engine, and a fresh engine's first link and delivery. Most read a
+# process-wide counter, so a bound that holds only sometimes fails here
+# rather than in somebody else's run.
+ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestDialAcceptAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing|TestPipeFootprintOfAHandshake|TestRingAllocatesOnlyWhatItHolds|TestIdleEngineFootprint|TestFreshEngineReusesBuffers
 allocs:
-	$(GO) test -count=5 -run '$(ALLOCS)' ./internal/engine ./internal/vnet
+	$(GO) test -count=5 -run '$(ALLOCS)' ./internal/engine ./internal/vnet ./internal/queue
 
 # trace-smoke proves the flight-recorder pipeline end to end with fresh
 # runs (-count=1 defeats the test cache): events recorded on a live
@@ -122,11 +122,12 @@ trace-smoke:
 # bench-smoke runs the repository benchmark's own tests. bench/ is a
 # separate Go module, so `go test ./...` from the root never reaches it;
 # this is the gate that keeps an engine change from breaking it unnoticed.
-# It also runs each root benchmark EXPERIMENTS.md cites once, so they
-# cannot rot either.
+# It also runs each root benchmark EXPERIMENTS.md cites once, and the
+# engine's link-opening benchmark, so they cannot rot either.
 bench-smoke:
 	cd bench && $(GO) test ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkLinkCycle -benchtime 1x ./internal/engine
 
 # examples-smoke runs every example program to completion: they are main
 # packages, so `test` only ever compiles them.

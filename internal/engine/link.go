@@ -295,6 +295,7 @@ type inlineWriter interface {
 // mid-restart, a healing partition) no longer kill the link on the first
 // try — before the link is declared down.
 func (e *Engine) runSender(s *sender) {
+	growStack()
 	defer e.wg.Done()
 	// dialPeer runs the whole handshake, so a returned connection is
 	// already admitted by the peer's gate and registered as its receiver.
@@ -639,6 +640,7 @@ func (e *Engine) dropQueued(r *queue.Ring) {
 // until the Welcome is written, so MaxHandshakes bounds the links still
 // being set up exactly; the door's goroutine is already counted in e.wg.
 func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, tok *admission.Token) {
+	growStack()
 	r := e.newReceiver(peer, conn)
 	e.mu.Lock()
 	if e.stopping {
@@ -669,6 +671,34 @@ func (e *Engine) handshake(conn net.Conn, peer message.NodeID, _ uint32, tok *ad
 	e.rec.Emit(trace.KindAccept, peer, 0, int64(admission.Admitted))
 	e.rec.Emit(trace.KindLinkUp, peer, 0, 1)
 	e.runReceiver(r)
+}
+
+// linkStackFrame is growStack's frame. With the frame or two below it, it
+// takes a fresh goroutine's 2 KiB stack to 8 KiB in one copy. In
+// link_churn profiles a link goroutine's dial and read paths outgrow
+// 2 KiB and fit in 4 KiB. Frames that land the stack on 4 or 8 KiB read
+// alike; larger ones cost more than they save. 8 KiB leaves room for the
+// algorithm's Process, which the receiver's goroutine runs when it
+// switches its own batch (EXPERIMENTS.md, "A link that opens at working
+// size").
+const linkStackFrame = 6 << 10
+
+// stackProbe is never written: growStack reads its frame at this index, so
+// the compiler must keep the whole frame.
+var stackProbe int
+
+// growStack grows the calling goroutine's stack to what a link's
+// goroutine reaches anyway, while the stack is still a frame or two deep.
+// The runtime grows a stack by copying it, and each copy walks and adjusts
+// every frame on it; a link goroutine that does not start here is copied
+// deep in its dial or its first read instead. Both link goroutines call it
+// first: runSender, and handshake on the door's goroutine that becomes the
+// receiver.
+//
+//go:noinline
+func growStack() byte {
+	var frame [linkStackFrame]byte
+	return frame[stackProbe]
 }
 
 // maxBatch is how many messages a link's goroutine moves through ring in

@@ -3,10 +3,12 @@ package engine_test
 import (
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/invariant"
 	"repro/internal/message"
@@ -25,10 +27,12 @@ import (
 // test's two Do closures per cycle are in it too.
 //
 // Readings on a 2-core x86-64 host over 25 runs, objects and bytes per
-// cycle: vnet 12.4–17.1 and 14.9–15.4 KiB, loopback TCP 41.8–46.7 and
-// 46.6–47.5 KiB; an earlier 25 read up to 17.2 objects and 15.6 KiB on
-// vnet. The bounds are the highest reading plus a quarter for objects and
-// a tenth for bytes, rounded up, and never raised. While a
+// cycle: vnet 15.5–16.6 and 5.8–6.1 KiB, loopback TCP 42.8–44.1 and
+// 37.3–37.8 KiB. The bounds are the highest reading plus a quarter for
+// objects and a tenth for bytes, rounded up, and never raised. While each
+// of a link's two rings allocated a slab of 2·64 slots when the link was
+// built, the same reading was vnet 12.4–17.1 objects and 14.9–15.4 KiB, TCP
+// 41.8–46.7 and 46.6–47.5 KiB, against bounds of 22/18 and 59/53. While a
 // vnet connection was two Conns and two pipes whose first writes grew
 // their buffers, and a link's framing, batches, staging, first app, dial
 // flag, teardown closure and the door's hello state were objects of their
@@ -52,7 +56,7 @@ func TestLinkCycleAllocations(t *testing.T) {
 		name         string
 		tcp          bool
 		objects, kib float64
-	}{{"vnet", false, 22, 18}, {"tcp", true, 59, 53}} {
+	}{{"vnet", false, 21, 7}, {"tcp", true, 56, 42}} {
 		t.Run(tr.name, func(t *testing.T) {
 			var n *vnet.Network
 			if !tr.tcp {
@@ -140,6 +144,78 @@ func TestLinkCycleAllocations(t *testing.T) {
 	}
 }
 
+// arrivals is BenchmarkLinkCycle's leaf algorithm: it consumes data and
+// reports each arrival on the channel, so the benchmark waits on a wakeup
+// rather than a sleep.
+type arrivals chan struct{}
+
+func (arrivals) Attach(engine.API) {}
+
+func (a arrivals) Process(m *message.Msg) engine.Verdict {
+	if m.IsData() {
+		a <- struct{}{}
+	}
+	return engine.Done
+}
+
+// BenchmarkLinkCycle is the layer's number for opening a link: one
+// iteration is link_churn's cycle on vnet — a hub opens a link to one of 8
+// leaves by sending it one 64-byte message, the leaf receives it, the hub
+// closes the link and waits until the leaf has left its Downstreams. ns/op
+// is the cycle's wall time, allocs/op what both ends and the transport
+// allocate for it (the benchmark's own Do closures included). The leaves'
+// gates admit the hub at any rate: at the default 16 admissions a second
+// per source, back-to-back cycles would measure the hub's backoff after a
+// Busy refusal instead of the link.
+func BenchmarkLinkCycle(b *testing.B) {
+	const app, leavesN, warm = 1, 8, 100
+	n := vnet.New()
+	defer n.Close()
+	start := func(id message.NodeID, alg engine.Algorithm) *engine.Engine {
+		e, err := engine.New(engine.Config{ID: id, Transport: engine.VNet{Net: n}, Algorithm: alg, StatusInterval: time.Hour,
+			Admission: admission.Config{SourceRate: 1e9}})
+		if err != nil {
+			b.Fatalf("New(%s): %v", id, err)
+		}
+		if err := e.Start(); err != nil {
+			b.Fatalf("Start(%s): %v", id, err)
+		}
+		b.Cleanup(e.Stop)
+		return e
+	}
+	hub := start(nid(1), &multicast.Forwarder{})
+	arrived := make(arrivals, 1)
+	leafIDs := make([]message.NodeID, leavesN)
+	for i := range leafIDs {
+		leafIDs[i] = nid(i + 2)
+		start(leafIDs[i], arrived)
+	}
+	closed := make(chan struct{})
+	cycle := func(c int) {
+		peer := leafIDs[c%leavesN]
+		hub.Do(func(api engine.API) {
+			api.SendNew(api.NewMsg(message.FirstDataType, app, uint32(c), 64), peer)
+		})
+		<-arrived
+		hub.Do(func(api engine.API) {
+			api.CloseLink(peer)
+			closed <- struct{}{}
+		})
+		<-closed
+		for slices.Contains(hub.Downstreams(), peer) {
+			runtime.Gosched()
+		}
+	}
+	for c := 0; c < warm; c++ {
+		cycle(c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(warm + i)
+	}
+}
+
 // TestIdleEngineFootprint is the tripwire on what an engine costs before it
 // carries anything: New and Start on vnet, and one Do per engine so that its
 // goroutines are running, read with the process-wide heap counters over 32
@@ -152,22 +228,24 @@ func TestLinkCycleAllocations(t *testing.T) {
 // them; what is left is mostly the Engine struct, its maps and channels,
 // and its goroutines' closures.
 //
-// Readings on a 2-core x86-64 host over 25 runs, per engine: 20.2–27.0
-// objects and 4.6–5.6 KiB (45 more at -cpu 1,2,4: up to 27.8 and 5.6). The
-// bounds are the highest reading plus a quarter for objects and a tenth
-// for bytes, rounded up. While every engine built its own message pool,
-// local-source ring, 512-slot listener backlog and seeded math/rand
-// source, the same test read 22–32 objects and 19.6–20.9 KiB. While the
-// inbox was two buffered channels of 1024 control messages and 4096
-// events, the flight recorder a preallocated ring of 1024 slots and the
-// backoff jitter a math/rand source, it read 29–64 objects and 112–119
-// KiB.
+// Readings on a 2-core x86-64 host over 25 runs, per engine: 17.5–25.2
+// objects and 4.5–5.1 KiB (45 more at -cpu 1,2,4: 17.6–26.9 and 4.5–5.6).
+// The bounds are the highest reading plus a quarter for objects and a
+// tenth for bytes, rounded up, and never raised. An earlier 25 read
+// 20.2–27.0 objects and 4.6–5.6 KiB (45 more at -cpu 1,2,4: up to 27.8
+// and 5.6), against bounds of 35 and 7. While every engine built its own
+// message pool, local-source ring, 512-slot listener backlog and seeded
+// math/rand source, the same test read 22–32 objects and 19.6–20.9 KiB.
+// While the inbox was two buffered channels of 1024 control messages and
+// 4096 events, the flight recorder a preallocated ring of 1024 slots and
+// the backoff jitter a math/rand source, it read 29–64 objects and
+// 112–119 KiB.
 func TestIdleEngineFootprint(t *testing.T) {
 	if raceEnabled || invariant.Enabled {
 		t.Skip("the race detector and ioverlay_debug builds allocate on their own")
 	}
 	const engines = 32
-	const maxObjects, maxKiB = 35.0, 7.0
+	const maxObjects, maxKiB = 34.0, 7.0
 	n := vnet.New()
 	defer n.Close()
 	algs := make([]multicast.Forwarder, engines)

@@ -47,27 +47,30 @@ func TestControlPopsBeforeQueuedData(t *testing.T) {
 	}
 }
 
+// TestControlPushNeverBlocksOnDataFullRing runs at a capacity within a
+// lane's first slots and at one the data lane reaches by growing.
 func TestControlPushNeverBlocksOnDataFullRing(t *testing.T) {
-	r := New(2)
-	if err := r.Push(mkMsg(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Push(mkMsg(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Data lane is full; a blocking control push must complete instantly.
-	done := make(chan error, 1)
-	go func() { done <- r.Push(mkCtrl(9)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("control Push on data-full ring: %v", err)
+	for _, capacity := range []int{2, 64} {
+		r := New(capacity)
+		for i := 0; i < capacity; i++ {
+			if err := r.Push(mkMsg(uint32(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
-	case <-time.After(time.Second):
-		t.Fatal("control Push blocked behind full data lane")
-	}
-	if m, err := r.Pop(); err != nil || m.Seq() != 9 {
-		t.Fatalf("Pop = %v, %v; want the control message (seq 9)", m, err)
+		// Data lane is full; a blocking control push must complete instantly.
+		done := make(chan error, 1)
+		go func() { done <- r.Push(mkCtrl(999)) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("capacity %d: control Push on data-full ring: %v", capacity, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("capacity %d: control Push blocked behind full data lane", capacity)
+		}
+		if m, err := r.Pop(); err != nil || m.Seq() != 999 {
+			t.Fatalf("capacity %d: Pop = %v, %v; want the control message (seq 999)", capacity, m, err)
+		}
 	}
 }
 

@@ -11,6 +11,11 @@
 // notification overtakes megabytes of queued payload instead of waiting
 // behind it. Per-lane FIFO order is preserved; only cross-class order is
 // relaxed, which is the point.
+//
+// A lane's capacity is a bound, not an allocation: its slots grow by
+// doubling as messages queue, up to the capacity, so a ring that never
+// holds anything — the receiver ring of a link whose batches are all
+// switched inline — costs its holder no slots at all.
 package queue
 
 import (
@@ -39,26 +44,43 @@ type slot struct {
 	at time.Time
 }
 
-// lane is one service class's bounded FIFO within a Ring: a window of the
-// ring's slot slab.
+// lane is one service class's bounded FIFO within a Ring.
 type lane struct {
-	slots  []slot
-	head   int // index of the oldest element
-	length int
-	delay  float64            // smoothed queueing delay, nanoseconds
-	hist   *metrics.Histogram // optional delay distribution (nil: EWMA only)
+	slots    []slot // grown by push, up to capacity
+	capacity int    // the lane's bound
+	head     int    // index of the oldest element
+	length   int
+	delay    float64            // smoothed queueing delay, nanoseconds
+	hist     *metrics.Histogram // optional delay distribution (nil: EWMA only)
 }
 
-func (l *lane) full() bool { return l.length == len(l.slots) }
+func (l *lane) full() bool { return l.length == l.capacity }
 
 func (l *lane) push(m *message.Msg, now time.Time) {
+	if l.length == len(l.slots) {
+		l.grow()
+	}
 	i := (l.head + l.length) % len(l.slots)
 	l.slots[i] = slot{m: m, at: now}
 	l.length++
 	if invariant.Enabled {
-		invariant.Assert(l.length <= len(l.slots),
-			"lane length %d past capacity %d after push", l.length, len(l.slots))
+		invariant.Assert(l.length <= l.capacity,
+			"lane length %d past capacity %d after push", l.length, l.capacity)
 	}
+}
+
+// minLaneSlots is the size of a lane's first slots, from which a grown
+// lane doubles.
+const minLaneSlots = 4
+
+// grow replaces the lane's full slots with twice as many — minLaneSlots
+// the first time, never more than capacity — and moves what they hold to
+// the front of the new ones, oldest first.
+func (l *lane) grow() {
+	slots := make([]slot, min(max(2*len(l.slots), minLaneSlots), l.capacity))
+	n := copy(slots, l.slots[l.head:])
+	copy(slots[n:], l.slots[:l.head])
+	l.slots, l.head = slots, 0
 }
 
 func (l *lane) pop(now time.Time) *message.Msg {
@@ -83,8 +105,7 @@ func (l *lane) pop(now time.Time) *message.Msg {
 // Ring is a bounded two-lane FIFO of message references with blocking and
 // non-blocking endpoints. The zero value is not usable: Init builds a ring
 // in place, inside whatever holds it — a link's sender or receiver keeps
-// its ring by value, so the ring costs its holder one slot slab and
-// nothing else. A ring must not be copied after Init. All methods are
+// its ring by value. A ring must not be copied after Init. All methods are
 // safe for concurrent use by any number of goroutines.
 type Ring struct {
 	mu          sync.Mutex
@@ -101,15 +122,15 @@ type Ring struct {
 	held bool
 }
 
-// Init makes r an empty ring holding at most capacity messages per lane,
-// both lanes in one slab of 2·capacity slots. Capacity must be positive.
+// Init makes r an empty ring holding at most capacity messages per lane.
+// It allocates nothing: a lane's first push gives it minLaneSlots slots,
+// and a push that finds them all taken doubles them, up to capacity.
+// Capacity must be positive.
 func (r *Ring) Init(capacity int) {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
 	}
-	slab := make([]slot, 2*capacity)
-	r.ctrl.slots = slab[:capacity:capacity]
-	r.data.slots = slab[capacity:]
+	r.ctrl.capacity, r.data.capacity = capacity, capacity
 	r.dataNotFull.L = &r.mu
 	r.ctrlNotFull.L = &r.mu
 	r.notEmpty.L = &r.mu
@@ -144,7 +165,7 @@ func (r *Ring) laneOf(m *message.Msg) *lane {
 }
 
 // Cap reports the fixed per-lane capacity.
-func (r *Ring) Cap() int { return len(r.data.slots) }
+func (r *Ring) Cap() int { return r.data.capacity }
 
 // Len reports the current number of buffered messages across both lanes.
 func (r *Ring) Len() int {
