@@ -103,11 +103,13 @@ backpressure:
 # allocs runs the allocation tripwires five times over: a hop, a link's
 # build and teardown, a vnet connection's dial, accept, use and close, a
 # status tick, an injection, a datagram read, the pipe buffer a
-# handshake-only vnet connection holds, a ring's slots (none until a push),
-# an idle engine, and a fresh engine's first link and delivery. Most read a
+# handshake-only vnet connection holds, the pipe buffer a closed one gives
+# back, a vnet packet endpoint's receive queue, a ring's slots (none until
+# a push), an idle engine, a fresh engine's first link and delivery, and a
+# 15-node tree's set-up. Most read a
 # process-wide counter, so a bound that holds only sometimes fails here
 # rather than in somebody else's run.
-ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestDialAcceptAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing|TestPipeFootprintOfAHandshake|TestRingAllocatesOnlyWhatItHolds|TestIdleEngineFootprint|TestFreshEngineReusesBuffers
+ALLOCS = TestHopAllocatesNothing|TestLinkCycleAllocations|TestDialAcceptAllocations|TestStatusTickAllocatesNothing|TestDoAllocatesNothing|TestDgramSteadyReadsAllocateNothing|TestPipeFootprintOfAHandshake|TestClosedConnectionsReuseBuffers|TestPacketEndpointFootprint|TestRingAllocatesOnlyWhatItHolds|TestIdleEngineFootprint|TestFreshEngineReusesBuffers|TestTreeSetupAllocations
 allocs:
 	$(GO) test -count=5 -run '$(ALLOCS)' ./internal/engine ./internal/vnet ./internal/queue
 
@@ -123,11 +125,12 @@ trace-smoke:
 # separate Go module, so `go test ./...` from the root never reaches it;
 # this is the gate that keeps an engine change from breaking it unnoticed.
 # It also runs each root benchmark EXPERIMENTS.md cites once, and the
-# engine's link-opening benchmark, so they cannot rot either.
+# engine's link-opening and cluster set-up benchmarks, so they cannot rot
+# either.
 bench-smoke:
 	cd bench && $(GO) test ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) test -run '^$$' -bench BenchmarkLinkCycle -benchtime 1x ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkCycle|BenchmarkTreeSetup' -benchtime 1x ./internal/engine
 
 # examples-smoke runs every example program to completion: they are main
 # packages, so `test` only ever compiles them.

@@ -48,9 +48,6 @@ type packetBatchReader interface {
 // handing them to the switch.
 const dgramReadBatch = 64
 
-// dgramArenaCap bounds the bytes a sender queues between batch flushes.
-const dgramArenaCap = 64 << 10
-
 // dgramFraming is the link's wire format in datagram mode. Data messages
 // are framed into datagrams toward the peer through the engine's shared
 // packet endpoint; control messages are written directly to conn, the
@@ -75,13 +72,14 @@ type dgramFraming struct {
 	bw     packetBatchWriter // nil: endpoint has no batch path
 	shaper bandwidth.Shaper
 
-	arena   []byte   // backing for queued frames; never reallocated
-	frames  [][]byte // queued frames, each a view into arena
-	wire    int64    // wire bytes of the messages queued
-	msgs    int64    // messages queued
-	scratch []byte   // per-packet path frame buffer
-	render  []byte   // wire image scratch for messages without one
-	taken   int64    // wire bytes of the batch's puts, see landed
+	seg     *message.Segment // arena's backing, borrowed from sharedPool
+	arena   []byte           // backing for queued frames; never reallocated
+	frames  [][]byte         // queued frames, each a view into arena
+	wire    int64            // wire bytes of the messages queued
+	msgs    int64            // messages queued
+	scratch []byte           // per-packet path frame buffer
+	render  []byte           // wire image scratch for messages without one
+	taken   int64            // wire bytes of the batch's puts, see landed
 }
 
 func (e *Engine) newDgramFraming(s *sender, conn net.Conn) (framing, error) {
@@ -96,11 +94,23 @@ func (e *Engine) newDgramFraming(s *sender, conn net.Conn) (framing, error) {
 		scratch: make([]byte, 0, e.cfg.DatagramMTU),
 	}
 	if bw, ok := e.pconn.(packetBatchWriter); ok {
+		// The arena is a receive segment's worth of bytes, borrowed from
+		// the process's pool for as long as the sender goroutine runs.
 		d.bw = bw
-		d.arena = make([]byte, 0, dgramArenaCap)
+		d.seg = sharedPool.GetSegment()
+		d.arena = d.seg.Bytes()[:0]
 		s.inline = d
 	}
 	return d, nil
+}
+
+// release gives the arena back; the packet endpoint copied every frame it
+// was handed, so nothing refers to it once the sender goroutine is done.
+func (d *dgramFraming) release() {
+	if d.seg != nil {
+		d.seg.Release()
+		d.seg, d.arena, d.frames = nil, nil, nil
+	}
 }
 
 func (d *dgramFraming) begin() { d.taken = 0 }
@@ -237,10 +247,10 @@ func (d *dgramFraming) capped() bool { return d.shaper.Active() }
 // closes rings without the token.
 func (d *dgramFraming) tryWrite(run []*message.Msg) (int, int64, error) {
 	e := d.e
-	if e.inlineArena == nil {
-		e.inlineArena = make([]byte, 0, dgramArenaCap)
+	if e.inlineSeg == nil {
+		e.inlineSeg = sharedPool.GetSegment() // given back by Stop
 	}
-	arena, frames := e.inlineArena, e.inlineVec[:0]
+	arena, frames := e.inlineSeg.Bytes()[:0], e.inlineVec[:0]
 	n := 0
 	var wire int64
 	for _, m := range run {
@@ -260,7 +270,7 @@ func (d *dgramFraming) tryWrite(run []*message.Msg) (int, int64, error) {
 	if n > 0 {
 		_, err = d.bw.WriteToBatch(frames, d.dest)
 	}
-	e.inlineArena, e.inlineVec = arena[:0], frames[:0]
+	e.inlineVec = frames[:0]
 	return n, wire, err
 }
 
@@ -274,7 +284,11 @@ func (d *dgramFraming) tryWrite(run []*message.Msg) (int, int64, error) {
 // same greylist the accept loop maintains.
 func (e *Engine) runDgramReader(pc net.PacketConn) {
 	defer e.wg.Done()
-	buf := make([]byte, 64<<10)
+	// The read buffer is a receive segment borrowed for the reader's life:
+	// every packet is decoded, copied or reassembled before the next read.
+	seg := sharedPool.GetSegment()
+	defer seg.Release()
+	buf := seg.Bytes()
 	ra := message.NewReassembler(0)
 	tr, _ := pc.(packetBatchReader)
 	var dgrams []vnet.Dgram

@@ -310,15 +310,16 @@ type Engine struct {
 	lastEventSeq uint64     // recorder cursor already shipped in a report
 	rates        []linkRate // the status tick's scratch
 	// The switch's scheduler state — see switch.go. dirty lists the senders
-	// whose queue (sender.out) is not empty, inlineVec and inlineArena are
+	// whose queue (sender.out) is not empty, inlineVec and inlineSeg are
 	// writeInline's scratch (the buffers it hands the transport, and on a
-	// datagram lane the frames' bytes), switchBuf the quantum's batch
-	// buffer, localPass the local-source ring's stride virtual time,
-	// lastDest/lastSender the one-entry sender cache, recvList the sorted
-	// receiver list as of recvListGen.
+	// datagram lane the segment the frames are built in, borrowed from
+	// sharedPool on the first inline write and given back by Stop),
+	// switchBuf the quantum's batch buffer, localPass the local-source
+	// ring's stride virtual time, lastDest/lastSender the one-entry sender
+	// cache, recvList the sorted receiver list as of recvListGen.
 	dirty       []*sender
 	inlineVec   [][]byte
-	inlineArena []byte
+	inlineSeg   *message.Segment
 	switchBuf   []*message.Msg
 	localPass   float64
 	lastDest    message.NodeID
@@ -811,6 +812,12 @@ func (e *Engine) Stop() {
 	for _, s := range senders {
 		e.dropOut(s, false)
 		e.credit(s.ring.Drain())
+	}
+	// Every goroutine that could take a turn is gone, so no inline write
+	// can still be framing into the segment.
+	if e.inlineSeg != nil {
+		e.inlineSeg.Release()
+		e.inlineSeg = nil
 	}
 	e.mu.Lock()
 	pending := e.obsPending

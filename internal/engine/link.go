@@ -271,6 +271,9 @@ type framing interface {
 	// landed reports the wire bytes of this batch's puts that a write
 	// error on the link can no longer lose.
 	landed() int64
+	// release gives back what the framing borrowed; the sender goroutine
+	// calls it as it exits.
+	release()
 }
 
 // inlineWriter is the non-blocking write of a link's framing, the one a
@@ -310,6 +313,7 @@ func (e *Engine) runSender(s *sender) {
 		e.postEvent(func(API) { e.senderGone(s) })
 		return
 	}
+	defer f.release()
 	s.conn = conn
 	s.dialed.Store(true)
 	e.rec.Emit(trace.KindLinkUp, s.peer, 0, 0)
@@ -541,6 +545,10 @@ func (f *streamFraming) flush() error {
 func (f *streamFraming) landed() int64 {
 	return f.sent - int64(f.buffered())
 }
+
+// release has nothing to give back: the write buffer, when built, lives
+// and dies with the link.
+func (f *streamFraming) release() {}
 
 // buffered reports the bytes waiting in the write buffer; none before it
 // is built.

@@ -19,7 +19,8 @@ import (
 // DefaultDgramInbox is the per-endpoint receive queue, in packets; an
 // arrival at a full queue is dropped, like a full kernel UDP buffer.
 // Sized like one: ~2.8 MB at a 1400-byte MTU, enough slack for a reader
-// stalled a couple hundred milliseconds behind a fast sender.
+// stalled a couple hundred milliseconds behind a fast sender. It is a
+// bound, not an allocation: the queue grows with what is queued.
 const DefaultDgramInbox = 2048
 
 // dgramSpec is the fault profile of one link's datagram traffic: each
@@ -56,7 +57,8 @@ type dgram struct {
 // queued dgram holds one reference; the buffer returns to the pool when
 // the last packet is consumed (read) or dropped, so a steady flood
 // recycles a handful of arenas instead of allocating per batch — the
-// datagram counterpart of the stream pipe reusing its ring.
+// datagram counterpart of a stream pipe borrowing its grown buffer from a
+// pool and giving it back when its connection closes.
 type dgramBuf struct {
 	arena   []byte
 	entries []dgram
@@ -94,19 +96,16 @@ func (b *dgramBuf) Release() { b.release(1) }
 
 // PacketConn is a bound datagram endpoint. It satisfies net.PacketConn.
 //
-// The inbox carries batches: a WriteToBatch sender hands over all its
-// packets in one channel operation, the way recvmmsg drains a socket
-// buffer in one syscall. queued counts buffered packets (channel plus
-// the reader-side remainder) and enforces the DefaultDgramInbox bound;
-// a reservation against it is taken before the channel send, so the
-// send itself never blocks — at one packet per batch minimum, the
-// channel can never hold more batches than the packet bound.
+// Its receive queue is pending, a slice of packets under mu that grows
+// with what is queued, up to the DefaultDgramInbox packet bound: a
+// WriteToBatch sender appends all its packets under one lock, the way
+// recvmmsg drains a socket buffer in one syscall, and a reader that found
+// the queue empty sleeps on ready. An endpoint that only ever sees a
+// trickle holds a few slots, not a 2048-entry buffer made at bind time.
 type PacketConn struct {
 	net    *Network
 	local  string
 	localA net.Addr // boxed once; every queued packet shares it as from
-	inbox  chan []dgram
-	queued atomic.Int64
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -114,11 +113,16 @@ type PacketConn struct {
 
 	mu           sync.Mutex
 	readDeadline time.Time
-	// pending holds the unread tails of batches taken from inbox, consumed
-	// from head on. It is reset to [:0] when it drains, so a steady reader
-	// reuses one backing array instead of walking its capacity away.
+	// pending holds the queued packets, consumed from head on. It is reset
+	// to [:0] when it drains and compacted when an append would outgrow
+	// it, so a steady reader reuses one backing array instead of walking
+	// its capacity away.
 	pending []dgram
 	head    int
+	// waiting counts readers asleep on ready; a delivery signals ready only
+	// while one is, so a reader that keeps up never finds a stale wakeup.
+	waiting int
+	ready   chan struct{} // capacity 1
 }
 
 var _ net.PacketConn = (*PacketConn)(nil)
@@ -141,8 +145,8 @@ func (n *Network) ListenPacket(address string) (net.PacketConn, error) {
 		net:    n,
 		local:  address,
 		localA: addr(address),
-		inbox:  make(chan []dgram, DefaultDgramInbox),
 		done:   make(chan struct{}),
+		ready:  make(chan struct{}, 1),
 	}
 	n.packets[address] = p
 	return p, nil
@@ -185,8 +189,8 @@ func (p *PacketConn) WriteTo(b []byte, to net.Addr) (int, error) {
 
 // WriteToBatch sends a batch of packets to one destination — the vnet
 // analogue of sendmmsg. The whole batch shares a single routing
-// decision, one backing allocation for the queued bytes, and one inbox
-// handoff at the receiver; faults still apply packet by packet. Like
+// decision, one backing allocation for the queued bytes, and one append
+// to the receiver's queue; faults still apply packet by packet. Like
 // WriteTo, unreachable destinations black-hole silently: the count
 // returned is how many packets the caller handed over, not how many
 // survived.
@@ -288,9 +292,7 @@ func (n *Network) releaseHeld(key pairKey) {
 
 // deliverBatch queues a batch, dropping whatever exceeds the endpoint's
 // packet bound or arrives after close — exactly what a kernel does to a
-// UDP datagram nobody is reading fast enough. The packet reservation is
-// taken against queued before the channel send, which therefore never
-// blocks (see the PacketConn doc).
+// UDP datagram nobody is reading fast enough.
 func (p *PacketConn) deliverBatch(batch []dgram) {
 	select {
 	case <-p.done:
@@ -298,35 +300,32 @@ func (p *PacketConn) deliverBatch(batch []dgram) {
 		return
 	default:
 	}
-	for {
-		q := p.queued.Load()
-		room := int64(DefaultDgramInbox) - q
-		if room <= 0 {
-			p.dropsFull.Add(int64(len(batch)))
-			releaseAll(batch)
-			return
-		}
-		take := int64(len(batch))
-		if take > room {
-			take = room
-		}
-		if p.queued.CompareAndSwap(q, q+take) {
-			if int(take) < len(batch) {
-				p.dropsFull.Add(int64(len(batch)) - take)
-				releaseAll(batch[take:])
-				batch = batch[:take]
-			}
-			break
-		}
+	p.mu.Lock()
+	take := min(len(batch), DefaultDgramInbox-(len(p.pending)-p.head))
+	if take < len(batch) {
+		p.dropsFull.Add(int64(len(batch) - take))
+		releaseAll(batch[take:])
+		batch = batch[:take]
 	}
+	if p.head > 0 && len(p.pending)+len(batch) > cap(p.pending) {
+		n := copy(p.pending, p.pending[p.head:])
+		clear(p.pending[n:])
+		p.pending, p.head = p.pending[:n], 0
+	}
+	p.pending = append(p.pending, batch...)
+	wake := len(batch) > 0 && p.waiting > 0
+	p.mu.Unlock()
+	if wake {
+		p.signal()
+	}
+}
+
+// signal wakes a reader asleep on an empty queue; a wakeup already pending
+// covers this one.
+func (p *PacketConn) signal() {
 	select {
-	case p.inbox <- batch:
+	case p.ready <- struct{}{}:
 	default:
-		// Unreachable while the reservation invariant holds; shedding
-		// beats blocking the writer if it is ever violated.
-		p.queued.Add(-int64(len(batch)))
-		p.dropsFull.Add(int64(len(batch)))
-		releaseAll(batch)
 	}
 }
 
@@ -360,8 +359,8 @@ func (d Dgram) Owner() interface{ Release() } { return d.buf }
 // TryReadDgrams pops up to len(dst) queued packets without blocking or
 // copying, returning how many it filled — the recvmmsg-shaped
 // counterpart to WriteToBatch: a reader woken by one packet drains
-// whatever else has already arrived with one lock round and one
-// reservation update for the burst, not one per packet.
+// whatever else has already arrived with one lock round for the burst,
+// not one per packet.
 func (p *PacketConn) TryReadDgrams(dst []Dgram) int {
 	n := 0
 	p.mu.Lock()
@@ -370,32 +369,11 @@ func (p *PacketConn) TryReadDgrams(dst []Dgram) int {
 		dst[n] = Dgram{Data: pkt.data, From: pkt.from, buf: pkt.buf}
 		n++
 	}
-	for n < len(dst) {
-		var batch []dgram
-		select {
-		case batch = <-p.inbox:
-		default:
-		}
-		if batch == nil {
-			break
-		}
-		for i, pkt := range batch {
-			if n == len(dst) {
-				p.pending = append(p.pending, batch[i:]...)
-				break
-			}
-			dst[n] = Dgram{Data: pkt.data, From: pkt.from, buf: pkt.buf}
-			n++
-		}
-	}
 	p.mu.Unlock()
-	if n > 0 {
-		p.queued.Add(-int64(n))
-	}
 	return n
 }
 
-// popPending takes the oldest unread packet; the caller holds p.mu and has
+// popPending takes the oldest queued packet; the caller holds p.mu and has
 // seen one queued. The slot is cleared so no consumed buffer stays pinned.
 func (p *PacketConn) popPending() dgram {
 	pkt := p.pending[p.head]
@@ -407,60 +385,56 @@ func (p *PacketConn) popPending() dgram {
 	return pkt
 }
 
-// consume copies one packet out to the caller and retires it: the
-// inbox reservation is returned and the packet's buffer reference
-// dropped (the copy makes the caller's view independent of the pool).
-func (p *PacketConn) consume(pkt dgram, b []byte) (int, net.Addr) {
-	n := copy(b, pkt.data)
-	p.queued.Add(-1)
-	pkt.buf.release(1)
-	return n, pkt.from
-}
-
-// stashRest queues the unread tail of a batch for the next read and
-// returns the head packet.
-func (p *PacketConn) stashRest(batch []dgram) dgram {
-	pkt := batch[0]
-	if rest := batch[1:]; len(rest) > 0 {
-		p.mu.Lock()
-		p.pending = append(p.pending, rest...)
-		p.mu.Unlock()
-	}
-	return pkt
-}
-
 // ReadFrom waits for the next packet, honoring the read deadline. A
-// packet larger than b is truncated, per datagram socket semantics.
+// packet larger than b is truncated, per datagram socket semantics. The
+// copy makes the caller's view independent of the pool, so the packet's
+// buffer reference is dropped here.
 func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	p.mu.Lock()
-	if p.head < len(p.pending) {
-		pkt := p.popPending()
-		p.mu.Unlock()
-		n, from := p.consume(pkt, b)
-		return n, from, nil
-	}
-	dl := p.readDeadline
-	p.mu.Unlock()
 	var timeout <-chan time.Time
-	if !dl.IsZero() {
-		d := time.Until(dl)
-		if d <= 0 {
+	for {
+		p.mu.Lock()
+		if p.head < len(p.pending) {
+			pkt := p.popPending()
+			// Another reader asleep meanwhile takes what is left.
+			more := p.head < len(p.pending) && p.waiting > 0
+			p.mu.Unlock()
+			if more {
+				p.signal()
+			}
+			n := copy(b, pkt.data)
+			pkt.buf.release(1)
+			return n, pkt.from, nil
+		}
+		dl := p.readDeadline
+		p.waiting++
+		p.mu.Unlock()
+		if timeout == nil && !dl.IsZero() {
+			d := time.Until(dl)
+			if d <= 0 {
+				p.stopWaiting()
+				return 0, nil, errTimeout{}
+			}
+			tm := time.NewTimer(d)
+			defer tm.Stop()
+			timeout = tm.C
+		}
+		select {
+		case <-p.ready:
+			p.stopWaiting()
+		case <-p.done:
+			p.stopWaiting()
+			return 0, nil, net.ErrClosed
+		case <-timeout:
+			p.stopWaiting()
 			return 0, nil, errTimeout{}
 		}
-		tm := time.NewTimer(d)
-		defer tm.Stop()
-		timeout = tm.C
 	}
-	select {
-	case batch := <-p.inbox:
-		pkt := p.stashRest(batch)
-		n, from := p.consume(pkt, b)
-		return n, from, nil
-	case <-p.done:
-		return 0, nil, net.ErrClosed
-	case <-timeout:
-		return 0, nil, errTimeout{}
-	}
+}
+
+func (p *PacketConn) stopWaiting() {
+	p.mu.Lock()
+	p.waiting--
+	p.mu.Unlock()
 }
 
 // Close unbinds the endpoint; queued packets are discarded.
@@ -472,7 +446,7 @@ func (p *PacketConn) Close() error {
 	return nil
 }
 
-// DropsFull reports packets discarded at this endpoint's full inbox.
+// DropsFull reports packets discarded at this endpoint's full queue.
 func (p *PacketConn) DropsFull() int64 {
 	return p.dropsFull.Load()
 }

@@ -3,6 +3,7 @@ package vnet
 import (
 	"errors"
 	"io"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -30,7 +31,9 @@ type watermark struct {
 // the paper's engine relies on for the back-pressure effect of small
 // buffers. The bound is capacity, not the buffer: the buffer starts empty
 // and grows as bytes queue, so a link that only ever carries a handshake
-// never pays for a full socket buffer.
+// never pays for a full socket buffer, and a grown buffer is borrowed from
+// pipeBufs and given back when the pipe breaks, so the next connection
+// grows into it instead of into fresh memory.
 type pipe struct {
 	mu       sync.Mutex
 	notFull  sync.Cond
@@ -47,6 +50,11 @@ type pipe struct {
 	buf      []byte // ring of buffered bytes, grown by copyIn up to capacity
 	head     int
 	length   int
+	// lent is buf's handle in pipeBufs while buf is a borrowed buffer, nil
+	// while buf is first or a buffer no size class fits. breakPipe gives
+	// it back and points buf at first again, so once the pipe is broken
+	// nothing it does can touch a buffer another pipe has taken.
+	lent *[]byte
 	// first is buf until the bytes queued outgrow it: a hello or a Welcome
 	// fits in it many times over, so a link that carries only a handshake,
 	// or a trickle, never allocates a buffer.
@@ -267,16 +275,66 @@ func (p *pipe) copyIn(b []byte) int {
 // growLocked replaces the buffer with one that holds at least need bytes:
 // the old size doubled, from minPipeBuf, as often as need takes, but never
 // more than capacity. The buffered bytes move to the front of the new
-// ring, in order.
+// ring, in order, and the old buffer goes back to its pool.
 func (p *pipe) growLocked(need int) {
 	size := max(len(p.buf), minPipeBuf)
 	for size < need {
 		size *= 2
 	}
-	buf := make([]byte, min(size, p.capacity))
+	buf, lent := borrowPipeBuf(min(size, p.capacity))
 	first := copy(buf, p.buf[p.head:min(p.head+p.length, len(p.buf))])
 	copy(buf[first:p.length], p.buf)
-	p.buf, p.head = buf, 0
+	p.giveBackLocked()
+	p.buf, p.lent, p.head = buf, lent, 0
+}
+
+// giveBackLocked returns a borrowed buffer to pipeBufs and points buf at
+// the first buffer again. The caller has copied out or discarded what the
+// borrowed buffer held.
+func (p *pipe) giveBackLocked() {
+	if p.lent != nil {
+		pipeBufs[pipeBufClass(len(*p.lent))].Put(p.lent)
+		p.lent = nil
+	}
+	p.buf, p.head = p.first[:min(len(p.first), p.capacity)], 0
+}
+
+// pipeBufs recycles grown pipe buffers across connections, one pool per
+// power-of-two size from 2·minPipeBuf to DefaultPipeCapacity: a pipe grows
+// through the same doublings on every connection, and the set-up and
+// teardown of links is the control plane's steady state, so without them
+// each new link grows its pipes out of fresh memory and a cluster's
+// set-up sets off a collection. Entries are *[]byte so that a Put
+// allocates nothing.
+var pipeBufs [pipeBufClasses]sync.Pool
+
+const pipeBufClasses = 7 // 1 KiB … 64 KiB
+
+// pipeBufClass is the pool of size-byte buffers, or -1 when size is not
+// one of the pooled powers of two.
+func pipeBufClass(size int) int {
+	c := bits.Len(uint(size)) - 1 - bits.Len(uint(minPipeBuf))
+	if c < 0 || c >= pipeBufClasses || size&(size-1) != 0 {
+		return -1
+	}
+	return c
+}
+
+// borrowPipeBuf returns a size-byte buffer and, when it comes from (and
+// goes back to) a pool, its handle there. A size no class fits — a
+// capacity that is not a power of two, or above DefaultPipeCapacity — is
+// plain memory, left to the collector when the pipe is done with it.
+func borrowPipeBuf(size int) ([]byte, *[]byte) {
+	c := pipeBufClass(size)
+	if c < 0 {
+		return make([]byte, size), nil
+	}
+	if v := pipeBufs[c].Get(); v != nil {
+		lent := v.(*[]byte)
+		return *lent, lent
+	}
+	buf := make([]byte, size)
+	return buf, &buf
 }
 
 func (p *pipe) Read(b []byte) (int, error) {
@@ -345,12 +403,16 @@ func (p *pipe) closeWrite() {
 }
 
 // breakPipe simulates an abrupt failure (node crash, severed link):
-// buffered data is discarded and both ends error immediately.
+// buffered data is discarded and both ends error immediately. It is also
+// the reading end's Close, so it is where a pipe that can no longer be read
+// gives its borrowed buffer back; closeWrite never does, since a graceful
+// close leaves the pending bytes readable.
 func (p *pipe) breakPipe() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.broken = true
 	p.length = 0
+	p.giveBackLocked()
 	p.wakeWritersLocked()
 	p.wakeReadersLocked()
 }

@@ -4,6 +4,12 @@
 // listens on a virtual address, dials peers, and experiences TCP-like
 // back-pressure through bounded pipes. Links can be severed and latency
 // can be attached per network for failure and QoS experiments.
+//
+// A real socket keeps its buffers in the kernel; here they are the
+// process's heap, so a pipe borrows its grown buffer from a process-wide
+// pool and gives it back when the connection closes. Standing clusters up
+// and tearing them down, which every experiment and benchmark does, then
+// reuses the same buffers instead of feeding the garbage collector.
 package vnet
 
 import (
@@ -19,7 +25,8 @@ import (
 // typical kernel TCP buffer. Small relative to experiment traffic so that
 // back-pressure propagates promptly. It is a bound, not an allocation: a
 // pipe's buffer grows as bytes queue, up to the capacity, so a connection
-// costs what it carries.
+// costs what it carries, and a closed one gives its grown buffers back to a
+// process-wide pool for the next connection to grow into.
 const DefaultPipeCapacity = 64 << 10
 
 // Errors reported by the network.
